@@ -19,19 +19,10 @@ speedup at 4 workers additionally requires >= ``E21_WORKERS`` CPUs, so
 machine can physically provide the parallelism; the measured numbers are
 recorded either way.
 
-The mining stage gets its own scaling sweep: the typed coordinate mine
-is repeated with ``mine_workers=`` 1, 2 and 4 (``E21_MINE_WORKERS``),
-each run asserted to reproduce the sequential lattice, with the greedy
-root-partition sizes recorded alongside the timings — visibly uneven
-partitions explain away a flat curve.  Like the fill floor, the >= 2x
-4-worker mining speedup is asserted only when the machine has >= 4
-CPUs; single-CPU runs record honest numbers without failing.
-
 Environment knobs (CI runs a scaled-down row count):
 
 * ``E21_ROWS`` — input rows (default 10_000_000);
 * ``E21_WORKERS`` — parallel fill processes (default 4);
-* ``E21_MINE_WORKERS`` — mining sweep, comma-separated (default 1,2,4);
 * ``E21_RSS_CEILING_MB`` — peak-RSS ceiling (default 3000);
 * ``E21_SPILL_MB`` — encode spill budget (default 256).
 """
@@ -41,15 +32,11 @@ from __future__ import annotations
 import os
 import time
 
-import numpy as np
-
 from repro.cube.builder import SegregationDataCubeBuilder
 from repro.cube.cube import CubeMetadata, SegregationCube, check_same_cells
 from repro.cube.parallel import fill_parallel
 from repro.data.synthetic import write_random_final_table_csv
 from repro.etl.stream import stream_csv
-from repro.itemsets.eclat import typed_frequent_triples
-from repro.itemsets.parallel import partition_roots
 from repro.itemsets.transactions import EncodeAccumulator
 from repro.report.text import render_table
 
@@ -57,9 +44,6 @@ from benchmarks.conftest import peak_rss_mb, write_bench_json, write_result
 
 ROWS = int(os.environ.get("E21_ROWS", "10000000"))
 WORKERS = int(os.environ.get("E21_WORKERS", "4"))
-MINE_WORKERS = [
-    int(w) for w in os.environ.get("E21_MINE_WORKERS", "1,2,4").split(",")
-]
 RSS_CEILING_MB = float(os.environ.get("E21_RSS_CEILING_MB", "3000"))
 SPILL_MB = int(os.environ.get("E21_SPILL_MB", "256"))
 N_UNITS = 1000
@@ -96,19 +80,6 @@ def test_etl_scale_out_of_core(benchmark, tmp_path):
         mined = builder.mine_coordinates(db)
         mine_seconds = time.perf_counter() - start
 
-        # Mining scaling sweep: same lattice at each worker count.
-        mine_scaling = []
-        for mine_workers in MINE_WORKERS:
-            scaled_builder = SegregationDataCubeBuilder(
-                mine_workers=mine_workers, **LIMITS
-            )
-            start = time.perf_counter()
-            scaled = scaled_builder.mine_coordinates(db)
-            seconds = time.perf_counter() - start
-            assert list(scaled.mixed_covers) == list(mined.mixed_covers)
-            assert scaled.context_pops == mined.context_pops
-            mine_scaling.append((mine_workers, seconds))
-
         start = time.perf_counter()
         columnar_store = builder._fill_columnar(db, mined)
         columnar_seconds = time.perf_counter() - start
@@ -120,11 +91,11 @@ def test_etl_scale_out_of_core(benchmark, tmp_path):
         parallel_store = fill_parallel(parallel_builder, db, mined)
         parallel_seconds = time.perf_counter() - start
         return (schema, db, mined, columnar_store, parallel_store, spilled,
-                write_seconds, encode_seconds, mine_seconds, mine_scaling,
+                write_seconds, encode_seconds, mine_seconds,
                 columnar_seconds, parallel_seconds)
 
     (schema, db, mined, columnar_store, parallel_store, spilled,
-     write_seconds, encode_seconds, mine_seconds, mine_scaling,
+     write_seconds, encode_seconds, mine_seconds,
      columnar_seconds, parallel_seconds) = benchmark.pedantic(
          run, rounds=1, iterations=1)
 
@@ -145,28 +116,6 @@ def test_etl_scale_out_of_core(benchmark, tmp_path):
 
     fill_speedup = columnar_seconds / parallel_seconds
 
-    # Greedy root partitions of the typed (pass-2) mine, per sweep
-    # point: the actual work split behind each measured time.
-    typed_minsup = min(mined.minsup_pop, mined.minsup_min)
-    root_supports = np.array([
-        support for _, _, support in typed_frequent_triples(
-            db, typed_minsup,
-            db.dictionary.sa_ids, db.dictionary.ca_ids,
-        )
-    ])
-    mine_t1 = dict(mine_scaling).get(1, mine_seconds)
-    mine_entries = []
-    for mine_workers, seconds in mine_scaling:
-        mine_entries.append({
-            "workers": mine_workers,
-            "seconds": seconds,
-            "speedup": mine_t1 / seconds if seconds else float("inf"),
-            "partition_sizes": [
-                len(part)
-                for part in partition_roots(root_supports, mine_workers)
-            ],
-        })
-
     rss_mb = peak_rss_mb()
     workers_rss_mb = peak_rss_mb(children=True)
     csv_mb = csv_path.stat().st_size / (1 << 20)
@@ -178,12 +127,6 @@ def test_etl_scale_out_of_core(benchmark, tmp_path):
          f"spilled={spilled}, budget {SPILL_MB} MB"],
         ["mine (shared)", f"{mine_seconds:.1f}",
          f"{mined.n_contexts} contexts"],
-        *[
-            [f"mine x{entry['workers']}", f"{entry['seconds']:.1f}",
-             f"{entry['speedup']:.2f}x, partitions "
-             f"{entry['partition_sizes']}"]
-            for entry in mine_entries
-        ],
         ["fill columnar", f"{columnar_seconds:.1f}",
          f"{len(columnar_cube)} cells"],
         [f"fill parallel x{WORKERS}", f"{parallel_seconds:.1f}",
@@ -206,7 +149,6 @@ def test_etl_scale_out_of_core(benchmark, tmp_path):
         "encode_spilled": bool(spilled),
         "spill_budget_mb": SPILL_MB,
         "mine_s": mine_seconds,
-        "mine_scaling": mine_entries,
         "n_cells": len(columnar_cube),
         "fill_columnar_s": columnar_seconds,
         "fill_parallel_s": parallel_seconds,
@@ -225,9 +167,3 @@ def test_etl_scale_out_of_core(benchmark, tmp_path):
             f"parallel fill only {fill_speedup:.2f}x faster at "
             f"{WORKERS} workers"
         )
-    for entry in mine_entries:
-        if entry["workers"] >= 4 and (os.cpu_count() or 1) >= 4:
-            assert entry["speedup"] >= 2.0, (
-                f"parallel mine only {entry['speedup']:.2f}x faster at "
-                f"{entry['workers']} workers"
-            )

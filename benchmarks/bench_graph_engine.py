@@ -1,9 +1,9 @@
 """E22 — cover-kernel graph engine vs the seed-era set/BFS baseline.
 
 PR 8 rebuilt every ``graph/`` hot path on arrays: vectorized bipartite
-projection (degree-bucketed pair enumeration; optional packed-cover
-AND+popcount engine), union-find components, an O(edges)-per-step
-threshold sweep, and a level-synchronous batched SToC frontier.  This
+projection (degree-bucketed pair enumeration), union-find components,
+an O(edges)-per-step threshold sweep, and a level-synchronous batched
+SToC frontier.  This
 experiment runs the whole graph pipeline — projection → components →
 threshold profile → SToC — once with the new engine and once with the
 legacy implementations (:mod:`repro.graph.legacy`) on a power-law
@@ -16,10 +16,7 @@ Assertions pin the optimisation contract:
   arrays and weights, same component/threshold/SToC labels (exact
   equality, not approximate);
 * the combined new-engine pipeline is at least ``E22_MIN_SPEEDUP``
-  (default 5) times faster than the combined legacy pipeline;
-* the cover engine (serial and, when the machine has the CPUs,
-  parallel at ``E22_WORKERS``) reproduces the grouped engine's
-  projection exactly at a reduced scale.
+  (default 5) times faster than the combined legacy pipeline.
 
 The legacy baseline is given its adjacency sets pre-built outside the
 timed region, so the measured gap understates the real one.
@@ -27,7 +24,6 @@ timed region, so the measured gap understates the real one.
 Environment knobs (CI runs a scaled-down world):
 
 * ``E22_LEFT`` / ``E22_RIGHT`` — world size (default 500_000 × 20_000);
-* ``E22_WORKERS`` — parallel cover fan-out (default 4);
 * ``E22_MIN_SPEEDUP`` — asserted combined speedup floor (default 5).
 """
 
@@ -50,7 +46,6 @@ from benchmarks.conftest import peak_rss_mb, write_bench_json, write_result
 
 N_LEFT = int(os.environ.get("E22_LEFT", "500000"))
 N_RIGHT = int(os.environ.get("E22_RIGHT", "20000"))
-WORKERS = int(os.environ.get("E22_WORKERS", "4"))
 MIN_SPEEDUP = float(os.environ.get("E22_MIN_SPEEDUP", "5"))
 MAX_LEFT_DEGREE = 50
 THRESHOLDS = [2.0, 3.0, 4.0, 5.0]
@@ -61,7 +56,7 @@ def _run_new(bipartite, attributes):
     timings = {}
     t0 = time.perf_counter()
     projection = project_onto_groups(
-        bipartite, max_left_degree=MAX_LEFT_DEGREE, engine="grouped"
+        bipartite, max_left_degree=MAX_LEFT_DEGREE
     )
     timings["projection"] = time.perf_counter() - t0
     graph = projection.graph
@@ -135,26 +130,6 @@ def test_graph_engine_scale(benchmark):
     old_total = sum(old_t.values())
     speedup = old_total / new_total
 
-    # Cover-engine cross-check at a scale the packed matrix fits.
-    cover_left = min(N_LEFT, 100_000)
-    cover_right = min(N_RIGHT, 5_000)
-    small, _ = random_bipartite_world(cover_left, cover_right, seed=22)
-    t0 = time.perf_counter()
-    grouped = project_onto_groups(
-        small, max_left_degree=MAX_LEFT_DEGREE, engine="grouped"
-    )
-    grouped_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    cover = project_onto_groups(
-        small, max_left_degree=MAX_LEFT_DEGREE, engine="cover",
-        workers=WORKERS if (os.cpu_count() or 1) >= WORKERS else None,
-    )
-    cover_s = time.perf_counter() - t0
-    gu, gv, gw = grouped.graph.edge_arrays()
-    cu, cv, cw = cover.graph.edge_arrays()
-    assert np.array_equal(gu, cu) and np.array_equal(gv, cv)
-    assert np.array_equal(gw, cw)
-
     rss_mb = peak_rss_mb()
     rows = [
         [stage, f"{old_t[stage]:.3f}", f"{new_t[stage]:.3f}",
@@ -170,9 +145,6 @@ def test_graph_engine_scale(benchmark):
         f"({bipartite.n_edges} memberships, {projection.graph.n_edges} "
         "projected edges; outputs asserted identical)\n"
         + render_table(["stage", "legacy s", "new s", "speedup"], rows)
-        + f"\ncover engine at {cover_left}x{cover_right}: "
-        f"grouped {grouped_s:.3f}s, cover {cover_s:.3f}s "
-        "(identical edges+weights)"
         + f"\npeak RSS: {rss_mb:.0f} MB",
     )
     write_bench_json("E22", {
@@ -191,11 +163,6 @@ def test_graph_engine_scale(benchmark):
         "new_total_s": round(new_total, 4),
         "speedup": round(speedup, 2),
         "min_speedup": MIN_SPEEDUP,
-        "cover_check_left": cover_left,
-        "cover_check_right": cover_right,
-        "cover_grouped_s": round(grouped_s, 4),
-        "cover_cover_s": round(cover_s, 4),
-        "cover_workers": WORKERS,
         "cpu_count": os.cpu_count(),
     })
     assert speedup >= MIN_SPEEDUP, (

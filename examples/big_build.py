@@ -50,10 +50,10 @@ def main() -> None:
     print(f"encoded {len(db)} rows, {db.n_items} items, "
           f"{db.n_units} units (spilled to scratch: {spilled})")
 
-    # -- 3. multiprocess mine + fill, bit-identical to single-process -
+    # -- 3. multiprocess fill, bit-identical to single-process --------
     limits = {"min_population": 0.002, "min_minority": 0.0005}
     parallel = SegregationDataCubeBuilder(
-        engine="parallel", workers=2, mine_workers=2, **limits
+        engine="parallel", workers=2, **limits
     ).build_from_transactions(db)
     columnar = SegregationDataCubeBuilder(
         **limits
@@ -61,8 +61,7 @@ def main() -> None:
     problems = check_same_cells(columnar, parallel, atol=0.0)
     print(f"parallel fill: {len(parallel)} cells in "
           f"{parallel.metadata.build_seconds:.2f}s with "
-          f"{parallel.metadata.extra['workers']} fill + "
-          f"{parallel.metadata.extra['mine_workers']} mine workers; "
+          f"{parallel.metadata.extra['workers']} fill workers; "
           f"parity vs columnar: "
           f"{'identical' if not problems else problems[:3]}")
 

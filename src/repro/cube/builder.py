@@ -37,6 +37,8 @@ A multiprocess variant (``engine="parallel"``, :mod:`repro.cube.parallel`)
 partitions the context groups across workers; each worker runs the exact
 same phases B/C (the shared :func:`eval_context_block`) over shared-memory
 cover words, so the parallel cube is bit-exact against the columnar one.
+Mining always runs in-process: pooling the mining passes loses at every
+size measured, because every candidate cover would be pickled back.
 
 In ``closed`` mode only closed coordinates are materialised (non-closed
 itemsets select exactly the same minority as their closure); the cube
@@ -220,12 +222,6 @@ class SegregationDataCubeBuilder:
     workers:
         Process count for ``engine="parallel"`` (None = one per CPU);
         ignored by the other engines.
-    mine_workers:
-        Process count for the mining passes (see
-        :mod:`repro.itemsets.parallel`): both passes of
-        :meth:`mine_coordinates` fan their DFS roots across this many
-        workers, with bit-identical mined coordinates.  ``None``
-        (default) mines in-process; independent of the fill engine.
     """
 
     def __init__(
@@ -240,7 +236,6 @@ class SegregationDataCubeBuilder:
         codec: str = "packed",
         engine: str = "columnar",
         workers: "int | None" = None,
-        mine_workers: "int | None" = None,
     ):
         if mode not in ("all", "closed"):
             raise CubeError(f"mode must be 'all' or 'closed', got {mode!r}")
@@ -251,10 +246,6 @@ class SegregationDataCubeBuilder:
             )
         if workers is not None and int(workers) < 1:
             raise CubeError(f"workers must be >= 1, got {workers!r}")
-        if mine_workers is not None and int(mine_workers) < 1:
-            raise CubeError(
-                f"mine_workers must be >= 1, got {mine_workers!r}"
-            )
         self.indexes: list[IndexSpec] = resolve_indexes(indexes)
         self.min_population = min_population
         self.min_minority = min_minority
@@ -265,9 +256,6 @@ class SegregationDataCubeBuilder:
         self.codec = codec
         self.engine = engine
         self.workers = None if workers is None else int(workers)
-        self.mine_workers = (
-            None if mine_workers is None else int(mine_workers)
-        )
 
     # ------------------------------------------------------------------
 
@@ -303,7 +291,8 @@ class SegregationDataCubeBuilder:
         if self.engine == "percell":
             store = self._fill_percell(db, mined)
         elif self.engine == "parallel":
-            from repro.cube.parallel import fill_parallel, resolve_workers
+            from repro._pool import resolve_workers
+            from repro.cube.parallel import fill_parallel
 
             store = fill_parallel(self, db, mined)
             extra_meta["workers"] = resolve_workers(self.workers)
@@ -311,8 +300,6 @@ class SegregationDataCubeBuilder:
             # "incremental" cold-starts (and plain-builds) through the
             # columnar fill; its delta path lives in cube/incremental.py.
             store = self._fill_columnar(db, mined)
-        if self.mine_workers is not None:
-            extra_meta["mine_workers"] = self.mine_workers
 
         metadata = CubeMetadata(
             index_names=[spec.name for spec in self.indexes],
@@ -391,7 +378,6 @@ class SegregationDataCubeBuilder:
             items=db.dictionary.ca_ids,
             max_len=self.max_ca_items,
             with_covers=True,
-            workers=self.mine_workers,
         )
         if db.n_active >= minsup_pop:
             # The root (empty) context is added by hand, so it is the
@@ -421,7 +407,6 @@ class SegregationDataCubeBuilder:
             ca_ids=db.dictionary.ca_ids,
             max_sa=self.max_sa_items,
             max_ca=self.max_ca_items,
-            workers=self.mine_workers,
         )
         closed_info: "dict[Itemset, tuple[bytes, bool]] | None" = None
         if self.mode == "closed":
@@ -716,7 +701,6 @@ def build_cube(
     codec: str = "packed",
     engine: str = "columnar",
     workers: "int | None" = None,
-    mine_workers: "int | None" = None,
     snapshot_path=None,
 ) -> SegregationCube:
     """One-call convenience wrapper around the builder.
@@ -734,7 +718,6 @@ def build_cube(
         codec=codec,
         engine=engine,
         workers=workers,
-        mine_workers=mine_workers,
     )
     cube = builder.build(table, schema)
     if snapshot_path is not None:

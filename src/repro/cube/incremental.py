@@ -290,7 +290,6 @@ class TemporalCubeEngine:
             items=affected_ca,
             max_len=self.builder.max_ca_items,
             with_covers=True,
-            workers=self.builder.mine_workers,
         )
         if db.n_active >= minsup_pop:
             recompute[frozenset()] = db.full_cover()
@@ -329,7 +328,6 @@ class TemporalCubeEngine:
                     max_len=self.builder.max_sa_items,
                     with_covers=True,
                     within=context_cover,
-                    workers=self.builder.mine_workers,
                 )
                 for sa_part, cell_cover in refinements.items():
                     cands[sa_part | context] = cell_cover
@@ -357,7 +355,6 @@ class TemporalCubeEngine:
                 previous=flat_prev,
                 max_sa=self.builder.max_sa_items,
                 max_ca=self.builder.max_ca_items,
-                workers=self.builder.mine_workers,
             )
             new_closed_info = {
                 context: prev_info.get(context, {})

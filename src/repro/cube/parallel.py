@@ -4,12 +4,13 @@ The columnar fill's phases B/C — per-unit counting plus batched index
 kernels — are embarrassingly parallel across *context groups*: every
 candidate cell of a context needs only that context's population vector,
 its own cover, and the unit labels.  This module partitions the context
-groups across ``multiprocessing`` workers:
+groups across the package's one shared-memory pool (:mod:`repro._pool`):
 
 * the packed ``uint64`` cover words of all SA-bearing candidates and the
-  per-row unit labels are written **once** into
-  :mod:`multiprocessing.shared_memory` segments — workers map them
-  read-only instead of receiving pickled copies;
+  per-row unit labels are shared **once** with every worker instead of
+  being pickled per task;
+* context groups are partitioned greedy largest-first by cell count, so
+  one popular context cannot serialise the fill behind it;
 * each worker rebuilds a *units-only* counting database over the shared
   labels and runs the exact kernels of the single-process engine
   (:meth:`~repro.itemsets.transactions.TransactionDatabase.unit_counts_many`
@@ -22,128 +23,45 @@ groups across ``multiprocessing`` workers:
 Because every number is produced by the very same NumPy call sequence on
 the very same inputs, the parallel cube is **bit-exact** (``atol=0``)
 against the columnar one — ``python -m repro.cube.selfcheck`` asserts
-this end to end.
-
-Workers are forked when the platform supports it (inheriting the index
-registry, so runtime-registered custom indexes keep working) and spawned
-otherwise; in that case index specs travel pickled, which all built-in
-specs support.
+this end to end.  A raising worker surfaces as
+:class:`~repro.errors.CubeError`.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-from multiprocessing import shared_memory
-
 import numpy as np
 
+from repro import _pool
 from repro.cube.builder import (
     _FILL_BATCH_CELLS,
-    CandidateArrays,
     MinedCoordinates,
     SegregationDataCubeBuilder,
     eval_context_block,
 )
 from repro.cube.table import CellTable
-from repro.itemsets.coverset import WORD_BITS, WORD_DTYPE, Cover, CoverSet
+from repro.errors import CubeError
+from repro.itemsets.coverset import CoverSet, cover_matrix
 from repro.itemsets.items import ItemDictionary
 from repro.itemsets.transactions import TransactionDatabase
 
-#: One context group shipped to a worker: the context's per-unit
-#: population vector and the SA-matrix rows (= cover-matrix rows) of
-#: its candidate cells.
-GroupTask = "tuple[np.ndarray, np.ndarray]"
 
+def _fill_partition(groups: list, cfg: dict, arrays: dict) -> list:
+    """Pool task: phases B/C over one partition's context groups.
 
-def resolve_workers(workers: "int | None") -> int:
-    """Effective worker count: ``workers`` or one per CPU, at least 1."""
-    if workers is None:
-        return max(1, os.cpu_count() or 1)
-    return max(1, int(workers))
-
-
-def _mp_context():
-    """Fork when available (inherits the index registry), else spawn."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn"
-    )
-
-
-def _pack_cover_matrix(covers: "list[Cover]", n_bits: int) -> np.ndarray:
-    """All candidate covers as one ``(n_covers, n_words)`` uint64 matrix.
-
-    Packed covers contribute their words directly; other codecs (bool /
-    ewah) are packed row by row — the counting result only depends on
-    the bits, so cross-codec builds stay identical.
+    Each group is ``(tvec, rows)``: the context's per-unit population
+    vector and the cover-matrix rows of its candidate cells.  Returns
+    ``[(rows, totals, keep, values), ...]`` — arrays owned by the
+    worker, safe to pickle back.
     """
-    n_words = (n_bits + WORD_BITS - 1) // WORD_BITS
-    out = np.zeros((len(covers), n_words), dtype=WORD_DTYPE)
-    for i, cover in enumerate(covers):
-        if isinstance(cover, CoverSet):
-            out[i] = cover.words
-        else:
-            out[i] = CoverSet.from_bools(cover.to_bools()).words
-    return out
-
-
-def _partition_groups(
-    groups: "list[GroupTask]", n_parts: int
-) -> "list[list[GroupTask]]":
-    """Greedy balanced partition of context groups by cell count.
-
-    Groups are placed largest-first onto the least-loaded partition, so
-    one popular context cannot serialise the fill behind it.  Never
-    produces an empty partition: ``n_parts`` is clamped to the number of
-    groups (the ``n_contexts < workers`` edge).
-    """
-    n_parts = max(1, min(n_parts, len(groups)))
-    parts: "list[list[GroupTask]]" = [[] for _ in range(n_parts)]
-    loads = [0] * n_parts
-    order = sorted(range(len(groups)), key=lambda i: -len(groups[i][1]))
-    for i in order:
-        j = loads.index(min(loads))
-        parts[j].append(groups[i])
-        loads[j] += len(groups[i][1])
-    return parts
-
-
-# ----------------------------------------------------------------------
-# Worker side
-# ----------------------------------------------------------------------
-
-#: Per-process fill configuration, set once by the pool initializer.
-_WORKER_CFG: "dict | None" = None
-
-
-def _init_worker(cfg: dict) -> None:
-    global _WORKER_CFG
-    _WORKER_CFG = cfg
-
-
-def _compute_groups(
-    cover_buf, units_buf, cfg: dict, groups: "list[GroupTask]"
-) -> list:
-    """Run phases B/C over this partition's context groups.
-
-    All shared-memory views live only inside this frame, so the caller
-    can close its segments the moment it returns (closing with live
-    array exports raises ``BufferError``).
-    """
-    cover_words = np.ndarray(
-        (cfg["n_covers"], cfg["n_words"]), dtype=WORD_DTYPE,
-        buffer=cover_buf,
-    )
-    units = np.ndarray((cfg["n_rows"],), dtype=np.int64, buffer=units_buf)
+    cover_words = arrays["covers"]
+    units = arrays["units"]
     # A units-only counting database: no items, same unit->rows
     # grouping — unit_counts_many runs verbatim.
     empty = np.empty(0, dtype=np.int64)
     db = TransactionDatabase.from_item_arrays(
-        empty, empty, cfg["n_rows"], ItemDictionary(), units=units
+        empty, empty, len(units), ItemDictionary(), units=units
     )
     specs = cfg["specs"]
-    minsup_min = cfg["minsup_min"]
     n_bits = cfg["n_bits"]
     max_batch = max(1, _FILL_BATCH_CELLS // max(1, db.n_units))
     out = []
@@ -156,7 +74,9 @@ def _compute_groups(
             sub_all = db.unit_counts_many(
                 [CoverSet(cover_words[r], n_bits) for r in block_rows]
             )
-            t, k, v = eval_context_block(specs, tvec, sub_all, minsup_min)
+            t, k, v = eval_context_block(
+                specs, tvec, sub_all, cfg["minsup_min"]
+            )
             b = a + len(block_rows)
             totals[a:b] = t
             keep[a:b] = k
@@ -164,30 +84,6 @@ def _compute_groups(
         out.append((rows, totals, keep, values))
     return out
 
-
-def _fill_partition(groups: "list[GroupTask]") -> list:
-    """Pool task: attach the shared segments, fill one partition.
-
-    Returns ``[(rows, totals, keep, values), ...]`` per context group —
-    plain arrays owned by the worker, safe to pickle back.
-    """
-    cfg = _WORKER_CFG
-    # Attaching re-registers the segments with the resource tracker;
-    # pool workers share the parent's tracker process, whose cache has
-    # set semantics, so the re-registration is a no-op and the parent's
-    # unlink() stays the single point of cleanup.
-    shm_covers = shared_memory.SharedMemory(name=cfg["cover_shm"])
-    shm_units = shared_memory.SharedMemory(name=cfg["units_shm"])
-    try:
-        return _compute_groups(shm_covers.buf, shm_units.buf, cfg, groups)
-    finally:
-        shm_covers.close()
-        shm_units.close()
-
-
-# ----------------------------------------------------------------------
-# Parent side
-# ----------------------------------------------------------------------
 
 def fill_parallel(
     builder: SegregationDataCubeBuilder,
@@ -214,66 +110,28 @@ def fill_parallel(
         for ctx, rows in cand.rows_by_context().items()
     ]
     if groups:
-        partitions = _partition_groups(
-            groups, resolve_workers(builder.workers)
+        partitions = _pool.balanced_partition(
+            [len(rows) for _, rows in groups],
+            _pool.resolve_workers(builder.workers),
         )
-        for rows, totals, keep, vals in _run_pool(
-            db, specs, mined.minsup_min, cand.sa_covers, partitions
+        arrays = {
+            "covers": cover_matrix(cand.sa_covers, len(db)),
+            "units": np.ascontiguousarray(db.units, dtype=np.int64),
+        }
+        cfg = {
+            "n_bits": len(db),
+            "specs": specs,
+            "minsup_min": mined.minsup_min,
+        }
+        for part in _pool.run_pool(
+            _fill_partition,
+            [[groups[i] for i in part] for part in partitions],
+            arrays, cfg, CubeError, "fill",
         ):
-            minority_totals[rows] = totals
-            kept_rows[rows] = keep
-            values[:, rows] = vals
+            for rows, totals, keep, vals in part:
+                minority_totals[rows] = totals
+                kept_rows[rows] = keep
+                values[:, rows] = vals
     return builder._assemble_cells(
         db, cand, minority_totals, kept_rows, values
     )
-
-
-def _run_pool(
-    db: TransactionDatabase,
-    specs: list,
-    minsup_min: int,
-    sa_covers: "list[Cover]",
-    partitions: "list[list[GroupTask]]",
-) -> list:
-    """Ship covers + units via shared memory, map partitions over a pool."""
-    n_bits = len(db)
-    matrix = _pack_cover_matrix(sa_covers, n_bits)
-    units = np.ascontiguousarray(db.units, dtype=np.int64)
-    shm_covers = shared_memory.SharedMemory(
-        create=True, size=max(1, matrix.nbytes)
-    )
-    shm_units = shared_memory.SharedMemory(
-        create=True, size=max(1, units.nbytes)
-    )
-    try:
-        # The temporaries viewing shm buffers die with each statement,
-        # leaving the segments export-free for close()/unlink().
-        np.ndarray(matrix.shape, WORD_DTYPE, buffer=shm_covers.buf)[:] = \
-            matrix
-        np.ndarray(units.shape, np.int64, buffer=shm_units.buf)[:] = units
-        cfg = {
-            "cover_shm": shm_covers.name,
-            "units_shm": shm_units.name,
-            "n_covers": matrix.shape[0],
-            "n_words": matrix.shape[1],
-            "n_bits": n_bits,
-            "n_rows": len(units),
-            "specs": specs,
-            "minsup_min": minsup_min,
-        }
-        del matrix
-        results: list = []
-        ctx = _mp_context()
-        with ctx.Pool(
-            processes=len(partitions),
-            initializer=_init_worker,
-            initargs=(cfg,),
-        ) as pool:
-            for part in pool.imap_unordered(_fill_partition, partitions):
-                results.extend(part)
-        return results
-    finally:
-        shm_covers.close()
-        shm_covers.unlink()
-        shm_units.close()
-        shm_units.unlink()

@@ -1,23 +1,18 @@
-"""Cube engine self-checks: parallel fill + parallel mine parity.
+"""Cube engine self-check: parallel fill parity.
 
-One smoke for the multiprocess paths, runnable anywhere::
+One smoke for the multiprocess fill, runnable anywhere::
 
-    python -m repro.cube.selfcheck --workers 2 --mine-workers 2
+    python -m repro.cube.selfcheck --workers 2
 
 Builds cubes over two datasets — the bundled schools dataset and a
 skewed synthetic table with a multi-valued context attribute — in both
 ``all`` and ``closed`` modes, and fails loudly (exit 1) unless every
-cell is **bit-identical** (``check_same_cells`` at atol=0) between:
-
-* the single-process columnar engine (the reference);
-* ``engine="parallel"`` at the requested ``--workers``;
-* a build whose *mining* passes ran across ``--mine-workers``
-  processes (:mod:`repro.itemsets.parallel`) on top of the parallel
-  fill — the full multiprocess pipeline.
+cell is **bit-identical** (``check_same_cells`` at atol=0) between the
+single-process columnar engine (the reference) and
+``engine="parallel"`` at the requested ``--workers``.
 
 The worker edge cases the test suite covers (1 worker, more workers
-than roots/contexts) ride on whatever counts the caller picks; CI
-runs 2/2.
+than contexts) ride on whatever count the caller picks; CI runs 2.
 """
 
 from __future__ import annotations
@@ -31,8 +26,8 @@ from repro.data.schools import generate_schools
 from repro.data.synthetic import random_final_table
 
 
-def run(workers: int, mine_workers: "int | None" = None) -> int:
-    """Columnar vs parallel-fill vs parallel-mine parity, both modes."""
+def run(workers: int) -> int:
+    """Columnar vs parallel-fill parity, both modes."""
     synthetic = random_final_table(
         3000, 12,
         sa_attributes={"g": 2, "eth": 4},
@@ -46,16 +41,6 @@ def run(workers: int, mine_workers: "int | None" = None) -> int:
         ("synthetic", synthetic,
          {"min_population": 30, "min_minority": 8}),
     ]
-    variants = [
-        ("parallel-fill",
-         {"engine": "parallel", "workers": workers}),
-    ]
-    if mine_workers is not None:
-        variants.append(
-            ("parallel-mine+fill",
-             {"engine": "parallel", "workers": workers,
-              "mine_workers": mine_workers}),
-        )
     failures = 0
     checked = []
     for name, (table, schema), limits in datasets:
@@ -63,26 +48,22 @@ def run(workers: int, mine_workers: "int | None" = None) -> int:
             columnar = SegregationDataCubeBuilder(
                 mode=mode, **limits
             ).build(table, schema)
-            for label, opts in variants:
-                candidate = SegregationDataCubeBuilder(
-                    mode=mode, **opts, **limits
-                ).build(table, schema)
-                problems = check_same_cells(columnar, candidate, atol=0.0)
-                for problem in problems[:10]:
-                    print(
-                        f"PARALLEL PARITY FAILURE ({name}, mode={mode}, "
-                        f"{label}): {problem}",
-                        file=sys.stderr,
-                    )
-                failures += len(problems)
+            parallel = SegregationDataCubeBuilder(
+                mode=mode, engine="parallel", workers=workers, **limits
+            ).build(table, schema)
+            problems = check_same_cells(columnar, parallel, atol=0.0)
+            for problem in problems[:10]:
+                print(
+                    f"PARALLEL PARITY FAILURE ({name}, mode={mode}): "
+                    f"{problem}",
+                    file=sys.stderr,
+                )
+            failures += len(problems)
             checked.append(f"{name}/{mode}: {len(columnar)} cells")
     if failures:
         return 1
-    mine_note = (
-        f", mine_workers={mine_workers}" if mine_workers is not None else ""
-    )
     print(
-        f"cube selfcheck OK: parallel({workers} workers{mine_note}) == "
+        f"cube selfcheck OK: parallel({workers} workers) == "
         f"columnar at atol=0 [{'; '.join(checked)}]"
     )
     return 0
@@ -92,27 +73,18 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.cube.selfcheck",
         description=(
-            "assert engine='parallel' fills and workers= mining are "
-            "bit-exact vs the columnar single-process build"
+            "assert engine='parallel' fills are bit-exact vs the "
+            "columnar single-process build"
         ),
     )
     parser.add_argument(
         "--workers", type=int, default=2,
         help="process count for the parallel fill engine (default 2)",
     )
-    parser.add_argument(
-        "--mine-workers", type=int, default=None,
-        help=(
-            "also check a build whose mining passes ran across this "
-            "many processes (default: skip the mining variant)"
-        ),
-    )
     args = parser.parse_args(argv)
     if args.workers < 1:
         parser.error("--workers must be >= 1")
-    if args.mine_workers is not None and args.mine_workers < 1:
-        parser.error("--mine-workers must be >= 1")
-    return run(args.workers, args.mine_workers)
+    return run(args.workers)
 
 
 if __name__ == "__main__":

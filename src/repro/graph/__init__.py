@@ -5,15 +5,13 @@ weighted undirected graphs, projection of the individuals×groups
 bipartite graph, connected components, giant-component weight
 thresholding, and the SToC attributed-graph clustering algorithm.
 
-Since PR 8 every hot path is array-native: CSR-backed graphs
-(``graph.py``, ``bipartite.py``), a vectorized projection whose cover
-engine reuses the miner's packed AND+popcount kernel (with ``workers=``
-fan-out, ``parallel.py``), union-find components over edge arrays
-(``components.py``), a level-synchronous batched SToC frontier
-(``stoc.py``) and an O(edges)-per-step threshold sweep
-(``threshold.py``).  All of it is result-identical to the seed-era
-set/BFS implementations preserved in ``legacy.py`` — enforced by
-property tests and ``python -m repro.graph.selfcheck``.
+Every hot path is array-native: CSR-backed graphs (``graph.py``,
+``bipartite.py``), a vectorized sort-count projection, union-find
+components over edge arrays (``components.py``), a level-synchronous
+batched SToC frontier (``stoc.py``) and an O(edges)-per-step threshold
+sweep (``threshold.py``).  All of it is result-identical to the
+seed-era set/BFS implementations preserved in ``legacy.py`` — enforced
+by property tests and ``python -m repro.graph.selfcheck``.
 """
 
 from repro.graph.attributes import NodeAttributeTable

@@ -7,27 +7,14 @@ least one shared individual.  Edges are weighted by the number of shared
 individuals."  Isolated groups (zero projected degree) are reported
 separately, matching the module's ``isolated`` output.
 
-Since PR 8 the graph is CSR-backed on both sides (memberships stored as
+The graph is CSR-backed on both sides (memberships stored as
 deduplicated ``(left, right)`` arrays, grouped vectorially), and the
-projection runs on arrays:
-
-* ``engine="grouped"`` (default) — enumerate co-membership pairs with a
-  degree-bucketed gather over the CSR rows, then count multiplicities
-  with one ``np.unique``: the weight of ``{g1, g2}`` is exactly the
-  number of individuals contributing the pair.
-* ``engine="cover"`` — the miner's kernel: pack each group's member set
-  into ``uint64`` bitmap words (``itemsets/coverset.py`` conventions)
-  and compute every candidate edge weight as a blocked word-wise AND +
-  popcount.  Bit-identical to ``grouped`` (property-tested and checked
-  by ``repro.graph.selfcheck``); supports ``workers=`` fan-out over
-  shared-memory covers reusing the ``cube/parallel.py`` pool pattern.
-* ``engine="auto"`` — ``cover`` when the packed cover matrix is small
-  enough to be worth building (and is required when ``workers`` is
-  set), else ``grouped``.
-
-Both engines honour the hub guard (``max_left_degree`` /
-``max_right_degree``): skipped hubs contribute to *no* pair weight, so
-the cover engine masks their bits out of every cover before popcounting.
+projection runs on arrays: co-membership pairs are enumerated with a
+degree-bucketed gather over the CSR rows, then their multiplicities are
+counted with one ``np.unique`` — the weight of ``{g1, g2}`` is exactly
+the number of individuals contributing the pair.  The hub guard
+(``max_left_degree`` / ``max_right_degree``) skips a hub's pairs
+entirely, so a skipped hub contributes to *no* pair weight.
 """
 
 from __future__ import annotations
@@ -39,51 +26,13 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graph.graph import Graph
-from repro.itemsets.coverset import WORD_BITS, WORD_DTYPE
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
-
-#: Byte budget for one blocked AND+popcount batch in the cover engine.
-_COVER_BLOCK_BYTES = 32 << 20
-#: ``engine="auto"`` refuses to build cover matrices larger than this.
-_AUTO_COVER_LIMIT_BYTES = 256 << 20
 
 
 def _readonly(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
-
-
-def popcount_rows(words: np.ndarray) -> np.ndarray:
-    """Per-row popcount of a 2-D ``uint64`` word matrix."""
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
-    from repro.itemsets.coverset import _POPCOUNT_LUT
-
-    bytes_view = words.view(np.uint8).reshape(words.shape[0], -1)
-    return _POPCOUNT_LUT[bytes_view].sum(axis=1, dtype=np.int64)
-
-
-def pack_member_covers(
-    indptr: np.ndarray, indices: np.ndarray, n_bits: int
-) -> np.ndarray:
-    """Pack CSR rows into a ``(n_rows, ceil(n_bits/64))`` bitmap matrix.
-
-    Row ``r``'s cover has bit ``i`` set iff ``i`` appears in the CSR row
-    — the same little-endian word layout as ``CoverSet``.
-    """
-    n_rows = len(indptr) - 1
-    n_words = (n_bits + WORD_BITS - 1) // WORD_BITS
-    covers = np.zeros((n_rows, n_words), dtype=WORD_DTYPE)
-    if len(indices):
-        rows = np.repeat(np.arange(n_rows), np.diff(indptr))
-        bits = indices.astype(np.uint64)
-        np.bitwise_or.at(
-            covers,
-            (rows, (bits // WORD_BITS).astype(np.int64)),
-            np.left_shift(np.uint64(1), bits % np.uint64(WORD_BITS)),
-        )
-    return covers
 
 
 class BipartiteGraph:
@@ -292,105 +241,26 @@ def _count_pairs_grouped(
     return uniq // n_nodes, uniq % n_nodes, counts
 
 
-def _count_pairs_cover(
-    a: np.ndarray,
-    b: np.ndarray,
-    n_nodes: int,
-    covers: np.ndarray,
-    workers: "int | None",
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-    """Unique pairs weighted by cover intersection popcounts.
-
-    ``covers[g]`` is the packed member bitmap of node ``g`` (hub bits
-    already masked out); the weight of ``{u, v}`` is
-    ``popcount(covers[u] & covers[v])`` — computed in blocks bounded by
-    ``_COVER_BLOCK_BYTES``, optionally fanned out across ``workers``
-    processes over shared memory.
-    """
-    key = a * np.int64(n_nodes) + b
-    uniq = np.unique(key)
-    u = uniq // n_nodes
-    v = uniq % n_nodes
-    if workers is not None and workers > 1 and len(uniq):
-        from repro.graph.parallel import cover_pair_counts_parallel
-
-        counts = cover_pair_counts_parallel(covers, u, v, workers)
-    else:
-        counts = cover_pair_counts(covers, u, v)
-    return u, v, counts
-
-
-def cover_pair_counts(
-    covers: np.ndarray, u: np.ndarray, v: np.ndarray
-) -> np.ndarray:
-    """Blocked AND+popcount of cover rows ``u`` against rows ``v``."""
-    n_words = max(covers.shape[1], 1)
-    block = max(1, _COVER_BLOCK_BYTES // (n_words * 8 * 2))
-    counts = np.empty(len(u), dtype=np.int64)
-    for start in range(0, len(u), block):
-        stop = min(start + block, len(u))
-        shared = covers[u[start:stop]] & covers[v[start:stop]]
-        counts[start:stop] = popcount_rows(shared)
-    return counts
-
-
 def _project(
     bipartite: BipartiteGraph,
     side: str,
     min_shared: int,
     max_degree: "int | None",
-    engine: str,
-    workers: "int | None",
 ) -> ProjectionResult:
     """Shared projection core; ``side`` picks the node side kept."""
     if min_shared < 1:
         raise GraphError("min_shared must be >= 1")
-    if engine not in ("auto", "grouped", "cover"):
-        raise GraphError(
-            f"unknown projection engine {engine!r} "
-            "(choose 'auto', 'grouped' or 'cover')"
-        )
     l_indptr, l_indices, r_indptr, r_indices = bipartite._ensure_csr()
     if side == "groups":
-        # sources = individuals; pairs/covers live on the group side
+        # sources = individuals; pairs live on the group side
         src_indptr, src_indices = l_indptr, l_indices
-        node_indptr, node_indices = r_indptr, r_indices
-        n_nodes, n_sources = bipartite.n_right, bipartite.n_left
+        n_nodes = bipartite.n_right
     else:
         src_indptr, src_indices = r_indptr, r_indices
-        node_indptr, node_indices = l_indptr, l_indices
-        n_nodes, n_sources = bipartite.n_left, bipartite.n_right
+        n_nodes = bipartite.n_left
 
     a, b, skipped = _enumerate_pairs(src_indptr, src_indices, max_degree)
-
-    if engine == "auto":
-        n_words = (n_sources + WORD_BITS - 1) // WORD_BITS
-        matrix_bytes = n_nodes * n_words * 8
-        engine = (
-            "cover"
-            if workers is not None and workers > 1
-            and matrix_bytes <= _AUTO_COVER_LIMIT_BYTES
-            else "grouped"
-        )
-
-    if engine == "grouped" or len(a) == 0:
-        u, v, counts = _count_pairs_grouped(a, b, max(n_nodes, 1))
-    else:
-        covers = pack_member_covers(node_indptr, node_indices, n_sources)
-        if len(skipped):
-            # a skipped hub must contribute to no pair weight: clear its
-            # bit from every node cover before popcounting
-            mask = np.bitwise_not(
-                pack_member_covers(
-                    np.array([0, len(skipped)], dtype=np.int64),
-                    skipped,
-                    n_sources,
-                )[0]
-            )
-            covers &= mask[None, :]
-        u, v, counts = _count_pairs_cover(
-            a, b, max(n_nodes, 1), covers, workers
-        )
+    u, v, counts = _count_pairs_grouped(a, b, max(n_nodes, 1))
 
     keep = counts >= min_shared
     graph = Graph.from_edge_arrays(
@@ -404,8 +274,6 @@ def project_onto_groups(
     bipartite: BipartiteGraph,
     min_shared: int = 1,
     max_left_degree: "int | None" = None,
-    engine: str = "auto",
-    workers: "int | None" = None,
 ) -> ProjectionResult:
     """Project onto the group side: edge weight = number of shared individuals.
 
@@ -420,35 +288,22 @@ def project_onto_groups(
         d*(d-1)/2 pairs; real board data has a handful of extreme
         multi-directors that would blow up the projection).  ``None``
         disables the guard.
-    engine:
-        ``"grouped"`` (sort-count), ``"cover"`` (packed AND+popcount) or
-        ``"auto"``.  All engines produce identical edges and weights.
-    workers:
-        Fan the cover engine's popcount blocks across this many
-        processes (shared-memory covers); ignored by ``"grouped"``.
 
     Complexity: sum over individuals of (degree choose 2) pair slots.
     """
-    return _project(
-        bipartite, "groups", min_shared, max_left_degree, engine, workers
-    )
+    return _project(bipartite, "groups", min_shared, max_left_degree)
 
 
 def project_onto_individuals(
     bipartite: BipartiteGraph,
     min_shared: int = 1,
     max_right_degree: "int | None" = None,
-    engine: str = "auto",
-    workers: "int | None" = None,
 ) -> ProjectionResult:
     """Project onto the individual side (paper §4, scenario 2).
 
     Nodes are individuals; an edge connects two directors who sit on at
     least one common board, weighted by the number of shared groups.
-    Accepts the same ``engine`` / ``workers`` knobs as
-    :func:`project_onto_groups`.
     """
     return _project(
-        bipartite, "individuals", min_shared, max_right_degree, engine,
-        workers,
+        bipartite, "individuals", min_shared, max_right_degree
     )

@@ -1,7 +1,7 @@
 """Seed-era set/BFS graph algorithms, kept as the parity baseline.
 
 Before PR 8 the ``graph/`` subsystem ran on Python ``set`` adjacency and
-per-node BFS loops.  The array/cover engine that replaced it (see
+per-node BFS loops.  The array engine that replaced it (see
 ``bipartite.py``, ``components.py``, ``stoc.py``, ``threshold.py``) is
 required to be *result-identical*: same projected edge set and weights,
 same component labels, same seeded SToC clusters.  This module preserves

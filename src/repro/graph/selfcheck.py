@@ -2,7 +2,7 @@
 
 Run anywhere::
 
-    python -m repro.graph.selfcheck [--scale N] [--workers W]
+    python -m repro.graph.selfcheck [--scale N]
 
 Builds two worlds — a synthetic Italian boards dataset and a power-law
 :func:`~repro.data.synthetic.random_bipartite_world` (``--scale``
@@ -10,10 +10,9 @@ individuals) — and fails loudly (exit 1) unless the PR-8 array engine
 reproduces the seed-era set/BFS implementations preserved in
 :mod:`repro.graph.legacy` **exactly**:
 
-* bipartite projections (both sides, with and without the hub guard,
-  ``grouped`` *and* ``cover`` engines — plus the parallel cover path
-  when ``--workers`` > 1): identical edge arrays, identical integer
-  weights, identical isolated/skipped-hub lists;
+* bipartite projections (both sides, with and without the hub guard):
+  identical edge arrays, identical integer weights, identical
+  isolated/skipped-hub lists;
 * connected components, threshold components and the threshold profile:
   identical labels and rows;
 * SToC with a fixed RNG seed: identical labels, cluster count, method;
@@ -66,7 +65,6 @@ def _check_projection(
     side: str,
     min_shared: int,
     max_degree: "int | None",
-    workers: "int | None",
 ) -> None:
     if side == "groups":
         reference = legacy.project_onto_groups_legacy(
@@ -81,29 +79,17 @@ def _check_projection(
         project = project_onto_individuals
         kwargs = {"max_right_degree": max_degree}
     ru, rv, rw = reference.graph.edge_arrays()
-    engines = ["grouped", "cover"]
-    worker_opts = [None] + ([workers] if workers and workers > 1 else [])
-    for engine in engines:
-        for n_workers in worker_opts:
-            if engine == "grouped" and n_workers:
-                continue   # workers only fan out the cover engine
-            label = (f"{world} {side} min_shared={min_shared} "
-                     f"hub={max_degree} engine={engine}"
-                     + (f" workers={n_workers}" if n_workers else ""))
-            result = project(
-                bipartite, min_shared=min_shared, engine=engine,
-                workers=n_workers, **kwargs,
-            )
-            u, v, w = result.graph.edge_arrays()
-            c.check(f"{label} edges",
-                    np.array_equal(u, ru) and np.array_equal(v, rv),
-                    f"({len(u)} vs {len(ru)} edges)")
-            c.check(f"{label} weights", np.array_equal(w, rw))
-            c.check(f"{label} isolated",
-                    list(result.isolated) == list(reference.isolated))
-            c.check(f"{label} skipped_hubs",
-                    list(result.skipped_hubs)
-                    == list(reference.skipped_hubs))
+    label = f"{world} {side} min_shared={min_shared} hub={max_degree}"
+    result = project(bipartite, min_shared=min_shared, **kwargs)
+    u, v, w = result.graph.edge_arrays()
+    c.check(f"{label} edges",
+            np.array_equal(u, ru) and np.array_equal(v, rv),
+            f"({len(u)} vs {len(ru)} edges)")
+    c.check(f"{label} weights", np.array_equal(w, rw))
+    c.check(f"{label} isolated",
+            list(result.isolated) == list(reference.isolated))
+    c.check(f"{label} skipped_hubs",
+            list(result.skipped_hubs) == list(reference.skipped_hubs))
 
 
 def _check_clustering(c: _Checker, world: str, graph, attributes) -> None:
@@ -195,7 +181,7 @@ def service_stub():
     return _Stub()
 
 
-def run(scale: int, workers: "int | None") -> int:
+def run(scale: int) -> int:
     c = _Checker()
 
     italy = generate_italy(ItalyConfig(n_companies=400, seed=13))
@@ -210,8 +196,7 @@ def run(scale: int, workers: "int | None") -> int:
                 (1, None), (2, None), (1, 20),
             ):
                 _check_projection(
-                    c, world, bipartite, side, min_shared, max_degree,
-                    workers,
+                    c, world, bipartite, side, min_shared, max_degree
                 )
 
     from repro.core.pipeline import group_attribute_table
@@ -229,11 +214,9 @@ def run(scale: int, workers: "int | None") -> int:
     if c.failures:
         return 1
     print(
-        f"graph selfcheck OK: projections (grouped+cover"
-        + (f", workers={workers}" if workers and workers > 1 else "")
-        + "), components, threshold sweep, seeded SToC and snapshot "
-        f"round-trip all exactly match the legacy implementations "
-        f"(italy: {boards.n_left}x{boards.n_right}, "
+        "graph selfcheck OK: projections, components, threshold sweep, "
+        "seeded SToC and snapshot round-trip all exactly match the "
+        f"legacy implementations (italy: {boards.n_left}x{boards.n_right}, "
         f"synthetic: {synth.n_left}x{synth.n_right})"
     )
     return 0
@@ -248,13 +231,8 @@ def main(argv: "list[str] | None" = None) -> int:
         "--scale", type=int, default=5000,
         help="synthetic world size (individuals; groups = scale/25)",
     )
-    parser.add_argument(
-        "--workers", type=int, default=2,
-        help="also check the parallel cover path with this many workers "
-             "(<=1 disables)",
-    )
     args = parser.parse_args(argv)
-    return run(args.scale, args.workers)
+    return run(args.scale)
 
 
 if __name__ == "__main__":

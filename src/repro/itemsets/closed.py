@@ -20,10 +20,10 @@ import numpy as np
 
 from repro.errors import MiningError
 from repro.itemsets.coverset import (
-    WORD_BITS,
-    WORD_DTYPE,
     Cover,
     cover_digest,
+    cover_matrix,
+    cover_words,
     popcount_rows,
 )
 from repro.itemsets.eclat import closure_of, frequent_triples, mine_root
@@ -185,111 +185,47 @@ def support_of_cover(cover: "Cover | np.ndarray") -> int:
 # without touching any cover.
 
 
-def _pack_words(cover: Cover) -> np.ndarray:
-    from repro.itemsets.parallel import pack_cover_words
-
-    return pack_cover_words(cover)
-
-
-def closure_matrix(
-    db: TransactionDatabase,
-) -> "tuple[np.ndarray, int, dict[int, int]]":
-    """Packed per-item cover matrix for bulk closedness tests.
-
-    Returns ``(matrix, n_sa, row_of)``: one packed ``uint64`` row per
-    dictionary item — all SA items first (``n_sa`` of them), then all
-    CA items — plus the item-id → row map.
-    """
-    dictionary = db.dictionary
-    all_ids = list(dictionary.sa_ids) + list(dictionary.ca_ids)
-    n_words = (len(db) + WORD_BITS - 1) // WORD_BITS
-    matrix = np.zeros((len(all_ids), n_words), dtype=WORD_DTYPE)
-    covers = db.covers()
-    for row, item in enumerate(all_ids):
-        matrix[row] = _pack_words(covers[item])
-    return matrix, len(dictionary.sa_ids), {
-        item: row for row, item in enumerate(all_ids)
-    }
-
-
-def closure_flag_entries(
-    matrix: np.ndarray,
-    n_sa: int,
-    max_sa: "int | None",
-    max_ca: "int | None",
-    entries: "list[tuple]",
-) -> "list[tuple]":
-    """Bulk capped-closedness kernel over a packed item-cover matrix.
-
-    Each entry is ``(key, member_rows, sa_len, ca_len, words, support)``
-    — ``words`` the candidate's packed cover (ndarray or raw bytes, so
-    entries pickle cheaply to pool workers), ``member_rows`` its items'
-    matrix rows.  One vectorized AND+popcount sweep per candidate finds
-    every absorbing item (``|cover(X) ∩ cover(i)| == support(X)``);
-    the candidate is closed iff no absorbing item outside X has cap
-    room for its kind.  Returns ``[(key, closed_flag), ...]``.
-    """
-    out = []
-    for key, member_rows, sa_len, ca_len, words, support in entries:
-        sa_room = max_sa is None or sa_len < max_sa
-        ca_room = max_ca is None or ca_len < max_ca
-        if not (sa_room or ca_room) or matrix.shape[0] == 0:
-            out.append((key, True))
-            continue
-        if isinstance(words, (bytes, bytearray)):
-            words = np.frombuffer(words, dtype=WORD_DTYPE)
-        absorbing = popcount_rows(matrix & words[None, :]) == support
-        if member_rows:
-            absorbing[np.asarray(member_rows, dtype=np.int64)] = False
-        if not sa_room:
-            absorbing[:n_sa] = False
-        if not ca_room:
-            absorbing[n_sa:] = False
-        out.append((key, not bool(absorbing.any())))
-    return out
-
-
 def closure_flags(
     db: TransactionDatabase,
     candidates: "dict[Itemset, Cover]",
     max_sa: "int | None" = None,
     max_ca: "int | None" = None,
-    workers: "int | None" = None,
 ) -> "dict[Itemset, bool]":
     """Capped closedness of each candidate itemset, vectorized.
 
     Agrees with membership in ``filter_closed`` over the complete capped
-    frequent dictionary (see the module note above; property-tested),
-    without mining that dictionary.  ``workers=`` fans the candidates
-    across a process pool over one shared-memory copy of the item-cover
-    matrix (:func:`repro.itemsets.parallel.closure_flags_parallel`).
+    frequent dictionary (see the module note above), without mining
+    that dictionary.  All item covers are packed into one ``uint64``
+    matrix — SA items first, then CA items — and one AND+popcount sweep
+    per candidate finds every absorbing item
+    (``|cover(X) ∩ cover(i)| == support(X)``); the candidate is closed
+    iff no absorbing item outside X has cap room for its kind.
     """
     if not candidates:
         return {}
-    if workers is not None and len(candidates) > 1:
-        from repro.itemsets.parallel import closure_flags_parallel
-
-        return closure_flags_parallel(
-            db, candidates, max_sa=max_sa, max_ca=max_ca, workers=workers,
-        )
-    matrix, n_sa, row_of = closure_matrix(db)
-    entries = []
+    dictionary = db.dictionary
+    all_ids = list(dictionary.sa_ids) + list(dictionary.ca_ids)
+    n_sa = len(dictionary.sa_ids)
+    row_of = {item: row for row, item in enumerate(all_ids)}
+    covers = db.covers()
+    matrix = cover_matrix([covers[item] for item in all_ids], len(db))
     out: "dict[Itemset, bool]" = {}
-    split = db.dictionary.split
     for itemset, cover in candidates.items():
-        if not itemset:
+        sa_part, ca_part = dictionary.split(itemset)
+        sa_room = max_sa is None or len(sa_part) < max_sa
+        ca_room = max_ca is None or len(ca_part) < max_ca
+        if not itemset or not (sa_room or ca_room) or not len(all_ids):
             out[itemset] = True
             continue
-        sa_part, ca_part = split(itemset)
-        entries.append((
-            itemset,
-            tuple(row_of[i] for i in itemset),
-            len(sa_part), len(ca_part),
-            _pack_words(cover), cover.support(),
-        ))
-    out.update(
-        closure_flag_entries(matrix, n_sa, max_sa, max_ca, entries)
-    )
+        absorbing = popcount_rows(
+            matrix & cover_words(cover)[None, :]
+        ) == cover.support()
+        absorbing[[row_of[item] for item in itemset]] = False
+        if not sa_room:
+            absorbing[:n_sa] = False
+        if not ca_room:
+            absorbing[n_sa:] = False
+        out[itemset] = not bool(absorbing.any())
     return out
 
 
@@ -324,7 +260,6 @@ def closure_diff(
     previous: "dict[Itemset, tuple[bytes, bool]] | None" = None,
     max_sa: "int | None" = None,
     max_ca: "int | None" = None,
-    workers: "int | None" = None,
 ) -> "dict[Itemset, tuple[bytes, bool]]":
     """Re-derive closedness only where the cover digest changed.
 
@@ -350,7 +285,7 @@ def closure_diff(
     if pending:
         flags = closure_flags(
             db, {k: cover for k, (_, cover) in pending.items()},
-            max_sa=max_sa, max_ca=max_ca, workers=workers,
+            max_sa=max_sa, max_ca=max_ca,
         )
         for itemset, (digest, _) in pending.items():
             out[itemset] = (digest, flags[itemset])

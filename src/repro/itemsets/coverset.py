@@ -221,6 +221,26 @@ class CoverSet(Cover):
         return f"CoverSet(n_bits={self.n_bits}, set={self.support()})"
 
 
+def cover_words(cover: "Cover") -> np.ndarray:
+    """Any cover's bits as packed little-endian ``uint64`` words.
+
+    Packed covers return their own words (no copy); other codecs are
+    packed first, so word-level kernels stay codec-agnostic.
+    """
+    if isinstance(cover, CoverSet):
+        return cover.words
+    return CoverSet.from_bools(cover.to_bools()).words
+
+
+def cover_matrix(covers: "list[Cover]", n_bits: int) -> np.ndarray:
+    """Covers stacked as one ``(len(covers), n_words)`` word matrix."""
+    n_words = (n_bits + WORD_BITS - 1) // WORD_BITS
+    out = np.zeros((len(covers), n_words), dtype=WORD_DTYPE)
+    for row, cover in enumerate(covers):
+        out[row] = cover_words(cover)
+    return out
+
+
 class DenseCover(Cover):
     """Dense boolean-array cover: the pre-packed reference codec."""
 

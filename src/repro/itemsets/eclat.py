@@ -12,14 +12,13 @@ codecs run through the identical code path (the DFS only needs ``&`` and
 The search tree decomposes by *root item*: once the frequent 1-items are
 sorted by ascending support, the subtree rooted at position ``pos`` only
 touches the root's cover and the tail ``frequent[pos + 1:]`` — no state
-is shared between subtrees.  The module therefore exposes the DFS as
-per-root kernels (:func:`mine_root`, :func:`mine_typed_root`) over a
-shared :func:`frequent_triples` preparation step; ``mine_eclat`` and
-``mine_eclat_typed`` are thin sequential loops over those kernels, and
-:mod:`repro.itemsets.parallel` fans the *identical* kernels across
-``multiprocessing`` workers (``workers=`` here delegates to it), so the
-parallel mine is bit-identical — same itemsets, same emission order,
-same supports — to the sequential one.
+is shared between subtrees.  The module therefore exposes the DFS as a
+per-root kernel (:func:`mine_root`) over a shared
+:func:`frequent_triples` preparation step; ``mine_eclat`` is a thin
+sequential loop over that kernel, and its ``workers=`` path
+(:mod:`repro.itemsets.parallel`) fans the *identical* kernel across
+worker processes, so the parallel mine is bit-identical — same
+itemsets, same emission order, same supports — to the sequential one.
 """
 
 from __future__ import annotations
@@ -153,8 +152,8 @@ def mine_eclat(
         to mine the SA refinements of one context without touching
         rows outside the context's cover.
     workers:
-        When given, fan the root subtrees across a ``multiprocessing``
-        pool (see :mod:`repro.itemsets.parallel`); the result —
+        When given, fan the root subtrees across a process pool (see
+        :mod:`repro.itemsets.parallel`); the result —
         itemsets, emission order, supports, covers — is bit-identical
         to the sequential mine.  ``None`` (default) mines in-process.
     """
@@ -182,30 +181,6 @@ def mine_eclat(
     for pos in range(len(frequent)):
         mine_root(frequent, pos, minsup, max_len, record)
     return out_covers if with_covers else out_supports
-
-
-def typed_frequent_triples(
-    db: TransactionDatabase,
-    minsup: int,
-    sa_ids: "list[int]",
-    ca_ids: "list[int]",
-) -> "list[FrequentTriple]":
-    """Frequent 1-items of the typed lattice, support-sorted.
-
-    Candidates are the SA ids followed by the CA ids (the order
-    ``mine_eclat_typed`` has always used); the stable support sort makes
-    the resulting root order — and with it the whole emission order —
-    deterministic and codec-independent.
-    """
-    covers = db.covers()
-    supports = db.cached_item_supports()
-    frequent = [
-        (i, covers[i], int(supports[i]))
-        for i in list(sa_ids) + list(ca_ids)
-        if supports[i] >= minsup
-    ]
-    frequent.sort(key=lambda triple: triple[2])
-    return frequent
 
 
 def _dfs_typed(
@@ -240,40 +215,6 @@ def _dfs_typed(
                    tail[pos + 1:], sa_set, minsup, max_sa, max_ca, record)
 
 
-def mine_typed_root(
-    frequent: "list[FrequentTriple]",
-    pos: int,
-    full_cover: Cover,
-    sa_set: "frozenset[int] | set[int]",
-    minsup: int,
-    max_sa: "int | None",
-    max_ca: "int | None",
-    record: "Record",
-) -> None:
-    """Emit the typed subtree rooted at ``frequent[pos]``.
-
-    This is the top-level iteration of the typed DFS unrolled to one
-    root position, so a parallel driver can run disjoint root ranges
-    through the identical kernel and splice in position order.
-    """
-    item, item_cover, _ = frequent[pos]
-    if item in sa_set:
-        n_sa, n_ca = 1, 0
-    else:
-        n_sa, n_ca = 0, 1
-    if max_sa is not None and n_sa > max_sa:
-        return
-    if max_ca is not None and n_ca > max_ca:
-        return
-    cover = full_cover & item_cover
-    support = cover.support()
-    if support < minsup:
-        return
-    record((item,), cover, support)
-    _dfs_typed((item,), cover, n_sa, n_ca, frequent[pos + 1:],
-               sa_set, minsup, max_sa, max_ca, record)
-
-
 def mine_eclat_typed(
     db: TransactionDatabase,
     minsup: int,
@@ -281,7 +222,6 @@ def mine_eclat_typed(
     ca_ids: "list[int]",
     max_sa: "int | None" = None,
     max_ca: "int | None" = None,
-    workers: "int | None" = None,
 ) -> "dict[Itemset, Cover]":
     """Eclat DFS constrained by per-kind item caps (the cube's lattice).
 
@@ -294,21 +234,20 @@ def mine_eclat_typed(
     parent prefix).
 
     Returns covers for every frequent itemset within the caps,
-    including the empty itemset's all-true cover.  ``workers=`` fans
-    the root subtrees across processes with bit-identical output (see
-    :mod:`repro.itemsets.parallel`).
+    including the empty itemset's all-true cover.  Roots are the SA ids
+    followed by the CA ids, stably sorted by support, so the emission
+    order is deterministic and codec-independent.
     """
     if minsup < 1:
         raise MiningError(f"minsup must be >= 1, got {minsup}")
-    if workers is not None:
-        from repro.itemsets.parallel import mine_eclat_typed_parallel
-
-        return mine_eclat_typed_parallel(
-            db, minsup, sa_ids=sa_ids, ca_ids=ca_ids,
-            max_sa=max_sa, max_ca=max_ca, workers=workers,
-        )
-    frequent = typed_frequent_triples(db, minsup, sa_ids, ca_ids)
-    sa_set = set(sa_ids)
+    covers = db.covers()
+    supports = db.cached_item_supports()
+    frequent = [
+        (i, covers[i], int(supports[i]))
+        for i in list(sa_ids) + list(ca_ids)
+        if supports[i] >= minsup
+    ]
+    frequent.sort(key=lambda triple: triple[2])
     full_cover = db.full_cover()
 
     out: dict[Itemset, Cover] = {frozenset(): full_cover}
@@ -316,9 +255,8 @@ def mine_eclat_typed(
     def record(itemset: "tuple[int, ...]", cover: Cover, support: int) -> None:
         out[frozenset(itemset)] = cover
 
-    for pos in range(len(frequent)):
-        mine_typed_root(frequent, pos, full_cover, sa_set, minsup,
-                        max_sa, max_ca, record)
+    _dfs_typed((), full_cover, 0, 0, frequent, set(sa_ids), minsup,
+               max_sa, max_ca, record)
     return out
 
 

@@ -43,7 +43,7 @@ from repro.errors import SnapshotError
 from repro.graph.bipartite import ProjectionResult
 from repro.graph.components import Clustering
 from repro.graph.graph import Graph
-from repro.store.manifest import _jsonable
+from repro.store.manifest import _jsonable, write_atomic
 
 #: Current graph snapshot format; readers refuse other versions.
 GRAPH_FORMAT_VERSION = 1
@@ -150,9 +150,9 @@ class GraphManifest:
             ) from exc
 
     def write(self, directory: "str | Path") -> Path:
-        path = Path(directory) / GRAPH_MANIFEST_NAME
-        path.write_text(self.to_json())
-        return path
+        return write_atomic(
+            Path(directory) / GRAPH_MANIFEST_NAME, self.to_json()
+        )
 
     @classmethod
     def read(cls, directory: "str | Path") -> "GraphManifest":

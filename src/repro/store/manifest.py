@@ -10,12 +10,16 @@ file name, dtype and shape (validated on open).
 Every malformed-manifest condition raises
 :class:`~repro.errors.SnapshotError` with a message naming the missing
 or mismatching field, so a corrupted or future-versioned snapshot fails
-loudly instead of serving garbage.
+loudly instead of serving garbage.  Every manifest the store writes —
+this one, ``timeline.json``, ``shards.json`` and ``graph_manifest.json``
+— goes through :func:`write_atomic`, so a crash mid-write never leaves
+a torn file behind.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -43,6 +47,33 @@ _METADATA_FIELDS = (
 )
 
 _VALUE_DECODERS = {"str": str, "int": int, "float": float, "bool": bool}
+
+
+def write_atomic(path: "str | Path", text: str) -> Path:
+    """Replace ``path`` with ``text``; readers see the old or the new file.
+
+    The text goes to a temporary file in the same directory, which is
+    flushed and fsynced, then renamed over ``path`` (atomic on POSIX);
+    the directory is fsynced last so the rename itself is durable.  On
+    any failure the temporary file is removed and ``path`` keeps its
+    previous content.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
+    return path
 
 
 def _jsonable(obj: object) -> object:
@@ -296,9 +327,7 @@ class SnapshotManifest:
         )
 
     def write(self, directory: "str | Path") -> Path:
-        path = Path(directory) / MANIFEST_NAME
-        path.write_text(self.to_json())
-        return path
+        return write_atomic(Path(directory) / MANIFEST_NAME, self.to_json())
 
     @classmethod
     def read(cls, directory: "str | Path") -> "SnapshotManifest":

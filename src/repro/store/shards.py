@@ -48,7 +48,7 @@ from repro.cube.cube import SegregationCube
 from repro.cube.table import CellTable, TableArrays, pack_items
 from repro.errors import SnapshotError
 from repro.itemsets.items import ItemDictionary
-from repro.store.manifest import MANIFEST_NAME
+from repro.store.manifest import MANIFEST_NAME, write_atomic
 from repro.store.snapshot import dump_snapshot
 from repro.store.timeline import dump_into_timeline, timeline_dates
 
@@ -145,9 +145,7 @@ class ShardsManifest:
         )
 
     def write(self, directory: "str | Path") -> Path:
-        path = Path(directory) / SHARDS_NAME
-        path.write_text(self.to_json())
-        return path
+        return write_atomic(Path(directory) / SHARDS_NAME, self.to_json())
 
     @classmethod
     def read(cls, directory: "str | Path") -> "ShardsManifest":

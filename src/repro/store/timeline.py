@@ -68,7 +68,7 @@ from pathlib import Path
 
 from repro.cube.cube import SegregationCube
 from repro.errors import SnapshotError
-from repro.store.manifest import MANIFEST_NAME, SnapshotManifest
+from repro.store.manifest import MANIFEST_NAME, SnapshotManifest, write_atomic
 from repro.store.snapshot import (
     delta_chain_length,
     dump_delta_snapshot,
@@ -134,9 +134,10 @@ def read_timeline_manifest(root: "str | Path") -> dict:
 
 
 def write_timeline_manifest(root: "str | Path", payload: dict) -> Path:
-    path = Path(root) / TIMELINE_MANIFEST_NAME
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    return write_atomic(
+        Path(root) / TIMELINE_MANIFEST_NAME,
+        json.dumps(payload, indent=2, sort_keys=True) + "\n",
+    )
 
 
 def measure_open_ms(path: "str | Path", mmap: bool = True) -> float:

@@ -39,3 +39,32 @@ def small_final_table():
         multi_valued_ca={"mv": 3},
         seed=42,
     )
+
+
+@pytest.fixture()
+def assert_segments_unlinked(monkeypatch):
+    """Record the shared-memory segments the process pool creates.
+
+    Returns a check, to call after the pooled work: at least one segment
+    was created, and every one of them is unlinked by now.
+    """
+    from multiprocessing import shared_memory
+
+    from repro import _pool
+
+    created = []
+    original = _pool.segment_name
+
+    def tracking(tag):
+        created.append(original(tag))
+        return created[-1]
+
+    monkeypatch.setattr(_pool, "segment_name", tracking)
+
+    def check():
+        assert created, "expected at least one shared-memory segment"
+        for name in created:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
+
+    return check

@@ -23,6 +23,7 @@ from repro.itemsets.coverset import (
     COVER_CODECS,
     CoverSet,
     DenseCover,
+    cover_matrix,
     get_codec,
 )
 from repro.itemsets.eclat import closure_of, mine_eclat, mine_eclat_typed
@@ -131,6 +132,25 @@ def test_codecs_agree_on_supports_and_covers(rows_items_minsup):
             assert supports == reference[0], codec
             assert materialised == reference[1], codec
             assert item_supports == reference[2], codec
+
+
+@given(random_rows())
+@settings(max_examples=30, deadline=None)
+def test_codecs_pack_to_identical_words(rows_items_minsup):
+    rows, n_items, _ = rows_items_minsup
+    matrices = []
+    for codec in COVER_CODECS:
+        covers = make_db(rows, n_items, codec=codec).covers()
+        matrices.append(
+            cover_matrix([covers[i] for i in range(n_items)], len(rows))
+        )
+    for codec, matrix in zip(COVER_CODECS, matrices):
+        assert np.array_equal(matrix, matrices[0]), codec
+    bits = np.unpackbits(
+        matrices[0].view(np.uint8), axis=1, bitorder="little"
+    )[:, :len(rows)]
+    for item in range(n_items):
+        assert bits[item].tolist() == [item in row for row in rows]
 
 
 @given(random_rows())

@@ -12,9 +12,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro._pool import balanced_partition, resolve_workers
+from repro.cube import selfcheck
 from repro.cube.builder import SegregationDataCubeBuilder, build_cube
 from repro.cube.cube import check_same_cells
-from repro.cube.parallel import _partition_groups, resolve_workers
 from repro.errors import CubeError
 from repro.itemsets.transactions import encode_table
 
@@ -106,16 +107,21 @@ def test_resolve_workers_defaults_to_cpu_count():
 
 
 def test_partition_groups_balances_and_clamps():
-    groups = [
-        (np.zeros(2), np.arange(size, dtype=np.int64))
-        for size in (10, 1, 1, 1, 7, 2)
-    ]
-    parts = _partition_groups(groups, 3)
+    # The fill partitions context groups by cell count.
+    cells = [10, 1, 1, 1, 7, 2]
+    parts = balanced_partition(cells, 3)
     assert len(parts) == 3
     assert all(part for part in parts)
-    loads = sorted(sum(len(rows) for _, rows in part) for part in parts)
+    loads = sorted(sum(cells[i] for i in part) for part in parts)
     assert loads == [5, 7, 10]          # greedy largest-first balance
     # Clamped: never more partitions than groups, never empty ones.
-    parts = _partition_groups(groups[:2], 5)
+    parts = balanced_partition(cells[:2], 5)
     assert len(parts) == 2
     assert all(part for part in parts)
+
+
+def test_selfcheck_checks_the_fill(capsys):
+    assert selfcheck.main(["--workers", "2"]) == 0
+    assert "atol=0" in capsys.readouterr().out
+    with pytest.raises(SystemExit):     # mining has no pool to check
+        selfcheck.main(["--mine-workers", "2"])

@@ -4,8 +4,7 @@ Every hot path rebuilt in PR 8 must reproduce the seed-era set/BFS
 implementations (preserved in :mod:`repro.graph.legacy`) *exactly* —
 same edges, same float weights, same labels, same method strings.
 Property tests drive randomly-shaped bipartite worlds through both
-paths; a couple of directed tests pin the engine-selection and
-parallel-fan-out corners.
+paths.
 """
 
 from __future__ import annotations
@@ -16,8 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.synthetic import random_bipartite_world
-from repro.errors import GraphError
-from repro.graph import legacy
+from repro.graph import legacy, selfcheck
 from repro.graph.bipartite import (
     BipartiteGraph,
     project_onto_groups,
@@ -43,14 +41,12 @@ def _assert_same_projection(result, reference):
     assert list(result.skipped_hubs) == list(reference.skipped_hubs)
 
 
-@given(edge_lists, st.integers(1, 3), st.sampled_from([None, 2, 4]),
-       st.sampled_from(["grouped", "cover"]))
+@given(edge_lists, st.integers(1, 3), st.sampled_from([None, 2, 4]))
 @settings(max_examples=80, deadline=None)
-def test_group_projection_matches_legacy(raw_edges, min_shared, hub,
-                                         engine):
+def test_group_projection_matches_legacy(raw_edges, min_shared, hub):
     g = BipartiteGraph.from_edges(15, 10, raw_edges)
     result = project_onto_groups(
-        g, min_shared=min_shared, max_left_degree=hub, engine=engine
+        g, min_shared=min_shared, max_left_degree=hub
     )
     reference = legacy.project_onto_groups_legacy(
         g, min_shared=min_shared, max_left_degree=hub
@@ -58,14 +54,12 @@ def test_group_projection_matches_legacy(raw_edges, min_shared, hub,
     _assert_same_projection(result, reference)
 
 
-@given(edge_lists, st.integers(1, 3), st.sampled_from([None, 2, 4]),
-       st.sampled_from(["grouped", "cover"]))
+@given(edge_lists, st.integers(1, 3), st.sampled_from([None, 2, 4]))
 @settings(max_examples=80, deadline=None)
-def test_individual_projection_matches_legacy(raw_edges, min_shared, hub,
-                                              engine):
+def test_individual_projection_matches_legacy(raw_edges, min_shared, hub):
     g = BipartiteGraph.from_edges(15, 10, raw_edges)
     result = project_onto_individuals(
-        g, min_shared=min_shared, max_right_degree=hub, engine=engine
+        g, min_shared=min_shared, max_right_degree=hub
     )
     reference = legacy.project_onto_individuals_legacy(
         g, min_shared=min_shared, max_right_degree=hub
@@ -154,36 +148,6 @@ def test_bfs_distances_matches_dict_walk():
         assert full[source] == 0
 
 
-def test_parallel_cover_projection_matches_serial():
-    bipartite, _ = random_bipartite_world(3000, 150, seed=11)
-    serial = project_onto_groups(
-        bipartite, max_left_degree=30, engine="cover"
-    )
-    parallel = project_onto_groups(
-        bipartite, max_left_degree=30, engine="cover", workers=2
-    )
-    _assert_same_projection(parallel, serial)
-    reference = legacy.project_onto_groups_legacy(
-        bipartite, max_left_degree=30
-    )
-    _assert_same_projection(parallel, reference)
-
-
-def test_unknown_engine_rejected():
-    g = BipartiteGraph.from_edges(2, 2, [(0, 0)])
-    with pytest.raises(GraphError, match="engine"):
-        project_onto_groups(g, engine="quantum")
-
-
-def test_auto_engine_matches_grouped():
-    bipartite, _ = random_bipartite_world(2000, 100, seed=13)
-    auto = project_onto_groups(bipartite, max_left_degree=30, engine="auto")
-    grouped = project_onto_groups(
-        bipartite, max_left_degree=30, engine="grouped"
-    )
-    _assert_same_projection(auto, grouped)
-
-
 def test_graph_from_edge_arrays_accumulates_duplicates():
     u = np.array([0, 1, 0], dtype=np.int64)
     v = np.array([1, 0, 2], dtype=np.int64)
@@ -192,3 +156,10 @@ def test_graph_from_edge_arrays_accumulates_duplicates():
     assert g.n_edges == 2
     assert g.weight(0, 1) == 3.0   # (0,1) and (1,0) merge
     assert g.weight(0, 2) == 1.0
+
+
+def test_selfcheck_matches_legacy(capsys):
+    assert selfcheck.main(["--scale", "500"]) == 0
+    assert "exactly match" in capsys.readouterr().out
+    with pytest.raises(SystemExit):     # the projection has no pool
+        selfcheck.main(["--workers", "2"])

@@ -5,27 +5,22 @@ the parallel miner splices per-worker emissions back into root order,
 so its output dict must be indistinguishable from the sequential DFS,
 itemset by itemset, support by support, position by position.  Edge
 cases: one worker, more workers than root items, closed mode, covers,
-non-default codecs, typed mining, restricted (``within=``/temporal)
-databases, and the two failure surfaces (a worker raising mid-DFS and
-shared-memory segment cleanup).
+non-default codecs, restricted (``within=``/temporal) databases, and
+shared-memory segment cleanup.  The pool's failure surfaces are in
+``test_pool.py``.
 """
 
 from __future__ import annotations
 
-from multiprocessing import shared_memory
-
 import numpy as np
 import pytest
 
-from repro.errors import MiningError
-from repro.itemsets import eclat
+from repro import _pool
 from repro.itemsets import parallel as ip
 from repro.itemsets.closed import filter_closed, mine_closed
-from repro.itemsets.eclat import mine_eclat, mine_eclat_typed
+from repro.itemsets.eclat import mine_eclat
 from repro.itemsets.items import Item, ItemDictionary, ItemKind
-from repro.itemsets.transactions import TransactionDatabase, encode_table
-
-from repro.data.synthetic import random_final_table
+from repro.itemsets.transactions import TransactionDatabase
 
 COVER_CODECS = ["packed", "bool", "ewah"]
 
@@ -119,22 +114,6 @@ def test_parallel_no_frequent_items():
 
 
 @pytest.mark.parametrize("workers", [1, 2, 8])
-def test_typed_parallel_bit_identity(workers):
-    table, schema = random_final_table(
-        400, 8, sa_attributes={"g": 2, "e": 3},
-        ca_attributes={"r": 3, "s": 3}, seed=5,
-    )
-    db = encode_table(table, schema)
-    kwargs = dict(
-        sa_ids=db.dictionary.sa_ids, ca_ids=db.dictionary.ca_ids,
-        max_sa=2, max_ca=2,
-    )
-    expected = mine_eclat_typed(db, 3, **kwargs)
-    got = mine_eclat_typed(db, 3, workers=workers, **kwargs)
-    assert_same_ordered(expected, got)
-
-
-@pytest.mark.parametrize("workers", [1, 2, 8])
 @pytest.mark.parametrize("codec", COVER_CODECS)
 def test_closed_parallel_bit_identity(workers, codec):
     rng = np.random.default_rng(43)
@@ -160,9 +139,8 @@ def test_closed_equals_filtered_full_enumeration():
 
 
 def test_workers_clamp_to_one():
-    # Mirrors cube/parallel: non-positive counts degrade to one worker
-    # (the pool still runs) instead of raising; the builder layer is
-    # where a bad ``mine_workers=`` fails loudly.
+    # Non-positive counts degrade to one worker (the pool still runs)
+    # instead of raising.
     db = make_db([(0, 1), (0, 1), (1,)])
     expected = mine_eclat(db, 1)
     assert_same_ordered(expected, mine_eclat(db, 1, workers=0))
@@ -170,8 +148,8 @@ def test_workers_clamp_to_one():
 
 
 def test_resolve_workers_defaults_to_cpu_count():
-    assert ip.resolve_workers(3) == 3
-    assert ip.resolve_workers(None) >= 1
+    assert _pool.resolve_workers(3) == 3
+    assert _pool.resolve_workers(None) >= 1
 
 
 def test_partition_roots_balances_and_clamps():
@@ -186,55 +164,8 @@ def test_partition_roots_balances_and_clamps():
     assert all(part for part in parts)
 
 
-# ---------------------------------------------------------------------------
-# Failure surfaces: a worker raising must fail loudly (not hang), and
-# the shared-memory segment must be unlinked on every path.
-# ---------------------------------------------------------------------------
-
-def _track_segments(monkeypatch):
-    created = []
-    original = ip._segment_name
-
-    def tracking(tag):
-        name = original(tag)
-        created.append(name)
-        return name
-
-    monkeypatch.setattr(ip, "_segment_name", tracking)
-    return created
-
-
-def assert_segments_unlinked(names):
-    assert names, "expected at least one shared-memory segment"
-    for name in names:
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-
-def test_segments_unlinked_on_success(monkeypatch):
-    created = _track_segments(monkeypatch)
+def test_segments_unlinked_on_success(assert_segments_unlinked):
     rng = np.random.default_rng(59)
     db = make_db(random_rows(rng, 40, 7))
     mine_eclat(db, 2, workers=2)
-    assert_segments_unlinked(created)
-
-
-def test_worker_failure_propagates_mining_error(monkeypatch):
-    created = _track_segments(monkeypatch)
-
-    def boom(*args, **kwargs):
-        raise ValueError("injected mid-DFS failure")
-
-    # Forked workers inherit the monkeypatched kernel; under spawn the
-    # patch does not propagate, so only assert the injection fired
-    # where fork semantics guarantee it.
-    monkeypatch.setattr(eclat, "mine_root", boom)
-    rng = np.random.default_rng(61)
-    db = make_db(random_rows(rng, 40, 7))
-    if ip._mp_context().get_start_method() == "fork":
-        with pytest.raises(MiningError, match="injected"):
-            mine_eclat(db, 2, workers=2)
-    else:                                   # pragma: no cover
-        with pytest.raises(MiningError):
-            mine_eclat(db, 2, workers=2)
-    assert_segments_unlinked(created)
+    assert_segments_unlinked()

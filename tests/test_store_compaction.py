@@ -10,6 +10,7 @@ used recorded in ``timeline.json``.
 from __future__ import annotations
 
 import json
+import os
 import shutil
 
 import numpy as np
@@ -141,6 +142,53 @@ class TestTimelineManifest:
         # timeline.json (and scratch dirs) must stay invisible to readers.
         assert timeline_dates(timeline_dir) == list(DATES)
         assert CubeTimeline(timeline_dir).dates == list(DATES)
+
+    def test_failed_manifest_replace_keeps_timeline_readable(
+        self, states, tmp_path, monkeypatch
+    ):
+        # One compacting publish writes its manifests through os.replace:
+        # the delta's manifest.json, the re-rooted one and timeline.json.
+        # Failing each replace in turn must leave the previous
+        # timeline.json parseable and every listed date openable.
+        base = _dump(states[:-1], tmp_path / "base")
+        parent, last = states[-2], states[-1]
+        cube_at = {state.date: state.cube for state in states}
+        real_replace = os.replace
+        replaced = []
+
+        def publish(root, fail_at=None):
+            def replace(src, dst):
+                replaced.append(dst)
+                if len(replaced) - 1 == fail_at:
+                    raise OSError("injected replace failure")
+                real_replace(src, dst)
+
+            replaced.clear()
+            monkeypatch.setattr(os, "replace", replace)
+            try:
+                dump_into_timeline(
+                    root, last.date, last.cube,
+                    parent_date=parent.date, parent=parent.cube,
+                    compact=CompactionPolicy(max_chain=0, **CHAIN_ONLY),
+                )
+            finally:
+                monkeypatch.setattr(os, "replace", real_replace)
+
+        publish(shutil.copytree(base, tmp_path / "whole"))
+        n_writes = len(replaced)
+        assert n_writes >= 3
+        for crash in range(n_writes):
+            root = shutil.copytree(base, tmp_path / f"crash-{crash}")
+            with pytest.raises(OSError, match="injected"):
+                publish(root, fail_at=crash)
+            json.loads((root / TIMELINE_MANIFEST_NAME).read_text())
+            read_timeline_manifest(root)
+            for date in timeline_dates(root):
+                reopened = open_snapshot(root / str(date))
+                assert check_same_cells(
+                    cube_at[date], reopened, atol=0.0
+                ) == []
+            assert not list(root.rglob("*.tmp"))
 
 
 class TestCompactDate:
