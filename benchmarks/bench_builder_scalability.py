@@ -1,8 +1,9 @@
 """E10 — "Computational efficiency challenges and solutions" (paper §1/§3).
 
 Compares the itemset-driven SegregationDataCubeBuilder against the naive
-full-enumeration baseline, sweeping (a) the number of rows and (b) the
-number of context attributes (i.e. the size of the coordinate lattice).
+full-enumeration baseline in ``tests/oracles.py``, sweeping (a) the
+number of rows and (b) the number of context attributes (i.e. the size
+of the coordinate lattice).
 
 Expected shape: the two builders produce identical cubes (asserted), the
 naive baseline degrades super-linearly with attribute count while the
@@ -16,11 +17,11 @@ import time
 
 from repro.cube.builder import SegregationDataCubeBuilder
 from repro.cube.cube import check_same_cells
-from repro.cube.naive import NaiveCubeBuilder
 from repro.data.synthetic import random_final_table
 from repro.report.text import render_table
 
 from benchmarks.conftest import write_result
+from tests.oracles import NaiveCubeBuilder
 
 # Three-deep context coordinates: the lattice of candidate contexts grows
 # cubically in the item count, which is the regime the paper's mining

@@ -1,13 +1,12 @@
-"""E11 — Mining engine ablation: closed vs all frequent itemsets, and the
-three mining backends.
+"""E11 — Mining ablation: closed vs all frequent itemsets.
 
 The original SCube delegates to Borgelt's FPGrowth mining *closed*
 itemsets; this bench measures why on our substrate: the count of closed
-itemsets vs all frequent itemsets as minsup drops, and the relative
-speed of eclat / fpgrowth / apriori.
+itemsets vs all frequent itemsets as minsup drops, and the time eclat
+takes to mine each.
 
 Expected shape: closed counts grow much more slowly than frequent counts
-as minsup decreases; apriori falls behind the depth-first miners.
+as minsup decreases.
 """
 
 from __future__ import annotations
@@ -36,10 +35,10 @@ def test_closed_vs_all_itemsets(benchmark, italy):
         rows = []
         for minsup in (0.05, 0.02, 0.01, 0.005):
             start = time.perf_counter()
-            all_sets = mine(db, minsup, backend="eclat")
+            all_sets = mine(db, minsup)
             all_seconds = time.perf_counter() - start
             start = time.perf_counter()
-            closed = mine(db, minsup, backend="eclat", closed=True)
+            closed = mine(db, minsup, closed=True)
             closed_seconds = time.perf_counter() - start
             rows.append(
                 [
@@ -59,23 +58,11 @@ def test_closed_vs_all_itemsets(benchmark, italy):
          "mine-all (s)", "mine-closed (s)"],
         rows,
     )
-    lines = ["Closed vs all frequent itemsets (Italy seats table)", rendered]
-
-    backend_rows = []
-    for backend in ("eclat", "fpgrowth", "apriori"):
-        start = time.perf_counter()
-        result = mine(db, 0.01, backend=backend)
-        backend_rows.append([backend, len(result),
-                             time.perf_counter() - start])
-    lines += [
-        "",
-        "backend comparison at minsup=1%:",
-        render_table(["backend", "itemsets", "seconds"], backend_rows),
-    ]
-    write_result("E11_closed_vs_all", "\n".join(lines))
+    write_result(
+        "E11_closed_vs_all",
+        "Closed vs all frequent itemsets (Italy seats table)\n" + rendered,
+    )
 
     counts = {r[0]: (r[1], r[2]) for r in rows}
     lowest = counts[0.005]
     assert lowest[1] <= lowest[0], "closed sets are a subset"
-    # All backends agree on the itemset count.
-    assert len({r[1] for r in backend_rows}) == 1

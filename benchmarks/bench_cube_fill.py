@@ -1,8 +1,8 @@
 """E17 — cube fill shoot-out: per-cell loop vs columnar batched engine.
 
-PR 1-2 made cover intersection fast; this experiment pins the next layer
-down: filling the cube's cells.  The per-cell reference path runs one
-``unit_counts`` scan and six scalar index evaluations per mined cell;
+Filling the cube's cells, after mining: the per-cell reference in
+``tests/oracles.py`` runs one ``unit_counts`` scan and six scalar index
+evaluations per mined cell;
 the columnar engine counts every cell through one grouped
 ``unit_counts_many`` pass and evaluates each index with one batched
 kernel call per context, landing results directly in the
@@ -26,6 +26,7 @@ from repro.itemsets.transactions import encode_table
 from repro.report.text import render_table
 
 from benchmarks.conftest import write_bench_json, write_result
+from tests.oracles import fill_percell
 
 FILL_ROWS = 120_000
 TOPK_REPS = 5
@@ -78,7 +79,7 @@ def test_cube_fill_columnar_vs_percell(benchmark):
         mine_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
-        percell_cells = builder._fill_percell(db, mined)
+        percell_cells = fill_percell(builder, db, mined)
         percell_seconds = time.perf_counter() - start
 
         start = time.perf_counter()

@@ -1,12 +1,12 @@
-"""E22 — cover-kernel graph engine vs the seed-era set/BFS baseline.
+"""E22 — array graph engine vs the set/BFS reference implementations.
 
-PR 8 rebuilt every ``graph/`` hot path on arrays: vectorized bipartite
+Every ``graph/`` hot path runs on arrays: vectorized bipartite
 projection (degree-bucketed pair enumeration), union-find components,
 an O(edges)-per-step threshold sweep, and a level-synchronous batched
-SToC frontier.  This
-experiment runs the whole graph pipeline — projection → components →
-threshold profile → SToC — once with the new engine and once with the
-legacy implementations (:mod:`repro.graph.legacy`) on a power-law
+SToC frontier.  This experiment runs the whole graph pipeline —
+projection → components → threshold profile → SToC — once with the
+array engine and once with the set/BFS references in
+``tests/oracles.py`` (the legacy implementations) on a power-law
 membership world of ``E22_LEFT`` individuals × ``E22_RIGHT`` groups
 (default 500k × 20k, the scale of the paper's national registries).
 
@@ -35,7 +35,6 @@ import time
 import numpy as np
 
 from repro.data.synthetic import random_bipartite_world
-from repro.graph import legacy
 from repro.graph.bipartite import project_onto_groups
 from repro.graph.components import connected_components
 from repro.graph.stoc import stoc_clustering
@@ -43,6 +42,7 @@ from repro.graph.threshold import threshold_profile
 from repro.report.text import render_table
 
 from benchmarks.conftest import peak_rss_mb, write_bench_json, write_result
+from tests import oracles as legacy
 
 N_LEFT = int(os.environ.get("E22_LEFT", "500000"))
 N_RIGHT = int(os.environ.get("E22_RIGHT", "20000"))

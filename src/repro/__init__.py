@@ -19,7 +19,7 @@ Subpackages
 -----------
 ``repro.indexes``   segregation indexes (D, Gini, H, Isolation,
                     Interaction, Atkinson; multigroup; inference)
-``repro.itemsets``  frequent/closed itemset mining, EWAH bitmaps
+``repro.itemsets``  frequent/closed itemset mining over packed covers
 ``repro.cube``      the segregation data cube and its builders
 ``repro.graph``     bipartite projection and graph clustering
 ``repro.etl``       tables, schemas, CSV I/O, temporal membership
@@ -48,7 +48,6 @@ from repro.cube.builder import SegregationDataCubeBuilder, build_cube
 from repro.cube.cube import SegregationCube
 from repro.cube.explorer import simpson_reversals, top_contexts
 from repro.cube.incremental import TemporalCubeEngine
-from repro.cube.naive import NaiveCubeBuilder
 from repro.cube.protocol import CubeLike
 from repro.data.estonia import EstoniaConfig, generate_estonia
 from repro.data.italy import BoardsDataset, ItalyConfig, generate_italy
@@ -81,7 +80,6 @@ __all__ = [
     "CubeTimeline",
     "EstoniaConfig",
     "ItalyConfig",
-    "NaiveCubeBuilder",
     "PipelineConfig",
     "PipelineResult",
     "ProjectionConfig",

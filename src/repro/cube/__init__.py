@@ -2,9 +2,9 @@
 
 Cells are addressed by (SA itemset, CA itemset) coordinate pairs with
 ``⋆`` wildcards; metrics are segregation indexes.  The itemset-driven
-:class:`SegregationDataCubeBuilder` materialises the cube; the
-:class:`NaiveCubeBuilder` is the enumeration oracle/baseline; the
-explorer ranks cells and flags Simpson-style granularity reversals.
+:class:`SegregationDataCubeBuilder` materialises the cube, and
+:class:`TemporalCubeEngine` keeps it fresh across dates; the explorer
+ranks cells and flags Simpson-style granularity reversals.
 """
 
 from repro.cube.builder import SegregationDataCubeBuilder, build_cube
@@ -44,7 +44,6 @@ from repro.cube.explorer import (
     summarize_cube,
     top_contexts,
 )
-from repro.cube.naive import NaiveCubeBuilder
 
 __all__ = [
     "CellComparison",
@@ -55,7 +54,6 @@ __all__ = [
     "CubeLike",
     "CubeMetadata",
     "Discovery",
-    "NaiveCubeBuilder",
     "Reversal",
     "STAR",
     "SegregationCube",

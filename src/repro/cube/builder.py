@@ -26,12 +26,11 @@ matrix), and every index is evaluated per *context* through its batched
 kernel (:meth:`~repro.indexes.base.IndexSpec.compute_batch`) — one
 vectorized call over all cells sharing a context instead of one Python
 call per cell.  Results land directly in the cube's struct-of-arrays
-:class:`~repro.cube.table.CellTable`; they are bit-identical to the
-retained per-cell reference path (``engine="percell"``), which benchmark
-E17 uses as its baseline.  Per-context populations and unit counts are
-computed once per context, never re-derived per cell, and context
-covers below ``min_population`` are discarded before any per-unit
-counting happens.
+:class:`~repro.cube.table.CellTable`, in the order and with the bits of
+a scalar one-cell-at-a-time fill (the reference the tests and benchmark
+E17 keep).  Per-context populations and unit counts are computed once
+per context, never re-derived per cell, and context covers below
+``min_population`` are discarded before any per-unit counting happens.
 
 A multiprocess variant (``engine="parallel"``, :mod:`repro.cube.parallel`)
 partitions the context groups across workers; each worker runs the exact
@@ -205,20 +204,14 @@ class SegregationDataCubeBuilder:
         ``"all"`` materialises every frequent cell; ``"closed"``
         materialises closed coordinates only and resolves other queries
         lazily (the JIIS efficiency solution).
-    backend:
-        Mining backend for the support-only passes (``eclat`` /
-        ``fpgrowth`` / ``apriori``); covers always come from eclat.
-    codec:
-        Cover representation used when encoding the table
-        (``packed`` / ``bool`` / ``ewah``); results are identical
-        across codecs.
     engine:
         Fill strategy: ``"columnar"`` (default) batches all cells
         through the count-matrix and vectorized index kernels;
-        ``"percell"`` is the scalar reference path; ``"parallel"``
-        partitions the context groups across ``workers`` processes
-        (see :mod:`repro.cube.parallel`).  All produce bit-identical
-        cubes.
+        ``"incremental"`` builds the same way and keeps the state
+        :class:`~repro.cube.incremental.TemporalCubeEngine` updates
+        from; ``"parallel"`` partitions the context groups across
+        ``workers`` processes (see :mod:`repro.cube.parallel`).  All
+        produce bit-identical cubes.
     workers:
         Process count for ``engine="parallel"`` (None = one per CPU);
         ignored by the other engines.
@@ -232,17 +225,15 @@ class SegregationDataCubeBuilder:
         max_sa_items: "int | None" = None,
         max_ca_items: "int | None" = None,
         mode: str = "all",
-        backend: str = "eclat",
-        codec: str = "packed",
         engine: str = "columnar",
         workers: "int | None" = None,
     ):
         if mode not in ("all", "closed"):
             raise CubeError(f"mode must be 'all' or 'closed', got {mode!r}")
-        if engine not in ("columnar", "percell", "incremental", "parallel"):
+        if engine not in ("columnar", "incremental", "parallel"):
             raise CubeError(
-                "engine must be 'columnar', 'percell', 'incremental' or "
-                f"'parallel', got {engine!r}"
+                "engine must be 'columnar', 'incremental' or 'parallel', "
+                f"got {engine!r}"
             )
         if workers is not None and int(workers) < 1:
             raise CubeError(f"workers must be >= 1, got {workers!r}")
@@ -252,8 +243,6 @@ class SegregationDataCubeBuilder:
         self.max_sa_items = max_sa_items
         self.max_ca_items = max_ca_items
         self.mode = mode
-        self.backend = backend
-        self.codec = codec
         self.engine = engine
         self.workers = None if workers is None else int(workers)
 
@@ -264,7 +253,7 @@ class SegregationDataCubeBuilder:
         if not schema.sa_names:
             raise CubeError("schema declares no segregation attributes")
         schema.unit_name  # raises SchemaError when missing
-        db = encode_table(table, schema, codec=self.codec)
+        db = encode_table(table, schema)
         if len(db) == 0:
             raise CubeError("finalTable is empty")
         return self.build_from_transactions(db)
@@ -288,9 +277,7 @@ class SegregationDataCubeBuilder:
         started = time.perf_counter()
         mined = self.mine_coordinates(db)
         extra_meta: "dict[str, object]" = {}
-        if self.engine == "percell":
-            store = self._fill_percell(db, mined)
-        elif self.engine == "parallel":
+        if self.engine == "parallel":
             from repro._pool import resolve_workers
             from repro.cube.parallel import fill_parallel
 
@@ -308,7 +295,7 @@ class SegregationDataCubeBuilder:
             n_rows=db.n_active,
             n_units=db.n_units,
             mode=self.mode,
-            backend=self.backend,
+            backend="eclat",
             build_seconds=time.perf_counter() - started,
             extra={
                 "n_contexts": mined.n_contexts,
@@ -459,9 +446,10 @@ class SegregationDataCubeBuilder:
     def _enumerate_candidates(
         self, db: TransactionDatabase, mined: MinedCoordinates
     ) -> CandidateArrays:
-        """Phase A — enumerate candidates in mining order (the order the
-        per-cell path inserts cells in).  Context-only cells (empty SA
-        part) need no counting; SA-bearing cells queue their covers."""
+        """Phase A — enumerate candidates in mining order (the order a
+        one-cell-at-a-time fill inserts cells in).  Context-only cells
+        (empty SA part) need no counting; SA-bearing cells queue their
+        covers."""
         cand_keys: "list[CellKey]" = []
         cand_ctx: "list[Itemset]" = []
         sa_covers: "list[Cover]" = []
@@ -574,26 +562,6 @@ class SegregationDataCubeBuilder:
             db, cand, minority_totals, kept_rows, values
         )
 
-    def _fill_percell(
-        self, db: TransactionDatabase, mined: MinedCoordinates
-    ) -> "dict[CellKey, CellStats]":
-        """Reference fill: one scalar ``_make_cell`` per candidate."""
-        cells: dict[CellKey, CellStats] = {}
-        for key, ca_part, cover in self._candidates(db, mined):
-            stats = self._make_cell(
-                key,
-                cover,
-                mined.context_tvecs[ca_part],
-                db,
-                mined.minsup_pop,
-                mined.minsup_min,
-                population=mined.context_pops[ca_part],
-                n_units=mined.context_nunits[ca_part],
-            )
-            if stats is not None:
-                cells[stats.key] = stats
-        return cells
-
     # ------------------------------------------------------------------
 
     def _make_cell(
@@ -604,21 +572,12 @@ class SegregationDataCubeBuilder:
         db: TransactionDatabase,
         minsup_pop: int,
         minsup_min: int,
-        population: "int | None" = None,
-        n_units: "int | None" = None,
     ) -> "CellStats | None":
-        """Fill one cell from covers; None when below thresholds.
-
-        ``population`` / ``n_units`` take the per-context values already
-        derived by :meth:`mine_coordinates`; when None (the lazy
-        resolver's ad-hoc queries) they are computed from the vector.
-        """
-        if population is None:
-            population = int(context_tvec.sum())
+        """Fill one cell from covers; None when below thresholds."""
+        population = int(context_tvec.sum())
         if population < minsup_pop:
             return None
-        if n_units is None:
-            n_units = int((context_tvec > 0).sum())
+        n_units = int((context_tvec > 0).sum())
         sa_part, _ = key
         if not sa_part:
             # Context-only navigation cell: indexes undefined by design.
@@ -698,7 +657,6 @@ def build_cube(
     max_sa_items: "int | None" = None,
     max_ca_items: "int | None" = None,
     mode: str = "all",
-    codec: str = "packed",
     engine: str = "columnar",
     workers: "int | None" = None,
     snapshot_path=None,
@@ -715,7 +673,6 @@ def build_cube(
         max_sa_items=max_sa_items,
         max_ca_items=max_ca_items,
         mode=mode,
-        codec=codec,
         engine=engine,
         workers=workers,
     )

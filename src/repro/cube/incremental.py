@@ -482,7 +482,7 @@ class TemporalCubeEngine:
             n_rows=db.n_active,
             n_units=db.n_units,
             mode=self.builder.mode,
-            backend=self.builder.backend,
+            backend="eclat",
             build_seconds=time.perf_counter() - started,
             extra={
                 "engine": "incremental",

@@ -22,8 +22,8 @@ groups across the package's one shared-memory pool (:mod:`repro._pool`):
 
 Because every number is produced by the very same NumPy call sequence on
 the very same inputs, the parallel cube is **bit-exact** (``atol=0``)
-against the columnar one — ``python -m repro.cube.selfcheck`` asserts
-this end to end.  A raising worker surfaces as
+against the columnar one — ``tests/test_cube_parallel.py`` asserts this
+on every dataset it builds, in both modes.  A raising worker surfaces as
 :class:`~repro.errors.CubeError`.
 """
 

@@ -261,7 +261,6 @@ def iter_chunks(table: Table, chunk_rows: int) -> "Iterator[Table]":
 def encode_stream(
     chunks: "Iterable[Table]",
     schema: Schema,
-    codec: str = "packed",
     spill_bytes: "int | None" = None,
     scratch_dir: "str | Path | None" = None,
 ):
@@ -276,8 +275,7 @@ def encode_stream(
     from repro.itemsets.transactions import TransactionDatabase
 
     return TransactionDatabase.from_chunks(
-        chunks, schema, codec=codec, spill_bytes=spill_bytes,
-        scratch_dir=scratch_dir,
+        chunks, schema, spill_bytes=spill_bytes, scratch_dir=scratch_dir,
     )
 
 

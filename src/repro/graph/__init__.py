@@ -10,8 +10,8 @@ Every hot path is array-native: CSR-backed graphs (``graph.py``,
 components over edge arrays (``components.py``), a level-synchronous
 batched SToC frontier (``stoc.py``) and an O(edges)-per-step threshold
 sweep (``threshold.py``).  All of it is result-identical to the
-seed-era set/BFS implementations preserved in ``legacy.py`` — enforced
-by property tests and ``python -m repro.graph.selfcheck``.
+set/BFS reference implementations in ``tests/oracles.py``, which the
+property tests in ``tests/test_graph_engine.py`` enforce.
 """
 
 from repro.graph.attributes import NodeAttributeTable

@@ -5,13 +5,13 @@ connected component of the projected graph becomes one organizational
 unit.  Isolated nodes each form a singleton unit (they still host
 population, so they must not be dropped from segregation analysis).
 
-Since PR 8 the labelling runs vectorially: min-label hooking + pointer
-doubling over the whole edge array (a union-find where every union round
-is one NumPy pass), instead of the seed-era per-node BFS.  At the fixed
-point every node's root is the *lowest node id in its component*, so
-ranking the roots in ascending order reproduces the BFS labelling
-exactly — label 0 is the component of node 0, and so on.  The legacy BFS
-survives in ``graph/legacy.py`` and parity is property-tested.
+The labelling runs vectorially: min-label hooking + pointer doubling
+over the whole edge array (a union-find where every union round is one
+NumPy pass), instead of a per-node BFS.  At the fixed point every node's
+root is the *lowest node id in its component*, so ranking the roots in
+ascending order reproduces the BFS labelling exactly — label 0 is the
+component of node 0, and so on.  The BFS lives on as the reference in
+``tests/oracles.py``, and parity is property-tested.
 """
 
 from __future__ import annotations

@@ -33,9 +33,9 @@ ball is skipped exactly as the sequential loop would skip it.  Rejected
 candidates shared between balls need no such care — a rejected node
 leaves no cross-ball state, and a node labelled by an earlier ball is
 barred from candidacy just as a visited-and-rejected node is.  The
-committed labels are therefore **exactly identical** to the seed-era
-deque BFS (``graph/legacy.py``) for every seed order, which the
-property tests and ``repro.graph.selfcheck`` assert.
+committed labels are therefore **exactly identical** to the per-ball
+deque BFS (kept as the reference in ``tests/oracles.py``) for every seed
+order, which the property tests assert.
 
 The reference implementation samples seeds randomly; we default to a
 seeded RNG for reproducibility and also expose deterministic

@@ -13,9 +13,9 @@ Both entry points run on the graph's edge arrays.  The sweep
 (:func:`threshold_profile`) computes the base components and the
 giant-internal edge mask **once**, then re-labels with a filtered edge
 array per threshold — O(edges) array work per step instead of the
-seed-era full graph rebuild + BFS per threshold.  Results are identical
-row for row (``graph/legacy.py`` keeps the old sweep for the parity
-tests).
+full graph rebuild + BFS per threshold.  Results are identical row for
+row to that rebuild-and-BFS sweep, which ``tests/oracles.py`` keeps as
+the parity reference.
 """
 
 from __future__ import annotations

@@ -70,8 +70,8 @@ class UnitCounts:
 
         ``units[k]`` is the unit id of individual ``k`` and
         ``is_minority[k]`` tells whether she belongs to the minority.
-        ``is_minority`` may also be a mining cover (any
-        :mod:`repro.itemsets.coverset` codec): anything exposing
+        ``is_minority`` may also be a mining cover
+        (:class:`~repro.itemsets.coverset.CoverSet`): anything exposing
         ``to_bools()`` is materialised into flags first.
         """
         u = np.asarray(units, dtype=np.int64)

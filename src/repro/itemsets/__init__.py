@@ -1,14 +1,11 @@
 """Frequent (closed) itemset mining substrate.
 
 Reimplements, in pure Python/NumPy, the mining stack the original SCube
-borrows from external libraries: FP-growth (Borgelt), a vertical Eclat
-miner with covers, a level-wise Apriori baseline, closed-itemset
-filtering, and pluggable cover codecs — packed ``uint64`` bitmaps
-(default), dense booleans, and EWAH-style compressed bitmaps (JavaEWAH).
+borrows from external libraries: a vertical Eclat miner over item
+covers, closed-itemset filtering, and the packed ``uint64`` cover
+bitmaps both run on.
 """
 
-from repro.itemsets.apriori import mine_apriori
-from repro.itemsets.bitmap import EWAHBitmap
 from repro.itemsets.closed import (
     closure_map,
     equivalence_classes,
@@ -16,22 +13,10 @@ from repro.itemsets.closed import (
     filter_maximal,
     verify_closed,
 )
-from repro.itemsets.coverset import (
-    COVER_CODECS,
-    Cover,
-    CoverSet,
-    DenseCover,
-    get_codec,
-)
+from repro.itemsets.coverset import Cover, CoverSet
 from repro.itemsets.eclat import closure_of, mine_eclat
-from repro.itemsets.fpgrowth import FPTree, mine_fpgrowth
 from repro.itemsets.items import Item, ItemDictionary, ItemKind
-from repro.itemsets.miner import (
-    BACKENDS,
-    MiningResult,
-    absolute_minsup,
-    mine,
-)
+from repro.itemsets.miner import MiningResult, absolute_minsup, mine
 from repro.itemsets.transactions import (
     EncodeAccumulator,
     TransactionDatabase,
@@ -39,15 +24,9 @@ from repro.itemsets.transactions import (
 )
 
 __all__ = [
-    "BACKENDS",
     "EncodeAccumulator",
-    "COVER_CODECS",
     "Cover",
     "CoverSet",
-    "DenseCover",
-    "EWAHBitmap",
-    "FPTree",
-    "get_codec",
     "Item",
     "ItemDictionary",
     "ItemKind",
@@ -61,8 +40,6 @@ __all__ = [
     "filter_closed",
     "filter_maximal",
     "mine",
-    "mine_apriori",
     "mine_eclat",
-    "mine_fpgrowth",
     "verify_closed",
 ]

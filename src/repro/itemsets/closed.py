@@ -23,7 +23,6 @@ from repro.itemsets.coverset import (
     Cover,
     cover_digest,
     cover_matrix,
-    cover_words,
     popcount_rows,
 )
 from repro.itemsets.eclat import closure_of, frequent_triples, mine_root
@@ -155,7 +154,7 @@ def equivalence_classes(
 
 
 def support_of_cover(cover: "Cover | np.ndarray") -> int:
-    """Support of a cover (any codec, or a dense boolean array)."""
+    """Support of a cover or of a dense boolean array."""
     if isinstance(cover, Cover):
         return cover.support()
     return int(np.asarray(cover, dtype=bool).sum())
@@ -218,7 +217,7 @@ def closure_flags(
             out[itemset] = True
             continue
         absorbing = popcount_rows(
-            matrix & cover_words(cover)[None, :]
+            matrix & cover.words[None, :]
         ) == cover.support()
         absorbing[[row_of[item] for item in itemset]] = False
         if not sa_room:

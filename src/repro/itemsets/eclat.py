@@ -1,13 +1,11 @@
 """Eclat: vertical (cover-based) frequent-itemset mining.
 
-This is the default mining backend of the cube builder: its depth-first
-search carries the *cover* (transaction mask) of every itemset, which the
+This is the system's one miner: its depth-first search carries the
+*cover* (transaction mask) of every itemset, which the
 SegregationDataCubeBuilder needs anyway to split supports into per-unit
-counts.  Covers are :class:`~repro.itemsets.coverset.Cover` objects —
-packed ``uint64`` bitmaps by default, so intersection is a word-wise AND
-and support a vectorized popcount; the dense-boolean and EWAH-compressed
-codecs run through the identical code path (the DFS only needs ``&`` and
-``support()``).
+counts.  Covers are packed ``uint64`` bitmaps
+(:class:`~repro.itemsets.coverset.CoverSet`), so intersection is a
+word-wise AND and support a vectorized popcount.
 
 The search tree decomposes by *root item*: once the frequent 1-items are
 sorted by ascending support, the subtree rooted at position ``pos`` only
@@ -236,7 +234,7 @@ def mine_eclat_typed(
     Returns covers for every frequent itemset within the caps,
     including the empty itemset's all-true cover.  Roots are the SA ids
     followed by the CA ids, stably sorted by support, so the emission
-    order is deterministic and codec-independent.
+    order is deterministic.
     """
     if minsup < 1:
         raise MiningError(f"minsup must be >= 1, got {minsup}")
@@ -270,7 +268,7 @@ def closure_of(
     For an itemset X with cover c, ``closure_of(db, c)`` is the unique
     maximal itemset with the same cover — the canonical representative the
     closed-itemset cube stores.  ``cover`` may also be a dense boolean
-    array; it is coerced into the database's codec.
+    array; it is packed first.
     """
     covers = db.covers()
     cover = db.as_cover(cover)

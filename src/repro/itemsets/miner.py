@@ -1,12 +1,9 @@
-"""Uniform mining façade over the three backend algorithms.
+"""Mining façade: support thresholds plus one call over eclat.
 
-The cube builder (and library users) call :func:`mine` with a backend
-name; the backends are interchangeable and return identical results
-(property-tested), differing only in complexity profile:
-
-* ``eclat`` — vertical DFS with NumPy covers (default; covers available);
-* ``fpgrowth`` — FP-tree, best at low minsup on long transactions;
-* ``apriori`` — level-wise baseline, quadratic candidate generation.
+:func:`mine` normalises a relative or absolute support threshold, runs
+the eclat miner (:mod:`repro.itemsets.eclat`) and applies the optional
+closed and length filters; :func:`absolute_minsup` is the threshold
+rule every layer shares.
 """
 
 from __future__ import annotations
@@ -15,16 +12,12 @@ import math
 from dataclasses import dataclass, field
 
 from repro.errors import MiningError
-from repro.itemsets.apriori import mine_apriori
 from repro.itemsets.closed import filter_closed
 from repro.itemsets.coverset import Cover
 from repro.itemsets.eclat import mine_eclat
-from repro.itemsets.fpgrowth import mine_fpgrowth
 from repro.itemsets.transactions import TransactionDatabase
 
 Itemset = frozenset[int]
-
-BACKENDS = ("eclat", "fpgrowth", "apriori")
 
 
 def absolute_minsup(minsup: "int | float", n_transactions: int) -> int:
@@ -54,7 +47,6 @@ class MiningResult:
 
     supports: dict[Itemset, int]
     minsup: int
-    backend: str
     closed_only: bool
     covers: "dict[Itemset, Cover] | None" = field(default=None, repr=False)
 
@@ -73,7 +65,6 @@ class MiningResult:
 def mine(
     db: TransactionDatabase,
     minsup: "int | float",
-    backend: str = "eclat",
     closed: bool = False,
     items: "list[int] | None" = None,
     max_len: "int | None" = None,
@@ -85,16 +76,11 @@ def mine(
     ----------
     minsup:
         Relative (fraction) or absolute (count) support threshold.
-    backend:
-        One of ``eclat``, ``fpgrowth``, ``apriori``.
     closed:
         Keep only closed itemsets.
     with_covers:
-        Also return covers (forces the ``eclat`` backend, the only
-        cover-producing one).
+        Also return the covers of the kept itemsets.
     """
-    if backend not in BACKENDS:
-        raise MiningError(f"unknown backend {backend!r}; choose from {BACKENDS}")
     # Fractions resolve against the *live* rows so restricted views
     # (temporal snapshots) are thresholded at their own scale.
     threshold = absolute_minsup(minsup, db.n_active)
@@ -106,17 +92,12 @@ def mine(
         covers = mine_eclat(db, threshold, items=items, max_len=mine_len,
                             with_covers=True)
         supports = {k: v.support() for k, v in covers.items()}
-        backend = "eclat"
-    elif backend == "eclat":
-        supports = mine_eclat(db, threshold, items=items, max_len=mine_len)
-    elif backend == "fpgrowth":
-        supports = mine_fpgrowth(db, threshold, items=items, max_len=mine_len)
     else:
-        supports = mine_apriori(db, threshold, items=items, max_len=mine_len)
+        supports = mine_eclat(db, threshold, items=items, max_len=mine_len)
     if closed:
         supports = filter_closed(supports)
     if max_len is not None:
         supports = {k: v for k, v in supports.items() if len(k) <= max_len}
     if covers is not None:
         covers = {k: v for k, v in covers.items() if k in supports}
-    return MiningResult(supports, threshold, backend, closed, covers)
+    return MiningResult(supports, threshold, closed, covers)

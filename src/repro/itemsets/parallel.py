@@ -15,9 +15,9 @@ shared-memory pool (:mod:`repro._pool`):
 * root positions are partitioned greedy largest-first by estimated
   subtree cost — root support × candidate-sibling count — so one heavy
   root cannot serialise the mine behind it (:func:`partition_roots`);
-* every worker rebuilds its ``frequent`` list in the database's own
-  codec over the shared words and runs the *identical* sequential
-  kernel (:func:`~repro.itemsets.eclat.mine_root`) over its positions;
+* every worker rebuilds its ``frequent`` list as zero-copy covers over
+  the shared words and runs the *identical* sequential kernel
+  (:func:`~repro.itemsets.eclat.mine_root`) over its positions;
 * the parent splices the per-root emission lists back in root-position
   order, which — because every itemset is emitted in exactly one root
   subtree — reproduces the sequential emission order **bit for bit**:
@@ -51,7 +51,6 @@ from repro.itemsets.coverset import (
     CoverSet,
     cover_digest,
     cover_matrix,
-    get_codec,
 )
 from repro.itemsets.transactions import TransactionDatabase
 
@@ -84,7 +83,7 @@ def _export_cover(cover: Cover) -> Cover:
     DFS intersection results own their words already; only depth-1 root
     covers (views straight into the shared matrix) need copying.
     """
-    if isinstance(cover, CoverSet) and not cover.words.flags.owndata:
+    if not cover.words.flags.owndata:
         return CoverSet(cover.words.copy(), cover.n_bits)
     return cover
 
@@ -92,16 +91,12 @@ def _export_cover(cover: Cover) -> Cover:
 def _frequent_from_matrix(matrix: np.ndarray, cfg: dict) -> list:
     """Rebuild the parent's ``frequent`` triples over the shared words.
 
-    Covers come back in the database's own codec, so the worker runs
-    the very same kernel over the very same cover types as the
-    sequential mine (packed covers view the segment zero-copy; bool /
-    ewah covers are re-encoded from the shared bits).
+    Each cover views its row of the segment zero-copy, so the worker
+    runs the very same kernel over the very same cover bits as the
+    sequential mine.
     """
     n_bits = cfg["n_bits"]
     covers = [CoverSet(words, n_bits) for words in matrix]
-    if cfg["codec"] != "packed":
-        cls = get_codec(cfg["codec"])
-        covers = [cls.from_bools(cover.to_bools()) for cover in covers]
     return list(zip(cfg["items"], covers, cfg["supports"]))
 
 
@@ -200,7 +195,6 @@ def _mine_roots(
     cfg = {
         **cfg,
         "n_bits": len(db),
-        "codec": db.codec,
         "items": [item for item, _, _ in frequent],
         "supports": supports,
     }

@@ -10,10 +10,10 @@ so the builder can split any cover into per-unit counts.
 Storage is columnar throughout: transactions live in a CSR-style pair of
 arrays (``indptr`` offsets into a flat, per-row-sorted ``indices`` item
 array), and the vertical layout — one cover per item — is served as
-packed-bitmap :class:`~repro.itemsets.coverset.CoverSet` objects (or the
-``"bool"`` / ``"ewah"`` codecs) rather than dense byte-per-transaction
-boolean arrays.  Encoding, per-item supports and per-unit splitting are
-all vectorized; no per-row Python loop touches the hot path.
+packed-bitmap :class:`~repro.itemsets.coverset.CoverSet` objects rather
+than dense byte-per-transaction boolean arrays.  Encoding, per-item
+supports and per-unit splitting are all vectorized; no per-row Python
+loop touches the hot path.
 
 Two encoding paths produce the same database bit for bit:
 
@@ -39,7 +39,7 @@ import numpy as np
 from repro.errors import MiningError
 from repro.etl.schema import Role, Schema
 from repro.etl.table import CategoricalColumn, MultiValuedColumn, Table
-from repro.itemsets.coverset import Cover, as_cover, get_codec
+from repro.itemsets.coverset import Cover, CoverSet, as_cover
 from repro.itemsets.items import Item, ItemDictionary, ItemKind
 
 #: Target entry count of one merge window in the chunked-encode
@@ -54,15 +54,12 @@ class TransactionDatabase:
     ----------
     rows:
         One sorted tuple of item ids per transaction (materialised lazily
-        from the CSR arrays; the horizontal view used by FP-growth and
-        Apriori).
+        from the CSR arrays; the horizontal view the brute-force test
+        oracles read).
     dictionary:
         The :class:`~repro.itemsets.items.ItemDictionary` describing ids.
     units:
         Optional ``int64`` array with the unit id of each transaction.
-    codec:
-        Cover representation: ``"packed"`` (default), ``"bool"`` or
-        ``"ewah"`` — see :mod:`repro.itemsets.coverset`.
     """
 
     def __init__(
@@ -70,7 +67,6 @@ class TransactionDatabase:
         rows: Sequence[tuple[int, ...]],
         dictionary: ItemDictionary,
         units: np.ndarray | None = None,
-        codec: str = "packed",
     ):
         normalized = [tuple(sorted(set(r))) for r in rows]
         lengths = np.fromiter(
@@ -82,7 +78,7 @@ class TransactionDatabase:
             chain.from_iterable(normalized), dtype=np.int64,
             count=int(indptr[-1]),
         )
-        self._init(indptr, indices, dictionary, units, codec)
+        self._init(indptr, indices, dictionary, units)
         self._rows = normalized
 
     @classmethod
@@ -93,7 +89,6 @@ class TransactionDatabase:
         n_rows: int,
         dictionary: ItemDictionary,
         units: np.ndarray | None = None,
-        codec: str = "packed",
     ) -> "TransactionDatabase":
         """Build from flat ``(row, item)`` pair arrays (vectorized path).
 
@@ -121,7 +116,7 @@ class TransactionDatabase:
         indptr = np.zeros(n_rows + 1, dtype=np.int64)
         np.cumsum(np.bincount(r, minlength=n_rows), out=indptr[1:])
         db = cls.__new__(cls)
-        db._init(indptr, it, dictionary, units, codec)
+        db._init(indptr, it, dictionary, units)
         db._rows = None
         return db
 
@@ -130,7 +125,6 @@ class TransactionDatabase:
         cls,
         chunks: "Iterable[Table]",
         schema: Schema,
-        codec: str = "packed",
         spill_bytes: "int | None" = None,
         scratch_dir: "str | Path | None" = None,
     ) -> "TransactionDatabase":
@@ -146,8 +140,7 @@ class TransactionDatabase:
         directory by default, removed when encoding completes).
         """
         accumulator = EncodeAccumulator(
-            schema, codec=codec, spill_bytes=spill_bytes,
-            scratch_dir=scratch_dir,
+            schema, spill_bytes=spill_bytes, scratch_dir=scratch_dir,
         )
         for chunk in chunks:
             accumulator.add_chunk(chunk)
@@ -159,13 +152,10 @@ class TransactionDatabase:
         indices: np.ndarray,
         dictionary: ItemDictionary,
         units: np.ndarray | None,
-        codec: str,
     ) -> None:
-        get_codec(codec)  # validate the name eagerly
         self._indptr = indptr
         self._indices = indices
         self.dictionary = dictionary
-        self.codec = codec
         if units is not None:
             units = np.asarray(units, dtype=np.int64)
             if len(units) != len(indptr) - 1:
@@ -198,19 +188,14 @@ class TransactionDatabase:
         Construction is cheap — one cover AND per item — and the
         unit→rows grouping is shared with the base database.  The
         horizontal ``rows`` view is not available on a restricted
-        database (it would expose inactive rows), so the cover-free
-        mining backends (fpgrowth/apriori) reject it.
+        database (it would expose inactive rows).
         """
-        flags = (
-            active.to_bools() if isinstance(active, Cover)
-            else np.asarray(active, dtype=bool)
-        )
-        if len(flags) != len(self):
+        active_cover = as_cover(active)
+        if len(active_cover) != len(self):
             raise MiningError(
-                f"active mask of {len(flags)} rows does not match "
+                f"active mask of {len(active_cover)} rows does not match "
                 f"database of {len(self)}"
             )
-        active_cover = self.as_cover(flags)
         if self._active is not None:
             # Restricting a restricted view composes: the item covers
             # below are already intersected with the base restriction,
@@ -220,7 +205,6 @@ class TransactionDatabase:
         db._indptr = self._indptr
         db._indices = self._indices
         db.dictionary = self.dictionary
-        db.codec = self.codec
         db.units = self.units
         db._rows = None
         db._covers = {
@@ -248,7 +232,7 @@ class TransactionDatabase:
             raise MiningError(
                 "the horizontal rows view is unavailable on a restricted "
                 "database (it would expose inactive rows); mine restricted "
-                "databases with the cover-based eclat backend"
+                "databases through their covers"
             )
         if self._rows is None:
             indptr, indices = self._indptr, self._indices
@@ -299,11 +283,10 @@ class TransactionDatabase:
         """Vertical layout: one :class:`Cover` per item id (cached).
 
         Built in one vectorized pass: the CSR item array is argsorted by
-        item, handing every item its covered-row list, which the active
-        codec packs into its cover representation.
+        item, handing every item its covered-row list, which is packed
+        into its cover.
         """
         if self._covers is None:
-            codec = get_codec(self.codec)
             n = len(self)
             order = np.argsort(self._indices, kind="stable")
             row_of = np.repeat(
@@ -315,7 +298,9 @@ class TransactionDatabase:
                 sorted_items, np.arange(self.n_items + 1)
             )
             self._covers = {
-                i: codec.from_indices(sorted_rows[bounds[i]:bounds[i + 1]], n)
+                i: CoverSet.from_indices(
+                    sorted_rows[bounds[i]:bounds[i + 1]], n
+                )
                 for i in range(self.n_items)
             }
         return self._covers
@@ -328,11 +313,11 @@ class TransactionDatabase:
         """
         if self._active is not None:
             return self._active
-        return get_codec(self.codec).ones(len(self))
+        return CoverSet.ones(len(self))
 
     def as_cover(self, value: "Cover | np.ndarray") -> Cover:
-        """Coerce a boolean array into this database's cover codec."""
-        return as_cover(value, self.codec)
+        """Coerce a boolean array into a cover."""
+        return as_cover(value)
 
     def cover_of(self, itemset: Iterable[int]) -> Cover:
         """Cover of an itemset (word-wise AND of its item covers)."""
@@ -460,9 +445,7 @@ class TransactionDatabase:
         return out
 
 
-def encode_table(
-    table: Table, schema: Schema, codec: str = "packed"
-) -> TransactionDatabase:
+def encode_table(table: Table, schema: Schema) -> TransactionDatabase:
     """Encode a ``finalTable`` into a :class:`TransactionDatabase`.
 
     Each SA/CA column contributes items of the matching kind; the schema's
@@ -520,7 +503,7 @@ def encode_table(
     if unit_names:
         units = table.ints(unit_names[0]).data
     return TransactionDatabase.from_item_arrays(
-        row_ids, item_ids, n, dictionary, units, codec
+        row_ids, item_ids, n, dictionary, units
     )
 
 
@@ -674,15 +657,12 @@ class EncodeAccumulator:
     def __init__(
         self,
         schema: Schema,
-        codec: str = "packed",
         spill_bytes: "int | None" = None,
         scratch_dir: "str | Path | None" = None,
     ):
-        get_codec(codec)  # validate the name eagerly
         if spill_bytes is not None and spill_bytes < 0:
             raise MiningError("spill_bytes must be non-negative")
         self.schema = schema
-        self.codec = codec
         self._spill_bytes = spill_bytes
         self._scratch = Path(tempfile.mkdtemp(
             prefix="repro-encode-",
@@ -829,7 +809,7 @@ class EncodeAccumulator:
                     else np.zeros(0, dtype=np.int64)
                 )
             db = TransactionDatabase.__new__(TransactionDatabase)
-            db._init(indptr, indices, dictionary, units, self.codec)
+            db._init(indptr, indices, dictionary, units)
             db._rows = None
             return db
         finally:

@@ -43,7 +43,7 @@ from repro.errors import SnapshotError
 from repro.graph.bipartite import ProjectionResult
 from repro.graph.components import Clustering
 from repro.graph.graph import Graph
-from repro.store.manifest import _jsonable, write_atomic
+from repro.store.manifest import _jsonable, save_array, write_atomic
 
 #: Current graph snapshot format; readers refuse other versions.
 GRAPH_FORMAT_VERSION = 1
@@ -241,7 +241,7 @@ def dump_graph_snapshot(
     )
     for name, array in arrays.items():
         file = f"{name}.npy"
-        np.save(directory / file, array)
+        save_array(directory / file, array)
         manifest.arrays[name] = GraphArrayInfo(
             file=file, dtype=_GRAPH_ARRAYS[name], shape=list(array.shape)
         )

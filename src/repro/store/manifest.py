@@ -24,6 +24,8 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from repro.cube.cube import CubeMetadata
 from repro.errors import SnapshotError
 from repro.itemsets.items import Item, ItemDictionary, ItemKind
@@ -74,6 +76,21 @@ def write_atomic(path: "str | Path", text: str) -> Path:
     finally:
         os.close(directory)
     return path
+
+
+def save_array(path: "str | Path", array: np.ndarray) -> None:
+    """``np.save`` ``array`` to ``path`` as a new file (a fresh inode).
+
+    ``np.save`` alone truncates and rewrites an existing file in place,
+    under any reader that still maps it: an ``open_snapshot(...,
+    mmap=True)`` cube would read past the new end (SIGBUS), and a cube
+    re-dumped onto its own directory would read its source while it is
+    being overwritten.  Unlinking first leaves the old inode to those
+    readers, so they keep seeing the old bytes.
+    """
+    path = Path(path)
+    path.unlink(missing_ok=True)
+    np.save(path, array)
 
 
 def _jsonable(obj: object) -> object:

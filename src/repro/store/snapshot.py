@@ -49,7 +49,12 @@ import numpy as np
 from repro.cube.cube import SegregationCube
 from repro.cube.table import CellTable, TableArrays
 from repro.errors import SnapshotError
-from repro.store.manifest import MANIFEST_NAME, ArrayInfo, SnapshotManifest
+from repro.store.manifest import (
+    MANIFEST_NAME,
+    ArrayInfo,
+    SnapshotManifest,
+    save_array,
+)
 
 #: Fixed (non-index) arrays every snapshot carries, with their dtypes.
 _FIXED_ARRAYS = {
@@ -121,7 +126,7 @@ def _save_cell_arrays(
         if rows is not None:
             array = array[rows]
         array = np.ascontiguousarray(array)
-        np.save(directory / file, array)
+        save_array(directory / file, array)
         manifest.arrays[name] = ArrayInfo(
             file=file, dtype=dtype, shape=list(array.shape)
         )
@@ -376,7 +381,7 @@ def dump_delta_snapshot(
             np.asarray(source, dtype="uint64")[superseded_idx]
         )
         file = f"{name}.npy"
-        np.save(directory / file, array)
+        save_array(directory / file, array)
         manifest.arrays[name] = ArrayInfo(
             file=file, dtype="uint64", shape=list(array.shape)
         )

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.data.italy import ItalyConfig, generate_italy
 from repro.data.schools import generate_schools
 from repro.data.synthetic import random_final_table
@@ -68,3 +74,44 @@ def assert_segments_unlinked(monkeypatch):
                 shared_memory.SharedMemory(name=name)
 
     return check
+
+
+@pytest.fixture()
+def mmap_reader():
+    """Start reader processes that open a snapshot before it is rewritten.
+
+    ``start(script, *args)`` runs ``python -c script *args``; the script
+    must print ``ready`` once its snapshot is open, then block on one
+    line of stdin.  ``start`` returns ``finish()``, which sends that
+    line and returns the reader's exit code (negative: killed by that
+    signal, e.g. -7 for SIGBUS).
+    """
+    procs = []
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+
+    def start(script, *args):
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, *map(str, args)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            env=env,
+        )
+        procs.append(proc)
+        assert proc.stdout.readline().strip() == "ready"
+
+        def finish():
+            proc.stdin.write("go\n")
+            proc.stdin.close()
+            return proc.wait(timeout=60)
+
+        return finish
+
+    yield start
+    for proc in procs:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()

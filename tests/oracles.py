@@ -1,18 +1,37 @@
-"""Brute-force reference implementations used as test oracles.
+"""Reference implementations the optimised library is checked against.
 
-Deliberately slow and simple: direct transcriptions of the definitions,
-with no shared state or pruning, against which the optimised library
-implementations are checked.
+Deliberately slow and simple: direct transcriptions of the definitions
+(brute-force indexes and itemsets), plus the reference algorithms each
+shipped engine must reproduce exactly — FP-growth for eclat, full
+enumeration and the one-cell-at-a-time fill for the cube builder, and
+the set/BFS graph algorithms for the array graph engine.  Nothing under
+``src/`` imports this module; the benchmarks use the same references as
+their baselines.
 """
 
 from __future__ import annotations
 
+import time
+from collections import deque
+from collections.abc import Iterable
 from itertools import combinations
 
 import numpy as np
 
+from repro.cube.builder import MinedCoordinates, SegregationDataCubeBuilder
+from repro.cube.cell import CellStats
+from repro.cube.coordinates import CellKey
+from repro.cube.cube import CubeMetadata, SegregationCube
+from repro.errors import CubeError, GraphError, MiningError
+from repro.etl.schema import Schema
+from repro.etl.table import Table
+from repro.graph.attributes import NodeAttributeTable
+from repro.graph.bipartite import BipartiteGraph, ProjectionResult
+from repro.graph.components import Clustering
+from repro.graph.graph import Graph
 from repro.indexes.counts import UnitCounts
-from repro.itemsets.transactions import TransactionDatabase
+from repro.itemsets.miner import absolute_minsup
+from repro.itemsets.transactions import TransactionDatabase, encode_table
 
 
 def gini_naive(counts: UnitCounts) -> float:
@@ -106,3 +125,536 @@ def unit_counts_bruteforce(
         if is_minority:
             m[unit] += 1
     return UnitCounts(t, m)
+
+
+def dense_item_covers(db: TransactionDatabase) -> "list[np.ndarray]":
+    """One dense boolean cover per item, read off the horizontal rows."""
+    covers = [np.zeros(len(db), dtype=bool) for _ in range(db.n_items)]
+    for t, row in enumerate(db.rows):
+        for item in row:
+            covers[item][t] = True
+    return covers
+
+
+# ----------------------------------------------------------------------
+# FP-growth: eclat's reference on inputs too large for brute force
+# ----------------------------------------------------------------------
+#
+# The classic Han et al. algorithm: compress the database into a prefix
+# tree ordered by descending item frequency, then recursively mine
+# conditional trees.  It shares no code with eclat, so agreement pins
+# both down.
+
+Itemset = frozenset[int]
+
+
+class _Node:
+    """One FP-tree node."""
+
+    __slots__ = ("item", "count", "parent", "children", "next_link")
+
+    def __init__(self, item: int, parent: "_Node | None"):
+        self.item = item
+        self.count = 0
+        self.parent = parent
+        self.children: dict[int, _Node] = {}
+        self.next_link: _Node | None = None
+
+
+class FPTree:
+    """An FP-tree with a header table of per-item node chains."""
+
+    def __init__(self) -> None:
+        self.root = _Node(-1, None)
+        self.header: dict[int, _Node] = {}
+        self.counts: dict[int, int] = {}
+
+    def insert(self, ordered_items: Iterable[int], count: int) -> None:
+        """Insert one (ordered) transaction with multiplicity ``count``."""
+        node = self.root
+        for item in ordered_items:
+            child = node.children.get(item)
+            if child is None:
+                child = _Node(item, node)
+                node.children[item] = child
+                child.next_link = self.header.get(item)
+                self.header[item] = child
+            child.count += count
+            self.counts[item] = self.counts.get(item, 0) + count
+            node = child
+
+    def is_single_path(self) -> "list[tuple[int, int]] | None":
+        """If the tree is one chain, return its [(item, count)] else None."""
+        path: list[tuple[int, int]] = []
+        node = self.root
+        while node.children:
+            if len(node.children) > 1:
+                return None
+            node = next(iter(node.children.values()))
+            path.append((node.item, node.count))
+        return path
+
+    def prefix_paths(self, item: int) -> list[tuple[list[int], int]]:
+        """Conditional pattern base of ``item``: (path-to-root, count) pairs."""
+        paths = []
+        node = self.header.get(item)
+        while node is not None:
+            path: list[int] = []
+            parent = node.parent
+            while parent is not None and parent.item != -1:
+                path.append(parent.item)
+                parent = parent.parent
+            path.reverse()
+            if path:
+                paths.append((path, node.count))
+            node = node.next_link
+        return paths
+
+
+def _build_tree(
+    transactions: Iterable[tuple[list[int], int]], minsup: int
+) -> tuple[FPTree, list[int]]:
+    """Build an FP-tree keeping only items frequent within ``transactions``."""
+    freq: dict[int, int] = {}
+    materialised = []
+    for items, count in transactions:
+        materialised.append((items, count))
+        for i in items:
+            freq[i] = freq.get(i, 0) + count
+    keep = {i for i, c in freq.items() if c >= minsup}
+    # Descending frequency, ties by item id for determinism.
+    order = sorted(keep, key=lambda i: (-freq[i], i))
+    rank = {item: r for r, item in enumerate(order)}
+    tree = FPTree()
+    for items, count in materialised:
+        filtered = sorted((i for i in items if i in keep), key=rank.__getitem__)
+        if filtered:
+            tree.insert(filtered, count)
+    return tree, order
+
+
+def _combinations_of_path(
+    path: list[tuple[int, int]], suffix: tuple[int, ...], minsup: int,
+    max_len: "int | None", out: dict[Itemset, int]
+) -> None:
+    """Enumerate all subsets of a single path (with min count along it)."""
+
+    def recurse(idx: int, chosen: tuple[int, ...], min_count: int) -> None:
+        for k in range(idx, len(path)):
+            item, count = path[k]
+            new_count = min(min_count, count)
+            if new_count < minsup:
+                continue
+            new_chosen = chosen + (item,)
+            itemset = frozenset(new_chosen + suffix)
+            if max_len is None or len(itemset) <= max_len:
+                out[itemset] = new_count
+                if max_len is None or len(itemset) < max_len:
+                    recurse(k + 1, new_chosen, new_count)
+
+    recurse(0, (), 1 << 62)
+
+
+def _mine_tree(
+    tree: FPTree,
+    order: list[int],
+    suffix: tuple[int, ...],
+    minsup: int,
+    max_len: "int | None",
+    out: dict[Itemset, int],
+) -> None:
+    if max_len is not None and len(suffix) >= max_len:
+        return
+    single = tree.is_single_path()
+    if single is not None:
+        _combinations_of_path(single, suffix, minsup, max_len, out)
+        return
+    # Bottom-up over the header (ascending frequency).
+    for item in reversed(order):
+        support = tree.counts.get(item, 0)
+        if support < minsup:
+            continue
+        new_suffix = (item,) + suffix
+        out[frozenset(new_suffix)] = support
+        if max_len is not None and len(new_suffix) >= max_len:
+            continue
+        conditional = tree.prefix_paths(item)
+        if not conditional:
+            continue
+        sub_tree, sub_order = _build_tree(conditional, minsup)
+        if sub_order:
+            _mine_tree(sub_tree, sub_order, new_suffix, minsup, max_len, out)
+
+
+def mine_fpgrowth(
+    db: TransactionDatabase,
+    minsup: int,
+    items: "list[int] | None" = None,
+    max_len: "int | None" = None,
+) -> dict[Itemset, int]:
+    """Mine all frequent itemsets with absolute support >= ``minsup``."""
+    if minsup < 1:
+        raise MiningError(f"minsup must be >= 1, got {minsup}")
+    allowed = set(items) if items is not None else None
+    transactions = []
+    for row in db.rows:
+        filtered = [i for i in row if allowed is None or i in allowed]
+        if filtered:
+            transactions.append((filtered, 1))
+    tree, order = _build_tree(transactions, minsup)
+    out: dict[Itemset, int] = {}
+    if order:
+        _mine_tree(tree, order, (), minsup, max_len, out)
+    return out
+
+
+# ----------------------------------------------------------------------
+# Cube references: full enumeration and the one-cell-at-a-time fill
+# ----------------------------------------------------------------------
+
+
+class NaiveCubeBuilder:
+    """Full-enumeration cube builder (oracle / baseline).
+
+    Accepts the same thresholds as
+    :class:`~repro.cube.builder.SegregationDataCubeBuilder` and produces
+    a cube with *identical* cells (property-tested); only the search
+    strategy differs: every combination of up to ``max_sa_items`` SA
+    items and ``max_ca_items`` CA items is tried, and supports are
+    computed by intersecting single-item covers — no Apriori pruning, no
+    sharing of partial intersections.
+    """
+
+    def __init__(
+        self,
+        indexes: "list[str] | None" = None,
+        min_population: "int | float" = 20,
+        min_minority: "int | float" = 5,
+        max_sa_items: "int | None" = None,
+        max_ca_items: "int | None" = None,
+    ):
+        # Reuse the cell-filling logic so only enumeration differs.
+        self._inner = SegregationDataCubeBuilder(
+            indexes=indexes,
+            min_population=min_population,
+            min_minority=min_minority,
+            max_sa_items=max_sa_items,
+            max_ca_items=max_ca_items,
+            mode="all",
+        )
+
+    def build(self, table: Table, schema: Schema) -> SegregationCube:
+        """Encode and enumerate the full coordinate space."""
+        if not schema.sa_names:
+            raise CubeError("schema declares no segregation attributes")
+        db = encode_table(table, schema)
+        if len(db) == 0:
+            raise CubeError("finalTable is empty")
+        return self.build_from_transactions(db)
+
+    def build_from_transactions(self, db: TransactionDatabase) -> SegregationCube:
+        """Enumerate every coordinate combination and scan its cover."""
+        if db.units is None:
+            raise CubeError("transaction database has no unit labels")
+        started = time.perf_counter()
+        inner = self._inner
+        minsup_pop = absolute_minsup(inner.min_population, db.n_active)
+        minsup_min = absolute_minsup(inner.min_minority, db.n_active)
+
+        sa_ids = db.dictionary.sa_ids
+        ca_ids = db.dictionary.ca_ids
+        max_sa = inner.max_sa_items if inner.max_sa_items is not None else len(sa_ids)
+        max_ca = inner.max_ca_items if inner.max_ca_items is not None else len(ca_ids)
+        covers = db.covers()
+        full = db.full_cover()
+
+        cells: dict[CellKey, CellStats] = {}
+        n_candidates = 0
+        for ca_size in range(0, max_ca + 1):
+            for ca_combo in combinations(ca_ids, ca_size):
+                context_cover = full
+                for item in ca_combo:
+                    context_cover = context_cover & covers[item]
+                tvec = db.unit_counts(context_cover)
+                if int(tvec.sum()) < minsup_pop:
+                    n_candidates += 1
+                    continue
+                for sa_size in range(0, max_sa + 1):
+                    for sa_combo in combinations(sa_ids, sa_size):
+                        n_candidates += 1
+                        minority_cover = context_cover
+                        for item in sa_combo:
+                            minority_cover = minority_cover & covers[item]
+                        key = (frozenset(sa_combo), frozenset(ca_combo))
+                        stats = inner._make_cell(
+                            key, minority_cover, tvec, db, minsup_pop,
+                            minsup_min
+                        )
+                        if stats is not None:
+                            cells[key] = stats
+
+        metadata = CubeMetadata(
+            index_names=[spec.name for spec in inner.indexes],
+            min_population=minsup_pop,
+            min_minority=minsup_min,
+            n_rows=db.n_active,
+            n_units=db.n_units,
+            mode="naive",
+            backend="enumeration",
+            build_seconds=time.perf_counter() - started,
+            extra={"n_candidates": n_candidates},
+        )
+        return SegregationCube(cells, db.dictionary, metadata)
+
+
+def fill_percell(
+    builder: SegregationDataCubeBuilder,
+    db: TransactionDatabase,
+    mined: MinedCoordinates,
+) -> "dict[CellKey, CellStats]":
+    """Fill one scalar ``_make_cell`` per candidate, in mining order.
+
+    The same cells, in the same order, with the same bits the columnar
+    fill must produce from the same mined coordinates.
+    """
+    cells: dict[CellKey, CellStats] = {}
+    for key, ca_part, cover in builder._candidates(db, mined):
+        stats = builder._make_cell(
+            key, cover, mined.context_tvecs[ca_part], db,
+            mined.minsup_pop, mined.minsup_min,
+        )
+        if stats is not None:
+            cells[stats.key] = stats
+    return cells
+
+
+def percell_cube(
+    builder: SegregationDataCubeBuilder, table: Table, schema: Schema
+) -> SegregationCube:
+    """The builder's cube, mined as ``builder`` does, filled per cell."""
+    db = encode_table(table, schema)
+    mined = builder.mine_coordinates(db)
+    cells = fill_percell(builder, db, mined)
+    metadata = CubeMetadata(
+        index_names=[spec.name for spec in builder.indexes],
+        min_population=mined.minsup_pop,
+        min_minority=mined.minsup_min,
+        n_rows=db.n_active,
+        n_units=db.n_units,
+        mode=builder.mode,
+        backend="eclat",
+    )
+    return SegregationCube(cells, db.dictionary, metadata)
+
+
+# ----------------------------------------------------------------------
+# Graph references: Python-set projection and deque BFS clustering
+# ----------------------------------------------------------------------
+#
+# These run through the public scalar API of the graph structures
+# (``groups_of``, ``neighbors``, ``add_edge``), so they share no array
+# code with the engine they check.
+
+
+def left_adjacency_sets(bipartite: BipartiteGraph) -> "list[set[int]]":
+    """Set representation: one Python set of groups per individual."""
+    return [
+        set(map(int, bipartite.groups_of(left)))
+        for left in range(bipartite.n_left)
+    ]
+
+
+def right_adjacency_sets(bipartite: BipartiteGraph) -> "list[set[int]]":
+    """Set representation: one Python set of members per group."""
+    return [
+        set(map(int, bipartite.members_of(right)))
+        for right in range(bipartite.n_right)
+    ]
+
+
+def _project_sets(
+    adjacency: "list[set[int]]",
+    n_nodes: int,
+    min_shared: int,
+    max_degree: "int | None",
+) -> ProjectionResult:
+    """The original pair-dict projection over a list of neighbour sets."""
+    if min_shared < 1:
+        raise GraphError("min_shared must be >= 1")
+    weights: dict[tuple[int, int], int] = {}
+    skipped: list[int] = []
+    for source, neighbours in enumerate(adjacency):
+        if max_degree is not None and len(neighbours) > max_degree:
+            skipped.append(source)
+            continue
+        ordered = sorted(neighbours)
+        for i, g1 in enumerate(ordered):
+            for g2 in ordered[i + 1:]:
+                key = (g1, g2)
+                weights[key] = weights.get(key, 0) + 1
+    graph = Graph(n_nodes)
+    for (g1, g2), shared in weights.items():
+        if shared >= min_shared:
+            graph.add_edge(g1, g2, float(shared))
+    isolated = graph.isolated_nodes()
+    return ProjectionResult(graph, isolated, skipped)
+
+
+def project_onto_groups_legacy(
+    bipartite: BipartiteGraph,
+    min_shared: int = 1,
+    max_left_degree: "int | None" = None,
+    adjacency: "list[set[int]] | None" = None,
+) -> ProjectionResult:
+    """Reference group projection (per-individual sorted pair loops).
+
+    ``adjacency`` lets benchmarks pre-build the set representation so
+    the timed region covers only the algorithm, not the format change.
+    """
+    if adjacency is None:
+        adjacency = left_adjacency_sets(bipartite)
+    return _project_sets(
+        adjacency, bipartite.n_right, min_shared, max_left_degree
+    )
+
+
+def project_onto_individuals_legacy(
+    bipartite: BipartiteGraph,
+    min_shared: int = 1,
+    max_right_degree: "int | None" = None,
+    adjacency: "list[set[int]] | None" = None,
+) -> ProjectionResult:
+    """Reference individual projection (per-group sorted pair loops)."""
+    if adjacency is None:
+        adjacency = right_adjacency_sets(bipartite)
+    return _project_sets(
+        adjacency, bipartite.n_left, min_shared, max_right_degree
+    )
+
+
+def connected_components_legacy(graph: Graph) -> Clustering:
+    """Reference BFS component labelling (deque + per-node loops)."""
+    labels = np.full(graph.n_nodes, -1, dtype=np.int64)
+    next_label = 0
+    for start in range(graph.n_nodes):
+        if labels[start] != -1:
+            continue
+        labels[start] = next_label
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for v in graph.neighbors(u):
+                if labels[v] == -1:
+                    labels[v] = next_label
+                    queue.append(v)
+        next_label += 1
+    return Clustering(labels, next_label, "connected-components")
+
+
+def threshold_components_legacy(graph: Graph, min_weight: float) -> Clustering:
+    """Reference giant-component thresholding (graph rebuild + BFS)."""
+    if min_weight < 0:
+        raise GraphError("min_weight must be non-negative")
+    base = connected_components_legacy(graph)
+    giant = base.giant()
+    in_giant = base.labels == giant
+    filtered = Graph(graph.n_nodes)
+    for u, v, w in graph.edges():
+        if in_giant[u] and in_giant[v] and w < min_weight:
+            continue
+        filtered.add_edge(u, v, w)
+    result = connected_components_legacy(filtered)
+    return Clustering(result.labels, result.n_clusters,
+                      f"threshold-components(w>={min_weight:g})")
+
+
+def threshold_profile_legacy(
+    graph: Graph, thresholds: "list[float]"
+) -> "list[tuple[float, int, int]]":
+    """Reference sweep: one full threshold_components run per threshold."""
+    rows = []
+    for threshold in thresholds:
+        clustering = threshold_components_legacy(graph, threshold)
+        sizes = clustering.sizes()
+        rows.append((float(threshold), clustering.n_clusters,
+                     int(sizes.max()) if len(sizes) else 0))
+    return rows
+
+
+def stoc_clustering_legacy(
+    graph: Graph,
+    attributes: "NodeAttributeTable | None" = None,
+    tau: float = 0.5,
+    alpha: float = 0.5,
+    horizon: int = 2,
+    seed_order: str = "random",
+    seed: "int | None" = 0,
+) -> Clustering:
+    """Reference SToC: per-ball deque BFS with Python set bookkeeping."""
+    if not 0 <= tau <= 1:
+        raise GraphError(f"tau must be in [0, 1], got {tau}")
+    if not 0 <= alpha <= 1:
+        raise GraphError(f"alpha must be in [0, 1], got {alpha}")
+    if horizon < 1:
+        raise GraphError(f"horizon must be >= 1, got {horizon}")
+    if attributes is not None and attributes.n_nodes != graph.n_nodes:
+        raise GraphError("attribute table size does not match graph")
+
+    n = graph.n_nodes
+    if seed_order == "random":
+        rng = np.random.default_rng(seed)
+        order = rng.permutation(n)
+    elif seed_order == "degree":
+        degrees = np.fromiter((graph.degree(u) for u in range(n)),
+                              dtype=np.int64, count=n)
+        order = np.argsort(-degrees, kind="stable")
+    else:
+        raise GraphError(f"unknown seed_order {seed_order!r}")
+
+    labels = np.full(n, -1, dtype=np.int64)
+    next_label = 0
+    for seed_node in order:
+        seed_node = int(seed_node)
+        if labels[seed_node] != -1:
+            continue
+        ball = _tau_ball_legacy(graph, attributes, seed_node, labels, tau,
+                                alpha, horizon)
+        for node in ball:
+            labels[node] = next_label
+        next_label += 1
+    return Clustering(
+        labels, next_label,
+        f"stoc(tau={tau:g},alpha={alpha:g},h={horizon})"
+    )
+
+
+def _tau_ball_legacy(
+    graph: Graph,
+    attributes: "NodeAttributeTable | None",
+    seed_node: int,
+    labels: np.ndarray,
+    tau: float,
+    alpha: float,
+    horizon: int,
+) -> "list[int]":
+    ball = [seed_node]
+    visited = {seed_node}
+    queue: "deque[tuple[int, int]]" = deque([(seed_node, 0)])
+    while queue:
+        u, depth = queue.popleft()
+        if depth >= horizon:
+            continue
+        for v in graph.neighbors(u):
+            if v in visited or labels[v] != -1:
+                continue
+            visited.add(v)
+            d_topo = (depth + 1) / horizon
+            if attributes is not None:
+                d_attr = attributes.hamming_distance(seed_node, v)
+            else:
+                d_attr = 0.0
+            distance = alpha * d_topo + (1 - alpha) * d_attr
+            if distance <= tau:
+                ball.append(v)
+                queue.append((v, depth + 1))
+    return ball

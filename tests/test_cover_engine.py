@@ -1,11 +1,11 @@
-"""Cover-engine equivalence: every codec yields bit-identical results.
+"""Packed covers against the dense-boolean reference.
 
-The packed-bitmap :class:`CoverSet` is the default cover representation
+The packed-bitmap :class:`CoverSet` is the one cover representation
 end-to-end (ETL encoding → mining → cube).  These tests pin the safety
-property the refactor relies on: supports, covers, closures and cube
-cells computed through the packed codec (and the EWAH codec) are
-*identical* to the dense-boolean reference, including the ``closed``
-cube mode and its lazy resolver path.
+property it relies on: supports, covers, closures and typed mines
+computed through packed words are *identical* to dense boolean masks
+read straight off the transaction rows
+(:func:`tests.oracles.dense_item_covers`).
 """
 
 from __future__ import annotations
@@ -15,31 +15,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cube.builder import SegregationDataCubeBuilder
-from repro.cube.cube import check_same_cells
 from repro.data.synthetic import random_final_table
 from repro.errors import MiningError
-from repro.itemsets.coverset import (
-    COVER_CODECS,
-    CoverSet,
-    DenseCover,
-    cover_matrix,
-    get_codec,
-)
+from repro.itemsets.coverset import CoverSet, cover_matrix
 from repro.itemsets.eclat import closure_of, mine_eclat, mine_eclat_typed
 from repro.itemsets.items import Item, ItemDictionary, ItemKind
 from repro.itemsets.transactions import TransactionDatabase, encode_table
 
+from tests.oracles import dense_item_covers
 
-def make_db(rows, n_items=None, codec="packed"):
+
+def make_db(rows, n_items=None):
     size = n_items if n_items is not None else (
         max((max(r) for r in rows if r), default=-1) + 1
     )
     dictionary = ItemDictionary()
     for i in range(size):
         dictionary.add(Item("x", i), ItemKind.SA)
-    return TransactionDatabase([tuple(r) for r in rows], dictionary,
-                               codec=codec)
+    return TransactionDatabase([tuple(r) for r in rows], dictionary)
+
+
+def dense_cover(dense, itemset, n_rows):
+    """AND of the dense item covers of ``itemset`` (all rows if empty)."""
+    out = np.ones(n_rows, dtype=bool)
+    for item in itemset:
+        out &= dense[item]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -83,21 +84,20 @@ class TestCoverSet:
         assert a == b and hash(a) == hash(b)
         assert a != CoverSet.from_indices([1, 3], 100)
 
-    def test_unknown_codec_rejected(self):
-        with pytest.raises(MiningError, match="unknown cover codec"):
-            get_codec("roaring")
-
     def test_dense_cover_parity(self):
         rng = np.random.default_rng(9)
         a = rng.random(200) < 0.3
-        dense = DenseCover.from_bools(a)
         packed = CoverSet.from_bools(a)
-        assert dense.support() == packed.support()
-        assert dense.tolist() == packed.tolist()
+        assert packed.support() == packed.sum() == int(a.sum())
+        assert packed.tolist() == a.tolist()
+        assert np.array_equal(packed.to_indices(), np.flatnonzero(a))
+        assert packed.any() == bool(a.any())
+        assert packed.all() == bool(a.all())
 
 
 # ---------------------------------------------------------------------------
-# Property: all codecs agree on mining, closures and supports.
+# Property: packed covers agree with the dense reference on mining,
+# closures and supports.
 # ---------------------------------------------------------------------------
 
 @st.composite
@@ -119,35 +119,31 @@ def random_rows(draw):
 @settings(max_examples=40, deadline=None)
 def test_codecs_agree_on_supports_and_covers(rows_items_minsup):
     rows, n_items, minsup = rows_items_minsup
-    reference = None
-    for codec in COVER_CODECS:
-        db = make_db(rows, n_items, codec=codec)
-        supports = mine_eclat(db, minsup)
-        covers = mine_eclat(db, minsup, with_covers=True)
-        materialised = {k: v.tolist() for k, v in covers.items()}
-        item_supports = db.item_supports().tolist()
-        if reference is None:
-            reference = (supports, materialised, item_supports)
-        else:
-            assert supports == reference[0], codec
-            assert materialised == reference[1], codec
-            assert item_supports == reference[2], codec
+    db = make_db(rows, n_items)
+    dense = dense_item_covers(db)
+    supports = mine_eclat(db, minsup)
+    covers = mine_eclat(db, minsup, with_covers=True)
+    assert set(covers) == set(supports)
+    for itemset, cover in covers.items():
+        expected = dense_cover(dense, itemset, len(rows))
+        assert cover.tolist() == expected.tolist()
+        assert supports[itemset] == int(expected.sum())
+    assert db.item_supports().tolist() == [int(d.sum()) for d in dense]
 
 
 @given(random_rows())
 @settings(max_examples=30, deadline=None)
 def test_codecs_pack_to_identical_words(rows_items_minsup):
     rows, n_items, _ = rows_items_minsup
-    matrices = []
-    for codec in COVER_CODECS:
-        covers = make_db(rows, n_items, codec=codec).covers()
-        matrices.append(
-            cover_matrix([covers[i] for i in range(n_items)], len(rows))
-        )
-    for codec, matrix in zip(COVER_CODECS, matrices):
-        assert np.array_equal(matrix, matrices[0]), codec
+    db = make_db(rows, n_items)
+    covers = db.covers()
+    matrix = cover_matrix([covers[i] for i in range(n_items)], len(rows))
+    expected = cover_matrix(
+        [CoverSet.from_bools(d) for d in dense_item_covers(db)], len(rows)
+    )
+    assert np.array_equal(matrix, expected)
     bits = np.unpackbits(
-        matrices[0].view(np.uint8), axis=1, bitorder="little"
+        matrix.view(np.uint8), axis=1, bitorder="little"
     )[:, :len(rows)]
     for item in range(n_items):
         assert bits[item].tolist() == [item in row for row in rows]
@@ -157,30 +153,30 @@ def test_codecs_pack_to_identical_words(rows_items_minsup):
 @settings(max_examples=30, deadline=None)
 def test_codecs_agree_on_closures(rows_items_minsup):
     rows, n_items, minsup = rows_items_minsup
-    closures_by_codec = []
-    for codec in COVER_CODECS:
-        db = make_db(rows, n_items, codec=codec)
-        frequent = mine_eclat(db, minsup, with_covers=True)
-        closures_by_codec.append(
-            {k: closure_of(db, cover) for k, cover in frequent.items()}
+    db = make_db(rows, n_items)
+    dense = dense_item_covers(db)
+    for itemset, cover in mine_eclat(db, minsup, with_covers=True).items():
+        flags = dense_cover(dense, itemset, len(rows))
+        expected = frozenset(
+            i for i in range(n_items) if not (flags & ~dense[i]).any()
         )
-    assert closures_by_codec[0] == closures_by_codec[1] == closures_by_codec[2]
+        assert closure_of(db, cover) == expected
 
 
 @given(random_rows())
 @settings(max_examples=30, deadline=None)
 def test_closure_accepts_dense_boolean_arrays(rows_items_minsup):
-    """Legacy callers hand dense bool arrays; coercion must be exact."""
+    """Callers may hand dense bool arrays; coercion must be exact."""
     rows, n_items, minsup = rows_items_minsup
-    db = make_db(rows, n_items, codec="packed")
+    db = make_db(rows, n_items)
     for itemset, cover in mine_eclat(db, minsup, with_covers=True).items():
         dense = np.asarray(cover.to_bools(), dtype=bool)
         assert closure_of(db, dense) == closure_of(db, cover)
 
 
 # ---------------------------------------------------------------------------
-# Property: cube cells identical across codecs, in both modes, through
-# the lazy resolver.
+# Encoded finalTables: the vertical layout and the typed mine against the
+# dense reference.
 # ---------------------------------------------------------------------------
 
 @st.composite
@@ -197,75 +193,30 @@ def cube_configs(draw):
     }
 
 
-LIMITS = {"min_population": 4, "min_minority": 2,
-          "max_sa_items": 2, "max_ca_items": 2}
-
-
-@given(cube_configs())
-@settings(max_examples=12, deadline=None)
-def test_cube_cells_identical_across_codecs(config):
-    table, schema = random_final_table(**config)
-    cubes = [
-        SegregationDataCubeBuilder(codec=codec, **LIMITS).build(table, schema)
-        for codec in COVER_CODECS
-    ]
-    assert check_same_cells(cubes[0], cubes[1]) == []
-    assert check_same_cells(cubes[0], cubes[2]) == []
-
-
-@given(cube_configs())
-@settings(max_examples=8, deadline=None)
-def test_closed_mode_and_lazy_resolver_identical_across_codecs(config):
-    table, schema = random_final_table(**config)
-    full = SegregationDataCubeBuilder(
-        mode="all", codec="bool", **LIMITS
-    ).build(table, schema)
-    for codec in ("packed", "ewah"):
-        closed = SegregationDataCubeBuilder(
-            mode="closed", codec=codec, **LIMITS
-        ).build(table, schema)
-        assert len(closed) <= len(full)
-        for key in full.keys():
-            a = full.cell_by_key(key)
-            b = closed.cell_by_key(key)   # materialised or lazily resolved
-            assert b is not None, closed.describe(key)
-            assert (a.population, a.minority, a.n_units) == (
-                b.population, b.minority, b.n_units
-            )
-            for name in full.metadata.index_names:
-                va, vb = a.value(name), b.value(name)
-                if va == va or vb == vb:  # skip double-nan
-                    assert va == pytest.approx(vb), (name, key)
-
-
-# ---------------------------------------------------------------------------
-# Encoding equivalence: vectorized encoder across codecs.
-# ---------------------------------------------------------------------------
-
 @given(cube_configs())
 @settings(max_examples=15, deadline=None)
 def test_encode_table_identical_across_codecs(config):
     table, schema = random_final_table(**config)
-    dbs = [encode_table(table, schema, codec=c) for c in COVER_CODECS]
-    assert dbs[0].rows == dbs[1].rows == dbs[2].rows
-    assert all(db.units.tolist() == dbs[0].units.tolist() for db in dbs)
-    for db in dbs:
+    db = encode_table(table, schema)
+    dense = dense_item_covers(db)
+    for i, cover in db.covers().items():
         # The vertical layout must agree with the horizontal rows.
-        for i, cover in db.covers().items():
-            expected = [i in row for row in db.rows]
-            assert cover.tolist() == expected
+        assert cover.tolist() == dense[i].tolist()
 
 
 @given(cube_configs())
 @settings(max_examples=10, deadline=None)
 def test_typed_mine_identical_across_codecs(config):
     table, schema = random_final_table(**config)
-    results = []
-    for codec in COVER_CODECS:
-        db = encode_table(table, schema, codec=codec)
-        out = mine_eclat_typed(
-            db, 2, sa_ids=db.dictionary.sa_ids, ca_ids=db.dictionary.ca_ids,
-            max_sa=2, max_ca=2,
-        )
-        results.append({k: v.tolist() for k, v in out.items()})
-    assert results[0] == results[1] == results[2]
+    db = encode_table(table, schema)
+    dense = dense_item_covers(db)
+    out = mine_eclat_typed(
+        db, 2, sa_ids=db.dictionary.sa_ids, ca_ids=db.dictionary.ca_ids,
+        max_sa=2, max_ca=2,
+    )
+    for itemset, cover in out.items():
+        sa_part, ca_part = db.dictionary.split(itemset)
+        assert len(sa_part) <= 2 and len(ca_part) <= 2
+        expected = dense_cover(dense, itemset, len(db))
+        assert cover.tolist() == expected.tolist()
+        assert itemset == frozenset() or cover.support() >= 2

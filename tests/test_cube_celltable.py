@@ -1,9 +1,9 @@
 """Tests of the columnar cube core: CellTable and the batched fill.
 
-Pins the PR 3 contract: the columnar fill engine produces cubes
-**bit-identical** to the per-cell reference path (same cells in the same
-order, same counts, same index bits), and the array-routed query
-primitives (top-k, slice, children) agree with their brute-force
+Pins the columnar contract: the fill produces cubes **bit-identical** to
+the one-cell-at-a-time reference in ``tests/oracles.py`` (same cells in
+the same order, same counts, same index bits), and the array-routed
+query primitives (top-k, slice, children) agree with their brute-force
 per-object formulations.
 """
 
@@ -19,6 +19,8 @@ from repro.cube.cube import check_same_cells
 from repro.cube.table import CellTable, pack_items, unpack_masks
 from repro.data.synthetic import random_final_table
 from repro.errors import CubeError
+
+from tests.oracles import percell_cube
 
 
 @pytest.fixture(scope="module")
@@ -42,9 +44,9 @@ def engines(dataset):
     columnar = SegregationDataCubeBuilder(
         engine="columnar", **limits
     ).build(table, schema)
-    percell = SegregationDataCubeBuilder(
-        engine="percell", **limits
-    ).build(table, schema)
+    percell = percell_cube(
+        SegregationDataCubeBuilder(**limits), table, schema
+    )
     return columnar, percell
 
 
@@ -58,10 +60,15 @@ class TestColumnarEquivalence:
         # atol=0: not approximately equal — *identical*.
         assert check_same_cells(columnar, percell, atol=0.0) == []
 
-    def test_engines_recorded_in_metadata(self, engines):
-        columnar, percell = engines
+    def test_engines_recorded_in_metadata(self, engines, dataset):
+        columnar, _ = engines
         assert columnar.metadata.extra["engine"] == "columnar"
-        assert percell.metadata.extra["engine"] == "percell"
+        table, schema = dataset
+        incremental = SegregationDataCubeBuilder(
+            engine="incremental", min_population=25, min_minority=6,
+            max_sa_items=1, max_ca_items=1,
+        ).build(table, schema)
+        assert incremental.metadata.extra["engine"] == "incremental"
 
     def test_bad_engine_rejected(self):
         with pytest.raises(CubeError, match="engine"):
@@ -121,7 +128,9 @@ class TestColumnarEquivalence:
                       "max_sa_items": 1, "max_ca_items": 1,
                       "indexes": ["D", name]}
             columnar = build_cube(table, schema, engine="columnar", **limits)
-            percell = build_cube(table, schema, engine="percell", **limits)
+            percell = percell_cube(
+                SegregationDataCubeBuilder(**limits), table, schema
+            )
             assert check_same_cells(columnar, percell, atol=0.0) == []
         finally:
             _REGISTRY.pop(name.upper(), None)

@@ -14,8 +14,11 @@ from hypothesis import strategies as st
 
 from repro.cube.builder import SegregationDataCubeBuilder
 from repro.cube.cube import check_same_cells
-from repro.cube.naive import NaiveCubeBuilder
 from repro.data.synthetic import random_final_table
+from repro.itemsets.miner import mine
+from repro.itemsets.transactions import encode_table
+
+from tests.oracles import NaiveCubeBuilder, mine_fpgrowth
 
 
 @st.composite
@@ -80,15 +83,7 @@ def test_closed_mode_answers_all_mode_queries(config):
 @given(table_configs())
 @settings(max_examples=10, deadline=None)
 def test_backends_equivalent_through_facade(config):
-    """Support-only mining backends agree on the mined itemsets."""
-    from repro.etl.schema import Schema  # noqa: F401  (documentation import)
-    from repro.itemsets.miner import mine
-    from repro.itemsets.transactions import encode_table
-
+    """The facade's eclat mine agrees with the FP-growth oracle."""
     table, schema = random_final_table(**config)
     db = encode_table(table, schema)
-    results = [
-        mine(db, 3, backend=backend).supports
-        for backend in ("eclat", "fpgrowth", "apriori")
-    ]
-    assert results[0] == results[1] == results[2]
+    assert mine(db, 3).supports == mine_fpgrowth(db, 3)

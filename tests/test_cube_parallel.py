@@ -3,8 +3,8 @@
 Every test asserts zero-tolerance cell identity — the parallel engine
 runs the same kernels over the same inputs, so there is nothing to be
 "close" about.  Edge cases: one worker (the pool still runs), more
-workers than contexts (partitions clamp), closed mode, non-default
-codecs, and restricted (temporal) databases.
+workers than contexts (partitions clamp), closed mode, and restricted
+(temporal) databases.
 """
 
 from __future__ import annotations
@@ -13,21 +13,34 @@ import numpy as np
 import pytest
 
 from repro._pool import balanced_partition, resolve_workers
-from repro.cube import selfcheck
 from repro.cube.builder import SegregationDataCubeBuilder, build_cube
 from repro.cube.cube import check_same_cells
+from repro.data.synthetic import random_final_table
 from repro.errors import CubeError
 from repro.itemsets.transactions import encode_table
 
 LIMITS = {"min_population": 15, "min_minority": 4}
 
 
-def assert_parallel_matches_columnar(table, schema, workers, **kwargs):
+@pytest.fixture(scope="module")
+def skewed_table():
+    """3000 skewed rows over 12 units with a multi-valued context."""
+    return random_final_table(
+        3000, 12,
+        sa_attributes={"g": 2, "eth": 4},
+        ca_attributes={"r": 3, "s": 4},
+        multi_valued_ca={"tag": 3},
+        seed=3, skew=0.4,
+    )
+
+
+def assert_parallel_matches_columnar(table, schema, workers,
+                                     limits=LIMITS, **kwargs):
     columnar = SegregationDataCubeBuilder(
-        **LIMITS, **kwargs
+        **limits, **kwargs
     ).build(table, schema)
     parallel = SegregationDataCubeBuilder(
-        engine="parallel", workers=workers, **LIMITS, **kwargs
+        engine="parallel", workers=workers, **limits, **kwargs
     ).build(table, schema)
     assert check_same_cells(columnar, parallel, atol=0.0) == []
     assert list(parallel.keys()) == list(columnar.keys())
@@ -35,16 +48,26 @@ def assert_parallel_matches_columnar(table, schema, workers, **kwargs):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 8])
-def test_parallel_bit_identity(small_final_table, workers):
+def test_parallel_bit_identity(small_final_table, skewed_table, workers):
     table, schema = small_final_table
     cube = assert_parallel_matches_columnar(table, schema, workers)
     assert cube.metadata.extra["engine"] == "parallel"
     assert cube.metadata.extra["workers"] == workers
+    table, schema = skewed_table
+    for mode in ("all", "closed"):
+        assert_parallel_matches_columnar(
+            table, schema, workers, mode=mode,
+            limits={"min_population": 30, "min_minority": 8},
+        )
 
 
 def test_parallel_on_schools(schools):
     table, schema = schools
-    assert_parallel_matches_columnar(table, schema, workers=2)
+    for mode in ("all", "closed"):
+        assert_parallel_matches_columnar(
+            table, schema, workers=2, mode=mode,
+            limits={"min_population": 10, "min_minority": 3},
+        )
 
 
 def test_parallel_more_workers_than_contexts(small_final_table):
@@ -62,12 +85,6 @@ def test_parallel_closed_mode(small_final_table):
         table, schema, workers=2, mode="closed"
     )
     assert cube.metadata.mode == "closed"
-
-
-@pytest.mark.parametrize("codec", ["bool", "ewah"])
-def test_parallel_non_packed_codecs(small_final_table, codec):
-    table, schema = small_final_table
-    assert_parallel_matches_columnar(table, schema, workers=2, codec=codec)
 
 
 def test_parallel_on_restricted_database(small_final_table):
@@ -118,10 +135,3 @@ def test_partition_groups_balances_and_clamps():
     parts = balanced_partition(cells[:2], 5)
     assert len(parts) == 2
     assert all(part for part in parts)
-
-
-def test_selfcheck_checks_the_fill(capsys):
-    assert selfcheck.main(["--workers", "2"]) == 0
-    assert "atol=0" in capsys.readouterr().out
-    with pytest.raises(SystemExit):     # mining has no pool to check
-        selfcheck.main(["--mine-workers", "2"])

@@ -18,13 +18,14 @@ from repro import (
     simpson_reversals,
     top_contexts,
 )
-from repro.cube.naive import NaiveCubeBuilder
 from repro.data.synthetic import checkerboard_table, planted_table, uniform_table
 from repro.etl.csvio import read_table, write_table
 from repro.etl.schema import Schema
 from repro.indexes import binary
 from repro.report.pivot import pivot
 from repro.report.xlsx import rows_to_workbook
+
+from tests.oracles import NaiveCubeBuilder
 
 
 class TestPlantedGroundTruth:

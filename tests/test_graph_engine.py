@@ -1,21 +1,22 @@
-"""New-vs-legacy parity for the PR-8 array graph engine.
+"""Array graph engine against the set/BFS references, exactly.
 
-Every hot path rebuilt in PR 8 must reproduce the seed-era set/BFS
-implementations (preserved in :mod:`repro.graph.legacy`) *exactly* —
-same edges, same float weights, same labels, same method strings.
-Property tests drive randomly-shaped bipartite worlds through both
-paths.
+Every array hot path (projection, components, threshold sweep, SToC)
+must reproduce the set/BFS reference implementations in
+``tests/oracles.py`` *exactly* — same edges, same float weights, same
+labels, same method strings.  Property tests drive randomly-shaped
+bipartite worlds through both paths; every property also runs on the
+Italian boards world with its hub guards as an explicit example.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.pipeline import group_attribute_table
+from repro.data.italy import ItalyConfig, generate_italy
 from repro.data.synthetic import random_bipartite_world
-from repro.graph import legacy, selfcheck
 from repro.graph.bipartite import (
     BipartiteGraph,
     project_onto_groups,
@@ -26,9 +27,25 @@ from repro.graph.graph import Graph
 from repro.graph.stoc import stoc_clustering
 from repro.graph.threshold import threshold_components, threshold_profile
 
+from tests import oracles as legacy
+
+#: The ``italy_small`` world, built at import: examples are fixed when
+#: the tests are decorated, before any fixture exists.
+_ITALY = generate_italy(ItalyConfig(n_companies=400, seed=13))
+ITALY_BOARDS = _ITALY.bipartite(None)
+ITALY_GRAPH = project_onto_groups(ITALY_BOARDS, max_left_degree=30).graph
+ITALY_ATTRIBUTES = group_attribute_table(_ITALY)
+
 edge_lists = st.lists(
     st.tuples(st.integers(0, 14), st.integers(0, 9)), max_size=80
 )
+worlds = edge_lists.map(lambda edges: BipartiteGraph.from_edges(15, 10, edges))
+graphs = worlds.map(lambda world: project_onto_groups(world).graph)
+
+
+def _attributed_graph(seed):
+    bipartite, attributes = random_bipartite_world(300, 40, seed=seed)
+    return project_onto_groups(bipartite, max_left_degree=20).graph, attributes
 
 
 def _assert_same_projection(result, reference):
@@ -41,10 +58,12 @@ def _assert_same_projection(result, reference):
     assert list(result.skipped_hubs) == list(reference.skipped_hubs)
 
 
-@given(edge_lists, st.integers(1, 3), st.sampled_from([None, 2, 4]))
+@given(worlds, st.integers(1, 3), st.sampled_from([None, 2, 4]))
+@example(ITALY_BOARDS, 1, None)
+@example(ITALY_BOARDS, 2, None)
+@example(ITALY_BOARDS, 1, 20)
 @settings(max_examples=80, deadline=None)
-def test_group_projection_matches_legacy(raw_edges, min_shared, hub):
-    g = BipartiteGraph.from_edges(15, 10, raw_edges)
+def test_group_projection_matches_legacy(g, min_shared, hub):
     result = project_onto_groups(
         g, min_shared=min_shared, max_left_degree=hub
     )
@@ -54,10 +73,12 @@ def test_group_projection_matches_legacy(raw_edges, min_shared, hub):
     _assert_same_projection(result, reference)
 
 
-@given(edge_lists, st.integers(1, 3), st.sampled_from([None, 2, 4]))
+@given(worlds, st.integers(1, 3), st.sampled_from([None, 2, 4]))
+@example(ITALY_BOARDS, 1, None)
+@example(ITALY_BOARDS, 2, None)
+@example(ITALY_BOARDS, 1, 20)
 @settings(max_examples=80, deadline=None)
-def test_individual_projection_matches_legacy(raw_edges, min_shared, hub):
-    g = BipartiteGraph.from_edges(15, 10, raw_edges)
+def test_individual_projection_matches_legacy(g, min_shared, hub):
     result = project_onto_individuals(
         g, min_shared=min_shared, max_right_degree=hub
     )
@@ -67,11 +88,10 @@ def test_individual_projection_matches_legacy(raw_edges, min_shared, hub):
     _assert_same_projection(result, reference)
 
 
-@given(edge_lists)
+@given(graphs)
+@example(ITALY_GRAPH)
 @settings(max_examples=60, deadline=None)
-def test_components_match_legacy(raw_edges):
-    g = BipartiteGraph.from_edges(15, 10, raw_edges)
-    graph = project_onto_groups(g).graph
+def test_components_match_legacy(graph):
     new = connected_components(graph)
     old = legacy.connected_components_legacy(graph)
     assert np.array_equal(new.labels, old.labels)
@@ -79,11 +99,12 @@ def test_components_match_legacy(raw_edges):
     assert new.method == old.method
 
 
-@given(edge_lists, st.floats(0.0, 6.0))
+@given(graphs, st.floats(0.0, 6.0))
+@example(ITALY_GRAPH, 2.0)
+@example(ITALY_GRAPH, 3.0)
+@example(ITALY_GRAPH, 5.0)
 @settings(max_examples=60, deadline=None)
-def test_threshold_matches_legacy(raw_edges, min_weight):
-    g = BipartiteGraph.from_edges(15, 10, raw_edges)
-    graph = project_onto_groups(g).graph
+def test_threshold_matches_legacy(graph, min_weight):
     new = threshold_components(graph, min_weight)
     old = legacy.threshold_components_legacy(graph, min_weight)
     assert np.array_equal(new.labels, old.labels)
@@ -91,25 +112,23 @@ def test_threshold_matches_legacy(raw_edges, min_weight):
     assert new.method == old.method
 
 
-@given(edge_lists)
+@given(graphs, st.just([1.0, 2.0, 3.0]))
+@example(ITALY_GRAPH, [2.0, 3.0, 5.0])
 @settings(max_examples=40, deadline=None)
-def test_threshold_profile_matches_legacy(raw_edges):
-    g = BipartiteGraph.from_edges(15, 10, raw_edges)
-    graph = project_onto_groups(g).graph
-    thresholds = [1.0, 2.0, 3.0]
+def test_threshold_profile_matches_legacy(graph, thresholds):
     assert threshold_profile(graph, thresholds) \
         == legacy.threshold_profile_legacy(graph, thresholds)
 
 
-@given(st.integers(0, 2**31 - 1), st.floats(0.1, 0.9),
+@given(st.integers(0, 999).map(_attributed_graph),
+       st.integers(0, 2**31 - 1), st.floats(0.1, 0.9),
        st.floats(0.1, 0.9), st.integers(1, 3))
+@example((ITALY_GRAPH, ITALY_ATTRIBUTES), 7, 0.3, 0.5, 2)
+@example((ITALY_GRAPH, ITALY_ATTRIBUTES), 7, 0.6, 0.5, 2)
 @settings(max_examples=25, deadline=None)
-def test_stoc_matches_legacy_on_attributed_world(rng_seed, tau, alpha,
-                                                 horizon):
-    bipartite, attributes = random_bipartite_world(
-        300, 40, seed=rng_seed % 1000
-    )
-    graph = project_onto_groups(bipartite, max_left_degree=20).graph
+def test_stoc_matches_legacy_on_attributed_world(world, rng_seed, tau,
+                                                 alpha, horizon):
+    graph, attributes = world
     new = stoc_clustering(graph, attributes, tau=tau, alpha=alpha,
                           horizon=horizon, seed=rng_seed)
     old = legacy.stoc_clustering_legacy(graph, attributes, tau=tau,
@@ -156,10 +175,3 @@ def test_graph_from_edge_arrays_accumulates_duplicates():
     assert g.n_edges == 2
     assert g.weight(0, 1) == 3.0   # (0,1) and (1,0) merge
     assert g.weight(0, 2) == 1.0
-
-
-def test_selfcheck_matches_legacy(capsys):
-    assert selfcheck.main(["--scale", "500"]) == 0
-    assert "exactly match" in capsys.readouterr().out
-    with pytest.raises(SystemExit):     # the projection has no pool
-        selfcheck.main(["--workers", "2"])

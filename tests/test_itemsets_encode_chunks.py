@@ -2,8 +2,8 @@
 
 The accumulator's contract is exact equality of the CSR arrays, the
 unit labels and the item dictionary (ids, names, kinds) with the
-one-shot encoder, for every chunk size, every codec, and with or
-without the disk spill engaged.
+one-shot encoder, for every chunk size, and with or without the disk
+spill engaged.
 """
 
 from __future__ import annotations
@@ -44,15 +44,13 @@ def assert_same_db(got: TransactionDatabase,
         assert got.dictionary.kind(i) == want.dictionary.kind(i)
 
 
-@pytest.mark.parametrize("codec", ["packed", "bool", "ewah"])
 @pytest.mark.parametrize("chunk_rows", [1, 3, 7])
-def test_from_chunks_matches_encode_table(chunk_table, codec, chunk_rows):
+def test_from_chunks_matches_encode_table(chunk_table, chunk_rows):
     table, schema = chunk_table
-    reference = encode_table(table, schema, codec=codec)
+    reference = encode_table(table, schema)
     streamed = TransactionDatabase.from_chunks(
-        iter_chunks(table, chunk_rows), schema, codec=codec
+        iter_chunks(table, chunk_rows), schema
     )
-    assert streamed.codec == codec
     assert_same_db(streamed, reference)
 
 
@@ -104,8 +102,6 @@ def test_accumulator_rejects_bad_arguments(chunk_table):
     _, schema = chunk_table
     with pytest.raises(MiningError):
         EncodeAccumulator(schema, spill_bytes=-1)
-    with pytest.raises(Exception):
-        EncodeAccumulator(schema, codec="no-such-codec")
 
 
 def test_from_chunks_category_order_is_first_seen():

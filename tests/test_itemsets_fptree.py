@@ -1,12 +1,12 @@
-"""White-box tests of the FP-tree structure and its optimisations."""
+"""White-box tests of the FP-growth oracle's tree and its shortcuts."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.itemsets.fpgrowth import FPTree, _build_tree, mine_fpgrowth
 from repro.itemsets.eclat import mine_eclat
 
+from tests.oracles import FPTree, _build_tree, mine_fpgrowth
 from tests.test_itemsets_miners import make_db
 
 

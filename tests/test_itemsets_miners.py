@@ -1,4 +1,4 @@
-"""Cross-validation of the three miners against brute force and each other."""
+"""Cross-validation of eclat against brute force and the FP-growth oracle."""
 
 from __future__ import annotations
 
@@ -8,14 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MiningError
-from repro.itemsets.apriori import mine_apriori
 from repro.itemsets.eclat import mine_eclat
-from repro.itemsets.fpgrowth import mine_fpgrowth
 from repro.itemsets.items import Item, ItemDictionary, ItemKind
-from repro.itemsets.miner import BACKENDS, absolute_minsup, mine
+from repro.itemsets.miner import absolute_minsup, mine
 from repro.itemsets.transactions import TransactionDatabase
 
-from tests.oracles import frequent_itemsets_bruteforce
+from tests.oracles import frequent_itemsets_bruteforce, mine_fpgrowth
 
 
 def make_db(rows, n_items=None):
@@ -44,7 +42,7 @@ CLASSIC_DB = [
 class TestClassicExample:
     """Support counts verified by hand on an 8-transaction database."""
 
-    @pytest.mark.parametrize("miner", [mine_apriori, mine_eclat, mine_fpgrowth])
+    @pytest.mark.parametrize("miner", [mine_eclat, mine_fpgrowth])
     def test_supports(self, miner):
         db = make_db(CLASSIC_DB)
         result = miner(db, 2)
@@ -56,26 +54,26 @@ class TestClassicExample:
         assert result[frozenset({1, 2})] == 3
         assert result[frozenset({0, 1, 2})] == 2
 
-    @pytest.mark.parametrize("miner", [mine_apriori, mine_eclat, mine_fpgrowth])
+    @pytest.mark.parametrize("miner", [mine_eclat, mine_fpgrowth])
     def test_minsup_prunes(self, miner):
         db = make_db(CLASSIC_DB)
         result = miner(db, 3)
         assert frozenset({0, 1, 2}) not in result
         assert frozenset({0, 1}) in result
 
-    @pytest.mark.parametrize("miner", [mine_apriori, mine_eclat, mine_fpgrowth])
+    @pytest.mark.parametrize("miner", [mine_eclat, mine_fpgrowth])
     def test_max_len(self, miner):
         db = make_db(CLASSIC_DB)
         result = miner(db, 1, max_len=1)
         assert all(len(k) == 1 for k in result)
 
-    @pytest.mark.parametrize("miner", [mine_apriori, mine_eclat, mine_fpgrowth])
+    @pytest.mark.parametrize("miner", [mine_eclat, mine_fpgrowth])
     def test_item_restriction(self, miner):
         db = make_db(CLASSIC_DB)
         result = miner(db, 1, items=[0, 1])
         assert all(k <= frozenset({0, 1}) for k in result)
 
-    @pytest.mark.parametrize("miner", [mine_apriori, mine_eclat, mine_fpgrowth])
+    @pytest.mark.parametrize("miner", [mine_eclat, mine_fpgrowth])
     def test_minsup_validation(self, miner):
         db = make_db(CLASSIC_DB)
         with pytest.raises(MiningError):
@@ -102,7 +100,8 @@ class TestEclatCovers:
 
 
 # ---------------------------------------------------------------------------
-# Property: all miners == brute force on random small databases.
+# Property: eclat and the FP-growth oracle == brute force on random
+# small databases.
 # ---------------------------------------------------------------------------
 
 @st.composite
@@ -129,7 +128,6 @@ def random_dbs(draw):
 def test_all_miners_match_bruteforce(db_minsup):
     db, minsup = db_minsup
     expected = frequent_itemsets_bruteforce(db, minsup)
-    assert mine_apriori(db, minsup) == expected
     assert mine_eclat(db, minsup) == expected
     assert mine_fpgrowth(db, minsup) == expected
 
@@ -139,32 +137,22 @@ def test_all_miners_match_bruteforce(db_minsup):
 def test_miners_agree_under_max_len(db_minsup, max_len):
     db, minsup = db_minsup
     expected = frequent_itemsets_bruteforce(db, minsup, max_len=max_len)
-    assert mine_apriori(db, minsup, max_len=max_len) == expected
     assert mine_eclat(db, minsup, max_len=max_len) == expected
     assert mine_fpgrowth(db, minsup, max_len=max_len) == expected
 
 
 class TestMineFacade:
-    def test_backend_selection(self):
-        db = make_db(CLASSIC_DB)
-        results = [mine(db, 2, backend=b).supports for b in BACKENDS]
-        assert results[0] == results[1] == results[2]
-
     def test_relative_minsup(self):
         db = make_db(CLASSIC_DB)
         result = mine(db, 0.25)         # 25% of 8 rows -> 2
         assert result.minsup == 2
 
-    def test_unknown_backend(self):
+    def test_with_covers_returns_kept_covers(self):
         db = make_db(CLASSIC_DB)
-        with pytest.raises(MiningError, match="unknown backend"):
-            mine(db, 2, backend="magic")
-
-    def test_with_covers_forces_eclat(self):
-        db = make_db(CLASSIC_DB)
-        result = mine(db, 2, backend="apriori", with_covers=True)
-        assert result.backend == "eclat"
-        assert result.covers is not None
+        result = mine(db, 2, closed=True, with_covers=True)
+        assert set(result.covers) == set(result.supports)
+        for itemset, cover in result.covers.items():
+            assert cover.support() == result.supports[itemset]
 
     def test_result_helpers(self):
         db = make_db(CLASSIC_DB)

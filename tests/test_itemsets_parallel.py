@@ -5,8 +5,8 @@ the parallel miner splices per-worker emissions back into root order,
 so its output dict must be indistinguishable from the sequential DFS,
 itemset by itemset, support by support, position by position.  Edge
 cases: one worker, more workers than root items, closed mode, covers,
-non-default codecs, restricted (``within=``/temporal) databases, and
-shared-memory segment cleanup.  The pool's failure surfaces are in
+restricted (``within=``/temporal) databases, and shared-memory segment
+cleanup.  The pool's failure surfaces are in
 ``test_pool.py``.
 """
 
@@ -22,19 +22,15 @@ from repro.itemsets.eclat import mine_eclat
 from repro.itemsets.items import Item, ItemDictionary, ItemKind
 from repro.itemsets.transactions import TransactionDatabase
 
-COVER_CODECS = ["packed", "bool", "ewah"]
 
-
-def make_db(rows, n_items=None, codec="packed"):
+def make_db(rows, n_items=None):
     size = n_items if n_items is not None else (
         max((max(r) for r in rows if r), default=-1) + 1
     )
     dictionary = ItemDictionary()
     for i in range(size):
         dictionary.add(Item("x", i), ItemKind.SA)
-    return TransactionDatabase(
-        [tuple(r) for r in rows], dictionary, codec=codec
-    )
+    return TransactionDatabase([tuple(r) for r in rows], dictionary)
 
 
 def random_rows(rng, n_rows, n_items, density=0.4):
@@ -56,10 +52,9 @@ def assert_same_ordered(expected, got):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 8])
-@pytest.mark.parametrize("codec", COVER_CODECS)
-def test_parallel_bit_identity(workers, codec):
+def test_parallel_bit_identity(workers):
     rng = np.random.default_rng(17)
-    db = make_db(random_rows(rng, 60, 9), codec=codec)
+    db = make_db(random_rows(rng, 60, 9))
     expected = mine_eclat(db, 3)
     got = mine_eclat(db, 3, workers=workers)
     assert_same_ordered(expected, got)
@@ -114,10 +109,9 @@ def test_parallel_no_frequent_items():
 
 
 @pytest.mark.parametrize("workers", [1, 2, 8])
-@pytest.mark.parametrize("codec", COVER_CODECS)
-def test_closed_parallel_bit_identity(workers, codec):
+def test_closed_parallel_bit_identity(workers):
     rng = np.random.default_rng(43)
-    db = make_db(random_rows(rng, 60, 9), codec=codec)
+    db = make_db(random_rows(rng, 60, 9))
     expected = mine_closed(db, 3)
     got = mine_closed(db, 3, workers=workers)
     assert_same_ordered(expected, got)

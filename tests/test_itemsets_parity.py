@@ -1,12 +1,13 @@
-"""fpgrowth-vs-eclat parity: identical frequent sets on richer inputs.
+"""Eclat against the FP-growth oracle on inputs too large for brute force.
 
-The miners are cross-validated against brute force elsewhere
+Eclat is cross-validated against brute force elsewhere
 (``test_itemsets_miners``), but only on databases small enough to
-enumerate the powerset.  Here the two tree/cover miners check *each
-other* on larger, denser, hypothesis-generated databases — more items,
-more rows, every codec, restricted item universes and length caps —
-where brute force is unaffordable but mutual agreement still pins both
-implementations down (a drift in either shows up as a diff).
+enumerate the powerset.  Here the FP-growth reference in
+``tests/oracles.py`` — a tree miner sharing no code with eclat — checks
+it on larger, denser, hypothesis-generated databases: more items, more
+rows, restricted item universes and length caps, where brute force is
+unaffordable but agreement still pins both down (a drift in either
+shows up as a diff).
 """
 
 from __future__ import annotations
@@ -16,20 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.itemsets.eclat import mine_eclat
-from repro.itemsets.fpgrowth import mine_fpgrowth
 from repro.itemsets.items import Item, ItemDictionary, ItemKind
 from repro.itemsets.transactions import TransactionDatabase
 
-CODECS = ["packed", "bool", "ewah"]
+from tests.oracles import mine_fpgrowth
 
 
-def build_db(rows, n_items, codec):
+def build_db(rows, n_items):
     dictionary = ItemDictionary()
     for i in range(n_items):
         dictionary.add(Item("x", i), ItemKind.SA)
-    return TransactionDatabase(
-        [tuple(r) for r in rows], dictionary, codec=codec
-    )
+    return TransactionDatabase([tuple(r) for r in rows], dictionary)
 
 
 @st.composite
@@ -44,8 +42,7 @@ def parity_cases(draw):
         for _ in range(n_rows)
     ]
     minsup = draw(st.integers(1, max(1, n_rows // 3)))
-    codec = draw(st.sampled_from(CODECS))
-    return build_db(rows, n_items, codec), minsup
+    return build_db(rows, n_items), minsup
 
 
 @given(parity_cases())

@@ -107,6 +107,41 @@ class TestRoundTrip:
         assert snapshot.graph().n_edges == 0
 
 
+#: Opens a graph snapshot memory-mapped, waits while the test rewrites
+#: its directory, then compares every array with a reference copy.
+_GRAPH_READER = """
+import sys
+import numpy as np
+from repro.store.graph import open_graph_snapshot
+
+live = open_graph_snapshot(sys.argv[1], mmap=True)
+print("ready", flush=True)
+sys.stdin.readline()
+reference = open_graph_snapshot(sys.argv[2], mmap=False)
+names = ("edges_u", "edges_v", "edges_w", "labels", "isolated",
+         "skipped_hubs")
+sys.exit(0 if all(np.array_equal(live.array(n), reference.array(n))
+                  for n in names) else 1)
+"""
+
+
+def test_mmap_reader_survives_smaller_redump(artifact, tmp_path,
+                                             mmap_reader):
+    live = dump_graph_snapshot(artifact, tmp_path / "live")
+    reference = dump_graph_snapshot(artifact, tmp_path / "reference")
+    finish = mmap_reader(_GRAPH_READER, live, reference)
+    bipartite, _ = random_bipartite_world(5, 3, seed=1)
+    projection = project_onto_groups(bipartite)
+    dump_graph_snapshot(
+        GraphArtifact.from_result(
+            projection, connected_components(projection.graph)
+        ),
+        live,
+    )
+    assert finish() == 0
+    assert open_graph_snapshot(live).n_nodes == 3
+
+
 class TestCorruption:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(SnapshotError, match="no graph snapshot"):

@@ -18,6 +18,7 @@ from repro.cube.builder import SegregationDataCubeBuilder, build_cube
 from repro.cube.cell import CellStats
 from repro.cube.cube import CubeMetadata, SegregationCube, check_same_cells
 from repro.cube.coordinates import make_key
+from repro.data.synthetic import random_final_table
 from repro.errors import SnapshotError
 from repro.itemsets.items import Item, ItemDictionary, ItemKind
 from repro.report.pivot import pivot
@@ -234,6 +235,71 @@ class TestRoundTrip:
         dump_snapshot(cube, tmp_path / "extra")
         reopened = open_snapshot(tmp_path / "extra")
         assert reopened.table.value_at(0, "X") == 0.75
+
+
+#: Opens a snapshot memory-mapped, waits while the test rewrites its
+#: directory, then compares every cell with a reference copy.
+_CUBE_READER = """
+import sys
+from repro.cube.cube import check_same_cells
+from repro.store import open_snapshot
+
+live = open_snapshot(sys.argv[1], mmap=True)
+print("ready", flush=True)
+sys.stdin.readline()
+reference = open_snapshot(sys.argv[2], mmap=False)
+same = list(live.keys()) == list(reference.keys())
+sys.exit(0 if same and not check_same_cells(live, reference, atol=0.0)
+         else 1)
+"""
+
+
+class TestRedump:
+    """Rewriting a snapshot directory leaves its open readers intact."""
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        # ~2k cells: every array spans several pages, so a reader of a
+        # truncated file would fault, not just read stale bytes.
+        table, schema = random_final_table(
+            3000, 12, sa_attributes={"g": 2, "eth": 4},
+            ca_attributes={"r": 3, "s": 4}, multi_valued_ca={"tag": 3},
+            seed=3, skew=0.4,
+        )
+        return build_cube(table, schema, min_population=30, min_minority=8)
+
+    def test_mmap_reader_survives_smaller_redump(
+        self, big, tmp_path, mmap_reader
+    ):
+        live, reference = tmp_path / "live", tmp_path / "reference"
+        dump_snapshot(big, live)
+        dump_snapshot(big, reference)
+        finish = mmap_reader(_CUBE_READER, live, reference)
+        key = make_key([0], [1])
+        small = SegregationCube(
+            {key: CellStats(key, 8, 3, 2, {"D": 0.25})},
+            _tiny_dictionary(),
+            _metadata(["D"]),
+        )
+        dump_snapshot(small, live)
+        assert finish() == 0
+        assert len(open_snapshot(live)) == 1
+
+    def test_snapshot_backed_cube_redumps_onto_its_own_directory(
+        self, big, tmp_path
+    ):
+        path = dump_snapshot(big, tmp_path / "snap")
+        # Keep only the message: a failed redump's traceback holds views
+        # of the files it truncated, and rendering those would fault.
+        error = None
+        try:
+            dump_snapshot(open_snapshot(path, mmap=True), path)
+        except OSError as exc:
+            error = str(exc)
+        assert error is None, error
+        reopened = open_snapshot(path, mmap=False)
+        assert list(reopened.keys()) == list(big.keys())
+        assert check_same_cells(big, reopened, atol=0.0) == []
 
 
 class TestValidation:
