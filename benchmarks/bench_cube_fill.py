@@ -3,8 +3,9 @@
 Filling the cube's cells, after mining: the per-cell reference in
 ``tests/oracles.py`` runs one ``unit_counts`` scan and six scalar index
 evaluations per mined cell;
-the columnar engine counts every cell through one grouped
-``unit_counts_many`` pass and evaluates each index with one batched
+the columnar engine counts every cell with the ``unit_counts_of``
+popcount kernel (ANDed item rows in unit order, per-unit counts read
+off a running popcount) and evaluates each index with one batched
 kernel call per context, landing results directly in the
 struct-of-arrays ``CellTable``.
 

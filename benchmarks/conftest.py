@@ -1,7 +1,7 @@
 """Shared fixtures and reporting helpers for the benchmark harness.
 
-Every benchmark regenerates one of the paper's figures/scenarios (see
-DESIGN.md §4).  Besides the pytest-benchmark timings, each bench writes
+Every benchmark regenerates one of the paper's figures or scenarios,
+or measures one layer of the pipeline.  Besides the pytest-benchmark timings, each bench writes
 its paper-style table to ``benchmarks/results/<experiment>.txt`` so the
 regenerated rows/series can be inspected and diffed after the run, and
 (for experiments tracked over time) a machine-readable companion

@@ -20,22 +20,27 @@ companion's SegregationDataCubeBuilder): because segregation indexes are
 
 The fill stage is **columnar** by default (``engine="columnar"``): all
 candidate cells are counted at once through
-:meth:`~repro.itemsets.transactions.TransactionDatabase.unit_counts_many`
-(one grouped, chunked pass producing the ``(n_cells, n_units)`` minority
-matrix), and every index is evaluated per *context* through its batched
-kernel (:meth:`~repro.indexes.base.IndexSpec.compute_batch`) — one
-vectorized call over all cells sharing a context instead of one Python
-call per cell.  Results land directly in the cube's struct-of-arrays
+:meth:`~repro.itemsets.transactions.TransactionDatabase.unit_counts_of`,
+one integer kernel that ANDs each cell's item rows — the item covers
+re-packed with the rows in unit order — and reads the per-unit counts
+off a running popcount over the words, producing the ``(n_cells,
+n_units)`` minority matrix without unpacking any cover.  Every index is
+then evaluated per *context* through its batched kernel
+(:meth:`~repro.indexes.base.IndexSpec.compute_batch`) — one vectorized
+call over all cells sharing a context instead of one Python call per
+cell.  Results land directly in the cube's struct-of-arrays
 :class:`~repro.cube.table.CellTable`, in the order and with the bits of
 a scalar one-cell-at-a-time fill (the reference the tests and benchmark
-E17 keep).  Per-context populations and unit counts are computed once
-per context, never re-derived per cell, and context covers below
-``min_population`` are discarded before any per-unit counting happens.
+E17 keep).  Per-context populations and unit counts come from the same
+kernel, once per context, never re-derived per cell, and context covers
+below ``min_population`` are discarded before any per-unit counting
+happens.
 
 A multiprocess variant (``engine="parallel"``, :mod:`repro.cube.parallel`)
 partitions the context groups across workers; each worker runs the exact
-same phases B/C (the shared :func:`eval_context_block`) over shared-memory
-cover words, so the parallel cube is bit-exact against the columnar one.
+same phases B/C (the same counting kernel and the shared
+:func:`eval_context_block`) over the shared unit-ordered item words, so
+the parallel cube is bit-exact against the columnar one.
 Mining always runs in-process: pooling the mining passes loses at every
 size measured, because every candidate cover would be pickled back.
 
@@ -142,12 +147,13 @@ class CandidateArrays:
 
     ``rows_of[i] == -1`` marks a context-only candidate (no counting
     needed); otherwise it is the candidate's row in the SA count
-    matrix / ``sa_covers`` list.
+    matrix / ``sa_itemsets`` list, which holds each SA-bearing cell's
+    minority itemset (SA and CA items together).
     """
 
     keys: "list[CellKey]"
     contexts: "list[Itemset]"
-    sa_covers: "list[Cover]"
+    sa_itemsets: "list[Itemset]"
     rows_of: np.ndarray
     pops: np.ndarray
     units_of: np.ndarray
@@ -359,31 +365,26 @@ class SegregationDataCubeBuilder:
         minsup_pop = absolute_minsup(self.min_population, db.n_active)
         minsup_min = absolute_minsup(self.min_minority, db.n_active)
 
-        context_covers = mine_eclat(
+        contexts = list(mine_eclat(
             db,
             minsup_pop,
             items=db.dictionary.ca_ids,
             max_len=self.max_ca_items,
-            with_covers=True,
-        )
+        ))
         if db.n_active >= minsup_pop:
             # The root (empty) context is added by hand, so it is the
-            # only cover that can sit below min_population — mined
+            # only context that can sit below min_population — mined
             # contexts already satisfy it via eclat's frequency bound.
             # Skipping it here means no context that cannot produce a
             # cell ever pays for its per-unit counts.
-            context_covers[frozenset()] = db.full_cover()
-        tvec_matrix = db.unit_counts_many(list(context_covers.values()))
+            contexts.append(frozenset())
+        tvec_matrix = db.unit_counts_of(contexts)
         pops_vec = tvec_matrix.sum(axis=1)
         nunits_vec = (tvec_matrix > 0).sum(axis=1)
-        context_tvecs = {
-            b: tvec_matrix[i] for i, b in enumerate(context_covers)
-        }
-        context_pops = {
-            b: int(pops_vec[i]) for i, b in enumerate(context_covers)
-        }
+        context_tvecs = {b: tvec_matrix[i] for i, b in enumerate(contexts)}
+        context_pops = {b: int(pops_vec[i]) for i, b in enumerate(contexts)}
         context_nunits = {
-            b: int(nunits_vec[i]) for i, b in enumerate(context_covers)
+            b: int(nunits_vec[i]) for i, b in enumerate(contexts)
         }
 
         mixed_minsup = min(minsup_min, minsup_pop)
@@ -418,7 +419,7 @@ class SegregationDataCubeBuilder:
             context_nunits=context_nunits,
             minsup_pop=minsup_pop,
             minsup_min=minsup_min,
-            n_contexts=len(context_covers),
+            n_contexts=len(contexts),
             closed_info=closed_info,
         )
 
@@ -449,24 +450,24 @@ class SegregationDataCubeBuilder:
         """Phase A — enumerate candidates in mining order (the order a
         one-cell-at-a-time fill inserts cells in).  Context-only cells
         (empty SA part) need no counting; SA-bearing cells queue their
-        covers."""
+        minority itemsets."""
         cand_keys: "list[CellKey]" = []
         cand_ctx: "list[Itemset]" = []
-        sa_covers: "list[Cover]" = []
+        sa_itemsets: "list[Itemset]" = []
         sa_row: "list[int]" = []       # candidate -> matrix row (-1 = ctx)
-        for key, ca_part, cover in self._candidates(db, mined):
+        for key, ca_part, _ in self._candidates(db, mined):
             cand_keys.append(key)
             cand_ctx.append(ca_part)
             if key[0]:
-                sa_row.append(len(sa_covers))
-                sa_covers.append(cover)
+                sa_row.append(len(sa_itemsets))
+                sa_itemsets.append(key[0] | ca_part)
             else:
                 sa_row.append(-1)
         n_cand = len(cand_keys)
         return CandidateArrays(
             keys=cand_keys,
             contexts=cand_ctx,
-            sa_covers=sa_covers,
+            sa_itemsets=sa_itemsets,
             rows_of=np.array(sa_row, dtype=np.int64),
             pops=np.fromiter(
                 (mined.context_pops[b] for b in cand_ctx),
@@ -519,7 +520,7 @@ class SegregationDataCubeBuilder:
 
         SA-bearing candidates are grouped by context and processed in
         bounded batches of contexts: each batch gets its minority-count
-        matrix from one ``unit_counts_many`` pass, rows below
+        matrix from one ``unit_counts_of`` kernel call, rows below
         ``min_minority`` are dropped with one mask, and each index is
         evaluated per context with a single batched kernel call over
         that context's surviving rows (:func:`eval_context_block`).
@@ -529,22 +530,22 @@ class SegregationDataCubeBuilder:
         """
         specs = self.indexes
         cand = self._enumerate_candidates(db, mined)
-        sa_covers = cand.sa_covers
+        sa_itemsets = cand.sa_itemsets
 
         # Phase B/C — count and evaluate per bounded batch of contexts.
-        # Grouping by context lets each batch share one grouped
-        # ``unit_counts_many`` pass and one kernel-input preparation per
-        # context; the count matrix of a batch is discarded once its
-        # minority totals and index values are extracted.
+        # Grouping by context lets each batch share one counting-kernel
+        # call and one kernel-input preparation per context; the count
+        # matrix of a batch is discarded once its minority totals and
+        # index values are extracted.
         by_context = cand.rows_by_context()
-        minority_totals = np.zeros(len(sa_covers), dtype=np.int64)
-        kept_rows = np.zeros(len(sa_covers), dtype=bool)
-        values = np.full((len(specs), len(sa_covers)), np.nan)
+        minority_totals = np.zeros(len(sa_itemsets), dtype=np.int64)
+        kept_rows = np.zeros(len(sa_itemsets), dtype=bool)
+        values = np.full((len(specs), len(sa_itemsets)), np.nan)
         n_units = max(1, db.n_units)
         max_batch_cells = max(1, _FILL_BATCH_CELLS // n_units)
         for batch in plan_context_batches(by_context, max_batch_cells):
-            matrix = db.unit_counts_many(
-                [sa_covers[r] for _, rows in batch for r in rows]
+            matrix = db.unit_counts_of(
+                [sa_itemsets[r] for _, rows in batch for r in rows]
             )
             offset = 0
             for ca_part, rows in batch:

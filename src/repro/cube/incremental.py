@@ -302,9 +302,7 @@ class TemporalCubeEngine:
         # their digests against the previous date's are what licenses
         # carrying individual cells inside an affected context.
         recompute_list = list(recompute)
-        tvec_matrix = db.unit_counts_many(
-            [recompute[context] for context in recompute_list]
-        )
+        tvec_matrix = db.unit_counts_of(recompute_list)
         pops_vec = tvec_matrix.sum(axis=1)
         nunits_vec = (tvec_matrix > 0).sum(axis=1)
         new_digests = {

@@ -2,20 +2,24 @@
 
 The columnar fill's phases B/C — per-unit counting plus batched index
 kernels — are embarrassingly parallel across *context groups*: every
-candidate cell of a context needs only that context's population vector,
-its own cover, and the unit labels.  This module partitions the context
+candidate cell of a context needs only that context's population vector
+and its own minority itemset.  This module partitions the context
 groups across the package's one shared-memory pool (:mod:`repro._pool`):
 
-* the packed ``uint64`` cover words of all SA-bearing candidates and the
-  per-row unit labels are shared **once** with every worker instead of
-  being pickled per task;
+* three arrays are shared **once** with every worker instead of being
+  pickled per task: the database's unit-ordered item words and unit
+  boundaries
+  (:meth:`~repro.itemsets.transactions.TransactionDatabase.unit_words`)
+  and the SA-bearing candidates' padded item-index rows
+  (:meth:`~repro.itemsets.transactions.TransactionDatabase.item_index_rows`)
+  — a few hundred KB, where the candidates' own covers would be tens
+  of MB;
 * context groups are partitioned greedy largest-first by cell count, so
   one popular context cannot serialise the fill behind it;
-* each worker rebuilds a *units-only* counting database over the shared
-  labels and runs the exact kernels of the single-process engine
-  (:meth:`~repro.itemsets.transactions.TransactionDatabase.unit_counts_many`
-  plus the shared :func:`~repro.cube.builder.eval_context_block`) over
-  its contexts, in the same ``_FILL_BATCH_CELLS``-bounded batches;
+* each worker runs the exact kernels of the single-process engine
+  (:func:`~repro.itemsets.transactions.count_unit_bits` plus the shared
+  :func:`~repro.cube.builder.eval_context_block`) over its contexts, in
+  the same ``_FILL_BATCH_CELLS``-bounded batches;
 * the parent scatters the returned column slabs into the candidate
   arrays and assembles one :class:`~repro.cube.table.CellTable` through
   the same phase D as ``engine="columnar"``.
@@ -40,30 +44,21 @@ from repro.cube.builder import (
 )
 from repro.cube.table import CellTable
 from repro.errors import CubeError
-from repro.itemsets.coverset import CoverSet, cover_matrix
-from repro.itemsets.items import ItemDictionary
-from repro.itemsets.transactions import TransactionDatabase
+from repro.itemsets.transactions import TransactionDatabase, count_unit_bits
 
 
 def _fill_partition(groups: list, cfg: dict, arrays: dict) -> list:
     """Pool task: phases B/C over one partition's context groups.
 
     Each group is ``(tvec, rows)``: the context's per-unit population
-    vector and the cover-matrix rows of its candidate cells.  Returns
+    vector and the index rows of its candidate cells.  Returns
     ``[(rows, totals, keep, values), ...]`` — arrays owned by the
     worker, safe to pickle back.
     """
-    cover_words = arrays["covers"]
-    units = arrays["units"]
-    # A units-only counting database: no items, same unit->rows
-    # grouping — unit_counts_many runs verbatim.
-    empty = np.empty(0, dtype=np.int64)
-    db = TransactionDatabase.from_item_arrays(
-        empty, empty, len(units), ItemDictionary(), units=units
-    )
+    words, bounds = arrays["words"], arrays["bounds"]
+    index_rows = arrays["index_rows"]
     specs = cfg["specs"]
-    n_bits = cfg["n_bits"]
-    max_batch = max(1, _FILL_BATCH_CELLS // max(1, db.n_units))
+    max_batch = max(1, _FILL_BATCH_CELLS // max(1, len(bounds) - 1))
     out = []
     for tvec, rows in groups:
         totals = np.empty(len(rows), dtype=np.int64)
@@ -71,9 +66,7 @@ def _fill_partition(groups: list, cfg: dict, arrays: dict) -> list:
         values = np.empty((len(specs), len(rows)))
         for a in range(0, len(rows), max_batch):
             block_rows = rows[a:a + max_batch]
-            sub_all = db.unit_counts_many(
-                [CoverSet(cover_words[r], n_bits) for r in block_rows]
-            )
+            sub_all = count_unit_bits(words, bounds, index_rows[block_rows])
             t, k, v = eval_context_block(
                 specs, tvec, sub_all, cfg["minsup_min"]
             )
@@ -101,7 +94,7 @@ def fill_parallel(
     """
     specs = builder.indexes
     cand = builder._enumerate_candidates(db, mined)
-    n_sa = len(cand.sa_covers)
+    n_sa = len(cand.sa_itemsets)
     minority_totals = np.zeros(n_sa, dtype=np.int64)
     kept_rows = np.zeros(n_sa, dtype=bool)
     values = np.full((len(specs), n_sa), np.nan)
@@ -114,15 +107,13 @@ def fill_parallel(
             [len(rows) for _, rows in groups],
             _pool.resolve_workers(builder.workers),
         )
+        words, bounds = db.unit_words()
         arrays = {
-            "covers": cover_matrix(cand.sa_covers, len(db)),
-            "units": np.ascontiguousarray(db.units, dtype=np.int64),
+            "words": words,
+            "bounds": bounds,
+            "index_rows": db.item_index_rows(cand.sa_itemsets),
         }
-        cfg = {
-            "n_bits": len(db),
-            "specs": specs,
-            "minsup_min": mined.minsup_min,
-        }
+        cfg = {"specs": specs, "minsup_min": mined.minsup_min}
         for part in _pool.run_pool(
             _fill_partition,
             [[groups[i] for i in part] for part in partitions],

@@ -3,9 +3,9 @@
 The paper demos on proprietary registries of Italian and Estonian
 company boards; these generators produce seeded synthetic datasets with
 the same schema, bipartite structure, interlocks and planted
-occupational segregation (see DESIGN.md §2 for the substitution
-rationale), plus planted-ground-truth tables used for end-to-end
-verification.
+occupational segregation (the registries themselves are not public, so
+seeded look-alikes stand in for them), plus planted-ground-truth tables
+used for end-to-end verification.
 """
 
 from repro.data import vocab

@@ -37,6 +37,14 @@ _POPCOUNT_LUT = np.array(
 )
 
 
+def popcount_each(words: np.ndarray) -> np.ndarray:
+    """Set bits of every ``uint64`` word: a ``uint8`` array, same shape."""
+    if hasattr(np, "bitwise_count"):
+        return np.bitwise_count(words)
+    per_byte = _POPCOUNT_LUT[np.ascontiguousarray(words).view(np.uint8)]
+    return per_byte.reshape(words.shape + (8,)).sum(axis=-1, dtype=np.uint8)
+
+
 def popcount_words(words: np.ndarray) -> int:
     """Total number of set bits across an array of ``uint64`` words."""
     if hasattr(np, "bitwise_count"):
@@ -46,10 +54,7 @@ def popcount_words(words: np.ndarray) -> int:
 
 def popcount_rows(words: np.ndarray) -> np.ndarray:
     """Per-row popcount of a 2-D ``uint64`` word matrix (``int64`` vector)."""
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
-    per_byte = _POPCOUNT_LUT[words.view(np.uint8)]
-    return per_byte.reshape(words.shape[0], -1).sum(axis=1, dtype=np.int64)
+    return popcount_each(words).sum(axis=1, dtype=np.int64)
 
 
 class CoverSet:

@@ -3,8 +3,9 @@
 Deliberately slow and simple: direct transcriptions of the definitions
 (brute-force indexes and itemsets), plus the reference algorithms each
 shipped engine must reproduce exactly — FP-growth for eclat, full
-enumeration and the one-cell-at-a-time fill for the cube builder, and
-the set/BFS graph algorithms for the array graph engine.  Nothing under
+enumeration and the one-cell-at-a-time fill for the cube builder, the
+label-gather cover counting for the popcount counting kernel, and the
+set/BFS graph algorithms for the array graph engine.  Nothing under
 ``src/`` imports this module; the benchmarks use the same references as
 their baselines.
 """
@@ -30,6 +31,7 @@ from repro.graph.bipartite import BipartiteGraph, ProjectionResult
 from repro.graph.components import Clustering
 from repro.graph.graph import Graph
 from repro.indexes.counts import UnitCounts
+from repro.itemsets.coverset import Cover
 from repro.itemsets.miner import absolute_minsup
 from repro.itemsets.transactions import TransactionDatabase, encode_table
 
@@ -125,6 +127,38 @@ def unit_counts_bruteforce(
         if is_minority:
             m[unit] += 1
     return UnitCounts(t, m)
+
+
+def unit_counts_many(
+    db: TransactionDatabase, covers: "Iterable[Cover | np.ndarray]"
+) -> np.ndarray:
+    """Per-unit counts of many covers, ``(len(covers), n_units)`` int64.
+
+    The fill's counting path before the popcount kernel: each cover is
+    unpacked, gathers the unit labels of its covered rows, and one flat
+    ``bincount`` over combined ``(cover, unit)`` keys counts them all.
+    """
+    if db.units is None:
+        raise MiningError("transaction database has no unit labels")
+    n_units = db.n_units
+    labels = []
+    for cover in covers:
+        flags = (
+            cover.to_bools() if isinstance(cover, Cover)
+            else np.asarray(cover, dtype=bool)
+        )
+        if len(flags) != len(db):
+            raise MiningError(
+                f"cover of {len(flags)} transactions does not match "
+                f"database of {len(db)}"
+            )
+        labels.append(db.units[flags])
+    k = len(labels)
+    if k == 0:
+        return np.zeros((0, n_units), dtype=np.int64)
+    lengths = np.fromiter(map(len, labels), dtype=np.int64, count=k)
+    keys = np.repeat(np.arange(k) * n_units, lengths) + np.concatenate(labels)
+    return np.bincount(keys, minlength=k * n_units).reshape(k, n_units)
 
 
 def dense_item_covers(db: TransactionDatabase) -> "list[np.ndarray]":
