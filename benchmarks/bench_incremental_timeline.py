@@ -23,18 +23,19 @@ and ``results/BENCH_E19.json``.
 The second experiment stretches the timeline to **50 dates in closed
 mode** at ~2% churn per date: every incremental update must stay
 bit-identical to a from-scratch closed build (closure diff included),
-the worst update must beat a per-date full closed rebuild ≥ 3x, and
-the measured open-latency compaction policy must hold the last date's
-chain-resolved open within 2x of the first date's while the
-uncompacted chain grows unboundedly.  Its numbers merge into the same
-``BENCH_E19.json``.
+the worst update must beat a per-date full closed rebuild ≥ 3x, every
+date the publisher wrote must sit at most ``MAX_CHAIN`` hops from a
+full snapshot and reopen bit-identically, and the whole timeline must
+stay smaller than 50 full snapshots.  It reports the timeline's bytes,
+its full dates and its first/last/worst chain-resolved open, next to an
+unbounded delta chain over the same cubes for contrast.  Its numbers
+merge into the same ``BENCH_E19.json``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import shutil
 import time
 from pathlib import Path
 
@@ -48,15 +49,16 @@ from repro.etl.diff import TableDiff, valid_at
 from repro.itemsets.transactions import encode_table
 from repro.report.text import render_table
 from repro.store import (
-    CompactionPolicy,
     CubeTimeline,
-    compact_timeline,
+    delta_chain_length,
+    dump_delta_snapshot,
     dump_into_timeline,
     dump_snapshot,
-    measure_open_ms,
+    open_snapshot,
     snapshot_disk_bytes,
     timeline_dates,
 )
+from repro.store.timeline import MAX_CHAIN
 
 from benchmarks.bench_cube_fill import FILL_ROWS, LIMITS
 from benchmarks.conftest import RESULTS_DIR, write_bench_json, write_result
@@ -71,7 +73,6 @@ CLOSED_ROWS = int(os.environ.get("E19_CLOSED_ROWS", 40_000))
 N_CLOSED_DATES = 50
 CLOSED_CHURN = 0.02
 MIN_CLOSED_SPEEDUP = 3.0
-MAX_OPEN_RATIO = 2.0
 CLOSED_LIMITS = {"min_population": 40, "min_minority": 10,
                  "max_sa_items": 2, "max_ca_items": 2}
 
@@ -90,6 +91,13 @@ def _merge_bench_json(experiment: str, payload: "dict[str, object]"):
             merged.pop(key, None)
     merged.update(payload)
     return write_bench_json(experiment, merged)
+
+
+def measure_open_ms(path: "str | Path", mmap: bool = True) -> float:
+    """Wall-clock milliseconds of a fresh, cache-free chain-resolved open."""
+    start = time.perf_counter()
+    open_snapshot(path, mmap=mmap)
+    return (time.perf_counter() - start) * 1e3
 
 
 def _temporal_table():
@@ -264,7 +272,7 @@ def _closed_masks():
 
 
 def test_closed_incremental_50_date_timeline(benchmark, tmp_path):
-    """50 closed-mode dates: >= 3x vs rebuild, bounded open latency."""
+    """50 closed-mode dates: >= 3x vs rebuild, chains <= MAX_CHAIN."""
     table, schema, masks = _closed_masks()
     churns = [
         float(np.mean(a != b)) for a, b in zip(masks, masks[1:])
@@ -322,9 +330,14 @@ def test_closed_incremental_50_date_timeline(benchmark, tmp_path):
     speedup_median = rebuild_seconds / median
 
     # Closed-mode parity, atol=0, at EVERY date: replay the masks
-    # through the engine once more and scratch-build each date.
+    # through the engine once more, scratch-build each date, and check
+    # the live cube and the published date against it.  The replay also
+    # writes the same cubes as one unbounded delta chain, for contrast.
+    published = CubeTimeline(timeline_root)
+    unbounded_root = tmp_path / "unbounded_chain"
     state = None
     for date, mask in enumerate(masks):
+        previous = state
         state = (engine.build_at(mask, date) if state is None
                  else engine.update(state, mask, date))
         scratch = SegregationDataCubeBuilder(
@@ -332,46 +345,35 @@ def test_closed_incremental_50_date_timeline(benchmark, tmp_path):
         ).build_from_transactions(union_db.restrict(mask))
         problems = check_same_cells(state.cube, scratch, atol=0.0)
         assert problems == [], (date, problems[:3])
+        problems = check_same_cells(published.at(date), scratch, atol=0.0)
+        assert problems == [], ("published", date, problems[:3])
+        if previous is None:
+            dump_snapshot(state.cube, unbounded_root / str(date))
+        else:
+            dump_delta_snapshot(
+                state.cube, unbounded_root / str(date),
+                unbounded_root / str(date - 1), parent=previous.cube,
+            )
 
-    # Open-latency curve: uncompacted chain vs the measured policy.
+    # The timeline the publisher wrote: layout, bytes and open latency.
     dates = timeline_dates(timeline_root)
-    first_dir = timeline_root / str(dates[0])
-    last_dir = timeline_root / str(dates[-1])
-    plain_first_ms = min(measure_open_ms(first_dir) for _ in range(3))
-    plain_last_ms = min(measure_open_ms(last_dir) for _ in range(3))
-    plain_bytes = sum(
+    chains = [delta_chain_length(timeline_root / str(d)) for d in dates]
+    opens = [
+        min(measure_open_ms(timeline_root / str(d)) for _ in range(3))
+        for d in dates
+    ]
+    timeline_bytes = sum(
         snapshot_disk_bytes(timeline_root / str(d)) for d in dates
     )
-
-    compacted_root = tmp_path / "compacted_timeline"
-    shutil.copytree(timeline_root, compacted_root)
-    policy = CompactionPolicy(
-        max_chain=10**6,                    # latency-triggered only
-        max_open_ms=1.5 * max(plain_first_ms, 1.0),
-        min_byte_ratio=10.0,
+    n_full = chains.count(0)
+    ms_per_hop = float(np.polyfit(chains, opens, 1)[0])
+    unbounded_bytes = sum(
+        snapshot_disk_bytes(unbounded_root / str(d)) for d in dates
     )
-    start = time.perf_counter()
-    compacted_dates = compact_timeline(compacted_root, policy)
-    compact_seconds = time.perf_counter() - start
-    comp_first_ms = min(
-        measure_open_ms(compacted_root / str(dates[0])) for _ in range(3)
+    unbounded_first_ms, unbounded_last_ms = (
+        min(measure_open_ms(unbounded_root / str(d)) for _ in range(3))
+        for d in (dates[0], dates[-1])
     )
-    comp_last_ms = min(
-        measure_open_ms(compacted_root / str(dates[-1])) for _ in range(3)
-    )
-    comp_bytes = sum(
-        snapshot_disk_bytes(compacted_root / str(d)) for d in dates
-    )
-
-    # Compacted timeline still answers bit-exactly at spot-check dates.
-    compacted_timeline = CubeTimeline(compacted_root)
-    for date in (dates[0], dates[len(dates) // 2], dates[-1]):
-        scratch = SegregationDataCubeBuilder(
-            mode="closed", **CLOSED_LIMITS
-        ).build_from_transactions(union_db.restrict(masks[date]))
-        assert check_same_cells(
-            compacted_timeline.at(date), scratch, atol=0.0
-        ) == []
 
     # What 50 independent full snapshots would cost on disk.
     full_estimate = snapshot_disk_bytes(full_dir) * len(dates)
@@ -384,10 +386,10 @@ def test_closed_incremental_50_date_timeline(benchmark, tmp_path):
         ["incremental closed update (worst)", worst * 1e3, speedup_worst],
     ]
     open_rows = [
-        ["uncompacted", plain_first_ms, plain_last_ms,
-         plain_last_ms / plain_first_ms],
-        ["compacted", comp_first_ms, comp_last_ms,
-         comp_last_ms / comp_first_ms],
+        ["published", max(chains), n_full, timeline_bytes, opens[0],
+         opens[-1], max(opens)],
+        ["unbounded delta chain", len(dates) - 1, 1, unbounded_bytes,
+         unbounded_first_ms, unbounded_last_ms, ""],
     ]
     write_result(
         "E19_closed_50_dates",
@@ -398,17 +400,17 @@ def test_closed_incremental_50_date_timeline(benchmark, tmp_path):
         f"{extra['n_carried_cells']}+"
         f"{extra['n_carried_cells_within_affected']} cells carried; "
         "bit-exact parity vs scratch closed builds asserted at every "
-        "date, atol=0)\n"
+        "date, live and published, atol=0)\n"
         + render_table(["stage", "time (ms)", "speedup vs rebuild"], rows)
         + "\n" + render_table(
-            ["timeline", "first open (ms)", "last open (ms)", "ratio"],
+            ["timeline", "max chain", "full dates", "bytes",
+             "first open (ms)", "last open (ms)", "worst open (ms)"],
             open_rows,
         )
-        + f"\ncompacted {len(compacted_dates)}/{len(dates)} dates in "
-        f"{compact_seconds * 1e3:.0f} ms; bytes: plain {plain_bytes} "
-        f"({plain_bytes / full_estimate:.2f}x of {len(dates)} fulls), "
-        f"compacted {comp_bytes} ({comp_bytes / plain_bytes:.2f}x of "
-        "plain)",
+        + f"\npublished timeline: {timeline_bytes / full_estimate:.2f}x "
+        f"of {len(dates)} full snapshots; chain-resolved open grows "
+        f"{ms_per_hop:.1f} ms per hop (least-squares slope over the "
+        f"{len(dates)} dates)",
     )
     _merge_bench_json("E19", {
         "closed_rows": CLOSED_ROWS,
@@ -421,26 +423,28 @@ def test_closed_incremental_50_date_timeline(benchmark, tmp_path):
         "closed_speedup_median": speedup_median,
         "closed_speedup_worst": speedup_worst,
         "min_closed_speedup_required": MIN_CLOSED_SPEEDUP,
-        "open_ms_uncompacted_first": plain_first_ms,
-        "open_ms_uncompacted_last": plain_last_ms,
-        "open_ms_compacted_first": comp_first_ms,
-        "open_ms_compacted_last": comp_last_ms,
-        "max_open_ratio_required": MAX_OPEN_RATIO,
-        "n_dates_compacted": len(compacted_dates),
-        "compact_total_ms": compact_seconds * 1e3,
-        "timeline_bytes_uncompacted": plain_bytes,
-        "timeline_bytes_compacted": comp_bytes,
-        "bytes_vs_full_snapshots": plain_bytes / full_estimate,
+        "max_chain": MAX_CHAIN,
+        "chain_length_max": max(chains),
+        "n_full_dates": n_full,
+        "timeline_bytes": timeline_bytes,
+        "bytes_vs_full_snapshots": timeline_bytes / full_estimate,
+        "open_ms_first": opens[0],
+        "open_ms_last": opens[-1],
+        "open_ms_worst": max(opens),
+        "open_ms_per_hop": ms_per_hop,
+        "unbounded_chain_bytes": unbounded_bytes,
+        "unbounded_chain_open_ms_first": unbounded_first_ms,
+        "unbounded_chain_open_ms_last": unbounded_last_ms,
     })
     assert speedup_worst >= MIN_CLOSED_SPEEDUP, (
         f"worst closed-mode incremental update only {speedup_worst:.1f}x "
         f"faster than a full closed rebuild (need >= "
         f"{MIN_CLOSED_SPEEDUP}x)"
     )
-    assert comp_last_ms <= MAX_OPEN_RATIO * comp_first_ms, (
-        f"compacted last-date open {comp_last_ms:.1f} ms exceeds "
-        f"{MAX_OPEN_RATIO}x the first-date open {comp_first_ms:.1f} ms"
+    assert max(chains) <= MAX_CHAIN, (
+        f"a published date sits {max(chains)} hops from a full snapshot "
+        f"(the publish rule allows {MAX_CHAIN})"
     )
-    assert plain_bytes < full_estimate, (
+    assert timeline_bytes < full_estimate, (
         "delta timeline should undercut independent full snapshots"
     )

@@ -10,15 +10,17 @@ walkthrough:
    contexts untouched by the year's membership churn are carried over
    verbatim, only the affected ones are re-mined and re-filled;
 3. persists the years as a timeline: a full snapshot for the first
-   year, *delta* snapshots (sharing unchanged columns with their
-   parent) afterwards;
+   year, then a *delta* per year (sharing unchanged columns with its
+   parent) — or a full snapshot when the year's churn leaves a delta
+   too little to share;
 4. reopens the timeline and reads analyses straight out of the cubes —
    the gender-segregation trend and the cells that moved the most;
 5. repeats the walk in **closed mode** (the closure diff re-derives
-   closedness only where covers changed) into a *self-compacting*
-   timeline — a measured :class:`CompactionPolicy` re-roots long delta
-   chains onto fresh full snapshots at publish time — and reads the
-   serving tier's staleness report off the result.
+   closedness only where covers changed) into a second timeline —
+   each publish writes its year as a delta or, once the chain is long
+   or the delta barely saves bytes, as a full snapshot — and reads the
+   per-year chain lengths and the serving tier's staleness report off
+   the result.
 
 Run with:  python examples/temporal_timeline.py
 """
@@ -36,7 +38,6 @@ from repro.itemsets.transactions import encode_table
 from repro.report.text import render_table
 from repro.serve.service import CubeService
 from repro.store import (
-    CompactionPolicy,
     CubeTimeline,
     dump_into_timeline,
     read_timeline_manifest,
@@ -78,11 +79,14 @@ def main() -> None:
                                parent_date=previous.date,
                                parent=previous.cube)
             extra = state.cube.metadata.extra
+            chain = read_timeline_manifest(root)["dates"][str(year)][
+                "chain_length"]
             print(
                 f"{year}: incremental, {extra['n_changed_rows']} rows "
                 f"churned, {extra['n_carried_contexts']} contexts carried "
-                f"/ {extra['n_recomputed_contexts']} recomputed "
-                "-> delta snapshot"
+                f"/ {extra['n_recomputed_contexts']} recomputed -> "
+                + (f"delta snapshot (chain {chain})" if chain
+                   else "full snapshot")
             )
         previous = state
 
@@ -109,8 +113,8 @@ def main() -> None:
 
     # Closed mode rides the same incremental machinery — the closure
     # diff re-derives closedness only for itemsets whose cover digest
-    # changed — and the publish-time CompactionPolicy keeps the delta
-    # chains short without a separate maintenance job.
+    # changed — and every publish bounds its own delta chain, so no
+    # separate maintenance job is needed.
     closed_engine = TemporalCubeEngine(
         db,
         SegregationDataCubeBuilder(
@@ -119,19 +123,17 @@ def main() -> None:
         ),
     )
     closed_root = "estonia_timeline_closed"
-    policy = CompactionPolicy(max_chain=2)
     previous = None
     for year in years:
         valid = valid_at(starts, ends, year)
         if previous is None:
             state = closed_engine.build_at(valid, year)
-            dump_into_timeline(closed_root, year, state.cube,
-                               compact=policy)
+            dump_into_timeline(closed_root, year, state.cube)
         else:
             state = closed_engine.update(previous, valid, year)
             dump_into_timeline(closed_root, year, state.cube,
                                parent_date=previous.date,
-                               parent=previous.cube, compact=policy)
+                               parent=previous.cube)
         previous = state
     extra = previous.cube.metadata.extra
     print(
@@ -145,10 +147,7 @@ def main() -> None:
         year: manifest["dates"][str(year)]["chain_length"]
         for year in years
     }
-    print(
-        f"self-compacting timeline (max_chain={policy.max_chain}): "
-        f"per-year chain lengths {chains}"
-    )
+    print(f"closed timeline: per-year chain lengths {chains}")
 
     staleness = CubeService(closed_root).info()["staleness"]
     print(

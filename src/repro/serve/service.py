@@ -151,9 +151,9 @@ class CubeService:
 
         Snapshot-backed services also report the snapshot's on-disk
         byte size and delta-chain length; timeline-backed ones report
-        both *per date* — the numbers a compaction policy (and the HTTP
-        ``/info`` endpoint) needs to weigh chain-resolution cost
-        against byte savings.
+        both *per date* — the two numbers the timeline's publish rule
+        weighs (chain-resolution cost against byte savings), read from
+        disk.
         """
         out = summarize_cube(self._cube)
         metadata = self._cube.metadata
@@ -185,8 +185,8 @@ class CubeService:
         derived ``seconds_since_publish``) comes from the timeline
         manifest the publisher stamps on every
         :func:`~repro.store.timeline.dump_into_timeline`;
-        ``chain_lengths`` is the live per-date delta-chain length —
-        after compaction, the numbers the policy left behind.
+        ``chain_lengths`` is each date's delta-chain length as read
+        from disk (at most ``MAX_CHAIN`` for dates the publisher wrote).
         """
         from datetime import datetime, timezone
 

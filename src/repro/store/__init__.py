@@ -29,15 +29,15 @@ memory-mapped, as a fully functional read-only
   without re-projecting.
 * :mod:`repro.store.timeline` — :class:`CubeTimeline` /
   :func:`dump_into_timeline`: a dated directory of snapshots where
-  each date after the first is a *delta* storing only the cells that
-  changed (plus the superseded parent rows, keyed by their packed cell
-  bitmasks), so a temporal sequence of cubes shares unchanged column
-  bytes instead of duplicating them per date.  A measured
-  :class:`CompactionPolicy` (chain length, resolved-open wall time,
-  delta-to-root byte ratio, tracked in ``timeline.json``) re-roots
-  long chains onto fresh full snapshots crash-safely
-  (:func:`compact_date` / :func:`compact_timeline`,
-  ``python -m repro.store.compact``).
+  most dates are *deltas* storing only the cells that changed since
+  the previous date (plus the superseded parent rows, keyed by their
+  packed cell bitmasks), so a temporal sequence of cubes shares
+  unchanged column bytes instead of duplicating them per date.  Each
+  publish decides once whether its date is a delta or a full
+  snapshot: full when the parent's chain already has ``MAX_CHAIN``
+  hops, or when the delta's own bytes reach ``MIN_BYTE_RATIO`` of its
+  chain root's.  A published date is never rewritten;
+  ``timeline.json`` tracks each date's chain length and own bytes.
 
 Invariant: for any built cube, ``open_snapshot(dump_snapshot(cube))``
 yields identical cells (``check_same_cells`` at ``atol=0``) and
@@ -81,19 +81,13 @@ from repro.store.snapshot import (
 )
 from repro.store.timeline import (
     TIMELINE_MANIFEST_NAME,
-    CompactionPolicy,
     CubeTimeline,
-    compact_date,
-    compact_timeline,
     dump_into_timeline,
-    measure_open_ms,
     read_timeline_manifest,
-    record_date_stats,
     timeline_dates,
 )
 
 __all__ = [
-    "CompactionPolicy",
     "CubeTimeline",
     "FORMAT_VERSION",
     "GRAPH_FORMAT_VERSION",
@@ -107,8 +101,6 @@ __all__ = [
     "ShardsManifest",
     "SnapshotManifest",
     "TIMELINE_MANIFEST_NAME",
-    "compact_date",
-    "compact_timeline",
     "delta_chain_length",
     "dump_delta_snapshot",
     "dump_graph_snapshot",
@@ -117,11 +109,9 @@ __all__ = [
     "dump_sharded_snapshot",
     "dump_snapshot",
     "is_sharded",
-    "measure_open_ms",
     "open_graph_snapshot",
     "open_snapshot",
     "read_timeline_manifest",
-    "record_date_stats",
     "shard_timeline_by_date",
     "snapshot_disk_bytes",
     "snapshot_files",

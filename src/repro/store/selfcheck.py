@@ -4,7 +4,7 @@ Two smokes for the store/serve stack, runnable anywhere::
 
     python -m repro.store.selfcheck artifacts/cube_snapshot
     python -m repro.store.selfcheck artifacts/cube_snapshot \
-        artifacts/cube_timeline --closed --compact
+        artifacts/cube_timeline --closed
 
 The snapshot directory drives the single-snapshot check: build a small
 cube from the bundled schools dataset, dump it, reopen it
@@ -20,11 +20,7 @@ unless each reopened cube is bit-identical both to the live incremental
 cube and to a from-scratch columnar build at that date.
 
 ``--closed`` runs the timeline check in closed mode (the incremental
-closure diff and the from-scratch closed build must agree bit-exactly);
-``--compact`` additionally force-compacts every delta date onto a fresh
-full root (:func:`~repro.store.timeline.compact_timeline`), verifies
-the chains collapsed to zero hops and the manifest recorded a publish
-time, and reruns the parity sweep against the compacted tree.
+closure diff and the from-scratch closed build must agree bit-exactly).
 
 Both directories are left in place so the CI job can upload them as
 artifacts.
@@ -48,12 +44,7 @@ from repro.store.snapshot import (
     open_snapshot,
     validate_snapshot,
 )
-from repro.store.timeline import (
-    CubeTimeline,
-    compact_timeline,
-    dump_into_timeline,
-    read_timeline_manifest,
-)
+from repro.store.timeline import CubeTimeline, dump_into_timeline
 
 
 def run(path: str) -> int:
@@ -81,7 +72,7 @@ def run(path: str) -> int:
     return 0
 
 
-def _parity_sweep(timeline, states, scratches, label_prefix="") -> int:
+def _parity_sweep(timeline, states, scratches) -> int:
     failures = 0
     for state in states:
         reopened = timeline.at(state.date)
@@ -90,20 +81,16 @@ def _parity_sweep(timeline, states, scratches, label_prefix="") -> int:
             problems = check_same_cells(reopened, against, atol=0.0)
             for problem in problems[:10]:
                 print(
-                    f"TIMELINE PARITY FAILURE ({label_prefix}date "
-                    f"{state.date}, vs {label}): {problem}",
+                    f"TIMELINE PARITY FAILURE (date {state.date}, "
+                    f"vs {label}): {problem}",
                     file=sys.stderr,
                 )
             failures += len(problems)
     return failures
 
 
-def run_timeline(path: str, mode: str = "all", compact: bool = False) -> int:
-    """Timeline check: build → delta-dump → chain reopen → parity x3.
-
-    With ``compact=True``, additionally: force-compact → re-reopen →
-    parity x3 against the re-rooted tree.
-    """
+def run_timeline(path: str, mode: str = "all") -> int:
+    """Timeline check: build → delta-dump → chain reopen → parity x3."""
     dates = (0, 1, 2)
     limits = {"min_population": 10, "min_minority": 3,
               "max_sa_items": 2, "max_ca_items": 2}
@@ -130,6 +117,16 @@ def run_timeline(path: str, mode: str = "all", compact: bool = False) -> int:
             parent=None if previous is None else previous.cube,
         )
         previous = state
+    # The parity below is only a delta check while the publish rule
+    # keeps dates 1 and 2 as deltas.
+    chains = [delta_chain_length(f"{path}/{s.date}") for s in states]
+    if chains != list(range(len(states))):
+        print(
+            f"TIMELINE FAILURE: chain lengths {chains}, expected deltas "
+            f"{list(range(len(states)))}",
+            file=sys.stderr,
+        )
+        return 1
 
     scratches = {
         state.date: SegregationDataCubeBuilder(
@@ -143,51 +140,14 @@ def run_timeline(path: str, mode: str = "all", compact: bool = False) -> int:
     if failures:
         return 1
 
-    if compact:
-        compacted = compact_timeline(path, force=True)
-        expected = [s.date for s in states[1:]]
-        manifest = read_timeline_manifest(path)
-        if compacted != expected:
-            print(
-                f"COMPACTION FAILURE: compacted {compacted}, "
-                f"expected {expected}",
-                file=sys.stderr,
-            )
-            return 1
-        for state in states:
-            chain = delta_chain_length(f"{path}/{state.date}")
-            if chain != 0:
-                print(
-                    f"COMPACTION FAILURE: date {state.date} still has "
-                    f"chain length {chain}",
-                    file=sys.stderr,
-                )
-                return 1
-        if not manifest.get("last_publish_at"):
-            print(
-                "COMPACTION FAILURE: timeline manifest lost "
-                "last_publish_at",
-                file=sys.stderr,
-            )
-            return 1
-        failures = _parity_sweep(
-            CubeTimeline(path), states, scratches,
-            label_prefix="compacted ",
-        )
-        if failures:
-            return 1
-
     last = states[-1].cube.metadata.extra
-    compact_note = ", force-compacted to chain 0 and re-verified" if (
-        compact
-    ) else ""
     print(
         f"timeline selfcheck OK (mode={mode}): {len(states)} dates, "
         f"{len(states[-1].cube)} cells at date {states[-1].date} "
         f"({last['n_carried_contexts']} contexts carried, "
         f"{last['n_recomputed_contexts']} recomputed, "
         f"{last['n_carried_cells']} cells carried), chain-reopened "
-        f"deltas == live == scratch at atol=0{compact_note}"
+        "deltas == live == scratch at atol=0"
     )
     return 0
 
@@ -206,17 +166,12 @@ def main(argv: "list[str] | None" = None) -> int:
         "--closed", action="store_true",
         help="run the timeline check in closed mode",
     )
-    parser.add_argument(
-        "--compact", action="store_true",
-        help="force-compact the timeline and re-verify parity",
-    )
     args = parser.parse_args(argv)
     status = run(args.snapshot_dir)
     if status == 0 and args.timeline_dir is not None:
         status = run_timeline(
             args.timeline_dir,
             mode="closed" if args.closed else "all",
-            compact=args.compact,
         )
     return status
 

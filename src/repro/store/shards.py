@@ -333,9 +333,10 @@ def dump_sharded_into_timeline(
     :func:`repro.store.timeline.dump_into_timeline`: the cube at
     ``date`` is partitioned with the *same* key-stable function at
     every date, and each partition lands as a dated snapshot inside its
-    shard's timeline directory — a delta against ``parent_date`` when
-    that date exists in the shard, a full snapshot otherwise (first
-    date, or a shard key that first appears at this date).
+    shard's timeline directory — published against ``parent_date``
+    under the timeline's publish rule when that date exists in the
+    shard, a full snapshot otherwise (first date, or a shard key that
+    first appears at this date).
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)

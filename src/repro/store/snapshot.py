@@ -203,8 +203,8 @@ def snapshot_disk_bytes(path: "str | Path") -> int:
     Sums the manifest plus every array file the manifest claims — a
     delta snapshot therefore reports only the bytes it stores itself,
     not the parent chain it composes against, which is exactly the
-    number the serving layer's ``info()`` and a future compaction
-    policy need (chain cost vs byte savings).
+    number the serving layer's ``info()`` and the timeline's publish
+    rule need (chain cost vs byte savings).
     """
     directory = Path(path)
     manifest = SnapshotManifest.read(directory)
@@ -216,28 +216,36 @@ def snapshot_disk_bytes(path: "str | Path") -> int:
     return total
 
 
+def delta_chain(path: "str | Path") -> "list[Path]":
+    """Resolved directories from ``path`` up its parents to its root.
+
+    ``chain[0]`` is ``path`` itself (resolved) and ``chain[-1]`` the
+    full snapshot the chain bottoms out on, so a full snapshot's chain
+    is just ``[path]``.  Only manifests are read (no array data), so
+    the walk is cheap enough to run on every ``info()`` call.  A cyclic
+    or unresolvable parent chain raises
+    :class:`~repro.errors.SnapshotError`.
+    """
+    directory = Path(path).resolve()
+    chain = [directory]
+    manifest = SnapshotManifest.read(directory)
+    while manifest.delta is not None:
+        directory = (directory / str(manifest.delta["parent"])).resolve()
+        if directory in chain:
+            loop = " -> ".join(str(p) for p in chain + [directory])
+            raise SnapshotError(f"cyclic snapshot parent chain: {loop}")
+        chain.append(directory)
+        manifest = SnapshotManifest.read(directory)
+    return chain
+
+
 def delta_chain_length(path: "str | Path") -> int:
     """Number of parent hops from ``path`` to its full-snapshot root.
 
     A full snapshot has length 0; a delta directly on a full snapshot
-    has length 1; and so on.  Only manifests are read (no array data),
-    so the walk is cheap enough to run on every ``info()`` call.  A
-    cyclic or unresolvable parent chain raises
-    :class:`~repro.errors.SnapshotError`.
+    has length 1; and so on (see :func:`delta_chain`).
     """
-    directory = Path(path).resolve()
-    seen = {directory}
-    length = 0
-    manifest = SnapshotManifest.read(directory)
-    while manifest.delta is not None:
-        directory = (directory / str(manifest.delta["parent"])).resolve()
-        if directory in seen:
-            loop = " -> ".join(str(p) for p in sorted(seen))
-            raise SnapshotError(f"cyclic snapshot parent chain: {loop}")
-        seen.add(directory)
-        length += 1
-        manifest = SnapshotManifest.read(directory)
-    return length
+    return len(delta_chain(path)) - 1
 
 
 def _same_vocabulary(a, b) -> bool:

@@ -1,25 +1,25 @@
-"""Property-based tests of the incremental engine and timeline compaction.
+"""Property-based tests of the incremental engine and its timelines.
 
-Three invariants, driven by hypothesis over random churn and random
-compaction orders:
+Two invariants, driven by hypothesis over random churn and random
+timeline layouts:
 
 1. However churn lands, the merged carried+recomputed cube is
    bit-identical (``check_same_cells`` at atol=0) to a from-scratch
    build — in both ``all`` and ``closed`` modes.
-2. Compaction is idempotent: once a date is a full root, compacting it
-   again (even forced) is a no-op.
-3. ``CubeTimeline.at`` parity holds before and after compacting *any*
-   subset of dates in *any* order, memory-mapped and in-memory alike.
+2. ``CubeTimeline.at`` parity holds whichever dates a publish writes
+   full and whichever it writes as deltas, memory-mapped and in-memory
+   alike.
 """
 
 from __future__ import annotations
 
 import functools
-import shutil
+import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -28,13 +28,8 @@ from repro.cube.cube import check_same_cells
 from repro.cube.incremental import TemporalCubeEngine
 from repro.data.synthetic import random_final_table
 from repro.itemsets.transactions import encode_table
-from repro.store import (
-    CubeTimeline,
-    compact_date,
-    compact_timeline,
-    delta_chain_length,
-    dump_into_timeline,
-)
+from repro.store import CubeTimeline, delta_chain_length, dump_into_timeline
+from repro.store import timeline as timeline_module
 
 N_ROWS = 800
 LIMITS = {"min_population": 15, "min_minority": 4,
@@ -100,60 +95,36 @@ def _timeline_states():
     return engine.run(dated)
 
 
-@functools.lru_cache(maxsize=1)
-def _timeline_template() -> Path:
-    root = Path(tempfile.mkdtemp(prefix="tl-prop-")) / "timeline"
-    root.mkdir()
-    previous = None
-    for state in _timeline_states():
-        dump_into_timeline(
-            root, state.date, state.cube,
-            parent_date=None if previous is None else previous.date,
-            parent=None if previous is None else previous.cube,
-        )
-        previous = state
-    return root
-
-
 @settings(max_examples=8, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(
-    order=st.permutations([1, 2, 3]),
-    n_compact=st.integers(min_value=0, max_value=3),
-)
-def test_timeline_parity_survives_any_compaction_order(order, n_compact):
+@given(full_dates=st.sets(st.sampled_from([1, 2, 3])))
+def test_timeline_parity_survives_any_compaction_order(full_dates):
+    # The publish rule is steered per date: MAX_CHAIN 0 forces a full
+    # date, an unreachable MAX_CHAIN and MIN_BYTE_RATIO force a delta.
     states = _timeline_states()
-    scratch_root = Path(tempfile.mkdtemp(prefix="tl-prop-run-"))
-    root = scratch_root / "timeline"
-    try:
-        shutil.copytree(_timeline_template(), root)
-        for date in list(order)[:n_compact]:
-            compact_date(root, date, force=True)
-            assert delta_chain_length(root / str(date)) == 0
-            # Idempotent: a fresh full root never re-compacts.
-            assert not compact_date(root, date, force=True)
+    with pytest.MonkeyPatch.context() as patch, \
+            tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch) / "timeline"
+        patch.setattr(timeline_module, "MIN_BYTE_RATIO", math.inf)
+        chains = []
+        previous = None
+        for state in states:
+            full = state.date in full_dates
+            patch.setattr(timeline_module, "MAX_CHAIN",
+                          0 if full else math.inf)
+            dump_into_timeline(
+                root, state.date, state.cube,
+                parent_date=None if previous is None else previous.date,
+                parent=None if previous is None else previous.cube,
+            )
+            chains.append(0 if previous is None or full else chains[-1] + 1)
+            previous = state
+        assert [
+            delta_chain_length(root / str(state.date)) for state in states
+        ] == chains
         for mmap in (True, False):
             timeline = CubeTimeline(root, mmap=mmap)
             for state in states:
                 assert check_same_cells(
                     state.cube, timeline.at(state.date), atol=0.0
                 ) == []
-    finally:
-        shutil.rmtree(scratch_root, ignore_errors=True)
-
-
-def test_full_force_compaction_is_idempotent():
-    scratch_root = Path(tempfile.mkdtemp(prefix="tl-prop-idem-"))
-    root = scratch_root / "timeline"
-    try:
-        shutil.copytree(_timeline_template(), root)
-        first = compact_timeline(root, force=True)
-        assert first == [1, 2, 3]
-        assert compact_timeline(root, force=True) == []
-        timeline = CubeTimeline(root)
-        for state in _timeline_states():
-            assert check_same_cells(
-                state.cube, timeline.at(state.date), atol=0.0
-            ) == []
-    finally:
-        shutil.rmtree(scratch_root, ignore_errors=True)

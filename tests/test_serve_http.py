@@ -18,7 +18,7 @@ from repro.cube.builder import build_cube
 from repro.serve import payloads
 from repro.serve.http import make_app, serve, wsgi_get
 from repro.serve.service import CubeService
-from repro.store import dump_into_timeline, dump_snapshot
+from repro.store import delta_chain_length, dump_into_timeline, dump_snapshot
 from repro.store.shards import dump_sharded_snapshot
 
 
@@ -259,7 +259,13 @@ class TestTimelineServing:
         info = json.loads(wsgi_get(timeline_app, "/info")[2])
         assert info["cache"]["generation"] == 1
         assert set(info["timeline"]["per_date"]) == {"0", "1", "2"}
-        assert info["timeline"]["per_date"]["2"]["delta_chain_length"] == 2
+        # The one-city cube shares little with date 1, so the publish
+        # rule wrote date 2 as a full snapshot.
+        per_date = info["timeline"]["per_date"]
+        assert per_date["2"]["delta_chain_length"] == 0
+        assert per_date["2"]["delta_chain_length"] == delta_chain_length(
+            root / "2"
+        )
 
     def test_explicit_date_app(self, timeline):
         root, _ = timeline

@@ -1,71 +1,104 @@
-"""Tests of timeline auto-compaction, the manifest, and staleness.
+"""Tests of the timeline publish rule, the timeline manifest, and staleness.
 
-The contract: compacting a date re-roots it onto a fresh full snapshot
-that is *bit-identical* through ``CubeTimeline.at`` — crash-safely (the
-old chain stays live until the replacement validates), idempotently
-(a full root never re-compacts), and with every measurement the policy
-used recorded in ``timeline.json``.
+The contract: each publish decides once whether its date is a delta on
+the parent date or a full snapshot — full when the parent's chain
+already has ``MAX_CHAIN`` hops, or when the delta's own bytes reach
+``MIN_BYTE_RATIO`` of its chain root's — and never touches a date
+published before it.  Every date reads back bit-identical through
+``CubeTimeline.at``, a crash at any manifest write leaves the timeline
+readable, and ``timeline.json`` records what is on disk.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
+import tempfile
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cube.builder import SegregationDataCubeBuilder
 from repro.cube.cube import check_same_cells
 from repro.cube.incremental import TemporalCubeEngine
-from repro.data.synthetic import random_temporal_final_table
+from repro.data.synthetic import random_final_table
 from repro.errors import SnapshotError
-from repro.etl.diff import valid_at
 from repro.itemsets.transactions import encode_table
 from repro.serve.service import CubeService
 from repro.store import (
     TIMELINE_MANIFEST_NAME,
-    CompactionPolicy,
     CubeTimeline,
-    compact_date,
-    compact_timeline,
+    ShardsManifest,
     delta_chain_length,
     dump_into_timeline,
+    dump_sharded_into_timeline,
     open_snapshot,
     read_timeline_manifest,
+    snapshot_disk_bytes,
     timeline_dates,
 )
-from repro.store.compact import main as compact_main
+from repro.store import timeline as timeline_module
+from repro.store.timeline import MAX_CHAIN, MIN_BYTE_RATIO
 
 DATES = (0, 1, 2, 3)
 LIMITS = {"min_population": 20, "min_minority": 5,
           "max_sa_items": 2, "max_ca_items": 2}
 
-#: A policy whose only live trigger is chain length — open-latency and
-#: byte-ratio thresholds are pushed out of reach so tests stay
-#: deterministic on any hardware.
-CHAIN_ONLY = dict(max_open_ms=1e9, min_byte_ratio=10.0)
+#: Two full chains: chain lengths run 0..MAX_CHAIN twice.
+N_SERIES_DATES = 2 * MAX_CHAIN + 2
 
 
 @pytest.fixture(scope="module")
-def states():
-    table, schema, starts, ends = random_temporal_final_table(
-        n_rows=3000, n_units=12, dates=DATES,
-        sa_attributes={"g": 2, "a": 3},
-        ca_attributes={"r": 4, "s": 3},
-        multi_valued_ca={"mv": 3},
+def series():
+    """A long low-churn closed-mode series, plus a cube far from it.
+
+    Only rows of the ``r0 & s0`` context with an empty multi-valued CA
+    set sit out, ~1% per date, so every delta stays well under
+    ``MIN_BYTE_RATIO`` of its root and only the chain rule writes full
+    dates.  ``far`` drops half the rows of the ``r0`` context: more
+    than half of its cells differ from every date of the series, so its
+    delta trips the byte rule, yet it shares the cells of the other
+    ``r`` contexts (a delta of it stores fewer rows than a full dump).
+    """
+    n_rows = 2000
+    table, schema = random_final_table(
+        n_rows, 12, sa_attributes={"g": 2, "a": 3},
+        ca_attributes={"r": 4, "s": 3}, multi_valued_ca={"mv": 3},
         seed=5, skew=0.5,
     )
     db = encode_table(table, schema)
+    pool_mask = (table.categorical("r").mask_eq("r0")
+                 & table.categorical("s").mask_eq("s0"))
+    pool_mask &= np.fromiter(
+        (len(v) == 0 for v in table.multivalued("mv").values()),
+        dtype=bool, count=n_rows,
+    )
+    pool = np.flatnonzero(pool_mask)
+    rng = np.random.default_rng(5)
+    dated = []
+    for date in range(N_SERIES_DATES):
+        mask = np.ones(n_rows, dtype=bool)
+        mask[rng.choice(pool, size=n_rows // 100, replace=False)] = False
+        dated.append((date, mask))
     engine = TemporalCubeEngine(
         db, SegregationDataCubeBuilder(engine="incremental", mode="closed",
                                        **LIMITS)
     )
-    return engine.run([(d, valid_at(starts, ends, d)) for d in DATES])
+    far_mask = ~(table.categorical("r").mask_eq("r0")
+                 & (np.arange(n_rows) % 2 == 0))
+    far = SegregationDataCubeBuilder(
+        mode="closed", **LIMITS
+    ).build_from_transactions(db.restrict(far_mask))
+    return SimpleNamespace(states=engine.run(dated), far=far)
 
 
-def _dump(states, root, compact=None):
+def _dump(states, root):
     root.mkdir(parents=True, exist_ok=True)
     previous = None
     for state in states:
@@ -73,42 +106,189 @@ def _dump(states, root, compact=None):
             root, state.date, state.cube,
             parent_date=None if previous is None else previous.date,
             parent=None if previous is None else previous.cube,
-            compact=compact,
         )
         previous = state
     return root
 
 
+def _publish_far(series, root):
+    """Publish date 0 of the series, then ``far`` as date 1 on it."""
+    parent = series.states[0].cube
+    dump_into_timeline(root, 0, parent)
+    dump_into_timeline(root, 1, series.far, parent_date=0, parent=parent)
+    return root
+
+
+def _chain_model(n_dates: int, max_chain: int) -> "list[int]":
+    """Chain lengths the chain rule alone gives a run of dates."""
+    chains: "list[int]" = []
+    for date in range(n_dates):
+        full = date == 0 or chains[-1] >= max_chain
+        chains.append(0 if full else chains[-1] + 1)
+    return chains
+
+
 @pytest.fixture()
-def timeline_dir(states, tmp_path):
-    return _dump(states, tmp_path / "timeline")
+def timeline_dir(series, tmp_path):
+    return _dump(series.states[:len(DATES)], tmp_path / "timeline")
+
+
+@pytest.fixture(scope="module")
+def series_dir(series, tmp_path_factory):
+    return _dump(series.states, tmp_path_factory.mktemp("series") / "tl")
+
+
+@pytest.fixture(scope="module")
+def far_dir(series, tmp_path_factory):
+    return _publish_far(series, tmp_path_factory.mktemp("far") / "tl")
 
 
 class TestCompactionPolicy:
-    def test_full_root_never_compacts(self):
-        policy = CompactionPolicy(max_chain=0, max_open_ms=0.0,
-                                  min_byte_ratio=0.0)
-        assert not policy.should_compact(0, open_ms=1e9, own_bytes=10,
-                                         root_bytes=1)
+    """Which dates the publish rule writes full."""
 
-    def test_chain_trigger(self):
-        policy = CompactionPolicy(max_chain=3, **CHAIN_ONLY)
-        assert not policy.should_compact(3)
-        assert policy.should_compact(4)
+    def test_chain_trigger(self, series_dir):
+        dates = timeline_dates(series_dir)
+        assert dates == list(range(N_SERIES_DATES))
+        chains = [delta_chain_length(series_dir / str(d)) for d in dates]
+        assert chains == _chain_model(N_SERIES_DATES, MAX_CHAIN)
+        assert chains[MAX_CHAIN] == MAX_CHAIN
 
-    def test_open_latency_trigger(self):
-        policy = CompactionPolicy(max_chain=10**6, max_open_ms=50.0,
-                                  min_byte_ratio=10.0)
-        assert not policy.should_compact(1, open_ms=49.0)
-        assert policy.should_compact(1, open_ms=51.0)
-        assert not policy.should_compact(1, open_ms=None)
+    def test_byte_ratio_trigger(self, series, far_dir, tmp_path,
+                                monkeypatch):
+        assert delta_chain_length(far_dir / "1") == 0
+        # The byte rule, not the chain rule, made it full: with the
+        # ratio out of reach the same publish writes a delta, whose
+        # own bytes do reach the ratio of the root's.
+        monkeypatch.setattr(timeline_module, "MIN_BYTE_RATIO", math.inf)
+        root = _publish_far(series, tmp_path / "delta")
+        assert delta_chain_length(root / "1") == 1
+        assert snapshot_disk_bytes(root / "1") >= MIN_BYTE_RATIO * (
+            snapshot_disk_bytes(root / "0")
+        )
+        assert check_same_cells(
+            series.far, open_snapshot(root / "1"), atol=0.0
+        ) == []
 
-    def test_byte_ratio_trigger(self):
-        policy = CompactionPolicy(max_chain=10**6, max_open_ms=1e9,
-                                  min_byte_ratio=0.5)
-        assert not policy.should_compact(1, own_bytes=40, root_bytes=100)
-        assert policy.should_compact(1, own_bytes=60, root_bytes=100)
-        assert not policy.should_compact(1, own_bytes=60, root_bytes=None)
+
+class TestCompactDate:
+    """A date written full, and what ``timeline.json`` records of it."""
+
+    def test_compact_rewrites_as_full_root(self, series, far_dir):
+        # The byte-triggered publish rewrites its delta directory as a
+        # full snapshot: no superseded delta array is left behind.
+        full = far_dir / "1"
+        assert delta_chain_length(full) == 0
+        assert not list(full.glob("superseded_*.npy"))
+        entry = read_timeline_manifest(far_dir)["dates"]["1"]
+        assert entry == {"chain_length": 0,
+                         "own_bytes": snapshot_disk_bytes(full)}
+        assert check_same_cells(
+            series.far, open_snapshot(full), atol=0.0
+        ) == []
+
+    def test_policy_decides_and_records(self, series_dir):
+        manifest = read_timeline_manifest(series_dir)["dates"]
+        assert set(manifest) == {str(d) for d in range(N_SERIES_DATES)}
+        for date in timeline_dates(series_dir):
+            assert manifest[str(date)] == {
+                "chain_length": delta_chain_length(series_dir / str(date)),
+                "own_bytes": snapshot_disk_bytes(series_dir / str(date)),
+            }
+        assert manifest[str(MAX_CHAIN + 1)]["chain_length"] == 0
+
+
+class TestCompactTimeline:
+    """A timeline holding checkpoint dates reads back bit-identical."""
+
+    def test_compacted_timeline_round_trips_through_dump(self, series,
+                                                        series_dir):
+        for mmap in (True, False):
+            timeline = CubeTimeline(series_dir, mmap=mmap)
+            for state in series.states:
+                assert check_same_cells(
+                    state.cube, timeline.at(state.date), atol=0.0
+                ) == []
+
+    def test_relocatable_after_compaction(self, series, series_dir,
+                                          tmp_path):
+        moved = shutil.copytree(series_dir, tmp_path / "moved" / "tl")
+        timeline = CubeTimeline(moved)
+        for state in series.states:
+            assert check_same_cells(
+                state.cube, timeline.at(state.date), atol=0.0
+            ) == []
+
+
+class TestPublishRule:
+    def test_published_dates_are_never_rewritten(self, series, tmp_path):
+        root = tmp_path / "tl"
+        seen: "dict[Path, tuple[int, int, bytes]]" = {}
+        previous = None
+        publishes = [(s.date, s.cube) for s in series.states]
+        publishes.append((N_SERIES_DATES, series.far))   # byte-triggered
+        for date, cube in publishes:
+            dump_into_timeline(
+                root, date, cube,
+                parent_date=None if previous is None else previous[0],
+                parent=None if previous is None else previous[1],
+            )
+            for file in (root / str(date)).iterdir():
+                stat = file.stat()
+                seen[file] = (stat.st_ino, stat.st_mtime_ns,
+                              file.read_bytes())
+            previous = (date, cube)
+        assert delta_chain_length(root / str(N_SERIES_DATES)) == 0
+        for date, _ in publishes:
+            files = set((root / str(date)).iterdir())
+            assert files == {f for f in seen if f.parent.name == str(date)}
+        for file, (inode, mtime, content) in seen.items():
+            stat = file.stat()
+            assert (stat.st_ino, stat.st_mtime_ns) == (inode, mtime), file
+            assert file.read_bytes() == content, file
+
+    def test_sharded_chains_stay_bounded(self, series, tmp_path):
+        root = tmp_path / "sharded"
+        n_dates = MAX_CHAIN + 3
+        for state in series.states[:n_dates]:
+            dump_sharded_into_timeline(
+                root, state.date, state.cube, by="hash", n_shards=2,
+                parent_date=None if state.date == 0 else state.date - 1,
+            )
+        entries = ShardsManifest.read(root).entries
+        assert len(entries) == 2
+        for entry in entries:
+            shard_root = root / entry.path
+            assert timeline_dates(shard_root) == list(range(n_dates))
+            chains = [
+                delta_chain_length(shard_root / str(d))
+                for d in range(n_dates)
+            ]
+            assert max(chains) <= MAX_CHAIN
+            assert chains == _chain_model(n_dates, MAX_CHAIN)
+
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(max_chain=st.sampled_from([0, 1, 2]),
+           n_dates=st.integers(min_value=1, max_value=8))
+    def test_layout_for_any_max_chain(self, series, max_chain, n_dates):
+        with pytest.MonkeyPatch.context() as patch, \
+                tempfile.TemporaryDirectory() as scratch:
+            patch.setattr(timeline_module, "MAX_CHAIN", max_chain)
+            root = _dump(series.states[:n_dates], Path(scratch) / "tl")
+            chains = [
+                delta_chain_length(root / str(d)) for d in range(n_dates)
+            ]
+            assert chains == _chain_model(n_dates, max_chain)
+            manifest = read_timeline_manifest(root)["dates"]
+            assert [
+                manifest[str(d)]["chain_length"] for d in range(n_dates)
+            ] == chains
+            for mmap in (True, False):
+                timeline = CubeTimeline(root, mmap=mmap)
+                for state in series.states[:n_dates]:
+                    assert check_same_cells(
+                        state.cube, timeline.at(state.date), atol=0.0
+                    ) == []
 
 
 class TestTimelineManifest:
@@ -139,24 +319,29 @@ class TestTimelineManifest:
             read_timeline_manifest(timeline_dir)
 
     def test_manifest_file_is_not_a_date(self, timeline_dir):
-        # timeline.json (and scratch dirs) must stay invisible to readers.
+        # timeline.json (and the manifest-less directory a crashed
+        # publish leaves) must stay invisible to readers.
+        (timeline_dir / "4").mkdir()
         assert timeline_dates(timeline_dir) == list(DATES)
         assert CubeTimeline(timeline_dir).dates == list(DATES)
 
     def test_failed_manifest_replace_keeps_timeline_readable(
-        self, states, tmp_path, monkeypatch
+        self, series, tmp_path, monkeypatch
     ):
-        # One compacting publish writes its manifests through os.replace:
-        # the delta's manifest.json, the re-rooted one and timeline.json.
-        # Failing each replace in turn must leave the previous
-        # timeline.json parseable and every listed date openable.
-        base = _dump(states[:-1], tmp_path / "base")
-        parent, last = states[-2], states[-1]
-        cube_at = {state.date: state.cube for state in states}
+        # A publish writes its manifests through os.replace: a delta
+        # publish replaces the date's manifest.json and timeline.json; a
+        # byte-triggered one replaces manifest.json twice (delta, then
+        # full) and timeline.json.  Failing each replace in turn must
+        # leave timeline.json parseable, every listed date opening at
+        # atol=0 and no temporary file behind — and publishing the date
+        # again must give the layout of an uninterrupted publish.
+        base = _dump(series.states[:3], tmp_path / "base")
+        parent = series.states[2].cube
+        cube_at = {state.date: state.cube for state in series.states[:3]}
         real_replace = os.replace
         replaced = []
 
-        def publish(root, fail_at=None):
+        def publish(root, cube, fail_at=None):
             def replace(src, dst):
                 replaced.append(dst)
                 if len(replaced) - 1 == fail_at:
@@ -166,155 +351,42 @@ class TestTimelineManifest:
             replaced.clear()
             monkeypatch.setattr(os, "replace", replace)
             try:
-                dump_into_timeline(
-                    root, last.date, last.cube,
-                    parent_date=parent.date, parent=parent.cube,
-                    compact=CompactionPolicy(max_chain=0, **CHAIN_ONLY),
-                )
+                dump_into_timeline(root, 3, cube, parent_date=2,
+                                   parent=parent)
             finally:
                 monkeypatch.setattr(os, "replace", real_replace)
 
-        publish(shutil.copytree(base, tmp_path / "whole"))
-        n_writes = len(replaced)
-        assert n_writes >= 3
-        for crash in range(n_writes):
-            root = shutil.copytree(base, tmp_path / f"crash-{crash}")
-            with pytest.raises(OSError, match="injected"):
-                publish(root, fail_at=crash)
-            json.loads((root / TIMELINE_MANIFEST_NAME).read_text())
-            read_timeline_manifest(root)
-            for date in timeline_dates(root):
-                reopened = open_snapshot(root / str(date))
+        def files(root):
+            return sorted(
+                path.relative_to(root) for path in root.rglob("*")
+            )
+
+        for kind, cube, n_replaces, chain in (
+            ("delta", series.states[3].cube, 2, 3),
+            ("full", series.far, 3, 0),
+        ):
+            cube_at[3] = cube
+            whole = shutil.copytree(base, tmp_path / kind)
+            publish(whole, cube)
+            assert len(replaced) == n_replaces
+            assert delta_chain_length(whole / "3") == chain
+            for crash in range(n_replaces):
+                root = shutil.copytree(base, tmp_path / f"{kind}-{crash}")
+                with pytest.raises(OSError, match="injected"):
+                    publish(root, cube, fail_at=crash)
+                json.loads((root / TIMELINE_MANIFEST_NAME).read_text())
+                read_timeline_manifest(root)
+                for date in timeline_dates(root):
+                    reopened = open_snapshot(root / str(date))
+                    assert check_same_cells(
+                        cube_at[date], reopened, atol=0.0
+                    ) == []
+                assert not list(root.rglob("*.tmp"))
+                publish(root, cube)
+                assert files(root) == files(whole)
                 assert check_same_cells(
-                    cube_at[date], reopened, atol=0.0
+                    cube, open_snapshot(root / "3"), atol=0.0
                 ) == []
-            assert not list(root.rglob("*.tmp"))
-
-
-class TestCompactDate:
-    def test_compact_rewrites_as_full_root(self, states, timeline_dir):
-        assert compact_date(timeline_dir, 3, force=True)
-        assert delta_chain_length(timeline_dir / "3") == 0
-        reopened = open_snapshot(timeline_dir / "3", mmap=False)
-        assert check_same_cells(states[3].cube, reopened, atol=0.0) == []
-
-    def test_full_root_is_a_noop_even_forced(self, timeline_dir):
-        assert not compact_date(timeline_dir, 0, force=True)
-        assert delta_chain_length(timeline_dir / "0") == 0
-
-    def test_compaction_is_idempotent(self, states, timeline_dir):
-        assert compact_date(timeline_dir, 2, force=True)
-        assert not compact_date(timeline_dir, 2, force=True)
-        reopened = open_snapshot(timeline_dir / "2", mmap=False)
-        assert check_same_cells(states[2].cube, reopened, atol=0.0) == []
-
-    def test_child_of_compacted_parent_still_resolves(
-        self, states, timeline_dir
-    ):
-        # Re-rooting 2 must leave the 3 -> 2 delta resolvable bit-exactly:
-        # superseded keys and digests are row-order independent.
-        assert compact_date(timeline_dir, 2, force=True)
-        assert delta_chain_length(timeline_dir / "3") == 1
-        reopened = open_snapshot(timeline_dir / "3", mmap=False)
-        assert check_same_cells(states[3].cube, reopened, atol=0.0) == []
-
-    def test_policy_decides_and_records(self, timeline_dir):
-        policy = CompactionPolicy(max_chain=2, **CHAIN_ONLY)
-        assert not compact_date(timeline_dir, 1, policy=policy)
-        assert compact_date(timeline_dir, 3, policy=policy)
-        manifest = read_timeline_manifest(timeline_dir)
-        assert manifest["dates"]["1"]["chain_length"] == 1
-        assert manifest["dates"]["3"]["chain_length"] == 0
-
-    def test_crash_between_renames_recovers(self, states, timeline_dir):
-        # Simulate: old chain renamed away, crash before new root lands.
-        (timeline_dir / "3").rename(timeline_dir / "3.pre-compact")
-        assert 3 not in timeline_dates(timeline_dir)
-        assert compact_date(timeline_dir, 3, force=True)
-        reopened = open_snapshot(timeline_dir / "3", mmap=False)
-        assert check_same_cells(states[3].cube, reopened, atol=0.0) == []
-
-    def test_stale_scratch_is_cleaned_up(self, states, timeline_dir):
-        scratch = timeline_dir / "3.compacting"
-        scratch.mkdir()
-        (scratch / "junk.npy").write_bytes(b"junk")
-        assert compact_date(timeline_dir, 3, force=True)
-        assert not scratch.exists()
-        reopened = open_snapshot(timeline_dir / "3", mmap=False)
-        assert check_same_cells(states[3].cube, reopened, atol=0.0) == []
-
-
-class TestCompactTimeline:
-    def test_force_compacts_every_delta_date(self, states, timeline_dir):
-        assert compact_timeline(timeline_dir, force=True) == [1, 2, 3]
-        for mmap in (True, False):
-            timeline = CubeTimeline(timeline_dir, mmap=mmap)
-            for state in states:
-                assert check_same_cells(
-                    state.cube, timeline.at(state.date), atol=0.0
-                ) == []
-
-    def test_ascending_cascade_shortens_descendants_first(
-        self, timeline_dir
-    ):
-        # Compacting 2 (chain 2 > 1) shortens 3's chain to a single hop,
-        # so 3 no longer triggers: measured decisions, made in order.
-        policy = CompactionPolicy(max_chain=1, **CHAIN_ONLY)
-        assert compact_timeline(timeline_dir, policy) == [2]
-        assert delta_chain_length(timeline_dir / "3") == 1
-
-    def test_compacted_timeline_round_trips_through_dump(
-        self, states, tmp_path
-    ):
-        policy = CompactionPolicy(max_chain=1, **CHAIN_ONLY)
-        root = _dump(states, tmp_path / "inline", compact=policy)
-        manifest = read_timeline_manifest(root)
-        assert all(
-            entry["chain_length"] <= 1
-            for entry in manifest["dates"].values()
-        )
-        timeline = CubeTimeline(root)
-        for state in states:
-            assert check_same_cells(
-                state.cube, timeline.at(state.date), atol=0.0
-            ) == []
-
-    def test_relocatable_after_compaction(self, states, timeline_dir,
-                                          tmp_path):
-        compact_timeline(timeline_dir, force=True)
-        moved = tmp_path / "elsewhere" / "tl"
-        shutil.copytree(timeline_dir, moved)
-        reopened = open_snapshot(moved / "3")
-        assert check_same_cells(states[3].cube, reopened, atol=0.0) == []
-
-
-class TestCompactCli:
-    def test_dry_run_touches_nothing(self, timeline_dir, capsys):
-        assert compact_main([str(timeline_dir), "--dry-run",
-                             "--max-chain", "1",
-                             "--max-open-ms", "1e9",
-                             "--min-byte-ratio", "10"]) == 0
-        out = capsys.readouterr().out
-        assert "would compact" in out
-        assert delta_chain_length(timeline_dir / "3") == 3
-
-    def test_force_compacts_and_reports(self, states, timeline_dir, capsys):
-        assert compact_main([str(timeline_dir), "--force"]) == 0
-        out = capsys.readouterr().out
-        assert "compacted 3/4 dates" in out
-        for d in DATES:
-            assert delta_chain_length(timeline_dir / str(d)) == 0
-        timeline = CubeTimeline(timeline_dir)
-        for state in states:
-            assert check_same_cells(
-                state.cube, timeline.at(state.date), atol=0.0
-            ) == []
-
-    def test_single_date_selection(self, timeline_dir):
-        assert compact_main([str(timeline_dir), "--force",
-                             "--date", "2"]) == 0
-        assert delta_chain_length(timeline_dir / "2") == 0
-        assert delta_chain_length(timeline_dir / "1") == 1
 
 
 class TestServiceStaleness:
@@ -336,17 +408,18 @@ class TestServiceStaleness:
         assert staleness["served_date"] == 1
         assert staleness["dates_behind"] == 2
 
-    def test_chain_lengths_reflect_compaction(self, timeline_dir):
-        compact_timeline(timeline_dir, force=True)
-        service = CubeService(timeline_dir)
-        staleness = service.info()["staleness"]
+    def test_chain_lengths_reflect_compaction(self, series_dir):
+        # Date MAX_CHAIN + 1 of the series is a chain-triggered full date.
+        staleness = CubeService(series_dir).info()["staleness"]
+        model = _chain_model(N_SERIES_DATES, MAX_CHAIN)
         assert staleness["chain_lengths"] == {
-            "0": 0, "1": 0, "2": 0, "3": 0
+            str(date): chain for date, chain in enumerate(model)
         }
+        assert staleness["chain_lengths"][str(MAX_CHAIN + 1)] == 0
 
-    def test_snapshot_service_has_no_staleness(self, states, tmp_path):
+    def test_snapshot_service_has_no_staleness(self, series, tmp_path):
         from repro.store import dump_snapshot
 
-        dump_snapshot(states[0].cube, tmp_path / "snap")
+        dump_snapshot(series.states[0].cube, tmp_path / "snap")
         info = CubeService(tmp_path / "snap").info()
         assert "staleness" not in info
