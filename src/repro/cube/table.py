@@ -289,6 +289,15 @@ class CellTable:
         return self._keys
 
     @property
+    def decoded_keys(self) -> "list[CellKey] | None":
+        """The row keys when already decoded (or given), else None.
+
+        Never decodes: a table composed from this one reuses these key
+        objects for the rows it keeps, and otherwise stays lazy.
+        """
+        return self._keys
+
+    @property
     def sa_sizes(self) -> np.ndarray:
         """Per-cell SA itemset size."""
         return self._ensure_sizes()[0]

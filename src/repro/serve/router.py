@@ -51,6 +51,7 @@ from repro.store.shards import (
     hash_shard_of_key,
     is_sharded,
 )
+from repro.store.timeline import timeline_dates
 
 
 def open_service(
@@ -187,18 +188,21 @@ class ShardedCubeService:
         """A fresh router when new data was published, else None.
 
         ``date`` mode re-reads ``shards.json`` (publishing a date adds
-        an entry); timeline-sharded modes ask a shard whether its
-        timeline grew.  Like
+        an entry); timeline-sharded modes list the point shard's
+        timeline dates.  Either way only the successor router opens
+        snapshots.  Like
         :meth:`~repro.serve.service.CubeService.refreshed`, the
         existing instance is never mutated.
         """
         if self._manifest.sharded_by == "date":
             fresh_manifest = ShardsManifest.read(self._root)
-            fresh_dates = sorted(e.date for e in fresh_manifest.entries)
-            if not fresh_dates or fresh_dates[-1] == self._date:
+            dates = sorted(e.date for e in fresh_manifest.entries)
+        else:
+            timeline_root = self._point_service().timeline_root
+            if timeline_root is None:
                 return None
-            return ShardedCubeService(self._root, mmap=self._mmap)
-        if self._point_service().refreshed() is None:
+            dates = timeline_dates(timeline_root)
+        if not dates or dates[-1] == self._date:
             return None
         return ShardedCubeService(self._root, mmap=self._mmap)
 

@@ -20,7 +20,14 @@ unless:
   coordinate → 400, unknown index → 400, missing cell → 404, all with
   JSON bodies;
 * a second pass over the same queries is answered by the hot-query
-  cache (hit counter grows, bodies unchanged).
+  cache (hit counter grows, bodies unchanged);
+* a timeline refresh serves exactly what a fresh server would: date 0
+  is published and served, then dates 1 and 2 are published as deltas,
+  each followed by ``POST /refresh``.  After each refresh ``/dates``
+  reports the new served date and every endpoint body equals that of a
+  fresh :func:`~repro.serve.http.make_app` over the same timeline, byte
+  for byte (``/info`` up to its cache counters and the clock-derived
+  ``seconds_since_publish``).
 
 The directory is left in place so the CI job can upload it as an
 artifact.
@@ -29,16 +36,21 @@ artifact.
 from __future__ import annotations
 
 import json
+import shutil
 import sys
 from pathlib import Path
 
-from repro.cube.builder import build_cube
+from repro.cube.builder import SegregationDataCubeBuilder, build_cube
 from repro.data.schools import generate_schools
+from repro.data.synthetic import random_temporal_final_table
+from repro.etl.diff import valid_at
+from repro.itemsets.transactions import encode_table
 from repro.serve import payloads
 from repro.serve.http import make_app, wsgi_get
 from repro.serve.service import CubeService
 from repro.store.shards import dump_sharded_snapshot
-from repro.store.snapshot import dump_snapshot
+from repro.store.snapshot import delta_chain_length, dump_snapshot
+from repro.store.timeline import dump_into_timeline
 
 QUERIES = (
     "/info",
@@ -49,6 +61,19 @@ QUERIES = (
     "/children?sa=ethnicity%3Dminority",
     "/parents?sa=ethnicity%3Dminority&ca=city%3DRivertown",
     "/pivot?index=D&rows=ethnicity&cols=city",
+)
+
+#: The timeline pass's queries, over its synthetic world's attributes.
+TIMELINE_QUERIES = (
+    "/info",
+    "/dates",
+    "/top?index=D&k=10",
+    "/slice?ca=r%3Dr0",
+    "/cell?sa=g%3Dg0",
+    "/children?sa=g%3Dg0",
+    "/parents?sa=g%3Dg0&ca=r%3Dr0",
+    "/pivot?index=D&rows=g&cols=r",
+    "/trend?index=D&sa=g%3Dg0&ca=r%3Dr0",
 )
 
 
@@ -171,15 +196,86 @@ def run(path: str) -> int:
     after = single.service.cache.stats()["hits"]
     check("cache hits grew", after > before, f"({before} -> {after})")
 
+    run_timeline(root / "timeline", check)
     if failures:
         return 1
     print(
         f"serve selfcheck OK: {len(QUERIES)} endpoints byte-identical to "
         f"in-process payloads over {len(reference.cube)} cells, sharded "
         f"(4 hash shards) == unsharded, errors map to 400/404, "
-        f"{after - before} warm-pass cache hits"
+        f"{after - before} warm-pass cache hits; 2 timeline refreshes "
+        f"serve {len(TIMELINE_QUERIES)} endpoints byte-identical to a "
+        "fresh server"
     )
     return 0
+
+
+def _comparable(query: str, body: bytes) -> bytes:
+    """``body`` without what legitimately differs between two servers.
+
+    Only ``/info`` has such parts: the cache counters, and the seconds
+    since the last publish, which the clock moves between the calls.
+    """
+    if query != "/info":
+        return body
+    info = json.loads(body)
+    info.pop("cache", None)
+    info.get("staleness", {}).pop("seconds_since_publish", None)
+    return json.dumps(info, sort_keys=True).encode()
+
+
+def run_timeline(root: Path, check) -> None:
+    """Refresh parity, reported through ``check(label, condition)``."""
+    # A rerun starts over: dates left by an earlier run would already be
+    # served, and nothing would be left to refresh onto.
+    shutil.rmtree(root, ignore_errors=True)
+    dates = (0, 1, 2)
+    table, schema, starts, ends = random_temporal_final_table(
+        n_rows=4000, n_units=12, dates=dates,
+        sa_attributes={"g": 2, "a": 3},
+        ca_attributes={"r": 4, "s": 3},
+        multi_valued_ca={"mv": 3},
+        seed=5, skew=0.5,
+    )
+    db = encode_table(table, schema)
+    builder = SegregationDataCubeBuilder(
+        min_population=10, min_minority=3, max_sa_items=2, max_ca_items=2
+    )
+    cubes = [
+        builder.build_from_transactions(
+            db.restrict(valid_at(starts, ends, date))
+        )
+        for date in dates
+    ]
+    dump_into_timeline(root, dates[0], cubes[0])
+    served = make_app(root)
+    for date in dates[1:]:
+        dump_into_timeline(
+            root, date, cubes[date], parent_date=date - 1,
+            parent=cubes[date - 1],
+        )
+        # The refresh below is only a delta hop while the publish rule
+        # keeps dates 1 and 2 as deltas.
+        check(f"timeline date {date} is a delta",
+              delta_chain_length(root / str(date)) == date)
+        status, _, body = wsgi_get(served, "/refresh", method="POST")
+        check(f"timeline refresh to date {date}",
+              (status, body) == (200, b'{"refreshed":true}'),
+              f"(got {status}, {body[:80]!r})")
+        status, _, body = wsgi_get(served, "/dates")
+        check(f"timeline /dates after refresh to {date}",
+              json.loads(body)["served_date"] == date,
+              f"(got {body!r})")
+        fresh = make_app(root)
+        for query in TIMELINE_QUERIES:
+            status, _, body = wsgi_get(served, query)
+            want_status, _, want = wsgi_get(fresh, query)
+            check(f"timeline date {date} {query} status",
+                  status == want_status == 200,
+                  f"(got {status}, fresh {want_status})")
+            check(f"timeline date {date} {query} byte parity",
+                  _comparable(query, body) == _comparable(query, want),
+                  f"({len(body)} vs {len(want)} bytes)")
 
 
 def main(argv: "list[str]") -> int:

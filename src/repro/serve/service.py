@@ -5,7 +5,8 @@ One service instance wraps a live
 (opened via :func:`repro.store.open_snapshot`, memory-mapped by
 default) or a **timeline** directory of dated snapshots — a path
 without a top-level manifest is treated as a
-:class:`~repro.store.timeline.CubeTimeline` and the ``date`` argument
+:class:`~repro.store.timeline.CubeTimeline` (an opened one is accepted
+as well) and the ``date`` argument
 routes queries to one dated cube (latest by default); the other dates
 stay one :meth:`trend` call away.  Construction *warms* the served
 cube's derived lookup structures — decoded keys, size vectors, the
@@ -19,13 +20,16 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from pathlib import Path
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from repro.cube.cell import CellStats
 from repro.cube.coordinates import CellKey, encode_query
 from repro.cube.cube import SegregationCube
 from repro.cube.explorer import Discovery, summarize_cube, top_contexts
 from repro.errors import SnapshotError
+
+if TYPE_CHECKING:
+    from repro.store.timeline import CubeTimeline
 
 Coordinates = Union[Mapping[str, object], None]
 
@@ -57,18 +61,18 @@ class CubeService:
 
     def __init__(
         self,
-        source: "SegregationCube | str | Path",
+        source: "SegregationCube | CubeTimeline | str | Path",
         mmap: bool = True,
         date: "int | None" = None,
     ):
+        from repro.store.manifest import MANIFEST_NAME
+        from repro.store.snapshot import open_snapshot
+        from repro.store.timeline import CubeTimeline
+
         self._timeline = None
         self._date: "int | None" = None
         self._mmap = bool(mmap)
         if isinstance(source, (str, Path)):
-            from repro.store.manifest import MANIFEST_NAME
-            from repro.store.snapshot import open_snapshot
-            from repro.store.timeline import CubeTimeline
-
             path = Path(source)
             if (path / MANIFEST_NAME).is_file():
                 if date is not None:
@@ -76,22 +80,19 @@ class CubeService:
                         f"{path} is a single snapshot; date routing needs "
                         "a timeline directory of dated snapshots"
                     )
-                cube = open_snapshot(path, mmap=mmap)
+                source = open_snapshot(path, mmap=mmap)
             else:
-                self._timeline = CubeTimeline(path, mmap=mmap)
-                self._date = (
-                    int(date) if date is not None
-                    else self._timeline.dates[-1]
-                )
-                cube = self._timeline.at(self._date)
-        else:
-            if date is not None:
-                raise SnapshotError(
-                    "date routing needs a timeline directory, not a live "
-                    "cube"
-                )
-            cube = source
-        self._cube = _warm(cube)
+                source = CubeTimeline(path, mmap=mmap)
+        if isinstance(source, CubeTimeline):
+            self._timeline = source
+            self._date = int(date) if date is not None else source.dates[-1]
+            source = source.at(self._date)
+        elif date is not None:
+            raise SnapshotError(
+                "date routing needs a timeline directory, not a live "
+                "cube"
+            )
+        self._cube = _warm(source)
 
     @property
     def cube(self) -> SegregationCube:
@@ -125,22 +126,35 @@ class CubeService:
     def refreshed(self) -> "CubeService | None":
         """A fresh service over the latest published date, or None.
 
-        Timeline-backed services only: re-scans the timeline directory
-        and, when a newer date than the currently served one has been
-        published, returns a *new* service over it (the existing
+        Timeline-backed services only: re-lists the timeline directory
+        once and, when a newer date than the currently served one has
+        been published, returns a *new* service over it (the existing
         instance keeps serving its date untouched — readers in flight
         never see state change under them).  Returns None when there is
         nothing newer; the cache layer uses this to decide whether a
         publish happened and stale entries must be evicted.
+
+        The new date opens with the served cube already resolved
+        (:meth:`~repro.store.timeline.CubeTimeline.adopt`): a delta on
+        the served date composes one hop, a full (checkpoint) date none,
+        and each date published but not yet served adds one hop.  The
+        served date's own chain is not re-read from disk.  That is safe
+        because the served cube was checked when it was opened, a
+        published date is never rewritten, and the new date's content
+        digest still verifies the whole composed table, so a served cube
+        that disagreed with the disk would fail the open.  A failed open
+        raises :class:`~repro.errors.SnapshotError` and leaves this
+        service as it was.
         """
         if self._timeline is None:
             return None
-        from repro.store.timeline import timeline_dates
+        from repro.store.timeline import CubeTimeline
 
-        dates = timeline_dates(self._timeline.root)
-        if not dates or dates[-1] == self._date:
+        timeline = CubeTimeline(self._timeline.root, mmap=self._mmap)
+        if timeline.dates[-1] == self._date:
             return None
-        return CubeService(self._timeline.root, mmap=self._mmap)
+        timeline.adopt(self._date, self._cube)
+        return CubeService(timeline, mmap=self._mmap)
 
     # ------------------------------------------------------------------
     # Queries

@@ -14,10 +14,10 @@ A snapshot is a directory::
 The cell *keys* are not stored separately: they are exactly the packed
 bitmasks, decoded lazily on reopen by
 :meth:`~repro.cube.table.CellTable.keys`.  Reopening therefore costs a
-manifest parse plus one ``np.load`` per column — with ``mmap=True``
-(the default) no array data is read until a query touches it, which is
-what makes cold serving start in milliseconds instead of re-running
-ETL → mining → fill (benchmark E18).
+manifest parse plus one checked ``np.load`` per array — with
+``mmap=True`` (the default) no array data is read until a query touches
+it, which is what makes cold serving start in milliseconds instead of
+re-running ETL → mining → fill (benchmark E18).
 
 A **delta** snapshot (:func:`dump_delta_snapshot`) has the same layout
 but stores only the cells that are new or changed relative to a
@@ -27,7 +27,11 @@ supersedes (``superseded_sa.npy`` / ``superseded_ca.npy``) and a
 path, so a timeline directory is relocatable as a unit).  Reopening a
 delta resolves the parent chain — full snapshot at the root, cycle- and
 corruption-checked — and composes the cell table as *parent rows minus
-superseded plus own rows*.  A timeline of cubes with small inter-date
+superseded plus own rows*.  Each hop of that chain reads each of its
+own arrays once, into memory (composing copies them at once), finds the
+superseded parent rows with a sort and a binary search over the rows'
+packed mask words, and verifies the composed table against the
+recorded content digest.  A timeline of cubes with small inter-date
 churn therefore shares the unchanged column bytes with its root
 instead of duplicating them per date (benchmark E19).
 
@@ -47,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.cube.cube import SegregationCube
-from repro.cube.table import CellTable, TableArrays
+from repro.cube.table import CellTable, TableArrays, unpack_masks
 from repro.errors import SnapshotError
 from repro.store.manifest import (
     MANIFEST_NAME,
@@ -153,14 +157,39 @@ def dump_snapshot(cube: SegregationCube, path: "str | Path") -> Path:
     return _finish_dump(directory, manifest)
 
 
-def _row_mask_keys(table: CellTable) -> "list[bytes]":
-    """One hashable key per cell row: its packed (SA, CA) bitmask bytes."""
+def _row_keys(sa_masks: np.ndarray, ca_masks: np.ndarray) -> np.ndarray:
+    """One opaque ``np.void`` scalar per row: its packed (SA, CA) words.
+
+    Void scalars compare as their raw bytes, so numpy sorts and searches
+    them in exactly the order Python gives the rows' ``bytes``.
+    """
     combined = np.ascontiguousarray(
         np.concatenate(
-            [np.asarray(table.sa_masks), np.asarray(table.ca_masks)], axis=1
+            [np.asarray(sa_masks, dtype=np.uint64),
+             np.asarray(ca_masks, dtype=np.uint64)],
+            axis=1,
         )
     )
-    return [combined[i].tobytes() for i in range(len(combined))]
+    row_dtype = np.dtype(
+        (np.void, combined.dtype.itemsize * combined.shape[1])
+    )
+    return combined.view(row_dtype).reshape(len(combined))
+
+
+def _find_rows(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """For each query, the last row of ``keys`` equal to it, or -1.
+
+    The row a ``{key: row}`` dict over ``keys`` would hold, found with
+    one stable sort of ``keys`` and a binary search per query.
+    """
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.searchsorted(ordered, queries, side="left")
+    after = np.searchsorted(ordered, queries, side="right")
+    found = after > first
+    rows = np.full(len(queries), -1, dtype=np.int64)
+    rows[found] = order[after[found] - 1]
+    return rows
 
 
 def table_digest(table: CellTable) -> str:
@@ -172,9 +201,8 @@ def table_digest(table: CellTable) -> str:
     and only when — they hold bit-identical cells (NaN patterns
     included).
     """
-    order = np.asarray(
-        sorted(range(len(table)), key=_row_mask_keys(table).__getitem__),
-        dtype=np.int64,
+    order = np.argsort(
+        _row_keys(table.sa_masks, table.ca_masks), kind="stable"
     )
     digest = hashlib.sha256()
     for name, array, dtype in (
@@ -325,48 +353,41 @@ def dump_delta_snapshot(
     # ones with one bitwise comparison per column (floats are compared
     # through their uint64 bit patterns: deterministic fills make
     # unchanged cells bit-identical, NaNs included).
-    parent_rows = {
-        key: i for i, key in enumerate(_row_mask_keys(parent_table))
-    }
-    own_rows: "list[int]" = []
-    matched_child: "list[int]" = []
-    matched_parent: "list[int]" = []
-    for j, key in enumerate(_row_mask_keys(child_table)):
-        i = parent_rows.pop(key, None)
-        if i is None:
-            own_rows.append(j)
-        else:
-            matched_child.append(j)
-            matched_parent.append(i)
-    superseded = sorted(parent_rows.values())   # deleted outright
-    if matched_child:
-        child_idx = np.asarray(matched_child, dtype=np.int64)
-        parent_idx = np.asarray(matched_parent, dtype=np.int64)
+    parent_of = _find_rows(
+        _row_keys(parent_table.sa_masks, parent_table.ca_masks),
+        _row_keys(child_table.sa_masks, child_table.ca_masks),
+    )
+    child_idx = np.flatnonzero(parent_of >= 0)
+    parent_idx = parent_of[child_idx]
+    deleted = np.ones(len(parent_table), dtype=bool)
+    deleted[parent_idx] = False
 
-        def col(table: CellTable, name: str) -> np.ndarray:
-            return np.asarray(table.arrays.columns[name])
+    def col(table: CellTable, name: str) -> np.ndarray:
+        return np.asarray(table.arrays.columns[name])
 
-        differs = (
-            (np.asarray(parent_table.population)[parent_idx]
-             != np.asarray(child_table.population)[child_idx])
-            | (np.asarray(parent_table.minority)[parent_idx]
-               != np.asarray(child_table.minority)[child_idx])
-            | (np.asarray(parent_table.n_units)[parent_idx]
-               != np.asarray(child_table.n_units)[child_idx])
-        )
-        for name in child_table.columns:
-            parent_bits = np.ascontiguousarray(
-                col(parent_table, name)[parent_idx]
-            ).view(np.uint64)
-            child_bits = np.ascontiguousarray(
-                col(child_table, name)[child_idx]
-            ).view(np.uint64)
-            differs |= parent_bits != child_bits
-        own_rows.extend(child_idx[differs].tolist())
-        superseded.extend(parent_idx[differs].tolist())
+    differs = (
+        (np.asarray(parent_table.population)[parent_idx]
+         != np.asarray(child_table.population)[child_idx])
+        | (np.asarray(parent_table.minority)[parent_idx]
+           != np.asarray(child_table.minority)[child_idx])
+        | (np.asarray(parent_table.n_units)[parent_idx]
+           != np.asarray(child_table.n_units)[child_idx])
+    )
+    for name in child_table.columns:
+        parent_bits = np.ascontiguousarray(
+            col(parent_table, name)[parent_idx]
+        ).view(np.uint64)
+        child_bits = np.ascontiguousarray(
+            col(child_table, name)[child_idx]
+        ).view(np.uint64)
+        differs |= parent_bits != child_bits
 
-    own_idx = np.asarray(sorted(own_rows), dtype=np.int64)
-    superseded_idx = np.asarray(sorted(superseded), dtype=np.int64)
+    own_idx = np.sort(np.concatenate(
+        [np.flatnonzero(parent_of < 0), child_idx[differs]]
+    ))
+    superseded_idx = np.sort(np.concatenate(
+        [np.flatnonzero(deleted), parent_idx[differs]]
+    ))
 
     directory = _begin_dump(path)
     manifest = SnapshotManifest.for_cube(cube)
@@ -401,10 +422,35 @@ def validate_snapshot(path: "str | Path") -> SnapshotManifest:
 
     Raises :class:`~repro.errors.SnapshotError` on a missing or
     malformed manifest, an unsupported format version, a missing array
-    file, or an array whose dtype/shape disagrees with the manifest.
-    Returns the parsed manifest on success.
+    entry, a missing or unreadable array file, an array whose
+    dtype/shape disagrees with the manifest, a wrong fixed dtype, a row
+    count that disagrees with ``n_cells`` / ``n_superseded``, or delta
+    arrays without a delta section.  Returns the parsed manifest on
+    success.
+
+    These are exactly the per-directory checks :func:`open_snapshot`
+    applies: both go through one checked loader that reads each listed
+    array once (memory-mapped for a full snapshot, into memory for a
+    delta's own arrays).  What only an open checks is the chain — parent
+    resolution and cycles, the width, column layout and vocabulary
+    against the parent, the superseded-row masks (their width, and that
+    the parent holds each one), and the content digest of the composed
+    table.
     """
-    directory = Path(path)
+    return _load_checked(Path(path), mmap=True)[0]
+
+
+def _load_checked(
+    directory: Path, mmap: bool
+) -> "tuple[SnapshotManifest, dict[str, np.ndarray]]":
+    """Parse a snapshot's manifest and load every array it lists, once.
+
+    Each array is checked against its manifest entry as it loads (see
+    :func:`validate_snapshot` for the checks).  A full snapshot's
+    arrays are memory-mapped when ``mmap``; a delta's own arrays are
+    always read into memory, because composing copies them at once.
+    Every returned array is read-only.
+    """
     if not directory.is_dir():
         raise SnapshotError(f"snapshot directory {directory} does not exist")
     manifest = SnapshotManifest.read(directory)
@@ -420,13 +466,15 @@ def validate_snapshot(path: "str | Path") -> SnapshotManifest:
             f"manifest lists no array entry for: {', '.join(missing)}"
         )
 
+    mmap_mode = "r" if mmap and manifest.delta is None else None
+    arrays: "dict[str, np.ndarray]" = {}
     for name, info in manifest.arrays.items():
         file = directory / info.file
         if not file.is_file():
             raise SnapshotError(f"snapshot array file missing: {file}")
         try:
-            array = np.load(file, mmap_mode="r", allow_pickle=False)
-        except (ValueError, OSError) as exc:
+            array = np.load(file, mmap_mode=mmap_mode, allow_pickle=False)
+        except (ValueError, OSError, EOFError) as exc:
             raise SnapshotError(
                 f"snapshot array {info.file} is unreadable: {exc}"
             ) from exc
@@ -458,20 +506,12 @@ def validate_snapshot(path: "str | Path") -> SnapshotManifest:
                 f"array {name!r} has {info.shape[0]} rows for "
                 f"{manifest.n_cells} cells"
             )
-    return manifest
-
-
-def _load(directory: Path, info: ArrayInfo, mmap: bool) -> np.ndarray:
-    array = np.load(
-        directory / info.file,
-        mmap_mode="r" if mmap else None,
-        allow_pickle=False,
-    )
-    if not mmap:
-        # Serving is strictly read-only; enforce it on owned arrays the
-        # way mode="r" memory maps already do.
-        array.flags.writeable = False
-    return array
+        if mmap_mode is None:
+            # Serving is strictly read-only; enforce it on owned arrays
+            # the way mode="r" memory maps already do.
+            array.flags.writeable = False
+        arrays[name] = array
+    return manifest, arrays
 
 
 def open_snapshot(
@@ -496,11 +536,15 @@ def open_snapshot(
     ``parents`` (optional) maps *resolved* snapshot directories to
     already-opened cubes: chain resolution reuses them instead of
     re-reading from disk, and every snapshot resolved during this call
-    is added to the mapping — how
-    :class:`~repro.store.timeline.CubeTimeline` keeps walking an
-    N-date delta chain O(N) instead of O(N²).  A wrong cube supplied
-    for a directory is caught for delta children by the content-digest
-    check.
+    is added to the mapping.  That is how
+    :class:`~repro.store.timeline.CubeTimeline` keeps walking an N-date
+    delta chain O(N) instead of O(N²), and how a serving refresh
+    composes a newly published date onto the cube it already serves
+    (:meth:`~repro.store.timeline.CubeTimeline.adopt`): one hop per
+    date published since.  A wrong cube supplied for a directory is
+    caught for delta children by the content-digest check.  A delta
+    composed onto a parent whose keys are already decoded takes the
+    parent's key objects for the rows it keeps and decodes only its own.
 
     The returned cube has no lazy resolver: point queries answer from
     materialised cells only (a snapshot does not carry the transaction
@@ -525,25 +569,24 @@ def _open_chain(
     if directory in chain:
         loop = " -> ".join(str(p) for p in chain + (directory,))
         raise SnapshotError(f"cyclic snapshot parent chain: {loop}")
-    manifest = validate_snapshot(directory)
+    manifest, arrays = _load_checked(directory, mmap)
 
     if manifest.delta is None:
-        arrays = TableArrays(
-            population=_load(directory, manifest.arrays["population"], mmap),
-            minority=_load(directory, manifest.arrays["minority"], mmap),
-            n_units=_load(directory, manifest.arrays["n_units"], mmap),
-            sa_masks=_load(directory, manifest.arrays["sa_masks"], mmap),
-            ca_masks=_load(directory, manifest.arrays["ca_masks"], mmap),
+        table = CellTable.from_arrays(TableArrays(
+            population=arrays["population"],
+            minority=arrays["minority"],
+            n_units=arrays["n_units"],
+            sa_masks=arrays["sa_masks"],
+            ca_masks=arrays["ca_masks"],
             columns={
-                name: _load(
-                    directory, manifest.arrays[f"column:{name}"], mmap
-                )
+                name: arrays[f"column:{name}"]
                 for name in manifest.column_names
             },
-        )
-        table = CellTable.from_arrays(arrays)
+        ))
     else:
-        table = _compose_delta(directory, manifest, mmap, chain, parents)
+        table = _compose_delta(
+            directory, manifest, arrays, mmap, chain, parents
+        )
 
     metadata = manifest.cube_metadata()
     metadata.extra = dict(metadata.extra)
@@ -566,11 +609,15 @@ def _open_chain(
 def _compose_delta(
     directory: Path,
     manifest: SnapshotManifest,
+    own: "dict[str, np.ndarray]",
     mmap: bool,
     chain: "tuple[Path, ...]",
     parents: "dict[Path, SegregationCube]",
 ) -> CellTable:
-    """Resolve a delta's parent chain and merge the cell rows."""
+    """Resolve a delta's parent chain and merge the cell rows.
+
+    ``own`` holds the delta's checked arrays, superseded masks included.
+    """
     parent_dir = directory / str(manifest.delta["parent"])
     try:
         parent = _open_chain(
@@ -600,54 +647,49 @@ def _compose_delta(
         )
 
     # Locate the superseded parent rows by their packed key bitmasks.
-    sup_sa = np.load(
-        directory / manifest.arrays["superseded_sa"].file, allow_pickle=False
-    )
-    sup_ca = np.load(
-        directory / manifest.arrays["superseded_ca"].file, allow_pickle=False
-    )
+    sup_sa, sup_ca = own["superseded_sa"], own["superseded_ca"]
     if sup_sa.shape[1:] != (manifest.n_words,) or \
             sup_ca.shape[1:] != (manifest.n_words,):
         raise SnapshotError(
             f"superseded-row masks in {directory} are not "
             f"{manifest.n_words} words wide"
         )
-    parent_index = {
-        key: i for i, key in enumerate(_row_mask_keys(parent_table))
-    }
+    superseded = _find_rows(
+        _row_keys(parent_table.sa_masks, parent_table.ca_masks),
+        _row_keys(sup_sa, sup_ca),
+    )
+    if (superseded < 0).any():
+        raise SnapshotError(
+            f"delta snapshot {directory} supersedes a cell its parent "
+            "does not contain (superseded-row mask mismatch)"
+        )
     keep = np.ones(len(parent_table), dtype=bool)
-    combined = np.ascontiguousarray(np.concatenate([sup_sa, sup_ca], axis=1))
-    for row in range(len(combined)):
-        i = parent_index.get(combined[row].tobytes())
-        if i is None:
-            raise SnapshotError(
-                f"delta snapshot {directory} supersedes a cell its parent "
-                "does not contain (superseded-row mask mismatch)"
-            )
-        keep[i] = False
+    keep[superseded] = False
 
-    def compose(parent_array: np.ndarray, info: ArrayInfo) -> np.ndarray:
-        own = _load(directory, info, mmap)
-        merged = np.concatenate([np.asarray(parent_array)[keep], own])
+    def compose(parent_array: np.ndarray, name: str) -> np.ndarray:
+        merged = np.concatenate([np.asarray(parent_array)[keep], own[name]])
         merged.flags.writeable = False
         return merged
 
     arrays = TableArrays(
-        population=compose(
-            parent_table.population, manifest.arrays["population"]
-        ),
-        minority=compose(parent_table.minority, manifest.arrays["minority"]),
-        n_units=compose(parent_table.n_units, manifest.arrays["n_units"]),
-        sa_masks=compose(parent_table.sa_masks, manifest.arrays["sa_masks"]),
-        ca_masks=compose(parent_table.ca_masks, manifest.arrays["ca_masks"]),
+        population=compose(parent_table.population, "population"),
+        minority=compose(parent_table.minority, "minority"),
+        n_units=compose(parent_table.n_units, "n_units"),
+        sa_masks=compose(parent_table.sa_masks, "sa_masks"),
+        ca_masks=compose(parent_table.ca_masks, "ca_masks"),
         columns={
-            name: compose(
-                parent_table.columns[name], manifest.arrays[f"column:{name}"]
-            )
+            name: compose(parent_table.columns[name], f"column:{name}")
             for name in manifest.column_names
         },
     )
-    table = CellTable.from_arrays(arrays)
+    keys = None
+    parent_keys = parent_table.decoded_keys
+    if parent_keys is not None:
+        keys = [parent_keys[i] for i in np.flatnonzero(keep).tolist()]
+        keys.extend(zip(
+            unpack_masks(own["sa_masks"]), unpack_masks(own["ca_masks"])
+        ))
+    table = CellTable.from_arrays(arrays, keys=keys)
     # End-to-end chain integrity: the digest was taken over the writer's
     # resolved table, so any drift anywhere up the parent chain — not
     # just in this directory — surfaces here instead of serving wrong

@@ -252,6 +252,22 @@ class CubeTimeline:
                 )
             return self._cubes[date]
 
+    def adopt(self, date: int, cube: SegregationCube) -> None:
+        """Use the already-opened ``cube`` as this timeline's ``date``.
+
+        ``at(date)`` then returns it, and a later date whose delta chain
+        runs through ``date`` composes onto it instead of re-reading
+        ``date``'s chain from disk.  The caller vouches that ``cube``
+        holds ``date``'s content; a delta child still verifies its
+        content digest over the composed table, so a wrong cube fails
+        the child's open as a wrong ``open_snapshot(parents=)`` entry
+        does.
+        """
+        path = self.path_of(date)
+        with self._lock:
+            self._cubes[date] = cube
+            self._resolved[path.resolve()] = cube
+
     def latest(self) -> SegregationCube:
         """The cube at the most recent date."""
         return self.at(self._dates[-1])

@@ -30,6 +30,7 @@ from repro.store.shards import (
     dump_sharded_snapshot,
     shard_timeline_by_date,
 )
+from repro.store.snapshot import delta_chain
 from repro.store.timeline import dump_into_timeline
 
 
@@ -287,3 +288,36 @@ class TestTemporalSharding:
         assert fresh is not None and fresh.date == 3
         assert service.date == 2  # the old instance never mutates
         assert latest.refreshed() is not None
+
+    def test_refresh_opens_only_the_successor(
+        self, temporal, tmp_path, monkeypatch
+    ):
+        import shutil
+
+        import repro.store.snapshot as snapshot_module
+
+        root = tmp_path / "grow"
+        shutil.copytree(temporal / "sharded", root)
+        service = ShardedCubeService(root)
+        dump_sharded_into_timeline(
+            root, 3, CubeService(temporal / "plain").cube,
+            by="hash", n_shards=3, parent_date=2,
+        )
+        opened = []
+        load = snapshot_module._load_checked
+
+        def counting(directory, mmap):
+            opened.append(directory)
+            return load(directory, mmap)
+
+        monkeypatch.setattr(snapshot_module, "_load_checked", counting)
+        ShardedCubeService(root)
+        successor = sorted(opened)
+        opened.clear()
+        assert service.refreshed() is not None
+        # Exactly the successor router's opens (each shard's date-3
+        # chain), and no throwaway service on top.
+        assert sorted(opened) == successor
+        assert len(successor) == sum(
+            len(delta_chain(shard / "3")) for shard in root.glob("shard-*")
+        )

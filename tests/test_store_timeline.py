@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
 
 import numpy as np
@@ -12,22 +13,27 @@ from repro.cube.builder import SegregationDataCubeBuilder
 from repro.cube.compare import timeline_series
 from repro.cube.cube import check_same_cells
 from repro.cube.incremental import TemporalCubeEngine
+from repro.cube.table import unpack_masks
 from repro.data.synthetic import random_temporal_final_table
 from repro.errors import SnapshotError
 from repro.etl.diff import valid_at
 from repro.itemsets.transactions import encode_table
 from repro.serve.__main__ import main as serve_main
+from repro.serve.http import make_app, wsgi_get
 from repro.serve.service import CubeService
 from repro.store import (
     CubeTimeline,
     MANIFEST_NAME,
+    delta_chain_length,
     dump_delta_snapshot,
     dump_into_timeline,
     dump_snapshot,
     open_snapshot,
+    table_digest,
     timeline_dates,
     validate_snapshot,
 )
+from repro.store.snapshot import delta_chain
 
 DATES = (0, 1, 2)
 LIMITS = {"min_population": 20, "min_minority": 5,
@@ -64,6 +70,48 @@ def timeline_dir(states, tmp_path):
         )
         previous = state
     return root
+
+
+def _publish(root, states, dates, full=False):
+    """Publish ``states[d]`` at each of ``dates``, each on the date before.
+
+    ``full`` writes every date as a full snapshot (a checkpoint).
+    """
+    for date in dates:
+        parent = None if date == 0 or full else date - 1
+        dump_into_timeline(
+            root, date, states[date].cube, parent_date=parent,
+            parent=None if parent is None else states[parent].cube,
+        )
+
+
+@pytest.fixture()
+def count_opens(monkeypatch):
+    """Count snapshot directories loaded and deltas composed.
+
+    Returns a dict whose ``loads`` / ``composes`` lists grow with every
+    call of the store's checked loader and delta composer.
+    """
+    import repro.store.snapshot as snapshot_module
+
+    calls = {"loads": [], "composes": []}
+    load = snapshot_module._load_checked
+    compose = snapshot_module._compose_delta
+
+    def counting_load(directory, mmap):
+        calls["loads"].append(directory)
+        return load(directory, mmap)
+
+    def counting_compose(directory, *args):
+        calls["composes"].append(directory)
+        return compose(directory, *args)
+
+    monkeypatch.setattr(snapshot_module, "_load_checked", counting_load)
+    monkeypatch.setattr(snapshot_module, "_compose_delta", counting_compose)
+    return calls
+
+
+TOP_QUERY = "/top?index=D&k=10"
 
 
 class TestDeltaSnapshot:
@@ -113,6 +161,77 @@ class TestDeltaSnapshot:
         snapshot_info = cube.metadata.extra["snapshot"]
         assert snapshot_info["delta_depth"] == 1
         assert snapshot_info["parent"].endswith("1")
+
+
+def _truncate(file):
+    file.write_bytes(file.read_bytes()[:16])
+
+
+def _edit_manifest(directory, edit):
+    payload = json.loads((directory / MANIFEST_NAME).read_text())
+    edit(payload)
+    (directory / MANIFEST_NAME).write_text(json.dumps(payload))
+
+
+def _resave(file, change):
+    np.save(file, change(np.load(file)))
+
+
+def _flip_low_bit(values):
+    bits = values.view(np.uint64).copy()
+    bits[0] ^= np.uint64(1)
+    return bits.view(values.dtype)
+
+
+#: Corruptions of a delta's own directory: ``case -> (corrupt(child),
+#: pattern of the SnapshotError message)``.
+DELTA_CORRUPTIONS = {
+    "missing_own_file": (
+        lambda child: (child / "population.npy").unlink(),
+        "population.npy",
+    ),
+    "truncated_own_array": (
+        lambda child: _truncate(child / "col_0.npy"), "unreadable",
+    ),
+    "truncated_superseded_array": (
+        lambda child: _truncate(child / "superseded_ca.npy"), "unreadable",
+    ),
+    "shape_mismatch": (
+        lambda child: _resave(
+            child / "minority.npy", lambda a: np.zeros(len(a) + 1, a.dtype)
+        ),
+        "minority.npy",
+    ),
+    "dtype_mismatch": (
+        lambda child: _resave(
+            child / "n_units.npy", lambda a: a.astype(np.int32)
+        ),
+        "n_units.npy",
+    ),
+    "missing_superseded_entry": (
+        lambda child: _edit_manifest(
+            child, lambda p: p["arrays"].pop("superseded_sa")
+        ),
+        "superseded_sa",
+    ),
+    "malformed_delta_section": (
+        lambda child: _edit_manifest(
+            child, lambda p: p["delta"].pop("n_superseded")
+        ),
+        "malformed delta",
+    ),
+    "superseded_mask_mismatch": (
+        lambda child: _resave(
+            child / "superseded_sa.npy",
+            lambda a: np.full_like(a, 0xDEADBEEF),
+        ),
+        "mask mismatch",
+    ),
+    "flipped_own_float": (
+        lambda child: _resave(child / "col_0.npy", _flip_low_bit),
+        "digest",
+    ),
+}
 
 
 class TestDeltaCorruption:
@@ -245,6 +364,29 @@ class TestDeltaCorruption:
         with pytest.raises(SnapshotError, match="superseded"):
             open_snapshot(child)
 
+    @pytest.mark.parametrize("via", ["open", "refresh"])
+    @pytest.mark.parametrize("case", sorted(DELTA_CORRUPTIONS))
+    def test_corrupt_delta_rejected(self, states, tmp_path, case, via):
+        corrupt, message = DELTA_CORRUPTIONS[case]
+        root = tmp_path / "tl"
+        _publish(root, states, [0])
+        app = make_app(root)
+        before = wsgi_get(app, TOP_QUERY)
+        _publish(root, states, [1])
+        child = root / "1"
+        assert delta_chain_length(child) == 1
+        corrupt(child)
+        if via == "open":
+            with pytest.raises(SnapshotError, match=message):
+                open_snapshot(child)
+            return
+        status, _, body = wsgi_get(app, "/refresh", method="POST")
+        assert status == 400
+        assert re.search(message, json.loads(body)["error"])
+        # The app keeps serving the date it served before.
+        assert wsgi_get(app, TOP_QUERY) == before
+        assert json.loads(wsgi_get(app, "/dates")[2])["served_date"] == 0
+
 
 class TestCubeTimeline:
     def test_dates_discovered_and_sorted(self, timeline_dir):
@@ -282,24 +424,110 @@ class TestCubeTimeline:
         assert timeline_dates(timeline_dir) == list(DATES)
 
     def test_chain_walk_resolves_each_snapshot_once(
-        self, timeline_dir, monkeypatch
+        self, timeline_dir, count_opens
     ):
-        import repro.store.snapshot as snapshot_module
-
-        validated: "list[str]" = []
-        original = snapshot_module.validate_snapshot
-
-        def counting(path):
-            validated.append(str(path))
-            return original(path)
-
-        monkeypatch.setattr(snapshot_module, "validate_snapshot", counting)
         timeline = CubeTimeline(timeline_dir)
         for date in timeline.dates:
             timeline.at(date)
-        # Without the shared resolution cache, date k re-validates its
-        # whole parent chain: 1+2+3 = 6 validations for 3 dates.
-        assert len(validated) == len(DATES)
+        # Without the shared resolution cache, date k re-loads its whole
+        # parent chain: 1+2+3 = 6 directory loads for 3 dates.
+        assert len(count_opens["loads"]) == len(DATES)
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_open_loads_each_listed_array_once(
+        self, timeline_dir, monkeypatch, mmap
+    ):
+        chain = delta_chain(timeline_dir / "2")
+        assert len(chain) == 3   # two hops onto the full root
+        listed = sum(len(validate_snapshot(d).arrays) for d in chain)
+        loads = []
+        original = np.load
+
+        def counting(file, *args, **kwargs):
+            loads.append(file)
+            return original(file, *args, **kwargs)
+
+        monkeypatch.setattr(np, "load", counting)
+        open_snapshot(timeline_dir / "2", mmap=mmap)
+        assert len(loads) == listed
+        assert len(set(loads)) == listed
+
+
+class TestRefreshWork:
+    """A refresh composes only the dates published since the served one."""
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    @pytest.mark.parametrize(
+        "served, published, full, loads, composes",
+        [
+            # A delta on the served date: one directory, one hop.
+            ([0, 1], [2], False, 1, 1),
+            # Two dates published, neither served yet: two hops.
+            ([0], [1, 2], False, 2, 2),
+            # A checkpoint: one directory, nothing composed.
+            ([0, 1], [2], True, 1, 0),
+        ],
+        ids=["delta_on_served", "two_unserved", "checkpoint"],
+    )
+    def test_refresh_loads_only_new_dates(
+        self, states, tmp_path, count_opens, mmap, served, published,
+        full, loads, composes,
+    ):
+        root = tmp_path / "tl"
+        _publish(root, states, served)
+        app = make_app(root, mmap=mmap)
+        _publish(root, states, published, full=full)
+        count_opens["loads"].clear()
+        count_opens["composes"].clear()
+        status, _, body = wsgi_get(app, "/refresh", method="POST")
+        assert (status, body) == (200, b'{"refreshed":true}')
+        assert len(count_opens["loads"]) == loads
+        assert {d.name for d in count_opens["loads"]} == {
+            str(d) for d in published
+        }
+        assert len(count_opens["composes"]) == composes
+
+        latest = published[-1]
+        assert app.service.date == latest
+        reference = CubeTimeline(root, mmap=mmap).at(latest)
+        refreshed = app.service.cube
+        assert check_same_cells(refreshed, reference, atol=0.0) == []
+        assert table_digest(refreshed.table) == table_digest(reference.table)
+
+    def test_composed_keys_match_their_masks(
+        self, states, tmp_path, monkeypatch
+    ):
+        import repro.store.snapshot as snapshot_module
+
+        composed = []
+        compose = snapshot_module._compose_delta
+
+        def recording(*args):
+            table = compose(*args)
+            composed.append((table, table.decoded_keys is not None))
+            return table
+
+        monkeypatch.setattr(snapshot_module, "_compose_delta", recording)
+        root = tmp_path / "tl"
+        _publish(root, states, [0])
+        app = make_app(root)
+        cubes = [states[i].cube for i in (0, 1, 2, 1, 0)]
+        for date in range(1, len(cubes)):
+            dump_into_timeline(
+                root, date, cubes[date], parent_date=date - 1,
+                parent=cubes[date - 1],
+            )
+            assert wsgi_get(app, "/refresh", method="POST")[0] == 200
+        assert wsgi_get(app, "/trend?index=D&sa=g%3Dg0")[0] == 200
+        # Four refresh hops, then the trend composes dates 1 and 2; each
+        # parent was warmed or queried first, so every hop reused keys.
+        assert len(composed) == 6
+        for table, reused in composed:
+            assert reused
+            assert table.keys == list(zip(
+                unpack_masks(np.asarray(table.sa_masks)),
+                unpack_masks(np.asarray(table.ca_masks)),
+            ))
 
 
 class TestTimelineSerying:
