@@ -1,10 +1,11 @@
 """Multiprocess columnar fill: ``engine="parallel"``.
 
-The columnar fill's phases B/C — per-unit counting plus batched index
-kernels — are embarrassingly parallel across *context groups*: every
-candidate cell of a context needs only that context's population vector
-and its own minority itemset.  This module partitions the context
-groups across the package's one shared-memory pool (:mod:`repro._pool`):
+This is the package's only multiprocess code.  The columnar fill's
+phases B/C — per-unit counting plus batched index kernels — are
+embarrassingly parallel across *context groups*: every candidate cell of
+a context needs only that context's population vector and its own
+minority itemset.  This module partitions the context groups across a
+pool of worker processes:
 
 * three arrays are shared **once** with every worker instead of being
   pickled per task: the database's unit-ordered item words and unit
@@ -27,15 +28,41 @@ groups across the package's one shared-memory pool (:mod:`repro._pool`):
 Because every number is produced by the very same NumPy call sequence on
 the very same inputs, the parallel cube is **bit-exact** (``atol=0``)
 against the columnar one — ``tests/test_cube_parallel.py`` asserts this
-on every dataset it builds, in both modes.  A raising worker surfaces as
-:class:`~repro.errors.CubeError`.
+on every dataset it builds, in both modes.
+
+The pool itself:
+
+* workers are forked when the platform supports it (cheap, and they
+  inherit runtime state such as custom registered indexes) and spawned
+  otherwise;
+* the shared arrays live in named :mod:`multiprocessing.shared_memory`
+  segments which workers map read-only.  Worker views live only inside
+  the task call, workers close their attachments in ``finally``, and the
+  parent's ``close()`` + ``unlink()`` in ``finally`` is the single
+  cleanup point on success *and* failure;
+* a raising worker re-raises in the parent as
+  :class:`~repro.errors.CubeError` once every task has finished and the
+  pool has shut down;
+* every worker runs a daemon thread that exits the worker as soon as its
+  parent is gone (it gets re-parented), so a killed caller leaves no
+  orphaned workers behind — and, once they are gone, the stdlib
+  resource tracker unlinks the caller's segments.
+
+The builder imports this module lazily, only for ``engine="parallel"``,
+so a default build never imports :mod:`multiprocessing`.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
+import time
+from itertools import count
+from multiprocessing import shared_memory
+
 import numpy as np
 
-from repro import _pool
 from repro.cube.builder import (
     _FILL_BATCH_CELLS,
     MinedCoordinates,
@@ -46,9 +73,62 @@ from repro.cube.table import CellTable
 from repro.errors import CubeError
 from repro.itemsets.transactions import TransactionDatabase, count_unit_bits
 
+#: How often a worker checks that its parent is still alive, in seconds.
+_PARENT_POLL_S = 0.1
 
-def _fill_partition(groups: list, cfg: dict, arrays: dict) -> list:
-    """Pool task: phases B/C over one partition's context groups.
+_SEGMENT_SEQ = count()
+
+
+def resolve_workers(workers: "int | None") -> int:
+    """Effective worker count: ``workers`` or one per CPU, at least 1."""
+    if workers is None:
+        return max(1, os.cpu_count() or 1)
+    return max(1, int(workers))
+
+
+def balanced_partition(
+    costs: "list[int]", n_parts: int
+) -> "list[list[int]]":
+    """Greedy balanced partition of positions ``0..len(costs)-1`` by cost.
+
+    Positions go largest-cost-first onto the least-loaded partition, so
+    one heavy item cannot serialise the pool behind it.  ``n_parts`` is
+    clamped to the number of positions, so no partition is ever empty;
+    each keeps its positions in ascending order.
+    """
+    n_parts = max(1, min(n_parts, len(costs)))
+    parts: "list[list[int]]" = [[] for _ in range(n_parts)]
+    loads = [0] * n_parts
+    for pos in sorted(range(len(costs)), key=lambda p: -costs[p]):
+        j = loads.index(min(loads))
+        parts[j].append(pos)
+        loads[j] += costs[pos]
+    for part in parts:
+        part.sort()
+    return parts
+
+
+def segment_name() -> str:
+    """A fresh, recognisably-ours shared-memory segment name.
+
+    Naming every segment explicitly (rather than letting the stdlib
+    pick) lets tests probe by name that no segment outlives its pool.
+    """
+    return f"repro-fill-{os.getpid()}-{next(_SEGMENT_SEQ)}"
+
+
+def _mp_context():
+    """Fork when the platform has it, else spawn (see the module notes)."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context(
+        "fork" if "fork" in methods else "spawn"
+    )
+
+
+def _fill_partition(
+    groups: list, specs: list, minsup_min: int, arrays: dict
+) -> list:
+    """Phases B/C over one partition's context groups.
 
     Each group is ``(tvec, rows)``: the context's per-unit population
     vector and the index rows of its candidate cells.  Returns
@@ -57,7 +137,6 @@ def _fill_partition(groups: list, cfg: dict, arrays: dict) -> list:
     """
     words, bounds = arrays["words"], arrays["bounds"]
     index_rows = arrays["index_rows"]
-    specs = cfg["specs"]
     max_batch = max(1, _FILL_BATCH_CELLS // max(1, len(bounds) - 1))
     out = []
     for tvec, rows in groups:
@@ -67,9 +146,7 @@ def _fill_partition(groups: list, cfg: dict, arrays: dict) -> list:
         for a in range(0, len(rows), max_batch):
             block_rows = rows[a:a + max_batch]
             sub_all = count_unit_bits(words, bounds, index_rows[block_rows])
-            t, k, v = eval_context_block(
-                specs, tvec, sub_all, cfg["minsup_min"]
-            )
+            t, k, v = eval_context_block(specs, tvec, sub_all, minsup_min)
             b = a + len(block_rows)
             totals[a:b] = t
             keep[a:b] = k
@@ -103,9 +180,9 @@ def fill_parallel(
         for ctx, rows in cand.rows_by_context().items()
     ]
     if groups:
-        partitions = _pool.balanced_partition(
+        partitions = balanced_partition(
             [len(rows) for _, rows in groups],
-            _pool.resolve_workers(builder.workers),
+            resolve_workers(builder.workers),
         )
         words, bounds = db.unit_words()
         arrays = {
@@ -113,11 +190,9 @@ def fill_parallel(
             "bounds": bounds,
             "index_rows": db.item_index_rows(cand.sa_itemsets),
         }
-        cfg = {"specs": specs, "minsup_min": mined.minsup_min}
-        for part in _pool.run_pool(
-            _fill_partition,
+        for part in _run_pool(
             [[groups[i] for i in part] for part in partitions],
-            arrays, cfg, CubeError, "fill",
+            arrays, specs, mined.minsup_min,
         ):
             for rows, totals, keep, vals in part:
                 minority_totals[rows] = totals
@@ -126,3 +201,118 @@ def fill_parallel(
     return builder._assemble_cells(
         db, cand, minority_totals, kept_rows, values
     )
+
+
+def _run_pool(
+    partitions: list,
+    arrays: "dict[str, np.ndarray]",
+    specs: list,
+    minsup_min: int,
+) -> list:
+    """Run :func:`_fill_partition` over every partition, one worker each.
+
+    ``arrays`` maps names to the NumPy arrays the workers share; it is
+    emptied as the arrays are copied into their segments, so the
+    caller's private copies can be freed before the workers start.
+    Returns the partition results in completion order.  A worker
+    exception re-raises as :class:`~repro.errors.CubeError` after the
+    remaining partitions have finished.
+    """
+    segments: "list[shared_memory.SharedMemory]" = []
+    layout: "dict[str, tuple]" = {}
+    try:
+        for name in list(arrays):
+            array = arrays.pop(name)
+            segment = shared_memory.SharedMemory(
+                create=True, name=segment_name(), size=max(1, array.nbytes),
+            )
+            segments.append(segment)
+            # The temporary viewing the buffer dies with the statement,
+            # leaving the segment export-free for close()/unlink().
+            np.ndarray(array.shape, array.dtype, buffer=segment.buf)[:] = \
+                array
+            layout[name] = (segment.name, array.shape, array.dtype.str)
+            del array
+        pool = _mp_context().Pool(
+            processes=len(partitions),
+            initializer=_init_worker,
+            initargs=(os.getpid(), specs, minsup_min, layout),
+        )
+        results, failures = [], []
+        try:
+            outputs = pool.imap_unordered(_fill_task, partitions)
+            for _ in partitions:
+                try:
+                    results.append(next(outputs))
+                except Exception as exc:    # raised by a worker's task
+                    failures.append(exc)
+        except BaseException:
+            pool.terminate()
+            raise
+        # Every task has finished, so a graceful shutdown cannot block.
+        # Terminating instead could kill a worker that still holds a
+        # result-queue lock and deadlock the pool's own teardown.
+        pool.close()
+        pool.join()
+        if failures:
+            if isinstance(failures[0], CubeError):
+                raise failures[0]
+            raise CubeError(
+                f"parallel fill worker failed: {failures[0]!r}"
+            ) from failures[0]
+        return results
+    finally:
+        for segment in segments:
+            segment.close()
+            segment.unlink()
+
+
+# ----------------------------------------------------------------------
+# Worker side
+# ----------------------------------------------------------------------
+
+#: Per-worker ``(specs, minsup_min, layout)``, set once by the pool
+#: initializer.
+_WORKER: "tuple | None" = None
+
+
+def _init_worker(
+    parent_pid: int, specs: list, minsup_min: int, layout: dict
+) -> None:
+    global _WORKER
+    _WORKER = (specs, minsup_min, layout)
+    threading.Thread(
+        target=_exit_with_parent, args=(parent_pid,), daemon=True
+    ).start()
+
+
+def _exit_with_parent(parent_pid: int) -> None:
+    """Exit this worker once its parent has died (it gets re-parented).
+
+    A killed parent never reaches its pool teardown; without this, the
+    workers would keep computing under init and keep the resource
+    tracker — and with it the parent's segments — alive.
+    """
+    while os.getppid() == parent_pid:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(1)
+
+
+def _fill_task(partition: list) -> list:
+    """Pool task: attach the shared segments and fill one partition."""
+    specs, minsup_min, layout = _WORKER
+    # Attaching re-registers a segment with the resource tracker; pool
+    # workers share the parent's tracker, whose cache has set semantics,
+    # so the parent's unlink() stays the single point of cleanup.
+    attached = {
+        name: shared_memory.SharedMemory(name=spec[0])
+        for name, spec in layout.items()
+    }
+    try:
+        return _fill_partition(partition, specs, minsup_min, {
+            name: np.ndarray(shape, dtype, buffer=attached[name].buf)
+            for name, (_, shape, dtype) in layout.items()
+        })
+    finally:
+        for segment in attached.values():
+            segment.close()

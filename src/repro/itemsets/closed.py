@@ -6,6 +6,11 @@ SCube materialises cube cells only for closed coordinate itemsets
 non-closed coordinate selects exactly the same population as its closure,
 so its cell would be redundant.
 
+Closed itemsets are never mined directly.  The cube builder mines the
+complete capped lattice and keeps its closed part with
+:func:`filter_closed`; the incremental engine re-derives closedness with
+:func:`closure_diff`, only where a cover changed.
+
 Given the complete dictionary of frequent itemsets, closedness has a
 local characterisation that avoids cover scans: X is closed iff no
 (X ∪ {i}) — which is itself frequent whenever its support equals
@@ -18,73 +23,16 @@ from collections import defaultdict
 
 import numpy as np
 
-from repro.errors import MiningError
 from repro.itemsets.coverset import (
     Cover,
     cover_digest,
     cover_matrix,
     popcount_rows,
 )
-from repro.itemsets.eclat import closure_of, frequent_triples, mine_root
+from repro.itemsets.eclat import closure_of
 from repro.itemsets.transactions import TransactionDatabase
 
 Itemset = frozenset[int]
-
-
-def mine_closed(
-    db: TransactionDatabase,
-    minsup: int,
-    items: "list[int] | None" = None,
-    with_covers: bool = False,
-    workers: "int | None" = None,
-) -> "dict[Itemset, int] | dict[Itemset, Cover]":
-    """Mine closed frequent itemsets directly from cover classes.
-
-    Runs the full eclat DFS and groups emissions by cover identity (the
-    16-byte :func:`~repro.itemsets.coverset.cover_digest`): every
-    itemset of a class selects the same transactions, and — because the
-    enumeration is complete — the union of a class's members is its
-    closure, the unique maximal member.  The result therefore equals
-    ``filter_closed(mine_eclat(db, minsup, items=items))`` as a dict
-    (property-tested), without materialising the non-closed entries in
-    the output.
-
-    Emission *order* is the first appearance of any class member in DFS
-    order (a class is created when its first — possibly non-closed —
-    member is emitted), which can differ from ``filter_closed``'s order
-    (each closure at its own emission position); it is what the
-    ``workers=`` path (:mod:`repro.itemsets.parallel`) reproduces
-    bit-identically for every worker count.
-    """
-    if workers is not None:
-        from repro.itemsets.parallel import mine_closed_parallel
-
-        return mine_closed_parallel(
-            db, minsup, items=items, with_covers=with_covers,
-            workers=workers,
-        )
-    if minsup < 1:
-        raise MiningError(f"minsup must be >= 1, got {minsup}")
-    frequent = frequent_triples(db, minsup, items=items)
-    # digest -> [member-item union, support, representative cover]
-    classes: "dict[bytes, list]" = {}
-
-    def record(its, cover, support):
-        entry = classes.get(cover_digest(cover))
-        if entry is None:
-            classes[cover_digest(cover)] = [
-                set(its), support, cover if with_covers else None,
-            ]
-        else:
-            entry[0].update(its)
-
-    for pos in range(len(frequent)):
-        mine_root(frequent, pos, minsup, None, record)
-    if with_covers:
-        return {
-            frozenset(e[0]): e[2] for e in classes.values()
-        }
-    return {frozenset(e[0]): e[1] for e in classes.values()}
 
 
 def filter_closed(supports: dict[Itemset, int]) -> dict[Itemset, int]:

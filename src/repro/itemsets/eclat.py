@@ -7,16 +7,9 @@ counts.  Covers are packed ``uint64`` bitmaps
 (:class:`~repro.itemsets.coverset.CoverSet`), so intersection is a
 word-wise AND and support a vectorized popcount.
 
-The search tree decomposes by *root item*: once the frequent 1-items are
-sorted by ascending support, the subtree rooted at position ``pos`` only
-touches the root's cover and the tail ``frequent[pos + 1:]`` — no state
-is shared between subtrees.  The module therefore exposes the DFS as a
-per-root kernel (:func:`mine_root`) over a shared
-:func:`frequent_triples` preparation step; ``mine_eclat`` is a thin
-sequential loop over that kernel, and its ``workers=`` path
-(:mod:`repro.itemsets.parallel`) fans the *identical* kernel across
-worker processes, so the parallel mine is bit-identical — same
-itemsets, same emission order, same supports — to the sequential one.
+``mine_eclat`` takes its DFS roots from :func:`frequent_triples` (the
+frequent 1-items, sorted by ascending support) and runs the DFS from
+each root in turn, in-process.
 """
 
 from __future__ import annotations
@@ -104,25 +97,6 @@ def _dfs(
         _dfs(itemset, cover, tail[pos + 1:], minsup, max_len, record)
 
 
-def mine_root(
-    frequent: "list[FrequentTriple]",
-    pos: int,
-    minsup: int,
-    max_len: "int | None",
-    record: "Record",
-) -> None:
-    """Emit the subtree rooted at ``frequent[pos]`` in sequential order.
-
-    ``mine_eclat`` is exactly ``for pos in range(len(frequent)):
-    mine_root(...)``; a parallel driver may call the same kernel for any
-    subset of root positions and splice the per-root emissions back in
-    position order to reproduce the sequential output bit for bit.
-    """
-    item, item_cover, support = frequent[pos]
-    record((item,), item_cover, support)
-    _dfs((item,), item_cover, frequent[pos + 1:], minsup, max_len, record)
-
-
 def mine_eclat(
     db: TransactionDatabase,
     minsup: int,
@@ -130,7 +104,6 @@ def mine_eclat(
     max_len: "int | None" = None,
     with_covers: bool = False,
     within: "Cover | None" = None,
-    workers: "int | None" = None,
 ) -> "dict[Itemset, int] | dict[Itemset, Cover]":
     """Mine all frequent itemsets (support >= ``minsup``), depth-first.
 
@@ -149,21 +122,9 @@ def mine_eclat(
         with it before the DFS).  The incremental cube fill uses this
         to mine the SA refinements of one context without touching
         rows outside the context's cover.
-    workers:
-        When given, fan the root subtrees across a process pool (see
-        :mod:`repro.itemsets.parallel`); the result —
-        itemsets, emission order, supports, covers — is bit-identical
-        to the sequential mine.  ``None`` (default) mines in-process.
     """
     if minsup < 1:
         raise MiningError(f"minsup must be >= 1, got {minsup}")
-    if workers is not None:
-        from repro.itemsets.parallel import mine_eclat_parallel
-
-        return mine_eclat_parallel(
-            db, minsup, items=items, max_len=max_len,
-            with_covers=with_covers, within=within, workers=workers,
-        )
     frequent = frequent_triples(db, minsup, items=items, within=within)
 
     out_covers: dict[Itemset, Cover] = {}
@@ -176,8 +137,10 @@ def mine_eclat(
         else:
             out_supports[key] = support
 
-    for pos in range(len(frequent)):
-        mine_root(frequent, pos, minsup, max_len, record)
+    for pos, (item, item_cover, support) in enumerate(frequent):
+        record((item,), item_cover, support)
+        _dfs((item,), item_cover, frequent[pos + 1:], minsup, max_len,
+             record)
     return out_covers if with_covers else out_supports
 
 

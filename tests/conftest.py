@@ -49,23 +49,23 @@ def small_final_table():
 
 @pytest.fixture()
 def assert_segments_unlinked(monkeypatch):
-    """Record the shared-memory segments the process pool creates.
+    """Record the shared-memory segments the fill's process pool creates.
 
     Returns a check, to call after the pooled work: at least one segment
     was created, and every one of them is unlinked by now.
     """
     from multiprocessing import shared_memory
 
-    from repro import _pool
+    from repro.cube import parallel
 
     created = []
-    original = _pool.segment_name
+    original = parallel.segment_name
 
-    def tracking(tag):
-        created.append(original(tag))
+    def tracking():
+        created.append(original())
         return created[-1]
 
-    monkeypatch.setattr(_pool, "segment_name", tracking)
+    monkeypatch.setattr(parallel, "segment_name", tracking)
 
     def check():
         assert created, "expected at least one shared-memory segment"

@@ -183,8 +183,8 @@ class TestIncrementalParity:
         assert extra["n_recomputed_contexts"] == 0
         assert extra["n_carried_cells"] == len(s0.cube)
         assert extra["n_carried_cells_within_affected"] == 0
-        # Consumers of the incremental keys (example, selfcheck) must
-        # never KeyError on a static period.
+        # Consumers of the incremental keys (the timeline example, E19,
+        # perfbench) must never KeyError on a static period.
         for key in ("n_carried_contexts", "n_recomputed_cells",
                     "n_contexts"):
             assert key in extra

@@ -1,7 +1,7 @@
 """Property-based tests of the incremental engine and its timelines.
 
-Two invariants, driven by hypothesis over random churn and random
-timeline layouts:
+Two invariants, driven by hypothesis over random churn and by every
+timeline layout:
 
 1. However churn lands, the merged carried+recomputed cube is
    bit-identical (``check_same_cells`` at atol=0) to a from-scratch
@@ -14,12 +14,10 @@ timeline layouts:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-import tempfile
-from pathlib import Path
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -95,23 +93,28 @@ def _timeline_states():
     return engine.run(dated)
 
 
-@settings(max_examples=8, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(full_dates=st.sets(st.sampled_from([1, 2, 3])))
-def test_timeline_parity_survives_any_compaction_order(full_dates):
+#: Which of dates 1-3 a publish writes full: all 8 timeline layouts,
+#: from the all-delta chain to a checkpoint at every date.
+FULL_DATE_SETS = [
+    set(full) for n in range(4)
+    for full in itertools.combinations((1, 2, 3), n)
+]
+
+
+def test_timeline_parity_survives_any_compaction_order(tmp_path,
+                                                       monkeypatch):
     # The publish rule is steered per date: MAX_CHAIN 0 forces a full
     # date, an unreachable MAX_CHAIN and MIN_BYTE_RATIO force a delta.
     states = _timeline_states()
-    with pytest.MonkeyPatch.context() as patch, \
-            tempfile.TemporaryDirectory() as scratch:
-        root = Path(scratch) / "timeline"
-        patch.setattr(timeline_module, "MIN_BYTE_RATIO", math.inf)
+    monkeypatch.setattr(timeline_module, "MIN_BYTE_RATIO", math.inf)
+    for layout, full_dates in enumerate(FULL_DATE_SETS):
+        root = tmp_path / f"timeline{layout}"
         chains = []
         previous = None
         for state in states:
             full = state.date in full_dates
-            patch.setattr(timeline_module, "MAX_CHAIN",
-                          0 if full else math.inf)
+            monkeypatch.setattr(timeline_module, "MAX_CHAIN",
+                                0 if full else math.inf)
             dump_into_timeline(
                 root, state.date, state.cube,
                 parent_date=None if previous is None else previous.date,
@@ -121,10 +124,10 @@ def test_timeline_parity_survives_any_compaction_order(full_dates):
             previous = state
         assert [
             delta_chain_length(root / str(state.date)) for state in states
-        ] == chains
+        ] == chains, full_dates
         for mmap in (True, False):
             timeline = CubeTimeline(root, mmap=mmap)
             for state in states:
                 assert check_same_cells(
                     state.cube, timeline.at(state.date), atol=0.0
-                ) == []
+                ) == [], full_dates

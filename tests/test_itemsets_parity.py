@@ -71,11 +71,3 @@ def test_fpgrowth_matches_eclat_on_item_subset(case):
         mine_fpgrowth(db, minsup, items=items)
         == mine_eclat(db, minsup, items=items)
     )
-
-
-@given(parity_cases())
-@settings(max_examples=20, deadline=None)
-def test_parallel_eclat_matches_fpgrowth(case):
-    """Transitivity check: the workers= path agrees with fpgrowth too."""
-    db, minsup = case
-    assert mine_fpgrowth(db, minsup) == dict(mine_eclat(db, minsup, workers=2))

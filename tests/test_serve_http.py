@@ -99,6 +99,10 @@ class TestByteParity:
         assert headers["Content-Type"] == "application/json"
         assert int(headers["Content-Length"]) == len(body)
         assert body == self.expected(reference, query)
+        # Asked again, the query may be answered from the hot-query
+        # cache: the bytes must not change.
+        status, _, again = wsgi_get(app, query)
+        assert (status, again) == (200, body)
 
     @pytest.mark.parametrize("query", [
         "/top?index=D&k=5&min_minority=5",

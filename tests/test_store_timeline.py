@@ -113,6 +113,33 @@ def count_opens(monkeypatch):
 
 TOP_QUERY = "/top?index=D&k=10"
 
+#: Every endpoint a refreshed server must answer as a fresh one does.
+TIMELINE_QUERIES = (
+    "/info",
+    "/dates",
+    TOP_QUERY,
+    "/slice?ca=r%3Dr0",
+    "/cell?sa=g%3Dg0",
+    "/children?sa=g%3Dg0",
+    "/parents?sa=g%3Dg0&ca=r%3Dr0",
+    "/pivot?index=D&rows=g&cols=r",
+    "/trend?index=D&sa=g%3Dg0&ca=r%3Dr0",
+)
+
+
+def _comparable(query, body):
+    """``body`` without what legitimately differs between two servers.
+
+    Only ``/info`` has such parts: the cache counters, and the seconds
+    since the last publish, which the clock moves between the calls.
+    """
+    if query != "/info":
+        return body
+    info = json.loads(body)
+    info.pop("cache")
+    info["staleness"].pop("seconds_since_publish")
+    return info
+
 
 class TestDeltaSnapshot:
     def test_chain_reopen_is_bit_exact(self, states, timeline_dir):
@@ -493,6 +520,13 @@ class TestRefreshWork:
         refreshed = app.service.cube
         assert check_same_cells(refreshed, reference, atol=0.0) == []
         assert table_digest(refreshed.table) == table_digest(reference.table)
+        fresh = make_app(root, mmap=mmap)
+        for query in TIMELINE_QUERIES:
+            status, _, body = wsgi_get(app, query)
+            fresh_status, _, fresh_body = wsgi_get(fresh, query)
+            assert status == fresh_status == 200, query
+            assert _comparable(query, body) == \
+                _comparable(query, fresh_body), query
 
     def test_composed_keys_match_their_masks(
         self, states, tmp_path, monkeypatch
