@@ -17,11 +17,15 @@ Measured on the E17 dataset (120k rows, same thresholds):
   steady-state serving start;
 * ``warm top``   — ``top(10)`` on an already-open snapshot.
 
-Assertions pin the contract: the reopened cube is cell-identical to the
-live one (``check_same_cells`` at atol=0) with identical top/slice
-output, and warm open + top-10 is at least 50x faster than the rebuild.
-Numbers land in ``results/E18_snapshot_serving.txt`` (paper-style
-table) and ``results/BENCH_E18.json`` (machine-readable trajectory).
+Two tests pin the contract.  ``test_snapshot_parity`` checks that the
+reopened cube, memory-mapped and in memory, is cell-identical to the
+live one (``check_same_cells`` at atol=0) with identical top-10 and
+slice output; CI gates on it.  ``test_snapshot_write_open_serve``
+times the stages and asserts that warm open + top-10 is at least 50x
+faster than the rebuild; its CI step is informational, because shared
+runners are too noisy for a speed floor.  Numbers land in
+``results/E18_snapshot_serving.txt`` (paper-style table) and
+``results/BENCH_E18.json`` (machine-readable trajectory).
 """
 
 from __future__ import annotations
@@ -41,9 +45,27 @@ MIN_SPEEDUP = 50.0
 WARM_REPS = 5
 
 
+def _top10(cube):
+    return cube.top("D", k=10, min_minority=2 * LIMITS["min_minority"])
+
+
 def _open_and_top(path: Path):
     cube = open_snapshot(path, mmap=True)
-    return cube, cube.top("D", k=10, min_minority=2 * LIMITS["min_minority"])
+    return cube, _top10(cube)
+
+
+def test_snapshot_parity(tmp_path):
+    """Dump, then open: identical cells (atol=0), top-10 and slice."""
+    table, schema = _fill_table(FILL_ROWS)
+    live = SegregationDataCubeBuilder(**LIMITS).build(table, schema)
+    snap = dump_snapshot(live, tmp_path / "e18_snapshot")
+    live_top = [s.key for s in _top10(live)]
+    live_slice = [s.key for s in live.slice(ca={"r": "r0"})]
+    for mmap in (True, False):
+        reopened = open_snapshot(snap, mmap=mmap)
+        assert check_same_cells(live, reopened, atol=0.0) == []
+        assert [s.key for s in _top10(reopened)] == live_top
+        assert [s.key for s in reopened.slice(ca={"r": "r0"})] == live_slice
 
 
 def test_snapshot_write_open_serve(benchmark, tmp_path):
@@ -62,38 +84,26 @@ def test_snapshot_write_open_serve(benchmark, tmp_path):
         dump_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
-        cold_cube, cold_top = _open_and_top(snap)
+        _open_and_top(snap)
         cold_seconds = time.perf_counter() - start
-        return live, cold_cube, cold_top, rebuild_seconds, dump_seconds, cold_seconds
+        return live, rebuild_seconds, dump_seconds, cold_seconds
 
-    (live, cold_cube, cold_top, rebuild_seconds, dump_seconds,
+    (live, rebuild_seconds, dump_seconds,
      cold_seconds) = benchmark.pedantic(run, rounds=1, iterations=1)
 
     # Steady-state serving start: open + first ranking with hot caches.
     warm_open_seconds = float("inf")
     for _ in range(WARM_REPS):
         start = time.perf_counter()
-        warm_cube, warm_top = _open_and_top(snap)
+        warm_cube, _ = _open_and_top(snap)
         warm_open_seconds = min(warm_open_seconds,
                                 time.perf_counter() - start)
 
     # Query latency once a snapshot is already open.
     start = time.perf_counter()
     for _ in range(WARM_REPS):
-        served_top = warm_cube.top(
-            "D", k=10, min_minority=2 * LIMITS["min_minority"]
-        )
+        _top10(warm_cube)
     warm_top_seconds = (time.perf_counter() - start) / WARM_REPS
-
-    # Parity: identical cells, identical query output, live vs snapshot.
-    live_top = live.top("D", k=10, min_minority=2 * LIMITS["min_minority"])
-    assert check_same_cells(live, cold_cube, atol=0.0) == []
-    assert [s.key for s in cold_top] == [s.key for s in live_top]
-    assert [s.key for s in warm_top] == [s.key for s in live_top]
-    assert [s.key for s in served_top] == [s.key for s in live_top]
-    sliced_live = live.slice(ca={"r": "r0"})
-    sliced_snap = warm_cube.slice(ca={"r": "r0"})
-    assert [s.key for s in sliced_live] == [s.key for s in sliced_snap]
 
     snapshot_bytes = sum(
         f.stat().st_size for f in snap.iterdir() if f.is_file()
@@ -113,7 +123,7 @@ def test_snapshot_write_open_serve(benchmark, tmp_path):
         "E18_snapshot_serving",
         f"Snapshot store vs rebuild at {FILL_ROWS} rows, "
         f"{len(live)} cells, {snapshot_bytes} snapshot bytes "
-        "(cell parity asserted, atol=0)\n"
+        "(cell parity: test_snapshot_parity, atol=0)\n"
         + render_table(["stage", "time (ms)", "speedup vs rebuild"], rows),
     )
     write_bench_json("E18", {

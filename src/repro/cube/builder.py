@@ -319,33 +319,6 @@ class SegregationDataCubeBuilder:
                                resolver=resolver)
         return cube, mined
 
-    def build_snapshot(
-        self,
-        table: Table,
-        schema: Schema,
-        path,
-        mmap: bool = True,
-    ) -> SegregationCube:
-        """Build the cube, persist it, and return the *snapshot-backed* cube.
-
-        The expensive ETL → mining → fill work runs once; what is
-        returned reads from the on-disk columns exactly as any later
-        :func:`repro.store.open_snapshot` caller will (so serving what
-        was just built and serving a reopened snapshot are the same
-        code path).
-
-        Note for ``mode="closed"``: snapshots carry cells, not covers,
-        so the returned cube has **no lazy resolver** — point queries
-        for frequent-but-not-closed coordinates answer None/nan.  Use
-        :meth:`build` (and :meth:`~repro.cube.cube.SegregationCube.dump`
-        separately) when the live resolver semantics are needed.
-        """
-        from repro.store.snapshot import dump_snapshot, open_snapshot
-
-        cube = self.build(table, schema)
-        dump_snapshot(cube, path)
-        return open_snapshot(path, mmap=mmap)
-
     def mine_coordinates(self, db: TransactionDatabase) -> MinedCoordinates:
         """Run the two mining passes; no cells are filled yet.
 
@@ -662,13 +635,8 @@ def build_cube(
     mode: str = "all",
     engine: str = "columnar",
     workers: "int | None" = None,
-    snapshot_path=None,
 ) -> SegregationCube:
-    """One-call convenience wrapper around the builder.
-
-    When ``snapshot_path`` is given the built cube is also persisted
-    there as a reopenable snapshot (see :mod:`repro.store`).
-    """
+    """One-call convenience wrapper around the builder."""
     builder = SegregationDataCubeBuilder(
         indexes=indexes,
         min_population=min_population,
@@ -679,9 +647,4 @@ def build_cube(
         engine=engine,
         workers=workers,
     )
-    cube = builder.build(table, schema)
-    if snapshot_path is not None:
-        from repro.store.snapshot import dump_snapshot
-
-        dump_snapshot(cube, snapshot_path)
-    return cube
+    return builder.build(table, schema)

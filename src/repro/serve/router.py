@@ -2,11 +2,11 @@
 
 The router opens a directory written by
 :func:`repro.store.shards.dump_sharded_snapshot` /
-:func:`~repro.store.shards.dump_sharded_into_timeline` /
-:func:`~repro.store.shards.shard_timeline_by_date` — a ``shards.json``
-manifest plus one snapshot (or timeline) per shard — and presents the
-:class:`~repro.serve.service.CubeService` query vocabulary over the
-union, with the same answers the unsharded service would give:
+:func:`~repro.store.shards.dump_sharded_into_timeline` — a
+``shards.json`` manifest plus one snapshot (or timeline) per shard —
+and presents the :class:`~repro.serve.service.CubeService` query
+vocabulary over the union, with the same answers the unsharded service
+would give:
 
 * **Point queries** (``cell``/``value``) route to exactly one owning
   shard, re-deriving the shard key with the *same* partition functions
@@ -25,10 +25,15 @@ union, with the same answers the unsharded service would give:
   the cube — the pivot needs only ``dictionary`` and ``value``, and
   each ``value`` routes to its owner — so sharded pivots equal
   unsharded ones by construction.
-* **Trends** fan across dates: in ``date`` mode each shard *is* one
-  date; in ``hash``/``attribute`` mode each shard is a timeline and
-  the per-date values coalesce (a cell lives in exactly one shard, so
-  at most one shard answers non-nan per date).
+* **Dates**: over sharded timelines every shard serves the same date,
+  by default the ``published_date`` of ``shards.json`` — the newest
+  date every shard holds — so a publish cut short, or still running,
+  never mixes dates.  Only dates up to it are listed and trended, a
+  newer ``date`` is rejected, and :meth:`ShardedCubeService.refreshed`
+  moves on when it changes.
+* **Trends** fan across dates: each shard is a timeline and the
+  per-date values coalesce (a cell lives in exactly one shard, so at
+  most one shard answers non-nan per date).
 
 Every shard carries the full item vocabulary, so coordinate encoding
 and ``describe`` work identically through any of them.
@@ -51,7 +56,6 @@ from repro.store.shards import (
     hash_shard_of_key,
     is_sharded,
 )
-from repro.store.timeline import timeline_dates
 
 
 def open_service(
@@ -84,46 +88,33 @@ class ShardedCubeService:
         self._root = Path(root)
         self._mmap = bool(mmap)
         self._manifest = ShardsManifest.read(self._root)
-        self._date: "int | None" = None
-        if self._manifest.sharded_by == "date":
-            # One shard per date: open every dated snapshot, serve one.
-            self._services = {
-                entry.key: CubeService(self._root / entry.path, mmap=mmap)
-                for entry in self._manifest.entries
-            }
-            dates = sorted(entry.date for entry in self._manifest.entries)
-            self._date = int(date) if date is not None else dates[-1]
-            if self._date not in dates:
-                raise SnapshotError(
-                    f"no shard for date {self._date} under {self._root} "
-                    f"(have: {dates})"
-                )
-        else:
-            self._services = {
-                entry.key: CubeService(
-                    self._root / entry.path, mmap=mmap, date=date
-                )
-                for entry in self._manifest.entries
-            }
-            self._date = self._point_service().date
+        published = self._manifest.published_date
+        if date is None:
+            date = published
+        elif published is not None and int(date) > published:
+            raise SnapshotError(
+                f"date {date} is not published on every shard under "
+                f"{self._root} (newest published date: {published})"
+            )
+        self._services = {
+            entry.key: CubeService(
+                self._root / entry.path, mmap=mmap, date=date
+            )
+            for entry in self._manifest.entries
+        }
+        self._date = self._point_service().date
 
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
 
     def _point_service(self) -> CubeService:
-        """The shard answering single-date scans (any shard in hash/
-        attribute mode would do for vocabulary access; date mode picks
-        the served date's shard)."""
-        if self._manifest.sharded_by == "date":
-            return self._services[str(self._date)]
+        """Any shard: all carry the full vocabulary and serve one date."""
         return next(iter(self._services.values()))
 
     def _owner_of(self, key: CellKey) -> "CubeService | None":
         """The one shard that owns a cell key (None: provably absent)."""
         sharded_by = self._manifest.sharded_by
-        if sharded_by == "date":
-            return self._services[str(self._date)]
         if sharded_by == "hash":
             shard_key = hash_shard_of_key(
                 key[0], key[1], self._manifest.n_words,
@@ -138,11 +129,10 @@ class ShardedCubeService:
         # the cell cannot be materialised anywhere.
         return self._services.get(shard_key)
 
-    def _scan_services(self) -> "list[CubeService]":
-        """Shards that participate in a single-date fan-out scan."""
-        if self._manifest.sharded_by == "date":
-            return [self._services[str(self._date)]]
-        return list(self._services.values())
+    def _published(self, dates) -> "list[int]":
+        """The ``dates`` up to the published date (all when unset)."""
+        published = self._manifest.published_date
+        return [d for d in dates if published is None or d <= published]
 
     # ------------------------------------------------------------------
     # Vocabulary / identity (any shard: all carry the full dictionary)
@@ -180,29 +170,19 @@ class ShardedCubeService:
         return self._point_service().describe(key)
 
     def dates(self) -> "list[int]":
-        if self._manifest.sharded_by == "date":
-            return sorted(entry.date for entry in self._manifest.entries)
-        return self._point_service().dates()
+        return self._published(self._point_service().dates())
 
     def refreshed(self) -> "ShardedCubeService | None":
-        """A fresh router when new data was published, else None.
+        """A fresh router when a newer date was published, else None.
 
-        ``date`` mode re-reads ``shards.json`` (publishing a date adds
-        an entry); timeline-sharded modes list the point shard's
-        timeline dates.  Either way only the successor router opens
-        snapshots.  Like
+        Re-reads ``shards.json`` and compares its published date with
+        the served one; only the successor router opens snapshots.  A
+        sharded snapshot records no date and never refreshes.  Like
         :meth:`~repro.serve.service.CubeService.refreshed`, the
         existing instance is never mutated.
         """
-        if self._manifest.sharded_by == "date":
-            fresh_manifest = ShardsManifest.read(self._root)
-            dates = sorted(e.date for e in fresh_manifest.entries)
-        else:
-            timeline_root = self._point_service().timeline_root
-            if timeline_root is None:
-                return None
-            dates = timeline_dates(timeline_root)
-        if not dates or dates[-1] == self._date:
+        published = ShardsManifest.read(self._root).published_date
+        if published is None or published == self._date:
             return None
         return ShardedCubeService(self._root, mmap=self._mmap)
 
@@ -260,7 +240,7 @@ class ShardedCubeService:
     ) -> "list[Discovery]":
         """Global top-k as a k-way merge of per-shard top-k lists."""
         merged: "list[Discovery]" = []
-        for service in self._scan_services():
+        for service in self._services.values():
             merged.extend(service.top(
                 index_name=index_name,
                 k=k,
@@ -298,7 +278,7 @@ class ShardedCubeService:
 
     def _merged_cells(self, query) -> "list[CellStats]":
         merged: "list[CellStats]" = []
-        for service in self._scan_services():
+        for service in self._services.values():
             merged.extend(query(service))
         merged.sort(key=lambda s: (s.depth(), self.describe(s.key)))
         return merged
@@ -324,16 +304,8 @@ class ShardedCubeService:
         sa: Coordinates = None,
         ca: Coordinates = None,
     ) -> "list[tuple[int, float]]":
-        if self._manifest.sharded_by == "date":
-            return [
-                (int(entry.date),
-                 self._services[entry.key].value(index_name, sa=sa, ca=ca))
-                for entry in sorted(
-                    self._manifest.entries, key=lambda e: e.date
-                )
-            ]
-        # Timeline-backed shards: coalesce per date.  The partition is
-        # disjoint, so at most one shard answers non-nan per date.
+        # Coalesce per date.  The partition is disjoint, so at most one
+        # shard answers non-nan per date.
         merged: "dict[int, float]" = {}
         for service in self._services.values():
             for date, value in service.trend(
@@ -344,7 +316,9 @@ class ShardedCubeService:
                     math.isnan(current) and not math.isnan(value)
                 ):
                     merged[int(date)] = value
-        return sorted(merged.items())
+        return [
+            (date, merged[date]) for date in self._published(sorted(merged))
+        ]
 
     def pivot(
         self,

@@ -9,18 +9,24 @@ the index names and the build provenance — and reopens them, optionally
 memory-mapped, as a fully functional read-only
 :class:`~repro.cube.cube.SegregationCube`.
 
-* :mod:`repro.store.manifest` — the manifest format (versioned,
-  validated, JSON, with an optional ``delta`` section).
+* :mod:`repro.store.manifest` — the store's file layer, through which
+  every store module writes, renames, unlinks, fsyncs and loads: atomic
+  manifest writes, the crash-safe dump protocol (stale manifest
+  unlinked first, arrays saved, manifest written last, orphans
+  pruned), the shared manifest preamble and the checked array loader;
+  plus the snapshot manifest format (versioned, validated, JSON, with
+  an optional ``delta`` section).
 * :mod:`repro.store.snapshot` — :func:`dump_snapshot`,
   :func:`dump_delta_snapshot`, :func:`open_snapshot`,
   :func:`validate_snapshot`.
 * :mod:`repro.store.shards` — the ``shards.json`` manifest plus
   writers (:func:`dump_sharded_snapshot`,
-  :func:`dump_sharded_into_timeline`, :func:`shard_timeline_by_date`)
-  that fan one logical cube across many disjoint snapshot/timeline
-  shards, partitioned by key hash, by a context attribute's value, or
-  by timeline date; :class:`repro.serve.router.ShardedCubeService`
-  reopens and merges them.
+  :func:`dump_sharded_into_timeline`) that fan one logical cube across
+  many disjoint snapshot/timeline shards, partitioned by key hash or by
+  a context attribute's value; a sharded timeline records the newest
+  date published on every shard, and
+  :class:`repro.serve.router.ShardedCubeService` reopens and merges the
+  shards at that date.
 * :mod:`repro.store.graph` — graph snapshots
   (:func:`dump_graph_snapshot`, :func:`open_graph_snapshot`,
   :func:`validate_graph_snapshot`): scenario 2/3's projected graph +
@@ -67,7 +73,6 @@ from repro.store.shards import (
     dump_sharded_into_timeline,
     dump_sharded_snapshot,
     is_sharded,
-    shard_timeline_by_date,
 )
 from repro.store.snapshot import (
     delta_chain_length,
@@ -112,7 +117,6 @@ __all__ = [
     "open_graph_snapshot",
     "open_snapshot",
     "read_timeline_manifest",
-    "shard_timeline_by_date",
     "snapshot_disk_bytes",
     "snapshot_files",
     "table_digest",

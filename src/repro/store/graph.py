@@ -19,11 +19,14 @@ Layout::
       isolated.npy          int64               nodes with no projected edge
       skipped_hubs.npy      int64               sources skipped by the hub guard
 
-The write protocol mirrors ``store/snapshot.py``: the stale manifest is
-unlinked *first* and the new one written *last*, so a directory with a
-readable manifest always describes a complete snapshot; unclaimed
-``.npy`` files are pruned.  :func:`open_graph_snapshot` checks structure
-(version, required arrays, dtypes, shapes, count consistency);
+The write goes through the store's file layer
+(:func:`~repro.store.manifest.dump_directory`, the protocol cube
+snapshots use): the stale manifest is unlinked *first* and the new one
+written *last*, so a directory with a readable manifest always
+describes a complete snapshot; unclaimed ``.npy`` files are pruned.
+:func:`open_graph_snapshot` checks structure through the same manifest
+preamble and checked loader as cube snapshots (version, required
+arrays, dtypes, shapes), plus count consistency;
 :func:`validate_graph_snapshot` additionally checks content (endpoint
 ranges, ``u < v`` ordering, positive weights, label range, sha256
 digest).  Every failure raises :class:`~repro.errors.SnapshotError`.
@@ -43,7 +46,13 @@ from repro.errors import SnapshotError
 from repro.graph.bipartite import ProjectionResult
 from repro.graph.components import Clustering
 from repro.graph.graph import Graph
-from repro.store.manifest import _jsonable, save_array, write_atomic
+from repro.store.manifest import (
+    ArrayInfo,
+    _jsonable,
+    dump_directory,
+    load_arrays,
+    read_manifest,
+)
 
 #: Current graph snapshot format; readers refuse other versions.
 GRAPH_FORMAT_VERSION = 1
@@ -64,15 +73,6 @@ _GRAPH_ARRAYS = {
 
 
 @dataclass
-class GraphArrayInfo:
-    """Where one array lives and what it must look like."""
-
-    file: str
-    dtype: str
-    shape: "list[int]"
-
-
-@dataclass
 class GraphManifest:
     """Everything a reader needs to reopen and validate a graph snapshot."""
 
@@ -83,62 +83,30 @@ class GraphManifest:
     n_clusters: int
     method: str
     provenance: "dict[str, object]"
-    arrays: "dict[str, GraphArrayInfo]" = field(default_factory=dict)
+    arrays: "dict[str, ArrayInfo]" = field(default_factory=dict)
     content_digest: "str | None" = None
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "GraphManifest":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SnapshotError(
-                f"graph manifest is not valid JSON: {exc}"
-            ) from exc
-        if not isinstance(payload, dict):
-            raise SnapshotError("graph manifest must be a JSON object")
-        version = payload.get("format_version")
-        if version != GRAPH_FORMAT_VERSION:
-            raise SnapshotError(
-                f"graph snapshot format version {version!r} is not "
-                f"supported (this library reads version "
-                f"{GRAPH_FORMAT_VERSION})"
-            )
-        required = ("created_at", "n_nodes", "n_edges", "n_clusters",
-                    "method", "provenance", "arrays")
-        missing = [name for name in required if name not in payload]
-        if missing:
-            raise SnapshotError(
-                "graph manifest is missing required fields: "
-                + ", ".join(missing)
-            )
-        arrays_raw = payload["arrays"]
-        if not isinstance(arrays_raw, dict):
-            raise SnapshotError("graph manifest 'arrays' must be an object")
-        arrays = {}
-        for name, info in arrays_raw.items():
-            try:
-                arrays[name] = GraphArrayInfo(
-                    file=str(info["file"]),
-                    dtype=str(info["dtype"]),
-                    shape=[int(d) for d in info["shape"]],
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SnapshotError(
-                    f"malformed graph array entry {name!r}: {info!r}"
-                ) from exc
+    def read(cls, directory: "str | Path") -> "GraphManifest":
+        payload = read_manifest(
+            Path(directory) / GRAPH_MANIFEST_NAME, "graph snapshot",
+            GRAPH_FORMAT_VERSION,
+            ("created_at", "n_nodes", "n_edges", "n_clusters", "method",
+             "provenance", "arrays"),
+        )
         try:
             return cls(
-                format_version=int(version),
+                format_version=GRAPH_FORMAT_VERSION,
                 created_at=str(payload["created_at"]),
                 n_nodes=int(payload["n_nodes"]),
                 n_edges=int(payload["n_edges"]),
                 n_clusters=int(payload["n_clusters"]),
                 method=str(payload["method"]),
                 provenance=dict(payload["provenance"]),
-                arrays=arrays,
+                arrays=payload["arrays"],
                 content_digest=(
                     str(payload["content_digest"])
                     if payload.get("content_digest") is not None else None
@@ -148,18 +116,6 @@ class GraphManifest:
             raise SnapshotError(
                 f"graph manifest fields are malformed: {exc}"
             ) from exc
-
-    def write(self, directory: "str | Path") -> Path:
-        return write_atomic(
-            Path(directory) / GRAPH_MANIFEST_NAME, self.to_json()
-        )
-
-    @classmethod
-    def read(cls, directory: "str | Path") -> "GraphManifest":
-        path = Path(directory) / GRAPH_MANIFEST_NAME
-        if not path.is_file():
-            raise SnapshotError(f"no graph snapshot manifest at {path}")
-        return cls.from_json(path.read_text())
 
 
 @dataclass
@@ -211,13 +167,11 @@ def dump_graph_snapshot(
 ) -> Path:
     """Persist a graph artifact to ``path`` (a directory) and return it.
 
-    Crash-safe like the cube dump: stale manifest unlinked first, new
-    manifest written last, orphan ``.npy`` files pruned.
+    Crash-safe through the store's dump protocol
+    (:func:`~repro.store.manifest.dump_directory`): stale manifest
+    unlinked first, new manifest written last, orphan ``.npy`` files
+    pruned.
     """
-    directory = Path(path)
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / GRAPH_MANIFEST_NAME).unlink(missing_ok=True)
-
     u, v, w = artifact.graph.edge_arrays()
     arrays = {
         "edges_u": np.ascontiguousarray(u, dtype=np.int64),
@@ -239,18 +193,10 @@ def dump_graph_snapshot(
         provenance=_jsonable(artifact.provenance),
         content_digest=graph_digest(arrays),
     )
-    for name, array in arrays.items():
-        file = f"{name}.npy"
-        save_array(directory / file, array)
-        manifest.arrays[name] = GraphArrayInfo(
-            file=file, dtype=_GRAPH_ARRAYS[name], shape=list(array.shape)
-        )
-    manifest.write(directory)
-    expected = {info.file for info in manifest.arrays.values()}
-    for stale in directory.glob("*.npy"):
-        if stale.name not in expected:
-            stale.unlink()
-    return directory
+    return dump_directory(
+        path, GRAPH_MANIFEST_NAME, manifest,
+        ((name, f"{name}.npy", array) for name, array in arrays.items()),
+    )
 
 
 class GraphSnapshot:
@@ -336,40 +282,9 @@ def open_graph_snapshot(
         raise SnapshotError(
             f"graph manifest counts must be non-negative at {directory}"
         )
-    arrays: "dict[str, np.ndarray]" = {}
-    for name, dtype in _GRAPH_ARRAYS.items():
-        info = manifest.arrays.get(name)
-        if info is None:
-            raise SnapshotError(
-                f"graph manifest is missing array entry {name!r}"
-            )
-        if info.dtype != dtype:
-            raise SnapshotError(
-                f"graph array {name!r} declares dtype {info.dtype!r}, "
-                f"expected {dtype!r}"
-            )
-        file = directory / info.file
-        if not file.is_file():
-            raise SnapshotError(f"graph snapshot is missing file {file}")
-        try:
-            array = np.load(file, mmap_mode="r" if mmap else None)
-        except (ValueError, OSError) as exc:
-            raise SnapshotError(
-                f"graph array file {file} is unreadable: {exc}"
-            ) from exc
-        if str(array.dtype) != dtype:
-            raise SnapshotError(
-                f"graph array {name!r} has dtype {array.dtype}, "
-                f"expected {dtype}"
-            )
-        if list(array.shape) != list(info.shape):
-            raise SnapshotError(
-                f"graph array {name!r} has shape {list(array.shape)}, "
-                f"manifest declares {info.shape}"
-            )
-        if not mmap:
-            array.setflags(write=False)
-        arrays[name] = array
+    arrays = load_arrays(
+        directory, manifest.arrays, "graph snapshot", _GRAPH_ARRAYS, mmap
+    )
     for name in ("edges_u", "edges_v", "edges_w"):
         if arrays[name].shape != (manifest.n_edges,):
             raise SnapshotError(

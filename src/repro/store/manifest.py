@@ -1,25 +1,47 @@
-"""The snapshot manifest: schema, vocabulary and provenance as JSON.
+"""The store's file layer, and the snapshot manifest.
 
-A snapshot directory is self-describing: everything needed to reopen a
-cube without the original process — the format version, the typed item
-vocabulary (so cell keys decode back to ``attribute=value`` pairs), the
-declared index names, the :class:`~repro.cube.cube.CubeMetadata`
-provenance of the build, and one entry per stored array recording its
-file name, dtype and shape (validated on open).
+Every file the store writes or reads goes through the functions here.
+No other store module calls ``np.save``, ``np.load``, ``os.replace``,
+``os.fsync`` or ``unlink`` itself, so the crash-point tests can fail
+each of those calls of a writer in turn:
 
-Every malformed-manifest condition raises
-:class:`~repro.errors.SnapshotError` with a message naming the missing
-or mismatching field, so a corrupted or future-versioned snapshot fails
-loudly instead of serving garbage.  Every manifest the store writes —
-this one, ``timeline.json``, ``shards.json`` and ``graph_manifest.json``
-— goes through :func:`write_atomic`, so a crash mid-write never leaves
-a torn file behind.
+* :func:`write_atomic` replaces a manifest so that readers see the old
+  or the new file, never a torn one.  Every manifest the store writes —
+  ``manifest.json``, ``graph_manifest.json``, ``timeline.json`` and
+  ``shards.json`` — goes through it.
+* :func:`save_array` writes one ``.npy`` array as a new inode, so live
+  memory-mapped readers keep the old bytes.
+* :func:`dump_directory` is the dump protocol of a directory of arrays
+  behind one manifest (cube snapshots, deltas, graph snapshots): the
+  stale manifest is unlinked first, each array saved and recorded as an
+  :class:`ArrayInfo`, the manifest written last, and every ``.npy``
+  file it does not claim pruned.  A directory with a readable manifest
+  therefore always describes a complete dump.
+* :func:`read_manifest` is the preamble the versioned manifests share:
+  the file exists, is a JSON object (:func:`read_json`, which also
+  reads the advisory ``timeline.json``) of the right format version
+  with the required fields, and its ``arrays`` entries parse.
+* :func:`load_arrays` is the checked loader: every required array is
+  listed with its dtype, and every listed array is present, loaded once
+  without pickles, of the dtype and shape its entry records, and
+  read-only.
+
+Every read failure raises :class:`~repro.errors.SnapshotError` with a
+message naming the missing or mismatching field or file, so a corrupted
+or future-versioned directory fails loudly instead of serving garbage.
+
+The rest of the module is the cube snapshot's manifest: the format
+version, the typed item vocabulary (so cell keys decode back to
+``attribute=value`` pairs), the declared index names, the
+:class:`~repro.cube.cube.CubeMetadata` provenance of the build, and one
+:class:`ArrayInfo` per stored array.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -91,6 +113,178 @@ def save_array(path: "str | Path", array: np.ndarray) -> None:
     path = Path(path)
     path.unlink(missing_ok=True)
     np.save(path, array)
+
+
+@dataclass
+class ArrayInfo:
+    """Where one stored array lives and what it must look like."""
+
+    file: str
+    dtype: str
+    shape: "list[int]"
+
+
+def dump_directory(
+    path: "str | Path",
+    manifest_name: str,
+    manifest,
+    arrays: "Iterable[tuple[str, str, np.ndarray]]",
+) -> Path:
+    """Dump ``arrays`` behind ``manifest`` into the directory ``path``.
+
+    ``arrays`` yields ``(name, file, array)`` triples, saved one at a
+    time with :func:`save_array` and recorded in ``manifest.arrays``;
+    ``manifest.to_json()`` then goes to ``manifest_name`` through
+    :func:`write_atomic`.  The stale manifest is unlinked *first* and
+    the new one written *last*, so a crash at any point — even in the
+    middle of an overwrite — leaves either a manifest-less directory,
+    which every reader rejects, or a complete dump: never an old
+    manifest over new arrays.  Last, every ``.npy`` file the manifest
+    does not claim (left by an earlier dump with more arrays) is
+    pruned, so the directory *is* the dump.
+    """
+    directory = Path(path)
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / manifest_name).unlink(missing_ok=True)
+    for name, file, array in arrays:
+        save_array(directory / file, array)
+        manifest.arrays[name] = ArrayInfo(
+            file=file, dtype=str(array.dtype), shape=list(array.shape)
+        )
+    write_atomic(directory / manifest_name, manifest.to_json())
+    claimed = {info.file for info in manifest.arrays.values()}
+    for stale in directory.glob("*.npy"):
+        if stale.name not in claimed:
+            stale.unlink()
+    return directory
+
+
+def read_json(path: Path, kind: str) -> "dict[str, object]":
+    """The JSON object in the manifest file ``path``.
+
+    An unreadable file, text that is not JSON, or JSON that is not an
+    object raises :class:`~repro.errors.SnapshotError`; ``kind`` names
+    the manifest in the message.
+    """
+    try:
+        payload = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise SnapshotError(
+            f"{kind} manifest {path} is unreadable: not valid JSON: {exc}"
+        ) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SnapshotError(
+            f"{kind} manifest {path} is unreadable: {exc}"
+        ) from exc
+    if not isinstance(payload, dict):
+        raise SnapshotError(
+            f"malformed {kind} manifest {path}: not a JSON object"
+        )
+    return payload
+
+
+def read_manifest(
+    path: "str | Path",
+    kind: str,
+    version: int,
+    required: "tuple[str, ...]",
+) -> "dict[str, object]":
+    """The parsed JSON object of one manifest file, checked.
+
+    The file must exist and hold a JSON object whose
+    ``format_version`` is ``version`` and which has every ``required``
+    field; an ``arrays`` field is parsed into :class:`ArrayInfo`
+    entries.  ``kind`` names the manifest in error messages.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise SnapshotError(f"no {kind} manifest at {path}")
+    payload = read_json(path, kind)
+    found = payload.get("format_version")
+    if found != version:
+        raise SnapshotError(
+            f"{kind} format version {found!r} is not supported "
+            f"(this library reads version {version})"
+        )
+    missing = [name for name in required if name not in payload]
+    if missing:
+        raise SnapshotError(
+            f"{kind} manifest is missing required fields: "
+            f"{', '.join(missing)}"
+        )
+    if "arrays" in payload:
+        entries = payload["arrays"]
+        if not isinstance(entries, dict):
+            raise SnapshotError(f"{kind} manifest 'arrays' must be an object")
+        arrays = {}
+        for name, info in entries.items():
+            try:
+                arrays[name] = ArrayInfo(
+                    file=str(info["file"]),
+                    dtype=str(info["dtype"]),
+                    shape=[int(d) for d in info["shape"]],
+                )
+            except (KeyError, TypeError, ValueError) as exc:
+                raise SnapshotError(
+                    f"malformed {kind} array entry {name!r}: {info!r}"
+                ) from exc
+        payload["arrays"] = arrays
+    return payload
+
+
+def load_arrays(
+    directory: "str | Path",
+    arrays: "dict[str, ArrayInfo]",
+    kind: str,
+    required: "dict[str, str]",
+    mmap: bool,
+) -> "dict[str, np.ndarray]":
+    """Load every array a manifest lists, once each, checked.
+
+    Every name in ``required`` (name -> dtype) must be listed with that
+    dtype; every listed file must exist and load with
+    ``allow_pickle=False`` as exactly the dtype and shape its entry
+    records.  Arrays are memory-mapped read-only when ``mmap``, else
+    read into memory with the writeable flag cleared, so every returned
+    array is read-only.  ``kind`` names the directory in error
+    messages.
+    """
+    missing = sorted(set(required) - set(arrays))
+    if missing:
+        raise SnapshotError(
+            f"{kind} manifest lists no array entry for: {', '.join(missing)}"
+        )
+    loaded: "dict[str, np.ndarray]" = {}
+    for name, info in arrays.items():
+        want = required.get(name)
+        if want is not None and info.dtype != want:
+            raise SnapshotError(
+                f"{kind} array {name!r} must be {want}, manifest says "
+                f"dtype {info.dtype}"
+            )
+        file = Path(directory) / info.file
+        if not file.is_file():
+            raise SnapshotError(f"{kind} is missing file {file}")
+        try:
+            array = np.load(
+                file, mmap_mode="r" if mmap else None, allow_pickle=False
+            )
+        except (ValueError, OSError, EOFError) as exc:
+            raise SnapshotError(
+                f"{kind} array {info.file} is unreadable: {exc}"
+            ) from exc
+        if str(array.dtype) != info.dtype or list(array.shape) != info.shape:
+            raise SnapshotError(
+                f"{kind} array {info.file} has dtype {array.dtype} and "
+                f"shape {tuple(array.shape)}, manifest says {info.dtype} "
+                f"and {tuple(info.shape)}"
+            )
+        if not mmap:
+            # Serving is strictly read-only; enforce it on owned arrays
+            # the way mode="r" memory maps already do.
+            array.flags.writeable = False
+        loaded[name] = array
+    return loaded
 
 
 def _jsonable(obj: object) -> object:
@@ -168,15 +362,6 @@ def _decode_item(entry: "dict[str, object]") -> "tuple[Item, ItemKind]":
             f"in {entry!r}"
         ) from exc
     return Item(attribute, value), kind
-
-
-@dataclass
-class ArrayInfo:
-    """Where one column array lives and what it must look like."""
-
-    file: str
-    dtype: str
-    shape: "list[int]"
 
 
 @dataclass
@@ -267,32 +452,15 @@ class SnapshotManifest:
     # -- (de)serialisation ---------------------------------------------
 
     def to_json(self) -> str:
-        payload = asdict(self)
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "SnapshotManifest":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SnapshotError(f"manifest is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise SnapshotError("manifest must be a JSON object")
-        version = payload.get("format_version")
-        if version != FORMAT_VERSION:
-            raise SnapshotError(
-                f"snapshot format version {version!r} is not supported "
-                f"(this library reads version {FORMAT_VERSION})"
-            )
-        required = (
-            "created_at", "n_cells", "n_items", "n_words",
-            "column_names", "items", "metadata", "arrays",
+    def read(cls, directory: "str | Path") -> "SnapshotManifest":
+        payload = read_manifest(
+            Path(directory) / MANIFEST_NAME, "snapshot", FORMAT_VERSION,
+            ("created_at", "n_cells", "n_items", "n_words",
+             "column_names", "items", "metadata", "arrays"),
         )
-        missing = [name for name in required if name not in payload]
-        if missing:
-            raise SnapshotError(
-                f"manifest is missing required fields: {', '.join(missing)}"
-            )
         delta_raw = payload.get("delta")
         delta: "dict[str, object] | None" = None
         if delta_raw is not None:
@@ -311,23 +479,8 @@ class SnapshotManifest:
                 raise SnapshotError(
                     "delta 'n_superseded' must be non-negative"
                 )
-        arrays_raw = payload["arrays"]
-        if not isinstance(arrays_raw, dict):
-            raise SnapshotError("manifest 'arrays' must be an object")
-        arrays = {}
-        for name, info in arrays_raw.items():
-            try:
-                arrays[name] = ArrayInfo(
-                    file=str(info["file"]),
-                    dtype=str(info["dtype"]),
-                    shape=[int(d) for d in info["shape"]],
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SnapshotError(
-                    f"malformed array entry {name!r}: {info!r}"
-                ) from exc
         return cls(
-            format_version=int(version),
+            format_version=FORMAT_VERSION,
             created_at=str(payload["created_at"]),
             n_cells=int(payload["n_cells"]),
             n_items=int(payload["n_items"]),
@@ -335,20 +488,10 @@ class SnapshotManifest:
             column_names=[str(c) for c in payload["column_names"]],
             items=list(payload["items"]),
             metadata=dict(payload["metadata"]),
-            arrays=arrays,
+            arrays=payload["arrays"],
             delta=delta,
             content_digest=(
                 str(payload["content_digest"])
                 if payload.get("content_digest") is not None else None
             ),
         )
-
-    def write(self, directory: "str | Path") -> Path:
-        return write_atomic(Path(directory) / MANIFEST_NAME, self.to_json())
-
-    @classmethod
-    def read(cls, directory: "str | Path") -> "SnapshotManifest":
-        path = Path(directory) / MANIFEST_NAME
-        if not path.is_file():
-            raise SnapshotError(f"no snapshot manifest at {path}")
-        return cls.from_json(path.read_text())

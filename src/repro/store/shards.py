@@ -19,7 +19,7 @@ point query routes to exactly one shard, while scans (``top``,
 :class:`repro.serve.router.ShardedCubeService`; this module owns the
 on-disk format and the writers.
 
-Three partition schemes:
+Two partition schemes:
 
 ``hash``
     stable CRC-32 of the cell's packed key bitmask bytes modulo
@@ -29,10 +29,14 @@ Three partition schemes:
     key (``*`` for cells that leave it at the wildcard; multi-valued
     cells go to their lexicographically smallest value) — aligns shards
     with a natural query dimension.
-``date``
-    one shard per timeline date (:func:`shard_timeline_by_date` writes
-    the manifest next to an existing timeline's dated directories) —
-    point-in-time queries route to one date, trends fan across all.
+
+A sharded *timeline* publishes each date into one shard timeline after
+another (:func:`dump_sharded_into_timeline`), so while a publish runs,
+or after one was cut short, some shards hold the new date and others
+do not.  ``shards.json`` is written last, in one atomic write that
+lists any new shard and records the ``published_date``, the newest date
+every shard holds.  The router opens every shard at that date, so a
+reader never mixes dates.
 """
 
 from __future__ import annotations
@@ -48,9 +52,9 @@ from repro.cube.cube import SegregationCube
 from repro.cube.table import CellTable, TableArrays, pack_items
 from repro.errors import SnapshotError
 from repro.itemsets.items import ItemDictionary
-from repro.store.manifest import MANIFEST_NAME, write_atomic
+from repro.store.manifest import MANIFEST_NAME, read_manifest, write_atomic
 from repro.store.snapshot import dump_snapshot
-from repro.store.timeline import dump_into_timeline, timeline_dates
+from repro.store.timeline import dump_into_timeline
 
 SHARDS_NAME = "shards.json"
 
@@ -65,8 +69,7 @@ class ShardEntry:
     """One shard: where it lives and which cells it owns."""
 
     path: str                 # directory, relative to the manifest dir
-    key: str                  # hash bucket, attribute value, or date
-    date: "int | None" = None  # date-sharded manifests only
+    key: str                  # hash bucket or attribute value
 
 
 @dataclass
@@ -74,9 +77,12 @@ class ShardsManifest:
     """Everything a router needs to open and route across the shards."""
 
     format_version: int
-    sharded_by: str            # "hash" | "attribute:<name>" | "date"
+    sharded_by: str            # "hash" | "attribute:<name>"
     n_words: int               # packed key width shared by all shards
     entries: "list[ShardEntry]"
+    #: Sharded timelines only: the newest date published on every
+    #: shard (None for a sharded snapshot).
+    published_date: "int | None" = None
 
     @property
     def n_shards(self) -> int:
@@ -85,74 +91,52 @@ class ShardsManifest:
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
+    def write(self, directory: "str | Path") -> Path:
+        return write_atomic(Path(directory) / SHARDS_NAME, self.to_json())
+
     @classmethod
-    def from_json(cls, text: str) -> "ShardsManifest":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SnapshotError(
-                f"shards manifest is not valid JSON: {exc}"
-            ) from exc
-        if not isinstance(payload, dict):
-            raise SnapshotError("shards manifest must be a JSON object")
-        version = payload.get("format_version")
-        if version != SHARDS_FORMAT_VERSION:
-            raise SnapshotError(
-                f"shards format version {version!r} is not supported "
-                f"(this library reads version {SHARDS_FORMAT_VERSION})"
-            )
+    def read(cls, directory: "str | Path") -> "ShardsManifest":
+        payload = read_manifest(
+            Path(directory) / SHARDS_NAME, "shards", SHARDS_FORMAT_VERSION,
+            ("sharded_by", "n_words", "entries"),
+        )
         try:
             sharded_by = str(payload["sharded_by"])
             n_words = int(payload["n_words"])
-            raw_entries = payload["entries"]
-        except (KeyError, TypeError, ValueError) as exc:
+            published = payload.get("published_date")
+            published_date = None if published is None else int(published)
+        except (TypeError, ValueError) as exc:
             raise SnapshotError(
-                f"shards manifest is missing or malformed: {exc}"
+                f"shards manifest is malformed: {exc}"
             ) from exc
-        if sharded_by != "hash" and sharded_by != "date" and \
-                not sharded_by.startswith("attribute:"):
+        if sharded_by != "hash" and not sharded_by.startswith("attribute:"):
             raise SnapshotError(
-                f"unknown sharding scheme {sharded_by!r} (expected 'hash', "
-                "'date' or 'attribute:<name>')"
+                f"unknown sharding scheme {sharded_by!r} (expected 'hash' "
+                "or 'attribute:<name>')"
             )
+        raw_entries = payload["entries"]
         if not isinstance(raw_entries, list) or not raw_entries:
             raise SnapshotError("shards manifest lists no shard entries")
         entries = []
         for raw in raw_entries:
             try:
                 entries.append(ShardEntry(
-                    path=str(raw["path"]),
-                    key=str(raw["key"]),
-                    date=(int(raw["date"])
-                          if raw.get("date") is not None else None),
+                    path=str(raw["path"]), key=str(raw["key"])
                 ))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError) as exc:
                 raise SnapshotError(
                     f"malformed shard entry {raw!r}"
                 ) from exc
         keys = [entry.key for entry in entries]
         if len(set(keys)) != len(keys):
             raise SnapshotError(f"duplicate shard keys in manifest: {keys}")
-        if sharded_by == "date" and any(e.date is None for e in entries):
-            raise SnapshotError(
-                "date-sharded manifest has entries without a date"
-            )
         return cls(
-            format_version=int(version),
+            format_version=SHARDS_FORMAT_VERSION,
             sharded_by=sharded_by,
             n_words=n_words,
             entries=entries,
+            published_date=published_date,
         )
-
-    def write(self, directory: "str | Path") -> Path:
-        return write_atomic(Path(directory) / SHARDS_NAME, self.to_json())
-
-    @classmethod
-    def read(cls, directory: "str | Path") -> "ShardsManifest":
-        path = Path(directory) / SHARDS_NAME
-        if not path.is_file():
-            raise SnapshotError(f"no shards manifest at {path}")
-        return cls.from_json(path.read_text())
 
 
 def is_sharded(path: "str | Path") -> bool:
@@ -337,9 +321,16 @@ def dump_sharded_into_timeline(
     under the timeline's publish rule when that date exists in the
     shard, a full snapshot otherwise (first date, or a shard key that
     first appears at this date).
+
+    ``shards.json`` is written last, once every shard holds ``date``:
+    it lists any new shard and records ``date`` as the
+    ``published_date`` (or keeps a newer one), which is what the router
+    serves.  A publish cut short leaves the previous record in place,
+    and publishing the date again completes it.
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
+    published = int(date)
     if is_sharded(root):
         manifest = ShardsManifest.read(root)
         if manifest.sharded_by != by:
@@ -353,6 +344,8 @@ def dump_sharded_into_timeline(
                 f"shards, not {n_shards}"
             )
         entries = list(manifest.entries)
+        if manifest.published_date is not None:
+            published = max(published, manifest.published_date)
     else:
         entries = []
     by_key = {entry.key: entry for entry in entries}
@@ -385,36 +378,7 @@ def dump_sharded_into_timeline(
         sharded_by=by,
         n_words=int(cube.table.sa_masks.shape[1]),
         entries=entries,
+        published_date=published,
     )
     manifest.write(root)
     return root
-
-
-def shard_timeline_by_date(timeline_root: "str | Path") -> Path:
-    """Write a date-sharding manifest over an existing timeline.
-
-    Each dated snapshot directory becomes one shard; the manifest lands
-    inside the timeline directory itself, so the same tree serves both
-    as a :class:`~repro.store.timeline.CubeTimeline` and as a
-    date-sharded :class:`~repro.serve.router.ShardedCubeService`
-    (point-in-time queries route to one date, trends fan across all).
-    """
-    root = Path(timeline_root)
-    dates = timeline_dates(root)
-    if not dates:
-        raise SnapshotError(
-            f"no dated snapshots under timeline directory {root}"
-        )
-    from repro.store.manifest import SnapshotManifest
-
-    n_words = SnapshotManifest.read(root / str(dates[0])).n_words
-    manifest = ShardsManifest(
-        format_version=SHARDS_FORMAT_VERSION,
-        sharded_by="date",
-        n_words=int(n_words),
-        entries=[
-            ShardEntry(path=str(date), key=str(date), date=int(date))
-            for date in dates
-        ],
-    )
-    return manifest.write(root)

@@ -45,6 +45,7 @@ never retained.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 from pathlib import Path
 
@@ -55,9 +56,9 @@ from repro.cube.table import CellTable, TableArrays, unpack_masks
 from repro.errors import SnapshotError
 from repro.store.manifest import (
     MANIFEST_NAME,
-    ArrayInfo,
     SnapshotManifest,
-    save_array,
+    dump_directory,
+    load_arrays,
 )
 
 #: Fixed (non-index) arrays every snapshot carries, with their dtypes.
@@ -89,72 +90,38 @@ def snapshot_files(manifest: SnapshotManifest) -> "list[str]":
     return [MANIFEST_NAME] + [info.file for info in manifest.arrays.values()]
 
 
-def _begin_dump(path: "str | Path") -> Path:
-    """Prepare a snapshot directory for (over)writing, crash-safely.
-
-    Any stale manifest is removed *first* (the new one is written
-    *last*), so a directory with a readable manifest always describes a
-    complete snapshot — a crash mid-dump (even mid-overwrite) leaves a
-    manifest-less directory that :func:`open_snapshot` rejects instead
-    of a chimera of old and new columns.
-    """
-    directory = Path(path)
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / MANIFEST_NAME).unlink(missing_ok=True)
-    return directory
+def _table_arrays(table: CellTable) -> "list[tuple[str, str, object, str]]":
+    """``(name, file, array, dtype)`` of every array a cell table stores."""
+    return [
+        *((name, f"{name}.npy", getattr(table, name), dtype)
+          for name, dtype in _FIXED_ARRAYS.items()),
+        *((f"column:{name}", _column_file(position), column, _COLUMN_DTYPE)
+          for position, (name, column) in enumerate(table.columns.items())),
+    ]
 
 
-def _finish_dump(directory: Path, manifest: SnapshotManifest) -> Path:
-    manifest.write(directory)
-    # Overwriting a snapshot that had more index columns (or that was a
-    # delta and is now full, or vice versa) leaves orphan .npy files
-    # behind; prune anything the new manifest does not claim so the
-    # directory *is* the snapshot.
-    expected = set(snapshot_files(manifest))
-    for stale in directory.glob("*.npy"):
-        if stale.name not in expected:
-            stale.unlink()
-    return directory
-
-
-def _save_cell_arrays(
-    directory: Path,
-    manifest: SnapshotManifest,
-    table: CellTable,
-    rows: "np.ndarray | None" = None,
-) -> None:
-    """Write the cell rows (all, or the ``rows`` subset) as ``.npy`` files."""
-
-    def save(name: str, file: str, array: np.ndarray, dtype: str) -> None:
-        array = np.asarray(array, dtype=dtype)
-        if rows is not None:
-            array = array[rows]
-        array = np.ascontiguousarray(array)
-        save_array(directory / file, array)
-        manifest.arrays[name] = ArrayInfo(
-            file=file, dtype=dtype, shape=list(array.shape)
+def _rows_of(
+    named: "list[tuple[str, str, object, str]]", rows=slice(None)
+):
+    """Yield each named array's ``rows`` as a contiguous array to save."""
+    for name, file, array, dtype in named:
+        yield name, file, np.ascontiguousarray(
+            np.asarray(array, dtype=dtype)[rows]
         )
-
-    save("population", "population.npy", table.population, "int64")
-    save("minority", "minority.npy", table.minority, "int64")
-    save("n_units", "n_units.npy", table.n_units, "int64")
-    save("sa_masks", "sa_masks.npy", table.sa_masks, "uint64")
-    save("ca_masks", "ca_masks.npy", table.ca_masks, "uint64")
-    for position, (name, column) in enumerate(table.columns.items()):
-        save(f"column:{name}", _column_file(position), column, _COLUMN_DTYPE)
 
 
 def dump_snapshot(cube: SegregationCube, path: "str | Path") -> Path:
     """Persist a built cube to ``path`` (a directory) and return it.
 
     Existing snapshot files in the directory are overwritten; see
-    :func:`_begin_dump` for the crash-safety contract.
+    :func:`~repro.store.manifest.dump_directory` for the crash-safety
+    contract.
     """
-    directory = _begin_dump(path)
     manifest = SnapshotManifest.for_cube(cube)
     manifest.content_digest = table_digest(cube.table)
-    _save_cell_arrays(directory, manifest, cube.table)
-    return _finish_dump(directory, manifest)
+    return dump_directory(
+        path, MANIFEST_NAME, manifest, _rows_of(_table_arrays(cube.table))
+    )
 
 
 def _row_keys(sa_masks: np.ndarray, ca_masks: np.ndarray) -> np.ndarray:
@@ -205,23 +172,9 @@ def table_digest(table: CellTable) -> str:
         _row_keys(table.sa_masks, table.ca_masks), kind="stable"
     )
     digest = hashlib.sha256()
-    for name, array, dtype in (
-        ("population", table.population, "int64"),
-        ("minority", table.minority, "int64"),
-        ("n_units", table.n_units, "int64"),
-        ("sa_masks", table.sa_masks, "uint64"),
-        ("ca_masks", table.ca_masks, "uint64"),
-        *(
-            (f"column:{name}", column, _COLUMN_DTYPE)
-            for name, column in table.columns.items()
-        ),
-    ):
+    for name, _, array in _rows_of(_table_arrays(table), order):
         digest.update(name.encode())
-        digest.update(
-            np.ascontiguousarray(
-                np.asarray(array, dtype=dtype)[order]
-            ).tobytes()
-        )
+        digest.update(array.tobytes())
     return digest.hexdigest()
 
 
@@ -389,7 +342,7 @@ def dump_delta_snapshot(
         [np.flatnonzero(deleted), parent_idx[differs]]
     ))
 
-    directory = _begin_dump(path)
+    directory = Path(path)
     manifest = SnapshotManifest.for_cube(cube)
     manifest.n_cells = int(len(own_idx))
     manifest.delta = {
@@ -401,20 +354,19 @@ def dump_delta_snapshot(
     # verify after composing the chain, and what a future delta dump
     # checks a caller-supplied parent cube against.
     manifest.content_digest = table_digest(child_table)
-    _save_cell_arrays(directory, manifest, child_table, rows=own_idx)
-    for name, source in (
-        ("superseded_sa", parent_table.sa_masks),
-        ("superseded_ca", parent_table.ca_masks),
-    ):
-        array = np.ascontiguousarray(
-            np.asarray(source, dtype="uint64")[superseded_idx]
-        )
-        file = f"{name}.npy"
-        save_array(directory / file, array)
-        manifest.arrays[name] = ArrayInfo(
-            file=file, dtype="uint64", shape=list(array.shape)
-        )
-    return _finish_dump(directory, manifest)
+    superseded = [
+        ("superseded_sa", "superseded_sa.npy", parent_table.sa_masks,
+         "uint64"),
+        ("superseded_ca", "superseded_ca.npy", parent_table.ca_masks,
+         "uint64"),
+    ]
+    return dump_directory(
+        directory, MANIFEST_NAME, manifest,
+        itertools.chain(
+            _rows_of(_table_arrays(child_table), own_idx),
+            _rows_of(superseded, superseded_idx),
+        ),
+    )
 
 
 def validate_snapshot(path: "str | Path") -> SnapshotManifest:
@@ -445,72 +397,43 @@ def _load_checked(
 ) -> "tuple[SnapshotManifest, dict[str, np.ndarray]]":
     """Parse a snapshot's manifest and load every array it lists, once.
 
-    Each array is checked against its manifest entry as it loads (see
-    :func:`validate_snapshot` for the checks).  A full snapshot's
-    arrays are memory-mapped when ``mmap``; a delta's own arrays are
-    always read into memory, because composing copies them at once.
-    Every returned array is read-only.
+    The shared checked loader
+    (:func:`~repro.store.manifest.load_arrays`) checks each array
+    against its manifest entry; on top, delta arrays need a delta
+    section and every array's row count must match ``n_cells`` /
+    ``n_superseded`` (see :func:`validate_snapshot`).  A full
+    snapshot's arrays are memory-mapped when ``mmap``; a delta's own
+    arrays are always read into memory, because composing copies them
+    at once.  Every returned array is read-only.
     """
     if not directory.is_dir():
         raise SnapshotError(f"snapshot directory {directory} does not exist")
     manifest = SnapshotManifest.read(directory)
-
-    expected = dict(_FIXED_ARRAYS)
+    required = dict(_FIXED_ARRAYS)
     for name in manifest.column_names:
-        expected[f"column:{name}"] = _COLUMN_DTYPE
+        required[f"column:{name}"] = _COLUMN_DTYPE
     if manifest.delta is not None:
-        expected.update(_DELTA_ARRAYS)
-    missing = sorted(set(expected) - set(manifest.arrays))
-    if missing:
-        raise SnapshotError(
-            f"manifest lists no array entry for: {', '.join(missing)}"
-        )
-
-    mmap_mode = "r" if mmap and manifest.delta is None else None
-    arrays: "dict[str, np.ndarray]" = {}
+        required.update(_DELTA_ARRAYS)
     for name, info in manifest.arrays.items():
-        file = directory / info.file
-        if not file.is_file():
-            raise SnapshotError(f"snapshot array file missing: {file}")
-        try:
-            array = np.load(file, mmap_mode=mmap_mode, allow_pickle=False)
-        except (ValueError, OSError, EOFError) as exc:
+        if name not in _DELTA_ARRAYS:
+            rows, what = manifest.n_cells, "cells"
+        elif manifest.delta is None:
             raise SnapshotError(
-                f"snapshot array {info.file} is unreadable: {exc}"
-            ) from exc
-        if str(array.dtype) != info.dtype or list(array.shape) != info.shape:
-            raise SnapshotError(
-                f"snapshot array {info.file} is {array.dtype}{array.shape}, "
-                f"manifest says {info.dtype}{tuple(info.shape)}"
+                f"manifest lists delta array {name!r} without a "
+                "delta section"
             )
-        want_dtype = expected.get(name)
-        if want_dtype is not None and info.dtype != want_dtype:
+        else:
+            rows = int(manifest.delta["n_superseded"])
+            what = "superseded cells"
+        if info.shape[:1] != [rows]:
             raise SnapshotError(
-                f"array {name!r} must be {want_dtype}, manifest says "
-                f"{info.dtype}"
+                f"array {name!r} has shape {tuple(info.shape)} for "
+                f"{rows} {what}"
             )
-        if name in _DELTA_ARRAYS:
-            if manifest.delta is None:
-                raise SnapshotError(
-                    f"manifest lists delta array {name!r} without a "
-                    "delta section"
-                )
-            n_superseded = int(manifest.delta["n_superseded"])
-            if info.shape[0] != n_superseded:
-                raise SnapshotError(
-                    f"array {name!r} has {info.shape[0]} rows for "
-                    f"{n_superseded} superseded cells"
-                )
-        elif info.shape[0] != manifest.n_cells:
-            raise SnapshotError(
-                f"array {name!r} has {info.shape[0]} rows for "
-                f"{manifest.n_cells} cells"
-            )
-        if mmap_mode is None:
-            # Serving is strictly read-only; enforce it on owned arrays
-            # the way mode="r" memory maps already do.
-            array.flags.writeable = False
-        arrays[name] = array
+    arrays = load_arrays(
+        directory, manifest.arrays, "snapshot", required,
+        mmap=mmap and manifest.delta is None,
+    )
     return manifest, arrays
 
 

@@ -40,12 +40,13 @@ full snapshot:
 No chain the publisher writes is longer than :data:`MAX_CHAIN`
 (timelines written earlier with longer chains still open unchanged).
 A publish writes only ``<root>/<date>/`` and ``timeline.json``; it
-never renames, rewrites or deletes a date already published.  The
-byte-triggered rewrite goes through
-:func:`~repro.store.snapshot.dump_snapshot` on a directory no other
-date references yet: its manifest is unlinked first and written last,
-so a crash at any point leaves a manifest-less directory (which
-:func:`timeline_dates` does not list) or a complete snapshot.  Because
+never renames, rewrites or deletes a date already published.  Both
+writes of a date — the delta and the byte-triggered full rewrite, on a
+directory no other date references yet — go through the file layer's
+dump protocol (:func:`~repro.store.manifest.dump_directory`): the
+manifest is unlinked first and written last, so a crash at any point
+leaves a manifest-less directory (which :func:`timeline_dates` does not
+list) or a complete snapshot.  Because
 no date changes once a child may reference it, a reader never finds a
 delta whose parent is missing.
 
@@ -64,7 +65,7 @@ from pathlib import Path
 
 from repro.cube.cube import SegregationCube
 from repro.errors import SnapshotError
-from repro.store.manifest import MANIFEST_NAME, write_atomic
+from repro.store.manifest import MANIFEST_NAME, read_json, write_atomic
 from repro.store.snapshot import (
     delta_chain,
     dump_delta_snapshot,
@@ -121,15 +122,8 @@ def read_timeline_manifest(root: "str | Path") -> dict:
             "last_publish_at": None,
             "dates": {},
         }
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SnapshotError(
-            f"unreadable timeline manifest {path}: {exc}"
-        ) from exc
-    if not isinstance(payload, dict) or not isinstance(
-        payload.get("dates", {}), dict
-    ):
+    payload = read_json(path, "timeline")
+    if not isinstance(payload.get("dates", {}), dict):
         raise SnapshotError(f"malformed timeline manifest {path}")
     payload.setdefault("format_version", TIMELINE_FORMAT_VERSION)
     payload.setdefault("last_publish_at", None)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
@@ -74,6 +75,48 @@ def assert_segments_unlinked(monkeypatch):
                 shared_memory.SharedMemory(name=name)
 
     return check
+
+
+#: The file-system calls a store writer makes, each one a crash point.
+_WRITER_CALLS = (
+    (np, "save"), (os, "replace"), (Path, "unlink"), (os, "fsync"),
+)
+
+
+@pytest.fixture()
+def crash_at():
+    """Run a store writer, optionally failing one of its file calls.
+
+    ``crash_at(write)`` calls ``write()`` and returns the names of the
+    ``np.save``, ``os.replace``, ``Path.unlink`` and ``os.fsync`` calls
+    it made, in order: its crash points.  ``crash_at(write, fail=i)``
+    makes call ``i`` raise ``OSError`` instead of running, and checks
+    that the error reaches the caller.
+    """
+
+    def run(write, fail=None):
+        calls = []
+
+        def failing(name, real):
+            def call(*args, **kwargs):
+                calls.append(name)
+                if len(calls) - 1 == fail:
+                    raise OSError(f"injected failure of {name} call {fail}")
+                return real(*args, **kwargs)
+
+            return call
+
+        with pytest.MonkeyPatch.context() as patch:
+            for owner, name in _WRITER_CALLS:
+                patch.setattr(owner, name, failing(name, getattr(owner, name)))
+            if fail is None:
+                write()
+            else:
+                with pytest.raises(OSError, match="injected"):
+                    write()
+        return calls
+
+    return run
 
 
 @pytest.fixture()

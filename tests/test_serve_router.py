@@ -12,8 +12,11 @@ reference.
 from __future__ import annotations
 
 import math
+import os
+import shutil
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from repro.cube.builder import SegregationDataCubeBuilder, build_cube
@@ -26,9 +29,9 @@ from repro.serve.router import ShardedCubeService, open_service
 from repro.serve.service import CubeService
 from repro.store import dump_snapshot
 from repro.store.shards import (
+    SHARDS_NAME,
     dump_sharded_into_timeline,
     dump_sharded_snapshot,
-    shard_timeline_by_date,
 )
 from repro.store.snapshot import delta_chain
 from repro.store.timeline import dump_into_timeline
@@ -54,13 +57,14 @@ def sharded(built, reference, tmp_path_factory, request):
     return ShardedCubeService(path)
 
 
-@pytest.fixture(scope="module")
-def temporal(tmp_path_factory):
-    """Three dated cubes dumped both as a plain timeline and as a
-    hash-sharded timeline (deltas inside each shard)."""
+LIMITS = {"min_population": 10, "min_minority": 3,
+          "max_sa_items": 2, "max_ca_items": 2}
+
+
+def _dated_cubes(hidden: "str | None" = None) -> "dict[int, object]":
+    """The cubes at dates 0-2 of a small temporal table; rows whose
+    context attribute ``r`` is ``hidden`` are left out of date 0."""
     dates = (0, 1, 2)
-    limits = {"min_population": 10, "min_minority": 3,
-              "max_sa_items": 2, "max_ca_items": 2}
     table, schema, starts, ends = random_temporal_final_table(
         n_rows=2500, n_units=10, dates=dates,
         sa_attributes={"g": 2}, ca_attributes={"r": 3, "s": 3},
@@ -68,23 +72,74 @@ def temporal(tmp_path_factory):
     )
     db = encode_table(table, schema)
     engine = TemporalCubeEngine(
-        db, SegregationDataCubeBuilder(engine="incremental", **limits)
+        db, SegregationDataCubeBuilder(engine="incremental", **LIMITS)
     )
-    states = engine.run([(d, valid_at(starts, ends, d)) for d in dates])
+    late = (np.zeros(len(table), dtype=bool) if hidden is None
+            else table.categorical("r").mask_eq(hidden))
+    states = engine.run([
+        (d, valid_at(starts, ends, d) & ~(late & (d == 0))) for d in dates
+    ])
+    return {state.date: state.cube for state in states}
+
+
+@pytest.fixture(scope="module")
+def dated():
+    return _dated_cubes()
+
+
+@pytest.fixture(scope="module")
+def temporal(dated, tmp_path_factory):
+    """Three dated cubes dumped both as a plain timeline and as a
+    hash-sharded timeline (deltas inside each shard)."""
     root = tmp_path_factory.mktemp("temporal")
     previous = None
-    for state in states:
-        parent = None if previous is None else previous.date
+    for date, cube in dated.items():
         dump_into_timeline(
-            root / "plain", state.date, state.cube, parent_date=parent,
-            parent=None if previous is None else previous.cube,
+            root / "plain", date, cube, parent_date=previous,
+            parent=None if previous is None else dated[previous],
         )
-        dump_sharded_into_timeline(
-            root / "sharded", state.date, state.cube,
-            by="hash", n_shards=3, parent_date=parent,
-        )
-        previous = state
+        _publish(root / "sharded", date, cube, "hash")
+        previous = date
     return root
+
+
+def _served_dates(router: ShardedCubeService) -> "dict[str, int]":
+    """The date each shard of ``router`` serves."""
+    return {
+        key: shard["timeline"]["served_date"]
+        for key, shard in router.info()["shards"].items()
+    }
+
+
+def _cells(service) -> "dict[object, tuple]":
+    """Every cell ``service`` serves; index values as exact float bits."""
+    return {
+        cell.key: (
+            cell.population, cell.minority, cell.n_units,
+            sorted((name, float(v).hex()) for name, v in cell.indexes.items()),
+        )
+        for cell in service.slice()
+    }
+
+
+def _publish(root, date, cube, by, n_shards=3):
+    return dump_sharded_into_timeline(
+        root, date, cube, by=by, n_shards=n_shards,
+        parent_date=date - 1 if date else None,
+    )
+
+
+def _crash_on(monkeypatch, owner, name, part):
+    """Make ``owner.name`` raise whenever its first argument names a
+    path containing ``part``."""
+    real = getattr(owner, name)
+
+    def call(first, *args, **kwargs):
+        if part in str(first):
+            raise OSError(f"injected crash at {part}")
+        return real(first, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, call)
 
 
 def _same_value(a: float, b: float) -> bool:
@@ -250,27 +305,6 @@ class TestTemporalSharding:
                 (f.rank, f.description, f.value) for f in ref.top("D", k=5)
             ]
 
-    def test_date_sharded_timeline(self, temporal):
-        shard_timeline_by_date(temporal / "plain")
-        bydate = open_service(temporal / "plain")
-        assert isinstance(bydate, ShardedCubeService)
-        assert bydate.sharded_by == "date"
-        plain = CubeService(temporal / "plain" / "2")
-        assert [
-            (f.rank, f.description, f.value) for f in bydate.top("D", k=5)
-        ] == [
-            (f.rank, f.description, f.value) for f in plain.top("D", k=5)
-        ]
-        reference = [
-            (0, CubeService(temporal / "plain" / "0").value("D",
-                                                            sa={"g": "g0"})),
-        ]
-        trend = bydate.trend("D", sa={"g": "g0"})
-        assert [d for d, _ in trend] == [0, 1, 2]
-        assert _same_value(trend[0][1], reference[0][1])
-        with pytest.raises(SnapshotError, match="no shard for date"):
-            ShardedCubeService(temporal / "plain", date=99)
-
     def test_refreshed_after_publish(self, temporal, tmp_path):
         import shutil
 
@@ -321,3 +355,71 @@ class TestTemporalSharding:
         assert len(successor) == sum(
             len(delta_chain(shard / "3")) for shard in root.glob("shard-*")
         )
+
+
+class TestPublishedDate:
+    """Every shard serves the date ``shards.json`` records as published,
+    so a publish cut short never mixes dates."""
+
+    @pytest.mark.parametrize("by, hidden, crash", [
+        ("hash", None, (np, "save", "shard-1")),
+        ("attribute:r", "r2", (os, "replace", SHARDS_NAME)),
+    ], ids=["hash-mid-shard", "attribute-before-manifest"])
+    def test_cut_short_publish_serves_previous_date(
+        self, tmp_path, monkeypatch, by, hidden, crash
+    ):
+        cubes = _dated_cubes(hidden)
+        root = _publish(tmp_path / "sharded", 0, cubes[0], by)
+        with monkeypatch.context() as patch:
+            _crash_on(patch, *crash)
+            with pytest.raises(OSError, match="injected"):
+                _publish(root, 1, cubes[1], by)
+        router = ShardedCubeService(root)
+        assert router.date == 0 and router.dates() == [0]
+        assert set(_served_dates(router).values()) == {0}
+        assert _cells(router) == _cells(cubes[0])
+        assert [d for d, _ in router.trend("D")] == [0]
+        with pytest.raises(SnapshotError, match="not published"):
+            ShardedCubeService(root, date=1)
+
+        _publish(root, 1, cubes[1], by)
+        fresh = router.refreshed()
+        assert fresh is not None and fresh.date == 1
+        assert set(_served_dates(fresh).values()) == {1}
+        assert _cells(fresh) == _cells(cubes[1])
+        assert router.date == 0
+
+    def test_backfill_keeps_the_newest_published_date(
+        self, dated, tmp_path
+    ):
+        root = tmp_path / "sharded"
+        for date, parent in ((0, None), (2, 0), (1, 0)):
+            dump_sharded_into_timeline(
+                root, date, dated[date], by="hash", n_shards=2,
+                parent_date=parent,
+            )
+        router = ShardedCubeService(root)
+        assert router.date == 2 and router.dates() == [0, 1, 2]
+        assert _cells(router) == _cells(dated[2])
+
+    def test_every_crash_point_serves_one_date(
+        self, dated, tmp_path, crash_at
+    ):
+        base = tmp_path / "base"
+        for date in (0, 1):
+            _publish(base, date, dated[date], "hash", n_shards=2)
+        whole = shutil.copytree(base, tmp_path / "whole")
+        calls = crash_at(lambda: _publish(whole, 2, dated[2], "hash", 2))
+        served = set()
+        for crash in range(len(calls)):
+            root = shutil.copytree(base, tmp_path / f"crash-{crash}")
+            crash_at(lambda: _publish(root, 2, dated[2], "hash", 2),
+                     fail=crash)
+            router = ShardedCubeService(root)
+            assert set(_served_dates(router).values()) == {router.date}
+            assert _cells(router) == _cells(dated[router.date]), crash
+            served.add(router.date)
+            shutil.rmtree(root)
+        # Crashes before shards.json is replaced serve the old date, the
+        # directory fsync after it the new one.
+        assert served == {1, 2}

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -326,35 +325,24 @@ class TestTimelineManifest:
         assert CubeTimeline(timeline_dir).dates == list(DATES)
 
     def test_failed_manifest_replace_keeps_timeline_readable(
-        self, series, tmp_path, monkeypatch
+        self, series, tmp_path, crash_at
     ):
-        # A publish writes its manifests through os.replace: a delta
+        # A publish writes through the store's file layer: a delta
         # publish replaces the date's manifest.json and timeline.json; a
         # byte-triggered one replaces manifest.json twice (delta, then
-        # full) and timeline.json.  Failing each replace in turn must
-        # leave timeline.json parseable, every listed date opening at
-        # atol=0 and no temporary file behind — and publishing the date
-        # again must give the layout of an uninterrupted publish.
+        # full) and timeline.json.  Failing each of its np.save,
+        # os.replace, Path.unlink and os.fsync calls in turn must leave
+        # timeline.json parseable, every listed date opening at atol=0
+        # and no temporary file behind — and publishing the date again
+        # must give the layout of an uninterrupted publish.
         base = _dump(series.states[:3], tmp_path / "base")
         parent = series.states[2].cube
         cube_at = {state.date: state.cube for state in series.states[:3]}
-        real_replace = os.replace
-        replaced = []
 
-        def publish(root, cube, fail_at=None):
-            def replace(src, dst):
-                replaced.append(dst)
-                if len(replaced) - 1 == fail_at:
-                    raise OSError("injected replace failure")
-                real_replace(src, dst)
-
-            replaced.clear()
-            monkeypatch.setattr(os, "replace", replace)
-            try:
-                dump_into_timeline(root, 3, cube, parent_date=2,
-                                   parent=parent)
-            finally:
-                monkeypatch.setattr(os, "replace", real_replace)
+        def publish(root, cube):
+            return lambda: dump_into_timeline(
+                root, 3, cube, parent_date=2, parent=parent
+            )
 
         def files(root):
             return sorted(
@@ -367,13 +355,12 @@ class TestTimelineManifest:
         ):
             cube_at[3] = cube
             whole = shutil.copytree(base, tmp_path / kind)
-            publish(whole, cube)
-            assert len(replaced) == n_replaces
+            calls = crash_at(publish(whole, cube))
+            assert calls.count("replace") == n_replaces
             assert delta_chain_length(whole / "3") == chain
-            for crash in range(n_replaces):
+            for crash in range(len(calls)):
                 root = shutil.copytree(base, tmp_path / f"{kind}-{crash}")
-                with pytest.raises(OSError, match="injected"):
-                    publish(root, cube, fail_at=crash)
+                crash_at(publish(root, cube), fail=crash)
                 json.loads((root / TIMELINE_MANIFEST_NAME).read_text())
                 read_timeline_manifest(root)
                 for date in timeline_dates(root):
@@ -382,11 +369,12 @@ class TestTimelineManifest:
                         cube_at[date], reopened, atol=0.0
                     ) == []
                 assert not list(root.rglob("*.tmp"))
-                publish(root, cube)
+                publish(root, cube)()
                 assert files(root) == files(whole)
                 assert check_same_cells(
                     cube, open_snapshot(root / "3"), atol=0.0
                 ) == []
+                shutil.rmtree(root)
 
 
 class TestServiceStaleness:

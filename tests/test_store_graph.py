@@ -142,6 +142,39 @@ def test_mmap_reader_survives_smaller_redump(artifact, tmp_path,
     assert open_graph_snapshot(live).n_nodes == 3
 
 
+def test_interrupted_overwrite_keeps_old_or_new_snapshot(
+    artifact, tmp_path, crash_at
+):
+    """A crash at any file call of a re-dump: with a manifest the
+    directory validates as the old or the new graph, without one it is
+    rejected, and dumping again gives the files of an uninterrupted
+    dump."""
+    bipartite, _ = random_bipartite_world(300, 40, seed=5)
+    projection = project_onto_groups(bipartite)
+    new = GraphArtifact.from_result(
+        projection, connected_components(projection.graph)
+    )
+    whole = dump_graph_snapshot(artifact, tmp_path / "whole")
+    digests = {GraphManifest.read(whole).content_digest}
+    calls = crash_at(lambda: dump_graph_snapshot(new, whole))
+    digests.add(GraphManifest.read(whole).content_digest)
+    for crash in range(len(calls)):
+        path = dump_graph_snapshot(artifact, tmp_path / f"crash-{crash}")
+        crash_at(lambda: dump_graph_snapshot(new, path), fail=crash)
+        if (path / GRAPH_MANIFEST_NAME).is_file():
+            snapshot = validate_graph_snapshot(path)
+            assert snapshot.manifest.content_digest in digests, crash
+        else:
+            with pytest.raises(SnapshotError, match="no graph snapshot"):
+                open_graph_snapshot(path)
+        assert not list(path.glob("*.tmp"))
+        dump_graph_snapshot(new, path)
+        assert sorted(f.name for f in path.iterdir()) == sorted(
+            f.name for f in whole.iterdir()
+        )
+        validate_graph_snapshot(path)
+
+
 class TestCorruption:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(SnapshotError, match="no graph snapshot"):
@@ -178,6 +211,12 @@ class TestCorruption:
         file.write_bytes(file.read_bytes()[:40])
         with pytest.raises(SnapshotError):
             open_graph_snapshot(snapshot_dir)
+
+    def test_empty_array_file(self, snapshot_dir):
+        (snapshot_dir / "labels.npy").write_bytes(b"")
+        for mmap in (True, False):
+            with pytest.raises(SnapshotError, match="unreadable"):
+                open_graph_snapshot(snapshot_dir, mmap=mmap)
 
     def test_wrong_dtype_on_disk(self, snapshot_dir):
         labels = np.load(snapshot_dir / "labels.npy")

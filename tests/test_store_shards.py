@@ -72,24 +72,20 @@ class TestManifest:
             ShardsManifest.read(tmp_path)
 
     def test_unknown_scheme_rejected(self, tmp_path):
-        payload = json.loads(self._manifest().to_json())
-        payload["sharded_by"] = "zodiac"
-        (tmp_path / SHARDS_NAME).write_text(json.dumps(payload))
-        with pytest.raises(SnapshotError, match="zodiac"):
-            ShardsManifest.read(tmp_path)
+        # "date" sharding was removed: a tree of dates is a plain
+        # timeline, served by CubeService.
+        for scheme in ("zodiac", "date"):
+            payload = json.loads(self._manifest().to_json())
+            payload["sharded_by"] = scheme
+            (tmp_path / SHARDS_NAME).write_text(json.dumps(payload))
+            with pytest.raises(SnapshotError, match=f"scheme {scheme!r}"):
+                ShardsManifest.read(tmp_path)
 
     def test_duplicate_keys_rejected(self, tmp_path):
         payload = json.loads(self._manifest().to_json())
         payload["entries"][1]["key"] = "0"
         (tmp_path / SHARDS_NAME).write_text(json.dumps(payload))
         with pytest.raises(SnapshotError, match="duplicate"):
-            ShardsManifest.read(tmp_path)
-
-    def test_date_mode_requires_dates(self, tmp_path):
-        payload = json.loads(self._manifest().to_json())
-        payload["sharded_by"] = "date"
-        (tmp_path / SHARDS_NAME).write_text(json.dumps(payload))
-        with pytest.raises(SnapshotError, match="without a date"):
             ShardsManifest.read(tmp_path)
 
 

@@ -20,7 +20,7 @@ from repro.cube.builder import SegregationDataCubeBuilder, build_cube
 from repro.cube.cell import CellStats
 from repro.cube.cube import CubeMetadata, SegregationCube, check_same_cells
 from repro.cube.coordinates import make_key
-from repro.cube.table import CellTable
+from repro.cube.table import CellTable, TableArrays
 from repro.data.synthetic import random_final_table
 from repro.errors import SnapshotError
 from repro.itemsets.items import Item, ItemDictionary, ItemKind
@@ -390,29 +390,61 @@ class TestValidation:
         with pytest.raises(SnapshotError, match="not a bool"):
             open_snapshot(tmp_path / "snap")
 
-    def test_interrupted_overwrite_leaves_no_stale_manifest(
-        self, built, tmp_path, monkeypatch
-    ):
-        """A crash mid-re-dump must not leave an old manifest that
-        validates a mix of old and new arrays."""
-        import repro.store.snapshot as snapshot_mod
-
+    def test_empty_array_file(self, built, tmp_path):
         dump_snapshot(built, tmp_path / "snap")
-        real_save = np.save
-        calls = {"n": 0}
+        (tmp_path / "snap" / "minority.npy").write_bytes(b"")
+        for mmap in (True, False):
+            with pytest.raises(SnapshotError, match="unreadable"):
+                open_snapshot(tmp_path / "snap", mmap=mmap)
 
-        def failing_save(file, array, **kwargs):
-            calls["n"] += 1
-            if calls["n"] >= 2:
-                raise OSError("disk full")
-            return real_save(file, array, **kwargs)
+    def test_interrupted_overwrite_leaves_no_stale_manifest(
+        self, built, tmp_path, crash_at
+    ):
+        """A crash at any file call of a re-dump must not leave an old
+        manifest that validates a mix of old and new arrays: with a
+        manifest the directory holds the old or the new cube, without
+        one it is rejected, and dumping again completes it."""
+        new = _shifted(built)
+        digests = {table_digest(built.table), table_digest(new.table)}
+        whole = dump_snapshot(built, tmp_path / "whole")
+        calls = crash_at(lambda: dump_snapshot(new, whole))
+        for crash in range(len(calls)):
+            path = dump_snapshot(built, tmp_path / f"crash-{crash}")
+            crash_at(lambda: dump_snapshot(new, path), fail=crash)
+            if (path / MANIFEST_NAME).is_file():
+                validate_snapshot(path)
+                reopened = open_snapshot(path, mmap=False)
+                assert table_digest(reopened.table) in digests, crash
+            else:
+                with pytest.raises(SnapshotError, match="manifest"):
+                    open_snapshot(path)
+            assert not list(path.glob("*.tmp"))
+            dump_snapshot(new, path)
+            assert sorted(f.name for f in path.iterdir()) == sorted(
+                f.name for f in whole.iterdir()
+            )
+            assert check_same_cells(new, open_snapshot(path), atol=0.0) == []
 
-        monkeypatch.setattr(snapshot_mod.np, "save", failing_save)
-        with pytest.raises(OSError):
-            dump_snapshot(built, tmp_path / "snap")
-        monkeypatch.undo()
-        with pytest.raises(SnapshotError, match="manifest"):
-            open_snapshot(tmp_path / "snap")
+
+def _shifted(cube: SegregationCube) -> SegregationCube:
+    """``cube`` with every index value moved by one: the same files and
+    shapes as ``cube``'s snapshot, with other bytes in the columns."""
+    table = cube.table
+    return SegregationCube(
+        CellTable.from_arrays(TableArrays(
+            population=table.population,
+            minority=table.minority,
+            n_units=table.n_units,
+            sa_masks=table.sa_masks,
+            ca_masks=table.ca_masks,
+            columns={
+                name: np.asarray(column) + 1.0
+                for name, column in table.columns.items()
+            },
+        )),
+        cube.dictionary,
+        cube.metadata,
+    )
 
 
 def _digest_table(sa_parts, ca_parts, n_items, order):
