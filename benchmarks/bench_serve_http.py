@@ -1,25 +1,25 @@
-"""E20 — HTTP serving tier under multi-reader load, single vs sharded.
+"""E20 — HTTP serving tier under multi-reader load.
 
-PR 4-5 made serving zero-rebuild; this experiment pins the new HTTP
-tier built on top: the WSGI app (hit in-process — no TCP, so the
-numbers are the serving stack, not the kernel's socket path) answering
-a mixed query workload from a pool of reader threads, in four
-configurations:
+Serving is zero-rebuild: a snapshot opens without ETL, mining or fill.
+This experiment pins the HTTP tier built on top: the WSGI app over one
+snapshot (hit in-process — no TCP, so the numbers are the serving
+stack, not the kernel's socket path) answering a mixed query workload
+from a pool of reader threads, in two configurations:
 
-* ``single``   — one snapshot behind a plain ``CubeService``;
-* ``sharded``  — the same cube fanned across 4 hash shards behind the
-  merging ``ShardedCubeService`` router;
-* each ``cold`` (hot-query LRU disabled, every request recomputes) and
-  ``warm`` (default LRU, workload fits, steady-state hits).
+* ``cold`` — hot-query LRU disabled, every request recomputes;
+* ``warm`` — default LRU, the workload fits, steady-state hits.
 
 Reported per configuration: throughput (QPS) and p50/p99 latency.
 
-Assertions pin the tier's contract: every configuration returns
-**byte-identical** bodies for every query in the mix (the sharded
-router and the cache are invisible to clients), and the warm-cache
-``/top`` latency beats the cold one by >= 5x (the cache actually
-short-circuits ranking work, not just JSON formatting).  Numbers land
-in ``results/E20_http_serving.txt`` and ``results/BENCH_E20.json``.
+Two tests pin the tier's contract.  ``test_http_parity`` checks that
+the cached app answers every query in the mix with the cache-off app's
+bytes, both when it computes the answer and when it serves it from the
+cache; CI gates on it.  ``test_http_serving_load`` runs the load and
+asserts that the warm-cache ``/top`` beats the cold one by >= 5x (the
+cache actually short-circuits ranking work, not just JSON formatting);
+its CI step is informational, because shared runners are too noisy
+for a speed floor.  Numbers land in ``results/E20_http_serving.txt``
+and ``results/BENCH_E20.json``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.cube.builder import SegregationDataCubeBuilder
 from repro.report.text import render_table
 from repro.serve.http import make_app, wsgi_get
-from repro.store.shards import dump_sharded_snapshot
 from repro.store.snapshot import dump_snapshot
 
 from benchmarks.bench_cube_fill import FILL_ROWS, LIMITS, _fill_table
@@ -63,6 +62,14 @@ QUERY_MIX = [
 ]
 
 
+def _snapshot(path):
+    """E20's cube, dumped to ``path``; returns its cell count."""
+    table, schema = _fill_table(FILL_ROWS)
+    cube = SegregationDataCubeBuilder(**E20_LIMITS).build(table, schema)
+    dump_snapshot(cube, path)
+    return len(cube)
+
+
 def _run_load(app, n_requests: int = N_REQUESTS,
               n_threads: int = N_THREADS):
     """Hammer the app from a thread pool; per-request latencies + QPS."""
@@ -88,7 +95,12 @@ def _run_load(app, n_requests: int = N_REQUESTS,
 
 
 def _bodies(app) -> "list[bytes]":
-    return [wsgi_get(app, query)[2] for query in QUERY_MIX]
+    bodies = []
+    for query in QUERY_MIX:
+        status, _, body = wsgi_get(app, query)
+        assert status == 200, f"{query} -> {status}"
+        bodies.append(body)
+    return bodies
 
 
 def _median_latency_ms(app, query: str, reps: int = TOP_REPS) -> float:
@@ -101,25 +113,34 @@ def _median_latency_ms(app, query: str, reps: int = TOP_REPS) -> float:
     return statistics.median(samples) * 1e3
 
 
+def test_http_parity(tmp_path):
+    """Every body of the mix equals the cache-off app's, cached or not."""
+    _snapshot(tmp_path / "snap")
+    cold = make_app(tmp_path / "snap", cache_size=0)
+    warm = make_app(tmp_path / "snap")
+    reference = _bodies(cold)
+    # The first round computes each answer; the second must come from
+    # the cache, with the same bytes.
+    assert _bodies(warm) == reference
+    first = warm.service.cache.stats()
+    assert _bodies(warm) == reference
+    second = warm.service.cache.stats()
+    hits = second["hits"] - first["hits"]
+    misses = second["misses"] - first["misses"]
+    assert (hits, misses) == (len(QUERY_MIX), 0)
+
+
 def test_http_serving_load(benchmark, tmp_path):
-    """Sharded == single byte-for-byte; warm /top >= 5x cold /top."""
-    table, schema = _fill_table(FILL_ROWS)
-    cube = SegregationDataCubeBuilder(**E20_LIMITS).build(table, schema)
-    dump_snapshot(cube, tmp_path / "single")
-    dump_sharded_snapshot(cube, tmp_path / "sharded", by="hash", n_shards=4)
-
+    """Warm /top >= 5x cold /top; QPS and latency per configuration."""
+    n_cells = _snapshot(tmp_path / "snap")
     apps = {
-        "single cold": make_app(tmp_path / "single", cache_size=0),
-        "single warm": make_app(tmp_path / "single"),
-        "sharded cold": make_app(tmp_path / "sharded", cache_size=0),
-        "sharded warm": make_app(tmp_path / "sharded"),
+        "cold": make_app(tmp_path / "snap", cache_size=0),
+        "warm": make_app(tmp_path / "snap"),
     }
-
-    # Parity first (this also primes the warm caches and every lazy
-    # structure, so "cold" below means cache-off, not first-touch).
-    reference = _bodies(apps["single cold"])
-    for name, app in apps.items():
-        assert _bodies(app) == reference, f"{name} bodies diverged"
+    # Prime the warm cache and every lazy structure, so "cold" below
+    # means cache-off, not first-touch.
+    for app in apps.values():
+        _bodies(app)
 
     results = {}
 
@@ -130,38 +151,38 @@ def test_http_serving_load(benchmark, tmp_path):
 
     benchmark.pedantic(run, rounds=1, iterations=1)
 
-    cold_top_ms = _median_latency_ms(apps["single cold"], TOP_QUERY)
-    warm_top_ms = _median_latency_ms(apps["single warm"], TOP_QUERY)
+    cold_top_ms = _median_latency_ms(apps["cold"], TOP_QUERY)
+    warm_top_ms = _median_latency_ms(apps["warm"], TOP_QUERY)
     top_speedup = cold_top_ms / warm_top_ms
 
-    cache_stats = apps["single warm"].service.cache.stats()
+    cache_stats = apps["warm"].service.cache.stats()
     assert cache_stats["hits"] > cache_stats["misses"]
 
     rows = [
         [name, f"{r['qps']:.0f}", f"{r['p50_ms']:.3f}", f"{r['p99_ms']:.3f}"]
         for name, r in results.items()
     ] + [
-        ["single cold /top (median)", "", f"{cold_top_ms:.3f}", ""],
-        ["single warm /top (median)", "", f"{warm_top_ms:.3f}", ""],
+        ["cold /top (median)", "", f"{cold_top_ms:.3f}", ""],
+        ["warm /top (median)", "", f"{warm_top_ms:.3f}", ""],
     ]
     write_result(
         "E20_http_serving",
-        f"HTTP serving tier at {FILL_ROWS} rows / {len(cube)} cells, "
+        f"HTTP serving tier at {FILL_ROWS} rows / {n_cells} cells, "
         f"{N_THREADS} reader threads x {N_REQUESTS} requests over "
-        f"{len(QUERY_MIX)} distinct queries (bodies byte-identical across "
-        f"all configurations); warm /top {top_speedup:.1f}x faster than "
+        f"{len(QUERY_MIX)} distinct queries (byte parity: "
+        f"test_http_parity); warm /top {top_speedup:.1f}x faster than "
         "cold\n"
         + render_table(["configuration", "QPS", "p50 (ms)", "p99 (ms)"],
                        rows),
     )
     write_bench_json("E20", {
         "rows": FILL_ROWS,
-        "cells": len(cube),
+        "cells": n_cells,
         "n_threads": N_THREADS,
         "n_requests": N_REQUESTS,
         "query_mix": len(QUERY_MIX),
         **{
-            name.replace(" ", "_"): {
+            name: {
                 "qps": r["qps"], "p50_ms": r["p50_ms"], "p99_ms": r["p99_ms"],
             }
             for name, r in results.items()

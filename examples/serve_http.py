@@ -2,16 +2,13 @@
 
 ``persist_and_serve.py`` reopened a snapshot in-process; this example
 puts the same snapshot behind the stdlib-only WSGI tier.  It builds the
-schools cube once, dumps it twice — as a single snapshot and fanned
-across 4 hash shards — then stands up ``make_app`` over each and walks
-the whole endpoint surface with the in-process test client (no socket,
-same app object a real server would mount).  Along the way it shows the
-three guarantees the tier makes:
+schools cube once, dumps it as a snapshot, then stands up ``make_app``
+over it and walks the whole endpoint surface with the in-process test
+client (no socket, same app object a real server would mount).  Along
+the way it shows the two guarantees the tier makes:
 
 * every body is canonical JSON, byte-identical to the in-process
-  payload builders;
-* the sharded router is invisible: the same queries return the same
-  bytes as the single snapshot;
+  payload builders over a ``CubeService`` of the same snapshot;
 * the hot-query LRU answers repeats from memory — ``/info`` exposes the
   hit/miss counters.
 
@@ -28,13 +25,11 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro import (
-    build_cube,
-    dump_sharded_snapshot,
-    dump_snapshot,
-    generate_schools,
-)
+from repro import CubeService, build_cube, dump_snapshot, generate_schools
+from repro.serve import payloads
 from repro.serve.http import make_app, wsgi_get
+
+TOP = "/top?index=D&k=3&min_minority=30"
 
 
 def show(app, query: str) -> bytes:
@@ -49,20 +44,18 @@ def main() -> None:
     table, schema = generate_schools()
     cube = build_cube(table, schema, min_population=10, min_minority=3)
 
-    single = Path("schools_snapshot")
-    sharded = Path("schools_sharded")
-    dump_snapshot(cube, single)
-    dump_sharded_snapshot(cube, sharded, by="hash", n_shards=4)
-    print(f"built {len(cube)} cells; dumped one snapshot and 4 hash shards")
+    snapshot = Path("schools_snapshot")
+    dump_snapshot(cube, snapshot)
+    print(f"built {len(cube)} cells; dumped them as one snapshot")
 
-    app = make_app(single)
-    print("\nThe endpoint surface (single snapshot):")
+    app = make_app(snapshot)
+    print("\nThe endpoint surface:")
     bodies = {
         query: show(app, query)
         for query in (
             "/info",
             "/dates",
-            "/top?index=D&k=3&min_minority=30",
+            TOP,
             "/slice?ca=city%3DRivertown",
             "/cell?sa=ethnicity%3Dminority&ca=city%3DRivertown",
             "/children?sa=ethnicity%3Dminority",
@@ -71,30 +64,29 @@ def main() -> None:
         )
     }
 
-    top = json.loads(bodies["/top?index=D&k=3&min_minority=30"])
+    top = json.loads(bodies[TOP])
     print("\nmost segregated contexts, straight off the wire:")
     for found in top:
         print(f"  {found['rank']}. {found['cell']:<45} "
               f"D={found['value']:.3f}")
 
-    sharded_app = make_app(sharded)
-    print("\nThe sharded router answers with the same bytes:")
-    for query, body in bodies.items():
-        if query in ("/info", "/dates"):    # live counters / layout differ
-            continue
-        assert wsgi_get(sharded_app, query)[2] == body, query
-    print("  6 endpoints x 4 shards: byte-identical to the single snapshot")
+    in_process = payloads.dumps(payloads.top_payload(
+        CubeService(snapshot), index_name="D", k=3, min_minority=30,
+    ))
+    assert bodies[TOP] == in_process
+    print("\nthe /top body is byte-identical to the in-process payload "
+          f"({len(in_process)} bytes)")
 
     # Repeats hit the LRU: ask the same top twice more and read /info.
     for _ in range(2):
-        wsgi_get(app, "/top?index=D&k=3&min_minority=30")
+        wsgi_get(app, TOP)
     stats = json.loads(wsgi_get(app, "/info")[2])["cache"]
     print(f"\nhot-query cache after the repeats: "
           f"{stats['hits']} hits / {stats['misses']} misses "
           f"({stats['size']} entries)")
 
     print(f"\nserve the same snapshot to real clients:\n"
-          f"  python -m repro.serve {single} serve --port 8000")
+          f"  python -m repro.serve {snapshot} serve --port 8000")
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ Subpackages
 ``repro.data``      synthetic case-study generators
 ``repro.report``    xlsx writer, pivots, radial series
 ``repro.store``     versioned on-disk cube snapshots (dump/open, mmap)
-``repro.serve``     zero-rebuild query serving: CLI, HTTP, shards, cache
+``repro.serve``     zero-rebuild query serving: CLI, HTTP, cache
 ``repro.core``      pipeline orchestration, scenarios, CLI
 """
 
@@ -57,9 +57,8 @@ from repro.etl.schema import Schema
 from repro.etl.table import Table
 from repro.indexes.counts import UnitCounts
 from repro.serve.cache import CachedCubeService
-from repro.serve.router import ShardedCubeService, open_service
+from repro.serve.router import open_service
 from repro.serve.service import CubeService
-from repro.store.shards import dump_sharded_snapshot
 from repro.store.snapshot import (
     dump_delta_snapshot,
     dump_snapshot,
@@ -89,7 +88,6 @@ __all__ = [
     "Schema",
     "SegregationCube",
     "SegregationDataCubeBuilder",
-    "ShardedCubeService",
     "Table",
     "TemporalCubeEngine",
     "UnitCounts",
@@ -98,7 +96,6 @@ __all__ = [
     "cube_workbook",
     "dump_delta_snapshot",
     "dump_into_timeline",
-    "dump_sharded_snapshot",
     "dump_snapshot",
     "generate_estonia",
     "generate_italy",

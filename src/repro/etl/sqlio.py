@@ -48,7 +48,9 @@ def read_query(
         Result columns whose text cells are ``|``-separated value sets.
     integer:
         Result columns to coerce to integers (ids, unit ids).  Columns
-        already typed INTEGER by SQLite are detected automatically.
+        already typed INTEGER by SQLite are detected automatically when
+        the result has rows; an empty result types only these as
+        integers, as :func:`~repro.etl.stream.stream_query` does.
     """
     multi = set(multi_valued)
     ints = set(integer)
@@ -77,9 +79,9 @@ def read_query(
                     for v in values
                 ]
             )
-        elif name in ints or all(
+        elif name in ints or (values and all(
             isinstance(v, int) and not isinstance(v, bool) for v in values
-        ):
+        )):
             try:
                 columns[name] = IntColumn.from_values(
                     [int(v) for v in values]

@@ -6,19 +6,17 @@ operations after PR 3.  This subsystem serves them over a snapshot
 written by :mod:`repro.store` without re-running ETL, mining or fill:
 
 * :class:`~repro.serve.service.CubeService` — the embeddable serving
-  facade: opens a snapshot (memory-mapped by default), a timeline, or
-  wraps a live cube, warms the derived lookup structures once, and then
-  answers ``top`` / ``slice`` / ``children`` / ``parents`` /
-  ``value_by_key`` / ``pivot`` from any number of concurrent reader
-  threads (nothing is mutated after open).
-* :class:`~repro.serve.router.ShardedCubeService` — the same query
-  vocabulary over a ``shards.json`` directory of disjoint shards:
-  point queries route to one owning shard, scans fan out and merge
-  with the cube's exact ordering (:func:`~repro.serve.router.
-  open_service` picks the right class for any path).
+  facade and the one implementation of every query: opens a snapshot
+  (memory-mapped by default), a timeline, or wraps a live cube, warms
+  the derived lookup structures once, and then answers ``top`` /
+  ``slice`` / ``children`` / ``parents`` / ``value_by_key`` /
+  ``pivot`` / ``trend`` from any number of concurrent reader threads
+  (nothing is mutated after open).
+  :func:`~repro.serve.router.open_service` is the opener the CLI and
+  the HTTP tier share.
 * :class:`~repro.serve.cache.CachedCubeService` /
   :class:`~repro.serve.cache.QueryCache` — a thread-safe hot-query LRU
-  around either service, with hit/miss counters in ``info()`` and
+  around the service, with hit/miss counters in ``info()`` and
   generation-based invalidation when a timeline date is published.
 * :func:`~repro.serve.http.make_app` — a stdlib-only WSGI app mapping
   the queries to JSON endpoints (``/info`` ``/dates`` ``/top``
@@ -40,7 +38,7 @@ written by :mod:`repro.store` without re-running ETL, mining or fill:
 from repro.serve.cache import CachedCubeService, QueryCache
 from repro.serve.graph import GraphService
 from repro.serve.http import make_app, wsgi_get
-from repro.serve.router import ShardedCubeService, open_service
+from repro.serve.router import open_service
 from repro.serve.service import CubeService
 
 __all__ = [
@@ -48,7 +46,6 @@ __all__ = [
     "CubeService",
     "GraphService",
     "QueryCache",
-    "ShardedCubeService",
     "make_app",
     "open_service",
     "wsgi_get",

@@ -1,4 +1,4 @@
-"""CLI for serving a cube snapshot — or a timeline, or shards of them.
+"""CLI for serving a cube snapshot or a timeline of them.
 
 Examples (after ``dump_snapshot(cube, "snap/")``)::
 
@@ -13,14 +13,11 @@ Examples (after ``dump_snapshot(cube, "snap/")``)::
 A *timeline* directory (integer-named snapshot subdirectories, written
 by :func:`repro.store.dump_into_timeline`) serves the same commands
 routed to one date — the latest unless ``--date`` picks another — plus
-a per-date ``trend`` of one cell; a *sharded* directory (written by
-:func:`repro.store.dump_sharded_snapshot` and friends, detected by its
-``shards.json``) serves them through the merging router::
+a per-date ``trend`` of one cell::
 
     python -m repro.serve timeline/ info
     python -m repro.serve timeline/ top --date 2005
     python -m repro.serve timeline/ trend --index D --sa gender=F
-    python -m repro.serve sharded/ top -k 10
 
 ``serve`` starts the stdlib HTTP tier over the same queries::
 
@@ -77,13 +74,34 @@ def _print_cells(service, cells: "list[CellStats]", as_json: bool) -> None:
     print(render_table(header, _cell_rows(service, cells, index_names)))
 
 
+def _int_between(low: int, high: "int | None" = None):
+    """An argparse ``type``: an integer in ``[low, high]``, so that an
+    out-of-range number fails when the arguments are parsed."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}"
+            ) from None
+        if value < low or (high is not None and value > high):
+            bound = f">= {low}" if high is None else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(
+                f"must be {bound}, got {value}"
+            )
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve",
         description="Serve read-only queries over a cube snapshot.",
     )
     parser.add_argument(
-        "snapshot", help="snapshot, timeline or sharded directory to open"
+        "snapshot", help="snapshot or timeline directory to open"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -127,9 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="serve the JSON HTTP endpoints (stdlib WSGI)"
     )
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8000)
+    serve.add_argument("--port", type=_int_between(0, 65535), default=8000)
     serve.add_argument(
-        "--cache-size", type=int, default=None,
+        "--cache-size", type=_int_between(0), default=None,
         help="hot-query LRU entries (0 disables caching)",
     )
     serve.add_argument(
@@ -204,16 +222,10 @@ def main(argv: "list[str] | None" = None) -> int:
                      for date in service.dates()],
                 ))
         elif args.command == "rows":
-            cube = getattr(service, "cube", None)
-            if cube is None:
-                raise ReproError(
-                    "rows needs a single snapshot or timeline directory, "
-                    "not a sharded one (query it via top/slice instead)"
-                )
             if args.json:
-                print(json.dumps(cube.to_rows(), indent=2))
+                print(json.dumps(service.cube.to_rows(), indent=2))
             else:
-                print(render_cube(cube))
+                print(render_cube(service.cube))
         elif args.command == "top":
             payload = payloads.top_payload(
                 service,

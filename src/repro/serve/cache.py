@@ -10,10 +10,9 @@ Two pieces:
   pre-publish cube that lands after the publish is silently dropped
   instead of resurrecting stale data.
 * :class:`CachedCubeService` — the memoizing wrapper around a
-  :class:`~repro.serve.service.CubeService` (or a
-  :class:`~repro.serve.router.ShardedCubeService`): every hot query
-  method (``top``/``slice``/``cell``/``value``/``children``/
-  ``parents``/``pivot``/``pivot_values``/``trend``) is keyed on its
+  :class:`~repro.serve.service.CubeService`: every hot query method
+  (``top``/``slice``/``cell``/``value``/``children``/``parents``/
+  ``pivot``/``pivot_values``/``trend``) is keyed on its
   canonicalized parameters, ``info()`` surfaces the counters, and
   :meth:`CachedCubeService.refresh` swaps in a freshly published
   timeline date and evicts everything stale in one step.
@@ -148,7 +147,7 @@ class QueryCache:
 
 
 class CachedCubeService:
-    """Memoizing facade over a (sharded or plain) cube service."""
+    """Memoizing facade over a cube service."""
 
     def __init__(self, service, maxsize: int = DEFAULT_CACHE_SIZE):
         self._service = service

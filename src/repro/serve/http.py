@@ -1,8 +1,8 @@
 """Stdlib-only WSGI serving tier over a cube service.
 
 :func:`make_app` turns any serving source — a snapshot directory, a
-timeline, a ``shards.json`` sharded directory, a live cube, or an
-already-constructed service — into a WSGI application exposing the
+timeline directory, a live cube, or an already-constructed service —
+into a WSGI application exposing the
 :class:`~repro.serve.service.CubeService` queries as JSON-over-HTTP:
 
 ====================  ====================================================
@@ -258,8 +258,8 @@ def make_app(
 ):
     """Build the WSGI application over a serving source.
 
-    ``source`` may be a path (snapshot / timeline / sharded directory),
-    a live cube, or an already-constructed service object (anything
+    ``source`` may be a path (snapshot or timeline directory), a live
+    cube, or an already-constructed service object (anything
     with the :class:`~repro.serve.service.CubeService` query methods);
     paths and cubes are opened via
     :func:`~repro.serve.router.open_service` and wrapped in a

@@ -13,8 +13,9 @@ Two canonicalisation rules make the bytes deterministic:
   enforces it with ``allow_nan=False``), matching the CLI.
 * Cell lists (``slice`` / ``children`` / ``parents``) are ordered by
   ``(depth, description)`` — a property of the *cells*, not of any
-  store's row order — so a sharded service and the unsharded one
-  produce identical bytes for the same data.
+  store's row order — so the same cells give the same bytes whether
+  they were served from a live cube, a snapshot or a timeline date,
+  however a dump or a delta chain ordered the rows.
 """
 
 from __future__ import annotations

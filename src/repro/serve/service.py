@@ -114,11 +114,6 @@ class CubeService:
         """Short names of the served index columns."""
         return list(self._cube.metadata.index_names)
 
-    @property
-    def timeline_root(self) -> "Path | None":
-        """The timeline directory (None unless timeline-backed)."""
-        return self._timeline.root if self._timeline is not None else None
-
     def dates(self) -> "list[int]":
         """All timeline dates ([] when not timeline-backed)."""
         return self._timeline.dates if self._timeline is not None else []

@@ -19,14 +19,6 @@ memory-mapped, as a fully functional read-only
 * :mod:`repro.store.snapshot` — :func:`dump_snapshot`,
   :func:`dump_delta_snapshot`, :func:`open_snapshot`,
   :func:`validate_snapshot`.
-* :mod:`repro.store.shards` — the ``shards.json`` manifest plus
-  writers (:func:`dump_sharded_snapshot`,
-  :func:`dump_sharded_into_timeline`) that fan one logical cube across
-  many disjoint snapshot/timeline shards, partitioned by key hash or by
-  a context attribute's value; a sharded timeline records the newest
-  date published on every shard, and
-  :class:`repro.serve.router.ShardedCubeService` reopens and merges the
-  shards at that date.
 * :mod:`repro.store.graph` — graph snapshots
   (:func:`dump_graph_snapshot`, :func:`open_graph_snapshot`,
   :func:`validate_graph_snapshot`): scenario 2/3's projected graph +
@@ -66,14 +58,6 @@ from repro.store.graph import (
     validate_graph_snapshot,
 )
 from repro.store.manifest import FORMAT_VERSION, MANIFEST_NAME, SnapshotManifest
-from repro.store.shards import (
-    SHARDS_NAME,
-    ShardEntry,
-    ShardsManifest,
-    dump_sharded_into_timeline,
-    dump_sharded_snapshot,
-    is_sharded,
-)
 from repro.store.snapshot import (
     delta_chain_length,
     dump_delta_snapshot,
@@ -101,19 +85,13 @@ __all__ = [
     "GraphManifest",
     "GraphSnapshot",
     "MANIFEST_NAME",
-    "SHARDS_NAME",
-    "ShardEntry",
-    "ShardsManifest",
     "SnapshotManifest",
     "TIMELINE_MANIFEST_NAME",
     "delta_chain_length",
     "dump_delta_snapshot",
     "dump_graph_snapshot",
     "dump_into_timeline",
-    "dump_sharded_into_timeline",
-    "dump_sharded_snapshot",
     "dump_snapshot",
-    "is_sharded",
     "open_graph_snapshot",
     "open_snapshot",
     "read_timeline_manifest",

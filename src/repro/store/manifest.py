@@ -7,8 +7,8 @@ each of those calls of a writer in turn:
 
 * :func:`write_atomic` replaces a manifest so that readers see the old
   or the new file, never a torn one.  Every manifest the store writes —
-  ``manifest.json``, ``graph_manifest.json``, ``timeline.json`` and
-  ``shards.json`` — goes through it.
+  ``manifest.json``, ``graph_manifest.json`` and ``timeline.json`` —
+  goes through it.
 * :func:`save_array` writes one ``.npy`` array as a new inode, so live
   memory-mapped readers keep the old bytes.
 * :func:`dump_directory` is the dump protocol of a directory of arrays

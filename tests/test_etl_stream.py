@@ -127,14 +127,17 @@ def test_stream_query_matches_read_query(mixed_table, tmp_path, chunk_rows):
     table, schema = mixed_table
     db_path = tmp_path / "ft.db"
     write_table_sql(table, db_path, "final")
-    sql = "SELECT * FROM final"
-    reference = read_query(db_path, sql, multi_valued=["mv"])
-    names, rows = _concat_rows(
-        stream_query(db_path, sql, multi_valued=["mv"],
-                     chunk_rows=chunk_rows)
-    )
-    assert names == reference.names
-    assert rows == _rows(reference)
+    # The empty result set too: no values must not type a column int.
+    for sql in ("SELECT * FROM final", "SELECT * FROM final WHERE 0"):
+        reference = read_query(db_path, sql, multi_valued=["mv"])
+        chunks = list(stream_query(db_path, sql, multi_valued=["mv"],
+                                   chunk_rows=chunk_rows))
+        names, rows = _concat_rows(chunks)
+        assert names == reference.names
+        assert rows == _rows(reference)
+        kinds = [type(reference.column(name)) for name in names]
+        for chunk in chunks:
+            assert [type(chunk.column(name)) for name in names] == kinds
 
 
 def test_stream_query_locks_int_detection_across_chunks():

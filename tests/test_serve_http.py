@@ -2,10 +2,10 @@
 
 The acceptance contract: every endpoint's body is **byte-identical** to
 the JSON the in-process payload builders produce for the equivalent
-CubeService call — for the single snapshot, for the sharded router, and
-for timelines — and errors map to 400 (malformed/unknown parameters),
-404 (unknown endpoint, missing cell), 405 (wrong method) and 500, all
-with JSON bodies.
+CubeService call — for the single snapshot and for timelines — and
+errors map to 400 (malformed/unknown parameters), 404 (unknown
+endpoint, missing cell), 405 (wrong method) and 500, all with JSON
+bodies.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.serve import payloads
 from repro.serve.http import make_app, serve, wsgi_get
 from repro.serve.service import CubeService
 from repro.store import delta_chain_length, dump_into_timeline, dump_snapshot
-from repro.store.shards import dump_sharded_snapshot
 
 
 @pytest.fixture(scope="module")
@@ -32,13 +31,6 @@ def built(schools):
 def snapshot_dir(built, tmp_path_factory):
     path = tmp_path_factory.mktemp("http") / "snap"
     dump_snapshot(built, path)
-    return path
-
-
-@pytest.fixture(scope="module")
-def sharded_dir(built, tmp_path_factory):
-    path = tmp_path_factory.mktemp("http") / "sharded"
-    dump_sharded_snapshot(built, path, by="hash", n_shards=4)
     return path
 
 
@@ -103,23 +95,6 @@ class TestByteParity:
         # cache: the bytes must not change.
         status, _, again = wsgi_get(app, query)
         assert (status, again) == (200, body)
-
-    @pytest.mark.parametrize("query", [
-        "/top?index=D&k=5&min_minority=5",
-        f"/slice?{CA}",
-        f"/cell?{SA}",
-        f"/children?{SA}",
-        f"/parents?{SA}&{CA}",
-        "/pivot?index=D&rows=ethnicity&cols=city",
-    ])
-    def test_sharded_app_bytes_equal_unsharded(
-        self, sharded_dir, app, query
-    ):
-        sharded_app = make_app(sharded_dir)
-        _, _, unsharded = wsgi_get(app, query)
-        status, _, body = wsgi_get(sharded_app, query)
-        assert status == 200
-        assert body == unsharded
 
     def test_info_reports_counters_disk_and_summary(self, app, reference):
         status, _, body = wsgi_get(app, "/info")
@@ -316,14 +291,3 @@ class TestServerPlumbing:
         )
         assert args.command == "serve"
         assert args.port == 0 and args.cache_size == 16
-
-    def test_cli_routes_sharded_directories(self, sharded_dir, capsys):
-        from repro.serve.__main__ import main as serve_main
-
-        assert serve_main([str(sharded_dir), "top", "-k", "3",
-                           "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert [f["rank"] for f in payload] == [1, 2, 3]
-        # rows needs the single-cube view.
-        assert serve_main([str(sharded_dir), "rows"]) == 2
-        assert "error:" in capsys.readouterr().err

@@ -11,14 +11,18 @@ reference.
 from __future__ import annotations
 
 import json
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.cube.builder import build_cube
+from repro.errors import SnapshotError
 from repro.serve.__main__ import main as serve_main
+from repro.serve.http import make_app
+from repro.serve.router import open_service
 from repro.serve.service import CubeService
-from repro.store import dump_snapshot, open_snapshot
+from repro.store import dump_into_timeline, dump_snapshot, open_snapshot
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +157,54 @@ class TestCubeService:
             assert got == want or (math.isnan(got) and math.isnan(want))
 
 
+class TestOpenService:
+    """The one opener the CLI and ``make_app`` share."""
+
+    @pytest.fixture()
+    def old_sharded_dir(self, built, tmp_path):
+        """A directory laid out as the removed sharded writer left it:
+        one snapshot under ``shard-0/`` behind a ``shards.json``."""
+        root = tmp_path / "sharded"
+        dump_snapshot(built, root / "shard-0")
+        (root / "shards.json").write_text(json.dumps({
+            "entries": [{"key": "0", "path": "shard-0"}],
+            "format_version": 1,
+            "n_words": int(built.table.sa_masks.shape[1]),
+            "published_date": None,
+            "sharded_by": "hash",
+        }))
+        return root
+
+    def test_opens_each_source_and_rejects_a_sharded_layout(
+        self, built, snapshot_dir, old_sharded_dir, tmp_path
+    ):
+        dump_into_timeline(tmp_path / "tl", 0, built)
+        dump_into_timeline(tmp_path / "tl", 1, built, parent_date=0,
+                           parent=built)
+        for source in (built, snapshot_dir, tmp_path / "tl"):
+            assert type(open_service(source)) is CubeService
+        assert open_service(tmp_path / "tl").date == 1
+        # A directory of the removed sharded layout is neither a
+        # snapshot nor a timeline.
+        match = re.escape(
+            f"no dated snapshots under timeline directory {old_sharded_dir}"
+        )
+        with pytest.raises(SnapshotError, match=match):
+            open_service(old_sharded_dir)
+        with pytest.raises(SnapshotError, match=match):
+            make_app(old_sharded_dir)
+
+    def test_cli_rejects_old_sharded_directory(self, old_sharded_dir,
+                                               capsys):
+        assert serve_main([str(old_sharded_dir), "top"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: no dated snapshots under timeline directory "
+            f"{old_sharded_dir}"
+        ]
+
+
 class TestServeCli:
     def test_typed_vocabulary_coordinates_addressable(
         self, tmp_path, capsys
@@ -257,3 +309,18 @@ class TestServeCli:
     def test_bad_coordinate_syntax_exits(self, snapshot_dir):
         with pytest.raises(SystemExit):
             serve_main([str(snapshot_dir), "slice", "--sa", "noequals"])
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--cache-size", "-1"),
+        ("--port", "70000"),
+    ])
+    def test_bad_serve_numbers_fail_at_parse_time(
+        self, snapshot_dir, capsys, flag, value
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            serve_main([str(snapshot_dir), "serve", flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert flag in errors[0] and value in errors[0]

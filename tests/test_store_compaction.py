@@ -33,10 +33,8 @@ from repro.serve.service import CubeService
 from repro.store import (
     TIMELINE_MANIFEST_NAME,
     CubeTimeline,
-    ShardsManifest,
     delta_chain_length,
     dump_into_timeline,
-    dump_sharded_into_timeline,
     open_snapshot,
     read_timeline_manifest,
     snapshot_disk_bytes,
@@ -244,26 +242,6 @@ class TestPublishRule:
             stat = file.stat()
             assert (stat.st_ino, stat.st_mtime_ns) == (inode, mtime), file
             assert file.read_bytes() == content, file
-
-    def test_sharded_chains_stay_bounded(self, series, tmp_path):
-        root = tmp_path / "sharded"
-        n_dates = MAX_CHAIN + 3
-        for state in series.states[:n_dates]:
-            dump_sharded_into_timeline(
-                root, state.date, state.cube, by="hash", n_shards=2,
-                parent_date=None if state.date == 0 else state.date - 1,
-            )
-        entries = ShardsManifest.read(root).entries
-        assert len(entries) == 2
-        for entry in entries:
-            shard_root = root / entry.path
-            assert timeline_dates(shard_root) == list(range(n_dates))
-            chains = [
-                delta_chain_length(shard_root / str(d))
-                for d in range(n_dates)
-            ]
-            assert max(chains) <= MAX_CHAIN
-            assert chains == _chain_model(n_dates, MAX_CHAIN)
 
     @settings(max_examples=12, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
