@@ -15,15 +15,21 @@ written by :mod:`repro.store` without re-running ETL, mining or fill:
   :func:`~repro.serve.router.open_service` is the opener the CLI and
   the HTTP tier share.
 * :class:`~repro.serve.cache.CachedCubeService` /
-  :class:`~repro.serve.cache.QueryCache` — a thread-safe hot-query LRU
-  around the service, with hit/miss counters in ``info()`` and
-  generation-based invalidation when a timeline date is published.
+  :class:`~repro.serve.cache.QueryCache` — the serving tier's one
+  cache: a thread-safe LRU of finished HTTP responses (``(status, body
+  bytes)``) keyed by the request's ``(PATH_INFO, QUERY_STRING)``,
+  bounded by entries and by
+  :data:`~repro.serve.cache.MAX_CACHE_BYTES`, with hit/miss counters in
+  ``info()`` and generation-based invalidation when a timeline date is
+  published.  There is no row-level memo: in-process query calls are
+  computed every time.
 * :func:`~repro.serve.http.make_app` — a stdlib-only WSGI app mapping
   the queries to JSON endpoints (``/info`` ``/dates`` ``/top``
   ``/slice`` ``/cell`` ``/children`` ``/parents`` ``/pivot``
   ``/trend``), byte-identical to the in-process payload builders in
-  :mod:`repro.serve.payloads`; run it under any WSGI container or the
-  bundled threaded ``wsgiref`` server.
+  :mod:`repro.serve.payloads`; a repeated request is one cache lookup.
+  Run it under any WSGI container or the bundled threaded ``wsgiref``
+  server.
 * :class:`~repro.serve.graph.GraphService` — the same zero-rebuild
   contract for scenario 2/3 graph outputs: opens a graph snapshot
   (:mod:`repro.store.graph`) and answers cluster rankings and degree

@@ -52,7 +52,7 @@ def _coordinates(pairs: "list[str] | None") -> "dict[str, object] | None":
 
 def _typed(service, pairs: "list[str] | None"
            ) -> "dict[str, object] | None":
-    return typed_coordinates(service.dictionary, _coordinates(pairs))
+    return typed_coordinates(service.typed_values, _coordinates(pairs))
 
 
 def _cell_rows(service, cells: "list[CellStats]",
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     top = sub.add_parser("top", help="ranked segregation contexts")
     top.add_argument("--index", default="D", help="index short name")
-    top.add_argument("-k", type=int, default=10)
+    top.add_argument("-k", type=_int_between(0), default=10)
     top.add_argument("--min-minority", type=int, default=0)
     top.add_argument("--min-population", type=int, default=0)
     top.add_argument("--min-units", type=int, default=2)

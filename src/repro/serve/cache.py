@@ -1,85 +1,64 @@
-"""Hot-query LRU cache for the serving tier.
+"""The serving tier's one cache: finished responses, keyed by request.
 
 Two pieces:
 
-* :class:`QueryCache` — a thread-safe LRU mapping canonicalized query
-  keys to results, with hit/miss counters and **generation-based
-  invalidation**: every entry is stamped with the generation current
-  when its computation *started*; :meth:`QueryCache.invalidate` bumps
-  the generation and clears the map, so a result computed against the
-  pre-publish cube that lands after the publish is silently dropped
-  instead of resurrecting stale data.
-* :class:`CachedCubeService` — the memoizing wrapper around a
-  :class:`~repro.serve.service.CubeService`: every hot query method
-  (``top``/``slice``/``cell``/``value``/``children``/``parents``/
-  ``pivot``/``pivot_values``/``trend``) is keyed on its
-  canonicalized parameters, ``info()`` surfaces the counters, and
+* :class:`QueryCache` — a thread-safe LRU of finished responses, each
+  a ``(status, body bytes)`` pair, with hit/miss/eviction counters and
+  **generation-based invalidation**: every entry is stamped with the
+  generation current when its render *started*;
+  :meth:`QueryCache.invalidate` bumps the generation and clears the
+  map, so a body rendered against the pre-publish cube that lands after
+  the publish is silently dropped instead of resurrecting stale data.
+  It holds at most ``maxsize`` entries and at most
+  :data:`MAX_CACHE_BYTES` bytes of bodies, evicting least recently used
+  entries until both bounds hold; a body larger than the byte bound is
+  served but never stored.
+* :class:`CachedCubeService` — a
+  :class:`~repro.serve.service.CubeService` plus that cache.
+  :meth:`CachedCubeService.response` answers one request: a hit returns
+  the stored bytes, a miss renders them against the wrapped service and
+  stores them.  ``info()`` surfaces the counters, and
   :meth:`CachedCubeService.refresh` swaps in a freshly published
   timeline date and evicts everything stale in one step.
 
-Cached values are the service's own immutable-by-convention results
-(lists of :class:`~repro.cube.cell.CellStats` / ``Discovery`` records,
-floats, strings); callers must not mutate them.
+The HTTP tier keys each request by its ``(PATH_INFO, QUERY_STRING)``
+exactly as received, so two spellings of one query are two entries,
+each with correct bytes.  There is no row-level memo: the service's
+query methods (``top``, ``slice``, ``cell`` ...) read through to the
+wrapped service and are computed on every call.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from collections.abc import Mapping
 
 DEFAULT_CACHE_SIZE = 256
+#: Most bytes of response bodies one cache holds (32 MiB).
+MAX_CACHE_BYTES = 32 * 1024 * 1024
 
 _MISS = object()
 
 
-def canonical_key(method: str, params: "dict[str, object]") -> tuple:
-    """A hashable, order- and type-stable key for one query.
-
-    Coordinate mappings canonicalise to sorted ``(attribute, value)``
-    tuples; every scalar carries its type name alongside its ``repr``
-    so ``2``, ``2.0``, ``"2"`` and ``True`` can never collide.
-    """
-    out = []
-    for name in sorted(params):
-        value = params[name]
-        if isinstance(value, Mapping):
-            value = (
-                "mapping",
-                tuple(sorted(
-                    (str(attr), _canonical_value(v))
-                    for attr, v in value.items()
-                )),
-            )
-        else:
-            value = _canonical_value(value)
-        out.append((name, value))
-    return (method, tuple(out))
-
-
-def _canonical_value(value: object) -> tuple:
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return ("seq", tuple(sorted(
-            (type(v).__name__, repr(v)) for v in value
-        )))
-    return (type(value).__name__, repr(value))
-
-
 class QueryCache:
-    """Thread-safe LRU with hit/miss counters and generations.
+    """Thread-safe LRU of ``(status, body)`` responses, with counters and
+    generations.
 
     ``maxsize=0`` disables storage entirely (every lookup is a miss)
     while keeping the counters and the generation machinery, so a
-    cache-off service still reports uniform ``info()`` stats.
+    cache-off service still reports uniform ``info()`` stats.  The byte
+    bound is :data:`MAX_CACHE_BYTES`, read when the cache is created.
     """
 
     def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE):
         if maxsize < 0:
             raise ValueError(f"maxsize must be >= 0, got {maxsize}")
         self._maxsize = int(maxsize)
-        self._data: "OrderedDict[object, object]" = OrderedDict()
+        self._max_bytes = MAX_CACHE_BYTES
+        self._data: "OrderedDict[object, tuple[int, bytes]]" = OrderedDict()
         self._lock = threading.Lock()
         self._generation = 0
+        self._bytes = 0
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -92,34 +71,43 @@ class QueryCache:
     def generation(self) -> int:
         return self._generation
 
-    def lookup(self, key: object) -> "tuple[bool, object, int]":
-        """``(found, value, generation)`` — one locked probe.
+    def lookup(self, key: object
+               ) -> "tuple[bool, tuple[int, bytes] | None, int]":
+        """``(found, response, generation)`` — one locked probe.
 
         The returned generation is the one current at probe time; pass
-        it back to :meth:`store` so a result computed before an
+        it back to :meth:`store` so a response rendered before an
         intervening :meth:`invalidate` cannot land afterwards.
         """
         with self._lock:
             generation = self._generation
-            value = self._data.get(key, _MISS)
-            if value is _MISS:
+            response = self._data.get(key, _MISS)
+            if response is _MISS:
                 self._misses += 1
                 return False, None, generation
             self._data.move_to_end(key)
             self._hits += 1
-            return True, value, generation
+            return True, response, generation
 
-    def store(self, key: object, value: object, generation: int) -> bool:
-        """Insert a computed result; dropped when stale or disabled."""
-        if self._maxsize == 0:
+    def store(self, key: object, response: "tuple[int, bytes]",
+              generation: int) -> bool:
+        """Insert a rendered ``(status, body)``; dropped when stale,
+        disabled, or when the body alone exceeds the byte bound."""
+        size = len(response[1])
+        if self._maxsize == 0 or size > self._max_bytes:
             return False
         with self._lock:
             if generation != self._generation:
-                return False   # computed against a pre-publish cube
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self._maxsize:
-                self._data.popitem(last=False)
+                return False   # rendered against a pre-publish cube
+            replaced = self._data.pop(key, None)
+            if replaced is not None:
+                self._bytes -= len(replaced[1])
+            self._data[key] = response
+            self._bytes += size
+            while (len(self._data) > self._maxsize
+                   or self._bytes > self._max_bytes):
+                _, evicted = self._data.popitem(last=False)
+                self._bytes -= len(evicted[1])
                 self._evictions += 1
             return True
 
@@ -127,6 +115,7 @@ class QueryCache:
         """Clear everything and open a new generation; returns it."""
         with self._lock:
             self._data.clear()
+            self._bytes = 0
             self._generation += 1
             return self._generation
 
@@ -137,6 +126,7 @@ class QueryCache:
                 "misses": self._misses,
                 "evictions": self._evictions,
                 "size": len(self._data),
+                "bytes": self._bytes,
                 "maxsize": self._maxsize,
                 "generation": self._generation,
             }
@@ -147,7 +137,7 @@ class QueryCache:
 
 
 class CachedCubeService:
-    """Memoizing facade over a cube service."""
+    """A cube service plus the cache of its finished responses."""
 
     def __init__(self, service, maxsize: int = DEFAULT_CACHE_SIZE):
         self._service = service
@@ -163,81 +153,20 @@ class CachedCubeService:
     def cache(self) -> QueryCache:
         return self._cache
 
-    def _cached(self, method: str, params: "dict[str, object]", compute):
-        key = canonical_key(method, params)
-        found, value, generation = self._cache.lookup(key)
+    def response(self, key: object, render) -> "tuple[int, bytes]":
+        """The ``(status, body)`` for ``key``: stored, or rendered now.
+
+        On a miss, ``render(service)`` builds the response against the
+        wrapped service, and it is stored under the generation the probe
+        saw.  An exception from ``render`` propagates and nothing is
+        stored.
+        """
+        found, response, generation = self._cache.lookup(key)
         if found:
-            return value
-        value = compute()
-        self._cache.store(key, value, generation)
-        return value
-
-    # -- cached query methods (the CubeService vocabulary) -------------
-
-    def top(self, index_name: str = "D", k: int = 10, min_minority: int = 0,
-            min_population: int = 0, min_units: int = 2):
-        params = dict(index_name=index_name, k=k, min_minority=min_minority,
-                      min_population=min_population, min_units=min_units)
-        return self._cached(
-            "top", params, lambda: self._service.top(**params)
-        )
-
-    def slice(self, sa=None, ca=None):
-        params = dict(sa=sa, ca=ca)
-        return self._cached(
-            "slice", params, lambda: self._service.slice(**params)
-        )
-
-    def cell(self, sa=None, ca=None):
-        params = dict(sa=sa, ca=ca)
-        return self._cached(
-            "cell", params, lambda: self._service.cell(**params)
-        )
-
-    def value(self, index_name: str, sa=None, ca=None):
-        params = dict(index_name=index_name, sa=sa, ca=ca)
-        return self._cached(
-            "value", params, lambda: self._service.value(**params)
-        )
-
-    def children(self, sa=None, ca=None):
-        params = dict(sa=sa, ca=ca)
-        return self._cached(
-            "children", params, lambda: self._service.children(**params)
-        )
-
-    def parents(self, sa=None, ca=None):
-        params = dict(sa=sa, ca=ca)
-        return self._cached(
-            "parents", params, lambda: self._service.parents(**params)
-        )
-
-    def pivot(self, index_name: str, row_attr: str, col_attr: str,
-              fixed_sa=None, fixed_ca=None, digits: int = 2):
-        params = dict(index_name=index_name, row_attr=row_attr,
-                      col_attr=col_attr, fixed_sa=fixed_sa,
-                      fixed_ca=fixed_ca, digits=digits)
-        return self._cached(
-            "pivot", params, lambda: self._service.pivot(**params)
-        )
-
-    def pivot_values(self, index_name: str, row_attr: str, col_attr: str,
-                     fixed_sa=None, fixed_ca=None):
-        params = dict(index_name=index_name, row_attr=row_attr,
-                      col_attr=col_attr, fixed_sa=fixed_sa,
-                      fixed_ca=fixed_ca)
-        return self._cached(
-            "pivot_values", params,
-            lambda: self._service.pivot_values(**params),
-        )
-
-    def trend(self, index_name: str = "D", sa=None, ca=None):
-        params = dict(index_name=index_name, sa=sa, ca=ca)
-        return self._cached(
-            "trend", params, lambda: self._service.trend(**params)
-        )
-
-    # -- uncached passthroughs ------------------------------------------
+            return response
+        response = render(self._service)
+        self._cache.store(key, response, generation)
+        return response
 
     def info(self) -> "dict[str, object]":
         """Inner ``info()`` plus live cache counters (never cached)."""
@@ -245,17 +174,14 @@ class CachedCubeService:
         out["cache"] = self._cache.stats()
         return out
 
-    def dates(self):
-        return self._service.dates()
-
     def refresh(self) -> bool:
         """Pick up a newly published timeline date; evict stale entries.
 
         Asks the wrapped service for a :meth:`refreshed` successor;
         when one exists, swaps it in (a single attribute assignment —
-        readers in flight keep their old reference) and bumps the cache
-        generation so every pre-publish entry is evicted and in-flight
-        pre-publish computations cannot re-populate it.  Returns True
+        readers in flight keep their old reference) and *then* bumps
+        the cache generation, so every pre-publish entry is evicted and
+        a render that probed before the bump cannot store.  Returns True
         when a publish was picked up.
         """
         with self._refresh_lock:
@@ -267,8 +193,9 @@ class CachedCubeService:
             return True
 
     def __getattr__(self, name: str):
-        # Everything else (describe, dictionary, index_names, date,
-        # cube, ...) reads through to the wrapped service unchanged.
+        # Everything else (the query methods, describe, dictionary,
+        # index_names, date, dates, cube, ...) reads through to the
+        # wrapped service, uncached.
         return getattr(self._service, name)
 
     def __repr__(self) -> str:

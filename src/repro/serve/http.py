@@ -40,11 +40,21 @@ uses.  Every response body is ``payloads.dumps(<payload fn>(service,
 ...))`` — the exact bytes the in-process payload functions produce —
 which is what makes the HTTP tier byte-identical to in-process calls.
 
+Caching: the app stores finished responses, ``(status, body bytes)``,
+in :class:`~repro.serve.cache.CachedCubeService`'s one cache (at most
+``cache_size`` entries and :data:`~repro.serve.cache.MAX_CACHE_BYTES`
+bytes), keyed by ``(PATH_INFO, QUERY_STRING)`` exactly as received, so
+a repeated request is one lookup.  Every cube ``GET`` endpoint but
+``/info`` (live counters) is cached; ``/refresh`` and ``/graph/*`` are
+not.  Errors are never stored; a ``/cell`` 404 ``null`` is an answer.
+
 Error mapping: malformed parameters raise :class:`ValueError` → 400;
 domain errors (:class:`~repro.errors.ReproError`: unknown index,
 non-timeline trend, bad pivot attribute) → 400; unknown paths and
-missing cells → 404; unexpected failures → 500.  Every error body is
-JSON: ``{"error": ..., "status": ...}``.
+missing cells → 404; a wrong method → 405 with an ``Allow`` header
+(``POST`` for ``/refresh``, ``GET, HEAD`` elsewhere); unexpected
+failures → 500.  Every error body is JSON:
+``{"error": ..., "status": ...}``.
 
 The app is a plain WSGI callable: run it under
 :func:`serve` (threaded ``wsgiref``, stdlib only), any WSGI container
@@ -57,6 +67,7 @@ from __future__ import annotations
 
 import io
 import sys
+from functools import partial
 from socketserver import ThreadingMixIn
 from urllib.parse import parse_qs
 from wsgiref.simple_server import WSGIRequestHandler, WSGIServer, make_server
@@ -79,15 +90,17 @@ _STATUS = {
 class _HTTPError(Exception):
     """An error with a status code, rendered as a JSON body."""
 
-    def __init__(self, status: int, message: str):
+    def __init__(self, status: int, message: str,
+                 allow: "str | None" = None):
         super().__init__(message)
         self.status = status
+        self.allow = allow
 
 
 def _coords(service, params: "dict[str, list[str]]", name: str
             ) -> "dict[str, object] | None":
     return typed_coordinates(
-        service.dictionary, parse_coordinate_pairs(params.get(name))
+        service.typed_values, parse_coordinate_pairs(params.get(name))
     )
 
 
@@ -211,6 +224,14 @@ _GET_ROUTES = {
 }
 
 
+def _render(handler, query: str, service) -> "tuple[int, bytes]":
+    """One endpoint's ``(status, body)`` for a raw query string."""
+    status, payload = handler(
+        service, parse_qs(query, keep_blank_values=True)
+    )
+    return status, payloads.dumps(payload)
+
+
 # ----------------------------------------------------------------------
 # Graph endpoints: (graph_service, params) -> (status, payload)
 # ----------------------------------------------------------------------
@@ -264,9 +285,10 @@ def make_app(
     paths and cubes are opened via
     :func:`~repro.serve.router.open_service` and wrapped in a
     :class:`~repro.serve.cache.CachedCubeService` of ``cache_size``
-    entries (0 disables caching).  Service objects are used as-is, so a
-    parity test can hand the app the very instance it queries
-    in-process.
+    entries (0 disables caching), which caches the app's finished
+    responses.  Service objects are used as-is, so a parity test can
+    hand the app the very instance it queries in-process; one without a
+    ``response`` method renders every request.
 
     ``graph_source`` optionally mounts a graph snapshot under
     ``/graph/*``: a snapshot directory path, an opened
@@ -293,43 +315,49 @@ def make_app(
         else:
             graph_service = GraphService.open(graph_source, mmap=mmap)
 
+    respond = getattr(service, "response", None)
+
     def app(environ, start_response):
         path = environ.get("PATH_INFO", "/")
         method = environ.get("REQUEST_METHOD", "GET")
+        query = environ.get("QUERY_STRING", "")
+        headers = [("Content-Type", "application/json")]
         try:
             if path == "/refresh":
                 if method != "POST":
-                    raise _HTTPError(405, "POST /refresh")
+                    raise _HTTPError(405, "POST /refresh", allow="POST")
                 refresher = getattr(service, "refresh", None)
                 refreshed = bool(refresher()) if callable(refresher) else False
-                status, payload = 200, {"refreshed": refreshed}
+                status, body = 200, payloads.dumps({"refreshed": refreshed})
             elif path in _GRAPH_GET_ROUTES:
                 if graph_service is None:
                     raise _HTTPError(
                         404, f"no graph snapshot mounted (for {path})"
                     )
                 if method not in ("GET", "HEAD"):
-                    raise _HTTPError(405, f"{path} only supports GET")
-                params = parse_qs(
-                    environ.get("QUERY_STRING", ""), keep_blank_values=True
-                )
-                status, payload = _GRAPH_GET_ROUTES[path](
-                    graph_service, params
+                    raise _HTTPError(405, f"{path} only supports GET",
+                                     allow="GET, HEAD")
+                status, body = _render(
+                    _GRAPH_GET_ROUTES[path], query, graph_service
                 )
             else:
                 handler = _GET_ROUTES.get(path)
                 if handler is None:
                     raise _HTTPError(404, f"no such endpoint: {path}")
                 if method not in ("GET", "HEAD"):
-                    raise _HTTPError(405, f"{path} only supports GET")
-                params = parse_qs(
-                    environ.get("QUERY_STRING", ""), keep_blank_values=True
-                )
-                status, payload = handler(service, params)
-            body = payloads.dumps(payload)
+                    raise _HTTPError(405, f"{path} only supports GET",
+                                     allow="GET, HEAD")
+                if respond is None or path == "/info":  # live counters
+                    status, body = _render(handler, query, service)
+                else:
+                    status, body = respond(
+                        (path, query), partial(_render, handler, query)
+                    )
         except _HTTPError as exc:
             status = exc.status
             body = payloads.dumps({"error": str(exc), "status": status})
+            if exc.allow is not None:
+                headers.append(("Allow", exc.allow))
         except ValueError as exc:
             status = 400
             body = payloads.dumps({"error": str(exc), "status": status})
@@ -341,10 +369,8 @@ def make_app(
             body = payloads.dumps(
                 {"error": f"{type(exc).__name__}: {exc}", "status": status}
             )
-        start_response(_STATUS[status], [
-            ("Content-Type", "application/json"),
-            ("Content-Length", str(len(body))),
-        ])
+        headers.append(("Content-Length", str(len(body))))
+        start_response(_STATUS[status], headers)
         return [b"" if method == "HEAD" else body]
 
     app.service = service

@@ -46,25 +46,36 @@ def parse_coordinate_pairs(
     return out
 
 
-def typed_coordinates(
-    dictionary: ItemDictionary, mapping: "dict[str, object] | None"
-) -> "dict[str, object] | None":
-    """Coerce string coordinate values to the vocabulary's exact types.
-
-    ``encode_query`` matches items by exact (attribute, value) pairs,
-    and vocabularies may hold int/bool/float values.  Values whose
-    string rendering matches no vocabulary entry pass through unchanged
-    (the unknown-coordinate error stays informative).
-    """
-    if mapping is None:
-        return None
+def typed_values(dictionary: ItemDictionary
+                 ) -> "dict[str, dict[str, object]]":
+    """``{attribute: {str(value): value}}``, the lookup
+    :func:`typed_coordinates` reads; each opened
+    :class:`~repro.serve.service.CubeService` builds it once."""
     typed: "dict[str, dict[str, object]]" = {}
     for item_id in range(len(dictionary)):
         item = dictionary.item(item_id)
         typed.setdefault(item.attribute, {})[str(item.value)] = item.value
+    return typed
+
+
+def typed_coordinates(
+    values: "dict[str, dict[str, object]]",
+    mapping: "dict[str, object] | None",
+) -> "dict[str, object] | None":
+    """Coerce string coordinate values to the vocabulary's exact types.
+
+    ``values`` is the served cube's :func:`typed_values` lookup.
+    ``encode_query`` matches items by exact (attribute, value) pairs,
+    and vocabularies may hold int/bool/float values.  Values whose
+    string rendering matches no vocabulary entry pass through unchanged
+    (the unknown-coordinate error stays informative).  The HTTP tier
+    calls this only on a cache miss: its cache holds response bytes.
+    """
+    if mapping is None:
+        return None
     out: "dict[str, object]" = {}
     for attr, value in mapping.items():
-        lookup = typed.get(attr, {})
+        lookup = values.get(attr, {})
         if isinstance(value, list):
             out[attr] = [lookup.get(v, v) for v in value]
         else:

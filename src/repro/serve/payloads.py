@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+from operator import itemgetter
 
 from repro.cube.cell import CellStats
 
@@ -37,30 +38,45 @@ def _number(value: float) -> "float | None":
     return None if math.isnan(value) else value
 
 
+def _cell(description: str, stats: CellStats, index_names: "list[str]"
+          ) -> "dict[str, object]":
+    return {
+        "cell": description,
+        "population": stats.population,
+        "minority": stats.minority,
+        "n_units": stats.n_units,
+        "indexes": {
+            name: _number(stats.value(name)) for name in index_names
+        },
+    }
+
+
 def cell_payload(service, stats: "CellStats | None"
                  ) -> "dict[str, object] | None":
     """One cell as JSON (None for a missing cell -> ``null`` body)."""
     if stats is None:
         return None
-    return {
-        "cell": service.describe(stats.key),
-        "population": stats.population,
-        "minority": stats.minority,
-        "n_units": stats.n_units,
-        "indexes": {
-            name: _number(stats.value(name))
-            for name in service.index_names
-        },
-    }
+    return _cell(service.describe(stats.key), stats, service.index_names)
 
 
 def cells_payload(service, cells: "list[CellStats]"
                   ) -> "list[dict[str, object]]":
-    """A cell list in canonical ``(depth, description)`` order."""
-    ordered = sorted(
-        cells, key=lambda s: (s.depth(), service.describe(s.key))
-    )
-    return [cell_payload(service, stats) for stats in ordered]
+    """A cell list in canonical ``(depth, description)`` order.
+
+    Each cell is described once, for both its sort key and its ``cell``
+    field.  The HTTP tier runs this only on a cache miss: its cache holds
+    finished body bytes, never cells.
+    """
+    index_names = service.index_names
+    described = [
+        (stats.depth(), service.describe(stats.key), stats)
+        for stats in cells
+    ]
+    described.sort(key=itemgetter(0, 1))
+    return [
+        _cell(description, stats, index_names)
+        for _, description, stats in described
+    ]
 
 
 def info_payload(service) -> "dict[str, object]":

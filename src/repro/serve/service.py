@@ -10,10 +10,11 @@ as well) and the ``date`` argument
 routes queries to one dated cube (latest by default); the other dates
 stay one :meth:`trend` call away.  Construction *warms* the served
 cube's derived lookup structures — decoded keys, size vectors, the
-hash row index — so that afterwards every query path is a pure read
-over immutable arrays and dicts: safe for any number of concurrent
-reader threads, verified by the thread-pool test in
-``tests/test_serve_service.py``.
+hash row index — and builds the typed-coordinate lookup
+(:func:`~repro.serve.params.typed_values`), so that afterwards every
+query path is a pure read over immutable arrays and dicts: safe for
+any number of concurrent reader threads, verified by the thread-pool
+test in ``tests/test_serve_service.py``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.cube.coordinates import CellKey, encode_query
 from repro.cube.cube import SegregationCube
 from repro.cube.explorer import Discovery, summarize_cube, top_contexts
 from repro.errors import SnapshotError
+from repro.serve.params import typed_values
 
 if TYPE_CHECKING:
     from repro.store.timeline import CubeTimeline
@@ -93,6 +95,9 @@ class CubeService:
                 "cube"
             )
         self._cube = _warm(source)
+        #: ``{attribute: {str(value): value}}``, what
+        #: :func:`~repro.serve.params.typed_coordinates` coerces with.
+        self.typed_values = typed_values(self._cube.dictionary)
 
     @property
     def cube(self) -> SegregationCube:
@@ -260,6 +265,8 @@ class CubeService:
         min_units: int = 2,
     ) -> "list[Discovery]":
         """Ranked segregation contexts (the discovery primitive)."""
+        if k < 0:
+            raise ValueError(f"k must be non-negative, got {k}")
         return top_contexts(
             self._cube,
             index_name=index_name,

@@ -158,8 +158,9 @@ class TestGraphEndpoints:
         assert status == 404
 
     def test_post_rejected(self, app):
-        status, _, _ = wsgi_get(app, "/graph/info", method="POST")
+        status, headers, _ = wsgi_get(app, "/graph/info", method="POST")
         assert status == 405
+        assert headers["Allow"] == "GET, HEAD"
 
     def test_unmounted_graph_404(self, cube_dir):
         bare = make_app(cube_dir)

@@ -160,9 +160,10 @@ class TestErrorSurface:
         assert "unknown coordinate" in json.loads(body)["error"]
 
     def test_non_integer_param_400(self, app):
-        status, _, body = wsgi_get(app, "/top?k=many")
-        assert status == 400
-        assert "k" in json.loads(body)["error"]
+        for query in ("/top?k=many", "/top?k=-1"):
+            status, _, body = wsgi_get(app, query)
+            assert status == 400, query
+            assert "k" in json.loads(body)["error"]
 
     def test_unknown_index_400(self, app):
         for query in ("/top?index=NOPE", "/trend?index=NOPE",
@@ -182,10 +183,12 @@ class TestErrorSurface:
         assert "timeline" in json.loads(body)["error"]
 
     def test_wrong_method_405(self, app):
-        status, _, _ = wsgi_get(app, "/top", method="POST")
+        status, headers, _ = wsgi_get(app, "/top", method="POST")
         assert status == 405
-        status, _, _ = wsgi_get(app, "/refresh", method="GET")
+        assert headers["Allow"] == "GET, HEAD"
+        status, headers, _ = wsgi_get(app, "/refresh", method="GET")
         assert status == 405
+        assert headers["Allow"] == "POST"
 
     def test_head_has_headers_but_no_body(self, app):
         get_status, get_headers, get_body = wsgi_get(app, "/info")

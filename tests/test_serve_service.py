@@ -313,12 +313,14 @@ class TestServeCli:
     @pytest.mark.parametrize("flag, value", [
         ("--cache-size", "-1"),
         ("--port", "70000"),
+        ("-k", "-1"),
     ])
     def test_bad_serve_numbers_fail_at_parse_time(
         self, snapshot_dir, capsys, flag, value
     ):
+        command = "top" if flag == "-k" else "serve"
         with pytest.raises(SystemExit) as exit_info:
-            serve_main([str(snapshot_dir), "serve", flag, value])
+            serve_main([str(snapshot_dir), command, flag, value])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         errors = [line for line in err.splitlines() if "error:" in line]
