@@ -218,7 +218,7 @@ class SegregationCube:
             mask,
             descending=not ascending,
             tie_break=lambda row: describe_key(
-                table.keys[row], self.dictionary
+                table.key_at(row), self.dictionary
             ),
         )
         return [self._table.stats(i) for i in rows]

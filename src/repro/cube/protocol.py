@@ -11,7 +11,7 @@ through two very different storage paths:
   arrays (and, in ``closed`` mode, carrying a lazy resolver);
 * an **opened snapshot** from :func:`repro.store.open_snapshot`, whose
   arrays are read-only (optionally memory-mapped) views over a
-  snapshot directory, with keys decoded from the stored bitmasks.
+  snapshot directory, with keys decoded from the stored bitmasks on use.
 
 Annotating consumers with :class:`CubeLike` (instead of the concrete
 class) documents that they must not rely on builder-only state — the

@@ -3,11 +3,9 @@
 Instead of one :class:`~repro.cube.cell.CellStats` object per cell, the
 cube keeps parallel columns over all cells at once:
 
-* ``keys`` — the (SA itemset, CA itemset) cell keys, one per row, with a
-  hash index for O(1) point lookup;
-* ``sa_masks`` / ``ca_masks`` — the same keys *encoded* as packed
-  ``uint64`` bitmasks over item ids, so slicing and roll-up/drill-down
-  become word-wise subset tests over whole columns;
+* ``sa_masks`` / ``ca_masks`` — the (SA itemset, CA itemset) cell keys
+  *encoded* as packed ``uint64`` bitmasks over item ids, so slicing and
+  roll-up/drill-down become word-wise subset tests over whole columns;
 * ``population`` / ``minority`` / ``n_units`` — int64 count columns;
 * one float64 column per segregation index.
 
@@ -15,10 +13,13 @@ The arrays live behind a thin storage record (:class:`TableArrays`), so
 the same table — and the same query primitives (:meth:`superset_mask`,
 :meth:`top_rows`, :meth:`stats`) — runs over arrays it owns (a freshly
 built cube) or over read-only memory-mapped arrays reopened from a
-:mod:`repro.store` snapshot.  In the snapshot case the keys and the
-hash index are *derived* state: keys are decoded lazily from the packed
-bitmasks, and the index is built on first point lookup (both under a
-lock, so concurrent readers are safe).
+:mod:`repro.store` snapshot.  Both derive the rest from the masks on
+first use: the row index (``{packed SA+CA words as little-endian bytes:
+row}``, built once), the itemset sizes (a popcount), and each row's key
+(:func:`decode_key`, kept in a per-row slot; a built table's slots hold
+the keys it was given).  :meth:`CellTable.warm` builds the index and
+the sizes; after it the only writes are key slots, each only ever
+written with its row's one key, so concurrent readers are safe.
 
 Query primitives are array operations — boolean masks and
 ``argpartition`` top-k — and :class:`CellStats` survives as a lazily
@@ -28,6 +29,7 @@ keeps working unchanged.
 
 from __future__ import annotations
 
+import operator
 import threading
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -37,6 +39,7 @@ import numpy as np
 
 from repro.cube.cell import CellStats
 from repro.cube.coordinates import CellKey
+from repro.itemsets.coverset import WORD_DTYPE, popcount_rows
 
 _WORD_BITS = 64
 
@@ -53,43 +56,37 @@ def pack_items(items: Iterable[int], n_words: int) -> np.ndarray:
     return mask
 
 
-def unpack_masks(masks: np.ndarray) -> "list[frozenset[int]]":
-    """Decode each row of a packed mask matrix back into an itemset.
+def _items_of(words: "list[int]") -> "frozenset[int]":
+    items = []
+    for base, word in enumerate(words):
+        base *= _WORD_BITS
+        while word:
+            low = word & -word
+            items.append(base + low.bit_length() - 1)
+            word ^= low
+    return frozenset(items)
 
-    The inverse of :meth:`CellTable._pack_parts`, used when a table is
-    reopened from stored arrays and its keys must be reconstructed.
-    Endian-safe: bits are extracted by shifting, never by reinterpreting
-    the word bytes.
+
+def decode_key(sa_words: "list[int]", ca_words: "list[int]") -> CellKey:
+    """Decode one row's packed SA and CA words back into its cell key.
+
+    The inverse of :meth:`CellTable._pack_parts` for one row, and the
+    table's only key decoder.  Words come as Python ints (a mask row's
+    ``tolist()``), so bits are read by value, never by reinterpreting
+    bytes: the decode is endian-safe.
     """
-    n, n_words = masks.shape
-    out: "list[list[int]]" = [[] for _ in range(n)]
-    shifts = np.arange(_WORD_BITS, dtype=np.uint64)
-    one = np.uint64(1)
-    for word in range(n_words):
-        column = np.asarray(masks[:, word])
-        if not column.any():
-            continue
-        bits = (column[:, None] >> shifts) & one
-        rows, offsets = np.nonzero(bits)
-        base = word * _WORD_BITS
-        for row, offset in zip(rows.tolist(), offsets.tolist()):
-            out[row].append(base + offset)
-    return [frozenset(items) for items in out]
+    return _items_of(sa_words), _items_of(ca_words)
 
 
-def _mask_sizes(masks: np.ndarray) -> np.ndarray:
-    """Per-row popcount of a packed mask matrix (itemset sizes)."""
-    n = len(masks)
-    if n == 0 or masks.size == 0:
-        return np.zeros(n, dtype=np.int64)
-    sizes = np.zeros(n, dtype=np.int64)
-    shifts = np.arange(_WORD_BITS, dtype=np.uint64)
-    one = np.uint64(1)
-    for word in range(masks.shape[1]):
-        column = np.asarray(masks[:, word])
-        bits = (column[:, None] >> shifts) & one
-        sizes += bits.sum(axis=1).astype(np.int64)
-    return sizes
+def _packed_rows(sa_masks: np.ndarray, ca_masks: np.ndarray) -> "list[bytes]":
+    """Each row's SA words then CA words, as little-endian bytes."""
+    words = np.concatenate(
+        [np.asarray(sa_masks, dtype=WORD_DTYPE),
+         np.asarray(ca_masks, dtype=WORD_DTYPE)],
+        axis=1,
+    )
+    row = np.dtype((np.void, words.itemsize * words.shape[1]))
+    return words.view(row).reshape(len(words)).tolist()
 
 
 @dataclass(frozen=True)
@@ -165,17 +162,15 @@ class CellTable:
         self._attach(arrays, keys=keys)
 
     @classmethod
-    def from_arrays(
-        cls, arrays: TableArrays, keys: "Sequence[CellKey] | None" = None
-    ) -> "CellTable":
+    def from_arrays(cls, arrays: TableArrays) -> "CellTable":
         """Wrap already-built (possibly memory-mapped) column arrays.
 
-        The snapshot-open path: no packing happens; when ``keys`` is
-        omitted they are decoded lazily from the stored bitmasks the
-        first time key-level access is needed.
+        The snapshot-open path: no packing and no decoding happens;
+        each row's key is decoded from the stored bitmasks the first
+        time a query needs it (:meth:`key_at`).
         """
         self = cls.__new__(cls)
-        self._attach(arrays, keys=list(keys) if keys is not None else None)
+        self._attach(arrays, keys=None)
         return self
 
     def _attach(
@@ -183,10 +178,13 @@ class CellTable:
     ) -> None:
         """Bind the storage record; derived state stays lazy."""
         self._arrays = arrays
-        self._keys = keys
-        self._index: "dict[CellKey, int] | None" = None
-        # Sizes stay lazy on both paths: _ensure_sizes derives them from
-        # the keys when decoded, from the mask popcounts otherwise.
+        self._width = arrays.sa_masks.shape[1] * _WORD_BITS
+        # One slot per row: the given keys, else filled on first use.
+        self._keys: "list[CellKey | None]" = (
+            keys if keys is not None else [None] * len(arrays.population)
+        )
+        self._all_keys = keys is not None
+        self._index: "dict[bytes, int] | None" = None
         self._sizes: "tuple[np.ndarray, np.ndarray] | None" = None
         self._lock = threading.Lock()
 
@@ -279,23 +277,32 @@ class CellTable:
 
     @property
     def keys(self) -> "list[CellKey]":
-        """Cell keys by row (decoded from the bitmasks when reopened)."""
-        if self._keys is None:
-            with self._lock:
-                if self._keys is None:
-                    sa = unpack_masks(self._arrays.sa_masks)
-                    ca = unpack_masks(self._arrays.ca_masks)
-                    self._keys = list(zip(sa, ca))
+        """Cell keys by row: every empty slot filled by :func:`decode_key`."""
+        if not self._all_keys:
+            slots = self._keys
+            rows = zip(self._arrays.sa_masks.tolist(),
+                       self._arrays.ca_masks.tolist())
+            for row, (sa_words, ca_words) in enumerate(rows):
+                if slots[row] is None:
+                    slots[row] = decode_key(sa_words, ca_words)
+            # Only now: a reader that sees the flag returns every slot.
+            self._all_keys = True
         return self._keys
 
-    @property
-    def decoded_keys(self) -> "list[CellKey] | None":
-        """The row keys when already decoded (or given), else None.
+    def key_at(self, row: int) -> CellKey:
+        """One row's cell key, decoded from its masks on first use.
 
-        Never decodes: a table composed from this one reuses these key
-        objects for the rows it keeps, and otherwise stays lazy.
+        Racing threads decode the same row to equal keys, so whichever
+        write lands last stores the same key.
         """
-        return self._keys
+        key = self._keys[row]
+        if key is None:
+            key = decode_key(
+                self._arrays.sa_masks[row].tolist(),
+                self._arrays.ca_masks[row].tolist(),
+            )
+            self._keys[row] = key
+        return key
 
     @property
     def sa_sizes(self) -> np.ndarray:
@@ -311,39 +318,42 @@ class CellTable:
         if self._sizes is None:
             with self._lock:
                 if self._sizes is None:
-                    keys = self._keys
-                    if keys is not None:
-                        # Keys already decoded: sizes are plain lengths,
-                        # no second bit-expansion over the masks.
-                        n = len(keys)
-                        self._sizes = (
-                            np.fromiter((len(k[0]) for k in keys),
-                                        dtype=np.int64, count=n),
-                            np.fromiter((len(k[1]) for k in keys),
-                                        dtype=np.int64, count=n),
-                        )
-                    else:
-                        self._sizes = (
-                            _mask_sizes(self._arrays.sa_masks),
-                            _mask_sizes(self._arrays.ca_masks),
-                        )
+                    self._sizes = (
+                        popcount_rows(self._arrays.sa_masks),
+                        popcount_rows(self._arrays.ca_masks),
+                    )
         return self._sizes
 
-    def _ensure_index(self) -> "dict[CellKey, int]":
+    def _row_index(self) -> "dict[bytes, int]":
+        """``{packed SA+CA words: row}``; a repeated key maps to its last row."""
         if self._index is None:
-            keys = self.keys
             with self._lock:
                 if self._index is None:
-                    self._index = {key: i for i, key in enumerate(keys)}
+                    packed = _packed_rows(
+                        self._arrays.sa_masks, self._arrays.ca_masks
+                    )
+                    self._index = dict(zip(packed, range(len(packed))))
         return self._index
 
+    def _pack_key(self, key: CellKey) -> "bytes | None":
+        """A key as its row's index bytes; None when no row can hold it
+        (a negative id, or one past the mask width)."""
+        width = self._width
+        bits = 0
+        for shift, part in enumerate(key):
+            for item in part:
+                if not 0 <= item < width:
+                    return None
+                bits |= 1 << (operator.index(item) + shift * width)
+        return bits.to_bytes(2 * width // 8, "little")
+
     def warm(self) -> "CellTable":
-        """Force-build all lazy derived state (keys, sizes, hash index).
+        """Build the row index and the size vectors, and nothing else.
 
         Called by the serving layer before the table is shared across
-        threads: afterwards every query path is read-only.
+        threads: afterwards the only writes are :meth:`key_at`'s slots.
         """
-        self._ensure_index()
+        self._row_index()
         self._ensure_sizes()
         return self
 
@@ -355,16 +365,17 @@ class CellTable:
         return len(self._arrays.population)
 
     def __contains__(self, key: CellKey) -> bool:
-        return key in self._ensure_index()
+        return self.row_of(key) is not None
 
     def row_of(self, key: CellKey) -> "int | None":
         """Row index of a cell key, or None when not materialised."""
-        return self._ensure_index().get(key)
+        packed = self._pack_key(key)
+        return None if packed is None else self._row_index().get(packed)
 
     def stats(self, row: int) -> CellStats:
         """Materialise one row as a :class:`CellStats` view."""
         return CellStats(
-            key=self.keys[row],
+            key=self.key_at(row),
             population=int(self.population[row]),
             minority=int(self.minority[row]),
             n_units=int(self.n_units[row]),

@@ -386,9 +386,9 @@ def make_app(
 class ThreadingWSGIServer(ThreadingMixIn, WSGIServer):
     """wsgiref's server, answering each request on its own thread.
 
-    The served cube is warmed and immutable, so concurrent handler
-    threads are safe by construction (the same guarantee the
-    thread-pool tests exercise in-process).
+    The served cube is warmed and a query writes at most a row's key
+    slot, always with the same key, so concurrent handler threads are
+    safe (the same guarantee the thread-pool tests exercise in-process).
     """
 
     daemon_threads = True

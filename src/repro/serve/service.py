@@ -9,12 +9,11 @@ without a top-level manifest is treated as a
 as well) and the ``date`` argument
 routes queries to one dated cube (latest by default); the other dates
 stay one :meth:`trend` call away.  Construction *warms* the served
-cube's derived lookup structures — decoded keys, size vectors, the
-hash row index — and builds the typed-coordinate lookup
-(:func:`~repro.serve.params.typed_values`), so that afterwards every
-query path is a pure read over immutable arrays and dicts: safe for
-any number of concurrent reader threads, verified by the thread-pool
-test in ``tests/test_serve_service.py``.
+cube — its row index and size vectors, no decoded key — and builds the
+typed-coordinate lookup (:func:`~repro.serve.params.typed_values`):
+afterwards a query writes at most a row's key slot, always with the one
+key that row decodes to, so any number of concurrent reader threads is
+safe, as the thread-pool test in ``tests/test_serve_service.py`` checks.
 """
 
 from __future__ import annotations
@@ -47,10 +46,10 @@ def _disk_info(path) -> "dict[str, int]":
 
 
 def _warm(cube: SegregationCube) -> SegregationCube:
-    # Build all lazy derived state up front: once warmed, queries
-    # never write to shared structures.  For live closed-mode cubes
-    # that includes the resolver's transaction-database caches
-    # (item covers, unit grouping), which are also built lazily.
+    # Build the shared lookup state up front: once warmed, queries
+    # write only per-row key slots.  For live closed-mode cubes that
+    # includes the resolver's transaction-database caches (item
+    # covers, unit grouping), which are also built lazily.
     cube.table.warm()
     resolver_warm = getattr(getattr(cube, "_resolver", None), "warm", None)
     if callable(resolver_warm):

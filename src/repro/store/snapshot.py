@@ -12,9 +12,10 @@ A snapshot is a directory::
       col_<i>.npy        float64 (n_cells,)          one per index column
 
 The cell *keys* are not stored separately: they are exactly the packed
-bitmasks, decoded lazily on reopen by
-:meth:`~repro.cube.table.CellTable.keys`.  Reopening therefore costs a
-manifest parse plus one checked ``np.load`` per array — with
+bitmasks.  A reopened table looks rows up by those bits and decodes a
+row's key only when a query first needs it
+(:meth:`~repro.cube.table.CellTable.key_at`).  Reopening therefore
+costs a manifest parse plus one checked ``np.load`` per array — with
 ``mmap=True`` (the default) no array data is read until a query touches
 it, which is what makes cold serving start in milliseconds instead of
 re-running ETL → mining → fill (benchmark E18).
@@ -52,7 +53,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.cube.cube import SegregationCube
-from repro.cube.table import CellTable, TableArrays, unpack_masks
+from repro.cube.table import CellTable, TableArrays
 from repro.errors import SnapshotError
 from repro.store.manifest import (
     MANIFEST_NAME,
@@ -77,6 +78,9 @@ _DELTA_ARRAYS = {
     "superseded_sa": "uint64",
     "superseded_ca": "uint64",
 }
+
+#: Arrays of packed key bitmasks, one row of ``n_words`` words per cell.
+_MASK_ARRAYS = {"sa_masks", "ca_masks", *_DELTA_ARRAYS}
 
 _COLUMN_DTYPE = "float64"
 
@@ -375,19 +379,19 @@ def validate_snapshot(path: "str | Path") -> SnapshotManifest:
     Raises :class:`~repro.errors.SnapshotError` on a missing or
     malformed manifest, an unsupported format version, a missing array
     entry, a missing or unreadable array file, an array whose
-    dtype/shape disagrees with the manifest, a wrong fixed dtype, a row
-    count that disagrees with ``n_cells`` / ``n_superseded``, or delta
-    arrays without a delta section.  Returns the parsed manifest on
-    success.
+    dtype/shape disagrees with the manifest, a wrong fixed dtype, an
+    array not shaped ``(n_cells,)`` (counts and index columns) or
+    ``(n_cells, n_words)`` (key masks) — ``n_superseded`` rows for the
+    superseded masks — or delta arrays without a delta section.
+    Returns the parsed manifest on success.
 
     These are exactly the per-directory checks :func:`open_snapshot`
     applies: both go through one checked loader that reads each listed
     array once (memory-mapped for a full snapshot, into memory for a
     delta's own arrays).  What only an open checks is the chain — parent
     resolution and cycles, the width, column layout and vocabulary
-    against the parent, the superseded-row masks (their width, and that
-    the parent holds each one), and the content digest of the composed
-    table.
+    against the parent, that the parent holds each superseded row, and
+    the content digest of the composed table.
     """
     return _load_checked(Path(path), mmap=True)[0]
 
@@ -400,8 +404,9 @@ def _load_checked(
     The shared checked loader
     (:func:`~repro.store.manifest.load_arrays`) checks each array
     against its manifest entry; on top, delta arrays need a delta
-    section and every array's row count must match ``n_cells`` /
-    ``n_superseded`` (see :func:`validate_snapshot`).  A full
+    section and every array must have its full shape: ``n_cells`` /
+    ``n_superseded`` rows, and ``n_words`` words per row for the key
+    masks (see :func:`validate_snapshot`).  A full
     snapshot's arrays are memory-mapped when ``mmap``; a delta's own
     arrays are always read into memory, because composing copies them
     at once.  Every returned array is read-only.
@@ -414,9 +419,13 @@ def _load_checked(
         required[f"column:{name}"] = _COLUMN_DTYPE
     if manifest.delta is not None:
         required.update(_DELTA_ARRAYS)
+    if manifest.n_words < 1:
+        raise SnapshotError(
+            f"manifest n_words must be positive, got {manifest.n_words}"
+        )
     for name, info in manifest.arrays.items():
         if name not in _DELTA_ARRAYS:
-            rows, what = manifest.n_cells, "cells"
+            rows = manifest.n_cells
         elif manifest.delta is None:
             raise SnapshotError(
                 f"manifest lists delta array {name!r} without a "
@@ -424,11 +433,11 @@ def _load_checked(
             )
         else:
             rows = int(manifest.delta["n_superseded"])
-            what = "superseded cells"
-        if info.shape[:1] != [rows]:
+        shape = [rows, manifest.n_words] if name in _MASK_ARRAYS else [rows]
+        if info.shape != shape:
             raise SnapshotError(
-                f"array {name!r} has shape {tuple(info.shape)} for "
-                f"{rows} {what}"
+                f"array {name!r} has shape {tuple(info.shape)}, the "
+                f"manifest's counts need {tuple(shape)}"
             )
     arrays = load_arrays(
         directory, manifest.arrays, "snapshot", required,
@@ -465,9 +474,7 @@ def open_snapshot(
     composes a newly published date onto the cube it already serves
     (:meth:`~repro.store.timeline.CubeTimeline.adopt`): one hop per
     date published since.  A wrong cube supplied for a directory is
-    caught for delta children by the content-digest check.  A delta
-    composed onto a parent whose keys are already decoded takes the
-    parent's key objects for the rows it keeps and decodes only its own.
+    caught for delta children by the content-digest check.
 
     The returned cube has no lazy resolver: point queries answer from
     materialised cells only (a snapshot does not carry the transaction
@@ -570,16 +577,9 @@ def _compose_delta(
         )
 
     # Locate the superseded parent rows by their packed key bitmasks.
-    sup_sa, sup_ca = own["superseded_sa"], own["superseded_ca"]
-    if sup_sa.shape[1:] != (manifest.n_words,) or \
-            sup_ca.shape[1:] != (manifest.n_words,):
-        raise SnapshotError(
-            f"superseded-row masks in {directory} are not "
-            f"{manifest.n_words} words wide"
-        )
     superseded = _find_rows(
         _row_keys(parent_table.sa_masks, parent_table.ca_masks),
-        _row_keys(sup_sa, sup_ca),
+        _row_keys(own["superseded_sa"], own["superseded_ca"]),
     )
     if (superseded < 0).any():
         raise SnapshotError(
@@ -605,14 +605,7 @@ def _compose_delta(
             for name in manifest.column_names
         },
     )
-    keys = None
-    parent_keys = parent_table.decoded_keys
-    if parent_keys is not None:
-        keys = [parent_keys[i] for i in np.flatnonzero(keep).tolist()]
-        keys.extend(zip(
-            unpack_masks(own["sa_masks"]), unpack_masks(own["ca_masks"])
-        ))
-    table = CellTable.from_arrays(arrays, keys=keys)
+    table = CellTable.from_arrays(arrays)
     # End-to-end chain integrity: the digest was taken over the writer's
     # resolved table, so any drift anywhere up the parent chain — not
     # just in this directory — surfaces here instead of serving wrong

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import repro
+import repro.cube.table as table_module
 from repro.data.italy import ItalyConfig, generate_italy
 from repro.data.schools import generate_schools
 from repro.data.synthetic import random_final_table
@@ -158,3 +160,41 @@ def mmap_reader():
             proc.kill()
             proc.wait()
         proc.stdout.close()
+
+
+@pytest.fixture()
+def resave_listed():
+    """Rewrite one snapshot array together with its manifest entry.
+
+    ``resave(directory, name, change)`` saves ``change(array)`` over the
+    array listed as ``name`` and records its new shape in
+    ``manifest.json``, so each file still matches its own entry and only
+    checks across arrays (widths, row counts) can catch the change.
+    """
+    def resave(directory, name, change):
+        manifest_path = Path(directory) / "manifest.json"
+        payload = json.loads(manifest_path.read_text())
+        file = Path(directory) / payload["arrays"][name]["file"]
+        array = np.ascontiguousarray(change(np.load(file)))
+        np.save(file, array)
+        payload["arrays"][name]["shape"] = list(array.shape)
+        manifest_path.write_text(json.dumps(payload))
+
+    return resave
+
+
+@pytest.fixture()
+def decoded(monkeypatch):
+    """Count the row keys the cell table's one key decoder decodes.
+
+    Returns a list that grows by one with every decoded row.
+    """
+    calls = []
+    decode = table_module.decode_key
+
+    def counting(sa_words, ca_words):
+        calls.append(1)
+        return decode(sa_words, ca_words)
+
+    monkeypatch.setattr(table_module, "decode_key", counting)
+    return calls

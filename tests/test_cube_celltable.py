@@ -15,10 +15,12 @@ import pytest
 from repro.cube.builder import SegregationDataCubeBuilder, build_cube
 from repro.cube.cell import CellStats
 from repro.cube.coordinates import describe_key, make_key
-from repro.cube.cube import check_same_cells
-from repro.cube.table import CellTable, pack_items, unpack_masks
+from repro.cube.cube import CubeMetadata, SegregationCube, check_same_cells
+from repro.cube.table import CellTable, decode_key, pack_items
 from repro.data.synthetic import random_final_table
 from repro.errors import CubeError
+from repro.itemsets.items import Item, ItemDictionary, ItemKind
+from repro.store import dump_snapshot, open_snapshot
 
 from tests.oracles import percell_cube
 
@@ -253,13 +255,30 @@ class TestCellTable:
         assert table.superset_mask([70], []).tolist() == [True]
         assert table.superset_mask([71], []).tolist() == [False]
 
-    def test_superset_mask_out_of_range_items_match_nothing(self):
+    def test_superset_mask_out_of_range_items_match_nothing(
+        self, tmp_path
+    ):
         keys = [make_key([0], [1]), make_key([], [1])]
         table = CellTable(keys, [5, 5], [2, 2], [1, 1], {}, 2)
-        # Like the frozenset subset test: unknown ids -> no match.
-        assert table.superset_mask([999], []).tolist() == [False, False]
-        assert table.superset_mask([], [64]).tolist() == [False, False]
-        assert table.superset_mask([-1], []).tolist() == [False, False]
+        dictionary = ItemDictionary()
+        dictionary.add(Item("g", "a"), ItemKind.SA)
+        dictionary.add(Item("r", "x"), ItemKind.CA)
+        cube = SegregationCube(table, dictionary, CubeMetadata(
+            index_names=[], min_population=1, min_minority=1, n_rows=5,
+            n_units=1, mode="all", backend="test",
+        ))
+        reopened = open_snapshot(dump_snapshot(cube, tmp_path / "snap"))
+        # Like the frozenset subset test: unknown ids -> no match, and
+        # no row holds them (absent, never an exception).
+        for tab in (table, reopened.table):
+            assert tab.superset_mask([999], []).tolist() == [False, False]
+            assert tab.superset_mask([], [64]).tolist() == [False, False]
+            assert tab.superset_mask([-1], []).tolist() == [False, False]
+            for key in (make_key([999], [1]), make_key([0], [64]),
+                        make_key([-1], [1]), make_key([], [-1, 1])):
+                assert tab.row_of(key) is None
+                assert key not in tab
+            assert tab.row_of(keys[0]) == 0
 
     def test_children_with_foreign_key_is_empty(self, engines):
         columnar, _ = engines
@@ -279,36 +298,41 @@ class TestCellTable:
         row = int(np.flatnonzero(table.defined_mask("D"))[0])
         assert clone.stats(row) == table.stats(row)
 
-    def test_unpack_masks_inverts_pack(self):
+    def test_decode_key_inverts_pack(self):
         parts = [frozenset(), frozenset({0, 63}), frozenset({64, 130})]
-        masks = CellTable._pack_parts(parts, 3)
-        assert unpack_masks(masks) == parts
+        rows = CellTable._pack_parts(parts, 3).tolist()
+        for row, part in enumerate(parts):
+            other = parts[-1 - row]
+            assert decode_key(rows[row], rows[-1 - row]) == (part, other)
 
 
 class TestPointLookupRouting:
-    """Regression: point lookups are O(1) hash hits, never key scans."""
+    """Regression: point lookups are O(1) index probes, never key scans."""
 
-    class _ScanGuard(list):
-        def __iter__(self):
-            raise AssertionError("point lookup iterated the keys list")
-
-    def test_point_lookups_never_scan_keys(self, engines):
+    def test_point_lookups_never_scan_keys(self, engines, monkeypatch,
+                                           decoded):
         columnar, _ = engines
-        table = columnar.table
-        sample = table.keys[:10]
+        sample = columnar.table.keys[:10]
         absent = make_key([0, 1], [9_999])
-        table.warm()  # lazy state built; lookups must not touch keys
-        original = table._keys
-        table._keys = self._ScanGuard(original)
-        try:
-            for key in sample:
-                assert columnar.cell_by_key(key) is not None
-                assert key in columnar
-                value = columnar.value_by_key("D", key)
-                assert isinstance(value, float)
-            assert table.row_of(absent) is None
-        finally:
-            table._keys = original
+        # A reopened-style table: no key decoded yet.
+        cube = SegregationCube(
+            CellTable.from_arrays(columnar.table.arrays),
+            columnar.dictionary, columnar.metadata,
+        )
+
+        def no_whole_table_decode(self):
+            raise AssertionError("point lookup decoded every key")
+
+        monkeypatch.setattr(CellTable, "keys",
+                            property(no_whole_table_decode))
+        table = cube.table.warm()
+        for key in sample:
+            assert cube.cell_by_key(key).key == key
+            assert key in cube
+            assert isinstance(cube.value_by_key("D", key), float)
+        assert table.row_of(absent) is None
+        # Only the looked-up rows were decoded, each once.
+        assert len(decoded) == len(sample)
 
     def test_superset_mask_wide_dictionaries(self):
         keys = [

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import pytest
 
@@ -101,15 +103,19 @@ class TestCubeService:
             "value": reference.value("D", sa={"ethnicity": "minority"}),
             "pivot": reference.pivot("D", "ethnicity", "city"),
             "children": {s.key for s in reference.children()},
+            "keys": list(reference_cube.keys()),
         }
 
-        # A fresh open: lazy keys/index are *not* built yet, so the
-        # first queries race to build them — warm() plus read-only
-        # arrays must make that safe.
-        service = CubeService(open_snapshot(snapshot_dir))
+        # Each round opens afresh: no key is decoded yet, so the first
+        # queries race to fill the per-row key slots while "keys" workers
+        # decode the whole table — warm() plus read-only arrays must make
+        # that safe.  A tiny switch interval makes threads swap mid-decode.
+        kinds = ("keys", "top", "slice", "value", "pivot", "children")
 
-        def worker(i: int):
-            kind = ("top", "slice", "value", "pivot", "children")[i % 5]
+        def worker(service, i: int):
+            kind = kinds[i % len(kinds)]
+            if kind == "keys":
+                return kind, list(service.cube.keys())
             if kind == "top":
                 return kind, service.top("D", k=5, min_minority=5)
             if kind == "slice":
@@ -122,9 +128,17 @@ class TestCubeService:
                 return kind, service.pivot("D", "ethnicity", "city")
             return kind, {s.key for s in service.children()}
 
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(worker, range(200)))
-        assert len(results) == 200
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        results = []
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for _ in range(25):
+                    service = CubeService(open_snapshot(snapshot_dir))
+                    results += pool.map(partial(worker, service), range(24))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 600
         for kind, got in results:
             assert got == expected[kind], f"{kind} diverged under threads"
 
@@ -300,11 +314,18 @@ class TestServeCli:
         assert code == 2
         assert "error:" in captured.err
 
-    def test_missing_snapshot_is_clean_error(self, tmp_path, capsys):
-        code = serve_main([str(tmp_path / "nope"), "info"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "error:" in captured.err
+    def test_missing_snapshot_is_clean_error(self, built, tmp_path, capsys,
+                                             resave_listed):
+        """A missing or malformed snapshot: exit 2, one ``error:`` line."""
+        flat = dump_snapshot(built, tmp_path / "flat")
+        resave_listed(flat, "ca_masks", lambda a: a[:, 0])
+        for source, command in ((tmp_path / "nope", "info"), (flat, "top")):
+            code = serve_main([str(source), command])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert len(captured.err.splitlines()) == 1
+            assert captured.err.startswith("error:")
 
     def test_bad_coordinate_syntax_exits(self, snapshot_dir):
         with pytest.raises(SystemExit):

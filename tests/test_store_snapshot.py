@@ -353,12 +353,26 @@ class TestValidation:
         with pytest.raises(SnapshotError, match="minority.npy"):
             open_snapshot(tmp_path / "snap")
 
-    def test_shape_mismatch_rejected(self, built, tmp_path):
-        dump_snapshot(built, tmp_path / "snap")
-        np.save(tmp_path / "snap" / "minority.npy",
-                np.zeros(3, dtype=np.int64))
-        with pytest.raises(SnapshotError, match="minority.npy"):
-            open_snapshot(tmp_path / "snap")
+    @pytest.mark.parametrize("name, change, listed, match", [
+        # The file disagrees with its own manifest entry.
+        ("minority", lambda a: np.zeros(3, a.dtype), False, "minority.npy"),
+        # Each file matches its entry; the shapes disagree with n_words
+        # or with the other columns.
+        ("ca_masks", lambda a: np.concatenate([a, a], axis=1), True,
+         "'ca_masks'"),
+        ("ca_masks", lambda a: a[:, 0], True, "'ca_masks'"),
+        ("minority", lambda a: a[:, None], True, "'minority'"),
+    ], ids=["row_count", "wide_masks", "flat_masks", "column_of_one"])
+    def test_shape_mismatch_rejected(self, built, tmp_path, resave_listed,
+                                     name, change, listed, match):
+        snap = dump_snapshot(built, tmp_path / "snap")
+        if listed:
+            resave_listed(snap, name, change)
+        else:
+            np.save(snap / f"{name}.npy", change(np.load(snap / f"{name}.npy")))
+        for check in (validate_snapshot, open_snapshot):
+            with pytest.raises(SnapshotError, match=match):
+                check(snap)
 
     def test_truncated_array_file_rejected(self, built, tmp_path):
         dump_snapshot(built, tmp_path / "snap")

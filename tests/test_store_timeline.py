@@ -13,7 +13,7 @@ from repro.cube.builder import SegregationDataCubeBuilder
 from repro.cube.compare import timeline_series
 from repro.cube.cube import check_same_cells
 from repro.cube.incremental import TemporalCubeEngine
-from repro.cube.table import unpack_masks
+from repro.cube.table import CellTable
 from repro.data.synthetic import random_temporal_final_table
 from repro.errors import SnapshotError
 from repro.etl.diff import valid_at
@@ -538,7 +538,7 @@ class TestRefreshWork:
 
         def recording(*args):
             table = compose(*args)
-            composed.append((table, table.decoded_keys is not None))
+            composed.append(table)
             return table
 
         monkeypatch.setattr(snapshot_module, "_compose_delta", recording)
@@ -553,15 +553,62 @@ class TestRefreshWork:
             )
             assert wsgi_get(app, "/refresh", method="POST")[0] == 200
         assert wsgi_get(app, "/trend?index=D&sa=g%3Dg0")[0] == 200
-        # Four refresh hops, then the trend composes dates 1 and 2; each
-        # parent was warmed or queried first, so every hop reused keys.
+        # Four refresh hops, then the trend composes dates 1 and 2.
         assert len(composed) == 6
-        for table, reused in composed:
-            assert reused
-            assert table.keys == list(zip(
-                unpack_masks(np.asarray(table.sa_masks)),
-                unpack_masks(np.asarray(table.ca_masks)),
-            ))
+        for table in composed:
+            n_words = table.sa_masks.shape[1]
+            for part, masks in enumerate((table.sa_masks, table.ca_masks)):
+                assert np.array_equal(CellTable._pack_parts(
+                    [key[part] for key in table.keys], n_words
+                ), masks)
+
+
+class TestKeyDecoding:
+    """Work counts: an opened cube decodes a row's key only when a query
+    needs that row's key."""
+
+    def test_open_decodes_no_key(self, states, timeline_dir, tmp_path,
+                                 decoded):
+        dump_snapshot(states[0].cube, tmp_path / "snap")
+        for source in (tmp_path / "snap", timeline_dir):
+            assert len(make_app(source).service.cube) > 0
+        assert decoded == []
+
+    def test_top_decodes_only_the_rows_it_ranks(self, timeline_dir,
+                                                decoded):
+        app = make_app(timeline_dir)
+        assert wsgi_get(app, TOP_QUERY)[0] == 200
+        # The rows the ranking sorts: the 10 best proper cells and every
+        # cell tied with the 10th value.
+        table = app.service.cube.table
+        col = table.columns["D"]
+        ranked = -col[
+            ~table.context_only_mask() & ~np.isnan(col)
+            & (table.n_units >= 2)
+        ]
+        tenth = np.partition(ranked, 9)[9]
+        sorted_rows = int((ranked <= tenth).sum())
+        assert sorted_rows < len(table) // 4
+        assert 10 <= len(decoded) <= sorted_rows
+
+    def test_refresh_decodes_no_key(self, states, tmp_path, count_opens,
+                                    decoded):
+        root = tmp_path / "tl"
+        _publish(root, states, [0, 1])
+        app = make_app(root)
+        _publish(root, states, [2])
+        count_opens["composes"].clear()
+        status, _, body = wsgi_get(app, "/refresh", method="POST")
+        assert (status, body) == (200, b'{"refreshed":true}')
+        assert len(count_opens["composes"]) == 1
+        assert decoded == []
+
+    def test_trend_decodes_no_key(self, timeline_dir, decoded):
+        app = make_app(timeline_dir)
+        status, _, body = wsgi_get(app, "/trend?index=D&sa=g%3Dg0&ca=r%3Dr0")
+        assert status == 200
+        assert len(json.loads(body)) == len(DATES)
+        assert decoded == []
 
 
 class TestTimelineSerying:
