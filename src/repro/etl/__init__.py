@@ -19,13 +19,7 @@ from repro.etl.diff import (
     valid_at,
 )
 from repro.etl.sqlio import read_query, write_table_sql
-from repro.etl.stream import (
-    DEFAULT_CHUNK_ROWS,
-    encode_stream,
-    iter_chunks,
-    stream_csv,
-    stream_query,
-)
+from repro.etl.stream import DEFAULT_CHUNK_ROWS, stream_csv, stream_query
 from repro.etl.discretize import (
     PAPER_AGE_EDGES,
     bin_labels,
@@ -71,9 +65,7 @@ __all__ = [
     "bin_labels",
     "build_final_table",
     "discretize",
-    "encode_stream",
     "equal_width_edges",
-    "iter_chunks",
     "interval_bounds",
     "paper_age_column",
     "quantile_edges",

@@ -12,6 +12,7 @@ boards of the same unit).
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from itertools import chain
 
 import numpy as np
 
@@ -121,23 +122,22 @@ def _aggregate_group_attribute(
 ) -> MultiValuedColumn:
     """Union the values of one group CA attribute over each row's groups."""
     col = groups.column(spec.name)
-    rows: list[tuple[int, ...]] = []
     if isinstance(col, CategoricalColumn):
-        categories = col.categories
-        for grp_list in group_lists:
-            rows.append(tuple(sorted({int(col.codes[g]) for g in grp_list})))
-        return MultiValuedColumn(rows, categories)
-    if isinstance(col, MultiValuedColumn):
-        categories = col.categories
-        for grp_list in group_lists:
-            merged: set[int] = set()
-            for g in grp_list:
-                merged.update(col.rows[g])
-            rows.append(tuple(sorted(merged)))
-        return MultiValuedColumn(rows, categories)
-    raise TableError(
-        f"group attribute {spec.name!r} must be categorical or multi-valued"
-    )
+        code_sets = [{int(col.codes[g]) for g in grp_list}
+                     for grp_list in group_lists]
+    elif isinstance(col, MultiValuedColumn):
+        codes_of = np.split(col.codes, col.indptr[1:-1])
+        code_sets = [set().union(*(codes_of[g].tolist() for g in grp_list))
+                     for grp_list in group_lists]
+    else:
+        raise TableError(
+            f"group attribute {spec.name!r} must be categorical or "
+            "multi-valued"
+        )
+    rows = [sorted(codes) for codes in code_sets]
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    return MultiValuedColumn(indptr, list(chain.from_iterable(rows)),
+                             col.categories)
 
 
 def tabular_final_table(

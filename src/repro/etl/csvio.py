@@ -4,7 +4,9 @@ The SCube architecture (paper Fig. 2/3) exchanges every intermediate
 artefact as CSV: ``individual.csv``, ``group.csv``,
 ``individualGroup.csv`` (membership), ``finalTable.csv`` and
 ``cube.csv``.  Multi-valued cells are serialised with an inner separator
-(default ``|``), e.g. ``electricity|transports``.
+(``|``, values in ``str`` order), e.g. ``electricity|transports``.
+Reading is :func:`~repro.etl.stream.stream_csv` taken as one chunk;
+this module adds the writers.
 """
 
 from __future__ import annotations
@@ -13,29 +15,8 @@ import csv
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 
-from repro.errors import TableError
-from repro.etl.table import (
-    CategoricalColumn,
-    IntColumn,
-    MultiValuedColumn,
-    Table,
-)
-
-#: Inner separator for multi-valued cells.
-SET_SEPARATOR = "|"
-
-
-def _parse_cell(text: str, multi: bool, integer: bool) -> object:
-    if multi:
-        if text == "":
-            return frozenset()
-        return frozenset(text.split(SET_SEPARATOR))
-    if integer:
-        try:
-            return int(text)
-        except ValueError:
-            raise TableError(f"expected integer cell, got {text!r}") from None
-    return text
+from repro.etl.stream import ONE_CHUNK, SET_SEPARATOR, stream_csv
+from repro.etl.table import Table
 
 
 def read_table(
@@ -46,6 +27,9 @@ def read_table(
 ) -> Table:
     """Read a CSV file with a header row into a :class:`Table`.
 
+    The single chunk of :func:`~repro.etl.stream.stream_csv`, which
+    holds the cell rules.
+
     Parameters
     ----------
     multi_valued:
@@ -53,43 +37,11 @@ def read_table(
     integer:
         Column names to parse as integers (ids, unit ids).
     """
-    multi = set(multi_valued)
-    ints = set(integer)
-    path = Path(path)
-    with path.open(newline="") as f:
-        reader = csv.reader(f, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TableError(f"{path} is empty") from None
-        columns: dict[str, list[object]] = {name: [] for name in header}
-        for row in reader:
-            if not row:
-                # csv yields [] for blank lines; for a single-column file
-                # that is a legitimate empty cell (e.g. an empty value
-                # set), otherwise it is a stray blank line to skip.
-                if len(header) == 1:
-                    row = [""]
-                else:
-                    continue
-            if len(row) != len(header):
-                raise TableError(
-                    f"{path}: row of width {len(row)} does not match header "
-                    f"of width {len(header)}"
-                )
-            for name, cell in zip(header, row):
-                columns[name].append(
-                    _parse_cell(cell, multi=name in multi, integer=name in ints)
-                )
-    built: dict[str, object] = {}
-    for name, values in columns.items():
-        if name in multi:
-            built[name] = MultiValuedColumn.from_values(values)  # type: ignore[arg-type]
-        elif name in ints:
-            built[name] = IntColumn.from_values(values)  # type: ignore[arg-type]
-        else:
-            built[name] = CategoricalColumn.from_values(values)  # type: ignore[arg-type]
-    return Table(built)  # type: ignore[arg-type]
+    (table,) = stream_csv(
+        path, multi_valued=multi_valued, integer=integer,
+        delimiter=delimiter, chunk_rows=ONE_CHUNK,
+    )
+    return table
 
 
 def _format_cell(value: object) -> str:

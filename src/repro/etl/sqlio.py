@@ -3,8 +3,10 @@
 The paper's ``individuals`` input is "a CSV file or a JDBC query"
 (§3).  The Python counterpart reads tables straight from a SQLite
 database (stdlib ``sqlite3``) — any query result with a header becomes a
-:class:`~repro.etl.table.Table`, with the same multi-valued / integer
-column conventions as the CSV reader.
+:class:`~repro.etl.table.Table`.  Reading is
+:func:`~repro.etl.stream.stream_query` taken as one chunk, under the
+cell rules the CSV reader shares; this module adds the connection
+helper and the writer.
 """
 
 from __future__ import annotations
@@ -15,13 +17,8 @@ from pathlib import Path
 from typing import Union
 
 from repro.errors import TableError
-from repro.etl.csvio import SET_SEPARATOR
-from repro.etl.table import (
-    CategoricalColumn,
-    IntColumn,
-    MultiValuedColumn,
-    Table,
-)
+from repro.etl.stream import ONE_CHUNK, SET_SEPARATOR, stream_query
+from repro.etl.table import IntColumn, Table
 
 Connection = Union[str, Path, sqlite3.Connection]
 
@@ -40,6 +37,9 @@ def read_query(
 ) -> Table:
     """Run ``sql`` and materialise the result set as a :class:`Table`.
 
+    The single chunk of :func:`~repro.etl.stream.stream_query`, which
+    holds the cell rules.
+
     Parameters
     ----------
     database:
@@ -50,52 +50,13 @@ def read_query(
         Result columns to coerce to integers (ids, unit ids).  Columns
         already typed INTEGER by SQLite are detected automatically when
         the result has rows; an empty result types only these as
-        integers, as :func:`~repro.etl.stream.stream_query` does.
+        integers.
     """
-    multi = set(multi_valued)
-    ints = set(integer)
-    conn, owned = _connect(database)
-    try:
-        cursor = conn.execute(sql)
-        if cursor.description is None:
-            raise TableError(f"query returned no result set: {sql!r}")
-        names = [d[0] for d in cursor.description]
-        raw_columns: dict[str, list] = {name: [] for name in names}
-        for row in cursor.fetchall():
-            for name, cell in zip(names, row):
-                raw_columns[name].append(cell)
-    finally:
-        if owned:
-            conn.close()
-
-    columns: dict[str, object] = {}
-    for name, values in raw_columns.items():
-        if name in multi:
-            columns[name] = MultiValuedColumn.from_values(
-                [
-                    frozenset(str(v).split(SET_SEPARATOR))
-                    if v not in (None, "")
-                    else frozenset()
-                    for v in values
-                ]
-            )
-        elif name in ints or (values and all(
-            isinstance(v, int) and not isinstance(v, bool) for v in values
-        )):
-            try:
-                columns[name] = IntColumn.from_values(
-                    [int(v) for v in values]
-                )
-            except (TypeError, ValueError):
-                raise TableError(
-                    f"column {name!r} declared integer but holds "
-                    "non-integer values"
-                ) from None
-        else:
-            columns[name] = CategoricalColumn.from_values(
-                ["" if v is None else v for v in values]
-            )
-    return Table(columns)  # type: ignore[arg-type]
+    (table,) = stream_query(
+        database, sql, multi_valued=multi_valued, integer=integer,
+        chunk_rows=ONE_CHUNK,
+    )
+    return table
 
 
 def write_table_sql(

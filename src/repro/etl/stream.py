@@ -1,28 +1,27 @@
-"""Out-of-core ingestion: CSV and SQL sources as streams of table chunks.
+"""Ingestion: CSV and SQL sources as streams of table chunks.
 
+These are the package's only readers.  :func:`stream_csv` and
+:func:`stream_query` read a source as :class:`~repro.etl.table.Table`
+chunks of at most ``chunk_rows`` rows; the one-shot readers
 :func:`repro.etl.csvio.read_table` and :func:`repro.etl.sqlio.read_query`
-materialise the whole input — per-cell Python objects for every row —
-before a single transaction is encoded.  For 10M-row inputs that is the
-dominant memory cost of the pipeline.  This module streams the same
-sources as fixed-size :class:`~repro.etl.table.Table` chunks instead:
+are the same streams read as one chunk of :data:`ONE_CHUNK` rows.
 
-* :func:`stream_csv` — chunked counterpart of ``read_table`` (same
-  multi-valued / integer column conventions, same blank-line and
-  row-width semantics);
-* :func:`stream_query` — chunked counterpart of ``read_query`` over a
-  SQLite cursor (``fetchmany``), with the integer-column auto-detection
-  decided on the first chunk and then *locked* so every chunk types its
-  columns identically;
-* :func:`iter_chunks` — split an already-materialised table (tests,
-  small inputs).
+Both streams type a chunk through :func:`_type_columns`, one column at a
+time, under one set of cell rules:
 
-Chunks feed :meth:`repro.itemsets.transactions.TransactionDatabase.from_chunks`
-(or an :class:`~repro.itemsets.transactions.EncodeAccumulator` directly),
-which folds them into a CSR transaction database bit-identical to the
-one-shot encode — only ever holding one chunk of decoded cells plus the
-accumulated (spillable) index buffers in memory.
+* a multi-valued cell is a ``|``-separated value set; None and ``""``
+  are the empty set;
+* an integer cell goes through ``int()``, and a cell it rejects raises
+  :class:`~repro.errors.TableError`;
+* a None categorical cell becomes ``""``;
+* a repeated column name raises :class:`~repro.errors.TableError`.
 
-Column typing is per-call, not inferred per chunk: pass the
+Chunks feed an :class:`~repro.itemsets.transactions.EncodeAccumulator`
+(or :meth:`~repro.itemsets.transactions.TransactionDatabase.from_chunks`),
+which folds them into a CSR transaction database while holding only one
+chunk of decoded cells plus the accumulated (spillable) index buffers.
+
+Column typing is per call, not inferred per chunk: pass the
 ``multi_valued`` / ``integer`` name sets explicitly, or pass a
 ``schema`` and both are derived from it (multi-valued flags; unit and
 id columns as integers), so a chunk can never flip a column's kind
@@ -32,11 +31,10 @@ midway through the stream.
 from __future__ import annotations
 
 import csv
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 
 from repro.errors import TableError
-from repro.etl.csvio import SET_SEPARATOR, _parse_cell
 from repro.etl.schema import Role, Schema
 from repro.etl.table import (
     CategoricalColumn,
@@ -46,33 +44,72 @@ from repro.etl.table import (
     Table,
 )
 
+#: Inner separator for multi-valued cells.
+SET_SEPARATOR = "|"
+
 #: Default rows per chunk: large enough to amortise per-chunk numpy
 #: overheads, small enough that one chunk's decoded cells stay a few MB.
 DEFAULT_CHUNK_ROWS = 65536
 
+#: Rows per chunk of the one-shot readers: the whole input as one chunk.
+#: ``sqlite3``'s ``fetchmany`` takes a C int, so not ``sys.maxsize``.
+ONE_CHUNK = 2**31 - 1
 
-def _schema_column_sets(schema: Schema) -> "tuple[set[str], set[str]]":
-    """Derive the (multi_valued, integer) column-name sets of a schema."""
+
+def _column_sets(
+    schema: "Schema | None",
+    multi_valued: "Iterable[str]",
+    integer: "Iterable[str]",
+) -> "tuple[set[str], set[str]]":
+    """The (multi_valued, integer) column-name sets of a stream.
+
+    Derived from ``schema`` when one is given: multi-valued flags, and
+    unit and id columns as integers.
+    """
+    if schema is None:
+        return set(multi_valued), set(integer)
     multi = {s.name for s in schema.specs if s.multi_valued}
     ints = {s.name for s in schema.specs if s.role in (Role.UNIT, Role.ID)}
     return multi, ints
 
 
-def _build_columns(
-    names: "list[str]",
-    values: "dict[str, list]",
+def _type_columns(
+    names: "Sequence[str]",
+    columns: "Iterable[Sequence[object]]",
     multi: "set[str]",
     ints: "set[str]",
 ) -> Table:
-    """Type one chunk's raw per-column value lists into a Table."""
+    """Type one chunk's raw cells (CSV text or SQL values) into a Table.
+
+    ``columns`` holds each column's cells; each column is typed once, as
+    a whole, under the cell rules in the module docstring.
+    """
+    if len(set(names)) != len(names):
+        repeated = next(n for n in names if names.count(n) > 1)
+        raise TableError(f"repeated column name {repeated!r}")
     built: "dict[str, Column]" = {}
-    for name in names:
+    for name, values in zip(names, columns):
         if name in multi:
-            built[name] = MultiValuedColumn.from_values(values[name])
+            # One join and one split for the whole column; a non-empty
+            # cell holds one more value than it has separators.
+            texts = ["" if v is None else str(v) for v in values]
+            joined = SET_SEPARATOR.join(filter(None, texts))
+            built[name] = MultiValuedColumn.from_flat(
+                [t.count(SET_SEPARATOR) + 1 if t else 0 for t in texts],
+                joined.split(SET_SEPARATOR) if joined else [],
+            )
         elif name in ints:
-            built[name] = IntColumn.from_values(values[name])
+            try:
+                built[name] = IntColumn(list(map(int, values)))
+            except (TypeError, ValueError) as exc:
+                raise TableError(
+                    f"column {name!r}: expected integer cells, got a "
+                    f"non-integer one ({exc})"
+                ) from None
         else:
-            built[name] = CategoricalColumn.from_values(values[name])
+            built[name] = CategoricalColumn.from_values(
+                ["" if v is None else v for v in values]
+            )
     return Table(built)
 
 
@@ -86,55 +123,50 @@ def stream_csv(
 ) -> "Iterator[Table]":
     """Stream a headed CSV file as tables of at most ``chunk_rows`` rows.
 
-    Cell semantics match :func:`~repro.etl.csvio.read_table` exactly —
-    ``|``-separated sets for ``multi_valued`` columns, integer parsing
-    for ``integer`` columns, blank lines skipped (or an empty cell for a
-    single-column file), row-width mismatches rejected — so
-    concatenating the chunks reproduces ``read_table`` bit for bit.
-    When ``schema`` is given, the multi-valued and integer column sets
-    are derived from it instead.  A data-less file yields one empty
-    chunk (so downstream schema validation still sees the columns).
+    ``multi_valued`` columns hold ``|``-separated sets and ``integer``
+    columns integers (both derived from ``schema`` when it is given).
+    Blank lines are skipped (in a single-column file one is an empty
+    cell), and a row whose width differs from the header's is rejected.
+    A data-less file yields one empty chunk (so downstream schema
+    validation still sees the columns).
     """
     if chunk_rows < 1:
         raise TableError("chunk_rows must be positive")
-    if schema is not None:
-        multi, ints = _schema_column_sets(schema)
-    else:
-        multi, ints = set(multi_valued), set(integer)
+    multi, ints = _column_sets(schema, multi_valued, integer)
     path = Path(path)
     with path.open(newline="") as f:
         reader = csv.reader(f, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TableError(f"{path} is empty") from None
-        columns: "dict[str, list]" = {name: [] for name in header}
+        header = next(reader, None)
+        if header is None:
+            raise TableError(f"{path} is empty")
+        # Cells go straight into per-column lists: holding the rows'
+        # lists instead makes the garbage collector walk them (reading
+        # 400k rows took 2.6x as long that way on a 2-vCPU host).
+        columns: "list[list[str]]" = [[] for _ in header]
         pending = 0
         yielded = False
         for row in reader:
             if not row:
-                if len(header) == 1:
-                    row = [""]
-                else:
+                # csv yields [] for a blank line: an empty cell in a
+                # single-column file, a stray line to skip otherwise.
+                if len(header) != 1:
                     continue
+                row = [""]
             if len(row) != len(header):
                 raise TableError(
                     f"{path}: row of width {len(row)} does not match "
                     f"header of width {len(header)}"
                 )
-            for name, cell in zip(header, row):
-                columns[name].append(
-                    _parse_cell(cell, multi=name in multi,
-                                integer=name in ints)
-                )
+            for column, cell in zip(columns, row):
+                column.append(cell)
             pending += 1
             if pending == chunk_rows:
-                yield _build_columns(header, columns, multi, ints)
-                columns = {name: [] for name in header}
+                yield _type_columns(header, columns, multi, ints)
+                columns = [[] for _ in header]
                 pending = 0
                 yielded = True
         if pending or not yielded:
-            yield _build_columns(header, columns, multi, ints)
+            yield _type_columns(header, columns, multi, ints)
 
 
 def stream_query(
@@ -147,142 +179,49 @@ def stream_query(
 ) -> "Iterator[Table]":
     """Stream a SQL result set as tables of at most ``chunk_rows`` rows.
 
-    The chunked counterpart of :func:`~repro.etl.sqlio.read_query`:
-    rows come off the cursor via ``fetchmany`` so the full result set is
-    never materialised.  Cell conventions match ``read_query`` — multi-
-    valued text cells split on ``|`` (None/empty -> empty set), None
-    categorical cells become ``""``.  Columns not named in ``integer``
-    are auto-detected as integer when the **first** chunk holds only
-    ints; the decision is then locked, and a later chunk violating it
-    raises :class:`~repro.errors.TableError` (instead of silently
-    flipping the column kind midway).  An empty result set yields one
-    empty chunk.
+    ``database`` is a SQLite file path or an open connection (left
+    open).  Rows come off the cursor via ``fetchmany``, so the full
+    result set is never materialised.  Columns not named in ``integer``
+    are typed integer when the **first** chunk holds only ints; the
+    decision is then locked, and a later chunk violating it raises
+    :class:`~repro.errors.TableError` (instead of silently flipping the
+    column kind midway).  An empty result set yields one empty chunk.
     """
     from repro.etl.sqlio import _connect
 
     if chunk_rows < 1:
         raise TableError("chunk_rows must be positive")
-    if schema is not None:
-        multi, ints = _schema_column_sets(schema)
-    else:
-        multi, ints = set(multi_valued), set(integer)
+    multi, ints = _column_sets(schema, multi_valued, integer)
     conn, owned = _connect(database)
     try:
         cursor = conn.execute(sql)
         if cursor.description is None:
             raise TableError(f"query returned no result set: {sql!r}")
         names = [d[0] for d in cursor.description]
-        locked_ints: "set[str] | None" = None
-        yielded = False
+        rows = cursor.fetchmany(chunk_rows)
+        ints = ints | {
+            name for j, name in enumerate(names)
+            if name not in multi and rows and all(
+                isinstance(r[j], int) and not isinstance(r[j], bool)
+                for r in rows
+            )
+        }
         while True:
+            yield _type_columns(
+                names, zip(*rows) if rows else [()] * len(names), multi, ints,
+            )
             rows = cursor.fetchmany(chunk_rows)
             if not rows:
-                if not yielded:
-                    yield _build_table_sql(names, [], multi, ints)
                 break
-            if locked_ints is None:
-                locked_ints = set(ints)
-                for j, name in enumerate(names):
-                    if name in multi or name in locked_ints:
-                        continue
-                    if all(
-                        isinstance(r[j], int) and not isinstance(r[j], bool)
-                        for r in rows
-                    ):
-                        locked_ints.add(name)
-            yield _build_table_sql(names, rows, multi, locked_ints)
-            yielded = True
     finally:
         if owned:
             conn.close()
 
 
-def _build_table_sql(
-    names: "list[str]",
-    rows: "list[tuple]",
-    multi: "set[str]",
-    ints: "set[str]",
-) -> Table:
-    """Type one SQL chunk with the locked column decisions."""
-    built: "dict[str, Column]" = {}
-    for j, name in enumerate(names):
-        values = [r[j] for r in rows]
-        if name in multi:
-            built[name] = MultiValuedColumn.from_values(
-                [
-                    frozenset(str(v).split(SET_SEPARATOR))
-                    if v not in (None, "")
-                    else frozenset()
-                    for v in values
-                ]
-            )
-        elif name in ints:
-            try:
-                built[name] = IntColumn.from_values([int(v) for v in values])
-            except (TypeError, ValueError):
-                raise TableError(
-                    f"column {name!r} held only integers in an earlier "
-                    "chunk but now holds non-integer values; pass the "
-                    "column explicitly via integer= or cast it in SQL"
-                ) from None
-        else:
-            built[name] = CategoricalColumn.from_values(
-                ["" if v is None else v for v in values]
-            )
-    return Table(built)
-
-
-def iter_chunks(table: Table, chunk_rows: int) -> "Iterator[Table]":
-    """Split an in-memory table into row chunks (an empty table yields
-    one empty chunk).
-
-    Column category universes are re-derived per chunk from the decoded
-    values, exactly as a freshly parsed source chunk would carry them —
-    so ``iter_chunks`` is a faithful stand-in for the file readers in
-    chunked-encode parity tests.
-    """
-    if chunk_rows < 1:
-        raise TableError("chunk_rows must be positive")
-    n = len(table)
-    names = table.names
-    columns = {name: table.column(name) for name in names}
-    multi = {n_ for n_, c in columns.items()
-             if isinstance(c, MultiValuedColumn)}
-    ints = {n_ for n_, c in columns.items() if isinstance(c, IntColumn)}
-    for a in range(0, max(n, 1), chunk_rows):
-        b = min(n, a + chunk_rows)
-        values = {
-            name: [col[i] for i in range(a, b)]
-            for name, col in columns.items()
-        }
-        yield _build_columns(names, values, multi, ints)
-
-
-def encode_stream(
-    chunks: "Iterable[Table]",
-    schema: Schema,
-    spill_bytes: "int | None" = None,
-    scratch_dir: "str | Path | None" = None,
-):
-    """Fold a chunk stream straight into a transaction database.
-
-    Convenience alias of
-    :meth:`~repro.itemsets.transactions.TransactionDatabase.from_chunks`
-    living next to the readers, so the whole out-of-core path reads::
-
-        db = encode_stream(stream_csv(path, schema=schema), schema)
-    """
-    from repro.itemsets.transactions import TransactionDatabase
-
-    return TransactionDatabase.from_chunks(
-        chunks, schema, spill_bytes=spill_bytes, scratch_dir=scratch_dir,
-    )
-
-
 __all__ = [
     "DEFAULT_CHUNK_ROWS",
-    "encode_stream",
-    "iter_chunks",
+    "ONE_CHUNK",
+    "SET_SEPARATOR",
     "stream_csv",
     "stream_query",
 ]

@@ -12,15 +12,16 @@ Three column kinds cover everything the paper requires:
   (``gender``, ``region``, ...), stored as ``int32`` codes plus a
   category list;
 * :class:`MultiValuedColumn` — set-valued attribute (the paper's
-  ``sector = {electricity, transports}`` example), stored as sorted code
-  tuples plus a category list;
+  ``sector = {electricity, transports}`` example), stored as CSR
+  offsets into one array of per-row sorted codes, plus a category list;
 * :class:`IntColumn` — integer attribute, used for identifiers and for
   unit ids.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
+from itertools import chain
 from typing import Union
 
 import numpy as np
@@ -107,48 +108,105 @@ class CategoricalColumn:
 class MultiValuedColumn:
     """A set-valued column: every row holds a (possibly empty) set of values.
 
-    Rows are stored as sorted tuples of codes into a shared category list,
-    matching the paper's treatment of multi-valued attributes (an
-    individual may be linked to several company sectors at once).
+    Rows are stored CSR-style: row ``i`` holds the codes
+    ``codes[indptr[i]:indptr[i + 1]]``, strictly increasing, into a
+    shared category list.  This matches the paper's treatment of
+    multi-valued attributes (an individual may be linked to several
+    company sectors at once) and hands the itemset encoder its codes as
+    they are.
     """
 
     kind = "multivalued"
 
-    def __init__(self, rows: Sequence[tuple[int, ...]], categories: Sequence[ValueType]):
-        self.rows: list[tuple[int, ...]] = [tuple(sorted(set(r))) for r in rows]
+    def __init__(
+        self,
+        indptr: Iterable[int],
+        codes: Iterable[int],
+        categories: Sequence[ValueType],
+    ):
+        self.indptr = indptr = np.asarray(indptr, dtype=np.int64)
+        self.codes = codes = np.asarray(codes, dtype=np.int32)
         self.categories: list[ValueType] = list(categories)
-        for row in self.rows:
-            if row and (row[0] < 0 or row[-1] >= len(self.categories)):
-                raise TableError("multi-valued code out of range")
+        if indptr.ndim != 1 or not len(indptr) or indptr[0] != 0:
+            raise TableError("multi-valued offsets must start at 0")
+        if (np.diff(indptr) < 0).any():
+            raise TableError("multi-valued offsets must not decrease")
+        if indptr[-1] != len(codes):
+            raise TableError(
+                f"multi-valued offsets end at {int(indptr[-1])}, "
+                f"not at the {len(codes)} codes"
+            )
+        if len(codes) and (codes.min() < 0
+                           or codes.max() >= len(self.categories)):
+            raise TableError("multi-valued code out of range")
+        # Consecutive codes must rise except across a row start.
+        within = np.ones(max(len(codes) - 1, 0), dtype=bool)
+        starts = indptr[(indptr > 0) & (indptr < len(codes))]
+        within[starts - 1] = False
+        if (np.diff(codes)[within] <= 0).any():
+            raise TableError(
+                "multi-valued row codes must be strictly increasing"
+            )
         self._index = {value: code for code, value in enumerate(self.categories)}
 
     @classmethod
-    def from_values(cls, values: Iterable[Iterable[ValueType]]) -> "MultiValuedColumn":
-        """Build from raw per-row iterables of values."""
-        categories: list[ValueType] = []
-        index: dict[ValueType, int] = {}
-        rows: list[tuple[int, ...]] = []
-        for row_values in values:
-            codes = []
-            for value in row_values:
-                code = index.get(value)
-                if code is None:
-                    code = len(categories)
-                    index[value] = code
-                    categories.append(value)
-                codes.append(code)
-            rows.append(tuple(sorted(set(codes))))
-        return cls(rows, categories)
+    def from_values(
+        cls, values: Iterable[Collection[ValueType]]
+    ) -> "MultiValuedColumn":
+        """Build from per-row collections of values (see :meth:`from_flat`)."""
+        rows = list(values)
+        return cls.from_flat(
+            np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)),
+            list(chain.from_iterable(rows)),
+        )
+
+    @classmethod
+    def from_flat(
+        cls, lengths: Sequence[int], flat: Sequence[ValueType]
+    ) -> "MultiValuedColumn":
+        """Build from each row's value count and every row's values in order.
+
+        Row ``i`` holds the next ``lengths[i]`` values of ``flat``;
+        repeats within a row collapse.  Codes are assigned in first-seen
+        order, and the values a row sees first in ``str`` order (the
+        order :func:`~repro.etl.csvio.write_table` writes a set), so the
+        categories never depend on set iteration order.
+        """
+        lengths = np.asarray(lengths, dtype=np.int64)
+        by_str = sorted(dict.fromkeys(flat), key=str)
+        rank_of = {value: rank for rank, value in enumerate(by_str)}
+        ranks = np.fromiter(map(rank_of.__getitem__, flat), dtype=np.int64,
+                            count=len(flat))
+        row_of = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+        # Each row's values in str order, repeats dropped.
+        order = np.lexsort((ranks, row_of))
+        row_of, ranks = row_of[order], ranks[order]
+        keep = np.ones(len(ranks), dtype=bool)
+        keep[1:] = (row_of[1:] != row_of[:-1]) | (ranks[1:] != ranks[:-1])
+        row_of, ranks = row_of[keep], ranks[keep]
+        first_at = np.unique(ranks, return_index=True)[1]
+        seen = ranks[np.sort(first_at)]          # ranks in first-seen order
+        code_of = np.empty(len(by_str), dtype=np.int64)
+        code_of[seen] = np.arange(len(seen))
+        codes = code_of[ranks]
+        indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row_of, minlength=len(lengths)), out=indptr[1:])
+        return cls(indptr, codes[np.lexsort((codes, row_of))],
+                   [by_str[rank] for rank in seen])
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.indptr) - 1
 
     def __getitem__(self, i: int) -> frozenset[ValueType]:
-        return frozenset(self.categories[c] for c in self.rows[i])
+        i = range(len(self))[i]
+        a, b = self.indptr[i], self.indptr[i + 1]
+        return frozenset(self.categories[c] for c in self.codes[a:b].tolist())
 
     def values(self) -> list[frozenset[ValueType]]:
         """Decode the whole column back to raw value sets."""
-        return [self[i] for i in range(len(self.rows))]
+        decoded = [self.categories[c] for c in self.codes.tolist()]
+        bounds = self.indptr.tolist()
+        return [frozenset(decoded[a:b]) for a, b in zip(bounds, bounds[1:])]
 
     def code_of(self, value: ValueType) -> int:
         """Return the code of ``value``, raising :class:`TableError` if absent."""
@@ -159,25 +217,27 @@ class MultiValuedColumn:
 
     def mask_contains(self, value: ValueType) -> np.ndarray:
         """Boolean mask of rows whose set contains ``value``."""
+        mask = np.zeros(len(self), dtype=bool)
         code = self._index.get(value)
-        mask = np.zeros(len(self.rows), dtype=bool)
-        if code is None:
-            return mask
-        for i, row in enumerate(self.rows):
-            if code in row:
-                mask[i] = True
+        if code is not None:
+            hits = np.flatnonzero(self.codes == code)
+            mask[np.searchsorted(self.indptr, hits, side="right") - 1] = True
         return mask
 
     def take(self, positions: np.ndarray) -> "MultiValuedColumn":
         """Return a new column with the rows at ``positions``."""
-        return MultiValuedColumn([self.rows[int(p)] for p in positions], self.categories)
+        rows = np.arange(len(self), dtype=np.int64)[positions]
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        gather = (np.arange(indptr[-1], dtype=np.int64)
+                  + np.repeat(starts - indptr[:-1], lengths))
+        return MultiValuedColumn(indptr, self.codes[gather], self.categories)
 
     def value_counts(self) -> dict[ValueType, int]:
         """Return ``{value: number of rows containing it}``."""
-        counts = np.zeros(len(self.categories), dtype=np.int64)
-        for row in self.rows:
-            for code in row:
-                counts[code] += 1
+        counts = np.bincount(self.codes, minlength=len(self.categories))
         return {v: int(c) for v, c in zip(self.categories, counts)}
 
 

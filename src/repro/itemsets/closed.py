@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-import numpy as np
-
 from repro.itemsets.coverset import (
     Cover,
     cover_digest,
@@ -101,13 +99,6 @@ def equivalence_classes(
     return dict(classes)
 
 
-def support_of_cover(cover: "Cover | np.ndarray") -> int:
-    """Support of a cover or of a dense boolean array."""
-    if isinstance(cover, Cover):
-        return cover.support()
-    return int(np.asarray(cover, dtype=bool).sum())
-
-
 # ----------------------------------------------------------------------
 # Capped closedness + closure diffs (the incremental engine's pass)
 # ----------------------------------------------------------------------
@@ -174,31 +165,6 @@ def closure_flags(
             absorbing[n_sa:] = False
         out[itemset] = not bool(absorbing.any())
     return out
-
-
-def closed_under_caps(
-    db: TransactionDatabase,
-    itemset: Itemset,
-    cover: "Cover | None" = None,
-    max_sa: "int | None" = None,
-    max_ca: "int | None" = None,
-) -> bool:
-    """Scalar capped-closedness reference (via the closure operator)."""
-    if not itemset:
-        return True
-    if cover is None:
-        cover = db.cover_of(itemset)
-    dictionary = db.dictionary
-    sa_part, ca_part = dictionary.split(itemset)
-    eligible: "list[int]" = []
-    if max_sa is None or len(sa_part) < max_sa:
-        eligible.extend(dictionary.sa_ids)
-    if max_ca is None or len(ca_part) < max_ca:
-        eligible.extend(dictionary.ca_ids)
-    eligible = [i for i in eligible if i not in itemset]
-    if not eligible:
-        return True
-    return not closure_of(db, cover, candidate_items=eligible)
 
 
 def closure_diff(

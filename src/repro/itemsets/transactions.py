@@ -25,22 +25,21 @@ on packed words, with no cover ever unpacked to one byte per row.
 Restricted views share these rows with their root database and pack
 only their own live-row mask.
 
-Two encoding paths produce the same database bit for bit:
-
-* :func:`encode_table` — one-shot, for tables that fit in memory;
-* :class:`EncodeAccumulator` / :meth:`TransactionDatabase.from_chunks` —
-  append-only, folding fixed-size table chunks (see
-  :mod:`repro.etl.stream`) into the CSR store as they arrive, with an
-  optional ``np.memmap`` disk spill once the accumulated index buffers
-  exceed a byte budget.  This is the out-of-core path: no per-row
-  Python lists and no full-input item arrays are ever held in memory.
+One encoder turns tables into databases: :class:`EncodeAccumulator`
+folds table chunks (see :mod:`repro.etl.stream`) into the CSR store as
+they arrive, taking each column's codes as they are, with an
+``np.memmap`` disk spill once the accumulated index buffers exceed an
+optional byte budget.  :meth:`TransactionDatabase.from_chunks` runs it
+over a chunk stream — the out-of-core path, which never holds per-row
+Python lists or full-input item arrays — and :func:`encode_table` over
+one in-memory table as a single chunk.
 """
 
 from __future__ import annotations
 
 import shutil
 import tempfile
-from collections.abc import Collection, Iterable, Iterator, Sequence
+from collections.abc import Collection, Iterable, Sequence
 from itertools import chain
 from pathlib import Path
 
@@ -48,7 +47,7 @@ import numpy as np
 
 from repro.errors import MiningError
 from repro.etl.schema import Role, Schema
-from repro.etl.table import CategoricalColumn, MultiValuedColumn, Table
+from repro.etl.table import Table
 from repro.itemsets.coverset import (
     WORD_BITS,
     WORD_DTYPE,
@@ -109,45 +108,6 @@ class TransactionDatabase:
         self._rows = normalized
 
     @classmethod
-    def from_item_arrays(
-        cls,
-        row_ids: np.ndarray,
-        item_ids: np.ndarray,
-        n_rows: int,
-        dictionary: ItemDictionary,
-        units: np.ndarray | None = None,
-    ) -> "TransactionDatabase":
-        """Build from flat ``(row, item)`` pair arrays (vectorized path).
-
-        Pairs may arrive unsorted and with duplicates; they are sorted by
-        ``(row, item)`` and deduplicated here, so encoders can simply
-        concatenate per-column contributions.
-        """
-        row_ids = np.asarray(row_ids, dtype=np.int64)
-        item_ids = np.asarray(item_ids, dtype=np.int64)
-        if len(row_ids) != len(item_ids):
-            raise MiningError(
-                f"{len(row_ids)} row ids for {len(item_ids)} item ids"
-            )
-        if len(row_ids):
-            if row_ids.min() < 0 or row_ids.max() >= n_rows:
-                raise MiningError("transaction row id out of range")
-            if item_ids.min() < 0 or item_ids.max() >= len(dictionary):
-                raise MiningError("item id out of range for dictionary")
-        order = np.lexsort((item_ids, row_ids))
-        r, it = row_ids[order], item_ids[order]
-        if len(r):
-            keep = np.ones(len(r), dtype=bool)
-            keep[1:] = (r[1:] != r[:-1]) | (it[1:] != it[:-1])
-            r, it = r[keep], it[keep]
-        indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(r, minlength=n_rows), out=indptr[1:])
-        db = cls.__new__(cls)
-        db._init(indptr, it, dictionary, units)
-        db._rows = None
-        return db
-
-    @classmethod
     def from_chunks(
         cls,
         chunks: "Iterable[Table]",
@@ -163,8 +123,9 @@ class TransactionDatabase:
         same CSR arrays, same unit labels), but the full input never has
         to exist in memory at once.  ``spill_bytes`` bounds the RAM the
         accumulated item-index buffers may occupy before they spill to
-        ``np.memmap`` scratch files under ``scratch_dir`` (a temporary
-        directory by default, removed when encoding completes).
+        ``np.memmap`` scratch files in a temporary directory under
+        ``scratch_dir`` (created on the first spill, removed when
+        encoding completes).
         """
         accumulator = EncodeAccumulator(
             schema, spill_bytes=spill_bytes, scratch_dir=scratch_dir,
@@ -541,80 +502,10 @@ def encode_table(table: Table, schema: Schema) -> TransactionDatabase:
 
     Each SA/CA column contributes items of the matching kind; the schema's
     unit column becomes the per-transaction unit label.  Rows keep their
-    order, so covers index directly into the original table.
-
-    Encoding is vectorized: each categorical column is translated in one
-    shot by indexing a category→item-id array with its code array, and
-    multi-valued columns flatten their code tuples once; no intermediate
-    per-row item lists are built.
+    order, so covers index directly into the original table.  The table
+    is one chunk of :class:`EncodeAccumulator`, which never spills.
     """
-    schema.validate(table)
-    dictionary = ItemDictionary()
-    n = len(table)
-    all_rows = np.arange(n, dtype=np.int64)
-    row_parts: list[np.ndarray] = []
-    item_parts: list[np.ndarray] = []
-    for spec in schema.specs:
-        if spec.role is Role.SEGREGATION:
-            kind = ItemKind.SA
-        elif spec.role is Role.CONTEXT:
-            kind = ItemKind.CA
-        else:
-            continue
-        col = table.column(spec.name)
-        if isinstance(col, CategoricalColumn):
-            ids = np.array(
-                [dictionary.add(Item(spec.name, value), kind)
-                 for value in col.categories],
-                dtype=np.int64,
-            )
-            row_parts.append(all_rows)
-            item_parts.append(ids[col.codes])
-        elif isinstance(col, MultiValuedColumn):
-            ids = np.array(
-                [dictionary.add(Item(spec.name, value), kind)
-                 for value in col.categories],
-                dtype=np.int64,
-            )
-            lengths, flat = _mv_lengths_flat(col.rows, n)
-            row_parts.append(np.repeat(all_rows, lengths))
-            item_parts.append(ids[flat])
-        else:
-            raise MiningError(
-                f"cannot encode column {spec.name!r} of kind {col.kind}"
-            )
-    if row_parts:
-        row_ids = np.concatenate(row_parts)
-        item_ids = np.concatenate(item_parts)
-    else:
-        row_ids = np.zeros(0, dtype=np.int64)
-        item_ids = np.zeros(0, dtype=np.int64)
-    units: np.ndarray | None = None
-    unit_names = [s.name for s in schema.specs if s.role is Role.UNIT]
-    if unit_names:
-        units = table.ints(unit_names[0]).data
-    return TransactionDatabase.from_item_arrays(
-        row_ids, item_ids, n, dictionary, units
-    )
-
-
-def _mv_lengths_flat(
-    rows: "Sequence[tuple[int, ...]]", n: int
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Per-row set sizes and flattened codes in one pass over ``rows``.
-
-    Single traversal of the code tuples (lengths and flat values are
-    collected together), instead of one ``np.fromiter`` pass for the
-    lengths and a second full ``chain.from_iterable`` materialisation
-    for the values.  Output is bit-identical to the two-pass form.
-    """
-    lengths = np.empty(n, dtype=np.int64)
-    flat_list: "list[int]" = []
-    for i, row in enumerate(rows):
-        lengths[i] = len(row)
-        flat_list.extend(row)
-    flat = np.asarray(flat_list, dtype=np.int64)
-    return lengths, flat
+    return TransactionDatabase.from_chunks([table], schema)
 
 
 class _SpillBuffer:
@@ -627,8 +518,9 @@ class _SpillBuffer:
     scratch file.  The accumulator owns the scratch directory lifetime.
     """
 
-    def __init__(self, path: Path):
-        self._path = path
+    def __init__(self, name: str):
+        self._name = name
+        self._path: "Path | None" = None
         self._file = None
         self._parts: "list[np.ndarray]" = []
         self.pending_bytes = 0
@@ -645,11 +537,11 @@ class _SpillBuffer:
         self._parts.append(arr)
         self.pending_bytes += arr.nbytes
 
-    def spill(self) -> None:
+    def spill(self, directory: Path) -> None:
         if not self._parts:
             return
         if self._file is None:
-            self._path.parent.mkdir(parents=True, exist_ok=True)
+            self._path = directory / self._name
             self._file = self._path.open("wb")
         for arr in self._parts:
             arr.tofile(self._file)
@@ -661,7 +553,7 @@ class _SpillBuffer:
     def finalize(self) -> np.ndarray:
         """The whole appended sequence, memmapped when spilled."""
         if self._file is not None:
-            self.spill()
+            self.spill(self._path.parent)
             self._file.close()
             self._file = None
             if self._spilled_len == 0:
@@ -688,26 +580,23 @@ class _SpecState:
     __slots__ = ("spec", "kind", "multi", "index", "categories", "codes",
                  "rows")
 
-    def __init__(self, spec, kind: ItemKind, multi: bool, scratch: Path):
+    def __init__(self, spec, kind: ItemKind, multi: bool):
         self.spec = spec
         self.kind = kind
         self.multi = multi
         self.index: "dict[object, int]" = {}
         self.categories: "list[object]" = []
-        self.codes = _SpillBuffer(scratch / f"{spec.name}.codes.i64")
-        self.rows = (
-            _SpillBuffer(scratch / f"{spec.name}.rows.i64") if multi
-            else None
-        )
+        self.codes = _SpillBuffer(f"{spec.name}.codes.i64")
+        self.rows = _SpillBuffer(f"{spec.name}.rows.i64") if multi else None
 
     def translate(self, chunk_categories: "Sequence[object]") -> np.ndarray:
         """Chunk-local category codes -> global per-column codes.
 
         Global codes are assigned in first-seen order across the whole
         stream, which — because chunks arrive in row order — is exactly
-        the order :class:`~repro.etl.table.CategoricalColumn.from_values`
-        assigns them on the concatenated table.  That is what makes the
-        chunked encode bit-identical to the one-shot encode.
+        the order the column's ``from_values`` assigns them on the
+        concatenated table.  That is what makes a chunked encode
+        bit-identical to encoding the concatenated table as one chunk.
         """
         mapping = np.empty(len(chunk_categories), dtype=np.int64)
         for local, value in enumerate(chunk_categories):
@@ -723,26 +612,27 @@ class _SpecState:
 class EncodeAccumulator:
     """Append-only encoder: fold table chunks into one CSR database.
 
-    The out-of-core counterpart of :func:`encode_table`: chunks stream
-    through :meth:`add_chunk` (each validated against the schema), the
+    The package's one encoder: chunks stream through :meth:`add_chunk`
+    (each validated against the schema; single-valued columns give their
+    code arrays, multi-valued columns their CSR offsets and codes), the
     per-column category universes accumulate in first-seen order, and
     the per-item index buffers either stay in RAM or — once they exceed
     ``spill_bytes`` — spill to ``np.memmap`` scratch files.
     :meth:`finalize` merges the buffers into the CSR arrays in bounded
     row windows (one small ``lexsort`` per window, never a full-input
     sort) and returns a :class:`TransactionDatabase` **bit-identical**
-    to ``encode_table`` on the concatenated table.
+    to encoding the concatenated table as one chunk.
 
     Notes
     -----
-    * The category universe is the *observed* values: a category carried
-      by a column but appearing in no row contributes no item (identical
-      to ``encode_table`` on any ``from_values``-built table).
+    * Every category a chunk's column carries becomes an item, a
+      category that no row uses included: its item has support 0.
     * ``spill_bytes`` budgets the item-index buffers only; the unit
       labels (8 bytes/row) and the final CSR arrays are in-memory.
-    * Scratch files live in a private temporary directory (or under
-      ``scratch_dir``) and are removed when :meth:`finalize` returns or
-      :meth:`close` is called.
+    * Scratch files live in a private temporary directory (under
+      ``scratch_dir`` when given), created on the first spill and
+      removed when :meth:`finalize` returns or :meth:`close` is called;
+      an accumulator that never spills never touches the disk.
     """
 
     def __init__(
@@ -755,10 +645,8 @@ class EncodeAccumulator:
             raise MiningError("spill_bytes must be non-negative")
         self.schema = schema
         self._spill_bytes = spill_bytes
-        self._scratch = Path(tempfile.mkdtemp(
-            prefix="repro-encode-",
-            dir=None if scratch_dir is None else str(scratch_dir),
-        ))
+        self._scratch_dir = scratch_dir
+        self._scratch: "Path | None" = None
         self._states: "list[_SpecState]" = []
         for spec in schema.specs:
             if spec.role is Role.SEGREGATION:
@@ -767,9 +655,7 @@ class EncodeAccumulator:
                 kind = ItemKind.CA
             else:
                 continue
-            self._states.append(
-                _SpecState(spec, kind, spec.multi_valued, self._scratch)
-            )
+            self._states.append(_SpecState(spec, kind, spec.multi_valued))
         unit_names = [s.name for s in schema.specs if s.role is Role.UNIT]
         self._unit_name = unit_names[0] if unit_names else None
         self._units_parts: "list[np.ndarray]" = []
@@ -801,14 +687,11 @@ class EncodeAccumulator:
             col = table.column(state.spec.name)
             mapping = state.translate(col.categories)
             if state.multi:
-                lengths, flat = _mv_lengths_flat(col.rows, n)
                 state.rows.append(np.repeat(
-                    np.arange(start, start + n, dtype=np.int64), lengths
+                    np.arange(start, start + n, dtype=np.int64),
+                    np.diff(col.indptr),
                 ))
-                state.codes.append(mapping[flat] if len(flat)
-                                   else flat)
-            else:
-                state.codes.append(mapping[col.codes])
+            state.codes.append(mapping[col.codes])
         if self._unit_name is not None:
             self._units_parts.append(
                 np.asarray(table.ints(self._unit_name).data, dtype=np.int64)
@@ -821,18 +704,21 @@ class EncodeAccumulator:
                 for state in self._states
             )
             if pending > self._spill_bytes:
+                if self._scratch is None:
+                    self._scratch = Path(tempfile.mkdtemp(
+                        prefix="repro-encode-", dir=self._scratch_dir,
+                    ))
                 for state in self._states:
-                    state.codes.spill()
+                    state.codes.spill(self._scratch)
                     if state.rows is not None:
-                        state.rows.spill()
+                        state.rows.spill(self._scratch)
 
     def finalize(self) -> TransactionDatabase:
         """Merge the accumulated buffers into one database.
 
-        The item dictionary is built exactly as :func:`encode_table`
-        builds it — per schema spec, categories in first-seen order —
-        so every spec's items occupy one contiguous id range starting at
-        a per-spec base.  Final item ids are therefore
+        The item dictionary is built per schema spec, categories in
+        first-seen order, so every spec's items occupy one contiguous id
+        range starting at a per-spec base.  Final item ids are therefore
         ``base + column code``, and the CSR ``indices`` array is filled
         window by window: each row window gathers its per-spec segments
         (categorical buffers index directly, multi-valued buffers via
@@ -912,7 +798,8 @@ class EncodeAccumulator:
             state.codes.close()
             if state.rows is not None:
                 state.rows.close()
-        shutil.rmtree(self._scratch, ignore_errors=True)
+        if self._scratch is not None:
+            shutil.rmtree(self._scratch, ignore_errors=True)
 
     def __del__(self) -> None:  # pragma: no cover - GC-timing dependent
         try:

@@ -2,12 +2,13 @@
 
 Deliberately slow and simple: direct transcriptions of the definitions
 (brute-force indexes and itemsets), plus the reference algorithms each
-shipped engine must reproduce exactly — FP-growth for eclat, full
-enumeration and the one-cell-at-a-time fill for the cube builder, the
-label-gather cover counting for the popcount counting kernel, and the
-set/BFS graph algorithms for the array graph engine.  Nothing under
-``src/`` imports this module; the benchmarks use the same references as
-their baselines.
+shipped engine must reproduce exactly — the per-row encoder for the
+chunked CSR encoder, FP-growth for eclat, the closure operator for the
+capped closedness sweep, full enumeration and the one-cell-at-a-time
+fill for the cube builder, the label-gather cover counting for the
+popcount counting kernel, and the set/BFS graph algorithms for the
+array graph engine.  Nothing under ``src/`` imports this module; the
+benchmarks use the same references as their baselines.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.cube.cell import CellStats
 from repro.cube.coordinates import CellKey
 from repro.cube.cube import CubeMetadata, SegregationCube
 from repro.errors import CubeError, GraphError, MiningError
-from repro.etl.schema import Schema
+from repro.etl.schema import Role, Schema
 from repro.etl.table import Table
 from repro.graph.attributes import NodeAttributeTable
 from repro.graph.bipartite import BipartiteGraph, ProjectionResult
@@ -32,8 +33,82 @@ from repro.graph.components import Clustering
 from repro.graph.graph import Graph
 from repro.indexes.counts import UnitCounts
 from repro.itemsets.coverset import Cover
+from repro.itemsets.eclat import closure_of
+from repro.itemsets.items import Item, ItemDictionary, ItemKind
 from repro.itemsets.miner import absolute_minsup
-from repro.itemsets.transactions import TransactionDatabase, encode_table
+from repro.itemsets.transactions import TransactionDatabase
+
+
+# ----------------------------------------------------------------------
+# Encoding: table chunks and the per-row encoder
+# ----------------------------------------------------------------------
+
+
+def iter_chunks(table: Table, chunk_rows: int) -> "Iterable[Table]":
+    """Split a table into row chunks (an empty table yields one empty
+    chunk).
+
+    Each chunk's columns are rebuilt from their decoded values by the
+    column kind's ``from_values``, so a chunk carries only the
+    categories its rows use, in first-seen order, as a freshly parsed
+    source chunk does.
+    """
+    columns = {name: table.column(name) for name in table.names}
+    n = len(table)
+    for a in range(0, max(n, 1), chunk_rows):
+        rows = range(a, min(n, a + chunk_rows))
+        yield Table({
+            name: type(col).from_values([col[i] for i in rows])
+            for name, col in columns.items()
+        })
+
+
+def encode_reference(table: Table, schema: Schema) -> TransactionDatabase:
+    """Encode a table row by row: one item per SA/CA value of each row.
+
+    Items are registered spec by spec in schema order, each spec's
+    items in its column's category order, and each row's item tuple
+    goes through the plain ``TransactionDatabase(rows, ...)``
+    constructor: no chunks, no column code arrays, no spill.
+    """
+    kinds = {Role.SEGREGATION: ItemKind.SA, Role.CONTEXT: ItemKind.CA}
+    schema.validate(table)
+    dictionary = ItemDictionary()
+    columns = []
+    for spec in schema.specs:
+        if spec.role in kinds:
+            column = table.column(spec.name)
+            ids = {
+                value: dictionary.add(Item(spec.name, value), kinds[spec.role])
+                for value in column.categories
+            }
+            columns.append((spec.multi_valued, ids, column.values()))
+    rows = []
+    for i in range(len(table)):
+        items = []
+        for multi, ids, cells in columns:
+            items.extend(ids[v] for v in (cells[i] if multi else [cells[i]]))
+        rows.append(tuple(items))
+    unit_names = [s.name for s in schema.specs if s.role is Role.UNIT]
+    units = table.ints(unit_names[0]).data if unit_names else None
+    return TransactionDatabase(rows, dictionary, units)
+
+
+def assert_same_db(got: TransactionDatabase,
+                   want: TransactionDatabase) -> None:
+    """Bit-identical databases: CSR arrays, units and item dictionary."""
+    assert got._indptr.dtype == want._indptr.dtype == np.int64
+    assert got._indices.dtype == want._indices.dtype == np.int64
+    assert np.array_equal(got._indptr, want._indptr)
+    assert np.array_equal(got._indices, want._indices)
+    if want.units is None:
+        assert got.units is None
+    else:
+        assert np.array_equal(got.units, want.units)
+    assert len(got.dictionary) == len(want.dictionary)
+    for i in range(len(want.dictionary)):
+        assert got.dictionary.item(i) == want.dictionary.item(i)
+        assert got.dictionary.kind(i) == want.dictionary.kind(i)
 
 
 def gini_naive(counts: UnitCounts) -> float:
@@ -97,6 +172,35 @@ def closed_bruteforce(
         if not absorbed:
             out[itemset] = support
     return out
+
+
+def closed_under_caps(
+    db: TransactionDatabase,
+    itemset: "frozenset[int]",
+    cover: "Cover | None" = None,
+    max_sa: "int | None" = None,
+    max_ca: "int | None" = None,
+) -> bool:
+    """Scalar capped closedness via the closure operator.
+
+    ``itemset`` is closed under the caps when no item outside it, of a
+    kind that still has cap room, occurs in every row of its cover.
+    """
+    if not itemset:
+        return True
+    if cover is None:
+        cover = db.cover_of(itemset)
+    dictionary = db.dictionary
+    sa_part, ca_part = dictionary.split(itemset)
+    eligible: "list[int]" = []
+    if max_sa is None or len(sa_part) < max_sa:
+        eligible.extend(dictionary.sa_ids)
+    if max_ca is None or len(ca_part) < max_ca:
+        eligible.extend(dictionary.ca_ids)
+    eligible = [i for i in eligible if i not in itemset]
+    if not eligible:
+        return True
+    return not closure_of(db, cover, candidate_items=eligible)
 
 
 def projection_bruteforce(
@@ -381,7 +485,7 @@ class NaiveCubeBuilder:
         """Encode and enumerate the full coordinate space."""
         if not schema.sa_names:
             raise CubeError("schema declares no segregation attributes")
-        db = encode_table(table, schema)
+        db = encode_reference(table, schema)
         if len(db) == 0:
             raise CubeError("finalTable is empty")
         return self.build_from_transactions(db)
@@ -466,7 +570,7 @@ def percell_cube(
     builder: SegregationDataCubeBuilder, table: Table, schema: Schema
 ) -> SegregationCube:
     """The builder's cube, mined as ``builder`` does, filled per cell."""
-    db = encode_table(table, schema)
+    db = encode_reference(table, schema)
     mined = builder.mine_coordinates(db)
     cells = fill_percell(builder, db, mined)
     metadata = CubeMetadata(

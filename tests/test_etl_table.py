@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TableError
 from repro.etl.table import (
@@ -75,6 +77,51 @@ class TestMultiValuedColumn:
     def test_take(self):
         col = MultiValuedColumn.from_values([{"a"}, {"b"}])
         assert col.take(np.array([1])).values() == [frozenset({"b"})]
+
+    def test_codes_first_seen_then_str_order_within_a_row(self):
+        col = MultiValuedColumn.from_values([{"z"}, {"b", "z", "a"}, ["c"]])
+        assert col.categories == ["z", "a", "b", "c"]
+        assert col.indptr.tolist() == [0, 1, 4, 5]
+        assert col.codes.tolist() == [0, 0, 1, 2, 3]
+
+    @pytest.mark.parametrize("indptr, codes, match", [
+        ([1, 1], [0], "start at 0"),
+        ([], [], "start at 0"),
+        ([0, 2, 1, 2], [0, 1], "not decrease"),
+        ([0, 1], [0, 1], "end at"),
+        ([0, 1], [2], "out of range"),
+        ([0, 1], [-1], "out of range"),
+        ([0, 2], [1, 0], "strictly increasing"),
+        ([0, 0, 2], [1, 1], "strictly increasing"),
+    ])
+    def test_csr_constructor_rejects(self, indptr, codes, match):
+        with pytest.raises(TableError, match=match):
+            MultiValuedColumn(indptr, codes, ["a", "b"])
+
+    @given(
+        st.lists(st.frozensets(st.sampled_from("abcde"), max_size=4),
+                 max_size=12),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_row_reference(self, rows, data):
+        col = MultiValuedColumn.from_values(rows)
+        assert col.values() == rows
+        assert [col[i] for i in range(len(rows))] == rows
+        for value in "abcdef":
+            assert col.mask_contains(value).tolist() == [
+                value in row for row in rows
+            ]
+        assert col.value_counts() == {
+            value: sum(value in row for row in rows)
+            for value in col.categories
+        }
+        positions = data.draw(st.lists(
+            st.integers(0, max(len(rows) - 1, 0)), max_size=8 if rows else 0,
+        ))
+        taken = col.take(np.array(positions, dtype=np.int64))
+        assert taken.values() == [rows[p] for p in positions]
+        assert taken.categories == col.categories
 
 
 class TestIntColumn:

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from itertools import combinations, product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data.synthetic import random_final_table
 from repro.itemsets.closed import (
+    closure_flags,
     closure_map,
     equivalence_classes,
     filter_closed,
@@ -15,8 +19,13 @@ from repro.itemsets.closed import (
 )
 from repro.itemsets.eclat import closure_of, mine_eclat
 from repro.itemsets.miner import mine
+from repro.itemsets.transactions import encode_table
 
-from tests.oracles import closed_bruteforce, frequent_itemsets_bruteforce
+from tests.oracles import (
+    closed_bruteforce,
+    closed_under_caps,
+    frequent_itemsets_bruteforce,
+)
 from tests.test_itemsets_miners import CLASSIC_DB, make_db, random_dbs
 
 
@@ -119,3 +128,32 @@ def test_closed_mine_flag_equals_post_filter(db_minsup):
     from_flag = mine(db, minsup, closed=True).supports
     post = filter_closed(mine(db, minsup).supports)
     assert from_flag == post
+
+
+@given(st.integers(2, 30), st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None)
+def test_closure_flags_match_scalar_reference(n_rows, seed):
+    # Few rows and skewed values make equal supports, so many
+    # candidates are not closed; candidates go up to 2 SA and 2 CA
+    # items, past the tighter caps.
+    table, schema = random_final_table(
+        n_rows, 3,
+        sa_attributes={"g": 2, "a": 3},
+        ca_attributes={"r": 3},
+        multi_valued_ca={"mv": 3},
+        seed=seed, skew=0.8,
+    )
+    db = encode_table(table, schema)
+    candidates = {}
+    for sa_part, ca_part in product(
+        [c for k in range(3) for c in combinations(db.dictionary.sa_ids, k)],
+        [c for k in range(3) for c in combinations(db.dictionary.ca_ids, k)],
+    ):
+        itemset = frozenset(sa_part + ca_part)
+        candidates[itemset] = db.cover_of(itemset)
+    for max_sa, max_ca in [(None, None), (1, 1), (2, 1), (1, 2), (2, 2)]:
+        flags = closure_flags(db, candidates, max_sa=max_sa, max_ca=max_ca)
+        assert flags == {
+            itemset: closed_under_caps(db, itemset, cover, max_sa, max_ca)
+            for itemset, cover in candidates.items()
+        }
