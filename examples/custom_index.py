@@ -1,11 +1,9 @@
-"""Extending SCube: custom and multigroup segregation indexes.
+"""Extending SCube: a custom segregation index.
 
 The paper stresses that "the SCube system is parametric to the indexes"
 (§2).  This example registers a custom index — the square-root index of
 Hutchens, a standard evenness measure with the decomposability property
-— builds a cube that computes it alongside the built-ins, and closes
-with a multigroup analysis (beyond the paper's binary-group restriction)
-on age groups.
+— and builds a cube that computes it alongside the built-ins.
 
 Run with:  python examples/custom_index.py
 """
@@ -17,15 +15,7 @@ import numpy as np
 from repro import generate_italy, ItalyConfig, run_tabular
 from repro.core.config import CubeConfig
 from repro.data.italy import italy_tabular_individuals
-from repro.indexes import (
-    GroupCountsMatrix,
-    IndexSpec,
-    UnitCounts,
-    dissimilarity,
-    multigroup_dissimilarity,
-    multigroup_information,
-    register,
-)
+from repro.indexes import IndexSpec, UnitCounts, register
 from repro.report.text import render_table
 
 
@@ -69,27 +59,6 @@ def main() -> None:
              cell.value("SR")]
         )
     print(render_table(["region", "T", "D", "G", "SR"], rows))
-
-    # Multigroup: age groups (not just a binary minority) across sectors.
-    final = result.final_table
-    units = final.ints("unitID").data
-    age = final.categorical("age")
-    n_units = int(units.max()) + 1
-    matrix = np.zeros((n_units, len(age.categories)), dtype=np.int64)
-    for unit, code in zip(units, age.codes):
-        matrix[unit, code] += 1
-    groups = GroupCountsMatrix(matrix)
-    print(
-        f"\nMultigroup analysis of {len(age.categories)} age groups across "
-        f"{n_units} sectors:"
-    )
-    print(f"  multigroup D = {multigroup_dissimilarity(groups):.3f}")
-    print(f"  multigroup H = {multigroup_information(groups):.3f}")
-    per_group = ", ".join(
-        f"{age.categories[g]}: D={dissimilarity(groups.binary(g)):.3f}"
-        for g in range(groups.n_groups)
-    )
-    print(f"  (binary views per age group: {per_group})")
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ Quickstart::
 Subpackages
 -----------
 ``repro.indexes``   segregation indexes (D, Gini, H, Isolation,
-                    Interaction, Atkinson; multigroup; inference)
+                    Interaction, Atkinson) and their inference
 ``repro.itemsets``  frequent/closed itemset mining over packed covers
 ``repro.cube``      the segregation data cube and its builders
 ``repro.graph``     bipartite projection and graph clustering

@@ -25,8 +25,6 @@ from repro.cube.coordinates import (
     decode_part,
     describe_key,
     encode_query,
-    is_parent,
-    key_of_itemset,
     make_key,
     parents_of,
 )
@@ -70,8 +68,6 @@ __all__ = [
     "decode_part",
     "describe_key",
     "encode_query",
-    "is_parent",
-    "key_of_itemset",
     "make_key",
     "parents_of",
     "simpson_reversals",

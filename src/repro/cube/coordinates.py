@@ -25,12 +25,6 @@ def make_key(sa_items: Iterable[int], ca_items: Iterable[int]) -> CellKey:
     return (frozenset(sa_items), frozenset(ca_items))
 
 
-def key_of_itemset(itemset: Iterable[int], dictionary: ItemDictionary) -> CellKey:
-    """Split a mixed itemset into the (SA, CA) cell key."""
-    sa, ca = dictionary.split(itemset)
-    return (sa, ca)
-
-
 def encode_query(
     dictionary: ItemDictionary,
     sa: "Mapping[str, object] | None" = None,
@@ -113,15 +107,6 @@ def coordinate_columns(
             value = "{" + ",".join(value) + "}"
         out[attr] = str(value)
     return out
-
-
-def is_parent(parent: CellKey, child: CellKey) -> bool:
-    """True when ``child`` refines ``parent`` by exactly one item."""
-    p_sa, p_ca = parent
-    c_sa, c_ca = child
-    if not (p_sa <= c_sa and p_ca <= c_ca):
-        return False
-    return (len(c_sa) - len(p_sa)) + (len(c_ca) - len(p_ca)) == 1
 
 
 def parents_of(key: CellKey) -> "list[CellKey]":

@@ -78,15 +78,22 @@ def decode_key(sa_words: "list[int]", ca_words: "list[int]") -> CellKey:
     return _items_of(sa_words), _items_of(ca_words)
 
 
-def _packed_rows(sa_masks: np.ndarray, ca_masks: np.ndarray) -> "list[bytes]":
-    """Each row's SA words then CA words, as little-endian bytes."""
+def packed_rows(sa_masks: np.ndarray, ca_masks: np.ndarray) -> np.ndarray:
+    """One opaque ``np.void`` scalar per row: its SA words then CA words
+    as little-endian bytes.
+
+    The one packed form of a row's key: ``tolist()`` gives the row
+    index's ``bytes`` keys, and since void scalars compare as their raw
+    bytes, numpy sorts and searches them (the store's digest order and
+    delta matching) in exactly the order Python gives those ``bytes``.
+    """
     words = np.concatenate(
         [np.asarray(sa_masks, dtype=WORD_DTYPE),
          np.asarray(ca_masks, dtype=WORD_DTYPE)],
         axis=1,
     )
     row = np.dtype((np.void, words.itemsize * words.shape[1]))
-    return words.view(row).reshape(len(words)).tolist()
+    return words.view(row).reshape(len(words))
 
 
 @dataclass(frozen=True)
@@ -329,9 +336,9 @@ class CellTable:
         if self._index is None:
             with self._lock:
                 if self._index is None:
-                    packed = _packed_rows(
+                    packed = packed_rows(
                         self._arrays.sa_masks, self._arrays.ca_masks
-                    )
+                    ).tolist()
                     self._index = dict(zip(packed, range(len(packed))))
         return self._index
 

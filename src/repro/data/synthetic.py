@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import ReproError
-from repro.etl.csvio import SET_SEPARATOR
 from repro.etl.schema import Schema
+from repro.etl.stream import SET_SEPARATOR
 from repro.etl.table import Table
 from repro.indexes.counts import UnitCounts
 

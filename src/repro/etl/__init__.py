@@ -1,4 +1,4 @@
-"""Relational ETL substrate: tables, schemas, CSV I/O, binning, time.
+"""Relational ETL substrate: tables, schemas, CSV and SQL I/O, time.
 
 This package plays the role of SCube's data pre-processing layer
 (paper Fig. 3, "ETL"): it turns raw inputs into the ``finalTable``
@@ -20,14 +20,6 @@ from repro.etl.diff import (
 )
 from repro.etl.sqlio import read_query, write_table_sql
 from repro.etl.stream import DEFAULT_CHUNK_ROWS, stream_csv, stream_query
-from repro.etl.discretize import (
-    PAPER_AGE_EDGES,
-    bin_labels,
-    discretize,
-    equal_width_edges,
-    paper_age_column,
-    quantile_edges,
-)
 from repro.etl.schema import AttributeSpec, Role, Schema
 from repro.etl.table import (
     CategoricalColumn,
@@ -55,20 +47,14 @@ __all__ = [
     "MultiValuedColumn",
     "OPEN_END",
     "OPEN_START",
-    "PAPER_AGE_EDGES",
     "Role",
     "Schema",
     "Table",
     "TableDiff",
     "TemporalMembership",
     "UNIT_COLUMN",
-    "bin_labels",
     "build_final_table",
-    "discretize",
-    "equal_width_edges",
     "interval_bounds",
-    "paper_age_column",
-    "quantile_edges",
     "read_query",
     "read_table",
     "stream_csv",

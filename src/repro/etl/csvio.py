@@ -3,10 +3,13 @@
 The SCube architecture (paper Fig. 2/3) exchanges every intermediate
 artefact as CSV: ``individual.csv``, ``group.csv``,
 ``individualGroup.csv`` (membership), ``finalTable.csv`` and
-``cube.csv``.  Multi-valued cells are serialised with an inner separator
-(``|``, values in ``str`` order), e.g. ``electricity|transports``.
-Reading is :func:`~repro.etl.stream.stream_csv` taken as one chunk;
-this module adds the writers.
+``cube.csv``.  Reading is :func:`~repro.etl.stream.stream_csv` taken
+as one chunk; this module adds the writers.  Both cell rules live in
+:mod:`repro.etl.stream`: a set cell is written by
+:func:`~repro.etl.stream.format_set` (members in ``str`` order joined by
+``|``, e.g. ``electricity|transports``), which refuses a set the reader
+could not read back, and a whole table is formatted before its file is
+opened, so a refused set leaves no file behind.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import csv
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 
-from repro.etl.stream import ONE_CHUNK, SET_SEPARATOR, stream_csv
+from repro.etl.stream import ONE_CHUNK, format_set, stream_csv
 from repro.etl.table import Table
 
 
@@ -44,21 +47,17 @@ def read_table(
     return table
 
 
-def _format_cell(value: object) -> str:
+def _format_cell(column: str, value: object) -> str:
     if isinstance(value, (frozenset, set)):
-        return SET_SEPARATOR.join(sorted(str(v) for v in value))
+        return format_set(column, value)
     return str(value)
 
 
 def write_table(table: Table, path: str | Path, delimiter: str = ",") -> None:
     """Write ``table`` to CSV with a header row."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as f:
-        writer = csv.writer(f, delimiter=delimiter)
-        writer.writerow(table.names)
-        for row in table.iter_rows():
-            writer.writerow([_format_cell(row[name]) for name in table.names])
+    names = table.names
+    rows = ([row[name] for name in names] for row in table.iter_rows())
+    write_rows(rows, names, path, delimiter)
 
 
 def write_rows(
@@ -67,11 +66,22 @@ def write_rows(
     path: str | Path,
     delimiter: str = ",",
 ) -> None:
-    """Write raw rows (any sequence of cells) with a header to CSV."""
+    """Write raw rows (any sequence of cells) with a header to CSV.
+
+    Every row is as wide as ``header``; all rows are formatted before
+    the file is opened.
+    """
+    header = list(header)
+    formatted = [
+        [
+            _format_cell(name, cell)
+            for name, cell in zip(header, row, strict=True)
+        ]
+        for row in rows
+    ]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as f:
         writer = csv.writer(f, delimiter=delimiter)
-        writer.writerow(list(header))
-        for row in rows:
-            writer.writerow([_format_cell(cell) for cell in row])
+        writer.writerow(header)
+        writer.writerows(formatted)

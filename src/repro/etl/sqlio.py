@@ -5,8 +5,10 @@ The paper's ``individuals`` input is "a CSV file or a JDBC query"
 database (stdlib ``sqlite3``) — any query result with a header becomes a
 :class:`~repro.etl.table.Table`.  Reading is
 :func:`~repro.etl.stream.stream_query` taken as one chunk, under the
-cell rules the CSV reader shares; this module adds the connection
-helper and the writer.
+cell rules the CSV reader shares (an integer cell is an ``int`` or
+integer text, never a truncated REAL); this module adds the connection
+helper and the writer, which writes a set cell through
+:func:`~repro.etl.stream.format_set` as the CSV writer does.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 from typing import Union
 
 from repro.errors import TableError
-from repro.etl.stream import ONE_CHUNK, SET_SEPARATOR, stream_query
+from repro.etl.stream import ONE_CHUNK, format_set, stream_query
 from repro.etl.table import IntColumn, Table
 
 Connection = Union[str, Path, sqlite3.Connection]
@@ -67,8 +69,10 @@ def write_table_sql(
 ) -> None:
     """Write a :class:`Table` into a SQLite table.
 
-    Multi-valued cells are serialised with the ``|`` separator (the CSV
-    convention), so :func:`read_query` round-trips them.
+    Multi-valued cells are serialised by
+    :func:`~repro.etl.stream.format_set` (the CSV convention), so
+    :func:`read_query` round-trips them; a set it refuses raises
+    :class:`~repro.errors.TableError` before the database is touched.
 
     Parameters
     ----------
@@ -79,9 +83,17 @@ def write_table_sql(
         raise TableError(f"invalid if_exists {if_exists!r}")
     if not table_name.replace("_", "").isalnum():
         raise TableError(f"unsafe table name {table_name!r}")
+    names = table.names
+    rows = [
+        tuple(
+            format_set(name, value)
+            if isinstance(value, (frozenset, set)) else value
+            for name, value in row.items()
+        )
+        for row in table.iter_rows()
+    ]
     conn, owned = _connect(database)
     try:
-        names = table.names
         column_defs = []
         for name in names:
             col = table.column(name)
@@ -94,18 +106,6 @@ def write_table_sql(
                 f'CREATE TABLE "{table_name}" ({", ".join(column_defs)})'
             )
         placeholders = ", ".join("?" for _ in names)
-        rows = []
-        for row in table.iter_rows():
-            cells = []
-            for name in names:
-                value = row[name]
-                if isinstance(value, frozenset):
-                    cells.append(
-                        SET_SEPARATOR.join(sorted(str(v) for v in value))
-                    )
-                else:
-                    cells.append(value)
-            rows.append(tuple(cells))
         conn.executemany(
             f'INSERT INTO "{table_name}" VALUES ({placeholders})', rows
         )

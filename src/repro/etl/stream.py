@@ -11,10 +11,18 @@ time, under one set of cell rules:
 
 * a multi-valued cell is a ``|``-separated value set; None and ``""``
   are the empty set;
-* an integer cell goes through ``int()``, and a cell it rejects raises
-  :class:`~repro.errors.TableError`;
+* an integer cell is an ``int`` (not a ``bool``) or text ``int()``
+  parses; any other cell (a float, a bool, None) raises
+  :class:`~repro.errors.TableError`, so a value is never truncated;
 * a None categorical cell becomes ``""``;
 * a repeated column name raises :class:`~repro.errors.TableError`.
+
+Both writers (:func:`repro.etl.csvio.write_table` and
+:func:`repro.etl.sqlio.write_table_sql`) write a set through
+:func:`format_set`, the inverse of the first rule: members in ``str``
+order joined by ``|``.  A set that rule cannot read back, one holding
+``""`` or a member containing ``|``, raises
+:class:`~repro.errors.TableError` instead of being written.
 
 Chunks feed an :class:`~repro.itemsets.transactions.EncodeAccumulator`
 (or :meth:`~repro.itemsets.transactions.TransactionDatabase.from_chunks`),
@@ -54,6 +62,24 @@ DEFAULT_CHUNK_ROWS = 65536
 #: Rows per chunk of the one-shot readers: the whole input as one chunk.
 #: ``sqlite3``'s ``fetchmany`` takes a C int, so not ``sys.maxsize``.
 ONE_CHUNK = 2**31 - 1
+
+
+def format_set(column: str, values: "Iterable[object]") -> str:
+    """The text form of one multi-valued cell: its members in ``str``
+    order, joined by :data:`SET_SEPARATOR`.
+
+    Raises :class:`~repro.errors.TableError`, naming ``column`` and the
+    member, when a member is ``""`` or contains the separator: the
+    readers would split it, or read it as the empty set.
+    """
+    members = sorted(map(str, values))
+    for member in members:
+        if not member or SET_SEPARATOR in member:
+            raise TableError(
+                f"column {column!r}: set member {member!r} cannot be "
+                f"written; it is empty or contains {SET_SEPARATOR!r}"
+            )
+    return SET_SEPARATOR.join(members)
 
 
 def _column_sets(
@@ -99,18 +125,32 @@ def _type_columns(
                 joined.split(SET_SEPARATOR) if joined else [],
             )
         elif name in ints:
-            try:
-                built[name] = IntColumn(list(map(int, values)))
-            except (TypeError, ValueError) as exc:
-                raise TableError(
-                    f"column {name!r}: expected integer cells, got a "
-                    f"non-integer one ({exc})"
-                ) from None
+            built[name] = _int_column(name, values)
         else:
             built[name] = CategoricalColumn.from_values(
                 ["" if v is None else v for v in values]
             )
     return Table(built)
+
+
+def _int_column(name: str, values: "Sequence[object]") -> IntColumn:
+    """Type one integer column: ``int`` cells (not ``bool``) and text
+    ``int()`` parses; any other cell raises :class:`TableError`."""
+    if all(issubclass(kind, (int, str)) and not issubclass(kind, bool)
+           for kind in set(map(type, values))):
+        try:
+            return IntColumn(list(map(int, values)))
+        except ValueError as exc:
+            reason = str(exc)
+    else:
+        reason = repr(next(
+            v for v in values
+            if isinstance(v, bool) or not isinstance(v, (int, str))
+        ))
+    raise TableError(
+        f"column {name!r}: expected integer cells, got a non-integer "
+        f"one ({reason})"
+    )
 
 
 def stream_csv(
@@ -222,6 +262,7 @@ __all__ = [
     "DEFAULT_CHUNK_ROWS",
     "ONE_CHUNK",
     "SET_SEPARATOR",
+    "format_set",
     "stream_csv",
     "stream_query",
 ]

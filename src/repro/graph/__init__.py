@@ -23,14 +23,12 @@ from repro.graph.bipartite import (
 )
 from repro.graph.components import (
     Clustering,
-    bfs_distances,
     connected_components,
 )
 from repro.graph.graph import Graph
 from repro.graph.metrics import (
     ClusteringSummary,
     attribute_homogeneity,
-    conductance,
     conductance_all,
     mean_conductance,
     modularity,
@@ -47,8 +45,6 @@ __all__ = [
     "NodeAttributeTable",
     "ProjectionResult",
     "attribute_homogeneity",
-    "bfs_distances",
-    "conductance",
     "conductance_all",
     "connected_components",
     "mean_conductance",

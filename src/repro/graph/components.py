@@ -123,30 +123,3 @@ def gather_neighbors(
     ramp = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
     return indices[np.repeat(starts, counts) + ramp]
 
-
-def bfs_distances(graph: Graph, source: int, max_hops: "int | None" = None
-                  ) -> dict[int, int]:
-    """Hop distances from ``source`` (bounded by ``max_hops`` if given).
-
-    Level-synchronous array frontier over the CSR view; returns the same
-    ``{node: hops}`` mapping as the seed deque BFS.
-    """
-    indptr, indices, _ = graph.csr()
-    seen = np.zeros(graph.n_nodes, dtype=bool)
-    seen[source] = True
-    distances = {int(source): 0}
-    frontier = np.array([source], dtype=np.int64)
-    depth = 0
-    while len(frontier):
-        if max_hops is not None and depth >= max_hops:
-            break
-        neighbors = gather_neighbors(indptr, indices, frontier)
-        fresh = np.unique(neighbors[~seen[neighbors]])
-        if not len(fresh):
-            break
-        seen[fresh] = True
-        depth += 1
-        for node in fresh:
-            distances[int(node)] = depth
-        frontier = fresh
-    return distances

@@ -63,13 +63,6 @@ def conductance_all(graph: Graph, clustering: Clustering) -> np.ndarray:
     return out
 
 
-def conductance(graph: Graph, clustering: Clustering, cluster: int) -> float:
-    """Conductance of one cluster (see :func:`conductance_all`)."""
-    if not 0 <= cluster < clustering.n_clusters:
-        return float("nan")
-    return float(conductance_all(graph, clustering)[cluster])
-
-
 def mean_conductance(graph: Graph, clustering: Clustering) -> float:
     """Average conductance over clusters (nan clusters skipped)."""
     values = conductance_all(graph, clustering)

@@ -1,8 +1,8 @@
 """Segregation indexes: the metrics of the segregation data cube.
 
 Implements the six binary indexes SCube ships (Dissimilarity, Gini,
-Information, Isolation, Interaction, Atkinson), their multigroup
-generalisations, and statistical inference helpers (bootstrap CIs and
+Information, Isolation, Interaction, Atkinson), their batched kernels
+for the cube fill, and statistical inference helpers (bootstrap CIs and
 randomisation tests).
 """
 
@@ -17,7 +17,6 @@ from repro.indexes.base import (
     BatchIndexFunc,
     IndexFunc,
     IndexSpec,
-    all_index_names,
     get_index,
     register,
     resolve_indexes,
@@ -30,34 +29,12 @@ from repro.indexes.binary import (
     interaction,
     isolation,
 )
-from repro.indexes.counts import GroupCountsMatrix, UnitCounts
+from repro.indexes.counts import UnitCounts
 from repro.indexes.inference import (
     BootstrapResult,
     RandomizationResult,
     bootstrap_ci,
     randomization_test,
-)
-from repro.indexes.local import (
-    LocalProfileRow,
-    local_dissimilarity,
-    local_information,
-    local_interaction,
-    local_isolation,
-    local_profile,
-    location_quotient,
-)
-from repro.indexes.multigroup import (
-    multigroup_dissimilarity,
-    multigroup_entropy,
-    multigroup_gini,
-    multigroup_information,
-    normalized_exposure,
-)
-from repro.indexes.spatial import (
-    adjusted_dissimilarity,
-    boundary_term,
-    checkerboard_gap,
-    grid_adjacency,
 )
 
 __all__ = [
@@ -67,39 +44,21 @@ __all__ = [
     "DEFAULT_INDEXES",
     "DISSIMILARITY",
     "GINI",
-    "GroupCountsMatrix",
     "INFORMATION",
     "INTERACTION",
     "ISOLATION",
     "IndexFunc",
     "IndexSpec",
-    "LocalProfileRow",
     "RandomizationResult",
     "UnitCounts",
-    "adjusted_dissimilarity",
-    "all_index_names",
     "atkinson",
     "bootstrap_ci",
-    "boundary_term",
-    "checkerboard_gap",
     "dissimilarity",
     "get_index",
     "gini",
-    "grid_adjacency",
     "information",
     "interaction",
     "isolation",
-    "local_dissimilarity",
-    "local_information",
-    "local_interaction",
-    "local_isolation",
-    "local_profile",
-    "location_quotient",
-    "multigroup_dissimilarity",
-    "multigroup_entropy",
-    "multigroup_gini",
-    "multigroup_information",
-    "normalized_exposure",
     "randomization_test",
     "register",
     "resolve_indexes",

@@ -135,11 +135,6 @@ def resolve_indexes(names: "list[str] | None") -> list[IndexSpec]:
     return [get_index(n) for n in names]
 
 
-def all_index_names() -> list[str]:
-    """Short names of every registered index."""
-    return [spec.name for spec in _REGISTRY.values()]
-
-
 DISSIMILARITY = register(
     IndexSpec("D", "Dissimilarity", binary.dissimilarity, (0.0, 1.0), True,
               batch_func=vectorized.dissimilarity)

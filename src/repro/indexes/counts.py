@@ -141,57 +141,3 @@ class UnitCounts:
             f"M={self.minority_total:.0f})"
         )
 
-
-class GroupCountsMatrix:
-    """Per-unit counts for ``K >= 2`` groups (multigroup extension).
-
-    ``counts[i, g]`` is the number of members of group ``g`` in unit ``i``.
-    """
-
-    def __init__(self, counts: Sequence[Sequence[int]] | np.ndarray,
-                 drop_empty: bool = True):
-        c = np.asarray(counts, dtype=np.float64)
-        if c.ndim != 2:
-            raise SegregationIndexError("counts must be a 2-D units x groups matrix")
-        if c.shape[1] < 2:
-            raise SegregationIndexError("need at least two groups")
-        if np.any(c < 0):
-            raise SegregationIndexError("counts must be non-negative")
-        if drop_empty:
-            c = c[c.sum(axis=1) > 0]
-        self.counts = c
-
-    @property
-    def n_units(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def n_groups(self) -> int:
-        return self.counts.shape[1]
-
-    @property
-    def unit_totals(self) -> np.ndarray:
-        """``t_i``: per-unit population."""
-        return self.counts.sum(axis=1)
-
-    @property
-    def group_totals(self) -> np.ndarray:
-        """``T_g``: per-group population."""
-        return self.counts.sum(axis=0)
-
-    @property
-    def total(self) -> float:
-        return float(self.counts.sum())
-
-    @property
-    def group_proportions(self) -> np.ndarray:
-        """``pi_g = T_g / T``."""
-        return self.group_totals / self.total if self.total > 0 else np.full(
-            self.n_groups, float("nan")
-        )
-
-    def binary(self, group: int) -> UnitCounts:
-        """Collapse to a binary minority-vs-rest view for ``group``."""
-        if not 0 <= group < self.n_groups:
-            raise SegregationIndexError(f"group {group} out of range")
-        return UnitCounts(self.unit_totals, self.counts[:, group])

@@ -27,7 +27,6 @@ from repro.itemsets.coverset import (
     cover_matrix,
     popcount_rows,
 )
-from repro.itemsets.eclat import closure_of
 from repro.itemsets.transactions import TransactionDatabase
 
 Itemset = frozenset[int]
@@ -54,49 +53,6 @@ def filter_closed(supports: dict[Itemset, int]) -> dict[Itemset, int]:
                 if subset and supports.get(subset) == support:
                     not_closed.add(subset)
     return {k: v for k, v in supports.items() if k not in not_closed}
-
-
-def filter_maximal(supports: dict[Itemset, int]) -> dict[Itemset, int]:
-    """Keep only maximal frequent itemsets (no frequent strict superset)."""
-    not_maximal: set[Itemset] = set()
-    for itemset in supports:
-        for item in itemset:
-            subset = itemset - {item}
-            if subset in supports:
-                not_maximal.add(subset)
-    return {k: v for k, v in supports.items() if k not in not_maximal}
-
-
-def verify_closed(
-    db: TransactionDatabase, itemsets: "list[Itemset]"
-) -> dict[Itemset, bool]:
-    """Ground-truth closedness via the closure operator (test oracle)."""
-    result = {}
-    for itemset in itemsets:
-        cover = db.cover_of(itemset)
-        result[itemset] = closure_of(db, cover) == itemset
-    return result
-
-
-def closure_map(
-    db: TransactionDatabase, supports: dict[Itemset, int]
-) -> dict[Itemset, Itemset]:
-    """Map every frequent itemset to its closure (computed from covers)."""
-    out: dict[Itemset, Itemset] = {}
-    for itemset in supports:
-        cover = db.cover_of(itemset)
-        out[itemset] = closure_of(db, cover)
-    return out
-
-
-def equivalence_classes(
-    closures: dict[Itemset, Itemset]
-) -> dict[Itemset, list[Itemset]]:
-    """Group itemsets by their closure (the cover-equivalence classes)."""
-    classes: dict[Itemset, list[Itemset]] = defaultdict(list)
-    for itemset, closed in closures.items():
-        classes[closed].append(itemset)
-    return dict(classes)
 
 
 # ----------------------------------------------------------------------

@@ -220,24 +220,3 @@ def mine_eclat_typed(
                max_sa, max_ca, record)
     return out
 
-
-def closure_of(
-    db: TransactionDatabase,
-    cover: "Cover",
-    candidate_items: "list[int] | None" = None,
-) -> Itemset:
-    """The closure of a cover: all items present in *every* covered row.
-
-    For an itemset X with cover c, ``closure_of(db, c)`` is the unique
-    maximal itemset with the same cover — the canonical representative the
-    closed-itemset cube stores.  ``cover`` may also be a dense boolean
-    array; it is packed first.
-    """
-    covers = db.covers()
-    cover = db.as_cover(cover)
-    support = cover.support()
-    ids = candidate_items if candidate_items is not None else range(db.n_items)
-    closed = [
-        i for i in ids if (cover & covers[i]).support() == support
-    ]
-    return frozenset(closed)

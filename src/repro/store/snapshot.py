@@ -53,7 +53,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.cube.cube import SegregationCube
-from repro.cube.table import CellTable, TableArrays
+from repro.cube.table import CellTable, TableArrays, packed_rows
 from repro.errors import SnapshotError
 from repro.store.manifest import (
     MANIFEST_NAME,
@@ -128,25 +128,6 @@ def dump_snapshot(cube: SegregationCube, path: "str | Path") -> Path:
     )
 
 
-def _row_keys(sa_masks: np.ndarray, ca_masks: np.ndarray) -> np.ndarray:
-    """One opaque ``np.void`` scalar per row: its packed (SA, CA) words.
-
-    Void scalars compare as their raw bytes, so numpy sorts and searches
-    them in exactly the order Python gives the rows' ``bytes``.
-    """
-    combined = np.ascontiguousarray(
-        np.concatenate(
-            [np.asarray(sa_masks, dtype=np.uint64),
-             np.asarray(ca_masks, dtype=np.uint64)],
-            axis=1,
-        )
-    )
-    row_dtype = np.dtype(
-        (np.void, combined.dtype.itemsize * combined.shape[1])
-    )
-    return combined.view(row_dtype).reshape(len(combined))
-
-
 def _find_rows(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """For each query, the last row of ``keys`` equal to it, or -1.
 
@@ -173,7 +154,7 @@ def table_digest(table: CellTable) -> str:
     included).
     """
     order = np.argsort(
-        _row_keys(table.sa_masks, table.ca_masks), kind="stable"
+        packed_rows(table.sa_masks, table.ca_masks), kind="stable"
     )
     digest = hashlib.sha256()
     for name, _, array in _rows_of(_table_arrays(table), order):
@@ -311,8 +292,8 @@ def dump_delta_snapshot(
     # through their uint64 bit patterns: deterministic fills make
     # unchanged cells bit-identical, NaNs included).
     parent_of = _find_rows(
-        _row_keys(parent_table.sa_masks, parent_table.ca_masks),
-        _row_keys(child_table.sa_masks, child_table.ca_masks),
+        packed_rows(parent_table.sa_masks, parent_table.ca_masks),
+        packed_rows(child_table.sa_masks, child_table.ca_masks),
     )
     child_idx = np.flatnonzero(parent_of >= 0)
     parent_idx = parent_of[child_idx]
@@ -578,8 +559,8 @@ def _compose_delta(
 
     # Locate the superseded parent rows by their packed key bitmasks.
     superseded = _find_rows(
-        _row_keys(parent_table.sa_masks, parent_table.ca_masks),
-        _row_keys(own["superseded_sa"], own["superseded_ca"]),
+        packed_rows(parent_table.sa_masks, parent_table.ca_masks),
+        packed_rows(own["superseded_sa"], own["superseded_ca"]),
     )
     if (superseded < 0).any():
         raise SnapshotError(

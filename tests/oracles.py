@@ -33,7 +33,6 @@ from repro.graph.components import Clustering
 from repro.graph.graph import Graph
 from repro.indexes.counts import UnitCounts
 from repro.itemsets.coverset import Cover
-from repro.itemsets.eclat import closure_of
 from repro.itemsets.items import Item, ItemDictionary, ItemKind
 from repro.itemsets.miner import absolute_minsup
 from repro.itemsets.transactions import TransactionDatabase
@@ -172,6 +171,39 @@ def closed_bruteforce(
         if not absorbed:
             out[itemset] = support
     return out
+
+
+def closure_of(
+    db: TransactionDatabase,
+    cover: "Cover",
+    candidate_items: "list[int] | None" = None,
+) -> frozenset[int]:
+    """The closure of a cover: all items present in *every* covered row.
+
+    For an itemset X with cover c, ``closure_of(db, c)`` is the unique
+    maximal itemset with the same cover — the canonical representative the
+    closed-itemset cube stores.  ``cover`` may also be a dense boolean
+    array; it is packed first.
+    """
+    covers = db.covers()
+    cover = db.as_cover(cover)
+    support = cover.support()
+    ids = candidate_items if candidate_items is not None else range(db.n_items)
+    closed = [
+        i for i in ids if (cover & covers[i]).support() == support
+    ]
+    return frozenset(closed)
+
+
+def verify_closed(
+    db: TransactionDatabase, itemsets: "list[frozenset[int]]"
+) -> dict[frozenset[int], bool]:
+    """Ground-truth closedness via the closure operator."""
+    result = {}
+    for itemset in itemsets:
+        cover = db.cover_of(itemset)
+        result[itemset] = closure_of(db, cover) == itemset
+    return result
 
 
 def closed_under_caps(

@@ -18,11 +18,11 @@ from hypothesis import strategies as st
 from repro.data.synthetic import random_final_table
 from repro.errors import MiningError
 from repro.itemsets.coverset import CoverSet, cover_matrix
-from repro.itemsets.eclat import closure_of, mine_eclat, mine_eclat_typed
+from repro.itemsets.eclat import mine_eclat, mine_eclat_typed
 from repro.itemsets.items import Item, ItemDictionary, ItemKind
 from repro.itemsets.transactions import TransactionDatabase, encode_table
 
-from tests.oracles import dense_item_covers
+from tests.oracles import closure_of, dense_item_covers
 
 
 def make_db(rows, n_items=None):

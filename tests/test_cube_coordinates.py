@@ -9,8 +9,6 @@ from repro.cube.coordinates import (
     decode_part,
     describe_key,
     encode_query,
-    is_parent,
-    key_of_itemset,
     make_key,
     parents_of,
 )
@@ -80,11 +78,6 @@ class TestDecodeAndDescribe:
             "sector": "{a,b}",
         }
 
-    def test_key_of_itemset_splits(self, dictionary):
-        assert key_of_itemset([0, 3], dictionary) == (
-            frozenset({0}), frozenset({3})
-        )
-
 
 class TestLattice:
     def test_parents_of_removes_one_item(self):
@@ -94,11 +87,3 @@ class TestLattice:
         assert (frozenset({0}), frozenset({3})) in parents
         assert (frozenset({0, 2}), frozenset()) in parents
         assert len(parents) == 3
-
-    def test_is_parent(self):
-        child = make_key({0, 2}, {3})
-        assert is_parent(make_key({0}, {3}), child)
-        assert is_parent(make_key({0, 2}, set()), child)
-        assert not is_parent(make_key(set(), set()), child)   # two levels up
-        assert not is_parent(make_key({1}, {3}), child)       # not a subset
-        assert not is_parent(child, child)

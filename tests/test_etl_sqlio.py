@@ -64,10 +64,13 @@ class TestReadQuery:
         assert table.ints("x").values() == [42]
 
     def test_integer_coercion_failure(self, conn):
-        conn.execute("CREATE TABLE t (x TEXT)")
-        conn.execute("INSERT INTO t VALUES ('abc')")
-        with pytest.raises(TableError, match="non-integer"):
-            read_query(conn, "SELECT x FROM t", integer=["x"])
+        # Text int() rejects, and a REAL that int() would truncate.
+        for sql_type, cell in [("TEXT", "abc"), ("REAL", 3.7)]:
+            conn.execute("DROP TABLE IF EXISTS t")
+            conn.execute(f"CREATE TABLE t (x {sql_type})")
+            conn.execute("INSERT INTO t VALUES (?)", (cell,))
+            with pytest.raises(TableError, match="non-integer"):
+                read_query(conn, "SELECT x FROM t", integer=["x"])
 
     def test_null_becomes_empty_string(self, conn):
         conn.execute("CREATE TABLE t (x TEXT)")

@@ -9,13 +9,16 @@ chunk), degenerate inputs (empty files, empty result sets) still yield
 exactly one — empty — chunk so downstream schema validation sees the
 columns, and a repeated column name is rejected.  Multi-valued codes
 are assigned in ``str`` order within a row, so a CSV read in two
-processes under different hash seeds gives one vocabulary.
+processes under different hash seeds gives one vocabulary.  An integer
+cell is never truncated (a later chunk's float raises), and both
+writers refuse a set the readers could not read back.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import sqlite3
 import subprocess
 import sys
@@ -169,15 +172,19 @@ def test_stream_query_matches_read_query(mixed_table, tmp_path, chunk_rows):
 
 
 def test_stream_query_locks_int_detection_across_chunks():
-    conn = sqlite3.connect(":memory:")
-    conn.execute("CREATE TABLE t (x)")
-    conn.executemany("INSERT INTO t VALUES (?)", [(1,), (2,), ("abc",)])
-    stream = stream_query(conn, "SELECT x FROM t ORDER BY rowid",
-                          chunk_rows=2)
-    first = next(stream)
-    assert isinstance(first.column("x"), IntColumn)
-    with pytest.raises(TableError):
-        next(stream)
+    # The first chunk locks ``x`` as integer; a later chunk's text or
+    # float raises (2.9 must not read as 2).
+    for later in ("abc", 2.9):
+        conn = sqlite3.connect(":memory:")
+        conn.execute("CREATE TABLE t (x)")
+        conn.executemany("INSERT INTO t VALUES (?)",
+                         [(1,), (2,), (later,)])
+        stream = stream_query(conn, "SELECT x FROM t ORDER BY rowid",
+                              chunk_rows=2)
+        first = next(stream)
+        assert first.ints("x").values() == [1, 2]
+        with pytest.raises(TableError, match="non-integer"):
+            next(stream)
 
 
 def test_stream_query_empty_result_yields_one_empty_chunk():
@@ -234,6 +241,33 @@ def test_multivalued_cells_split_on_every_separator(tmp_path, source):
                  lambda: next(stream_query(conn, sql, multi_valued=["mv"]))]
     for read in reads:
         assert read().multivalued("mv").values() == want
+
+
+@pytest.mark.parametrize("member", [
+    pytest.param("a|b", id="pipe"), pytest.param("", id="empty"),
+])
+@pytest.mark.parametrize("source", ["csv", "sql"])
+def test_writers_refuse_sets_that_cannot_round_trip(tmp_path, source,
+                                                    member):
+    # Written as is, {"a|b"} would read back as {"a", "b"} and {""} as
+    # the empty set; each writer raises before it writes anything.
+    table = Table({
+        "k": IntColumn([0, 1]),
+        "mv": MultiValuedColumn.from_values([{"c"}, {member}]),
+    })
+    expected = re.escape(f"column 'mv': set member {member!r}")
+    if source == "csv":
+        path = tmp_path / "mv.csv"
+        with pytest.raises(TableError, match=expected):
+            write_table(table, path)
+        assert not path.exists()
+    else:
+        conn = sqlite3.connect(":memory:")
+        with pytest.raises(TableError, match=expected):
+            write_table_sql(table, conn, "t")
+        assert conn.execute(
+            "SELECT name FROM sqlite_master WHERE name = 't'"
+        ).fetchall() == []
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.errors import GraphError
 from repro.graph.attributes import NodeAttributeTable
-from repro.graph.components import bfs_distances, connected_components
+from repro.graph.components import connected_components
 from repro.graph.graph import Graph
 from repro.graph.stoc import stoc_clustering
 from repro.graph.threshold import threshold_components, threshold_profile
@@ -77,16 +77,6 @@ def test_components_match_networkx(n, raw_edges):
     for component in expected:
         labels = {int(ours.labels[u]) for u in component}
         assert len(labels) == 1
-
-
-class TestBfsDistances:
-    def test_distances_on_path(self):
-        g = Graph.from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
-        assert bfs_distances(g, 0) == {0: 0, 1: 1, 2: 2, 3: 3}
-
-    def test_max_hops_bounds_search(self):
-        g = Graph.from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
-        assert bfs_distances(g, 0, max_hops=2) == {0: 0, 1: 1, 2: 2}
 
 
 class TestThresholdComponents:

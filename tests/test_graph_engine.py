@@ -22,7 +22,7 @@ from repro.graph.bipartite import (
     project_onto_groups,
     project_onto_individuals,
 )
-from repro.graph.components import bfs_distances, connected_components
+from repro.graph.components import connected_components
 from repro.graph.graph import Graph
 from repro.graph.stoc import stoc_clustering
 from repro.graph.threshold import threshold_components, threshold_profile
@@ -154,17 +154,6 @@ def test_stoc_without_attributes_matches_legacy():
     new = stoc_clustering(graph, None, tau=0.6, seed=3)
     old = legacy.stoc_clustering_legacy(graph, None, tau=0.6, seed=3)
     assert np.array_equal(new.labels, old.labels)
-
-
-def test_bfs_distances_matches_dict_walk():
-    bipartite, _ = random_bipartite_world(300, 40, seed=9)
-    graph = project_onto_groups(bipartite, max_left_degree=20).graph
-    for source in (0, 7, 23):
-        full = bfs_distances(graph, source)
-        bounded = bfs_distances(graph, source, max_hops=2)
-        assert all(bounded[n] <= 2 for n in bounded)
-        assert all(full[n] == bounded[n] for n in bounded)
-        assert full[source] == 0
 
 
 def test_graph_from_edge_arrays_accumulates_duplicates():

@@ -15,7 +15,7 @@ from repro.graph.components import Clustering, connected_components
 from repro.graph.graph import Graph
 from repro.graph.metrics import (
     attribute_homogeneity,
-    conductance,
+    conductance_all,
     mean_conductance,
     modularity,
     summarize,
@@ -87,19 +87,19 @@ class TestConductance:
     def test_isolated_cluster_zero(self):
         g = Graph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
         clustering = connected_components(g)
-        assert conductance(g, clustering, 0) == pytest.approx(0.0)
+        assert conductance_all(g, clustering)[0] == pytest.approx(0.0)
 
     def test_cut_cluster(self):
         g = Graph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
         clustering = Clustering(np.array([0, 0, 1, 1]), 2, "manual")
         # cut = 1; vol(cluster0) = 1 + 2 = 3; total vol = 6 -> phi = 1/3
-        assert conductance(g, clustering, 0) == pytest.approx(1 / 3)
+        assert conductance_all(g, clustering)[0] == pytest.approx(1 / 3)
 
     def test_empty_volume_is_nan(self):
         g = Graph(3)
         g.add_edge(0, 1, 1.0)
         clustering = Clustering(np.array([0, 0, 1]), 2, "manual")
-        assert math.isnan(conductance(g, clustering, 1))
+        assert math.isnan(conductance_all(g, clustering)[1])
 
     def test_mean_conductance_skips_nan(self):
         # Clusters {0,1} and {2,3} have conductance 0; the isolated node 4

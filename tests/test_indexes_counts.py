@@ -1,4 +1,4 @@
-"""Tests of the UnitCounts / GroupCountsMatrix containers."""
+"""Tests of the UnitCounts container."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SegregationIndexError
-from repro.indexes.counts import GroupCountsMatrix, UnitCounts
+from repro.indexes.counts import UnitCounts
 
 from tests.oracles import unit_counts_bruteforce
 
@@ -93,36 +93,3 @@ class TestFromAssignments:
         with pytest.raises(SegregationIndexError):
             UnitCounts.from_assignments([0, 1], [True])
 
-
-class TestGroupCountsMatrix:
-    def test_basic_aggregates(self):
-        matrix = GroupCountsMatrix([[5, 5], [2, 8]])
-        assert matrix.n_units == 2
-        assert matrix.n_groups == 2
-        assert matrix.total == 20
-        assert matrix.unit_totals.tolist() == [10, 10]
-        assert matrix.group_totals.tolist() == [7, 13]
-        assert matrix.group_proportions == pytest.approx([0.35, 0.65])
-
-    def test_binary_view(self):
-        matrix = GroupCountsMatrix([[5, 5], [2, 8]])
-        counts = matrix.binary(0)
-        assert counts.t.tolist() == [10.0, 10.0]
-        assert counts.m.tolist() == [5.0, 2.0]
-
-    def test_binary_out_of_range(self):
-        matrix = GroupCountsMatrix([[5, 5], [2, 8]])
-        with pytest.raises(SegregationIndexError):
-            matrix.binary(2)
-
-    def test_one_group_rejected(self):
-        with pytest.raises(SegregationIndexError):
-            GroupCountsMatrix([[5], [2]])
-
-    def test_negative_rejected(self):
-        with pytest.raises(SegregationIndexError):
-            GroupCountsMatrix([[5, -1]])
-
-    def test_empty_units_dropped(self):
-        matrix = GroupCountsMatrix([[5, 5], [0, 0], [2, 8]])
-        assert matrix.n_units == 2

@@ -8,7 +8,6 @@ from repro.errors import SegregationIndexError
 from repro.indexes.base import (
     DEFAULT_INDEXES,
     IndexSpec,
-    all_index_names,
     get_index,
     register,
     resolve_indexes,
@@ -36,11 +35,6 @@ class TestRegistry:
     def test_resolve_names(self):
         specs = resolve_indexes(["D", "H"])
         assert [s.name for s in specs] == ["D", "H"]
-
-    def test_all_names_cover_defaults(self):
-        names = all_index_names()
-        for spec in DEFAULT_INDEXES:
-            assert spec.name in names
 
     def test_duplicate_registration_rejected(self):
         spec = IndexSpec("D", "dup", lambda c: 0.0, (0, 1), True)

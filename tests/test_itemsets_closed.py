@@ -9,22 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.synthetic import random_final_table
-from repro.itemsets.closed import (
-    closure_flags,
-    closure_map,
-    equivalence_classes,
-    filter_closed,
-    filter_maximal,
-    verify_closed,
-)
-from repro.itemsets.eclat import closure_of, mine_eclat
+from repro.itemsets.closed import closure_flags, filter_closed
+from repro.itemsets.eclat import mine_eclat
 from repro.itemsets.miner import mine
 from repro.itemsets.transactions import encode_table
 
 from tests.oracles import (
     closed_bruteforce,
     closed_under_caps,
+    closure_of,
     frequent_itemsets_bruteforce,
+    verify_closed,
 )
 from tests.test_itemsets_miners import CLASSIC_DB, make_db, random_dbs
 
@@ -52,23 +47,6 @@ class TestFilterClosed:
             assert supports[itemset] == support
 
 
-class TestFilterMaximal:
-    def test_maximal_subset_of_closed(self):
-        db = make_db(CLASSIC_DB)
-        supports = mine_eclat(db, 2)
-        closed = filter_closed(supports)
-        maximal = filter_maximal(supports)
-        assert set(maximal) <= set(closed)
-
-    def test_no_frequent_strict_superset(self):
-        db = make_db(CLASSIC_DB)
-        supports = mine_eclat(db, 2)
-        maximal = filter_maximal(supports)
-        for itemset in maximal:
-            for other in supports:
-                assert not other > itemset
-
-
 class TestClosureOperator:
     def test_closure_adds_implied_items(self):
         # Item 1 always co-occurs with item 0.
@@ -90,14 +68,6 @@ class TestClosureOperator:
         verdicts = verify_closed(db, list(supports))
         for itemset, is_closed in verdicts.items():
             assert is_closed == (itemset in closed)
-
-    def test_closure_map_and_classes(self):
-        db = make_db([(0, 1), (0, 1), (0,)])
-        supports = mine_eclat(db, 1)
-        closures = closure_map(db, supports)
-        assert closures[frozenset({1})] == frozenset({0, 1})
-        classes = equivalence_classes(closures)
-        assert frozenset({1}) in classes[frozenset({0, 1})]
 
 
 @given(random_dbs())

@@ -20,7 +20,7 @@ from repro.cube.builder import SegregationDataCubeBuilder, build_cube
 from repro.cube.cell import CellStats
 from repro.cube.cube import CubeMetadata, SegregationCube, check_same_cells
 from repro.cube.coordinates import make_key
-from repro.cube.table import CellTable, TableArrays
+from repro.cube.table import CellTable, TableArrays, packed_rows
 from repro.data.synthetic import random_final_table
 from repro.errors import SnapshotError
 from repro.itemsets.items import Item, ItemDictionary, ItemKind
@@ -33,7 +33,7 @@ from repro.store import (
     table_digest,
     validate_snapshot,
 )
-from repro.store.snapshot import _find_rows, _row_keys
+from repro.store.snapshot import _find_rows
 
 
 @pytest.fixture(scope="module")
@@ -499,7 +499,7 @@ def _mask_rows(draw):
     ))
 
     def matrix(values):
-        return np.array(values, dtype=np.uint64).reshape(-1, 2 * n_words)
+        return np.array(values, dtype="<u8").reshape(-1, 2 * n_words)
 
     return n_words, matrix(rows), matrix(queries)
 
@@ -532,14 +532,14 @@ class TestDigest:
     @given(_mask_rows())
     def test_row_order_and_search_match_python_bytes(self, drawn):
         n_words, rows, queries = drawn
-        keys = _row_keys(rows[:, :n_words], rows[:, n_words:])
+        keys = packed_rows(rows[:, :n_words], rows[:, n_words:])
         assert np.argsort(keys, kind="stable").tolist() == sorted(
             range(len(rows)), key=lambda i: rows[i].tobytes()
         )
         # The dict the row search replaces: the last row of each key.
         by_bytes = {row.tobytes(): i for i, row in enumerate(rows)}
         found = _find_rows(
-            keys, _row_keys(queries[:, :n_words], queries[:, n_words:])
+            keys, packed_rows(queries[:, :n_words], queries[:, n_words:])
         )
         assert found.tolist() == [
             by_bytes.get(query.tobytes(), -1) for query in queries
