@@ -1,13 +1,15 @@
 """E17 — cube fill shoot-out: per-cell loop vs columnar batched engine.
 
 Filling the cube's cells, after mining: the per-cell reference in
-``tests/oracles.py`` runs one ``unit_counts`` scan and six scalar index
-evaluations per mined cell;
-the columnar engine counts every cell with the ``unit_counts_of``
-popcount kernel (ANDed item rows in unit order, per-unit counts read
-off a running popcount) and evaluates each index with one batched
-kernel call per context, landing results directly in the
-struct-of-arrays ``CellTable``.
+``tests/oracles.py`` (``make_cell``) counts each mined cell's minority
+with its own ``np.bincount`` over the cover's unit labels and runs six
+scalar index evaluations on it; the columnar engine's one
+count-and-evaluate loop (``count_and_eval``, shared with the parallel
+workers) counts each bounded batch of cells with the popcount kernel
+(ANDed item rows in unit order, per-unit counts read off a running
+popcount) and evaluates each index with one batched kernel call per
+context, landing results directly in the struct-of-arrays
+``CellTable``.
 
 Assertions pin the refactor's contract at >= 100k rows: the encoded
 database equals the per-row reference encoder's bit for bit (CSR

@@ -18,7 +18,8 @@ of the full snapshot's column bytes with its parent, and the delta
 cube — live *and* reopened through the parent chain — is bit-identical
 (``check_same_cells`` at atol=0) to a from-scratch columnar build at
 that date.  Numbers land in ``results/E19_incremental_timeline.txt``
-and ``results/BENCH_E19.json``.
+and ``results/BENCH_E19.json``.  The date churn is computed from the
+two dates' validity masks.
 
 The second experiment stretches the timeline to **50 dates in closed
 mode** at ~2% churn per date: every incremental update must stay
@@ -30,6 +31,11 @@ stay smaller than 50 full snapshots.  It reports the timeline's bytes,
 its full dates and its first/last/worst chain-resolved open, next to an
 unbounded delta chain over the same cubes for contrast.  Its numbers
 merge into the same ``BENCH_E19.json``.
+
+``test_incremental_parity`` runs both timelines through the engine and
+the publisher and asserts only the exact equalities, at every date,
+live and reopened: it times nothing, writes no result file, and is the
+gating CI step (the two timing tests' floors are informational).
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from repro.cube.builder import SegregationDataCubeBuilder
 from repro.cube.cube import check_same_cells
 from repro.cube.incremental import TemporalCubeEngine
 from repro.data.synthetic import random_final_table, random_temporal_final_table
-from repro.etl.diff import TableDiff, valid_at
+from repro.etl.diff import valid_at
 from repro.itemsets.transactions import encode_table
 from repro.report.text import render_table
 from repro.store import (
@@ -128,12 +134,67 @@ def _full_rebuild(table, schema, valid):
     return SegregationDataCubeBuilder(**LIMITS).build_from_transactions(db)
 
 
+def _assert_timeline_parity(union_db, limits, dated_masks, root):
+    """Publish a timeline through the engine; every date must be exact.
+
+    Each date's live cube, and its published snapshot reopened through
+    its delta chain once the whole timeline is written, equal a
+    from-scratch build of the same rows over the union encoding
+    (``check_same_cells`` at atol=0).
+    """
+    engine = TemporalCubeEngine(
+        union_db, SegregationDataCubeBuilder(engine="incremental", **limits)
+    )
+    scratch = {}
+    state = None
+    for date, mask in dated_masks:
+        if state is None:
+            state = engine.build_at(mask, date)
+            dump_into_timeline(root, date, state.cube)
+        else:
+            parent_date, parent = state.date, state.cube
+            state = engine.update(state, mask, date)
+            dump_into_timeline(root, date, state.cube,
+                               parent_date=parent_date, parent=parent)
+        scratch[date] = SegregationDataCubeBuilder(
+            **limits
+        ).build_from_transactions(union_db.restrict(mask))
+        problems = check_same_cells(state.cube, scratch[date], atol=0.0)
+        assert problems == [], ("live", date, problems[:3])
+    published = CubeTimeline(root)
+    for date, cube in scratch.items():
+        problems = check_same_cells(published.at(date), cube, atol=0.0)
+        assert problems == [], ("published", date, problems[:3])
+
+
+def test_incremental_parity(tmp_path):
+    """Both timelines, every date, live and reopened: exact (atol=0).
+
+    The parity half of the two timing tests below, run on its own: it
+    times nothing and writes no result file.
+    """
+    table, schema, starts, ends = _temporal_table()
+    _assert_timeline_parity(
+        encode_table(table, schema), LIMITS,
+        [(date, valid_at(starts, ends, date)) for date in DATES],
+        tmp_path / "all_mode",
+    )
+    table, schema, masks = _closed_masks()
+    _assert_timeline_parity(
+        encode_table(table, schema), {"mode": "closed", **CLOSED_LIMITS},
+        list(enumerate(masks)), tmp_path / "closed_mode",
+    )
+
+
 def test_incremental_fill_and_delta_dump(benchmark, tmp_path):
     """Incremental fill + delta dump must beat the full rebuild >= 5x."""
     table, schema, starts, ends = _temporal_table()
     valids = {d: valid_at(starts, ends, d) for d in DATES}
     for old, new in zip(DATES, DATES[1:]):
-        churn = TableDiff.between(starts, ends, old, new).churn()
+        # Rows that flipped, as a share of the larger of the two dates.
+        churn = np.count_nonzero(valids[old] ^ valids[new]) / max(
+            valids[old].sum(), valids[new].sum()
+        )
         assert 0 < churn <= MAX_CHURN, f"churn {churn:.3f} out of budget"
 
     union_db = encode_table(table, schema)

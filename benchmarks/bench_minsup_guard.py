@@ -59,12 +59,9 @@ def test_minsup_statistical_guard(benchmark, italy):
                     c for c in result.cube
                     if result.cube.describe(c.key) == discovery.description
                 )
-                context_cover = db.cover_of(cell.ca_items)
-                minority_cover = context_cover & db.cover_of(cell.sa_items)
-                counts = UnitCounts(
-                    db.unit_counts(context_cover),
-                    db.unit_counts(minority_cover),
-                )
+                counts = UnitCounts(*db.unit_counts_of(
+                    [cell.ca_items, cell.sa_items | cell.ca_items]
+                ))
                 test = randomization_test(
                     d_index.compute, counts, n_permutations=200, seed=0
                 )

@@ -18,39 +18,46 @@ companion's SegregationDataCubeBuilder): because segregation indexes are
    per-unit counts of ``cover(X)``; every requested segregation index is
    evaluated on those vectors.
 
-The fill stage is **columnar** by default (``engine="columnar"``): all
-candidate cells are counted at once through
-:meth:`~repro.itemsets.transactions.TransactionDatabase.unit_counts_of`,
-one integer kernel that ANDs each cell's item rows — the item covers
-re-packed with the rows in unit order — and reads the per-unit counts
-off a running popcount over the words, producing the ``(n_cells,
-n_units)`` minority matrix without unpacking any cover.  Every index is
-then evaluated per *context* through its batched kernel
-(:meth:`~repro.indexes.base.IndexSpec.compute_batch`) — one vectorized
-call over all cells sharing a context instead of one Python call per
-cell.  Results land directly in the cube's struct-of-arrays
-:class:`~repro.cube.table.CellTable`, in the order and with the bits of
-a scalar one-cell-at-a-time fill (the reference the tests and benchmark
-E17 keep).  Per-context populations and unit counts come from the same
-kernel, once per context, never re-derived per cell, and context covers
+The build core exists once.  Mining is one eclat DFS
+(:mod:`repro.itemsets.eclat`): pass 1 mines the contexts, pass 2 the
+typed SA/CA lattice.  The fill is one count-and-evaluate loop,
+:func:`count_and_eval`: candidate cells are grouped by context and cut
+into bounded batches; each batch is counted with one call of the
+popcount kernel
+(:func:`~repro.itemsets.transactions.count_unit_bits`, which ANDs each
+cell's item rows — the item covers re-packed with the rows in unit
+order — and reads the per-unit counts off a running popcount, without
+unpacking any cover), and each context slice of it is evaluated with
+:func:`eval_context_block` — one batched kernel call per index
+(:meth:`~repro.indexes.base.IndexSpec.compute_batch`) over all cells
+sharing a context.  Results land directly in the cube's
+struct-of-arrays :class:`~repro.cube.table.CellTable`, in mining order
+and with the bits of a scalar one-cell-at-a-time fill (the reference
+``tests/oracles.py`` keeps and benchmark E17 checks).  Per-context
+populations and unit counts come from the same kernel, once per
+context (:meth:`MinedCoordinates.of_contexts`), and context covers
 below ``min_population`` are discarded before any per-unit counting
 happens.
 
-An opt-in multiprocess variant (``engine="parallel"``,
-:mod:`repro.cube.parallel`, the package's only process pool) partitions
-the context groups across workers; each worker runs the exact same
-phases B/C (the same counting kernel and the shared
-:func:`eval_context_block`) over the shared unit-ordered item words, so
-the parallel cube is bit-exact against the columnar one.  It pays off
-only when the fill does a lot of work: on 2 CPUs, two workers lose to
-the columnar fill at 30k rows and win 1.29x per build at 2M rows.
-Mining always runs in-process: pooling the mining passes loses at every
-size measured, because every candidate cover would be pickled back.
+Three callers share that loop.  ``engine="columnar"`` (the default)
+runs it in-process over every context.  The opt-in ``engine="parallel"``
+(:mod:`repro.cube.parallel`, the package's only process pool) runs it in
+worker processes over partitions of the context groups, so the parallel
+cube is bit-exact against the columnar one; it pays off only when the
+fill does a lot of work (on 2 CPUs, two workers lose to the columnar
+fill at 30k rows and win 1.29x per build at 2M rows).  The incremental
+engine (:mod:`repro.cube.incremental`) runs the columnar fill over the
+contexts a date changed.  Mining always runs in-process: pooling the
+mining passes loses at every size measured, because every candidate
+cover would be pickled back.
 
 In ``closed`` mode only closed coordinates are materialised (non-closed
 itemsets select exactly the same minority as their closure); the cube
 carries a resolver that answers any other point query exactly from the
-item covers, so no information is lost.
+item covers.  It counts a cell with one ``unit_counts_of`` call and
+evaluates it with :func:`eval_context_block` as a one-row block, so a
+resolved cell has the bits a materialised one would, and no
+information is lost.
 """
 
 from __future__ import annotations
@@ -68,12 +75,15 @@ from repro.errors import CubeError
 from repro.etl.schema import Schema
 from repro.etl.table import Table
 from repro.indexes.base import IndexSpec, resolve_indexes
-from repro.indexes.counts import UnitCounts
 from repro.itemsets.closed import filter_closed
 from repro.itemsets.coverset import Cover, cover_digest
 from repro.itemsets.eclat import mine_eclat, mine_eclat_typed
 from repro.itemsets.miner import absolute_minsup
-from repro.itemsets.transactions import TransactionDatabase, encode_table
+from repro.itemsets.transactions import (
+    TransactionDatabase,
+    count_unit_bits,
+    encode_table,
+)
 
 Itemset = frozenset[int]
 
@@ -94,9 +104,11 @@ def eval_context_block(
     candidate cell of the context, one column per unit); ``tvec`` is the
     context's per-unit population vector.  Returns ``(totals, keep,
     values)`` where ``values`` is ``(n_specs, n_block_rows)`` with NaN
-    on dropped rows.  This is the single evaluation path shared by the
-    single-process columnar fill and the parallel workers — sharing it
-    is what makes ``engine="parallel"`` bit-exact.
+    on dropped rows.  This is the one evaluation path: every fill runs
+    it through :func:`count_and_eval`, and the closed-mode resolver on
+    a one-row block.  The kernels are row-independent, so a cell gets
+    the same bits in any block — which is what makes
+    ``engine="parallel"`` and resolved cells bit-exact.
     """
     totals = sub_all.sum(axis=1)
     keep_cells = totals >= minsup_min
@@ -115,33 +127,52 @@ def eval_context_block(
     return totals, keep_cells, values
 
 
-def plan_context_batches(
-    by_context: "dict[Itemset, list[int]]",
-    max_batch_cells: int,
-) -> "list[list[tuple[Itemset, list[int]]]]":
-    """Slice context groups into bounded batches of matrix rows.
+def count_and_eval(
+    groups: "list[tuple[np.ndarray, np.ndarray]]",
+    words: np.ndarray,
+    bounds: np.ndarray,
+    index_rows: np.ndarray,
+    specs: "list[IndexSpec]",
+    minsup_min: int,
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
+    """Phases B/C: count and evaluate context groups in bounded batches.
 
-    Kernels are row-independent, so contexts are sliced freely into
-    batches of exactly ``max_batch_cells`` rows (the last one smaller)
-    — the memory bound holds even when a single popular context
-    dominates the candidate set.
+    Each group is ``(tvec, rows)``: a context's per-unit population
+    vector and the ``index_rows`` rows of its SA-bearing candidate
+    cells.  The groups' rows, in order, are cut into batches of at most
+    ``_FILL_BATCH_CELLS // n_units`` rows — a popular context is sliced
+    across batches, so the bound holds whatever the groups' sizes.  Each
+    batch is counted with one :func:`count_unit_bits` call over the
+    unit-ordered item ``words`` and unit ``bounds``, and each context
+    slice in it is evaluated with :func:`eval_context_block`.  Returns
+    ``(rows, totals, keep, values)`` over the groups' rows in order.
+
+    This is the one phase B/C loop: the columnar fill runs it over every
+    group, each pool worker of ``engine="parallel"`` over its partition.
     """
-    batches: "list[list[tuple[Itemset, list[int]]]]" = []
-    batch_acc: "list[tuple[Itemset, list[int]]]" = []
-    room = max_batch_cells
-    for ca_part, rows in by_context.items():
-        start = 0
-        while start < len(rows):
-            take = rows[start:start + room]
-            batch_acc.append((ca_part, take))
-            start += len(take)
-            room -= len(take)
-            if room == 0:
-                batches.append(batch_acc)
-                batch_acc, room = [], max_batch_cells
-    if batch_acc:
-        batches.append(batch_acc)
-    return batches
+    sizes = [len(group_rows) for _, group_rows in groups]
+    rows = np.concatenate(
+        [np.zeros(0, dtype=np.int64)]
+        + [group_rows for _, group_rows in groups]
+    )
+    totals = np.empty(len(rows), dtype=np.int64)
+    keep = np.empty(len(rows), dtype=bool)
+    values = np.empty((len(specs), len(rows)))
+    max_batch = max(1, _FILL_BATCH_CELLS // max(1, len(bounds) - 1))
+    g, g_start = 0, 0          # the current group and its first row
+    for a in range(0, len(rows), max_batch):
+        b = min(a + max_batch, len(rows))
+        matrix = count_unit_bits(words, bounds, index_rows[rows[a:b]])
+        while g < len(groups) and g_start < b:
+            g_stop = g_start + sizes[g]
+            lo, hi = max(g_start, a), min(g_stop, b)
+            totals[lo:hi], keep[lo:hi], values[:, lo:hi] = eval_context_block(
+                specs, groups[g][0], matrix[lo - a:hi - a], minsup_min,
+            )
+            if g_stop > b:
+                break          # the group goes on in the next batch
+            g, g_start = g + 1, g_stop
+    return rows, totals, keep, values
 
 
 @dataclass
@@ -151,33 +182,26 @@ class CandidateArrays:
     ``rows_of[i] == -1`` marks a context-only candidate (no counting
     needed); otherwise it is the candidate's row in the SA count
     matrix / ``sa_itemsets`` list, which holds each SA-bearing cell's
-    minority itemset (SA and CA items together).
+    minority itemset (SA and CA items together).  ``groups`` holds one
+    ``(tvec, rows)`` pair per context with SA-bearing candidates, the
+    input of :func:`count_and_eval`.
     """
 
     keys: "list[CellKey]"
-    contexts: "list[Itemset]"
     sa_itemsets: "list[Itemset]"
     rows_of: np.ndarray
     pops: np.ndarray
     units_of: np.ndarray
-
-    def rows_by_context(self) -> "dict[Itemset, list[int]]":
-        """Group SA-bearing matrix rows by their context."""
-        by_context: "dict[Itemset, list[int]]" = {}
-        for cand, row in enumerate(self.rows_of):
-            if row >= 0:
-                by_context.setdefault(
-                    self.contexts[cand], []
-                ).append(int(row))
-        return by_context
+    groups: "list[tuple[np.ndarray, np.ndarray]]"
 
 
 @dataclass
 class MinedCoordinates:
     """Output of the mining passes, input of the fill stage."""
 
-    #: Mixed SA+CA itemset -> cover, within the coordinate lattice.
-    mixed_covers: "dict[Itemset, Cover]"
+    #: Cell key ``(SA part, CA part)`` of a mixed SA+CA itemset ->
+    #: its cover, within the coordinate lattice.
+    mixed_covers: "dict[CellKey, Cover]"
     #: Frequent context -> per-unit population vector ``t``.
     context_tvecs: "dict[Itemset, np.ndarray]"
     #: Frequent context -> total population (``t.sum()``, computed once).
@@ -193,6 +217,33 @@ class MinedCoordinates:
     #: incremental engine's closure-diff pass (see
     #: :func:`repro.itemsets.closed.closure_diff`).
     closed_info: "dict[Itemset, tuple[bytes, bool]] | None" = None
+
+    @classmethod
+    def of_contexts(
+        cls,
+        db: TransactionDatabase,
+        contexts: "list[Itemset]",
+        minsup_pop: int,
+        minsup_min: int,
+    ) -> "MinedCoordinates":
+        """The contexts' per-unit populations, counted once; no cells yet.
+
+        One ``unit_counts_of`` call counts every context; its population
+        and non-empty-unit count are derived here once, since every cell
+        of a context shares them.  The caller adds ``mixed_covers``.
+        """
+        tvecs = db.unit_counts_of(contexts)
+        return cls(
+            mixed_covers={},
+            context_tvecs=dict(zip(contexts, tvecs)),
+            context_pops=dict(zip(contexts, tvecs.sum(axis=1).tolist())),
+            context_nunits=dict(
+                zip(contexts, (tvecs > 0).sum(axis=1).tolist())
+            ),
+            minsup_pop=minsup_pop,
+            minsup_min=minsup_min,
+            n_contexts=len(contexts),
+        )
 
 
 class SegregationDataCubeBuilder:
@@ -328,7 +379,8 @@ class SegregationDataCubeBuilder:
         eclat's frequency bound, and the hand-added root context — the
         only other cover — is skipped when the table itself is too
         small).  The per-context population and non-empty-unit count are
-        derived once here — every cell of a context shares them.
+        derived once here (:meth:`MinedCoordinates.of_contexts`) — every
+        cell of a context shares them.
 
         Pass 2 mines frequent typed itemsets (the candidate cells) with
         covers, DFS-constrained to the coordinate lattice (at most
@@ -353,14 +405,9 @@ class SegregationDataCubeBuilder:
             # Skipping it here means no context that cannot produce a
             # cell ever pays for its per-unit counts.
             contexts.append(frozenset())
-        tvec_matrix = db.unit_counts_of(contexts)
-        pops_vec = tvec_matrix.sum(axis=1)
-        nunits_vec = (tvec_matrix > 0).sum(axis=1)
-        context_tvecs = {b: tvec_matrix[i] for i, b in enumerate(contexts)}
-        context_pops = {b: int(pops_vec[i]) for i, b in enumerate(contexts)}
-        context_nunits = {
-            b: int(nunits_vec[i]) for i, b in enumerate(contexts)
-        }
+        mined = MinedCoordinates.of_contexts(
+            db, contexts, minsup_pop, minsup_min
+        )
 
         mixed_minsup = min(minsup_min, minsup_pop)
         mixed_covers = mine_eclat_typed(
@@ -373,97 +420,97 @@ class SegregationDataCubeBuilder:
         )
         closed_info: "dict[Itemset, tuple[bytes, bool]] | None" = None
         if self.mode == "closed":
-            supports = {k: v.support() for k, v in mixed_covers.items()}
-            closed = filter_closed(supports)
+            itemsets = {key: key[0] | key[1] for key in mixed_covers}
+            closed = filter_closed({
+                itemsets[key]: cover.support()
+                for key, cover in mixed_covers.items()
+            })
             if self.engine == "incremental":
                 # Seed the closure-diff pass: flags for *every* mined
                 # itemset, non-closed ones included, so a later update
                 # can reuse any flag whose cover digest is unchanged.
                 closed_info = {
-                    k: (cover_digest(v), k in closed)
-                    for k, v in mixed_covers.items()
+                    itemsets[key]: (cover_digest(cover),
+                                    itemsets[key] in closed)
+                    for key, cover in mixed_covers.items()
                 }
-            kept = {k: v for k, v in mixed_covers.items() if k in closed}
-            kept[frozenset()] = mixed_covers[frozenset()]
-            mixed_covers = kept
-
-        return MinedCoordinates(
-            mixed_covers=mixed_covers,
-            context_tvecs=context_tvecs,
-            context_pops=context_pops,
-            context_nunits=context_nunits,
-            minsup_pop=minsup_pop,
-            minsup_min=minsup_min,
-            n_contexts=len(contexts),
-            closed_info=closed_info,
-        )
+            # The root is always closed, so it stays first.
+            mixed_covers = {
+                key: cover for key, cover in mixed_covers.items()
+                if itemsets[key] in closed
+            }
+        mined.mixed_covers = mixed_covers
+        mined.closed_info = closed_info
+        return mined
 
     # ------------------------------------------------------------------
     # Fill engines
     # ------------------------------------------------------------------
 
-    def _candidates(self, db: TransactionDatabase, mined: MinedCoordinates):
-        """Yield ``(key, ca_part, cover)`` for every in-lattice itemset
-        whose context survived the population threshold."""
-        for itemset, cover in mined.mixed_covers.items():
-            sa_part, ca_part = db.dictionary.split(itemset)
-            if (self.max_sa_items is not None
-                    and len(sa_part) > self.max_sa_items):
-                continue
-            if (self.max_ca_items is not None
-                    and len(ca_part) > self.max_ca_items):
-                continue
-            if ca_part not in mined.context_tvecs:
-                # Context below the population threshold: no cell.
-                continue
-            key: CellKey = (sa_part, ca_part)
-            yield key, ca_part, cover
+    @staticmethod
+    def _candidates(mined: MinedCoordinates):
+        """Yield ``(key, cover)`` for every mined cell whose context
+        survived the population threshold (a context below it has no
+        cell).  Mining keeps every key within the item caps."""
+        for key, cover in mined.mixed_covers.items():
+            if key[1] in mined.context_tvecs:
+                yield key, cover
 
     def _enumerate_candidates(
-        self, db: TransactionDatabase, mined: MinedCoordinates
+        self, mined: MinedCoordinates
     ) -> CandidateArrays:
         """Phase A — enumerate candidates in mining order (the order a
         one-cell-at-a-time fill inserts cells in).  Context-only cells
         (empty SA part) need no counting; SA-bearing cells queue their
-        minority itemsets."""
+        minority itemsets, grouped by context."""
         cand_keys: "list[CellKey]" = []
-        cand_ctx: "list[Itemset]" = []
         sa_itemsets: "list[Itemset]" = []
         sa_row: "list[int]" = []       # candidate -> matrix row (-1 = ctx)
-        for key, ca_part, _ in self._candidates(db, mined):
+        by_context: "dict[Itemset, list[int]]" = {}
+        for key, _ in self._candidates(mined):
+            sa_part, ca_part = key
             cand_keys.append(key)
-            cand_ctx.append(ca_part)
-            if key[0]:
+            if sa_part:
+                by_context.setdefault(ca_part, []).append(len(sa_itemsets))
                 sa_row.append(len(sa_itemsets))
-                sa_itemsets.append(key[0] | ca_part)
+                sa_itemsets.append(sa_part | ca_part)
             else:
                 sa_row.append(-1)
         n_cand = len(cand_keys)
         return CandidateArrays(
             keys=cand_keys,
-            contexts=cand_ctx,
             sa_itemsets=sa_itemsets,
             rows_of=np.array(sa_row, dtype=np.int64),
             pops=np.fromiter(
-                (mined.context_pops[b] for b in cand_ctx),
+                (mined.context_pops[ca] for _, ca in cand_keys),
                 dtype=np.int64, count=n_cand,
             ),
             units_of=np.fromiter(
-                (mined.context_nunits[b] for b in cand_ctx),
+                (mined.context_nunits[ca] for _, ca in cand_keys),
                 dtype=np.int64, count=n_cand,
             ),
+            groups=[
+                (mined.context_tvecs[ca], np.array(rows, dtype=np.int64))
+                for ca, rows in by_context.items()
+            ],
         )
 
     def _assemble_cells(
         self,
         db: TransactionDatabase,
         cand: CandidateArrays,
-        minority_totals: np.ndarray,
-        kept_rows: np.ndarray,
-        values: np.ndarray,
+        counted: "list[tuple[np.ndarray, ...]]",
     ) -> CellTable:
-        """Phase D — scatter the surviving candidates into the store,
-        keeping mining order."""
+        """Phase D — scatter the :func:`count_and_eval` results, then the
+        surviving candidates into the store, keeping mining order."""
+        n_sa = len(cand.sa_itemsets)
+        minority_totals = np.zeros(n_sa, dtype=np.int64)
+        kept_rows = np.zeros(n_sa, dtype=bool)
+        values = np.full((len(self.indexes), n_sa), np.nan)
+        for rows, totals, keep, block in counted:
+            minority_totals[rows] = totals
+            kept_rows[rows] = keep
+            values[:, rows] = block
         rows_of, pops = cand.rows_of, cand.pops
         is_ctx = rows_of < 0
         emit = is_ctx.copy()
@@ -491,100 +538,34 @@ class SegregationDataCubeBuilder:
     def _fill_columnar(
         self, db: TransactionDatabase, mined: MinedCoordinates
     ) -> CellTable:
-        """Batch-evaluate every candidate cell through count matrices.
+        """Count and evaluate every candidate cell in-process.
 
-        SA-bearing candidates are grouped by context and processed in
-        bounded batches of contexts: each batch gets its minority-count
-        matrix from one ``unit_counts_of`` kernel call, rows below
-        ``min_minority`` are dropped with one mask, and each index is
-        evaluated per context with a single batched kernel call over
-        that context's surviving rows (:func:`eval_context_block`).
+        SA-bearing candidates are grouped by context and run through
+        :func:`count_and_eval`: bounded batches, one counting-kernel call
+        per batch, one batched kernel call per index and context slice.
         Only per-cell scalars (minority totals, index values) persist
         across batches, so peak memory is bounded by the batch size,
         not ``n_cells * n_units``.
         """
-        specs = self.indexes
-        cand = self._enumerate_candidates(db, mined)
-        sa_itemsets = cand.sa_itemsets
-
-        # Phase B/C — count and evaluate per bounded batch of contexts.
-        # Grouping by context lets each batch share one counting-kernel
-        # call and one kernel-input preparation per context; the count
-        # matrix of a batch is discarded once its minority totals and
-        # index values are extracted.
-        by_context = cand.rows_by_context()
-        minority_totals = np.zeros(len(sa_itemsets), dtype=np.int64)
-        kept_rows = np.zeros(len(sa_itemsets), dtype=bool)
-        values = np.full((len(specs), len(sa_itemsets)), np.nan)
-        n_units = max(1, db.n_units)
-        max_batch_cells = max(1, _FILL_BATCH_CELLS // n_units)
-        for batch in plan_context_batches(by_context, max_batch_cells):
-            matrix = db.unit_counts_of(
-                [sa_itemsets[r] for _, rows in batch for r in rows]
-            )
-            offset = 0
-            for ca_part, rows in batch:
-                sub_all = matrix[offset:offset + len(rows)]
-                offset += len(rows)
-                totals, keep_cells, block = eval_context_block(
-                    specs, mined.context_tvecs[ca_part], sub_all,
-                    mined.minsup_min,
-                )
-                minority_totals[rows] = totals
-                kept_rows[rows] = keep_cells
-                values[:, rows] = block
-
-        return self._assemble_cells(
-            db, cand, minority_totals, kept_rows, values
+        cand = self._enumerate_candidates(mined)
+        words, bounds = db.unit_words()
+        counted = count_and_eval(
+            cand.groups, words, bounds,
+            db.item_index_rows(cand.sa_itemsets),
+            self.indexes, mined.minsup_min,
         )
-
-    # ------------------------------------------------------------------
-
-    def _make_cell(
-        self,
-        key: CellKey,
-        minority_cover: "Cover | None",
-        context_tvec: np.ndarray,
-        db: TransactionDatabase,
-        minsup_pop: int,
-        minsup_min: int,
-    ) -> "CellStats | None":
-        """Fill one cell from covers; None when below thresholds."""
-        population = int(context_tvec.sum())
-        if population < minsup_pop:
-            return None
-        n_units = int((context_tvec > 0).sum())
-        sa_part, _ = key
-        if not sa_part:
-            # Context-only navigation cell: indexes undefined by design.
-            return CellStats(
-                key=key,
-                population=population,
-                minority=population,
-                n_units=n_units,
-                indexes={spec.name: float("nan") for spec in self.indexes},
-            )
-        mvec = db.unit_counts(minority_cover)
-        minority = int(mvec.sum())
-        if minority < minsup_min:
-            return None
-        counts = UnitCounts(context_tvec, mvec)
-        indexes = {spec.name: spec.compute(counts) for spec in self.indexes}
-        return CellStats(
-            key=key,
-            population=population,
-            minority=minority,
-            n_units=n_units,
-            indexes=indexes,
-        )
+        return self._assemble_cells(db, cand, [counted])
 
 
 class _LazyResolver:
     """Answers point queries for cells absent from the materialised cube.
 
-    Works directly on the item covers: exact, and O(|items| * rows) per
-    query.  Returns None when the queried cell is below the builder's
-    thresholds (so lazy answers agree with materialisation).
+    Works directly on the item covers: one ``unit_counts_of`` call
+    counts the context and the minority, and :func:`eval_context_block`
+    evaluates the cell as a one-row block — the fill's own kernels, so
+    a resolved cell has the bits a materialised one would.  Returns
+    None when the queried cell is below the builder's thresholds (so
+    lazy answers agree with materialisation).
     """
 
     def __init__(
@@ -602,25 +583,41 @@ class _LazyResolver:
     def warm(self) -> None:
         """Force the database's lazily built shared state.
 
-        The item covers and the unit→rows grouping are cached on first
-        use without a lock; building them up front (the serving layer
-        calls this) makes every later resolver call a pure read, safe
-        for concurrent reader threads.
+        The item covers, the unit grouping and the unit-ordered item
+        rows are cached on first use without a lock; building them up
+        front (the serving layer calls this) makes every later resolver
+        call a pure read, safe for concurrent reader threads.
         """
-        self._db.covers()
-        self._db.unit_counts(self._db.full_cover())
+        self._db.unit_words()
 
     def __call__(self, key: CellKey) -> "CellStats | None":
         sa_part, ca_part = key
-        context_cover = self._db.cover_of(ca_part)
-        tvec = self._db.unit_counts(context_cover)
-        minority_cover = (
-            context_cover & self._db.cover_of(sa_part) if sa_part
-            else context_cover
-        )
-        return self._builder._make_cell(
-            key, minority_cover, tvec, self._db, self._minsup_pop,
-            self._minsup_min
+        counts = self._db.unit_counts_of([ca_part, sa_part | ca_part])
+        tvec = counts[0]
+        population = int(tvec.sum())
+        if population < self._minsup_pop:
+            return None
+        specs = self._builder.indexes
+        # A context-only cell is a navigation cell: indexes undefined.
+        minority = population
+        indexes = {spec.name: float("nan") for spec in specs}
+        if sa_part:
+            totals, keep, values = eval_context_block(
+                specs, tvec, counts[1:], self._minsup_min
+            )
+            if not keep[0]:
+                return None
+            minority = int(totals[0])
+            indexes = {
+                spec.name: float(values[j, 0])
+                for j, spec in enumerate(specs)
+            }
+        return CellStats(
+            key=key,
+            population=population,
+            minority=minority,
+            n_units=int((tvec > 0).sum()),
+            indexes=indexes,
         )
 
 

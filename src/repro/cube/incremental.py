@@ -12,7 +12,9 @@ view maintenance to the columnar cube instead:
    so the covers of two dates index the same rows and are directly
    comparable;
 2. between two dates only the rows in ``valid_old XOR valid_new``
-   changed.  A context whose union cover misses every changed row has a
+   changed: one XOR of the two dates' live-row covers (their sizes
+   must agree), and an item is *affected* when its cover meets that
+   XOR.  A context whose union cover misses every changed row has a
    bit-identical cover — hence bit-identical per-unit counts, cell set
    and index values — at both dates, so its cube rows are **carried
    over verbatim** from the previous :class:`~repro.cube.table.CellTable`;
@@ -22,7 +24,9 @@ view maintenance to the columnar cube instead:
    context's population vector is also bit-identical (compared by
    blake2b digest) the whole cube row is carried verbatim from the
    parent table — only genuinely changed cells re-enter the columnar
-   counting + ``eval_context_block`` path.  The provenance records the
+   fill (the recomputed contexts are counted through
+   :meth:`~repro.cube.builder.MinedCoordinates.of_contexts`, as a full
+   build counts its contexts).  The provenance records the
    split as ``n_carried_cells`` (whole contexts),
    ``n_carried_cells_within_affected`` and ``n_recomputed_cells``;
 4. ``mode="closed"`` rides the same machinery through a *closure diff*:
@@ -64,12 +68,12 @@ from repro.cube.builder import (
     SegregationDataCubeBuilder,
     _LazyResolver,
 )
+from repro.cube.coordinates import CellKey
 from repro.cube.cube import CubeMetadata, SegregationCube
 from repro.cube.table import CellTable
 from repro.errors import CubeError
-from repro.etl.diff import TableDiff
 from repro.itemsets.closed import closure_diff
-from repro.itemsets.coverset import Cover
+from repro.itemsets.coverset import Cover, as_cover
 from repro.itemsets.eclat import mine_eclat
 from repro.itemsets.miner import absolute_minsup
 from repro.itemsets.transactions import TransactionDatabase
@@ -147,11 +151,6 @@ class TemporalCubeEngine:
 
     # ------------------------------------------------------------------
 
-    def _as_cover(self, valid: "Cover | np.ndarray") -> Cover:
-        if isinstance(valid, Cover):
-            return valid
-        return self.db.as_cover(np.asarray(valid, dtype=bool))
-
     def _group_closed_info(
         self,
         flat: "ClosedInfo | None",
@@ -174,7 +173,7 @@ class TemporalCubeEngine:
         self, valid: "Cover | np.ndarray", date: "int | None" = None
     ) -> TemporalBuildState:
         """Full (cold) columnar build at one date; seeds the timeline."""
-        active = self._as_cover(valid)
+        active = as_cover(valid)
         db = self.db.restrict(active)
         cube, mined = self.builder._build_mined(db)
         contexts = frozenset(mined.context_tvecs)
@@ -237,14 +236,12 @@ class TemporalCubeEngine:
     ) -> TemporalBuildState:
         """Advance the timeline one date, recomputing only what changed."""
         started = time.perf_counter()
-        active = self._as_cover(valid)
-        diff = TableDiff(
-            old_date=state.date if state.date is not None else 0,
-            new_date=date if date is not None else 0,
-            valid_old=state.active.to_bools(),
-            valid_new=active.to_bools(),
-        )
-        if diff.n_changed == 0:
+        active = as_cover(valid)
+        # The rows whose validity flipped: one XOR of the two dates'
+        # live-row covers (their sizes must agree).
+        changed = state.active ^ active
+        n_changed = changed.support()
+        if n_changed == 0:
             return replace(
                 state,
                 date=date,
@@ -262,8 +259,12 @@ class TemporalCubeEngine:
             # untouched cover no longer implies an unchanged cell set.
             return self.build_at(active, date)
 
-        changed = self.db.as_cover(diff.changed_mask)
-        affected_items = frozenset(diff.affected_items(self.db))
+        # An item on no changed row has the same cover at both dates, so
+        # no itemset holding it changed: the wedge through the lattice.
+        affected_items = frozenset(
+            item for item, cover in self.db.covers().items()
+            if cover.intersect_support(changed)
+        )
 
         # Split the previous frequent contexts into carried (provably
         # untouched by the change) and dropped-for-recomputation.  The
@@ -301,13 +302,12 @@ class TemporalCubeEngine:
         # Count the recomputed contexts' population vectors up front:
         # their digests against the previous date's are what licenses
         # carrying individual cells inside an affected context.
-        recompute_list = list(recompute)
-        tvec_matrix = db.unit_counts_of(recompute_list)
-        pops_vec = tvec_matrix.sum(axis=1)
-        nunits_vec = (tvec_matrix > 0).sum(axis=1)
+        mined = MinedCoordinates.of_contexts(
+            db, list(recompute), minsup_pop, minsup_min
+        )
         new_digests = {
-            context: _tvec_digest(tvec_matrix[i])
-            for i, context in enumerate(recompute_list)
+            context: _tvec_digest(tvec)
+            for context, tvec in mined.context_tvecs.items()
         }
 
         # Enumerate the candidate cells of each recomputed context: SA
@@ -373,7 +373,7 @@ class TemporalCubeEngine:
         prev_digests = state.context_digests or {}
         prev_table = state.cube.table
         carried_within_rows: "list[int]" = []
-        mixed_covers: "dict[Itemset, Cover]" = {}
+        mixed_covers: "dict[CellKey, Cover]" = {}
         sa_static: "dict[Itemset, Cover]" = {}
         for context, cands in candidates.items():
             tvec_same = (
@@ -397,7 +397,7 @@ class TemporalCubeEngine:
                     if prev_row is not None:
                         carried_within_rows.append(prev_row)
                     else:
-                        mixed_covers[itemset] = cover
+                        mixed_covers[(sa_part, context)] = cover
                     continue
                 # Untouched when any single item misses every changed
                 # row (item-level screen, no cover work), or when the
@@ -422,28 +422,11 @@ class TemporalCubeEngine:
                         # was dropped by the minority threshold — its
                         # unchanged total drops it again.
                         continue
-                mixed_covers[itemset] = cover
+                mixed_covers[(sa_part, context)] = cover
 
         # Count and fill the recomputed cells through the ordinary
         # columnar engine (bit-exact with a from-scratch build).
-        mined = MinedCoordinates(
-            mixed_covers=mixed_covers,
-            context_tvecs={
-                context: tvec_matrix[i]
-                for i, context in enumerate(recompute_list)
-            },
-            context_pops={
-                context: int(pops_vec[i])
-                for i, context in enumerate(recompute_list)
-            },
-            context_nunits={
-                context: int(nunits_vec[i])
-                for i, context in enumerate(recompute_list)
-            },
-            minsup_pop=minsup_pop,
-            minsup_min=minsup_min,
-            n_contexts=len(carried) + len(recompute),
-        )
+        mined.mixed_covers = mixed_covers
         fresh = self.builder._fill_columnar(db, mined)
 
         # Merge: carried rows — whole contexts and individual cells of
@@ -487,7 +470,7 @@ class TemporalCubeEngine:
                 "n_contexts": len(carried) + len(recompute),
                 "n_carried_contexts": len(carried),
                 "n_recomputed_contexts": len(recompute),
-                "n_changed_rows": diff.n_changed,
+                "n_changed_rows": n_changed,
                 "n_carried_cells": len(ctx_keep),
                 "n_carried_cells_within_affected": len(
                     carried_within_rows

@@ -17,16 +17,18 @@ pool of worker processes:
   of MB;
 * context groups are partitioned greedy largest-first by cell count, so
   one popular context cannot serialise the fill behind it;
-* each worker runs the exact kernels of the single-process engine
-  (:func:`~repro.itemsets.transactions.count_unit_bits` plus the shared
-  :func:`~repro.cube.builder.eval_context_block`) over its contexts, in
-  the same ``_FILL_BATCH_CELLS``-bounded batches;
-* the parent scatters the returned column slabs into the candidate
-  arrays and assembles one :class:`~repro.cube.table.CellTable` through
-  the same phase D as ``engine="columnar"``.
+* each worker runs the single-process engine's own loop,
+  :func:`~repro.cube.builder.count_and_eval`, over its contexts: the
+  same ``_FILL_BATCH_CELLS``-bounded batches, each counted with one
+  :func:`~repro.itemsets.transactions.count_unit_bits` call and
+  evaluated with :func:`~repro.cube.builder.eval_context_block`;
+* the parent hands the returned slabs to the same phase D as
+  ``engine="columnar"``, which scatters them into the candidate arrays
+  and assembles one :class:`~repro.cube.table.CellTable`.
 
-Because every number is produced by the very same NumPy call sequence on
-the very same inputs, the parallel cube is **bit-exact** (``atol=0``)
+Because every number is produced by the very same code on the very same
+inputs, and the kernels are row-independent (a worker's batches may cut
+the groups elsewhere), the parallel cube is **bit-exact** (``atol=0``)
 against the columnar one — ``tests/test_cube_parallel.py`` asserts this
 on every dataset it builds, in both modes.
 
@@ -64,14 +66,13 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.cube.builder import (
-    _FILL_BATCH_CELLS,
     MinedCoordinates,
     SegregationDataCubeBuilder,
-    eval_context_block,
+    count_and_eval,
 )
 from repro.cube.table import CellTable
 from repro.errors import CubeError
-from repro.itemsets.transactions import TransactionDatabase, count_unit_bits
+from repro.itemsets.transactions import TransactionDatabase
 
 #: How often a worker checks that its parent is still alive, in seconds.
 _PARENT_POLL_S = 0.1
@@ -125,36 +126,6 @@ def _mp_context():
     )
 
 
-def _fill_partition(
-    groups: list, specs: list, minsup_min: int, arrays: dict
-) -> list:
-    """Phases B/C over one partition's context groups.
-
-    Each group is ``(tvec, rows)``: the context's per-unit population
-    vector and the index rows of its candidate cells.  Returns
-    ``[(rows, totals, keep, values), ...]`` — arrays owned by the
-    worker, safe to pickle back.
-    """
-    words, bounds = arrays["words"], arrays["bounds"]
-    index_rows = arrays["index_rows"]
-    max_batch = max(1, _FILL_BATCH_CELLS // max(1, len(bounds) - 1))
-    out = []
-    for tvec, rows in groups:
-        totals = np.empty(len(rows), dtype=np.int64)
-        keep = np.empty(len(rows), dtype=bool)
-        values = np.empty((len(specs), len(rows)))
-        for a in range(0, len(rows), max_batch):
-            block_rows = rows[a:a + max_batch]
-            sub_all = count_unit_bits(words, bounds, index_rows[block_rows])
-            t, k, v = eval_context_block(specs, tvec, sub_all, minsup_min)
-            b = a + len(block_rows)
-            totals[a:b] = t
-            keep[a:b] = k
-            values[:, a:b] = v
-        out.append((rows, totals, keep, values))
-    return out
-
-
 def fill_parallel(
     builder: SegregationDataCubeBuilder,
     db: TransactionDatabase,
@@ -163,25 +134,18 @@ def fill_parallel(
     """Fill the cube with ``builder.workers`` processes; bit-exact vs
     the columnar engine.
 
-    Shares phase A (candidate enumeration) and phase D (assembly) with
-    ``_fill_columnar``; phases B/C run in the worker pool.  With no
-    SA-bearing candidates there is nothing to count and no pool is
+    Shares phase A (candidate enumeration), phases B/C
+    (:func:`~repro.cube.builder.count_and_eval`, run by each worker over
+    its partition) and phase D (assembly) with ``_fill_columnar``.  With
+    no SA-bearing candidates there is nothing to count and no pool is
     spawned; otherwise the pool runs even for one worker, so a
     ``workers=1`` build exercises the genuine multiprocess path.
     """
-    specs = builder.indexes
-    cand = builder._enumerate_candidates(db, mined)
-    n_sa = len(cand.sa_itemsets)
-    minority_totals = np.zeros(n_sa, dtype=np.int64)
-    kept_rows = np.zeros(n_sa, dtype=bool)
-    values = np.full((len(specs), n_sa), np.nan)
-    groups = [
-        (mined.context_tvecs[ctx], np.asarray(rows, dtype=np.int64))
-        for ctx, rows in cand.rows_by_context().items()
-    ]
-    if groups:
+    cand = builder._enumerate_candidates(mined)
+    counted = []
+    if cand.groups:
         partitions = balanced_partition(
-            [len(rows) for _, rows in groups],
+            [len(rows) for _, rows in cand.groups],
             resolve_workers(builder.workers),
         )
         words, bounds = db.unit_words()
@@ -190,17 +154,11 @@ def fill_parallel(
             "bounds": bounds,
             "index_rows": db.item_index_rows(cand.sa_itemsets),
         }
-        for part in _run_pool(
-            [[groups[i] for i in part] for part in partitions],
-            arrays, specs, mined.minsup_min,
-        ):
-            for rows, totals, keep, vals in part:
-                minority_totals[rows] = totals
-                kept_rows[rows] = keep
-                values[:, rows] = vals
-    return builder._assemble_cells(
-        db, cand, minority_totals, kept_rows, values
-    )
+        counted = _run_pool(
+            [[cand.groups[i] for i in part] for part in partitions],
+            arrays, builder.indexes, mined.minsup_min,
+        )
+    return builder._assemble_cells(db, cand, counted)
 
 
 def _run_pool(
@@ -209,7 +167,7 @@ def _run_pool(
     specs: list,
     minsup_min: int,
 ) -> list:
-    """Run :func:`_fill_partition` over every partition, one worker each.
+    """Run :func:`count_and_eval` over every partition, one worker each.
 
     ``arrays`` maps names to the NumPy arrays the workers share; it is
     emptied as the arrays are copied into their segments, so the
@@ -298,7 +256,7 @@ def _exit_with_parent(parent_pid: int) -> None:
     os._exit(1)
 
 
-def _fill_task(partition: list) -> list:
+def _fill_task(partition: list) -> tuple:
     """Pool task: attach the shared segments and fill one partition."""
     specs, minsup_min, layout = _WORKER
     # Attaching re-registers a segment with the resource tracker; pool
@@ -309,10 +267,14 @@ def _fill_task(partition: list) -> list:
         for name, spec in layout.items()
     }
     try:
-        return _fill_partition(partition, specs, minsup_min, {
+        arrays = {
             name: np.ndarray(shape, dtype, buffer=attached[name].buf)
             for name, (_, shape, dtype) in layout.items()
-        })
+        }
+        return count_and_eval(
+            partition, arrays["words"], arrays["bounds"],
+            arrays["index_rows"], specs, minsup_min,
+        )
     finally:
         for segment in attached.values():
             segment.close()

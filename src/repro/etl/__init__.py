@@ -11,13 +11,7 @@ from repro.etl.builder import (
     tabular_final_table,
 )
 from repro.etl.csvio import read_table, write_rows, write_table
-from repro.etl.diff import (
-    OPEN_END,
-    OPEN_START,
-    TableDiff,
-    interval_bounds,
-    valid_at,
-)
+from repro.etl.diff import OPEN_END, OPEN_START, interval_bounds, valid_at
 from repro.etl.sqlio import read_query, write_table_sql
 from repro.etl.stream import DEFAULT_CHUNK_ROWS, stream_csv, stream_query
 from repro.etl.schema import AttributeSpec, Role, Schema
@@ -50,7 +44,6 @@ __all__ = [
     "Role",
     "Schema",
     "Table",
-    "TableDiff",
     "TemporalMembership",
     "UNIT_COLUMN",
     "build_final_table",

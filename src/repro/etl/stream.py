@@ -10,7 +10,9 @@ Both streams type a chunk through :func:`_type_columns`, one column at a
 time, under one set of cell rules:
 
 * a multi-valued cell is a ``|``-separated value set; None and ``""``
-  are the empty set;
+  are the empty set, and a cell with an empty member (``a||b``,
+  ``|a``, ``a|``, ``|``) raises :class:`~repro.errors.TableError`
+  naming the column and the cell;
 * an integer cell is an ``int`` (not a ``bool``) or text ``int()``
   parses; any other cell (a float, a bool, None) raises
   :class:`~repro.errors.TableError`, so a value is never truncated;
@@ -22,7 +24,8 @@ Both writers (:func:`repro.etl.csvio.write_table` and
 :func:`format_set`, the inverse of the first rule: members in ``str``
 order joined by ``|``.  A set that rule cannot read back, one holding
 ``""`` or a member containing ``|``, raises
-:class:`~repro.errors.TableError` instead of being written.
+:class:`~repro.errors.TableError` instead of being written; so the
+readers and the writers refuse the same sets.
 
 Chunks feed an :class:`~repro.itemsets.transactions.EncodeAccumulator`
 (or :meth:`~repro.itemsets.transactions.TransactionDatabase.from_chunks`),
@@ -120,9 +123,18 @@ def _type_columns(
             # cell holds one more value than it has separators.
             texts = ["" if v is None else str(v) for v in values]
             joined = SET_SEPARATOR.join(filter(None, texts))
+            members = joined.split(SET_SEPARATOR) if joined else []
+            if "" in members:
+                cell = next(
+                    t for t in texts if t and "" in t.split(SET_SEPARATOR)
+                )
+                raise TableError(
+                    f"column {name!r}: cell {cell!r} has an empty set "
+                    "member"
+                )
             built[name] = MultiValuedColumn.from_flat(
                 [t.count(SET_SEPARATOR) + 1 if t else 0 for t in texts],
-                joined.split(SET_SEPARATOR) if joined else [],
+                members,
             )
         elif name in ints:
             built[name] = _int_column(name, values)

@@ -136,6 +136,10 @@ class CoverSet:
         self._check_size(other)
         return CoverSet(self.words | other.words, self.n_bits)
 
+    def __xor__(self, other: "CoverSet") -> "CoverSet":
+        self._check_size(other)
+        return CoverSet(self.words ^ other.words, self.n_bits)
+
     def support(self) -> int:
         """Number of covered transactions (popcount)."""
         return popcount_words(self.words)

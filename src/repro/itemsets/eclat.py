@@ -7,9 +7,17 @@ counts.  Covers are packed ``uint64`` bitmaps
 (:class:`~repro.itemsets.coverset.CoverSet`), so intersection is a
 word-wise AND and support a vectorized popcount.
 
-``mine_eclat`` takes its DFS roots from :func:`frequent_triples` (the
-frequent 1-items, sorted by ascending support) and runs the DFS from
-each root in turn, in-process.
+One DFS kernel, :func:`_dfs_typed`, serves both entry points.  Each
+node ANDs one item's cover into its prefix's cover and is kept when the
+popcount reaches ``minsup``; items are typed SA or CA, and per-kind caps
+prune a subtree before any AND.  The prefix is carried split into its SA
+and CA items, so a mined itemset never has to be split afterwards.
+:func:`mine_eclat_typed` mines the cube's typed lattice (at most
+``max_sa`` SA and ``max_ca`` CA items) keyed by that split, the cell
+key; :func:`mine_eclat` runs the same kernel with every item of one
+kind, so ``max_len`` is that kind's cap.  Both take their roots from
+:func:`frequent_triples` (the frequent 1-items, sorted by ascending
+support) and run in-process.
 """
 
 from __future__ import annotations
@@ -25,8 +33,8 @@ Itemset = frozenset[int]
 #: One frequent 1-item: ``(item id, cover, support)``.
 FrequentTriple = "tuple[int, Cover, int]"
 
-#: Emission callback: ``record(itemset_tuple, cover, support)``.
-Record = "Callable[[tuple[int, ...], Cover, int], None]"
+#: Emission callback: ``record(sa_items, ca_items, cover, support)``.
+Record = "Callable[[tuple[int, ...], tuple[int, ...], Cover, int], None]"
 
 
 def frequent_triples(
@@ -76,25 +84,43 @@ def frequent_triples(
     return frequent
 
 
-def _dfs(
-    prefix: "tuple[int, ...]",
+def _dfs_typed(
+    sa: "tuple[int, ...]",
+    ca: "tuple[int, ...]",
     prefix_cover: Cover,
     tail: "list[FrequentTriple]",
+    sa_set: "frozenset[int]",
     minsup: int,
-    max_len: "int | None",
+    max_sa: "int | None",
+    max_ca: "int | None",
     record: "Record",
 ) -> None:
-    """The eclat DFS over one conditional tail (the single shared kernel)."""
-    if max_len is not None and len(prefix) >= max_len:
-        return
+    """The eclat DFS over one conditional tail: the one mining kernel.
+
+    The prefix is carried split into its SA items ``sa`` and its CA
+    items ``ca``.  An item of ``tail`` is an SA item when it is in
+    ``sa_set``, else a CA item; the per-kind caps ``max_sa`` /
+    ``max_ca`` are enforced mid-search, so a subtree past a cap is
+    never entered, and every frequent node is recorded already split.
+    """
+    sa_room = max_sa is None or len(sa) < max_sa
+    ca_room = max_ca is None or len(ca) < max_ca
     for pos, (item, item_cover, _) in enumerate(tail):
+        if item in sa_set:
+            if not sa_room:
+                continue
+            next_sa, next_ca = sa + (item,), ca
+        else:
+            if not ca_room:
+                continue
+            next_sa, next_ca = sa, ca + (item,)
         cover = prefix_cover & item_cover
         support = cover.support()
         if support < minsup:
             continue
-        itemset = prefix + (item,)
-        record(itemset, cover, support)
-        _dfs(itemset, cover, tail[pos + 1:], minsup, max_len, record)
+        record(next_sa, next_ca, cover, support)
+        _dfs_typed(next_sa, next_ca, cover, tail[pos + 1:], sa_set, minsup,
+                   max_sa, max_ca, record)
 
 
 def mine_eclat(
@@ -106,6 +132,9 @@ def mine_eclat(
     within: "Cover | None" = None,
 ) -> "dict[Itemset, int] | dict[Itemset, Cover]":
     """Mine all frequent itemsets (support >= ``minsup``), depth-first.
+
+    The typed DFS with every item of one kind, so ``max_len`` is that
+    kind's cap.  The empty itemset is not reported.
 
     Parameters
     ----------
@@ -126,54 +155,17 @@ def mine_eclat(
     if minsup < 1:
         raise MiningError(f"minsup must be >= 1, got {minsup}")
     frequent = frequent_triples(db, minsup, items=items, within=within)
+    out: "dict[Itemset, int] | dict[Itemset, Cover]" = {}
 
-    out_covers: dict[Itemset, Cover] = {}
-    out_supports: dict[Itemset, int] = {}
+    def record(sa: "tuple[int, ...]", ca: "tuple[int, ...]", cover: Cover,
+               support: int) -> None:
+        out[frozenset(ca)] = cover if with_covers else support
 
-    def record(itemset: "tuple[int, ...]", cover: Cover, support: int) -> None:
-        key = frozenset(itemset)
-        if with_covers:
-            out_covers[key] = cover
-        else:
-            out_supports[key] = support
-
-    for pos, (item, item_cover, support) in enumerate(frequent):
-        record((item,), item_cover, support)
-        _dfs((item,), item_cover, frequent[pos + 1:], minsup, max_len,
-             record)
-    return out_covers if with_covers else out_supports
-
-
-def _dfs_typed(
-    prefix: "tuple[int, ...]",
-    prefix_cover: Cover,
-    n_sa: int,
-    n_ca: int,
-    tail: "list[FrequentTriple]",
-    sa_set: "frozenset[int] | set[int]",
-    minsup: int,
-    max_sa: "int | None",
-    max_ca: "int | None",
-    record: "Record",
-) -> None:
-    """The typed eclat DFS kernel (per-kind caps enforced mid-search)."""
-    for pos, (item, item_cover, _) in enumerate(tail):
-        if item in sa_set:
-            d_sa, d_ca = 1, 0
-        else:
-            d_sa, d_ca = 0, 1
-        if max_sa is not None and n_sa + d_sa > max_sa:
-            continue
-        if max_ca is not None and n_ca + d_ca > max_ca:
-            continue
-        cover = prefix_cover & item_cover
-        support = cover.support()
-        if support < minsup:
-            continue
-        itemset = prefix + (item,)
-        record(itemset, cover, support)
-        _dfs_typed(itemset, cover, n_sa + d_sa, n_ca + d_ca,
-                   tail[pos + 1:], sa_set, minsup, max_sa, max_ca, record)
+    # Every item is a CA item here: ``max_len`` is the CA cap.
+    root = db.full_cover() if within is None else within
+    _dfs_typed((), (), root, frequent, frozenset(), minsup, None, max_len,
+               record)
+    return out
 
 
 def mine_eclat_typed(
@@ -183,7 +175,7 @@ def mine_eclat_typed(
     ca_ids: "list[int]",
     max_sa: "int | None" = None,
     max_ca: "int | None" = None,
-) -> "dict[Itemset, Cover]":
+) -> "dict[tuple[Itemset, Itemset], Cover]":
     """Eclat DFS constrained by per-kind item caps (the cube's lattice).
 
     Cube coordinates are typed: a cell has at most ``max_sa`` SA items
@@ -194,29 +186,27 @@ def mine_eclat_typed(
     pruning cuts subtrees, cover intersections are shared with the
     parent prefix).
 
-    Returns covers for every frequent itemset within the caps,
-    including the empty itemset's all-true cover.  Roots are the SA ids
-    followed by the CA ids, stably sorted by support, so the emission
-    order is deterministic.
+    Returns the cover of every frequent itemset within the caps, keyed
+    by its ``(SA part, CA part)`` split — the cell key, carried down the
+    DFS so no itemset is split afterwards — including the empty
+    itemset's all-true cover.  Roots are the SA ids followed by the CA
+    ids, stably sorted by support, so the emission order is
+    deterministic.
     """
     if minsup < 1:
         raise MiningError(f"minsup must be >= 1, got {minsup}")
-    covers = db.covers()
-    supports = db.cached_item_supports()
-    frequent = [
-        (i, covers[i], int(supports[i]))
-        for i in list(sa_ids) + list(ca_ids)
-        if supports[i] >= minsup
-    ]
-    frequent.sort(key=lambda triple: triple[2])
+    frequent = frequent_triples(
+        db, minsup, items=list(sa_ids) + list(ca_ids)
+    )
     full_cover = db.full_cover()
+    out: "dict[tuple[Itemset, Itemset], Cover]" = {
+        (frozenset(), frozenset()): full_cover
+    }
 
-    out: dict[Itemset, Cover] = {frozenset(): full_cover}
+    def record(sa: "tuple[int, ...]", ca: "tuple[int, ...]", cover: Cover,
+               support: int) -> None:
+        out[(frozenset(sa), frozenset(ca))] = cover
 
-    def record(itemset: "tuple[int, ...]", cover: Cover, support: int) -> None:
-        out[frozenset(itemset)] = cover
-
-    _dfs_typed((), full_cover, 0, 0, frequent, set(sa_ids), minsup,
+    _dfs_typed((), (), full_cover, frequent, frozenset(sa_ids), minsup,
                max_sa, max_ca, record)
     return out
-

@@ -15,13 +15,16 @@ than dense byte-per-transaction boolean arrays.  Encoding, per-item
 supports and per-unit splitting are all vectorized; no per-row Python
 loop touches the hot path.
 
-Per-unit counting of many itemsets at once — the cube fill's inner
-loop — runs on a second copy of the item covers, re-packed with the
-rows grouped by unit (:meth:`TransactionDatabase.unit_words`).  An
-itemset's cover is then the word-wise AND of its items' rows, and its
-per-unit counts are differences of a running popcount over those words
-taken at the unit boundaries (:func:`count_unit_bits`): integer work
-on packed words, with no cover ever unpacked to one byte per row.
+Per-unit counting has one path,
+:meth:`TransactionDatabase.unit_counts_of` (the cube fill's inner loop,
+the context populations, the incremental engine's recomputed contexts
+and the closed-mode resolver's point queries).  It runs on a second
+copy of the item covers, re-packed with the rows grouped by unit
+(:meth:`TransactionDatabase.unit_words`).  An itemset's cover is then
+the word-wise AND of its items' rows, and its per-unit counts are
+differences of a running popcount over those words taken at the unit
+boundaries (:func:`count_unit_bits`): integer work on packed words,
+with no cover ever unpacked to one byte per row.
 Restricted views share these rows with their root database and pack
 only their own live-row mask.
 
@@ -311,10 +314,6 @@ class TransactionDatabase:
             return self._active
         return CoverSet.ones(len(self))
 
-    def as_cover(self, value: "Cover | np.ndarray") -> Cover:
-        """Coerce a boolean array into a cover."""
-        return as_cover(value)
-
     def cover_of(self, itemset: Iterable[int]) -> Cover:
         """Cover of an itemset (word-wise AND of its item covers)."""
         covers = self.covers()
@@ -340,36 +339,6 @@ class TransactionDatabase:
             np.cumsum(sizes, out=indptr[1:])
             self._unit_indptr = indptr
         return self._unit_order, self._unit_indptr
-
-    def unit_counts(self, cover: "Cover | np.ndarray") -> np.ndarray:
-        """Per-unit transaction counts restricted to ``cover``.
-
-        Uses the cached unit→rows grouping: the cover's flags are
-        permuted into unit order once and summed per contiguous group
-        (``np.add.reduceat``), instead of fancy-indexing the unit array
-        by the cover on every call.
-        """
-        if self.units is None:
-            raise MiningError("transaction database has no unit labels")
-        flags = (
-            cover.to_bools() if isinstance(cover, Cover)
-            else np.asarray(cover, dtype=bool)
-        )
-        if len(flags) != len(self):
-            raise MiningError(
-                f"cover of {len(flags)} transactions does not match "
-                f"database of {len(self)}"
-            )
-        order, indptr = self._unit_grouping()
-        counts = np.zeros(self.n_units, dtype=np.int64)
-        starts = indptr[:-1]
-        nonempty = indptr[1:] > starts
-        if nonempty.any():
-            grouped = flags[order].astype(np.int64)
-            # Empty units occupy zero width between consecutive nonempty
-            # starts, so reducing over nonempty starts alone is exact.
-            counts[nonempty] = np.add.reduceat(grouped, starts[nonempty])
-        return counts
 
     def unit_words(self) -> "tuple[np.ndarray, np.ndarray]":
         """The item covers re-packed in unit order, and the unit bounds.
@@ -441,14 +410,16 @@ class TransactionDatabase:
     ) -> np.ndarray:
         """Per-unit counts of many itemsets' covers, ``(k, n_units)`` int64.
 
-        Row ``j`` equals ``unit_counts(cover_of(itemsets[j]))``; the
-        empty itemset counts the live rows.  No cover is materialised
-        in row order: each itemset's rows of :meth:`unit_words` are
-        ANDed word-wise and :func:`count_unit_bits` counts the result
-        per unit.  This is the one counting path of the cube fill: the
-        context population vectors, the minority-count matrix the
-        batched index kernels run over, and the incremental engine's
-        recomputed contexts.
+        Row ``j`` counts, per unit, the live rows holding every item of
+        ``itemsets[j]``; the empty itemset counts the live rows.  No
+        cover is materialised in row order: each itemset's rows of
+        :meth:`unit_words` are ANDed word-wise and
+        :func:`count_unit_bits` counts the result per unit.  This is
+        the one per-unit counting path: the context population vectors,
+        the minority-count matrix the batched index kernels run over
+        (the fill calls :func:`count_unit_bits` on the same rows), the
+        incremental engine's recomputed contexts and the closed-mode
+        resolver's point queries.
         """
         words, bounds = self.unit_words()
         return count_unit_bits(words, bounds, self.item_index_rows(itemsets))

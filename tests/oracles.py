@@ -5,9 +5,10 @@ Deliberately slow and simple: direct transcriptions of the definitions
 shipped engine must reproduce exactly — the per-row encoder for the
 chunked CSR encoder, FP-growth for eclat, the closure operator for the
 capped closedness sweep, full enumeration and the one-cell-at-a-time
-fill for the cube builder, the label-gather cover counting for the
-popcount counting kernel, and the set/BFS graph algorithms for the
-array graph engine.  Nothing under ``src/`` imports this module; the
+fill (:func:`make_cell`) for the cube builder's fills and its
+closed-mode resolver, the label-gather cover counting for the popcount
+counting kernel, and the set/BFS graph algorithms for the array graph
+engine.  Nothing under ``src/`` imports this module; the
 benchmarks use the same references as their baselines.
 """
 
@@ -31,8 +32,9 @@ from repro.graph.attributes import NodeAttributeTable
 from repro.graph.bipartite import BipartiteGraph, ProjectionResult
 from repro.graph.components import Clustering
 from repro.graph.graph import Graph
+from repro.indexes.base import IndexSpec
 from repro.indexes.counts import UnitCounts
-from repro.itemsets.coverset import Cover
+from repro.itemsets.coverset import Cover, as_cover
 from repro.itemsets.items import Item, ItemDictionary, ItemKind
 from repro.itemsets.miner import absolute_minsup
 from repro.itemsets.transactions import TransactionDatabase
@@ -186,7 +188,7 @@ def closure_of(
     array; it is packed first.
     """
     covers = db.covers()
-    cover = db.as_cover(cover)
+    cover = as_cover(cover)
     support = cover.support()
     ids = candidate_items if candidate_items is not None else range(db.n_items)
     closed = [
@@ -545,7 +547,7 @@ class NaiveCubeBuilder:
                 context_cover = full
                 for item in ca_combo:
                     context_cover = context_cover & covers[item]
-                tvec = db.unit_counts(context_cover)
+                tvec = unit_counts_many(db, [context_cover])[0]
                 if int(tvec.sum()) < minsup_pop:
                     n_candidates += 1
                     continue
@@ -556,9 +558,9 @@ class NaiveCubeBuilder:
                         for item in sa_combo:
                             minority_cover = minority_cover & covers[item]
                         key = (frozenset(sa_combo), frozenset(ca_combo))
-                        stats = inner._make_cell(
-                            key, minority_cover, tvec, db, minsup_pop,
-                            minsup_min
+                        stats = make_cell(
+                            inner.indexes, key, minority_cover, tvec, db,
+                            minsup_pop, minsup_min,
                         )
                         if stats is not None:
                             cells[key] = stats
@@ -577,20 +579,64 @@ class NaiveCubeBuilder:
         return SegregationCube(cells, db.dictionary, metadata)
 
 
+def make_cell(
+    specs: "list[IndexSpec]",
+    key: CellKey,
+    minority_cover: Cover,
+    context_tvec: np.ndarray,
+    db: TransactionDatabase,
+    minsup_pop: int,
+    minsup_min: int,
+) -> "CellStats | None":
+    """Fill one cell from covers; None when below thresholds.
+
+    The per-cell reference: the minority is counted by its own
+    ``np.bincount`` (:func:`unit_counts_many`) and each index by its
+    scalar ``compute``, sharing no kernel with the columnar fill, the
+    parallel workers or the closed-mode resolver.
+    """
+    population = int(context_tvec.sum())
+    if population < minsup_pop:
+        return None
+    n_units = int((context_tvec > 0).sum())
+    sa_part, _ = key
+    if not sa_part:
+        # Context-only navigation cell: indexes undefined by design.
+        return CellStats(
+            key=key,
+            population=population,
+            minority=population,
+            n_units=n_units,
+            indexes={spec.name: float("nan") for spec in specs},
+        )
+    mvec = unit_counts_many(db, [minority_cover])[0]
+    minority = int(mvec.sum())
+    if minority < minsup_min:
+        return None
+    counts = UnitCounts(context_tvec, mvec)
+    return CellStats(
+        key=key,
+        population=population,
+        minority=minority,
+        n_units=n_units,
+        indexes={spec.name: spec.compute(counts) for spec in specs},
+    )
+
+
 def fill_percell(
     builder: SegregationDataCubeBuilder,
     db: TransactionDatabase,
     mined: MinedCoordinates,
 ) -> "dict[CellKey, CellStats]":
-    """Fill one scalar ``_make_cell`` per candidate, in mining order.
+    """Fill one scalar :func:`make_cell` per candidate, in mining order.
 
     The same cells, in the same order, with the same bits the columnar
     fill must produce from the same mined coordinates.
     """
     cells: dict[CellKey, CellStats] = {}
-    for key, ca_part, cover in builder._candidates(db, mined):
-        stats = builder._make_cell(
-            key, cover, mined.context_tvecs[ca_part], db,
+    for key, cover in builder._candidates(mined):
+        stats = make_cell(
+            builder.indexes, key, cover, mined.context_tvecs[key[1]], db,
             mined.minsup_pop, mined.minsup_min,
         )
         if stats is not None:

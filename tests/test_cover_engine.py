@@ -214,8 +214,10 @@ def test_typed_mine_identical_across_codecs(config):
         db, 2, sa_ids=db.dictionary.sa_ids, ca_ids=db.dictionary.ca_ids,
         max_sa=2, max_ca=2,
     )
-    for itemset, cover in out.items():
-        sa_part, ca_part = db.dictionary.split(itemset)
+    for (sa_part, ca_part), cover in out.items():
+        itemset = sa_part | ca_part
+        # The split carried down the DFS is the dictionary's split.
+        assert db.dictionary.split(itemset) == (sa_part, ca_part)
         assert len(sa_part) <= 2 and len(ca_part) <= 2
         expected = dense_cover(dense, itemset, len(db))
         assert cover.tolist() == expected.tolist()

@@ -116,6 +116,11 @@ class TestBuildSemantics:
         resolved = cube.cell(sa={"sex": "F", "age": "young"})
         assert resolved is not None
         assert resolved.minority == 20
+        # With no CA item allowed, the root is the only context.
+        flat = build_cube(table, schema, min_population=1, min_minority=1,
+                          max_ca_items=0)
+        assert flat.metadata.extra["n_contexts"] == 1
+        assert all(not ca for _, ca in flat.keys())
 
     def test_planted_ground_truth(self):
         planted = planted_table([50, 50, 50], [0.9, 0.3, 0.1])

@@ -102,19 +102,21 @@ class TestColumnarEquivalence:
         """Splitting contexts across fill batches must not change bits."""
         import repro.cube.builder as builder_mod
 
-        monkeypatch.setattr(builder_mod, "_FILL_BATCH_CELLS", 3)
         table, schema = dataset
         limits = {"min_population": 25, "min_minority": 6,
                   "max_sa_items": 2, "max_ca_items": 2}
-        tiny_batches = SegregationDataCubeBuilder(
-            engine="columnar", **limits
-        ).build(table, schema)
-        monkeypatch.undo()
         one_batch = SegregationDataCubeBuilder(
             engine="columnar", **limits
         ).build(table, schema)
-        assert list(tiny_batches.keys()) == list(one_batch.keys())
-        assert check_same_cells(tiny_batches, one_batch, atol=0.0) == []
+        # 13 units: batches of 1 row, and of 7 rows (a batch then holds
+        # the end of one context and the start of the next).
+        for budget in (3, 100):
+            monkeypatch.setattr(builder_mod, "_FILL_BATCH_CELLS", budget)
+            tiny_batches = SegregationDataCubeBuilder(
+                engine="columnar", **limits
+            ).build(table, schema)
+            assert list(tiny_batches.keys()) == list(one_batch.keys())
+            assert check_same_cells(tiny_batches, one_batch, atol=0.0) == []
 
     def test_columnar_matches_custom_index_fallback(self, dataset):
         """Custom indexes without a batch kernel run the scalar loop."""

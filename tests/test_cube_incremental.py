@@ -93,9 +93,14 @@ class TestRestrictedDatabase:
             restricted.rows
 
     def test_restrict_length_mismatch_rejected(self, temporal):
-        db, _ = temporal
+        db, valids = temporal
         with pytest.raises(MiningError, match="does not match"):
             db.restrict(np.ones(3, dtype=bool))
+        # A date mask of the wrong length cannot be diffed either.
+        engine = _engine(db)
+        state = engine.build_at(valids[0], 0)
+        with pytest.raises(MiningError, match="cover sizes differ"):
+            engine.update(state, np.ones(len(db) + 1, dtype=bool), 1)
 
     def test_item_supports_respect_restriction(self, temporal):
         db, valids = temporal

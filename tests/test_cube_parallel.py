@@ -163,7 +163,7 @@ def test_worker_failure_raises_cube_error(
 ):
     if cube_parallel._mp_context().get_start_method() != "fork":
         pytest.skip("spawned workers do not inherit the injected failure")
-    monkeypatch.setattr(cube_parallel, "eval_context_block", _boom)
+    monkeypatch.setattr(cube_parallel, "count_and_eval", _boom)
     with pytest.raises(CubeError, match="injected worker failure"):
         SegregationDataCubeBuilder(
             engine="parallel", workers=2, **LIMITS
@@ -183,7 +183,7 @@ def sleeping_kernel(*args, **kwargs):
     open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
     time.sleep(60)
 
-parallel.eval_context_block = sleeping_kernel
+parallel.count_and_eval = sleeping_kernel
 SegregationDataCubeBuilder(
     engine="parallel", workers=2, min_population=10, min_minority=3
 ).build(*generate_schools())

@@ -1,4 +1,4 @@
-"""Tests of the temporal table diff layer (row sets + affected covers)."""
+"""Tests of the temporal validity masks (interval bounds + valid_at)."""
 
 from __future__ import annotations
 
@@ -6,18 +6,8 @@ import numpy as np
 import pytest
 
 from repro.errors import TableError
-from repro.etl.diff import (
-    OPEN_END,
-    OPEN_START,
-    TableDiff,
-    interval_bounds,
-    valid_at,
-)
-from repro.etl.table import Table
-from repro.etl.schema import Schema
-from repro.etl.temporal import Interval, TemporalMembership
-from repro.itemsets.items import Item
-from repro.itemsets.transactions import encode_table
+from repro.etl.diff import OPEN_END, OPEN_START, interval_bounds, valid_at
+from repro.etl.temporal import Interval
 
 
 class TestIntervalBounds:
@@ -62,81 +52,3 @@ class TestValidAt:
             mask = valid_at(starts, ends, date)
             for k, interval in enumerate(intervals):
                 assert mask[k] == interval.contains(date)
-
-
-class TestTableDiff:
-    @pytest.fixture()
-    def membership(self):
-        return TemporalMembership.from_records(
-            [
-                (0, 100, 2000, 2005),   # row 0: leaves before 2005
-                (0, 101, 2003, None),   # row 1: joins at 2003
-                (1, 100, None, 2002),   # row 2: leaves before 2002
-                (2, 102, None, None),   # row 3: always there
-            ]
-        )
-
-    def test_added_removed_changed(self, membership):
-        diff = TableDiff.from_membership(membership, 2001, 2004)
-        assert diff.added.tolist() == [1]       # joined at 2003
-        assert diff.removed.tolist() == [2]     # gone after 2001
-        assert diff.changed_mask.tolist() == [False, True, True, False]
-        assert diff.n_changed == 2
-        assert len(diff) == 4
-
-    def test_no_change_between_adjacent_dates(self, membership):
-        diff = TableDiff.from_membership(membership, 2003, 2004)
-        assert diff.n_changed == 0
-        assert diff.added.size == 0
-        assert diff.removed.size == 0
-
-    def test_churn_fraction(self, membership):
-        diff = TableDiff.from_membership(membership, 2001, 2004)
-        # 3 valid at 2001, 3 valid at 2004, 2 changed.
-        assert diff.churn() == pytest.approx(2 / 3)
-        empty = TableDiff(0, 1, np.zeros(0, bool), np.zeros(0, bool))
-        assert empty.churn() == 0.0
-
-    def test_mask_length_mismatch_rejected(self):
-        with pytest.raises(TableError, match="differ in length"):
-            TableDiff(0, 1, np.zeros(3, bool), np.zeros(4, bool))
-
-    def test_between_equals_from_membership(self, membership):
-        starts, ends = interval_bounds(e.interval for e in membership)
-        a = TableDiff.between(starts, ends, 2001, 2004)
-        b = TableDiff.from_membership(membership, 2001, 2004)
-        assert a.valid_old.tolist() == b.valid_old.tolist()
-        assert a.valid_new.tolist() == b.valid_new.tolist()
-
-
-class TestAffectedItems:
-    @pytest.fixture()
-    def db(self):
-        table = Table.from_dict(
-            {
-                "g": ["F", "M", "F", "M"],
-                "r": ["north", "north", "south", "south"],
-                "unitID": [0, 0, 1, 1],
-            }
-        )
-        schema = Schema.build(
-            segregation=["g"], context=["r"], unit="unitID"
-        )
-        return encode_table(table, schema)
-
-    def test_covers_restricted_to_changed_rows(self, db):
-        # Only row 1 (M, north) changes.
-        diff = TableDiff(
-            0, 1,
-            np.array([True, True, True, True]),
-            np.array([True, False, True, True]),
-        )
-        affected = diff.affected_items(db)
-        by_item = {db.dictionary.item(i): cover for i, cover in affected.items()}
-        assert set(by_item) == {Item("g", "M"), Item("r", "north")}
-        for cover in by_item.values():
-            assert cover.to_indices().tolist() == [1]
-
-    def test_no_change_means_no_affected_items(self, db):
-        diff = TableDiff(0, 1, np.ones(4, bool), np.ones(4, bool))
-        assert diff.affected_items(db) == {}

@@ -223,24 +223,34 @@ def test_repeated_column_name_rejected(tmp_path, source):
 
 @pytest.mark.parametrize("source", ["csv", "sql"])
 def test_multivalued_cells_split_on_every_separator(tmp_path, source):
-    cells = ["a||b", "|", "", "b|a|a", "c", "|c|"]
-    want = [frozenset(c.split("|")) if c else frozenset() for c in cells]
-    if source == "csv":
-        path = tmp_path / "mv.csv"
-        path.write_text("mv,k\n" + "".join(f"{c},x\n" for c in cells))
-        reads = [lambda: read_table(path, multi_valued=["mv"]),
-                 lambda: next(stream_csv(path, multi_valued=["mv"]))]
-    else:
+    # A cell splits on every separator; one with an empty member cannot
+    # be written back (format_set refuses it), so every reader refuses
+    # it too, naming the column and the cell.
+    def reads(cells):
+        if source == "csv":
+            path = tmp_path / "mv.csv"
+            path.write_text("mv,k\n" + "".join(f"{c},x\n" for c in cells))
+            return [lambda: read_table(path, multi_valued=["mv"]),
+                    lambda: next(stream_csv(path, multi_valued=["mv"]))]
         conn = sqlite3.connect(":memory:")
         conn.execute("CREATE TABLE t (mv)")
         conn.executemany("INSERT INTO t VALUES (?)",
                          [(c,) for c in cells] + [(None,)])
-        want.append(frozenset())
         sql = "SELECT mv FROM t ORDER BY rowid"
-        reads = [lambda: read_query(conn, sql, multi_valued=["mv"]),
-                 lambda: next(stream_query(conn, sql, multi_valued=["mv"]))]
-    for read in reads:
+        return [lambda: read_query(conn, sql, multi_valued=["mv"]),
+                lambda: next(stream_query(conn, sql, multi_valued=["mv"]))]
+
+    cells = ["", "b|a|a", "c", "a|b|c"]
+    want = [frozenset(c.split("|")) if c else frozenset() for c in cells]
+    want += [frozenset()] if source == "sql" else []
+    for read in reads(cells):
         assert read().multivalued("mv").values() == want
+    for bad in ["a||b", "|a", "a|", "|"]:
+        for read in reads(["c", bad]):
+            with pytest.raises(
+                TableError, match=rf"column 'mv': cell '{re.escape(bad)}'"
+            ):
+                read()
 
 
 @pytest.mark.parametrize("member", [

@@ -132,7 +132,7 @@ def test_all_miners_match_bruteforce(db_minsup):
     assert mine_fpgrowth(db, minsup) == expected
 
 
-@given(random_dbs(), st.integers(1, 3))
+@given(random_dbs(), st.integers(0, 3))
 @settings(max_examples=40, deadline=None)
 def test_miners_agree_under_max_len(db_minsup, max_len):
     db, minsup = db_minsup

@@ -86,18 +86,6 @@ class TestTransactionDatabase:
         assert db.support_of([f, a]) == 1
         assert db.cover_of([]).all()
 
-    def test_unit_counts_restricted_to_cover(self, final_table, schema):
-        db = encode_table(final_table, schema)
-        d = db.dictionary
-        f = d.id_of(Item("gender", "F"))
-        counts = db.unit_counts(db.cover_of([f]))
-        assert counts.tolist() == [1, 1]
-
-    def test_unit_counts_without_units_raises(self):
-        db = TransactionDatabase([(0,)], _tiny_dictionary())
-        with pytest.raises(MiningError, match="no unit labels"):
-            db.unit_counts(np.array([True]))
-
     def test_unit_label_length_checked(self):
         with pytest.raises(MiningError):
             TransactionDatabase([(0,)], _tiny_dictionary(),
