@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.core.config import PipelineConfig
 from repro.cube.builder import SegregationDataCubeBuilder
@@ -115,16 +114,6 @@ class SCubePipeline:
             mode=cfg.mode,
         )
         return builder.build(table, schema)
-
-    # -- module 5: Visualizer -----------------------------------------
-
-    def visualize(self, cube: CubeLike, path: "str | Path") -> Path:
-        """Export the cube to an OOXML workbook (the ``scube.xlsx`` output).
-
-        Accepts a live cube or an opened snapshot (:class:`CubeLike`).
-        """
-        workbook = cube_workbook(cube)
-        return workbook.save(path)
 
     # -- end to end -----------------------------------------------------
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.data.italy import BoardsDataset
 from repro.errors import ReproError, TableError
-from repro.etl.builder import tabular_final_table
+from repro.etl.builder import id_rows, tabular_final_table
 from repro.etl.diff import interval_bounds
 from repro.etl.schema import AttributeSpec, Role, Schema
 from repro.etl.table import CategoricalColumn, MultiValuedColumn, Table
@@ -42,20 +42,23 @@ from repro.indexes.counts import UnitCounts
 from repro.store.timeline import CubeTimeline
 
 
-def _id_positions(table: Table, id_name: str) -> dict[int, int]:
-    ids = table.ints(id_name).data
-    return {int(v): i for i, v in enumerate(ids)}
-
-
 def _join_seat_attributes(
-    dataset: BoardsDataset, ind_rows: np.ndarray, grp_rows: np.ndarray
+    dataset: BoardsDataset, pairs: "list[tuple[int, int]]"
 ) -> tuple[Table, Schema]:
-    """Join both entities' SA/CA attributes onto aligned seat rows.
+    """Join both entities' SA/CA attributes onto ``(individual, group)``
+    id pairs, one seat row per pair.
 
     The single join used by the per-date snapshot table *and* the union
     temporal table — the exact-parity contract between the recompute
-    and cube trend paths rests on them sharing this code.
+    and cube trend paths rests on them sharing this code.  Ids go
+    through :func:`~repro.etl.builder.id_rows`, so a repeated or an
+    unknown id raises :class:`TableError`.
     """
+    ind_rows = id_rows(dataset.individuals,
+                       dataset.individuals_schema.id_name,
+                       [individual for individual, _ in pairs])
+    grp_rows = id_rows(dataset.groups, dataset.groups_schema.id_name,
+                       [group for _, group in pairs])
     columns: dict[str, object] = {}
     specs: list[AttributeSpec] = []
     for spec in dataset.individuals_schema.specs:
@@ -90,13 +93,7 @@ def snapshot_seats_table(
     pairs = dataset.membership.snapshot(date)
     if not pairs:
         raise ReproError(f"no membership is valid at date {date!r}")
-    ind_pos = _id_positions(
-        dataset.individuals, dataset.individuals_schema.id_name
-    )
-    grp_pos = _id_positions(dataset.groups, dataset.groups_schema.id_name)
-    ind_rows = np.asarray([ind_pos[d] for d, _ in pairs], dtype=np.int64)
-    grp_rows = np.asarray([grp_pos[g] for _, g in pairs], dtype=np.int64)
-    return _join_seat_attributes(dataset, ind_rows, grp_rows)
+    return _join_seat_attributes(dataset, pairs)
 
 
 def temporal_seats_table(
@@ -111,18 +108,12 @@ def temporal_seats_table(
     with :func:`repro.etl.diff.valid_at` — the input contract of the
     incremental temporal fill (:mod:`repro.cube.incremental`).
     """
-    ind_pos = _id_positions(
-        dataset.individuals, dataset.individuals_schema.id_name
-    )
-    grp_pos = _id_positions(dataset.groups, dataset.groups_schema.id_name)
     edges = list(dataset.membership)
     if not edges:
         raise ReproError("membership relation is empty")
-    ind_rows = np.asarray(
-        [ind_pos[e.individual] for e in edges], dtype=np.int64
+    table, schema = _join_seat_attributes(
+        dataset, [(e.individual, e.group) for e in edges]
     )
-    grp_rows = np.asarray([grp_pos[e.group] for e in edges], dtype=np.int64)
-    table, schema = _join_seat_attributes(dataset, ind_rows, grp_rows)
     starts, ends = interval_bounds(e.interval for e in edges)
     return table, schema, starts, ends
 

@@ -29,8 +29,8 @@ cell's item rows — the item covers re-packed with the rows in unit
 order — and reads the per-unit counts off a running popcount, without
 unpacking any cover), and each context slice of it is evaluated with
 :func:`eval_context_block` — one batched kernel call per index
-(:meth:`~repro.indexes.base.IndexSpec.compute_batch`) over all cells
-sharing a context.  Results land directly in the cube's
+(:meth:`~repro.indexes.base.IndexSpec.compute_batch_prepared`) over
+all cells sharing a context.  Results land directly in the cube's
 struct-of-arrays :class:`~repro.cube.table.CellTable`, in mining order
 and with the bits of a scalar one-cell-at-a-time fill (the reference
 ``tests/oracles.py`` keeps and benchmark E17 checks).  Per-context

@@ -146,11 +146,6 @@ class CellSeries:
     populations: "tuple[int, ...]"
 
     @property
-    def n_defined(self) -> int:
-        """Dates at which the cell exists with a defined index."""
-        return sum(1 for v in self.values if not math.isnan(v))
-
-    @property
     def spread(self) -> float:
         """Max minus min defined value (nan when fewer than 2 points)."""
         defined = [v for v in self.values if not math.isnan(v)]

@@ -15,11 +15,11 @@ attached *resolver* (provided by the builder) answers point queries for
 any other frequent coordinate exactly, by intersecting item covers on
 demand.
 
-A built cube can be persisted with :meth:`SegregationCube.dump` (or
-:func:`repro.store.dump_snapshot`) and reopened — optionally
-memory-mapped — by :func:`repro.store.open_snapshot` without re-running
-ETL, mining or fill; the reopened cube answers every query above from
-the stored columns (no resolver: snapshots carry cells, not covers).
+A built cube can be persisted with :func:`repro.store.dump_snapshot`
+and reopened — optionally memory-mapped — by
+:func:`repro.store.open_snapshot` without re-running ETL, mining or
+fill; the reopened cube answers every query above from the stored
+columns (no resolver: snapshots carry cells, not covers).
 """
 
 from __future__ import annotations
@@ -289,16 +289,6 @@ class SegregationCube:
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-
-    def dump(self, path) -> "object":
-        """Persist this cube as an on-disk snapshot directory.
-
-        Convenience wrapper around :func:`repro.store.dump_snapshot`;
-        reopen with :func:`repro.store.open_snapshot` (no rebuild).
-        """
-        from repro.store.snapshot import dump_snapshot
-
-        return dump_snapshot(self, path)
 
     def __repr__(self) -> str:
         return (

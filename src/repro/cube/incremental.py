@@ -70,7 +70,7 @@ from repro.cube.builder import (
 )
 from repro.cube.coordinates import CellKey
 from repro.cube.cube import CubeMetadata, SegregationCube
-from repro.cube.table import CellTable
+from repro.cube.table import CellTable, TableArrays, pack_items, packed_rows
 from repro.errors import CubeError
 from repro.itemsets.closed import closure_diff
 from repro.itemsets.coverset import Cover, as_cover
@@ -431,30 +431,34 @@ class TemporalCubeEngine:
 
         # Merge: carried rows — whole contexts and individual cells of
         # affected contexts — keep their previous-table order and sit
-        # ahead of the freshly evaluated rows.
-        prev_keys = prev_table.keys
-        ctx_keep = [
-            i for i, key in enumerate(prev_keys)
-            if key[1] in carried_set
-        ]
-        keep = np.array(
-            sorted(set(ctx_keep).union(carried_within_rows)),
-            dtype=np.int64,
-        )
-        keys = [prev_keys[i] for i in keep] + list(fresh.keys)
-        table = CellTable(
-            keys,
-            np.concatenate([prev_table.population[keep], fresh.population]),
-            np.concatenate([prev_table.minority[keep], fresh.minority]),
-            np.concatenate([prev_table.n_units[keep], fresh.n_units]),
-            {
-                name: np.concatenate(
-                    [prev_table.columns[name][keep], column]
-                )
+        # ahead of the freshly evaluated rows.  A whole context's rows
+        # are the ones whose packed CA words are the context's, and
+        # every carried row keeps its packed masks: no previous key is
+        # decoded and no carried row is packed again.
+        n_words = prev_table.ca_masks.shape[1]
+        carried_words = np.array(
+            [pack_items(context, n_words) for context in carried],
+            dtype=np.uint64,
+        ).reshape(len(carried), n_words)
+        ctx_keep = np.flatnonzero(np.isin(
+            packed_rows(prev_table.ca_masks), packed_rows(carried_words)
+        ))
+        keep = np.union1d(ctx_keep, carried_within_rows).astype(np.int64)
+
+        def merged(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
+            return np.concatenate([prev[keep], new])
+
+        table = CellTable.from_arrays(TableArrays(
+            population=merged(prev_table.population, fresh.population),
+            minority=merged(prev_table.minority, fresh.minority),
+            n_units=merged(prev_table.n_units, fresh.n_units),
+            sa_masks=merged(prev_table.sa_masks, fresh.sa_masks),
+            ca_masks=merged(prev_table.ca_masks, fresh.ca_masks),
+            columns={
+                name: merged(prev_table.columns[name], column)
                 for name, column in fresh.columns.items()
             },
-            len(self.db.dictionary),
-        )
+        ))
 
         metadata = CubeMetadata(
             index_names=[spec.name for spec in self.builder.indexes],

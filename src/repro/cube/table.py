@@ -78,19 +78,19 @@ def decode_key(sa_words: "list[int]", ca_words: "list[int]") -> CellKey:
     return _items_of(sa_words), _items_of(ca_words)
 
 
-def packed_rows(sa_masks: np.ndarray, ca_masks: np.ndarray) -> np.ndarray:
-    """One opaque ``np.void`` scalar per row: its SA words then CA words
-    as little-endian bytes.
+def packed_rows(*masks: np.ndarray) -> np.ndarray:
+    """One opaque ``np.void`` scalar per row: the words of each mask
+    matrix in turn as little-endian bytes.
 
-    The one packed form of a row's key: ``tolist()`` gives the row
-    index's ``bytes`` keys, and since void scalars compare as their raw
-    bytes, numpy sorts and searches them (the store's digest order and
-    delta matching) in exactly the order Python gives those ``bytes``.
+    Over ``(sa_masks, ca_masks)`` it is the one packed form of a row's
+    key: ``tolist()`` gives the row index's ``bytes`` keys, and since
+    void scalars compare as their raw bytes, numpy sorts and searches
+    them (the store's digest order and delta matching) in exactly the
+    order Python gives those ``bytes``.  Over ``ca_masks`` alone it
+    packs each row's context.
     """
     words = np.concatenate(
-        [np.asarray(sa_masks, dtype=WORD_DTYPE),
-         np.asarray(ca_masks, dtype=WORD_DTYPE)],
-        axis=1,
+        [np.asarray(mask, dtype=WORD_DTYPE) for mask in masks], axis=1,
     )
     row = np.dtype((np.void, words.itemsize * words.shape[1]))
     return words.view(row).reshape(len(words))

@@ -29,12 +29,20 @@ from repro.etl.table import (
 UNIT_COLUMN = "unitID"
 
 
-def _id_positions(table: Table, id_name: str) -> dict[int, int]:
-    ids = table.ints(id_name).data
-    positions = {int(v): i for i, v in enumerate(ids)}
-    if len(positions) != len(ids):
+def id_rows(table: Table, id_name: str, ids: Iterable[int]) -> np.ndarray:
+    """The row of each of ``ids`` in ``table``'s ``id_name`` column.
+
+    The one id join of the package: raises :class:`TableError` when the
+    column repeats an id or when an id is not in it.
+    """
+    column = table.ints(id_name).data
+    positions = {int(v): i for i, v in enumerate(column)}
+    if len(positions) != len(column):
         raise TableError(f"duplicate ids in column {id_name!r}")
-    return positions
+    try:
+        return np.asarray([positions[i] for i in ids], dtype=np.int64)
+    except KeyError as exc:
+        raise TableError(f"membership references unknown id {exc}") from None
 
 
 def build_final_table(
@@ -78,21 +86,20 @@ def build_final_table(
             "groups must not declare segregation attributes "
             f"(found {groups_schema.sa_names})"
         )
-    ind_pos = _id_positions(individuals, individuals_schema.id_name)
-    grp_pos = _id_positions(groups, groups_schema.id_name)
+    # Seats on groups missing from ``node_unit`` are skipped.
+    seats = [
+        (ind_id, grp_id, unit) for ind_id, grp_id in membership
+        if (unit := node_unit.get(grp_id)) is not None
+    ]
+    seat_inds = id_rows(individuals, individuals_schema.id_name,
+                        [seat[0] for seat in seats])
+    seat_grps = id_rows(groups, groups_schema.id_name,
+                        [seat[1] for seat in seats])
 
     # (individual position, unit id) -> sorted set of group positions
     assignments: dict[tuple[int, int], set[int]] = {}
-    for ind_id, grp_id in membership:
-        unit = node_unit.get(grp_id)
-        if unit is None:
-            continue
-        try:
-            i = ind_pos[ind_id]
-            g = grp_pos[grp_id]
-        except KeyError as exc:
-            raise TableError(f"membership references unknown id {exc}") from None
-        assignments.setdefault((i, int(unit)), set()).add(g)
+    for i, g, seat in zip(seat_inds.tolist(), seat_grps.tolist(), seats):
+        assignments.setdefault((i, int(seat[2])), set()).add(g)
 
     keys = sorted(assignments)
     ind_rows = np.asarray([k[0] for k in keys], dtype=np.int64)

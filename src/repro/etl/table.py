@@ -81,13 +81,6 @@ class CategoricalColumn:
         """Decode the whole column back to raw values."""
         return [self.categories[c] for c in self.codes]
 
-    def code_of(self, value: ValueType) -> int:
-        """Return the code of ``value``, raising :class:`TableError` if absent."""
-        try:
-            return self._index[value]
-        except KeyError:
-            raise TableError(f"value {value!r} not in column categories") from None
-
     def mask_eq(self, value: ValueType) -> np.ndarray:
         """Boolean mask of rows equal to ``value`` (all-False if unseen)."""
         code = self._index.get(value)
@@ -98,11 +91,6 @@ class CategoricalColumn:
     def take(self, positions: np.ndarray) -> "CategoricalColumn":
         """Return a new column with the rows at ``positions``."""
         return CategoricalColumn(self.codes[positions], self.categories)
-
-    def value_counts(self) -> dict[ValueType, int]:
-        """Return ``{value: occurrences}`` for the whole column."""
-        counts = np.bincount(self.codes, minlength=len(self.categories))
-        return {v: int(c) for v, c in zip(self.categories, counts)}
 
 
 class MultiValuedColumn:
@@ -208,13 +196,6 @@ class MultiValuedColumn:
         bounds = self.indptr.tolist()
         return [frozenset(decoded[a:b]) for a, b in zip(bounds, bounds[1:])]
 
-    def code_of(self, value: ValueType) -> int:
-        """Return the code of ``value``, raising :class:`TableError` if absent."""
-        try:
-            return self._index[value]
-        except KeyError:
-            raise TableError(f"value {value!r} not in column categories") from None
-
     def mask_contains(self, value: ValueType) -> np.ndarray:
         """Boolean mask of rows whose set contains ``value``."""
         mask = np.zeros(len(self), dtype=bool)
@@ -234,11 +215,6 @@ class MultiValuedColumn:
         gather = (np.arange(indptr[-1], dtype=np.int64)
                   + np.repeat(starts - indptr[:-1], lengths))
         return MultiValuedColumn(indptr, self.codes[gather], self.categories)
-
-    def value_counts(self) -> dict[ValueType, int]:
-        """Return ``{value: number of rows containing it}``."""
-        counts = np.bincount(self.codes, minlength=len(self.categories))
-        return {v: int(c) for v, c in zip(self.categories, counts)}
 
 
 class IntColumn:
@@ -375,10 +351,6 @@ class Table:
         """Return a new table dropping the given columns."""
         drop = set(names)
         return Table({n: c for n, c in self._columns.items() if n not in drop})
-
-    def select(self, names: Sequence[str]) -> "Table":
-        """Return a new table with only the given columns, in order."""
-        return Table({name: self.column(name) for name in names})
 
     def filter(self, mask: np.ndarray) -> "Table":
         """Return a new table with only the rows where ``mask`` is True."""

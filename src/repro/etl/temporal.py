@@ -41,18 +41,6 @@ class Interval:
             return False
         return True
 
-    def overlaps(self, other: "Interval") -> bool:
-        """True if the two intervals share at least one instant."""
-        lo = max(
-            self.start if self.start is not None else float("-inf"),
-            other.start if other.start is not None else float("-inf"),
-        )
-        hi = min(
-            self.end if self.end is not None else float("inf"),
-            other.end if other.end is not None else float("inf"),
-        )
-        return lo < hi
-
 
 ALWAYS = Interval(None, None)
 
@@ -107,18 +95,6 @@ class TemporalMembership:
         return [
             (e.individual, e.group) for e in self._edges if e.interval.contains(date)
         ]
-
-    def snapshots(self, dates: Iterable[int]) -> dict[int, list[tuple[int, int]]]:
-        """Snapshots for every date in ``dates`` (the paper's ``dates`` input)."""
-        return {d: self.snapshot(d) for d in dates}
-
-    def active_individuals(self, date: Optional[int] = None) -> set[int]:
-        """Distinct individuals with at least one valid membership at ``date``."""
-        return {i for i, _ in self.snapshot(date)}
-
-    def active_groups(self, date: Optional[int] = None) -> set[int]:
-        """Distinct groups with at least one valid membership at ``date``."""
-        return {g for _, g in self.snapshot(date)}
 
     def span(self) -> tuple[Optional[int], Optional[int]]:
         """The smallest interval covering all bounded edges (None = unbounded)."""

@@ -1,9 +1,10 @@
-"""Node attribute tables and attribute distances for attributed graphs.
+"""Node attribute tables for attributed graphs.
 
 Attributed-graph clustering (paper §2, citing Bothorel et al.) partitions
 nodes that are both well connected *and* similar on their attributes.
-This module stores per-node categorical attributes column-wise and
-provides the distance functions SToC combines with topology.
+This module stores per-node categorical attributes column-wise as
+integer codes; SToC reads them as one code matrix
+(:meth:`NodeAttributeTable.codes_matrix`) for its Hamming distances.
 """
 
 from __future__ import annotations
@@ -94,19 +95,6 @@ class NodeAttributeTable:
     def value(self, name: str, node: int) -> object:
         """Decoded value of ``name`` at ``node``."""
         return self._categories[name][int(self.codes(name)[node])]
-
-    def matching_fraction(self, u: int, v: int) -> float:
-        """Fraction of attributes on which ``u`` and ``v`` agree."""
-        if not self._columns:
-            return 1.0
-        matches = sum(
-            1 for codes in self._columns.values() if codes[u] == codes[v]
-        )
-        return matches / len(self._columns)
-
-    def hamming_distance(self, u: int, v: int) -> float:
-        """Fraction of attributes on which ``u`` and ``v`` disagree."""
-        return 1.0 - self.matching_fraction(u, v)
 
     def cluster_entropy(self, name: str, members: np.ndarray) -> float:
         """Shannon entropy (bits) of attribute ``name`` within a cluster."""

@@ -7,14 +7,16 @@ least one shared individual.  Edges are weighted by the number of shared
 individuals."  Isolated groups (zero projected degree) are reported
 separately, matching the module's ``isolated`` output.
 
-The graph is CSR-backed on both sides (memberships stored as
-deduplicated ``(left, right)`` arrays, grouped vectorially), and the
-projection runs on arrays: co-membership pairs are enumerated with a
-degree-bucketed gather over the CSR rows, then their multiplicities are
-counted with one ``np.unique`` — the weight of ``{g1, g2}`` is exactly
-the number of individuals contributing the pair.  The hub guard
-(``max_left_degree`` / ``max_right_degree``) skips a hub's pairs
-entirely, so a skipped hub contributes to *no* pair weight.
+The graph is an array type, built once from membership arrays and
+CSR-backed on both sides (memberships stored as deduplicated ``(left,
+right)`` arrays, grouped vectorially); it has no per-edge insert or
+per-node read.  The projection runs on arrays: co-membership pairs are
+enumerated with a degree-bucketed gather over the CSR rows, then their
+multiplicities are counted with one ``np.unique`` — the weight of
+``{g1, g2}`` is exactly the number of individuals contributing the
+pair.  The hub guard (``max_left_degree`` / ``max_right_degree``)
+skips a hub's pairs entirely, so a skipped hub contributes to *no* pair
+weight.
 """
 
 from __future__ import annotations
@@ -25,22 +27,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, _readonly
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
-
-
-def _readonly(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
 
 
 class BipartiteGraph:
     """A bipartite graph between ``n_left`` individuals and ``n_right`` groups.
 
-    Memberships are stored as deduplicated ``(left, right)`` int64 arrays
-    with CSR views for both sides, built by vectorized grouping.  Scalar
-    ``add_edge`` inserts buffer up and are merged on the next read.
+    An array type: memberships are stored as deduplicated ``(left,
+    right)`` int64 arrays, built once by :meth:`from_arrays`, with CSR
+    views for both sides derived by vectorized grouping.
     """
 
     def __init__(self, n_left: int, n_right: int):
@@ -50,7 +47,6 @@ class BipartiteGraph:
         self.n_right = int(n_right)
         self._el = _readonly(_EMPTY_I64.copy())
         self._er = _readonly(_EMPTY_I64.copy())
-        self._pending: "list[tuple[int, int]]" = []
         self._csr: "tuple[np.ndarray, ...] | None" = None
 
     @classmethod
@@ -59,7 +55,7 @@ class BipartiteGraph:
     ) -> "BipartiteGraph":
         """Build from ``(left, right)`` membership pairs (duplicates merged).
 
-        Compatibility constructor; :meth:`from_arrays` is the fast path.
+        Collects the pairs into arrays for :meth:`from_arrays`.
         """
         pairs = np.asarray(list(edges), dtype=np.int64)
         if pairs.size == 0:
@@ -71,7 +67,7 @@ class BipartiteGraph:
         cls, n_left: int, n_right: int,
         lefts: np.ndarray, rights: np.ndarray,
     ) -> "BipartiteGraph":
-        """Vectorized constructor from parallel membership arrays."""
+        """Build from parallel membership arrays (duplicates merged)."""
         graph = cls(n_left, n_right)
         lefts = np.asarray(lefts, dtype=np.int64).ravel()
         rights = np.asarray(rights, dtype=np.int64).ravel()
@@ -104,37 +100,15 @@ class BipartiteGraph:
             _readonly(uniq % max(self.n_right, 1)),
         )
 
-    def add_edge(self, left: int, right: int) -> None:
-        """Connect individual ``left`` with group ``right`` (idempotent)."""
-        if not 0 <= left < self.n_left:
-            raise GraphError(f"left node {left} out of range [0, {self.n_left})")
-        if not 0 <= right < self.n_right:
-            raise GraphError(
-                f"right node {right} out of range [0, {self.n_right})"
-            )
-        self._pending.append((int(left), int(right)))
-        self._csr = None
-
-    def _commit(self) -> None:
-        if not self._pending:
-            return
-        pend = np.asarray(self._pending, dtype=np.int64)
-        self._pending.clear()
-        self._el, self._er = self._dedupe(
-            np.concatenate([self._el, pend[:, 0]]),
-            np.concatenate([self._er, pend[:, 1]]),
-        )
-
     def _ensure_csr(self) -> "tuple[np.ndarray, ...]":
         """Both-side CSR: ``(l_indptr, l_indices, r_indptr, r_indices)``."""
-        self._commit()
         if self._csr is None:
             l_indptr = np.zeros(self.n_left + 1, dtype=np.int64)
             np.cumsum(
                 np.bincount(self._el, minlength=self.n_left),
                 out=l_indptr[1:],
             )
-            # committed arrays are sorted by (left, right) already
+            # the membership arrays are sorted by (left, right) already
             l_indices = self._er
             order = np.lexsort((self._el, self._er))
             r_indptr = np.zeros(self.n_right + 1, dtype=np.int64)
@@ -147,39 +121,14 @@ class BipartiteGraph:
         return self._csr
 
     def membership_arrays(self) -> "tuple[np.ndarray, np.ndarray]":
-        """Read-only deduplicated ``(lefts, rights)`` arrays."""
-        self._commit()
+        """Read-only deduplicated ``(lefts, rights)`` arrays, sorted by
+        ``(left, right)``."""
         return self._el, self._er
 
     @property
     def n_edges(self) -> int:
-        """Number of distinct memberships (O(1) on committed arrays)."""
-        self._commit()
+        """Number of distinct memberships."""
         return int(self._el.size)
-
-    def groups_of(self, left: int) -> np.ndarray:
-        """Groups the individual belongs to (sorted read-only view)."""
-        if not 0 <= left < self.n_left:
-            raise GraphError(f"left node {left} out of range [0, {self.n_left})")
-        l_indptr, l_indices, _, _ = self._ensure_csr()
-        return l_indices[int(l_indptr[left]):int(l_indptr[left + 1])]
-
-    def members_of(self, right: int) -> np.ndarray:
-        """Individuals belonging to the group (sorted read-only view)."""
-        if not 0 <= right < self.n_right:
-            raise GraphError(
-                f"right node {right} out of range [0, {self.n_right})"
-            )
-        _, _, r_indptr, r_indices = self._ensure_csr()
-        return r_indices[int(r_indptr[right]):int(r_indptr[right + 1])]
-
-    def left_degrees(self) -> np.ndarray:
-        """Membership count per individual (read-only array view)."""
-        return _readonly(np.diff(self._ensure_csr()[0]))
-
-    def right_degrees(self) -> np.ndarray:
-        """Member count per group (read-only array view)."""
-        return _readonly(np.diff(self._ensure_csr()[2]))
 
     def __repr__(self) -> str:
         return (

@@ -51,14 +51,6 @@ class Clustering:
         """``{node: unit}`` mapping (the paper's ``nodeUnit`` output)."""
         return {int(u): int(c) for u, c in enumerate(self.labels)}
 
-    def relabel_by_size(self) -> "Clustering":
-        """Renumber clusters so id 0 is the largest (stable, deterministic)."""
-        sizes = self.sizes()
-        order = np.argsort(-sizes, kind="stable")
-        remap = np.empty_like(order)
-        remap[order] = np.arange(len(order))
-        return Clustering(remap[self.labels], self.n_clusters, self.method)
-
 
 def labels_from_edge_arrays(
     n_nodes: int, u: np.ndarray, v: np.ndarray

@@ -3,21 +3,15 @@
 The GraphBuilder and GraphClustering modules of SCube operate on the
 unipartite projection of the individuals×groups bipartite graph: nodes
 are groups (companies), edge weights count shared individuals
-(directors).  Since PR 8 the storage layer is array-native: edges live
-in three parallel NumPy arrays ``(u, v, w)`` with ``u < v``, deduplicated
-and sorted by ``(u, v)``, from which a cached CSR view
-``(indptr, indices, weights)`` is derived for traversal-heavy
-algorithms.  The mutable builder API (``add_edge`` and friends) is
-unchanged from the seed implementation — scalar inserts land in a
-pending buffer that is merged vectorially on the next read — so callers
-written against the dict-adjacency version keep working, while the hot
-paths (projection, components, SToC, threshold sweeps, metrics) consume
-``edge_arrays()`` / ``csr()`` wholesale.
+(directors).  A :class:`Graph` is an array type: its edges live in three
+parallel NumPy arrays ``(u, v, w)`` with ``u < v``, deduplicated and
+sorted by ``(u, v)``, built once by :meth:`Graph.from_edge_arrays`, from
+which a cached CSR view ``(indptr, indices, weights)`` is derived for
+traversal-heavy algorithms.  Every pass (projection, components, SToC,
+threshold sweeps, metrics) reads ``edge_arrays()`` / ``csr()`` wholesale.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -56,7 +50,7 @@ def _accumulate_edges(
 class Graph:
     """A weighted undirected graph over nodes ``0 .. n_nodes-1``.
 
-    Self-loops are rejected; parallel edge insertions accumulate weight.
+    Self-loops are rejected; parallel edges accumulate weight.
     """
 
     def __init__(self, n_nodes: int):
@@ -66,18 +60,7 @@ class Graph:
         self._eu = _readonly(np.empty(0, dtype=np.int64))
         self._ev = _readonly(np.empty(0, dtype=np.int64))
         self._ew = _readonly(np.empty(0, dtype=np.float64))
-        self._pending: "list[tuple[int, int, float]]" = []
         self._csr: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None
-
-    @classmethod
-    def from_edges(
-        cls, n_nodes: int, edges: Iterable[tuple[int, int, float]]
-    ) -> "Graph":
-        """Build from ``(u, v, weight)`` triples."""
-        graph = cls(n_nodes)
-        for u, v, w in edges:
-            graph.add_edge(u, v, w)
-        return graph
 
     @classmethod
     def from_edge_arrays(
@@ -87,10 +70,10 @@ class Graph:
         v: np.ndarray,
         weights: np.ndarray,
     ) -> "Graph":
-        """Vectorized constructor from parallel edge arrays.
+        """Build from parallel edge arrays.
 
-        Endpoints may come in either order; duplicates accumulate weight
-        exactly like repeated :meth:`add_edge` calls.
+        Endpoints may come in either order; duplicate edges accumulate
+        weight.
         """
         graph = cls(n_nodes)
         u = np.asarray(u, dtype=np.int64).ravel()
@@ -117,42 +100,8 @@ class Graph:
         )
         return graph
 
-    def _check_node(self, u: int) -> None:
-        if not 0 <= u < self.n_nodes:
-            raise GraphError(f"node {u} out of range [0, {self.n_nodes})")
-
-    def add_edge(self, u: int, v: int, weight: float = 1.0) -> None:
-        """Add (or accumulate onto) the undirected edge ``{u, v}``."""
-        self._check_node(u)
-        self._check_node(v)
-        if u == v:
-            raise GraphError(f"self-loop on node {u} not allowed")
-        if weight <= 0:
-            raise GraphError(f"edge weight must be positive, got {weight}")
-        if u > v:
-            u, v = v, u
-        self._pending.append((int(u), int(v), float(weight)))
-        self._csr = None
-
-    def _commit(self) -> None:
-        """Fold pending scalar inserts into the committed edge arrays."""
-        if not self._pending:
-            return
-        pend = np.asarray(self._pending, dtype=np.float64).reshape(-1, 3)
-        u = np.concatenate([self._eu, pend[:, 0].astype(np.int64)])
-        v = np.concatenate([self._ev, pend[:, 1].astype(np.int64)])
-        w = np.concatenate([self._ew, pend[:, 2]])
-        self._pending.clear()
-        self._eu, self._ev, self._ew = _accumulate_edges(
-            self.n_nodes, u, v, w
-        )
-
     def edge_arrays(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """Read-only ``(u, v, w)`` arrays, ``u < v``, sorted by ``(u, v)``.
-
-        This is the bulk access path every vectorized algorithm uses.
-        """
-        self._commit()
+        """Read-only ``(u, v, w)`` arrays, ``u < v``, sorted by ``(u, v)``."""
         return self._eu, self._ev, self._ew
 
     def csr(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
@@ -161,7 +110,6 @@ class Graph:
         Neighbour lists are sorted by node id, both edge directions
         present.
         """
-        self._commit()
         if self._csr is None:
             src = np.concatenate([self._eu, self._ev])
             dst = np.concatenate([self._ev, self._eu])
@@ -177,51 +125,6 @@ class Graph:
             )
         return self._csr
 
-    def _row(self, u: int) -> "tuple[np.ndarray, np.ndarray]":
-        indptr, indices, weights = self.csr()
-        lo, hi = int(indptr[u]), int(indptr[u + 1])
-        return indices[lo:hi], weights[lo:hi]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """True when the undirected edge ``{u, v}`` exists."""
-        return self.weight(u, v) != 0.0
-
-    def weight(self, u: int, v: int) -> float:
-        """Weight of edge ``{u, v}`` (0.0 when absent)."""
-        self._check_node(u)
-        self._check_node(v)
-        row, weights = self._row(u)
-        k = int(np.searchsorted(row, v))
-        if k < len(row) and row[k] == v:
-            return float(weights[k])
-        return 0.0
-
-    def neighbors(self, u: int) -> Iterator[int]:
-        """Iterate the neighbours of ``u`` (sorted by node id)."""
-        self._check_node(u)
-        return map(int, self._row(u)[0])
-
-    def neighbor_weights(self, u: int) -> Iterator[tuple[int, float]]:
-        """Iterate ``(neighbour, weight)`` pairs of ``u``."""
-        self._check_node(u)
-        row, weights = self._row(u)
-        return zip(map(int, row), map(float, weights))
-
-    def degree(self, u: int) -> int:
-        """Number of neighbours of ``u``."""
-        self._check_node(u)
-        indptr = self.csr()[0]
-        return int(indptr[u + 1] - indptr[u])
-
-    def degrees(self) -> np.ndarray:
-        """Degree of every node as a read-only int64 array."""
-        return _readonly(np.diff(self.csr()[0]))
-
-    def weighted_degree(self, u: int) -> float:
-        """Sum of incident edge weights of ``u``."""
-        self._check_node(u)
-        return float(self._row(u)[1].sum())
-
     def weighted_degrees(self) -> np.ndarray:
         """Weighted degree of every node (one vectorized pass)."""
         u, v, w = self.edge_arrays()
@@ -231,22 +134,12 @@ class Graph:
 
     @property
     def n_edges(self) -> int:
-        """Number of undirected edges (O(1) on committed arrays)."""
-        self._commit()
+        """Number of undirected edges."""
         return int(self._eu.size)
 
     def total_weight(self) -> float:
         """Sum of edge weights (each undirected edge counted once)."""
-        self._commit()
         return float(self._ew.sum())
-
-    def edges(self) -> Iterator[tuple[int, int, float]]:
-        """Iterate undirected edges once, as ``(u, v, w)`` with ``u < v``.
-
-        Edges come out sorted by ``(u, v)`` (the committed array order).
-        """
-        u, v, w = self.edge_arrays()
-        return zip(map(int, u), map(int, v), map(float, w))
 
     def isolated_nodes(self) -> list[int]:
         """Nodes with no incident edge."""
@@ -256,36 +149,8 @@ class Graph:
         )
         return [int(x) for x in np.flatnonzero(touched == 0)]
 
-    def subgraph_by_mask(self, keep: np.ndarray) -> "Graph":
-        """A new graph keeping the edges where boolean ``keep`` is True.
-
-        ``keep`` aligns with :meth:`edge_arrays` order.
-        """
-        u, v, w = self.edge_arrays()
-        keep = np.asarray(keep, dtype=bool).ravel()
-        if keep.shape != u.shape:
-            raise GraphError("edge mask length does not match n_edges")
-        out = Graph(self.n_nodes)
-        out._eu = _readonly(u[keep])
-        out._ev = _readonly(v[keep])
-        out._ew = _readonly(w[keep])
-        return out
-
-    def subgraph_by_edges(
-        self, keep: "callable[[int, int, float], bool]"
-    ) -> "Graph":
-        """A new graph with the same nodes, keeping edges where ``keep`` holds."""
-        u, v, w = self.edge_arrays()
-        mask = np.fromiter(
-            (bool(keep(int(a), int(b), float(c)))
-             for a, b, c in zip(u, v, w)),
-            dtype=bool, count=len(u),
-        )
-        return self.subgraph_by_mask(mask)
-
     def weight_histogram(self) -> dict[float, int]:
         """Edge count per distinct weight (for projection diagnostics)."""
-        self._commit()
         values, counts = np.unique(self._ew, return_counts=True)
         return {float(w): int(c) for w, c in zip(values, counts)}
 

@@ -9,10 +9,12 @@ Every spec carries two implementations: the scalar ``func`` evaluating
 one :class:`~repro.indexes.counts.UnitCounts`, and an optional
 ``batch_func`` (:mod:`repro.indexes.vectorized`) evaluating a whole
 ``(n_cells, n_units)`` minority-count matrix against one shared
-population vector in one vectorized pass — the kernel the columnar cube
-fill dispatches to through :meth:`IndexSpec.compute_batch`.  Custom
-indexes registered without a ``batch_func`` transparently fall back to a
-row-by-row scalar loop, so the batch entry point is always available.
+population vector in one vectorized pass.  The cube's one evaluation
+path, :func:`repro.cube.builder.eval_context_block`, prepares each
+context's block once (float64 cast, empty units dropped) and dispatches
+every spec through :meth:`IndexSpec.compute_batch_prepared`; custom
+indexes registered without a ``batch_func`` fall back there to a
+row-by-row scalar loop.
 """
 
 from __future__ import annotations
@@ -52,48 +54,18 @@ class IndexSpec:
         """Evaluate the index on per-unit counts."""
         return self.func(counts)
 
-    def compute_batch(
-        self,
-        totals: np.ndarray,
-        minority_matrix: np.ndarray,
-    ) -> np.ndarray:
-        """Evaluate the index on every row of a minority-count matrix.
-
-        ``totals`` is the shared per-unit population vector of one
-        context; ``minority_matrix`` holds one cell per row.  Empty units
-        (``t_i == 0``) are dropped once up front, exactly as
-        ``UnitCounts(drop_empty=True)`` does per cell, so results are
-        bit-identical to calling :meth:`compute` row by row.
-        """
-        t = np.asarray(totals, dtype=np.float64)
-        # C-contiguous rows, unconditionally: axis-1 reductions on
-        # strided (e.g. Fortran-ordered) rows lose the pairwise
-        # summation order the bit-identity contract depends on.
-        m = np.ascontiguousarray(minority_matrix, dtype=np.float64)
-        if m.ndim != 2 or m.shape[1] != len(t):
-            raise SegregationIndexError(
-                f"minority matrix of shape {m.shape} does not match "
-                f"{len(t)} units"
-            )
-        keep = t > 0
-        if not keep.all():
-            # ``m[:, keep]`` comes back F-contiguous; reductions along
-            # axis 1 must run on C-contiguous rows to be bit-identical
-            # to the scalar path's 1-D sums.
-            t, m = t[keep], np.ascontiguousarray(m[:, keep])
-        return self.compute_batch_prepared(t, m)
-
     def compute_batch_prepared(
         self,
         totals: np.ndarray,
         minority_matrix: np.ndarray,
     ) -> np.ndarray:
-        """:meth:`compute_batch` minus input preparation.
+        """Evaluate the index on every row of a prepared minority-count
+        matrix, bit-identically to :meth:`compute` row by row.
 
         Caller contract: both arrays are float64, empty units are
         already dropped, and ``minority_matrix`` rows are C-contiguous.
-        Callers evaluating several indexes over the *same* batch (the
-        columnar cube fill) prepare once and dispatch each spec here.
+        :func:`repro.cube.builder.eval_context_block` prepares each
+        context's block once and dispatches every spec here.
         """
         if self.batch_func is not None:
             return self.batch_func(totals, minority_matrix)

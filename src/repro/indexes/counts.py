@@ -123,18 +123,6 @@ class UnitCounts:
         """True when no index is defined: empty, all-minority or no-minority."""
         return self.total == 0 or self.minority_total == 0 or self.majority_total == 0
 
-    def complement(self) -> "UnitCounts":
-        """Swap minority and majority (``m_i -> t_i - m_i``)."""
-        return UnitCounts(self.t, self.t - self.m, drop_empty=False)
-
-    def merged_with(self, other: "UnitCounts") -> "UnitCounts":
-        """Concatenate two disjoint sets of units."""
-        return UnitCounts(
-            np.concatenate([self.t, other.t]),
-            np.concatenate([self.m, other.m]),
-            drop_empty=False,
-        )
-
     def __repr__(self) -> str:
         return (
             f"UnitCounts(n_units={self.n_units}, T={self.total:.0f}, "

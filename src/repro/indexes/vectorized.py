@@ -16,9 +16,10 @@ population, empty minority or empty majority — come out as ``nan``,
 matching the scalar convention.
 
 Kernels assume the caller already dropped empty units (``t > 0``
-everywhere), mirroring ``UnitCounts(drop_empty=True)``; the dispatching
-entry point :meth:`repro.indexes.base.IndexSpec.compute_batch` performs
-that drop.
+everywhere), mirroring ``UnitCounts(drop_empty=True)``; the fill's one
+preparation, :func:`repro.cube.builder.eval_context_block`, performs
+that drop before it dispatches through
+:meth:`repro.indexes.base.IndexSpec.compute_batch_prepared`.
 """
 
 from __future__ import annotations

@@ -154,10 +154,6 @@ class CoverSet:
         bits = np.unpackbits(self.words.view(np.uint8), bitorder="little")
         return bits[: self.n_bits].astype(bool)
 
-    def to_indices(self) -> np.ndarray:
-        """Positions of the covered transactions."""
-        return np.flatnonzero(self.to_bools())
-
     # Dense-array conveniences: ``sum()``, ``tolist()``, ``all()``,
     # ``any()`` read like the boolean mask the cover stands for.
 

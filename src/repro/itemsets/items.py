@@ -119,22 +119,3 @@ class ItemDictionary:
         """Human-readable rendering, e.g. ``sex=female, region=north``."""
         parts = sorted(str(self._items[i]) for i in itemset)
         return ", ".join(parts) if parts else "*"
-
-    def attributes_of(self, itemset: Iterable[int]) -> list[str]:
-        """Attribute names mentioned by an itemset (sorted, unique)."""
-        return sorted({self._items[i].attribute for i in itemset})
-
-    def conflicts(self, itemset: Iterable[int]) -> bool:
-        """True when two items constrain the same single-valued attribute.
-
-        Used to prune impossible coordinates early; multi-valued
-        attributes legitimately contribute several items per attribute,
-        so callers decide per-attribute whether to apply this check.
-        """
-        seen: set[str] = set()
-        for i in itemset:
-            attr = self._items[i].attribute
-            if attr in seen:
-                return True
-            seen.add(attr)
-        return False

@@ -57,10 +57,6 @@ class MiningResult:
         """Support of ``itemset`` (0 when infrequent / absent)."""
         return self.supports.get(frozenset(itemset), 0)
 
-    def itemsets_of_size(self, k: int) -> list[Itemset]:
-        """All mined itemsets with exactly ``k`` items."""
-        return [s for s in self.supports if len(s) == k]
-
 
 def mine(
     db: TransactionDatabase,

@@ -326,10 +326,6 @@ class TransactionDatabase:
             return self.full_cover()
         return result
 
-    def support_of(self, itemset: Iterable[int]) -> int:
-        """Absolute support of an itemset."""
-        return self.cover_of(itemset).support()
-
     def _unit_grouping(self) -> tuple[np.ndarray, np.ndarray]:
         """Precomputed unit→rows grouping: permutation + group offsets."""
         if self._unit_order is None:

@@ -163,17 +163,6 @@ class Workbook:
         self._sheets.append(sheet)
         return sheet
 
-    @property
-    def sheet_names(self) -> list[str]:
-        return [s.name for s in self._sheets]
-
-    def sheet(self, name: str) -> Sheet:
-        """Look up a sheet by name."""
-        for s in self._sheets:
-            if s.name == name:
-                return s
-        raise ReportError(f"no sheet named {name!r}")
-
     def save(self, path: str | Path) -> Path:
         """Write the workbook as a ``.xlsx`` (zip) package."""
         if not self._sheets:

@@ -17,7 +17,8 @@ Two pieces:
   :class:`~repro.serve.service.CubeService` plus that cache.
   :meth:`CachedCubeService.response` answers one request: a hit returns
   the stored bytes, a miss renders them against the wrapped service and
-  stores them.  ``info()`` surfaces the counters, and
+  stores them.  ``info()`` surfaces :meth:`QueryCache.stats` (the
+  counters, the size, the ``maxsize`` bound and the generation), and
   :meth:`CachedCubeService.refresh` swaps in a freshly published
   timeline date and evicts everything stale in one step.
 
@@ -62,14 +63,6 @@ class QueryCache:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-
-    @property
-    def maxsize(self) -> int:
-        return self._maxsize
-
-    @property
-    def generation(self) -> int:
-        return self._generation
 
     def lookup(self, key: object
                ) -> "tuple[bool, tuple[int, bytes] | None, int]":

@@ -262,10 +262,6 @@ class CubeTimeline:
             self._cubes[date] = cube
             self._resolved[path.resolve()] = cube
 
-    def latest(self) -> SegregationCube:
-        """The cube at the most recent date."""
-        return self.at(self._dates[-1])
-
     def __iter__(self):
         """Yield ``(date, cube)`` pairs in date order."""
         for date in self._dates:

@@ -7,9 +7,10 @@ chunked CSR encoder, FP-growth for eclat, the closure operator for the
 capped closedness sweep, full enumeration and the one-cell-at-a-time
 fill (:func:`make_cell`) for the cube builder's fills and its
 closed-mode resolver, the label-gather cover counting for the popcount
-counting kernel, and the set/BFS graph algorithms for the array graph
-engine.  Nothing under ``src/`` imports this module; the
-benchmarks use the same references as their baselines.
+counting kernel, and the set/BFS graph algorithms (reading graphs only
+through their arrays) for the array graph engine.  Nothing under
+``src/`` imports this module; the benchmarks use the same references as
+their baselines.
 """
 
 from __future__ import annotations
@@ -667,25 +668,52 @@ def percell_cube(
 # Graph references: Python-set projection and deque BFS clustering
 # ----------------------------------------------------------------------
 #
-# These run through the public scalar API of the graph structures
-# (``groups_of``, ``neighbors``, ``add_edge``), so they share no array
-# code with the engine they check.
+# These read graphs only through their arrays (``edge_arrays()``,
+# ``membership_arrays()``, ``NodeAttributeTable.codes()``) and build
+# their own neighbour lists and sets in Python, so they share no CSR
+# or traversal code with the engine they check.
+
+
+def graph_of(
+    n_nodes: int, edges: "Iterable[tuple[int, int, float]]"
+) -> Graph:
+    """A :class:`Graph` from ``(u, v, weight)`` triples."""
+    edges = list(edges)
+    u, v, w = zip(*edges) if edges else ((), (), ())
+    return Graph.from_edge_arrays(n_nodes, u, v, w)
+
+
+def edge_weights(graph: Graph) -> "dict[tuple[int, int], float]":
+    """``{(u, v): weight}`` with ``u < v``, in edge-array order."""
+    u, v, w = (array.tolist() for array in graph.edge_arrays())
+    return {(a, b): c for a, b, c in zip(u, v, w)}
+
+
+def neighbour_lists(graph: Graph) -> "list[list[int]]":
+    """Each node's neighbours, ascending, built in Python from the edges."""
+    adjacency: "list[list[int]]" = [[] for _ in range(graph.n_nodes)]
+    for a, b in edge_weights(graph):
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    return [sorted(row) for row in adjacency]
 
 
 def left_adjacency_sets(bipartite: BipartiteGraph) -> "list[set[int]]":
     """Set representation: one Python set of groups per individual."""
-    return [
-        set(map(int, bipartite.groups_of(left)))
-        for left in range(bipartite.n_left)
-    ]
+    adjacency: "list[set[int]]" = [set() for _ in range(bipartite.n_left)]
+    lefts, rights = bipartite.membership_arrays()
+    for left, right in zip(lefts.tolist(), rights.tolist()):
+        adjacency[left].add(right)
+    return adjacency
 
 
 def right_adjacency_sets(bipartite: BipartiteGraph) -> "list[set[int]]":
     """Set representation: one Python set of members per group."""
-    return [
-        set(map(int, bipartite.members_of(right)))
-        for right in range(bipartite.n_right)
-    ]
+    adjacency: "list[set[int]]" = [set() for _ in range(bipartite.n_right)]
+    lefts, rights = bipartite.membership_arrays()
+    for left, right in zip(lefts.tolist(), rights.tolist()):
+        adjacency[right].add(left)
+    return adjacency
 
 
 def _project_sets(
@@ -708,12 +736,11 @@ def _project_sets(
             for g2 in ordered[i + 1:]:
                 key = (g1, g2)
                 weights[key] = weights.get(key, 0) + 1
-    graph = Graph(n_nodes)
-    for (g1, g2), shared in weights.items():
-        if shared >= min_shared:
-            graph.add_edge(g1, g2, float(shared))
-    isolated = graph.isolated_nodes()
-    return ProjectionResult(graph, isolated, skipped)
+    kept = [(g1, g2, float(shared))
+            for (g1, g2), shared in weights.items() if shared >= min_shared]
+    touched = {node for g1, g2, _ in kept for node in (g1, g2)}
+    isolated = [node for node in range(n_nodes) if node not in touched]
+    return ProjectionResult(graph_of(n_nodes, kept), isolated, skipped)
 
 
 def project_onto_groups_legacy(
@@ -750,6 +777,7 @@ def project_onto_individuals_legacy(
 
 def connected_components_legacy(graph: Graph) -> Clustering:
     """Reference BFS component labelling (deque + per-node loops)."""
+    adjacency = neighbour_lists(graph)
     labels = np.full(graph.n_nodes, -1, dtype=np.int64)
     next_label = 0
     for start in range(graph.n_nodes):
@@ -759,7 +787,7 @@ def connected_components_legacy(graph: Graph) -> Clustering:
         queue = deque([start])
         while queue:
             u = queue.popleft()
-            for v in graph.neighbors(u):
+            for v in adjacency[u]:
                 if labels[v] == -1:
                     labels[v] = next_label
                     queue.append(v)
@@ -774,12 +802,11 @@ def threshold_components_legacy(graph: Graph, min_weight: float) -> Clustering:
     base = connected_components_legacy(graph)
     giant = base.giant()
     in_giant = base.labels == giant
-    filtered = Graph(graph.n_nodes)
-    for u, v, w in graph.edges():
-        if in_giant[u] and in_giant[v] and w < min_weight:
-            continue
-        filtered.add_edge(u, v, w)
-    result = connected_components_legacy(filtered)
+    kept = [
+        (u, v, w) for (u, v), w in edge_weights(graph).items()
+        if not (in_giant[u] and in_giant[v] and w < min_weight)
+    ]
+    result = connected_components_legacy(graph_of(graph.n_nodes, kept))
     return Clustering(result.labels, result.n_clusters,
                       f"threshold-components(w>={min_weight:g})")
 
@@ -817,12 +844,16 @@ def stoc_clustering_legacy(
         raise GraphError("attribute table size does not match graph")
 
     n = graph.n_nodes
+    adjacency = neighbour_lists(graph)
+    codes = (
+        [attributes.codes(name).tolist() for name in attributes.names]
+        if attributes is not None else []
+    )
     if seed_order == "random":
         rng = np.random.default_rng(seed)
         order = rng.permutation(n)
     elif seed_order == "degree":
-        degrees = np.fromiter((graph.degree(u) for u in range(n)),
-                              dtype=np.int64, count=n)
+        degrees = np.array([len(row) for row in adjacency], dtype=np.int64)
         order = np.argsort(-degrees, kind="stable")
     else:
         raise GraphError(f"unknown seed_order {seed_order!r}")
@@ -833,7 +864,7 @@ def stoc_clustering_legacy(
         seed_node = int(seed_node)
         if labels[seed_node] != -1:
             continue
-        ball = _tau_ball_legacy(graph, attributes, seed_node, labels, tau,
+        ball = _tau_ball_legacy(adjacency, codes, seed_node, labels, tau,
                                 alpha, horizon)
         for node in ball:
             labels[node] = next_label
@@ -845,8 +876,8 @@ def stoc_clustering_legacy(
 
 
 def _tau_ball_legacy(
-    graph: Graph,
-    attributes: "NodeAttributeTable | None",
+    adjacency: "list[list[int]]",
+    codes: "list[list[int]]",
     seed_node: int,
     labels: np.ndarray,
     tau: float,
@@ -860,13 +891,16 @@ def _tau_ball_legacy(
         u, depth = queue.popleft()
         if depth >= horizon:
             continue
-        for v in graph.neighbors(u):
+        for v in adjacency[u]:
             if v in visited or labels[v] != -1:
                 continue
             visited.add(v)
             d_topo = (depth + 1) / horizon
-            if attributes is not None:
-                d_attr = attributes.hamming_distance(seed_node, v)
+            if codes:
+                matches = sum(
+                    1 for column in codes if column[seed_node] == column[v]
+                )
+                d_attr = 1.0 - matches / len(codes)
             else:
                 d_attr = 0.0
             distance = alpha * d_topo + (1 - alpha) * d_attr

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import xml.etree.ElementTree as ET
+import zipfile
+
 import pytest
 
 from repro.core.config import (
@@ -97,10 +100,8 @@ class TestPipelineSteps:
 
     def test_visualize_writes_workbook(self, pipeline, italy_small, tmp_path):
         result = pipeline.run(italy_small)
-        path = pipeline.visualize(result.cube, tmp_path / "scube.xlsx")
+        path = cube_workbook(result.cube).save(tmp_path / "scube.xlsx")
         assert path.exists()
-        import zipfile
-
         with zipfile.ZipFile(path) as zf:
             assert "xl/worksheets/sheet1.xml" in zf.namelist()
             assert "xl/worksheets/sheet2.xml" in zf.namelist()
@@ -112,8 +113,13 @@ class TestHelpers:
         assert attrs.n_nodes == italy_small.n_groups
         assert "sector" in attrs.names
 
-    def test_cube_workbook_summary_sheet(self, italy_small):
+    def test_cube_workbook_summary_sheet(self, italy_small, tmp_path):
         pipeline = SCubePipeline()
         result = pipeline.run(italy_small)
-        workbook = cube_workbook(result.cube)
-        assert workbook.sheet_names == ["cube", "summary"]
+        path = cube_workbook(result.cube).save(tmp_path / "scube.xlsx")
+        with zipfile.ZipFile(path) as zf:
+            workbook = ET.fromstring(zf.read("xl/workbook.xml"))
+        names = [sheet.get("name") for sheet in workbook.iter(
+            "{http://schemas.openxmlformats.org/spreadsheetml/2006/main}sheet"
+        )]
+        assert names == ["cube", "summary"]

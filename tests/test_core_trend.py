@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.trend import (
@@ -16,9 +18,10 @@ from repro.core.trend import (
 from repro.cube.builder import SegregationDataCubeBuilder
 from repro.cube.incremental import TemporalCubeEngine
 from repro.data.estonia import EstoniaConfig, generate_estonia
-from repro.errors import ReproError
+from repro.errors import ReproError, TableError
 from repro.etl.builder import tabular_final_table
 from repro.etl.diff import OPEN_END, OPEN_START, valid_at
+from repro.etl.table import IntColumn
 from repro.itemsets.transactions import encode_table
 from repro.store import CubeTimeline, dump_into_timeline
 
@@ -135,6 +138,40 @@ class TestTemporalSeatsTable:
         # Untimed memberships are valid forever.
         assert (starts == OPEN_START).all()
         assert (ends == OPEN_END).all()
+
+
+class TestIdJoin:
+    """Both seat tables join ids through one checked join."""
+
+    @pytest.fixture()
+    def boards(self):
+        return generate_estonia(EstoniaConfig(n_companies=30, seed=1))
+
+    @staticmethod
+    def _seat_tables(dataset):
+        with pytest.raises(TableError) as snapshot:
+            snapshot_seats_table(dataset, None)
+        with pytest.raises(TableError) as temporal:
+            temporal_seats_table(dataset)
+        return str(snapshot.value), str(temporal.value)
+
+    def test_repeated_id_rejected(self, boards):
+        individuals = boards.individuals
+        doubled = individuals.filter(np.r_[np.arange(len(individuals)), 0])
+        for message in self._seat_tables(
+            dataclasses.replace(boards, individuals=doubled)
+        ):
+            assert "duplicate ids" in message
+
+    def test_unknown_id_rejected(self, boards):
+        id_name = boards.individuals_schema.id_name
+        ids = boards.individuals.ints(id_name).data.copy()
+        ids[ids == 1] = ids.max() + 1
+        renamed = boards.individuals.with_column(id_name, IntColumn(ids))
+        for message in self._seat_tables(
+            dataclasses.replace(boards, individuals=renamed)
+        ):
+            assert message == "membership references unknown id 1"
 
 
 class TestTimelineTrendParity:

@@ -65,7 +65,8 @@ class TestRestrictedDatabase:
         assert restricted.full_cover().support() == restricted.n_active
         inactive = np.flatnonzero(~valids[1])
         for item_id in range(min(5, db.n_items)):
-            rows = set(restricted.covers()[item_id].to_indices().tolist())
+            cover = restricted.covers()[item_id]
+            rows = set(np.flatnonzero(cover.to_bools()).tolist())
             assert rows.isdisjoint(inactive.tolist())
 
     def test_restrict_matches_filtered_table(self):

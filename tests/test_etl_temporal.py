@@ -32,45 +32,11 @@ class TestInterval:
         with pytest.raises(TableError):
             Interval(2005, 2000)
 
-    def test_overlaps(self):
-        assert Interval(0, 10).overlaps(Interval(5, 15))
-        assert not Interval(0, 10).overlaps(Interval(10, 15))
-        assert Interval(None, None).overlaps(Interval(5, 6))
-
     def test_contains_at_open_bounds_extremes(self):
         assert Interval(None, 2005).contains(2004)
         assert not Interval(None, 2005).contains(2005)
         assert Interval(2000, None).contains(2000)
         assert not Interval(2000, None).contains(1999)
-
-    def test_overlaps_two_open_starts(self):
-        # Both unbounded below: they always share (-inf, min(ends)).
-        assert Interval(None, 5).overlaps(Interval(None, 100))
-        assert Interval(None, 5).overlaps(Interval(None, 5))
-
-    def test_overlaps_two_open_ends(self):
-        # Both unbounded above: they always share (max(starts), inf).
-        assert Interval(5, None).overlaps(Interval(100, None))
-
-    def test_overlaps_open_start_meets_open_end(self):
-        # (-inf, 5) vs [5, inf): half-open adjacency is disjoint...
-        assert not Interval(None, 5).overlaps(Interval(5, None))
-        # ...but one instant of slack suffices.
-        assert Interval(None, 6).overlaps(Interval(5, None))
-
-    def test_overlaps_is_symmetric_with_open_bounds(self):
-        pairs = [
-            (Interval(None, 5), Interval(3, None)),
-            (Interval(0, 10), Interval(None, None)),
-            (Interval(None, 5), Interval(5, None)),
-        ]
-        for a, b in pairs:
-            assert a.overlaps(b) == b.overlaps(a)
-
-    def test_always_overlaps_everything(self):
-        for other in (Interval(0, 1), Interval(None, 0), Interval(0, None),
-                      Interval(None, None)):
-            assert ALWAYS.overlaps(other)
 
 
 class TestTemporalMembership:
@@ -93,14 +59,10 @@ class TestTemporalMembership:
     def test_snapshot_none_returns_all(self, membership):
         assert len(membership.snapshot(None)) == 4
 
-    def test_snapshots_dict(self, membership):
-        snaps = membership.snapshots([2001, 2010])
-        assert set(snaps) == {2001, 2010}
-        assert len(snaps[2001]) == 3
-
     def test_active_sets(self, membership):
-        assert membership.active_individuals(2004) == {0, 2}
-        assert membership.active_groups(2004) == {100, 101, 102}
+        pairs = membership.snapshot(2004)
+        assert {individual for individual, _ in pairs} == {0, 2}
+        assert {group for _, group in pairs} == {100, 101, 102}
 
     def test_span(self, membership):
         assert membership.span() == (2000, 2005)

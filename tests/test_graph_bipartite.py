@@ -14,29 +14,30 @@ from repro.graph.bipartite import (
     project_onto_individuals,
 )
 
-from tests.oracles import projection_bruteforce
+from tests.oracles import edge_weights, projection_bruteforce
 
 
 class TestBipartiteGraph:
     def test_edges_are_idempotent(self):
-        g = BipartiteGraph(2, 2)
-        g.add_edge(0, 1)
-        g.add_edge(0, 1)
+        g = BipartiteGraph.from_edges(2, 2, [(0, 1), (0, 1)])
         assert g.n_edges == 1
 
     def test_membership_queries(self):
         g = BipartiteGraph.from_edges(3, 2, [(0, 0), (1, 0), (2, 1)])
-        assert g.members_of(0).tolist() == [0, 1]
-        assert g.groups_of(2).tolist() == [1]
-        assert g.left_degrees().tolist() == [1, 1, 1]
-        assert g.right_degrees().tolist() == [2, 1]
+        # The both-side CSR the projections read.
+        l_indptr, l_indices, r_indptr, r_indices = g._ensure_csr()
+        assert r_indices[r_indptr[0]:r_indptr[1]].tolist() == [0, 1]
+        assert l_indices[l_indptr[2]:l_indptr[3]].tolist() == [1]
+        assert np.diff(l_indptr).tolist() == [1, 1, 1]
+        assert np.diff(r_indptr).tolist() == [2, 1]
 
     def test_membership_views_are_readonly(self):
         g = BipartiteGraph.from_edges(3, 2, [(0, 0), (1, 0), (2, 1)])
+        lefts, rights = g.membership_arrays()
         with pytest.raises(ValueError):
-            g.members_of(0)[0] = 5
+            lefts[0] = 5
         with pytest.raises(ValueError):
-            g.left_degrees()[0] = 9
+            rights[0] = 9
 
     def test_from_arrays_matches_from_edges(self):
         pairs = [(0, 0), (1, 0), (2, 1), (1, 0)]
@@ -59,11 +60,10 @@ class TestBipartiteGraph:
             BipartiteGraph.from_arrays(3, 2, np.array([0]), np.array([-1]))
 
     def test_out_of_range_rejected(self):
-        g = BipartiteGraph(1, 1)
         with pytest.raises(GraphError):
-            g.add_edge(1, 0)
+            BipartiteGraph.from_edges(1, 1, [(1, 0)])
         with pytest.raises(GraphError):
-            g.add_edge(0, 1)
+            BipartiteGraph.from_edges(1, 1, [(0, 1)])
 
     def test_negative_sizes_rejected(self):
         with pytest.raises(GraphError):
@@ -77,7 +77,7 @@ class TestGroupProjection:
             3, 2, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 1)]
         )
         result = project_onto_groups(g)
-        assert result.graph.weight(0, 1) == 2.0
+        assert edge_weights(result.graph) == {(0, 1): 2.0}
         assert result.isolated == []
 
     def test_isolated_groups_reported(self):
@@ -90,7 +90,7 @@ class TestGroupProjection:
             3, 2, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]
         )
         result = project_onto_groups(g, min_shared=2)
-        assert result.graph.weight(0, 1) == 2.0
+        assert edge_weights(result.graph) == {(0, 1): 2.0}
         weak = project_onto_groups(g, min_shared=3)
         assert weak.graph.n_edges == 0
 
@@ -111,15 +111,14 @@ class TestIndividualProjection:
     def test_directors_sharing_a_board_connected(self):
         g = BipartiteGraph.from_edges(3, 2, [(0, 0), (1, 0), (2, 1)])
         result = project_onto_individuals(g)
-        assert result.graph.has_edge(0, 1)
-        assert not result.graph.has_edge(0, 2)
+        assert edge_weights(result.graph) == {(0, 1): 1.0}
         assert result.isolated == [2]
 
     def test_weight_counts_shared_boards(self):
         g = BipartiteGraph.from_edges(2, 3, [(0, 0), (1, 0), (0, 1), (1, 1),
                                              (0, 2)])
         result = project_onto_individuals(g)
-        assert result.graph.weight(0, 1) == 2.0
+        assert edge_weights(result.graph) == {(0, 1): 2.0}
 
     def test_hub_guard_on_groups(self):
         g = BipartiteGraph.from_edges(4, 1, [(k, 0) for k in range(4)])
@@ -140,7 +139,7 @@ def test_projection_matches_bruteforce(n_left, n_right, raw_edges):
     result = project_onto_groups(g)
     expected = projection_bruteforce(n_left, n_right, edges)
     actual = {
-        (u, v): int(w) for u, v, w in result.graph.edges()
+        edge: int(w) for edge, w in edge_weights(result.graph).items()
     }
     assert actual == expected
 
@@ -158,6 +157,4 @@ def test_projection_symmetry(raw_edges):
     )
     onto_groups = project_onto_groups(g)
     onto_left = project_onto_individuals(transposed)
-    a = sorted((u, v, w) for u, v, w in onto_groups.graph.edges())
-    b = sorted((u, v, w) for u, v, w in onto_left.graph.edges())
-    assert a == b
+    assert edge_weights(onto_groups.graph) == edge_weights(onto_left.graph)

@@ -15,17 +15,21 @@ from repro.graph.graph import Graph
 from repro.graph.stoc import stoc_clustering
 from repro.graph.threshold import threshold_components, threshold_profile
 
+from tests.oracles import edge_weights, graph_of
+
 
 def to_networkx(graph: Graph) -> nx.Graph:
     g = nx.Graph()
     g.add_nodes_from(range(graph.n_nodes))
-    g.add_weighted_edges_from(graph.edges())
+    g.add_weighted_edges_from(
+        (u, v, w) for (u, v), w in edge_weights(graph).items()
+    )
     return g
 
 
 class TestConnectedComponents:
     def test_simple_two_components(self):
-        g = Graph.from_edges(5, [(0, 1, 1), (1, 2, 1), (3, 4, 1)])
+        g = graph_of(5, [(0, 1, 1), (1, 2, 1), (3, 4, 1)])
         clustering = connected_components(g)
         assert clustering.n_clusters == 2
         labels = clustering.labels
@@ -39,24 +43,18 @@ class TestConnectedComponents:
         assert clustering.n_clusters == 3
 
     def test_labels_deterministic_by_lowest_node(self):
-        g = Graph.from_edges(4, [(2, 3, 1)])
+        g = graph_of(4, [(2, 3, 1)])
         clustering = connected_components(g)
         assert clustering.labels.tolist() == [0, 1, 2, 2]
 
     def test_clustering_helpers(self):
-        g = Graph.from_edges(5, [(0, 1, 1), (1, 2, 1), (3, 4, 1)])
+        g = graph_of(5, [(0, 1, 1), (1, 2, 1), (3, 4, 1)])
         clustering = connected_components(g)
         assert clustering.sizes().tolist() == [3, 2]
         assert clustering.giant() == 0
         assert clustering.members(1).tolist() == [3, 4]
         assert clustering.node_unit()[4] == 1
 
-    def test_relabel_by_size(self):
-        g = Graph.from_edges(5, [(3, 4, 1), (0, 1, 1), (1, 2, 1)])
-        clustering = connected_components(g).relabel_by_size()
-        assert clustering.labels[0] == 0  # biggest component first
-        sizes = clustering.sizes()
-        assert sizes.tolist() == sorted(sizes.tolist(), reverse=True)
 
 
 @given(
@@ -65,11 +63,8 @@ class TestConnectedComponents:
 )
 @settings(max_examples=60, deadline=None)
 def test_components_match_networkx(n, raw_edges):
-    g = Graph(n)
-    for u, v in raw_edges:
-        u, v = u % n, v % n
-        if u != v and not g.has_edge(u, v):
-            g.add_edge(u, v, 1.0)
+    edges = {(min(u % n, v % n), max(u % n, v % n)) for u, v in raw_edges}
+    g = graph_of(n, [(u, v, 1.0) for u, v in edges if u != v])
     ours = connected_components(g)
     expected = list(nx.connected_components(to_networkx(g)))
     assert ours.n_clusters == len(expected)
@@ -82,7 +77,7 @@ def test_components_match_networkx(n, raw_edges):
 class TestThresholdComponents:
     def test_splits_giant_component_only(self):
         # Giant: 0-1-2-3 chained with weak links; separate pair 4-5 weak.
-        g = Graph.from_edges(
+        g = graph_of(
             6,
             [(0, 1, 5.0), (1, 2, 1.0), (2, 3, 5.0), (4, 5, 1.0)],
         )
@@ -95,7 +90,7 @@ class TestThresholdComponents:
         assert labels[4] == labels[5]
 
     def test_zero_threshold_equals_plain_components(self):
-        g = Graph.from_edges(5, [(0, 1, 1.0), (2, 3, 1.0)])
+        g = graph_of(5, [(0, 1, 1.0), (2, 3, 1.0)])
         a = threshold_components(g, 0.0)
         b = connected_components(g)
         assert a.labels.tolist() == b.labels.tolist()
@@ -106,11 +101,12 @@ class TestThresholdComponents:
 
     def test_profile_monotone_units(self):
         rng = np.random.default_rng(3)
-        g = Graph(30)
+        edges = []
         for _ in range(60):
             u, v = rng.integers(0, 30, 2)
             if u != v:
-                g.add_edge(int(u), int(v), float(rng.integers(1, 5)))
+                edges.append((int(u), int(v), float(rng.integers(1, 5))))
+        g = graph_of(30, edges)
         rows = threshold_profile(g, [0.0, 2.0, 4.0, 10.0])
         units = [r[1] for r in rows]
         assert units == sorted(units)          # higher threshold, more units
@@ -120,13 +116,13 @@ class TestThresholdComponents:
 class TestSToC:
     def _attributed_two_blobs(self):
         """Two cliques with distinct attributes, one weak bridge."""
-        g = Graph(10)
+        edges = [(4, 5, 1.0)]
         for block in (range(0, 5), range(5, 10)):
             nodes = list(block)
             for i, u in enumerate(nodes):
                 for v in nodes[i + 1:]:
-                    g.add_edge(u, v, 3.0)
-        g.add_edge(4, 5, 1.0)
+                    edges.append((u, v, 3.0))
+        g = graph_of(10, edges)
         attrs = NodeAttributeTable.from_columns(
             10, {"sector": ["a"] * 5 + ["b"] * 5}
         )

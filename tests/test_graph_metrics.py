@@ -21,6 +21,7 @@ from repro.graph.metrics import (
     summarize,
 )
 
+from tests.oracles import graph_of
 from tests.test_graph_clustering import to_networkx
 
 
@@ -37,13 +38,13 @@ def nx_modularity(graph: Graph, clustering: Clustering) -> float:
 
 class TestModularity:
     def test_two_cliques_high_modularity(self):
-        g = Graph(6)
+        edges = [(2, 3, 1.0)]
         for block in (range(0, 3), range(3, 6)):
             nodes = list(block)
             for i, u in enumerate(nodes):
                 for v in nodes[i + 1:]:
-                    g.add_edge(u, v, 1.0)
-        g.add_edge(2, 3, 1.0)
+                    edges.append((u, v, 1.0))
+        g = graph_of(6, edges)
         clustering = Clustering(np.array([0, 0, 0, 1, 1, 1]), 2, "manual")
         assert modularity(g, clustering) == pytest.approx(
             nx_modularity(g, clustering)
@@ -51,7 +52,7 @@ class TestModularity:
         assert modularity(g, clustering) > 0.3
 
     def test_single_cluster_zero_or_negative(self):
-        g = Graph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
+        g = graph_of(4, [(0, 1, 1.0), (2, 3, 1.0)])
         clustering = Clustering(np.zeros(4, dtype=np.int64), 1, "all")
         assert modularity(g, clustering) == pytest.approx(0.0, abs=1e-12)
 
@@ -68,11 +69,12 @@ class TestModularity:
     )
     @settings(max_examples=40, deadline=None)
     def test_matches_networkx_on_random_graphs(self, n, raw_edges, k):
-        g = Graph(n)
+        edges: "dict[tuple[int, int], float]" = {}
         for u, v, w in raw_edges:
             u, v = u % n, v % n
-            if u != v and not g.has_edge(u, v):
-                g.add_edge(u, v, float(w))
+            if u != v:
+                edges.setdefault((min(u, v), max(u, v)), float(w))
+        g = graph_of(n, [(u, v, w) for (u, v), w in edges.items()])
         if g.n_edges == 0:
             return
         rng = np.random.default_rng(0)
@@ -85,26 +87,25 @@ class TestModularity:
 
 class TestConductance:
     def test_isolated_cluster_zero(self):
-        g = Graph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
+        g = graph_of(4, [(0, 1, 1.0), (2, 3, 1.0)])
         clustering = connected_components(g)
         assert conductance_all(g, clustering)[0] == pytest.approx(0.0)
 
     def test_cut_cluster(self):
-        g = Graph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        g = graph_of(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
         clustering = Clustering(np.array([0, 0, 1, 1]), 2, "manual")
         # cut = 1; vol(cluster0) = 1 + 2 = 3; total vol = 6 -> phi = 1/3
         assert conductance_all(g, clustering)[0] == pytest.approx(1 / 3)
 
     def test_empty_volume_is_nan(self):
-        g = Graph(3)
-        g.add_edge(0, 1, 1.0)
+        g = graph_of(3, [(0, 1, 1.0)])
         clustering = Clustering(np.array([0, 0, 1]), 2, "manual")
         assert math.isnan(conductance_all(g, clustering)[1])
 
     def test_mean_conductance_skips_nan(self):
         # Clusters {0,1} and {2,3} have conductance 0; the isolated node 4
         # has zero volume (nan) and must not poison the mean.
-        g = Graph.from_edges(5, [(0, 1, 1.0), (2, 3, 1.0)])
+        g = graph_of(5, [(0, 1, 1.0), (2, 3, 1.0)])
         clustering = Clustering(np.array([0, 0, 1, 1, 2]), 3, "manual")
         assert mean_conductance(g, clustering) == pytest.approx(0.0)
 
@@ -132,7 +133,7 @@ class TestHomogeneity:
 
 class TestSummarize:
     def test_summary_fields(self):
-        g = Graph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
+        g = graph_of(4, [(0, 1, 1.0), (2, 3, 1.0)])
         clustering = connected_components(g)
         attrs = NodeAttributeTable.from_columns(
             4, {"color": ["r", "r", "b", "b"]}
@@ -144,6 +145,6 @@ class TestSummarize:
         assert summary.method == "connected-components"
 
     def test_summary_without_attributes(self):
-        g = Graph.from_edges(2, [(0, 1, 1.0)])
+        g = graph_of(2, [(0, 1, 1.0)])
         summary = summarize(g, connected_components(g))
         assert math.isnan(summary.homogeneity)

@@ -50,19 +50,6 @@ class TestUnitCountsDerived:
         assert UnitCounts([], []).is_degenerate()
         assert not UnitCounts([10], [5]).is_degenerate()
 
-    def test_complement_swaps_groups(self):
-        counts = UnitCounts([10, 20], [3, 7])
-        swapped = counts.complement()
-        assert swapped.m.tolist() == [7, 13]
-        assert swapped.t.tolist() == [10, 20]
-
-    def test_merged_with_concatenates(self):
-        a = UnitCounts([10], [2])
-        b = UnitCounts([20, 5], [3, 1])
-        merged = a.merged_with(b)
-        assert merged.n_units == 3
-        assert merged.total == 35
-
     def test_repr_mentions_shape(self):
         text = repr(UnitCounts([10, 20], [3, 7]))
         assert "n_units=2" in text and "T=30" in text

@@ -3,7 +3,9 @@
 Every ``IndexSpec.batch_func`` must reproduce the scalar ``func`` to the
 bit — the columnar cube fill is advertised as producing *identical*
 cubes, so these property tests assert exact float equality (no
-tolerance), including the degenerate-``nan`` cases.
+tolerance), including the degenerate-``nan`` cases.  The batch side
+goes through :func:`~repro.cube.builder.eval_context_block`, the fill's
+one preparation (float64 cast, empty units dropped) and dispatch.
 """
 
 from __future__ import annotations
@@ -13,13 +15,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cube.builder import eval_context_block
 from repro.indexes.base import DEFAULT_INDEXES, IndexSpec
 from repro.indexes.counts import UnitCounts
 
 
+def _batch(spec: IndexSpec, t: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """One index over every row of ``m``, as the fill evaluates it."""
+    _, _, values = eval_context_block([spec], t, m, minsup_min=0)
+    return values[0]
+
+
 def _assert_batch_matches_scalar(spec: IndexSpec, t: np.ndarray,
                                  m: np.ndarray) -> None:
-    batch = spec.compute_batch(t, m)
+    batch = _batch(spec, t, m)
     assert batch.shape == (len(m),)
     scalar = np.array(
         [spec.compute(UnitCounts(t, row)) for row in m], dtype=np.float64
@@ -63,7 +72,7 @@ class TestEdgeCases:
         m = np.zeros((3, 4))
         for spec in DEFAULT_INDEXES:
             # Everything degenerate: nan across the board, like scalar.
-            assert np.isnan(spec.compute_batch(t, m)).all()
+            assert np.isnan(_batch(spec, t, m)).all()
 
     def test_single_unit(self):
         t = np.array([10.0])
@@ -75,7 +84,7 @@ class TestEdgeCases:
         t = np.array([5.0, 7.0, 3.0])
         m = np.array([[0.0, 0.0, 0.0], [2.0, 3.0, 1.0]])
         for spec in DEFAULT_INDEXES:
-            values = spec.compute_batch(t, m)
+            values = _batch(spec, t, m)
             assert np.isnan(values[0])
             _assert_batch_matches_scalar(spec, t, m)
 
@@ -83,13 +92,13 @@ class TestEdgeCases:
         t = np.array([5.0, 7.0])
         m = np.array([[5.0, 7.0]])
         for spec in DEFAULT_INDEXES:
-            assert np.isnan(spec.compute_batch(t, m)).all()
+            assert np.isnan(_batch(spec, t, m)).all()
 
     def test_zero_cells(self):
         t = np.array([5.0, 7.0])
         m = np.zeros((0, 2))
         for spec in DEFAULT_INDEXES:
-            assert spec.compute_batch(t, m).shape == (0,)
+            assert _batch(spec, t, m).shape == (0,)
 
     def test_fortran_ordered_input_still_bit_identical(self):
         t = np.array([6.0, 9.0, 4.0, 7.0])
@@ -116,15 +125,6 @@ class TestDispatch:
         assert spec.batch_func is None
         t = np.array([4.0, 0.0, 6.0])
         m = np.array([[1.0, 0.0, 2.0], [4.0, 0.0, 6.0]])
-        values = spec.compute_batch(t, m)
+        values = _batch(spec, t, m)
         expected = [3 / 10, 1.0]
         assert values == pytest.approx(expected)
-
-    def test_shape_mismatch_rejected(self):
-        from repro.errors import SegregationIndexError
-
-        spec = DEFAULT_INDEXES[0]
-        with pytest.raises(SegregationIndexError, match="does not match"):
-            spec.compute_batch(np.array([1.0, 2.0]), np.zeros((2, 3)))
-        with pytest.raises(SegregationIndexError, match="does not match"):
-            spec.compute_batch(np.array([1.0, 2.0]), np.zeros(2))

@@ -88,7 +88,8 @@ def test_closure_operator_is_idempotent_and_extensive(db_minsup):
         closure = closure_of(db, cover)
         assert itemset <= closure                       # extensive
         assert closure_of(db, db.cover_of(closure)) == closure  # idempotent
-        assert db.support_of(closure) == db.support_of(itemset)  # same cover
+        # same cover
+        assert db.cover_of(closure).support() == db.cover_of(itemset).support()
 
 
 @given(random_dbs())

@@ -63,13 +63,6 @@ class TestItemDictionary:
         assert dictionary.describe([2, 0]) == "region=north, sex=F"
         assert dictionary.describe([]) == "*"
 
-    def test_attributes_of(self, dictionary):
-        assert dictionary.attributes_of([0, 1, 2]) == ["region", "sex"]
-
-    def test_conflicts(self, dictionary):
-        assert dictionary.conflicts([0, 1])       # sex=F and sex=M
-        assert not dictionary.conflicts([0, 2])
-
     def test_contains(self, dictionary):
         assert Item("sex", "F") in dictionary
         assert Item("sex", "X") not in dictionary

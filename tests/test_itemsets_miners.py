@@ -160,7 +160,7 @@ class TestMineFacade:
         assert result.support({0}) == 5
         assert result.support({0, 1, 2}) == 2
         assert result.support({5}) == 0
-        assert len(result.itemsets_of_size(2)) == 3
+        assert sum(len(itemset) == 2 for itemset in result.supports) == 3
         assert len(result) == 7
 
     def test_absolute_minsup_validation(self):

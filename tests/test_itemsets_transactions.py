@@ -82,8 +82,8 @@ class TestTransactionDatabase:
         d = db.dictionary
         f = d.id_of(Item("gender", "F"))
         a = d.id_of(Item("sector", "a"))
-        assert db.support_of([f]) == 2
-        assert db.support_of([f, a]) == 1
+        assert db.cover_of([f]).support() == 2
+        assert db.cover_of([f, a]).support() == 1
         assert db.cover_of([]).all()
 
     def test_unit_label_length_checked(self):

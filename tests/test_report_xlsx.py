@@ -154,13 +154,6 @@ class TestWorkbookSave:
         with pytest.raises(ReportError):
             Workbook().save(tmp_path / "nope.xlsx")
 
-    def test_sheet_lookup(self):
-        wb = Workbook()
-        wb.add_sheet("x")
-        assert wb.sheet("x").name == "x"
-        with pytest.raises(ReportError):
-            wb.sheet("missing")
-
     def test_empty_cells_skipped(self, tmp_path):
         wb = Workbook()
         wb.add_sheet("s").append_row(["", None, "x"])

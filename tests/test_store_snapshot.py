@@ -81,11 +81,6 @@ class TestRoundTrip:
         )
         assert reopened.to_rows() == built.to_rows()
 
-    def test_cube_dump_method_equivalent(self, built, tmp_path):
-        built.dump(tmp_path / "via_method")
-        reopened = open_snapshot(tmp_path / "via_method")
-        assert check_same_cells(built, reopened, atol=0.0) == []
-
     def test_metadata_and_vocabulary_survive(self, built, tmp_path):
         dump_snapshot(built, tmp_path / "snap")
         reopened = open_snapshot(tmp_path / "snap")

@@ -40,8 +40,8 @@ LIMITS = {"min_population": 20, "min_minority": 5,
           "max_sa_items": 2, "max_ca_items": 2}
 
 
-@pytest.fixture(scope="module")
-def states():
+def _engine_and_dates(mode="all"):
+    """The timeline's incremental engine and its ``(date, valid)`` list."""
     table, schema, starts, ends = random_temporal_final_table(
         n_rows=3000, n_units=12, dates=DATES,
         sa_attributes={"g": 2, "a": 3},
@@ -51,11 +51,16 @@ def states():
     )
     db = encode_table(table, schema)
     engine = TemporalCubeEngine(
-        db, SegregationDataCubeBuilder(engine="incremental", **LIMITS)
+        db, SegregationDataCubeBuilder(engine="incremental", mode=mode,
+                                       **LIMITS)
     )
-    return engine.run(
-        [(d, valid_at(starts, ends, d)) for d in DATES]
-    )
+    return engine, [(d, valid_at(starts, ends, d)) for d in DATES]
+
+
+@pytest.fixture(scope="module")
+def states():
+    engine, dated = _engine_and_dates()
+    return engine.run(dated)
 
 
 @pytest.fixture()
@@ -429,7 +434,6 @@ class TestCubeTimeline:
             cube = timeline.at(state.date)
             assert cube is timeline.at(state.date)
             assert check_same_cells(state.cube, cube, atol=0.0) == []
-        assert len(timeline.latest()) == len(states[-1].cube)
 
     def test_unknown_date_rejected(self, timeline_dir):
         with pytest.raises(SnapshotError, match="no snapshot for date"):
@@ -610,6 +614,31 @@ class TestKeyDecoding:
         assert len(json.loads(body)) == len(DATES)
         assert decoded == []
 
+    @pytest.mark.parametrize("mode", ["all", "closed"])
+    def test_updates_decode_no_key_and_pack_only_fresh_rows(
+        self, mode, monkeypatch, decoded
+    ):
+        engine, dated = _engine_and_dates(mode)
+        state = engine.build_at(dated[0][1], dated[0][0])
+        packed = []
+        pack = CellTable._pack_parts
+
+        def counting(parts, n_words):
+            packed.append(len(parts))
+            return pack(parts, n_words)
+
+        monkeypatch.setattr(CellTable, "_pack_parts", staticmethod(counting))
+        fresh = 0
+        for date, valid in dated[1:]:
+            state = engine.update(state, valid, date)
+            extra = state.cube.metadata.extra
+            assert extra["n_carried_cells"] > 0
+            fresh += extra["n_recomputed_cells"]
+        assert decoded == []
+        # One SA and one CA mask per freshly evaluated row, none for a
+        # carried one.
+        assert sum(packed) == 2 * fresh
+
 
 class TestTimelineSerying:
     def test_service_routes_to_latest_by_default(self, states, timeline_dir):
@@ -673,7 +702,7 @@ class TestTimelineSeries:
         for entry in series:
             assert entry.dates == DATES
             assert len(entry.values) == len(DATES)
-            assert entry.n_defined >= 2
+            assert int((~np.isnan(entry.values)).sum()) >= 2
         # Sorted by spread, biggest movers first.
         spreads = [s.spread for s in series if not np.isnan(s.spread)]
         assert spreads == sorted(spreads, reverse=True)
