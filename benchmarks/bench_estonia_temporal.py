@@ -15,7 +15,7 @@ import math
 
 from repro.data.estonia import estonia_snapshot_table
 from repro.etl.builder import tabular_final_table
-from repro.indexes.binary import dissimilarity, isolation
+from repro.indexes.base import DISSIMILARITY, ISOLATION
 from repro.indexes.counts import UnitCounts
 from repro.report.text import bar, render_table
 
@@ -32,10 +32,10 @@ def _yearly_rows(estonia):
         units = final.ints("unitID").data
         minority = final.categorical("gender").mask_eq("F")
         counts = UnitCounts.from_assignments(units, minority)
-        d = dissimilarity(counts)
+        d = DISSIMILARITY.compute(counts)
         rows.append(
             [year, int(counts.total), counts.proportion, d,
-             isolation(counts), bar(d, 0.5, 20)]
+             ISOLATION.compute(counts), bar(d, 0.5, 20)]
         )
     return rows
 

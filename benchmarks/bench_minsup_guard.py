@@ -63,7 +63,7 @@ def test_minsup_statistical_guard(benchmark, italy):
                     [cell.ca_items, cell.sa_items | cell.ca_items]
                 ))
                 test = randomization_test(
-                    d_index.compute, counts, n_permutations=200, seed=0
+                    d_index, counts, n_permutations=200, seed=0
                 )
                 observed_sum += test.observed
                 baseline_sum += test.expected_under_null

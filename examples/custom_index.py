@@ -5,6 +5,13 @@ The paper stresses that "the SCube system is parametric to the indexes"
 Hutchens, a standard evenness measure with the decomposability property
 — and builds a cube that computes it alongside the built-ins.
 
+An index is one kernel, exactly like the built-in ones: it receives a
+prepared :class:`~repro.indexes.CountBlock` (the per-unit population
+``t``, one minority-count row per cell in ``m``, and per-row aggregates
+such as ``minority_total``) and returns one value per row.  Degenerate
+rows (no minority or no majority) come out as nan without the kernel
+checking for them.
+
 Run with:  python examples/custom_index.py
 """
 
@@ -15,18 +22,17 @@ import numpy as np
 from repro import generate_italy, ItalyConfig, run_tabular
 from repro.core.config import CubeConfig
 from repro.data.italy import italy_tabular_individuals
-from repro.indexes import IndexSpec, UnitCounts, register
+from repro.indexes import CountBlock, IndexSpec, register
 from repro.report.text import render_table
 
 
-def hutchens_square_root(counts: UnitCounts) -> float:
+def hutchens_square_root(block: CountBlock) -> np.ndarray:
     """Hutchens' square-root index SR = 1 - sum_i sqrt(m_i t'_i) with
-    m, t' the minority/majority shares per unit."""
-    if counts.is_degenerate():
-        return float("nan")
-    minority_share = counts.m / counts.minority_total
-    majority_share = (counts.t - counts.m) / counts.majority_total
-    return float(1.0 - np.sqrt(minority_share * majority_share).sum())
+    m, t' the minority/majority shares per unit, for every row."""
+    m_tot = block.minority_total[:, None]
+    minority_share = block.m / m_tot
+    majority_share = (block.t - block.m) / (block.total - m_tot)
+    return 1.0 - np.sqrt(minority_share * majority_share).sum(axis=1)
 
 
 def main() -> None:

@@ -16,9 +16,9 @@ from repro import EstoniaConfig, generate_estonia
 from repro.data.estonia import estonia_snapshot_table
 from repro.etl.builder import tabular_final_table
 from repro.indexes import (
+    DISSIMILARITY,
     UnitCounts,
     bootstrap_ci,
-    dissimilarity,
     randomization_test,
 )
 from repro.report.text import bar, render_table
@@ -46,7 +46,7 @@ def main() -> None:
     rows = []
     for year in years:
         counts = yearly_counts(dataset, year)
-        d = dissimilarity(counts)
+        d = DISSIMILARITY.compute(counts)
         rows.append(
             [year, int(counts.total), f"{counts.proportion:.3f}", d,
              bar(d, 0.5, 24)]
@@ -55,8 +55,8 @@ def main() -> None:
     print(render_table(["year", "seats", "P(women)", "D", ""], rows))
 
     latest = yearly_counts(dataset, years[-1])
-    ci = bootstrap_ci(dissimilarity, latest, n_boot=300, seed=0)
-    test = randomization_test(dissimilarity, latest, n_permutations=300,
+    ci = bootstrap_ci(DISSIMILARITY, latest, n_boot=300, seed=0)
+    test = randomization_test(DISSIMILARITY, latest, n_permutations=300,
                               seed=0)
     print(f"\n{years[-1]} in detail:")
     print(f"  D = {ci.estimate:.3f}, 95% bootstrap CI "

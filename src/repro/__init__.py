@@ -48,7 +48,6 @@ from repro.cube.builder import SegregationDataCubeBuilder, build_cube
 from repro.cube.cube import SegregationCube
 from repro.cube.explorer import simpson_reversals, top_contexts
 from repro.cube.incremental import TemporalCubeEngine
-from repro.cube.protocol import CubeLike
 from repro.data.estonia import EstoniaConfig, generate_estonia
 from repro.data.italy import BoardsDataset, ItalyConfig, generate_italy
 from repro.data.schools import generate_schools
@@ -74,7 +73,6 @@ __all__ = [
     "CachedCubeService",
     "ClusteringConfig",
     "CubeConfig",
-    "CubeLike",
     "CubeService",
     "CubeTimeline",
     "EstoniaConfig",

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from repro.core.config import PipelineConfig
 from repro.cube.builder import SegregationDataCubeBuilder
 from repro.cube.cube import SegregationCube
-from repro.cube.protocol import CubeLike
 from repro.data.italy import BoardsDataset
 from repro.errors import ConfigError
 from repro.etl.builder import build_final_table
@@ -155,10 +154,10 @@ def group_attribute_table(dataset: BoardsDataset) -> NodeAttributeTable:
     return NodeAttributeTable.from_columns(len(dataset.groups), columns)
 
 
-def cube_workbook(cube: CubeLike) -> Workbook:
+def cube_workbook(cube: SegregationCube) -> Workbook:
     """Build the Visualizer workbook: cube sheet plus a summary sheet.
 
-    Works over any :class:`CubeLike` — a freshly built cube or a
+    Works over any :class:`SegregationCube` — a freshly built cube or a
     snapshot reopened by :func:`repro.store.open_snapshot`.
     """
     workbook = rows_to_workbook(cube.to_rows(), sheet_name="cube")

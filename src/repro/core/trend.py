@@ -37,7 +37,7 @@ from repro.etl.builder import id_rows, tabular_final_table
 from repro.etl.diff import interval_bounds
 from repro.etl.schema import AttributeSpec, Role, Schema
 from repro.etl.table import CategoricalColumn, MultiValuedColumn, Table
-from repro.indexes.base import resolve_indexes
+from repro.indexes.base import evaluate, resolve_indexes
 from repro.indexes.counts import UnitCounts
 from repro.store.timeline import CubeTimeline
 
@@ -145,9 +145,6 @@ class TrendPoint:
     n_units: int
     values: dict[str, float]
 
-    def value(self, index_name: str) -> float:
-        return self.values.get(index_name, float("nan"))
-
 
 def segregation_trend(
     dataset: "BoardsDataset | CubeTimeline",
@@ -192,6 +189,7 @@ def segregation_trend(
         units = final.ints("unitID").data
         minority_mask = _subgroup_mask(final, sa)
         counts = UnitCounts.from_assignments(units, minority_mask)
+        values = evaluate(specs, counts.t, counts.m[None, :])[:, 0]
         points.append(
             TrendPoint(
                 date=int(date),
@@ -199,7 +197,7 @@ def segregation_trend(
                 minority=int(counts.minority_total),
                 proportion=counts.proportion,
                 n_units=counts.n_units,
-                values={s.name: s.compute(counts) for s in specs},
+                values={s.name: float(v) for s, v in zip(specs, values)},
             )
         )
     return points

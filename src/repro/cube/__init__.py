@@ -33,7 +33,6 @@ from repro.cube.cube import (
     SegregationCube,
     check_same_cells,
 )
-from repro.cube.protocol import CubeLike
 from repro.cube.table import CellTable, TableArrays
 from repro.cube.explorer import (
     Discovery,
@@ -49,7 +48,6 @@ __all__ = [
     "CellSeries",
     "CellStats",
     "CellTable",
-    "CubeLike",
     "CubeMetadata",
     "Discovery",
     "Reversal",

@@ -28,16 +28,17 @@ popcount kernel
 cell's item rows — the item covers re-packed with the rows in unit
 order — and reads the per-unit counts off a running popcount, without
 unpacking any cover), and each context slice of it is evaluated with
-:func:`eval_context_block` — one batched kernel call per index
-(:meth:`~repro.indexes.base.IndexSpec.compute_batch_prepared`) over
-all cells sharing a context.  Results land directly in the cube's
-struct-of-arrays :class:`~repro.cube.table.CellTable`, in mining order
-and with the bits of a scalar one-cell-at-a-time fill (the reference
-``tests/oracles.py`` keeps and benchmark E17 checks).  Per-context
-populations and unit counts come from the same kernel, once per
-context (:meth:`MinedCoordinates.of_contexts`), and context covers
-below ``min_population`` are discarded before any per-unit counting
-happens.
+:func:`eval_context_block`: the slice is one prepared block, over
+which :func:`~repro.indexes.base.evaluate` runs each index's kernel
+once for all cells sharing the context (each index exists only as that
+kernel).  Results land directly in the cube's struct-of-arrays
+:class:`~repro.cube.table.CellTable`, in mining order and with the bits
+of a one-cell-at-a-time fill over the scalar index formulas (the
+reference ``tests/oracles.py`` keeps and benchmark E17 checks).
+Per-context populations and unit counts come from the same counting
+kernel, once per context (:meth:`MinedCoordinates.of_contexts`), and
+context covers below ``min_population`` are discarded before any
+per-unit counting happens.
 
 Three callers share that loop.  ``engine="columnar"`` (the default)
 runs it in-process over every context.  The opt-in ``engine="parallel"``
@@ -74,7 +75,7 @@ from repro.cube.table import CellTable
 from repro.errors import CubeError
 from repro.etl.schema import Schema
 from repro.etl.table import Table
-from repro.indexes.base import IndexSpec, resolve_indexes
+from repro.indexes.base import IndexSpec, evaluate, resolve_indexes
 from repro.itemsets.closed import filter_closed
 from repro.itemsets.coverset import Cover, cover_digest
 from repro.itemsets.eclat import mine_eclat, mine_eclat_typed
@@ -98,32 +99,24 @@ def eval_context_block(
     sub_all: np.ndarray,
     minsup_min: int,
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-    """Phase C for one context block: thresholds + batched index kernels.
+    """Phase C for one context block: thresholds, then the evaluator.
 
     ``sub_all`` is the block's minority-count matrix (one row per
     candidate cell of the context, one column per unit); ``tvec`` is the
     context's per-unit population vector.  Returns ``(totals, keep,
     values)`` where ``values`` is ``(n_specs, n_block_rows)`` with NaN
-    on dropped rows.  This is the one evaluation path: every fill runs
-    it through :func:`count_and_eval`, and the closed-mode resolver on
-    a one-row block.  The kernels are row-independent, so a cell gets
-    the same bits in any block — which is what makes
-    ``engine="parallel"`` and resolved cells bit-exact.
+    on dropped rows.  Every fill runs it through :func:`count_and_eval`,
+    and the closed-mode resolver on a one-row block; the rows that pass
+    the threshold are one :func:`~repro.indexes.base.evaluate` block.
+    The kernels are row-independent, so a cell gets the same bits in any
+    block — which is what makes ``engine="parallel"`` and resolved cells
+    bit-exact.
     """
     totals = sub_all.sum(axis=1)
     keep_cells = totals >= minsup_min
     values = np.full((len(specs), len(totals)), np.nan)
     if keep_cells.any():
-        # Prepare once per context (float64 cast + empty-unit drop),
-        # not once per index: every spec sees the same batch.
-        tvec_f = tvec.astype(np.float64)
-        sub = sub_all[keep_cells].astype(np.float64)
-        keep_units = tvec_f > 0
-        if not keep_units.all():
-            tvec_f = tvec_f[keep_units]
-            sub = np.ascontiguousarray(sub[:, keep_units])
-        for j, spec in enumerate(specs):
-            values[j, keep_cells] = spec.compute_batch_prepared(tvec_f, sub)
+        values[:, keep_cells] = evaluate(specs, tvec, sub_all[keep_cells])
     return totals, keep_cells, values
 
 

@@ -24,12 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cube.coordinates import decode_part
-from repro.cube.protocol import CubeLike
+from repro.cube.cube import SegregationCube
 
 AlignedKey = tuple[tuple[tuple[str, str], ...], tuple[tuple[str, str], ...]]
 
 
-def _aligned_key(cube: CubeLike, key) -> AlignedKey:
+def _aligned_key(cube: SegregationCube, key) -> AlignedKey:
     sa, ca = key
 
     def decode(items) -> tuple[tuple[str, str], ...]:
@@ -71,8 +71,8 @@ class CellComparison:
 
 
 def compare_cubes(
-    left: CubeLike,
-    right: CubeLike,
+    left: SegregationCube,
+    right: SegregationCube,
     index_name: str = "D",
     min_minority: int = 0,
 ) -> "list[CellComparison]":

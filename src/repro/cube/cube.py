@@ -40,7 +40,6 @@ from repro.cube.coordinates import (
     parents_of,
 )
 from repro.cube.table import CellTable
-from repro.errors import CubeError
 from repro.itemsets.items import ItemDictionary, ItemKind
 
 Resolver = Callable[[CellKey], Optional[CellStats]]

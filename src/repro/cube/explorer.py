@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cube.cell import CellStats
 from repro.cube.coordinates import parents_of
-from repro.cube.protocol import CubeLike
+from repro.cube.cube import SegregationCube
 from repro.errors import CubeError
 
 
@@ -40,7 +39,7 @@ class Discovery:
 
 
 def top_contexts(
-    cube: CubeLike,
+    cube: SegregationCube,
     index_name: str = "D",
     k: int = 10,
     min_minority: int = 0,
@@ -86,7 +85,7 @@ class Reversal:
 
 
 def simpson_reversals(
-    cube: CubeLike,
+    cube: SegregationCube,
     index_name: str = "D",
     low: float = 0.3,
     high: float = 0.6,
@@ -139,7 +138,7 @@ def simpson_reversals(
     return out
 
 
-def summarize_cube(cube: CubeLike) -> dict[str, object]:
+def summarize_cube(cube: SegregationCube) -> dict[str, object]:
     """Headline numbers for logs and reports (columnar column scans)."""
     table = cube.table
     defined = {

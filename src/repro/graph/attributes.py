@@ -28,7 +28,6 @@ class NodeAttributeTable:
             raise GraphError("n_nodes must be non-negative")
         self.n_nodes = n_nodes
         self._columns: dict[str, np.ndarray] = {}
-        self._categories: dict[str, list] = {}
         self._matrix: "np.ndarray | None" = None
 
     @classmethod
@@ -48,18 +47,11 @@ class NodeAttributeTable:
                 f"attribute {name!r} has {len(values)} values for "
                 f"{self.n_nodes} nodes"
             )
-        categories: list = []
         index: dict[object, int] = {}
         codes = np.empty(self.n_nodes, dtype=np.int32)
         for k, value in enumerate(values):
-            code = index.get(value)
-            if code is None:
-                code = len(categories)
-                index[value] = code
-                categories.append(value)
-            codes[k] = code
+            codes[k] = index.setdefault(value, len(index))
         self._columns[name] = codes
-        self._categories[name] = categories
         self._matrix = None
 
     @property
@@ -91,10 +83,6 @@ class NodeAttributeTable:
             matrix.setflags(write=False)
             self._matrix = matrix
         return self._matrix
-
-    def value(self, name: str, node: int) -> object:
-        """Decoded value of ``name`` at ``node``."""
-        return self._categories[name][int(self.codes(name)[node])]
 
     def cluster_entropy(self, name: str, members: np.ndarray) -> float:
         """Shannon entropy (bits) of attribute ``name`` within a cluster."""

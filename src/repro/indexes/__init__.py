@@ -1,9 +1,11 @@
 """Segregation indexes: the metrics of the segregation data cube.
 
-Implements the six binary indexes SCube ships (Dissimilarity, Gini,
-Information, Isolation, Interaction, Atkinson), their batched kernels
-for the cube fill, and statistical inference helpers (bootstrap CIs and
-randomisation tests).
+Each of the six binary indexes SCube ships (Dissimilarity, Gini,
+Information, Isolation, Interaction, Atkinson) exists once, as a batched
+kernel over a prepared :class:`CountBlock`; :func:`evaluate` is the one
+evaluation path (cube fill, closed-mode resolver, trends, inference and
+custom indexes alike).  Statistical inference helpers (bootstrap CIs and
+randomisation tests) evaluate their draws as one block.
 """
 
 from repro.indexes.base import (
@@ -14,20 +16,11 @@ from repro.indexes.base import (
     INFORMATION,
     INTERACTION,
     ISOLATION,
-    BatchIndexFunc,
-    IndexFunc,
     IndexSpec,
+    evaluate,
     get_index,
     register,
     resolve_indexes,
-)
-from repro.indexes.binary import (
-    atkinson,
-    dissimilarity,
-    gini,
-    information,
-    interaction,
-    isolation,
 )
 from repro.indexes.counts import UnitCounts
 from repro.indexes.inference import (
@@ -36,29 +29,24 @@ from repro.indexes.inference import (
     bootstrap_ci,
     randomization_test,
 )
+from repro.indexes.vectorized import CountBlock
 
 __all__ = [
     "ATKINSON",
-    "BatchIndexFunc",
     "BootstrapResult",
+    "CountBlock",
     "DEFAULT_INDEXES",
     "DISSIMILARITY",
     "GINI",
     "INFORMATION",
     "INTERACTION",
     "ISOLATION",
-    "IndexFunc",
     "IndexSpec",
     "RandomizationResult",
     "UnitCounts",
-    "atkinson",
     "bootstrap_ci",
-    "dissimilarity",
+    "evaluate",
     "get_index",
-    "gini",
-    "information",
-    "interaction",
-    "isolation",
     "randomization_test",
     "register",
     "resolve_indexes",

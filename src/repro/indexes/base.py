@@ -1,81 +1,74 @@
-"""Index registry: names, metadata and the default SCube index set.
+"""Index registry and the one evaluator.
 
 The cube builder is "parametric to the indexes" (paper §2): it receives a
 list of index names and fills one metric per cell and per index.  The
 registry maps the canonical names — ``D``, ``G``, ``H``, ``Iso``,
-``Int``, ``A`` — to their implementations and documents their ranges.
+``Int``, ``A`` — to their specs and documents their ranges.
 
-Every spec carries two implementations: the scalar ``func`` evaluating
-one :class:`~repro.indexes.counts.UnitCounts`, and an optional
-``batch_func`` (:mod:`repro.indexes.vectorized`) evaluating a whole
-``(n_cells, n_units)`` minority-count matrix against one shared
-population vector in one vectorized pass.  The cube's one evaluation
-path, :func:`repro.cube.builder.eval_context_block`, prepares each
-context's block once (float64 cast, empty units dropped) and dispatches
-every spec through :meth:`IndexSpec.compute_batch_prepared`; custom
-indexes registered without a ``batch_func`` fall back there to a
-row-by-row scalar loop.
+A spec carries one implementation, a batched kernel
+(:mod:`repro.indexes.vectorized`) mapping a prepared
+:class:`~repro.indexes.vectorized.CountBlock` to one value per row.
+:func:`evaluate` is the only way an index is evaluated: it prepares the
+block once and runs every requested kernel over it.  The cube fill and
+the closed-mode resolver call it through
+:func:`repro.cube.builder.eval_context_block`, ``segregation_trend``'s
+recompute path on one row, the inference helpers on a matrix of draws,
+and :meth:`IndexSpec.compute` on one :class:`UnitCounts`.  A custom
+index is registered with its own kernel and runs on the same path.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Optional
 
 import numpy as np
 
 from repro.errors import SegregationIndexError
-from repro.indexes import binary, vectorized
+from repro.indexes import vectorized
 from repro.indexes.counts import UnitCounts
-
-IndexFunc = Callable[[UnitCounts], float]
-#: Batched form: ``(t, m)`` with ``t`` of shape ``(n_units,)`` and ``m``
-#: of shape ``(n_cells, n_units)`` -> values of shape ``(n_cells,)``.
-BatchIndexFunc = Callable[[np.ndarray, np.ndarray], np.ndarray]
+from repro.indexes.vectorized import CountBlock
 
 
 @dataclass(frozen=True)
 class IndexSpec:
-    """Metadata and implementation of one segregation index."""
+    """Metadata and kernel of one segregation index."""
 
     name: str
     long_name: str
-    func: IndexFunc
+    #: ``CountBlock -> (n_rows,)`` float64 values; degenerate rows are
+    #: set to nan by :func:`evaluate`, whatever the kernel returns there.
+    kernel: Callable[[CountBlock], np.ndarray]
     #: (low, high) theoretical bounds of the index value.
     bounds: tuple[float, float]
     #: True when 0 means "no segregation" and the maximum means complete
     #: segregation (false for exposure-type indexes like Interaction).
     higher_is_more_segregated: bool
-    #: Optional batched kernel; None falls back to a scalar loop.
-    batch_func: Optional[BatchIndexFunc] = None
 
     def compute(self, counts: UnitCounts) -> float:
-        """Evaluate the index on per-unit counts."""
-        return self.func(counts)
+        """Evaluate the index on per-unit counts: a one-row block."""
+        return float(evaluate([self], counts.t, counts.m[None, :])[0, 0])
 
-    def compute_batch_prepared(
-        self,
-        totals: np.ndarray,
-        minority_matrix: np.ndarray,
-    ) -> np.ndarray:
-        """Evaluate the index on every row of a prepared minority-count
-        matrix, bit-identically to :meth:`compute` row by row.
 
-        Caller contract: both arrays are float64, empty units are
-        already dropped, and ``minority_matrix`` rows are C-contiguous.
-        :func:`repro.cube.builder.eval_context_block` prepares each
-        context's block once and dispatches every spec here.
-        """
-        if self.batch_func is not None:
-            return self.batch_func(totals, minority_matrix)
-        return np.array(
-            [
-                self.func(UnitCounts(totals, row, drop_empty=False))
-                for row in minority_matrix
-            ],
-            dtype=np.float64,
-        )
+def evaluate(
+    specs: Sequence[IndexSpec], t: np.ndarray, m: np.ndarray
+) -> np.ndarray:
+    """Every spec's value on every row of ``m``, shape
+    ``(len(specs), n_rows)``.
+
+    ``t`` is the per-unit population shared by the rows of ``m``
+    (``(n_rows, n_units)`` minority counts).  The block is prepared
+    once (:meth:`CountBlock.of`) and each spec's kernel runs over it;
+    degenerate rows come out as nan.  Rows are independent, so a row
+    gets the same bits in any block.
+    """
+    block = CountBlock.of(t, m)
+    values = np.empty((len(specs), len(block.m)))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for j, spec in enumerate(specs):
+            values[j] = spec.kernel(block)
+    values[:, block.degenerate] = np.nan
+    return values
 
 
 _REGISTRY: dict[str, IndexSpec] = {}
@@ -101,40 +94,35 @@ def get_index(name: str) -> IndexSpec:
 
 
 def resolve_indexes(names: "list[str] | None") -> list[IndexSpec]:
-    """Resolve a list of index names, defaulting to all six SCube indexes."""
+    """Resolve a list of index names, defaulting to all six SCube indexes.
+
+    A name given twice (compared case-insensitively, as lookups are) is
+    rejected: a cube holds one column per index.
+    """
     if names is None:
         return list(DEFAULT_INDEXES)
-    return [get_index(n) for n in names]
+    specs = [get_index(n) for n in names]
+    if len({spec.name for spec in specs}) < len(specs):
+        raise SegregationIndexError(f"an index is named twice in {names}")
+    return specs
 
 
-DISSIMILARITY = register(
-    IndexSpec("D", "Dissimilarity", binary.dissimilarity, (0.0, 1.0), True,
-              batch_func=vectorized.dissimilarity)
-)
-GINI = register(IndexSpec("G", "Gini", binary.gini, (0.0, 1.0), True,
-                          batch_func=vectorized.gini))
-INFORMATION = register(
-    IndexSpec("H", "Information", binary.information, (0.0, 1.0), True,
-              batch_func=vectorized.information)
-)
-ISOLATION = register(
-    IndexSpec("Iso", "Isolation", binary.isolation, (0.0, 1.0), True,
-              batch_func=vectorized.isolation)
-)
-INTERACTION = register(
-    IndexSpec("Int", "Interaction", binary.interaction, (0.0, 1.0), False,
-              batch_func=vectorized.interaction)
-)
-ATKINSON = register(
-    IndexSpec(
-        "A",
-        "Atkinson(0.5)",
-        partial(binary.atkinson, b=0.5),
-        (0.0, 1.0),
-        True,
-        batch_func=partial(vectorized.atkinson, b=0.5),
-    )
-)
+DISSIMILARITY = register(IndexSpec(
+    "D", "Dissimilarity", vectorized.dissimilarity, (0.0, 1.0), True
+))
+GINI = register(IndexSpec("G", "Gini", vectorized.gini, (0.0, 1.0), True))
+INFORMATION = register(IndexSpec(
+    "H", "Information", vectorized.information, (0.0, 1.0), True
+))
+ISOLATION = register(IndexSpec(
+    "Iso", "Isolation", vectorized.isolation, (0.0, 1.0), True
+))
+INTERACTION = register(IndexSpec(
+    "Int", "Interaction", vectorized.interaction, (0.0, 1.0), False
+))
+ATKINSON = register(IndexSpec(
+    "A", "Atkinson(0.5)", vectorized.atkinson, (0.0, 1.0), True
+))
 
 #: The six indexes SCube computes out of the box (paper §2).
 DEFAULT_INDEXES: tuple[IndexSpec, ...] = (

@@ -4,7 +4,10 @@ Following the paper's notation (§2): a population of size ``T`` with a
 minority group of size ``M`` is spread over ``n`` organizational units;
 ``t_i`` is the unit-``i`` population and ``m_i`` its minority count.
 :class:`UnitCounts` validates and carries the two vectors ``t`` and ``m``
-and exposes the derived aggregates every index needs.
+of one population, with its totals and proportions: the input of
+:meth:`~repro.indexes.base.IndexSpec.compute`, of the trend recompute
+path and of the inference helpers.  The kernels themselves read a
+prepared :class:`~repro.indexes.vectorized.CountBlock`.
 """
 
 from __future__ import annotations
@@ -26,17 +29,15 @@ class UnitCounts:
     minority:
         Minority count of each unit (``m_i``); must satisfy
         ``0 <= m_i <= t_i``.
-    drop_empty:
-        When True (default), units with ``t_i == 0`` are removed — empty
-        units carry no population and, by definition of every index
-        implemented here, do not affect the result.
+
+    Units with ``t_i == 0`` are removed: empty units carry no population
+    and, by definition of every index, do not affect the result.
     """
 
     def __init__(
         self,
         totals: Sequence[int] | np.ndarray,
         minority: Sequence[int] | np.ndarray,
-        drop_empty: bool = True,
     ):
         t = np.asarray(totals, dtype=np.float64)
         m = np.asarray(minority, dtype=np.float64)
@@ -53,11 +54,9 @@ class UnitCounts:
             raise SegregationIndexError(
                 f"minority exceeds total in unit {bad}: {m[bad]} > {t[bad]}"
             )
-        if drop_empty:
-            keep = t > 0
-            t, m = t[keep], m[keep]
-        self.t = t
-        self.m = m
+        keep = t > 0
+        self.t = t[keep]
+        self.m = m[keep]
 
     @classmethod
     def from_assignments(
@@ -104,24 +103,15 @@ class UnitCounts:
         return float(self.m.sum())
 
     @property
-    def majority_total(self) -> float:
-        """Majority population ``T - M``."""
-        return self.total - self.minority_total
-
-    @property
     def proportion(self) -> float:
         """Overall minority fraction ``P = M / T`` (nan when ``T == 0``)."""
         return self.minority_total / self.total if self.total > 0 else float("nan")
 
     @property
     def unit_proportions(self) -> np.ndarray:
-        """Per-unit minority fractions ``p_i = m_i / t_i``."""
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(self.t > 0, self.m / np.maximum(self.t, 1e-300), 0.0)
-
-    def is_degenerate(self) -> bool:
-        """True when no index is defined: empty, all-minority or no-minority."""
-        return self.total == 0 or self.minority_total == 0 or self.majority_total == 0
+        """Per-unit minority fractions ``p_i = m_i / t_i`` (every ``t_i``
+        is positive: empty units are dropped)."""
+        return self.m / self.t
 
     def __repr__(self) -> str:
         return (

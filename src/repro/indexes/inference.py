@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import SegregationIndexError
-from repro.indexes.base import IndexFunc
+from repro.indexes.base import IndexSpec, evaluate
 from repro.indexes.counts import UnitCounts
 
 
@@ -50,36 +50,30 @@ class RandomizationResult:
         return self.observed - self.expected_under_null
 
 
-def _resample_counts(counts: UnitCounts, rng: np.random.Generator) -> UnitCounts:
-    """Per-unit binomial resampling of minority membership."""
-    t = counts.t.astype(np.int64)
-    p = counts.unit_proportions
-    m_new = rng.binomial(t, p)
-    return UnitCounts(t, m_new, drop_empty=False)
-
-
 def bootstrap_ci(
-    index: IndexFunc,
+    index: IndexSpec,
     counts: UnitCounts,
     n_boot: int = 500,
     alpha: float = 0.05,
     seed: int | None = 0,
 ) -> BootstrapResult:
-    """Percentile bootstrap confidence interval for ``index(counts)``.
+    """Percentile bootstrap confidence interval for ``index`` on ``counts``.
 
     Unit sizes are kept fixed; each unit's minority count is resampled
     from Binomial(t_i, p_i), the standard parametric bootstrap for
-    segregation indexes.
+    segregation indexes.  The replicas are drawn from one seeded
+    generator, replica after replica, and evaluated as one block.
     """
     if n_boot < 1:
         raise SegregationIndexError("n_boot must be >= 1")
     if not 0 < alpha < 1:
         raise SegregationIndexError("alpha must be in (0, 1)")
     rng = np.random.default_rng(seed)
-    estimate = index(counts)
-    replicas = np.array(
-        [index(_resample_counts(counts, rng)) for _ in range(n_boot)]
-    )
+    estimate = index.compute(counts)
+    t = counts.t.astype(np.int64)
+    p = counts.unit_proportions
+    draws = rng.binomial(t, p, size=(n_boot, len(t)))
+    replicas = evaluate([index], t, draws)[0]
     replicas = replicas[~np.isnan(replicas)]
     if len(replicas) == 0:
         return BootstrapResult(estimate, float("nan"), float("nan"),
@@ -92,7 +86,7 @@ def bootstrap_ci(
 
 
 def randomization_test(
-    index: IndexFunc,
+    index: IndexSpec,
     counts: UnitCounts,
     n_permutations: int = 500,
     seed: int | None = 0,
@@ -103,20 +97,21 @@ def randomization_test(
     random draw without replacement (multivariate hypergeometric); the
     returned ``p_value`` is the fraction of null draws with an index at
     least as large as observed (with the +1 small-sample correction).
+    The draws come in sequence from one seeded generator and are
+    evaluated as one block.
     """
     if n_permutations < 1:
         raise SegregationIndexError("n_permutations must be >= 1")
     rng = np.random.default_rng(seed)
-    observed = index(counts)
+    observed = index.compute(counts)
     t = counts.t.astype(np.int64)
     total = int(counts.total)
     m_total = int(counts.minority_total)
-    null_values = np.empty(n_permutations)
-    for k in range(n_permutations):
-        null_values[k] = index(
-            UnitCounts(t, _hypergeometric_split(t, total, m_total, rng),
-                       drop_empty=False)
-        )
+    draws = np.array([
+        _hypergeometric_split(t, total, m_total, rng)
+        for _ in range(n_permutations)
+    ])
+    null_values = evaluate([index], t, draws)[0]
     valid = null_values[~np.isnan(null_values)]
     if len(valid) == 0 or np.isnan(observed):
         return RandomizationResult(observed, float("nan"), float("nan"),

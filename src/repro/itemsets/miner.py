@@ -53,10 +53,6 @@ class MiningResult:
     def __len__(self) -> int:
         return len(self.supports)
 
-    def support(self, itemset: Itemset) -> int:
-        """Support of ``itemset`` (0 when infrequent / absent)."""
-        return self.supports.get(frozenset(itemset), 0)
-
 
 def mine(
     db: TransactionDatabase,

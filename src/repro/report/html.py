@@ -13,7 +13,7 @@ import math
 from pathlib import Path
 from xml.sax.saxutils import escape
 
-from repro.cube.protocol import CubeLike
+from repro.cube.cube import SegregationCube
 from repro.errors import ReportError
 
 _PAGE = """<!DOCTYPE html>
@@ -56,7 +56,7 @@ def _shade(value: float) -> str:
 
 
 def cube_to_html(
-    cube: CubeLike,
+    cube: SegregationCube,
     path: "str | Path",
     title: str = "SCube report",
 ) -> Path:

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from repro.cube.protocol import CubeLike
+from repro.cube.cube import SegregationCube
 from repro.errors import ReportError
-from repro.itemsets.items import Item, ItemKind
+from repro.itemsets.items import ItemKind
 from repro.report.text import format_value, render_table
 
 
-def _attribute_values(cube: CubeLike, attribute: str) -> list[str]:
+def _attribute_values(cube: SegregationCube, attribute: str) -> list[str]:
     """Distinct values of an attribute present in the cube dictionary."""
     values = []
     dictionary = cube.dictionary
@@ -36,7 +36,7 @@ def _attribute_values(cube: CubeLike, attribute: str) -> list[str]:
     return [str(v) for v in values]
 
 
-def _kind_of(cube: CubeLike, attribute: str) -> ItemKind:
+def _kind_of(cube: SegregationCube, attribute: str) -> ItemKind:
     dictionary = cube.dictionary
     for item_id in range(len(dictionary)):
         if dictionary.item(item_id).attribute == attribute:
@@ -45,7 +45,7 @@ def _kind_of(cube: CubeLike, attribute: str) -> ItemKind:
 
 
 def pivot_values(
-    cube: CubeLike,
+    cube: SegregationCube,
     index_name: str,
     row_attr: str,
     col_attr: str,
@@ -89,7 +89,7 @@ def pivot_values(
 
 
 def pivot(
-    cube: CubeLike,
+    cube: SegregationCube,
     index_name: str,
     row_attr: str,
     col_attr: str,

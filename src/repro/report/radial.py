@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from repro.cube.protocol import CubeLike
+from repro.cube.cube import SegregationCube
 from repro.errors import ReportError
 from repro.itemsets.items import ItemKind
 from repro.report.text import bar, format_value, render_table
@@ -36,7 +36,7 @@ class RadialSeries:
 
 
 def radial_series(
-    cube: CubeLike,
+    cube: SegregationCube,
     context_attribute: str,
     sa: "Mapping[str, object] | None" = None,
     index_names: "list[str] | None" = None,

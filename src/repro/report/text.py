@@ -3,8 +3,8 @@
 Benchmarks print paper-style tables with these helpers, so that the
 regenerated rows/series can be compared to the paper's figures at a
 glance.  :func:`render_cube` is the cube-level entry point: it works on
-anything satisfying :class:`~repro.cube.protocol.CubeLike` — a live
-cube or an opened snapshot.
+any :class:`~repro.cube.cube.SegregationCube` — a live cube or an
+opened snapshot.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from repro.cube.protocol import CubeLike
+    from repro.cube.cube import SegregationCube
 
 
 def format_value(value: object, digits: int = 3) -> str:
@@ -60,7 +60,7 @@ def render_dict_rows(rows: "list[dict[str, object]]", digits: int = 3) -> str:
     )
 
 
-def render_cube(cube: "CubeLike", digits: int = 3) -> str:
+def render_cube(cube: "SegregationCube", digits: int = 3) -> str:
     """Render a whole cube (live or snapshot-backed) as a text table."""
     return render_dict_rows(cube.to_rows(), digits)
 

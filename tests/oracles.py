@@ -1,9 +1,10 @@
 """Reference implementations the optimised library is checked against.
 
 Deliberately slow and simple: direct transcriptions of the definitions
-(brute-force indexes and itemsets), plus the reference algorithms each
-shipped engine must reproduce exactly — the per-row encoder for the
-chunked CSR encoder, FP-growth for eclat, the closure operator for the
+(the scalar index formulas, brute-force indexes and itemsets), plus the
+reference algorithms each shipped engine must reproduce exactly — the
+scalar formulas for the batched index kernels, the per-row encoder for
+the chunked CSR encoder, FP-growth for eclat, the closure operator for the
 capped closedness sweep, full enumeration and the one-cell-at-a-time
 fill (:func:`make_cell`) for the cube builder's fills and its
 closed-mode resolver, the label-gather cover counting for the popcount
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from itertools import combinations
 
 import numpy as np
@@ -35,6 +36,11 @@ from repro.graph.components import Clustering
 from repro.graph.graph import Graph
 from repro.indexes.base import IndexSpec
 from repro.indexes.counts import UnitCounts
+from repro.indexes.inference import (
+    BootstrapResult,
+    RandomizationResult,
+    _hypergeometric_split,
+)
 from repro.itemsets.coverset import Cover, as_cover
 from repro.itemsets.items import Item, ItemDictionary, ItemKind
 from repro.itemsets.miner import absolute_minsup
@@ -113,9 +119,128 @@ def assert_same_db(got: TransactionDatabase,
         assert got.dictionary.kind(i) == want.dictionary.kind(i)
 
 
+# ----------------------------------------------------------------------
+# Index references: the scalar formulas, one UnitCounts at a time
+# ----------------------------------------------------------------------
+#
+# The six shipped indexes exist in ``src/`` only as batched kernels over
+# a prepared block (``repro.indexes.vectorized``).  These are the same
+# formulas written for one 1-D ``UnitCounts``, sharing no code with the
+# kernels or their block preparation: ``make_cell`` fills cells with
+# them, and the parity tests compare every kernel with them at atol=0.
+
+
+def is_degenerate(counts: UnitCounts) -> bool:
+    """True when no index is defined: empty, all-minority or no-minority."""
+    total, m_total = counts.total, counts.minority_total
+    return total == 0 or m_total == 0 or total - m_total == 0
+
+
+def _binary_entropy(p: "np.ndarray | float") -> "np.ndarray | float":
+    """Shannon entropy of a Bernoulli(p), in bits, with 0*log(0) = 0."""
+    arr = np.asarray(p, dtype=np.float64)
+    out = np.zeros_like(arr)
+    inner = (arr > 0) & (arr < 1)
+    q = arr[inner]
+    out[inner] = -(q * np.log2(q) + (1 - q) * np.log2(1 - q))
+    if np.isscalar(p):
+        return float(out)
+    return out
+
+
+def dissimilarity(counts: UnitCounts) -> float:
+    """Dissimilarity ``D = 1/2 * sum_i | m_i/M - (t_i-m_i)/(T-M) |``."""
+    if is_degenerate(counts):
+        return float("nan")
+    minority_share = counts.m / counts.minority_total
+    majority_share = (counts.t - counts.m) / (
+        counts.total - counts.minority_total
+    )
+    return float(0.5 * np.abs(minority_share - majority_share).sum())
+
+
+def gini(counts: UnitCounts) -> float:
+    """Gini ``G``, in ``O(n log n)`` by sorting the ``p_i``."""
+    if is_degenerate(counts):
+        return float("nan")
+    t, m = counts.t, counts.m
+    total = counts.total
+    p_overall = counts.proportion
+    order = np.argsort(counts.unit_proportions, kind="stable")
+    t_sorted = t[order]
+    m_sorted = m[order]
+    # sum_{i<j} t_i t_j (p_j - p_i) for sorted p; expand p = m/t:
+    # sum_{i<j} (m_j t_i - m_i t_j)
+    cum_t = np.concatenate([[0.0], np.cumsum(t_sorted)])[:-1]
+    cum_m = np.concatenate([[0.0], np.cumsum(m_sorted)])[:-1]
+    cross = float(np.sum(m_sorted * cum_t - t_sorted * cum_m))
+    denom = 2 * total * total * p_overall * (1 - p_overall)
+    return float(2 * cross / denom)
+
+
+def information(counts: UnitCounts) -> float:
+    """Information (entropy) index ``H = 1 - sum_i t_i E_i / (T E)``."""
+    if is_degenerate(counts):
+        return float("nan")
+    e_overall = _binary_entropy(counts.proportion)
+    if e_overall == 0:
+        return float("nan")
+    e_units = _binary_entropy(counts.unit_proportions)
+    weighted = float((counts.t * e_units).sum()) / (counts.total * e_overall)
+    return float(1.0 - weighted)
+
+
+def isolation(counts: UnitCounts) -> float:
+    """Isolation ``xPx = sum_i (m_i/M)(m_i/t_i)``."""
+    if is_degenerate(counts):
+        return float("nan")
+    return float(
+        ((counts.m / counts.minority_total) * counts.unit_proportions).sum()
+    )
+
+
+def interaction(counts: UnitCounts) -> float:
+    """Interaction ``xPy = sum_i (m_i/M)((t_i-m_i)/t_i)``."""
+    if is_degenerate(counts):
+        return float("nan")
+    majority_prop = (counts.t - counts.m) / counts.t
+    return float(((counts.m / counts.minority_total) * majority_prop).sum())
+
+
+def atkinson(counts: UnitCounts) -> float:
+    """Atkinson ``A(b)`` with inequality aversion ``b = 1/2``."""
+    if is_degenerate(counts):
+        return float("nan")
+    b = 0.5
+    p = counts.unit_proportions
+    p_overall = counts.proportion
+    terms = np.power(1 - p, 1 - b) * np.power(p, b) * counts.t
+    inner = float(terms.sum()) / (p_overall * counts.total)
+    # np.power, not the Python ``**``: NumPy's pow special-cases small
+    # integral exponents (here 2.0 -> x*x) while libm's pow does not,
+    # and the kernel's array power takes NumPy's path.
+    return float(
+        1.0
+        - (p_overall / (1 - p_overall))
+        * np.power(np.float64(inner), 1.0 / (1.0 - b))
+    )
+
+
+#: The scalar reference of each index, by registry name.  A test that
+#: registers a custom index adds its reference here (``monkeypatch``).
+SCALAR_INDEXES: "dict[str, Callable[[UnitCounts], float]]" = {
+    "D": dissimilarity,
+    "G": gini,
+    "H": information,
+    "Iso": isolation,
+    "Int": interaction,
+    "A": atkinson,
+}
+
+
 def gini_naive(counts: UnitCounts) -> float:
     """O(n^2) Gini segregation index straight from the double sum."""
-    if counts.is_degenerate():
+    if is_degenerate(counts):
         return float("nan")
     t, m = counts.t, counts.m
     total, p_overall = counts.total, counts.proportion
@@ -129,14 +254,65 @@ def gini_naive(counts: UnitCounts) -> float:
 
 def dissimilarity_naive(counts: UnitCounts) -> float:
     """Definition-level dissimilarity."""
-    if counts.is_degenerate():
+    if is_degenerate(counts):
         return float("nan")
     total_minority = counts.minority_total
-    total_majority = counts.majority_total
+    total_majority = counts.total - counts.minority_total
     acc = 0.0
     for t_i, m_i in zip(counts.t, counts.m):
         acc += abs(m_i / total_minority - (t_i - m_i) / total_majority)
     return acc / 2.0
+
+
+def bootstrap_reference(
+    func: "Callable[[UnitCounts], float]",
+    counts: UnitCounts,
+    n_boot: int,
+    alpha: float,
+    seed: int,
+) -> BootstrapResult:
+    """:func:`~repro.indexes.inference.bootstrap_ci` as a loop: one
+    binomial draw and one scalar evaluation per replica."""
+    rng = np.random.default_rng(seed)
+    estimate = func(counts)
+    t = counts.t.astype(np.int64)
+    p = counts.unit_proportions
+    replicas = np.array(
+        [func(UnitCounts(t, rng.binomial(t, p))) for _ in range(n_boot)]
+    )
+    replicas = replicas[~np.isnan(replicas)]
+    if len(replicas) == 0:
+        return BootstrapResult(estimate, float("nan"), float("nan"),
+                               float("nan"), n_boot)
+    low, high = np.quantile(replicas, [alpha / 2, 1 - alpha / 2])
+    std = float(replicas.std(ddof=1)) if len(replicas) > 1 else 0.0
+    return BootstrapResult(estimate, float(low), float(high), std, n_boot)
+
+
+def randomization_reference(
+    func: "Callable[[UnitCounts], float]",
+    counts: UnitCounts,
+    n_permutations: int,
+    seed: int,
+) -> RandomizationResult:
+    """:func:`~repro.indexes.inference.randomization_test` as a loop:
+    one hypergeometric split and one scalar evaluation per draw."""
+    rng = np.random.default_rng(seed)
+    observed = func(counts)
+    t = counts.t.astype(np.int64)
+    total, m_total = int(counts.total), int(counts.minority_total)
+    null_values = np.array([
+        func(UnitCounts(t, _hypergeometric_split(t, total, m_total, rng)))
+        for _ in range(n_permutations)
+    ])
+    valid = null_values[~np.isnan(null_values)]
+    if len(valid) == 0 or np.isnan(observed):
+        return RandomizationResult(observed, float("nan"), float("nan"),
+                                   float("nan"), n_permutations)
+    std = float(valid.std(ddof=1)) if len(valid) > 1 else 0.0
+    p = (1 + int((valid >= observed - 1e-12).sum())) / (len(valid) + 1)
+    return RandomizationResult(observed, float(valid.mean()), std, float(p),
+                               n_permutations)
 
 
 def frequent_itemsets_bruteforce(
@@ -593,8 +769,8 @@ def make_cell(
 
     The per-cell reference: the minority is counted by its own
     ``np.bincount`` (:func:`unit_counts_many`) and each index by its
-    scalar ``compute``, sharing no kernel with the columnar fill, the
-    parallel workers or the closed-mode resolver.
+    scalar formula (:data:`SCALAR_INDEXES`), sharing no kernel with the
+    columnar fill, the parallel workers or the closed-mode resolver.
     """
     population = int(context_tvec.sum())
     if population < minsup_pop:
@@ -620,7 +796,9 @@ def make_cell(
         population=population,
         minority=minority,
         n_units=n_units,
-        indexes={spec.name: spec.compute(counts) for spec in specs},
+        indexes={
+            spec.name: SCALAR_INDEXES[spec.name](counts) for spec in specs
+        },
     )
 
 

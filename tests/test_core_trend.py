@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
 
 from repro.core.trend import (
-    TrendPoint,
     segregation_trend,
     snapshot_seats_table,
     temporal_seats_table,
@@ -68,7 +66,7 @@ class TestSegregationTrend:
         assert len(points) == 4
         for point in points:
             assert set(point.values) == {"D", "Iso"}
-            assert 0 <= point.value("D") <= 1
+            assert 0 <= point.values["D"] <= 1
             assert point.minority <= point.population
 
     def test_dates_without_membership_skipped(self, estonia):
@@ -107,13 +105,6 @@ class TestSegregationTrend:
             dataset, [1998, 2013], "sector", {"gender": "F"}, indexes=["D"]
         )
         assert points[1].proportion > points[0].proportion
-
-
-class TestTrendPoint:
-    def test_value_accessor(self):
-        point = TrendPoint(2000, 10, 3, 0.3, 2, {"D": 0.5})
-        assert point.value("D") == 0.5
-        assert math.isnan(point.value("G"))
 
 
 class TestTemporalSeatsTable:

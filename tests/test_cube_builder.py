@@ -11,7 +11,8 @@ from repro.data.synthetic import planted_table
 from repro.errors import CubeError
 from repro.etl.schema import Schema
 from repro.etl.table import Table
-from repro.indexes.binary import dissimilarity, gini
+
+from tests.oracles import dissimilarity, gini
 
 
 @pytest.fixture()

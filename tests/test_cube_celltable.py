@@ -22,7 +22,7 @@ from repro.errors import CubeError
 from repro.itemsets.items import Item, ItemDictionary, ItemKind
 from repro.store import dump_snapshot, open_snapshot
 
-from tests.oracles import percell_cube
+from tests.oracles import SCALAR_INDEXES, is_degenerate, percell_cube
 
 
 @pytest.fixture(scope="module")
@@ -118,26 +118,30 @@ class TestColumnarEquivalence:
             assert list(tiny_batches.keys()) == list(one_batch.keys())
             assert check_same_cells(tiny_batches, one_batch, atol=0.0) == []
 
-    def test_columnar_matches_custom_index_fallback(self, dataset):
-        """Custom indexes without a batch kernel run the scalar loop."""
-        from repro.indexes.base import _REGISTRY, IndexSpec, register
+    def test_columnar_matches_custom_index_kernel(self, dataset,
+                                                  monkeypatch):
+        """A custom index runs its kernel on the fill's evaluator, with
+        the bits of its scalar reference in the per-cell fill."""
+        from repro.indexes.base import _REGISTRY, IndexSpec
 
         name = "TProp"
-        if name.upper() not in _REGISTRY:
-            register(IndexSpec(name, "Minority proportion",
-                               lambda c: c.proportion, (0.0, 1.0), True))
-        try:
-            table, schema = dataset
-            limits = {"min_population": 25, "min_minority": 6,
-                      "max_sa_items": 1, "max_ca_items": 1,
-                      "indexes": ["D", name]}
-            columnar = build_cube(table, schema, engine="columnar", **limits)
-            percell = percell_cube(
-                SegregationDataCubeBuilder(**limits), table, schema
-            )
-            assert check_same_cells(columnar, percell, atol=0.0) == []
-        finally:
-            _REGISTRY.pop(name.upper(), None)
+        monkeypatch.setitem(_REGISTRY, name.upper(), IndexSpec(
+            name, "Minority proportion", lambda block: block.proportion,
+            (0.0, 1.0), True,
+        ))
+        monkeypatch.setitem(
+            SCALAR_INDEXES, name,
+            lambda c: float("nan") if is_degenerate(c) else c.proportion,
+        )
+        table, schema = dataset
+        limits = {"min_population": 25, "min_minority": 6,
+                  "max_sa_items": 1, "max_ca_items": 1,
+                  "indexes": ["D", name]}
+        columnar = build_cube(table, schema, engine="columnar", **limits)
+        percell = percell_cube(
+            SegregationDataCubeBuilder(**limits), table, schema
+        )
+        assert check_same_cells(columnar, percell, atol=0.0) == []
 
 
 class TestArrayRoutedQueries:

@@ -26,7 +26,8 @@ from repro.data.synthetic import (
     uniform_table,
 )
 from repro.errors import ReproError
-from repro.indexes.binary import dissimilarity
+
+from tests.oracles import dissimilarity
 
 
 class TestVocab:

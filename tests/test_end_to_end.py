@@ -21,11 +21,10 @@ from repro import (
 from repro.data.synthetic import checkerboard_table, planted_table, uniform_table
 from repro.etl.csvio import read_table, write_table
 from repro.etl.schema import Schema
-from repro.indexes import binary
 from repro.report.pivot import pivot
 from repro.report.xlsx import rows_to_workbook
 
-from tests.oracles import NaiveCubeBuilder
+from tests.oracles import SCALAR_INDEXES, NaiveCubeBuilder
 
 
 class TestPlantedGroundTruth:
@@ -34,14 +33,7 @@ class TestPlantedGroundTruth:
         cube = build_cube(planted.table, planted.schema,
                           min_population=1, min_minority=1)
         cell = cube.cell(sa={"gender": "F"})
-        for name, func in (
-            ("D", binary.dissimilarity),
-            ("G", binary.gini),
-            ("H", binary.information),
-            ("Iso", binary.isolation),
-            ("Int", binary.interaction),
-            ("A", binary.atkinson),
-        ):
+        for name, func in SCALAR_INDEXES.items():
             assert cell.value(name) == pytest.approx(func(planted.counts)), name
 
     def test_checkerboard_maximal(self):

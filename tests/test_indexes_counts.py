@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import SegregationIndexError
 from repro.indexes.counts import UnitCounts
+from repro.indexes.vectorized import CountBlock
 
 from tests.oracles import unit_counts_bruteforce
 
@@ -36,7 +37,6 @@ class TestUnitCountsDerived:
         counts = UnitCounts([10, 20, 30], [1, 2, 3])
         assert counts.total == 60
         assert counts.minority_total == 6
-        assert counts.majority_total == 54
         assert counts.proportion == pytest.approx(0.1)
         assert counts.n_units == 3
 
@@ -45,10 +45,18 @@ class TestUnitCountsDerived:
         assert counts.unit_proportions == pytest.approx([0.5, 0.25])
 
     def test_degenerate_flags(self):
-        assert UnitCounts([10], [0]).is_degenerate()
-        assert UnitCounts([10], [10]).is_degenerate()
-        assert UnitCounts([], []).is_degenerate()
-        assert not UnitCounts([10], [5]).is_degenerate()
+        """The evaluator's block flags a population without a minority,
+        without a majority, or without anyone."""
+        def degenerate(t, m):
+            counts = UnitCounts(t, m)
+            block = CountBlock.of(counts.t, counts.m[None, :])
+            return bool(block.degenerate[0])
+
+        assert degenerate([10], [0])
+        assert degenerate([10], [10])
+        assert degenerate([], [])
+        assert degenerate([0, 0], [0, 0])
+        assert not degenerate([10], [5])
 
     def test_repr_mentions_shape(self):
         text = repr(UnitCounts([10, 20], [3, 7]))

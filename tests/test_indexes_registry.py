@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.cube.builder import build_cube
+from repro.data.schools import generate_schools
 from repro.errors import SegregationIndexError
 from repro.indexes.base import (
     DEFAULT_INDEXES,
@@ -36,20 +39,32 @@ class TestRegistry:
         specs = resolve_indexes(["D", "H"])
         assert [s.name for s in specs] == ["D", "H"]
 
+    def test_repeated_name_rejected(self):
+        """A cube holds one column per index: a name given twice, in any
+        case, is refused before anything is built."""
+        for names in (["D", "d"], ["Iso", "H", "ISO"]):
+            with pytest.raises(SegregationIndexError, match="twice"):
+                resolve_indexes(names)
+        with pytest.raises(SegregationIndexError, match="twice"):
+            build_cube(*generate_schools(), indexes=["D", "d"],
+                       min_population=10, min_minority=3)
+
     def test_duplicate_registration_rejected(self):
-        spec = IndexSpec("D", "dup", lambda c: 0.0, (0, 1), True)
+        spec = IndexSpec("D", "dup", lambda block: block.proportion, (0, 1),
+                         True)
         with pytest.raises(SegregationIndexError, match="already registered"):
             register(spec)
 
     def test_custom_index_registration(self):
         spec = IndexSpec(
-            "TestOnly", "custom", lambda c: 0.5, (0.0, 1.0), True
+            "TestOnly", "custom", lambda block: np.full(len(block.m), 0.5),
+            (0.0, 1.0), True,
         )
         try:
             register(spec)
             assert get_index("testonly").compute(
                 UnitCounts([10], [5])
-            ) == pytest.approx(0.5)
+            ) == 0.5
         finally:
             # Keep the global registry clean for other tests.
             from repro.indexes import base

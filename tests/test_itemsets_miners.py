@@ -157,9 +157,9 @@ class TestMineFacade:
     def test_result_helpers(self):
         db = make_db(CLASSIC_DB)
         result = mine(db, 2)
-        assert result.support({0}) == 5
-        assert result.support({0, 1, 2}) == 2
-        assert result.support({5}) == 0
+        assert result.supports[frozenset({0})] == 5
+        assert result.supports[frozenset({0, 1, 2})] == 2
+        assert frozenset({5}) not in result.supports
         assert sum(len(itemset) == 2 for itemset in result.supports) == 3
         assert len(result) == 7
 

@@ -20,7 +20,10 @@ longer defined, fails too, so the list cannot go stale.
 
 A third check ratchets the package's settable values: the defaulted
 parameters of its functions and methods may not grow past
-:data:`MAX_SETTABLE`.
+:data:`MAX_SETTABLE`.  A fourth fails on an import that a module of
+``src/repro`` (other than an ``__init__``, whose imports are its
+exports) never uses, in its code or in a string that parses as an
+expression (a string annotation or type alias).
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ KEPT = {
 
 #: Most defaulted parameters (positional and keyword-only) the
 #: functions and methods of ``src/repro`` may have together.
-MAX_SETTABLE = 269
+MAX_SETTABLE = 255
 
 
 def _named(nodes: Iterable[ast.AST]) -> "Counter[str]":
@@ -178,6 +181,48 @@ def settable_values(root: Path) -> int:
     )
 
 
+def _string_names(tree: ast.AST) -> "set[str]":
+    """Names used inside the strings of ``tree`` that parse as an
+    expression: string annotations and string type aliases."""
+    names: "set[str]" = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                expression = ast.parse(node.value.strip(), mode="eval")
+            except SyntaxError:
+                continue
+            names.update(
+                name.id for name in ast.walk(expression)
+                if isinstance(name, ast.Name)
+            )
+    return names
+
+
+def unused_imports(root: Path) -> "dict[str, list[str]]":
+    """Names each non-``__init__`` module of ``root/src`` imports but
+    never uses, in its code or in a string annotation or type alias."""
+    out: "dict[str, list[str]]" = {}
+    for path in sorted((root / "src").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {
+            alias.asname or alias.name.partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module != "__future__"
+            )
+            for alias in node.names
+        }
+        used = _string_names(tree) | {
+            node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+        }
+        if imported - used:
+            out[str(path.relative_to(root))] = sorted(imported - used)
+    return out
+
+
 @pytest.fixture(scope="module")
 def found() -> "dict[str, list[str]]":
     return unreached(ROOT)
@@ -211,16 +256,26 @@ def test_settable_values_do_not_grow():
     )
 
 
+def test_every_import_is_used():
+    unused = unused_imports(ROOT)
+    assert not unused, f"imported and never used; delete them: {unused}"
+
+
 PLANTED_MODULE = '''
+import json
+import os.path
+from collections.abc import Mapping
+
+
 class Store:
     def reached(self, key="k"):
-        return key
+        return os.path.basename(key)
 
     def recursive(self, n):
         return self.recursive(n - 1) if n else 0
 
-    def by_name(self):
-        return 1
+    def by_name(self) -> "Mapping[str, int]":
+        return {"one": 1}
 
     def kept(self):
         return 2
@@ -257,3 +312,7 @@ def test_guard_rules_on_a_planted_tree(tmp_path):
     kept = {"Store.kept": "why", "Store.reached": "why", "Store.gone": "why"}
     assert stale(found, kept) == ["Store.gone", "Store.reached"]
     assert settable_values(tmp_path) == 1
+    # ``json`` is imported and never used; ``os`` is used in code and
+    # ``Mapping`` only in a string annotation; the ``__init__``'s import
+    # is an export.
+    assert unused_imports(tmp_path) == {"src/repro/mod.py": ["json"]}

@@ -178,16 +178,15 @@ class TestRoundTrip:
             assert restored == original
             assert type(restored.value) is type(original.value)
 
-    def test_custom_scalar_fallback_index_round_trips(
-        self, schools, tmp_path
-    ):
-        """A registered custom index (scalar fallback kernel) persists."""
+    def test_custom_index_round_trips(self, schools, tmp_path):
+        """A registered custom index (its own kernel) persists."""
         from repro.indexes.base import _REGISTRY, IndexSpec, register
 
         name = "TSnap"
         if name.upper() not in _REGISTRY:
             register(IndexSpec(name, "Minority proportion",
-                               lambda c: c.proportion, (0.0, 1.0), True))
+                               lambda block: block.proportion, (0.0, 1.0),
+                               True))
         try:
             table, schema = schools
             cube = build_cube(
