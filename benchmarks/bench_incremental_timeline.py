@@ -29,8 +29,8 @@ date the publisher wrote must sit at most ``MAX_CHAIN`` hops from a
 full snapshot and reopen bit-identically, and the whole timeline must
 stay smaller than 50 full snapshots.  It reports the timeline's bytes,
 its full dates and its first/last/worst chain-resolved open, next to an
-unbounded delta chain over the same cubes for contrast.  Its numbers
-merge into the same ``BENCH_E19.json``.
+unbounded delta chain over the same cubes for contrast.  Each of the
+two timing tests appends its own record to ``BENCH_E19.json``.
 
 ``test_incremental_parity`` runs both timelines through the engine and
 the publisher and asserts only the exact equalities, at every date,
@@ -40,7 +40,6 @@ gating CI step (the two timing tests' floors are informational).
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
@@ -67,7 +66,7 @@ from repro.store import (
 from repro.store.timeline import MAX_CHAIN
 
 from benchmarks.bench_cube_fill import FILL_ROWS, LIMITS
-from benchmarks.conftest import RESULTS_DIR, write_bench_json, write_result
+from benchmarks.conftest import write_bench_json, write_result
 
 DATES = (0, 1, 2)
 MAX_CHURN = 0.05
@@ -81,22 +80,6 @@ CLOSED_CHURN = 0.02
 MIN_CLOSED_SPEEDUP = 3.0
 CLOSED_LIMITS = {"min_population": 40, "min_minority": 10,
                  "max_sa_items": 2, "max_ca_items": 2}
-
-
-def _merge_bench_json(experiment: str, payload: "dict[str, object]"):
-    """Merge new fields into an existing BENCH_<experiment>.json.
-
-    Both E19 tests contribute to one JSON record; whichever runs second
-    must not clobber the first's fields.
-    """
-    path = RESULTS_DIR / f"BENCH_{experiment}.json"
-    merged: "dict[str, object]" = {}
-    if path.is_file():
-        merged = json.loads(path.read_text())
-        for key in ("experiment", "python", "machine", "peak_rss_mb"):
-            merged.pop(key, None)
-    merged.update(payload)
-    return write_bench_json(experiment, merged)
 
 
 def measure_open_ms(path: "str | Path", mmap: bool = True) -> float:
@@ -269,7 +252,7 @@ def test_incremental_fill_and_delta_dump(benchmark, tmp_path):
         "(bit-exact parity asserted, atol=0)\n"
         + render_table(["stage", "time (ms)", "speedup vs rebuild"], rows),
     )
-    _merge_bench_json("E19", {
+    write_bench_json("E19", {
         "rows": FILL_ROWS,
         "dates": list(DATES),
         "cells_last_date": len(final_state.cube),
@@ -473,7 +456,7 @@ def test_closed_incremental_50_date_timeline(benchmark, tmp_path):
         f"{ms_per_hop:.1f} ms per hop (least-squares slope over the "
         f"{len(dates)} dates)",
     )
-    _merge_bench_json("E19", {
+    write_bench_json("E19", {
         "closed_rows": CLOSED_ROWS,
         "closed_dates": N_CLOSED_DATES,
         "closed_churn_max": max(churns),

@@ -6,20 +6,26 @@ snapshot (hit in-process — no TCP, so the numbers are the serving
 stack, not the kernel's socket path) answering a mixed query workload
 from a pool of reader threads, in two configurations:
 
-* ``cold`` — hot-query LRU disabled, every request recomputes;
-* ``warm`` — default LRU, the workload fits, steady-state hits.
+* ``cold`` — response cache disabled, every request is answered
+  afresh: ``/top`` ranks and renders, ``/pivot`` recomputes, and a cell
+  list joins the per-row JSON fragments its service rendered the first
+  time it listed each row;
+* ``warm`` — default response cache, the workload fits, steady-state
+  hits.
 
 Reported per configuration: throughput (QPS) and p50/p99 latency.
 
 Two tests pin the tier's contract, and CI gates on both.
-``test_http_parity`` checks that the cached app answers every query in
-the mix with the cache-off app's bytes, both when it computes the
-answer and when it serves it from the cache.  ``test_http_serving_load``
-runs the load and asserts that the warm-cache ``/top`` beats the cold
-one by >= 50x, and that the warm p99 is below the cold p50: a warm hit
-returns stored response bytes, so no request of the mix, the 1,712-cell
-``/slice`` included, re-renders cells or JSON.  Both floors hold by more
-than 5x on a 2-vCPU box.  Numbers land in
+``test_http_parity`` checks every body of the mix three ways: the
+cache-off app's, the cached app's (computed, then served from the
+cache) and ``payloads.dumps(<payload fn>(service, ...))`` of an
+in-process service.  The two apps render cell lists through the same
+per-row fragments, so the in-process payloads are the reference that
+shares no rendering with them.  ``test_http_serving_load`` runs the
+load and asserts that the warm-cache ``/top`` beats the cold one by
+>= 50x, and that the warm p99 is below the cold p50: a warm hit returns
+stored response bytes, so no request of the mix, the 1,712-cell
+``/slice`` included, renders or joins anything.  Numbers land in
 ``results/E20_http_serving.txt`` and ``results/BENCH_E20.json``.
 """
 
@@ -31,7 +37,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro.cube.builder import SegregationDataCubeBuilder
 from repro.report.text import render_table
+from repro.serve import payloads
 from repro.serve.http import make_app, wsgi_get
+from repro.serve.service import CubeService
 from repro.store.snapshot import dump_snapshot
 
 from benchmarks.bench_cube_fill import FILL_ROWS, LIMITS, _fill_table
@@ -104,6 +112,29 @@ def _bodies(app) -> "list[bytes]":
     return bodies
 
 
+def _in_process_bodies(service) -> "list[bytes]":
+    """The mix's bodies from the in-process payload functions."""
+    g0, g1, r0 = {"g": "g0"}, {"g": "g1"}, {"r": "r0"}
+    payload = {
+        TOP_QUERY: lambda: payloads.top_payload(
+            service, "D", k=50, min_minority=30),
+        "/top?index=G&k=20": lambda: payloads.top_payload(service, "G", k=20),
+        "/slice?ca=r%3Dr0": lambda: payloads.cells_payload(
+            service, service.slice(ca=r0)),
+        "/slice?sa=g%3Dg1": lambda: payloads.cells_payload(
+            service, service.slice(sa=g1)),
+        "/cell?sa=g%3Dg0&ca=r%3Dr0": lambda: payloads.cell_payload(
+            service, service.cell(sa=g0, ca=r0)),
+        "/children?ca=r%3Dr0": lambda: payloads.cells_payload(
+            service, service.children(ca=r0)),
+        "/parents?sa=g%3Dg0&ca=r%3Dr0": lambda: payloads.cells_payload(
+            service, service.parents(sa=g0, ca=r0)),
+        "/pivot?index=D&rows=g&cols=r": lambda: payloads.pivot_payload(
+            service, "D", "g", "r"),
+    }
+    return [payloads.dumps(payload[query]()) for query in QUERY_MIX]
+
+
 def _median_latency_ms(app, query: str, reps: int = TOP_REPS) -> float:
     samples = []
     for _ in range(reps):
@@ -115,11 +146,13 @@ def _median_latency_ms(app, query: str, reps: int = TOP_REPS) -> float:
 
 
 def test_http_parity(tmp_path):
-    """Every body of the mix equals the cache-off app's, cached or not."""
+    """Every body of the mix equals the in-process payload's and the
+    cache-off app's, cached or not."""
     _snapshot(tmp_path / "snap")
     cold = make_app(tmp_path / "snap", cache_size=0)
     warm = make_app(tmp_path / "snap")
-    reference = _bodies(cold)
+    reference = _in_process_bodies(CubeService(tmp_path / "snap"))
+    assert _bodies(cold) == reference
     # The first round computes each answer; the second must come from
     # the cache, with the same bytes.
     assert _bodies(warm) == reference

@@ -107,14 +107,28 @@ class SegregationCube:
     # Lookup
     # ------------------------------------------------------------------
 
-    def cell_by_key(self, key: CellKey) -> "CellStats | None":
-        """Materialised cell, or resolver-computed cell, or None."""
+    def locate(self, key: CellKey) -> "int | CellStats | None":
+        """The row-level point lookup: a key's row, else the resolver's
+        cell for it, else None.
+
+        The navigation queries' row-level forms return such *hits*: a
+        row of :attr:`table`, or, on a live closed-mode cube, a
+        :class:`CellStats` the resolver computed for a key that has no
+        row.
+        """
         row = self._table.row_of(key)
         if row is not None:
-            return self._table.stats(row)
+            return row
         if self._resolver is not None:
             return self._resolver(key)
         return None
+
+    def _stats(self, hit: "int | CellStats | None") -> "CellStats | None":
+        return self._table.stats(hit) if isinstance(hit, int) else hit
+
+    def cell_by_key(self, key: CellKey) -> "CellStats | None":
+        """Materialised cell, or resolver-computed cell, or None."""
+        return self._stats(self.locate(key))
 
     def cell(
         self,
@@ -147,34 +161,41 @@ class SegregationCube:
         :class:`CellStats` is built; missing cells go through the lazy
         resolver (nan when below thresholds or absent).
         """
-        row = self._table.row_of(key)
-        if row is not None:
-            return self._table.value_at(row, index_name)
-        if self._resolver is not None:
-            stats = self._resolver(key)
-            if stats is not None:
-                return stats.value(index_name)
-        return float("nan")
+        hit = self.locate(key)
+        if isinstance(hit, int):
+            return self._table.value_at(hit, index_name)
+        return hit.value(index_name) if hit is not None else float("nan")
 
     # ------------------------------------------------------------------
     # Navigation
     # ------------------------------------------------------------------
 
-    def children(self, key: CellKey) -> "list[CellStats]":
-        """Materialised cells refining ``key`` by exactly one item."""
+    # Each query has one row-level form; its CellStats form reads the
+    # rows it returns.
+
+    def children_rows(self, key: CellKey) -> "list[int]":
+        """Rows refining ``key`` by exactly one item."""
         sa, ca = key
         mask = self._table.superset_mask(sa, ca)
         mask &= self._table.depths == (len(sa) + len(ca) + 1)
-        return [self._table.stats(i) for i in np.flatnonzero(mask)]
+        return np.flatnonzero(mask).tolist()
+
+    def children(self, key: CellKey) -> "list[CellStats]":
+        """Materialised cells refining ``key`` by exactly one item."""
+        return [self._table.stats(row) for row in self.children_rows(key)]
+
+    def parent_rows(self, key: CellKey) -> "list[int | CellStats]":
+        """Hits (see :meth:`locate`) of ``key``'s roll-up neighbours."""
+        hits = (self.locate(parent) for parent in parents_of(key))
+        return [hit for hit in hits if hit is not None]
 
     def parents(self, key: CellKey) -> "list[CellStats]":
         """Materialised roll-up neighbours of ``key``."""
-        out = []
-        for parent_key in parents_of(key):
-            stats = self.cell_by_key(parent_key)
-            if stats is not None:
-                out.append(stats)
-        return out
+        return [self._stats(hit) for hit in self.parent_rows(key)]
+
+    def slice_rows(self, key: CellKey) -> "list[int]":
+        """Rows whose coordinates *include* ``key``'s."""
+        return np.flatnonzero(self._table.superset_mask(*key)).tolist()
 
     def slice(
         self,
@@ -182,9 +203,8 @@ class SegregationCube:
         ca: "Mapping[str, object] | None" = None,
     ) -> "list[CellStats]":
         """All materialised cells whose coordinates *include* the given ones."""
-        want_sa, want_ca = encode_query(self.dictionary, sa=sa, ca=ca)
-        mask = self._table.superset_mask(want_sa, want_ca)
-        return [self._table.stats(i) for i in np.flatnonzero(mask)]
+        key = encode_query(self.dictionary, sa=sa, ca=ca)
+        return [self._table.stats(row) for row in self.slice_rows(key)]
 
     def top(
         self,

@@ -97,10 +97,15 @@ def resolve_indexes(names: "list[str] | None") -> list[IndexSpec]:
     """Resolve a list of index names, defaulting to all six SCube indexes.
 
     A name given twice (compared case-insensitively, as lookups are) is
-    rejected: a cube holds one column per index.
+    rejected: a cube holds one column per index.  So is a bare string,
+    which would otherwise be read as a list of one-letter names.
     """
     if names is None:
         return list(DEFAULT_INDEXES)
+    if isinstance(names, str):
+        raise SegregationIndexError(
+            f"index names must be a list of names, not the string {names!r}"
+        )
     specs = [get_index(n) for n in names]
     if len({spec.name for spec in specs}) < len(specs):
         raise SegregationIndexError(f"an index is named twice in {names}")

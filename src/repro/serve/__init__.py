@@ -11,7 +11,8 @@ written by :mod:`repro.store` without re-running ETL, mining or fill:
   the derived lookup structures once, and then answers ``top`` /
   ``slice`` / ``children`` / ``parents`` / ``value_by_key`` /
   ``pivot`` / ``trend`` from any number of concurrent reader threads
-  (nothing is mutated after open).
+  (after open, a query writes only per-row slots, each with its row's
+  one value: a decoded key, a rendered cell).
   :func:`~repro.serve.router.open_service` is the opener the CLI and
   the HTTP tier share.
 * :class:`~repro.serve.cache.CachedCubeService` /
@@ -21,8 +22,8 @@ written by :mod:`repro.store` without re-running ETL, mining or fill:
   bounded by entries and by
   :data:`~repro.serve.cache.MAX_CACHE_BYTES`, with hit/miss counters in
   ``info()`` and generation-based invalidation when a timeline date is
-  published.  There is no row-level memo: in-process query calls are
-  computed every time.
+  published.  Below it, the service renders each cell's JSON once per
+  opened cube, so an uncached cell list joins per-row fragments.
 * :func:`~repro.serve.http.make_app` — a stdlib-only WSGI app mapping
   the queries to JSON endpoints (``/info`` ``/dates`` ``/top``
   ``/slice`` ``/cell`` ``/children`` ``/parents`` ``/pivot``

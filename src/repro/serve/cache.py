@@ -24,9 +24,14 @@ Two pieces:
 
 The HTTP tier keys each request by its ``(PATH_INFO, QUERY_STRING)``
 exactly as received, so two spellings of one query are two entries,
-each with correct bytes.  There is no row-level memo: the service's
-query methods (``top``, ``slice``, ``cell`` ...) read through to the
-wrapped service and are computed on every call.
+each with correct bytes.  The service's query methods (``top``,
+``slice``, ``cell`` ...) read through to the wrapped service, uncached.
+Below this cache, the wrapped
+:class:`~repro.serve.service.CubeService` renders each cell's JSON once
+per opened cube (:meth:`~repro.serve.service.CubeService.rendered`), so
+a miss that lists cells joins fragments it already has; those per-row
+slots are keyed by row, never invalidated, and die with the service
+that :meth:`CachedCubeService.refresh` replaces.
 """
 
 from __future__ import annotations

@@ -39,6 +39,13 @@ type-coerced by the *same* :mod:`repro.serve.params` functions the CLI
 uses.  Every response body is ``payloads.dumps(<payload fn>(service,
 ...))`` — the exact bytes the in-process payload functions produce —
 which is what makes the HTTP tier byte-identical to in-process calls.
+The cell endpoints get those bytes without building the payload: a
+``/cell`` body is its row's fragment, and a ``/slice``, ``/children``
+or ``/parents`` body is :func:`~repro.serve.payloads.cells_body`, the
+listed rows' fragments joined in canonical order, which equals
+``dumps(cells_payload(...))`` over the same cells.  The service renders
+each row's fragment once, the first time an endpoint lists the row
+(:meth:`~repro.serve.service.CubeService.rendered`).
 
 Caching: the app stores finished responses, ``(status, body bytes)``,
 in :class:`~repro.serve.cache.CachedCubeService`'s one cache (at most
@@ -72,6 +79,7 @@ from socketserver import ThreadingMixIn
 from urllib.parse import parse_qs
 from wsgiref.simple_server import WSGIRequestHandler, WSGIServer, make_server
 
+from repro.cube.coordinates import CellKey, encode_query
 from repro.errors import ReproError
 from repro.serve import payloads
 from repro.serve.cache import DEFAULT_CACHE_SIZE, CachedCubeService
@@ -138,8 +146,23 @@ def _index_param(service, params: "dict[str, list[str]]") -> str:
     return index
 
 
+def _key(service, params: "dict[str, list[str]]") -> CellKey:
+    """The request's ``sa``/``ca`` coordinates as a cell key."""
+    return encode_query(
+        service.dictionary,
+        sa=_coords(service, params, "sa"),
+        ca=_coords(service, params, "ca"),
+    )
+
+
+def _cells(service, hits) -> bytes:
+    """A cell-list body: the hits' rendered fragments, joined."""
+    return payloads.cells_body(service.rendered(hits))
+
+
 # ----------------------------------------------------------------------
-# Endpoint handlers: (service, params) -> (status, payload)
+# Endpoint handlers: (service, params) -> (status, payload), where the
+# cell endpoints' payload is the finished body bytes
 # ----------------------------------------------------------------------
 
 
@@ -163,32 +186,28 @@ def _handle_top(service, params):
 
 
 def _handle_slice(service, params):
-    cells = service.slice(
-        sa=_coords(service, params, "sa"), ca=_coords(service, params, "ca")
+    return 200, _cells(
+        service, service.cube.slice_rows(_key(service, params))
     )
-    return 200, payloads.cells_payload(service, cells)
 
 
 def _handle_cell(service, params):
-    stats = service.cell(
-        sa=_coords(service, params, "sa"), ca=_coords(service, params, "ca")
-    )
-    payload = payloads.cell_payload(service, stats)
-    return (200, payload) if payload is not None else (404, None)
+    hit = service.cube.locate(_key(service, params))
+    if hit is None:
+        return 404, None
+    return 200, service.rendered([hit])[0][2]   # the cell's fragment
 
 
 def _handle_children(service, params):
-    cells = service.children(
-        sa=_coords(service, params, "sa"), ca=_coords(service, params, "ca")
+    return 200, _cells(
+        service, service.cube.children_rows(_key(service, params))
     )
-    return 200, payloads.cells_payload(service, cells)
 
 
 def _handle_parents(service, params):
-    cells = service.parents(
-        sa=_coords(service, params, "sa"), ca=_coords(service, params, "ca")
+    return 200, _cells(
+        service, service.cube.parent_rows(_key(service, params))
     )
-    return 200, payloads.cells_payload(service, cells)
 
 
 def _handle_pivot(service, params):
@@ -229,6 +248,8 @@ def _render(handler, query: str, service) -> "tuple[int, bytes]":
     status, payload = handler(
         service, parse_qs(query, keep_blank_values=True)
     )
+    if isinstance(payload, bytes):
+        return status, payload
     return status, payloads.dumps(payload)
 
 
@@ -281,7 +302,8 @@ def make_app(
 
     ``source`` may be a path (snapshot or timeline directory), a live
     cube, or an already-constructed service object (anything
-    with the :class:`~repro.serve.service.CubeService` query methods);
+    with the :class:`~repro.serve.service.CubeService` query methods,
+    its ``cube`` and its ``rendered``);
     paths and cubes are opened via
     :func:`~repro.serve.router.open_service` and wrapped in a
     :class:`~repro.serve.cache.CachedCubeService` of ``cache_size``
@@ -386,9 +408,10 @@ def make_app(
 class ThreadingWSGIServer(ThreadingMixIn, WSGIServer):
     """wsgiref's server, answering each request on its own thread.
 
-    The served cube is warmed and a query writes at most a row's key
-    slot, always with the same key, so concurrent handler threads are
-    safe (the same guarantee the thread-pool tests exercise in-process).
+    The served cube is warmed and a query writes only per-row slots
+    (a row's key, its rendered fragment), each always with the same
+    value, so concurrent handler threads are safe (the same guarantee
+    the thread-pool tests exercise in-process).
     """
 
     daemon_threads = True

@@ -5,7 +5,17 @@ One function per query shape, used by *every* consumer — the HTTP tier
 tests — so "the JSON answer to this query" is defined exactly once.
 That single definition is what the HTTP acceptance contract rests on:
 an endpoint's body is byte-identical to ``dumps(<payload fn>(service,
-...))`` computed in-process, because it *is* that call.
+...))`` computed in-process.
+
+The cell endpoints reach those bytes another way.  A cell's JSON never
+changes while its cube is served, so the service renders each row once
+(:meth:`~repro.serve.service.CubeService.rendered`) as its
+:func:`cell_fragment`, and a ``/slice``, ``/children`` or ``/parents``
+body is :func:`cells_body`, those fragments joined: the bytes of
+``dumps(cells_payload(...))`` over the same cells, since both build a
+cell with ``_cell`` and order cells by one key.  ``cells_payload`` and
+``cell_payload`` are what the CLI's ``--json``, the benchmarks and the
+parity tests call.
 
 Two canonicalisation rules make the bytes deterministic:
 
@@ -51,6 +61,26 @@ def _cell(description: str, stats: CellStats, index_names: "list[str]"
     }
 
 
+#: The canonical order of a cell list, over ``(depth, description, ...)``
+#: tuples.
+_ORDER = itemgetter(0, 1)
+
+
+def cell_fragment(description: str, stats: CellStats,
+                  index_names: "list[str]") -> bytes:
+    """One cell's JSON bytes: a ``/cell`` body, or one element of a
+    cell-list body."""
+    return dumps(_cell(description, stats, index_names))
+
+
+def cells_body(entries: "list[tuple[int, str, bytes]]") -> bytes:
+    """A cell-list body from its cells' ``(depth, description,
+    fragment)`` entries: equal to ``dumps(cells_payload(...))`` over the
+    same cells in the same order.  Sorts ``entries`` in place."""
+    entries.sort(key=_ORDER)
+    return b"[" + b",".join([entry[2] for entry in entries]) + b"]"
+
+
 def cell_payload(service, stats: "CellStats | None"
                  ) -> "dict[str, object] | None":
     """One cell as JSON (None for a missing cell -> ``null`` body)."""
@@ -64,15 +94,14 @@ def cells_payload(service, cells: "list[CellStats]"
     """A cell list in canonical ``(depth, description)`` order.
 
     Each cell is described once, for both its sort key and its ``cell``
-    field.  The HTTP tier runs this only on a cache miss: its cache holds
-    finished body bytes, never cells.
+    field.
     """
     index_names = service.index_names
     described = [
         (stats.depth(), service.describe(stats.key), stats)
         for stats in cells
     ]
-    described.sort(key=itemgetter(0, 1))
+    described.sort(key=_ORDER)
     return [
         _cell(description, stats, index_names)
         for _, description, stats in described

@@ -10,10 +10,21 @@ as well) and the ``date`` argument
 routes queries to one dated cube (latest by default); the other dates
 stay one :meth:`trend` call away.  Construction *warms* the served
 cube — its row index and size vectors, no decoded key — and builds the
-typed-coordinate lookup (:func:`~repro.serve.params.typed_values`):
-afterwards a query writes at most a row's key slot, always with the one
-key that row decodes to, so any number of concurrent reader threads is
-safe, as the thread-pool test in ``tests/test_serve_service.py`` checks.
+typed-coordinate lookup (:func:`~repro.serve.params.typed_values`).
+
+The service keeps one empty *rendered* slot per row of the served
+cube's table.  :meth:`CubeService.rendered` fills a row's slot the
+first time a cell endpoint lists that row, with the row's ``(depth,
+description, fragment)``, and every later request reuses it: a cell's
+JSON never changes while its cube is served.  A slot is never
+invalidated; it dies with the service, which a refresh replaces.
+
+After construction a query writes only per-row slots: a row's key slot
+(the one key the row decodes to) and its rendered slot (the one entry
+the row renders to).  Two threads racing on one slot write equal
+values, so any number of concurrent reader threads is safe, as the
+thread-pool tests in ``tests/test_serve_service.py`` and
+``tests/test_serve_http.py`` check.
 """
 
 from __future__ import annotations
@@ -27,12 +38,15 @@ from repro.cube.coordinates import CellKey, encode_query
 from repro.cube.cube import SegregationCube
 from repro.cube.explorer import Discovery, summarize_cube, top_contexts
 from repro.errors import SnapshotError
+from repro.serve import payloads
 from repro.serve.params import typed_values
 
 if TYPE_CHECKING:
     from repro.store.timeline import CubeTimeline
 
 Coordinates = Union[Mapping[str, object], None]
+#: A rendered cell: ``(depth, description, fragment)``.
+Rendered = tuple[int, str, bytes]
 
 
 def _disk_info(path) -> "dict[str, int]":
@@ -97,6 +111,7 @@ class CubeService:
         #: ``{attribute: {str(value): value}}``, what
         #: :func:`~repro.serve.params.typed_coordinates` coerces with.
         self.typed_values = typed_values(self._cube.dictionary)
+        self._rendered: "list[Rendered | None]" = [None] * len(self._cube)
 
     @property
     def cube(self) -> SegregationCube:
@@ -162,6 +177,8 @@ class CubeService:
     def info(self) -> "dict[str, object]":
         """Headline numbers plus provenance of the served cube.
 
+        ``rendered_rows`` counts the rows whose rendered slot is filled:
+        it grows toward ``cells`` as requests list rows.
         Snapshot-backed services also report the snapshot's on-disk
         byte size and delta-chain length; timeline-backed ones report
         both *per date* — the two numbers the timeline's publish rule
@@ -174,6 +191,7 @@ class CubeService:
         out["index_names"] = list(metadata.index_names)
         out["n_rows"] = metadata.n_rows
         out["n_units"] = metadata.n_units
+        out["rendered_rows"] = len(self._rendered) - self._rendered.count(None)
         snapshot = metadata.extra.get("snapshot")
         if snapshot is not None:
             out["snapshot"] = snapshot
@@ -309,6 +327,35 @@ class CubeService:
     def describe(self, key: CellKey) -> str:
         """Human-readable address of a cell key."""
         return self._cube.describe(key)
+
+    def rendered(self, hits: "list[int | CellStats]") -> "list[Rendered]":
+        """Each hit's ``(depth, description, fragment)``.
+
+        ``hits`` come from the served cube's row-level queries
+        (:meth:`~repro.cube.cube.SegregationCube.locate` and the
+        ``*_rows`` forms).  A row is rendered on first use and kept in
+        its slot; a resolver-computed cell has no row, so it is rendered
+        now and not kept.
+        """
+        slots = self._rendered
+        out = []
+        for hit in hits:
+            if isinstance(hit, int):
+                entry = slots[hit]
+                if entry is None:
+                    entry = slots[hit] = self._render(
+                        self._cube.table.stats(hit)
+                    )
+            else:
+                entry = self._render(hit)
+            out.append(entry)
+        return out
+
+    def _render(self, stats: CellStats) -> Rendered:
+        description = self._cube.describe(stats.key)
+        return stats.depth(), description, payloads.cell_fragment(
+            description, stats, self.index_names
+        )
 
     def pivot(
         self,

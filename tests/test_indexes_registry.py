@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cube.builder import build_cube
+from repro.cube.builder import SegregationDataCubeBuilder, build_cube
 from repro.data.schools import generate_schools
 from repro.errors import SegregationIndexError
 from repro.indexes.base import (
@@ -48,6 +48,15 @@ class TestRegistry:
         with pytest.raises(SegregationIndexError, match="twice"):
             build_cube(*generate_schools(), indexes=["D", "d"],
                        min_population=10, min_minority=3)
+
+    def test_bare_string_rejected(self):
+        """A string is not a list of names: ``"DG"`` is not D and G, and
+        ``"Iso"`` is not I, s and o."""
+        for names in ("DG", "Iso", "D"):
+            with pytest.raises(SegregationIndexError, match=repr(names)):
+                resolve_indexes(names)
+        with pytest.raises(SegregationIndexError, match="'DG'"):
+            SegregationDataCubeBuilder(indexes="DG")
 
     def test_duplicate_registration_rejected(self):
         spec = IndexSpec("D", "dup", lambda block: block.proportion, (0, 1),

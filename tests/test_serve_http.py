@@ -5,20 +5,36 @@ the JSON the in-process payload builders produce for the equivalent
 CubeService call — for the single snapshot and for timelines — and
 errors map to 400 (malformed/unknown parameters), 404 (unknown
 endpoint, missing cell), 405 (wrong method) and 500, all with JSON
-bodies.
+bodies.  The cell endpoints join per-row fragments that the service
+renders once per opened cube: every cell query is compared on three
+kinds of source, under racing threads, and the renders are counted.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+from urllib.parse import quote
 
 import pytest
 
 from repro.cube.builder import build_cube
+from repro.cube.cube import SegregationCube
+from repro.etl.schema import Schema
+from repro.etl.table import CategoricalColumn
+from repro.itemsets.items import ItemKind
 from repro.serve import payloads
 from repro.serve.http import make_app, serve, wsgi_get
 from repro.serve.service import CubeService
-from repro.store import delta_chain_length, dump_into_timeline, dump_snapshot
+from repro.store import (
+    delta_chain_length,
+    dump_delta_snapshot,
+    dump_into_timeline,
+    dump_snapshot,
+)
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +150,263 @@ class TestByteParity:
         )
         assert status == 200
         assert json.loads(body)["population"] == 8
+
+
+def _address(dictionary, key) -> "tuple[str, dict[str, object]]":
+    """A cell key as a query string and as in-process coordinates."""
+    params: "list[str]" = []
+    coords: "dict[str, dict[str, list[object]]]" = {"sa": {}, "ca": {}}
+    for name, part in zip(("sa", "ca"), key):
+        for item_id in sorted(part):
+            item = dictionary.item(item_id)
+            params.append(f"{name}={quote(f'{item.attribute}={item.value}')}")
+            coords[name].setdefault(item.attribute, []).append(item.value)
+    return "&".join(params), {
+        name: values or None for name, values in coords.items()
+    }
+
+
+def _absent_keys(dictionary) -> "list[tuple[frozenset, frozenset]]":
+    """Keys no cell can have: two values of one single-valued
+    attribute (the schools attributes all are)."""
+    by_attribute: "dict[str, list[int]]" = {}
+    for item_id in range(len(dictionary)):
+        by_attribute.setdefault(
+            dictionary.item(item_id).attribute, []
+        ).append(item_id)
+    keys = []
+    for ids in by_attribute.values():
+        if len(ids) > 1:
+            pair = frozenset(ids[:2])
+            sa = dictionary.kind(ids[0]) is ItemKind.SA
+            keys.append((pair, frozenset()) if sa else (frozenset(), pair))
+    return keys
+
+
+def _cell_queries(dictionary, keys
+                  ) -> "list[tuple[str, dict[str, object]]]":
+    """``(query, coordinates)`` of ``/cell``, ``/children`` and
+    ``/parents`` for every key in ``keys``, then of ``/slice`` for every
+    single item."""
+    queries = []
+    for key in keys:
+        qs, coords = _address(dictionary, key)
+        for path in ("/cell", "/children", "/parents"):
+            queries.append((f"{path}?{qs}", coords))
+    for item_id in range(len(dictionary)):
+        item = frozenset([item_id])
+        sa = dictionary.kind(item_id) is ItemKind.SA
+        qs, coords = _address(
+            dictionary, (item, frozenset()) if sa else (frozenset(), item)
+        )
+        queries.append((f"/slice?{qs}", coords))
+    return queries
+
+
+def _expected(reference, query: str, coords: "dict[str, object]"
+              ) -> "tuple[int, bytes]":
+    """``(status, dumps(<payload fn>(reference, ...)))`` of one cell
+    endpoint query."""
+    path = query.partition("?")[0]
+    if path == "/cell":
+        payload = payloads.cell_payload(reference, reference.cell(**coords))
+        return (200 if payload is not None else 404), payloads.dumps(payload)
+    cells = getattr(reference, path[1:])(**coords)
+    return 200, payloads.dumps(payloads.cells_payload(reference, cells))
+
+
+def _with_tracking_column(schools):
+    """The schools table plus an SA column that tracks ``sex``.
+
+    ``{sex=F}`` always comes with ``{uniform=skirt}``, so a closed-mode
+    cube materialises only the closed one of each such pair, and its
+    resolver answers the others.
+    """
+    table, schema = schools
+    uniform = ["skirt" if sex == "F" else "trousers"
+               for sex in table.categorical("sex").values()]
+    table = table.with_column("uniform", CategoricalColumn.from_values(uniform))
+    schema = Schema.build(
+        segregation=["ethnicity", "sex", "uniform"],
+        context=["city"],
+        unit="school",
+    )
+    return table, schema
+
+
+class TestExhaustiveParity:
+    """Every cell endpoint, for every cell key and every single item,
+    from three kinds of source: each body equals ``dumps`` of the
+    in-process payload, and an absent key's ``/cell`` is 404 ``null``."""
+
+    @pytest.fixture(scope="class")
+    def delta_root(self, built, tmp_path_factory):
+        """A timeline whose served date is a delta: date 0 lacks one of
+        ``built``'s cells and has another with other counts."""
+        keys = sorted(built.keys(), key=built.describe)
+        cells = {key: built.cell_by_key(key) for key in keys[1:]}
+        changed = keys[1]
+        cells[changed] = replace(
+            cells[changed], population=cells[changed].population + 1
+        )
+        older = SegregationCube(cells, built.dictionary, built.metadata)
+        root = tmp_path_factory.mktemp("parity") / "tl"
+        dump_snapshot(older, root / "0")
+        dump_delta_snapshot(built, root / "1", root / "0", parent=older)
+        assert delta_chain_length(root / "1") == 1
+        return root
+
+    @pytest.fixture(scope="class")
+    def closed(self, schools):
+        """A live closed-mode cube with resolver-only keys, and the keys
+        of its all-mode twin."""
+        table, schema = _with_tracking_column(schools)
+        full = build_cube(table, schema, min_population=10, min_minority=3)
+        cube = build_cube(table, schema, min_population=10, min_minority=3,
+                          mode="closed")
+        assert len(cube) < len(full)
+        return cube, list(full.keys())
+
+    def check(self, app, reference, keys) -> "dict[str, int]":
+        """Compare every query; return each query's status."""
+        dictionary = reference.dictionary
+        absent = _absent_keys(dictionary)
+        statuses: "dict[str, int]" = {}
+        for query, coords in _cell_queries(dictionary, [*keys, *absent]):
+            status, _, body = wsgi_get(app, query)
+            assert (status, body) == _expected(reference, query, coords), \
+                query
+            statuses[query] = status
+        assert absent
+        for key in absent:
+            query = f"/cell?{_address(dictionary, key)[0]}"
+            assert statuses[query] == 404, query
+        return statuses
+
+    def test_snapshot(self, built, snapshot_dir):
+        app = make_app(snapshot_dir)
+        self.check(app, CubeService(snapshot_dir), built.keys())
+
+    def test_delta_timeline_date(self, built, delta_root):
+        app = make_app(delta_root)
+        reference = CubeService(delta_root)
+        assert reference.date == 1
+        self.check(app, reference, built.keys())
+
+    def test_live_closed_mode_cube(self, closed):
+        cube, keys = closed
+        statuses = self.check(make_app(cube), CubeService(cube), keys)
+        # Every all-mode key is a cell: the closed cube's rows answer
+        # some, its resolver the rest (rendered, never kept).
+        dictionary = cube.dictionary
+        resolved = [key for key in keys if key not in cube]
+        assert resolved
+        for key in resolved:
+            assert statuses[f"/cell?{_address(dictionary, key)[0]}"] == 200
+
+
+class TestConcurrentRendering:
+    def test_threads_racing_on_fresh_slots_render_reference_bytes(
+        self, built, snapshot_dir
+    ):
+        """Eight threads on a fresh cache-off app race to fill the same
+        rows' slots; every body equals the in-process reference."""
+        reference = CubeService(snapshot_dir)
+        queries = [
+            (query, coords)
+            for query, coords in _cell_queries(reference.dictionary,
+                                               built.keys())
+            if query.startswith(("/children", "/parents"))
+        ]
+        expected = {
+            query: _expected(reference, query, coords)
+            for query, coords in queries
+        }
+        app = make_app(snapshot_dir, cache_size=0)
+
+        def one(query: str) -> "tuple[str, tuple[int, bytes]]":
+            status, _, body = wsgi_get(app, query)
+            return query, (status, body)
+
+        work = [query for query, _ in queries] * 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(one, work, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == len(work)
+        for query, got in results:
+            assert got == expected[query], f"{query} diverged under threads"
+        # Every row is some key's child or parent.
+        assert app.service.info()["rendered_rows"] == len(built)
+
+
+class TestRenderOnce:
+    """An opened cube renders each row's cell JSON once, on first use."""
+
+    @pytest.fixture()
+    def root(self, built, tmp_path):
+        root = tmp_path / "tl"
+        dump_into_timeline(root, 0, built)
+        return root
+
+    @staticmethod
+    def rendered_rows(app) -> int:
+        return json.loads(wsgi_get(app, "/info")[2])["rendered_rows"]
+
+    def test_each_row_renders_once_per_opened_cube(self, built, root,
+                                                   monkeypatch):
+        renders: "Counter[tuple[int, object]]" = Counter()
+        render = CubeService._render
+
+        def counting(self, stats):
+            renders[id(self), stats.key] += 1
+            return render(self, stats)
+
+        monkeypatch.setattr(CubeService, "_render", counting)
+        # Cache off: every request renders its body.  Each /slice lists
+        # every row, and each row is a child or parent of another.
+        app = make_app(root, cache_size=0)
+        mix = ["/slice", "/slice"]
+        for key in built.keys():
+            qs = _address(built.dictionary, key)[0]
+            mix += [f"/cell?{qs}", f"/children?{qs}", f"/parents?{qs}"]
+
+        def run_mix() -> int:
+            for query in mix:
+                assert wsgi_get(app, query)[0] == 200, query
+            return id(app.service.service)
+
+        first = run_mix()
+        run_mix()
+        assert renders == Counter({(first, key): 1 for key in built.keys()})
+
+        # A refreshed service renders its rows afresh, once each.
+        dump_into_timeline(root, 1, built, parent_date=0, parent=built)
+        assert wsgi_get(app, "/refresh", method="POST")[2] == \
+            b'{"refreshed":true}'
+        second = run_mix()
+        run_mix()
+        assert second != first
+        assert renders == Counter({
+            (service, key): 1
+            for service in (first, second) for key in built.keys()
+        })
+
+    def test_info_reports_rendered_rows(self, built, root):
+        app = make_app(root, cache_size=0)
+        assert self.rendered_rows(app) == 0   # an open renders nothing
+        listed = len(json.loads(wsgi_get(app, "/children")[2]))
+        assert 0 < listed < len(built)
+        assert self.rendered_rows(app) == listed
+        wsgi_get(app, "/children")
+        assert self.rendered_rows(app) == listed
+        dump_into_timeline(root, 1, built, parent_date=0, parent=built)
+        wsgi_get(app, "/refresh", method="POST")
+        assert app.service.date == 1
+        assert self.rendered_rows(app) == 0
 
 
 class TestErrorSurface:

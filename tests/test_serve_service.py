@@ -1,11 +1,13 @@
 """Tests of the serving layer: CubeService and the ``repro.serve`` CLI.
 
 The serving contract: an opened snapshot answers every exploration
-query identically to the live cube it was dumped from, mutates nothing
-after open, and is therefore safe for concurrent reader threads — the
-thread-pool test hammers a fresh (cold, lazy-state-unbuilt) service
-from many threads and checks every answer against the single-threaded
-reference.
+query identically to the live cube it was dumped from, writes nothing
+after open but per-row slots that each hold their row's one value (a
+decoded key, a rendered cell), and is therefore safe for concurrent
+reader threads — the thread-pool test hammers a fresh (cold,
+lazy-state-unbuilt) service from many threads and checks every answer
+against the single-threaded reference.  That each row's cell JSON is
+rendered once per opened service is checked in ``test_serve_http.py``.
 """
 
 from __future__ import annotations
