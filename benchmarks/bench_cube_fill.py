@@ -14,6 +14,8 @@ context, landing results directly in the struct-of-arrays
 Assertions pin the refactor's contract at >= 100k rows: the encoded
 database equals the per-row reference encoder's bit for bit (CSR
 arrays, units and item dictionary; the table has a multi-valued CA),
+and so does the table written as CSV and streamed back through the
+encoder in default-size chunks (two at 120k rows);
 the two engines produce *identical* cubes (checked with zero tolerance)
 with the columnar fill at least 2x faster, and the array-routed top-k
 ranking at least 2x faster than the per-object sort it replaced.
@@ -23,11 +25,15 @@ from __future__ import annotations
 
 import time
 
+import pytest
+
 from repro.cube.builder import SegregationDataCubeBuilder
 from repro.cube.coordinates import describe_key
 from repro.cube.cube import SegregationCube, check_same_cells
 from repro.data.synthetic import random_final_table
-from repro.itemsets.transactions import encode_table
+from repro.etl.csvio import write_table
+from repro.etl.stream import DEFAULT_CHUNK_ROWS, stream_csv
+from repro.itemsets.transactions import EncodeAccumulator, encode_table
 from repro.report.text import render_table
 
 from benchmarks.conftest import write_bench_json, write_result
@@ -51,6 +57,33 @@ def _fill_table(n_rows: int, seed: int = 9):
     )
 
 
+@pytest.fixture(scope="module")
+def fill_table():
+    return _fill_table(FILL_ROWS)
+
+
+@pytest.fixture(scope="module")
+def reference_db(fill_table):
+    """The per-row reference encoding of the E17 table."""
+    return encode_reference(*fill_table)
+
+
+def test_csv_stream_encode_matches_reference(fill_table, reference_db,
+                                             tmp_path):
+    """The table written as CSV and streamed back at the default chunk
+    size encodes to the reference database bit for bit."""
+    table, schema = fill_table
+    path = tmp_path / "fill.csv"
+    write_table(table, path)
+    accumulator = EncodeAccumulator(schema)
+    n_chunks = 0
+    for chunk in stream_csv(path, schema=schema):
+        accumulator.add_chunk(chunk)
+        n_chunks += 1
+    assert n_chunks == -(-FILL_ROWS // DEFAULT_CHUNK_ROWS) == 2
+    assert_same_db(accumulator.finalize(), reference_db)
+
+
 def _top_reference(cube: SegregationCube, index_name: str, k: int,
                    min_minority: int, min_units: int = 2):
     """The pre-columnar ranking: sort *all* candidate cell objects."""
@@ -71,12 +104,12 @@ def _top_reference(cube: SegregationCube, index_name: str, k: int,
     return candidates[:k]
 
 
-def test_cube_fill_columnar_vs_percell(benchmark):
+def test_cube_fill_columnar_vs_percell(benchmark, fill_table, reference_db):
     """Mined once, filled twice: columnar must beat per-cell by >= 2x."""
-    table, schema = _fill_table(FILL_ROWS)
+    table, schema = fill_table
     builder = SegregationDataCubeBuilder(**LIMITS)
     db = encode_table(table, schema)
-    assert_same_db(db, encode_reference(table, schema))
+    assert_same_db(db, reference_db)
     db.covers()                      # vertical layout shared by both fills
 
     def run():

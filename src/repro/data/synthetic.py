@@ -208,7 +208,7 @@ def write_random_final_table_csv(
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as f:
+    with path.open("w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f, delimiter=delimiter)
         writer.writerow(header)
         written = 0

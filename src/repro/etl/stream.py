@@ -7,7 +7,16 @@ chunks of at most ``chunk_rows`` rows; the one-shot readers
 are the same streams read as one chunk of :data:`ONE_CHUNK` rows.
 
 Both streams type a chunk through :func:`_type_columns`, one column at a
-time, under one set of cell rules:
+time, under one set of cell rules.  Each distinct cell of a
+categorical or multi-valued column is typed once, in first-seen order,
+and the result gathered back to the rows.  A finalTable repeats its
+values (the benchmark's 30k-row cold build has 15 distinct texts in its
+multi-valued column), so the split, the empty-member check and the code
+assignment run over a few texts instead of every cell.  The codes are
+those of typing every cell, since a value is first seen in the first
+occurrence of the first distinct cell holding it.  The CSV stream adds
+each row to one flat list of the chunk's cells with one ``extend``; a
+column is a strided slice of that list.  The rules:
 
 * a multi-valued cell is a ``|``-separated value set; None and ``""``
   are the empty set, and a cell with an empty member (``a||b``,
@@ -44,6 +53,8 @@ from __future__ import annotations
 import csv
 from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
+
+import numpy as np
 
 from repro.errors import TableError
 from repro.etl.schema import Role, Schema
@@ -119,30 +130,63 @@ def _type_columns(
     built: "dict[str, Column]" = {}
     for name, values in zip(names, columns):
         if name in multi:
-            # One join and one split for the whole column; a non-empty
-            # cell holds one more value than it has separators.
-            texts = ["" if v is None else str(v) for v in values]
-            joined = SET_SEPARATOR.join(filter(None, texts))
-            members = joined.split(SET_SEPARATOR) if joined else []
-            if "" in members:
-                cell = next(
-                    t for t in texts if t and "" in t.split(SET_SEPARATOR)
-                )
-                raise TableError(
-                    f"column {name!r}: cell {cell!r} has an empty set "
-                    "member"
-                )
-            built[name] = MultiValuedColumn.from_flat(
-                [t.count(SET_SEPARATOR) + 1 if t else 0 for t in texts],
-                members,
-            )
+            built[name] = _set_column(name, values)
         elif name in ints:
             built[name] = _int_column(name, values)
         else:
-            built[name] = CategoricalColumn.from_values(
-                ["" if v is None else v for v in values]
-            )
+            built[name] = _categorical_column(values)
     return Table(built)
+
+
+def _categorical_column(values: "Sequence[object]") -> CategoricalColumn:
+    """Type one categorical column over its distinct cells: codes in
+    first-seen order, a None cell read as ``""``."""
+    cells = dict.fromkeys(values)
+    categories = list(cells)
+    if None in cells:
+        categories = list(dict.fromkeys(
+            ["" if v is None else v for v in categories]
+        ))
+    code_of = dict(zip(categories, range(len(categories))))
+    code_of[None] = code_of.get("")      # read only when a cell is None
+    return CategoricalColumn(
+        np.fromiter(map(code_of.__getitem__, values), dtype=np.int32,
+                    count=len(values)),
+        categories,
+    )
+
+
+def _distinct(values: "Sequence[object]") -> "tuple[list[object], np.ndarray]":
+    """A column's distinct cells in first-seen order, and the position
+    of each cell's value among them."""
+    first = dict.fromkeys(values)
+    position = dict(zip(first, range(len(first))))
+    return list(first), np.fromiter(
+        map(position.__getitem__, values), dtype=np.int64, count=len(values)
+    )
+
+
+def _set_column(name: str, values: "Sequence[object]") -> MultiValuedColumn:
+    """Type one multi-valued column over its distinct texts, then
+    gather the rows from them."""
+    texts, at = _distinct(values)
+    if not set(map(type, texts)) <= {str, type(None)}:
+        # A SQL number: equal numbers (1 and 1.0) are one dict key but
+        # two texts, so the texts are told apart per cell.
+        texts, at = _distinct(["" if v is None else str(v) for v in values])
+    # One join and one split over the distinct texts (None and "" are
+    # the empty set); a non-empty text holds one more value than it has
+    # separators.
+    joined = SET_SEPARATOR.join(filter(None, texts))
+    members = joined.split(SET_SEPARATOR) if joined else []
+    if "" in members:
+        cell = next(t for t in texts if t and "" in t.split(SET_SEPARATOR))
+        raise TableError(
+            f"column {name!r}: cell {cell!r} has an empty set member"
+        )
+    return MultiValuedColumn.from_flat(
+        [t.count(SET_SEPARATOR) + 1 if t else 0 for t in texts], members,
+    ).take(at)
 
 
 def _int_column(name: str, values: "Sequence[object]") -> IntColumn:
@@ -177,8 +221,9 @@ def stream_csv(
 
     ``multi_valued`` columns hold ``|``-separated sets and ``integer``
     columns integers (both derived from ``schema`` when it is given).
-    Blank lines are skipped (in a single-column file one is an empty
-    cell), and a row whose width differs from the header's is rejected.
+    The file is UTF-8, with or without a byte-order mark.  Blank lines
+    are skipped (in a single-column file one is an empty cell), and a
+    row whose width differs from the header's is rejected.
     A data-less file yields one empty chunk (so downstream schema
     validation still sees the columns).
     """
@@ -186,39 +231,44 @@ def stream_csv(
         raise TableError("chunk_rows must be positive")
     multi, ints = _column_sets(schema, multi_valued, integer)
     path = Path(path)
-    with path.open(newline="") as f:
+    with path.open(newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f, delimiter=delimiter)
         header = next(reader, None)
         if header is None:
             raise TableError(f"{path} is empty")
-        # Cells go straight into per-column lists: holding the rows'
-        # lists instead makes the garbage collector walk them (reading
-        # 400k rows took 2.6x as long that way on a 2-vCPU host).
-        columns: "list[list[str]]" = [[] for _ in header]
+        width = len(header)
+        # One flat list of cells per chunk, one extend per row; column j
+        # is the strided slice cells[j::width].  Holding the rows' lists
+        # instead would make the garbage collector walk them.
+        cells: "list[str]" = []
         pending = 0
         yielded = False
         for row in reader:
             if not row:
                 # csv yields [] for a blank line: an empty cell in a
                 # single-column file, a stray line to skip otherwise.
-                if len(header) != 1:
+                if width != 1:
                     continue
                 row = [""]
-            if len(row) != len(header):
+            if len(row) != width:
                 raise TableError(
                     f"{path}: row of width {len(row)} does not match "
-                    f"header of width {len(header)}"
+                    f"header of width {width}"
                 )
-            for column, cell in zip(columns, row):
-                column.append(cell)
+            cells.extend(row)
             pending += 1
             if pending == chunk_rows:
-                yield _type_columns(header, columns, multi, ints)
-                columns = [[] for _ in header]
+                yield _type_columns(
+                    header, [cells[j::width] for j in range(width)],
+                    multi, ints,
+                )
+                cells = []
                 pending = 0
                 yielded = True
         if pending or not yielded:
-            yield _type_columns(header, columns, multi, ints)
+            yield _type_columns(
+                header, [cells[j::width] for j in range(width)], multi, ints,
+            )
 
 
 def stream_query(

@@ -54,7 +54,6 @@ class CategoricalColumn:
                 f"code {int(self.codes.max())} out of range for "
                 f"{len(self.categories)} categories"
             )
-        self._index = {value: code for code, value in enumerate(self.categories)}
 
     @classmethod
     def from_values(cls, values: Iterable[ValueType]) -> "CategoricalColumn":
@@ -83,7 +82,7 @@ class CategoricalColumn:
 
     def mask_eq(self, value: ValueType) -> np.ndarray:
         """Boolean mask of rows equal to ``value`` (all-False if unseen)."""
-        code = self._index.get(value)
+        code = _code_of(self.categories, value)
         if code is None:
             return np.zeros(len(self.codes), dtype=bool)
         return self.codes == code
@@ -135,7 +134,6 @@ class MultiValuedColumn:
             raise TableError(
                 "multi-valued row codes must be strictly increasing"
             )
-        self._index = {value: code for code, value in enumerate(self.categories)}
 
     @classmethod
     def from_values(
@@ -162,25 +160,29 @@ class MultiValuedColumn:
         """
         lengths = np.asarray(lengths, dtype=np.int64)
         by_str = sorted(dict.fromkeys(flat), key=str)
-        rank_of = {value: rank for rank, value in enumerate(by_str)}
+        n_values = max(len(by_str), 1)
+        rank_of = dict(zip(by_str, range(len(by_str))))
         ranks = np.fromiter(map(rank_of.__getitem__, flat), dtype=np.int64,
                             count=len(flat))
         row_of = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
-        # Each row's values in str order, repeats dropped.
-        order = np.lexsort((ranks, row_of))
-        row_of, ranks = row_of[order], ranks[order]
-        keep = np.ones(len(ranks), dtype=bool)
-        keep[1:] = (row_of[1:] != row_of[:-1]) | (ranks[1:] != ranks[:-1])
-        row_of, ranks = row_of[keep], ranks[keep]
+        # Each row's values in str order, repeats dropped: the keys
+        # row * n_values + rank, sorted, each kept once.
+        keys = row_of * n_values + ranks
+        keys.sort()
+        keep = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+        row_of, ranks = np.divmod(keys[keep], n_values)
         first_at = np.unique(ranks, return_index=True)[1]
         seen = ranks[np.sort(first_at)]          # ranks in first-seen order
         code_of = np.empty(len(by_str), dtype=np.int64)
         code_of[seen] = np.arange(len(seen))
-        codes = code_of[ranks]
         indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
         np.cumsum(np.bincount(row_of, minlength=len(lengths)), out=indptr[1:])
-        return cls(indptr, codes[np.lexsort((codes, row_of))],
-                   [by_str[rank] for rank in seen])
+        # Each row's codes in increasing order: one sort of the keys
+        # row * n_values + code, which are distinct.
+        keys = row_of * n_values + code_of[ranks]
+        keys.sort()
+        return cls(indptr, keys % n_values, [by_str[rank] for rank in seen])
 
     def __len__(self) -> int:
         return len(self.indptr) - 1
@@ -199,7 +201,7 @@ class MultiValuedColumn:
     def mask_contains(self, value: ValueType) -> np.ndarray:
         """Boolean mask of rows whose set contains ``value``."""
         mask = np.zeros(len(self), dtype=bool)
-        code = self._index.get(value)
+        code = _code_of(self.categories, value)
         if code is not None:
             hits = np.flatnonzero(self.codes == code)
             mask[np.searchsorted(self.indptr, hits, side="right") - 1] = True
@@ -246,6 +248,12 @@ class IntColumn:
 
 
 Column = Union[CategoricalColumn, MultiValuedColumn, IntColumn]
+
+
+def _code_of(categories: "Sequence[ValueType]", value: ValueType
+             ) -> "int | None":
+    """The code of ``value`` among ``categories`` (None when absent)."""
+    return dict(zip(categories, range(len(categories)))).get(value)
 
 
 def _column_from_raw(values: Sequence[object]) -> Column:

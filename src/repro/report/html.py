@@ -104,6 +104,7 @@ def cube_to_html(
             n_cells=len(cube),
             header=header,
             body="\n".join(body_rows),
-        )
+        ),
+        encoding="utf-8",
     )
     return path

@@ -85,7 +85,7 @@ def write_atomic(path: "str | Path", text: str) -> Path:
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w") as handle:
+        with open(tmp, "w", encoding="utf-8") as handle:
             handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
@@ -167,7 +167,7 @@ def read_json(path: Path, kind: str) -> "dict[str, object]":
     the manifest in the message.
     """
     try:
-        payload = json.loads(path.read_text())
+        payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SnapshotError(
             f"{kind} manifest {path} is unreadable: not valid JSON: {exc}"

@@ -16,6 +16,8 @@ import repro.cube.table as table_module
 from repro.data.italy import ItalyConfig, generate_italy
 from repro.data.schools import generate_schools
 from repro.data.synthetic import random_final_table
+from repro.etl.schema import Schema
+from repro.etl.table import CategoricalColumn
 from repro.indexes.counts import UnitCounts
 
 
@@ -29,6 +31,26 @@ def italy_small():
 def schools():
     """The deterministic two-city schools table and schema."""
     return generate_schools()
+
+
+@pytest.fixture(scope="session")
+def schools_with_tracking(schools):
+    """The schools table plus an SA column that tracks ``sex``.
+
+    ``{sex=F}`` always comes with ``{uniform=skirt}``, so a closed-mode
+    cube materialises only the closed one of each such pair, and its
+    resolver answers the others.
+    """
+    table, _ = schools
+    uniform = ["skirt" if sex == "F" else "trousers"
+               for sex in table.categorical("sex").values()]
+    table = table.with_column("uniform", CategoricalColumn.from_values(uniform))
+    schema = Schema.build(
+        segregation=["ethnicity", "sex", "uniform"],
+        context=["city"],
+        unit="school",
+    )
+    return table, schema
 
 
 @pytest.fixture()

@@ -3,9 +3,10 @@
 Deliberately slow and simple: direct transcriptions of the definitions
 (the scalar index formulas, brute-force indexes and itemsets), plus the
 reference algorithms each shipped engine must reproduce exactly — the
-scalar formulas for the batched index kernels, the per-row encoder for
-the chunked CSR encoder, FP-growth for eclat, the closure operator for the
-capped closedness sweep, full enumeration and the one-cell-at-a-time
+scalar formulas for the batched index kernels, per-cell typing for the
+readers' column typing, the per-row encoder for the chunked CSR
+encoder, FP-growth for eclat, the closure operator for the capped
+closedness sweep, full enumeration and the one-cell-at-a-time
 fill (:func:`make_cell`) for the cube builder's fills and its
 closed-mode resolver, the label-gather cover counting for the popcount
 counting kernel, and the set/BFS graph algorithms (reading graphs only
@@ -27,9 +28,15 @@ from repro.cube.builder import MinedCoordinates, SegregationDataCubeBuilder
 from repro.cube.cell import CellStats
 from repro.cube.coordinates import CellKey
 from repro.cube.cube import CubeMetadata, SegregationCube
-from repro.errors import CubeError, GraphError, MiningError
+from repro.errors import CubeError, GraphError, MiningError, TableError
 from repro.etl.schema import Role, Schema
-from repro.etl.table import Table
+from repro.etl.stream import SET_SEPARATOR
+from repro.etl.table import (
+    CategoricalColumn,
+    IntColumn,
+    MultiValuedColumn,
+    Table,
+)
 from repro.graph.attributes import NodeAttributeTable
 from repro.graph.bipartite import BipartiteGraph, ProjectionResult
 from repro.graph.components import Clustering
@@ -48,7 +55,7 @@ from repro.itemsets.transactions import TransactionDatabase
 
 
 # ----------------------------------------------------------------------
-# Encoding: table chunks and the per-row encoder
+# Reading and encoding: table chunks, per-cell typing, the per-row encoder
 # ----------------------------------------------------------------------
 
 
@@ -69,6 +76,48 @@ def iter_chunks(table: Table, chunk_rows: int) -> "Iterable[Table]":
             name: type(col).from_values([col[i] for i in rows])
             for name, col in columns.items()
         })
+
+
+def type_cells_reference(
+    names: "list[str]",
+    columns: "Iterable[Iterable[object]]",
+    multi: "set[str]",
+    ints: "set[str]",
+) -> Table:
+    """Type one chunk's raw cells one cell at a time.
+
+    The per-cell form of ``repro.etl.stream._type_columns``: each
+    multi-valued cell is split on its own (None and ``""`` are the empty
+    set; an empty member raises), each integer cell is parsed on its
+    own, a None categorical cell reads as ``""``; then each column is
+    its kind's ``from_values`` over the parsed cells.
+    """
+    built: "dict[str, object]" = {}
+    for name, cells in zip(names, columns):
+        if name in multi:
+            sets = []
+            for cell in cells:
+                text = "" if cell is None else str(cell)
+                members = text.split(SET_SEPARATOR) if text else []
+                if "" in members:
+                    raise TableError(
+                        f"column {name!r}: cell {text!r} has an empty set "
+                        "member"
+                    )
+                sets.append(members)
+            built[name] = MultiValuedColumn.from_values(sets)
+        elif name in ints:
+            values = []
+            for cell in cells:
+                if isinstance(cell, bool) or not isinstance(cell, (int, str)):
+                    raise TableError(f"column {name!r}: not an integer")
+                values.append(int(cell))
+            built[name] = IntColumn(values)
+        else:
+            built[name] = CategoricalColumn.from_values(
+                ["" if cell is None else cell for cell in cells]
+            )
+    return Table(built)
 
 
 def encode_reference(table: Table, schema: Schema) -> TransactionDatabase:

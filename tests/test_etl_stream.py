@@ -16,15 +16,21 @@ writers refuse a set the readers could not read back.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import re
 import sqlite3
 import subprocess
 import sys
+import tempfile
+from contextlib import closing
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.data.synthetic import random_final_table
@@ -40,10 +46,16 @@ from repro.etl import (
     write_table,
     write_table_sql,
 )
+from repro.etl.stream import ONE_CHUNK
 from repro.itemsets.transactions import TransactionDatabase
 from repro.store.timeline import read_timeline_manifest
 
-from tests.oracles import assert_same_db, encode_reference, iter_chunks
+from tests.oracles import (
+    assert_same_db,
+    encode_reference,
+    iter_chunks,
+    type_cells_reference,
+)
 
 
 @pytest.fixture()
@@ -89,6 +101,27 @@ def assert_reproduces(source: Table, chunks) -> None:
         assert [chunk.column(name).kind for name in names] == kinds
 
 
+def assert_same_table(got: Table, want: Table) -> None:
+    """Equal names, column kinds, categories (with their types), codes,
+    offsets and integers, dtypes included."""
+    assert got.names == want.names
+    for name in want.names:
+        g, w = got.column(name), want.column(name)
+        assert type(g) is type(w), name
+        if isinstance(w, IntColumn):
+            assert g.data.dtype == w.data.dtype
+            assert np.array_equal(g.data, w.data), name
+            continue
+        assert [(type(v), v) for v in g.categories] == [
+            (type(v), v) for v in w.categories
+        ], name
+        assert g.codes.dtype == w.codes.dtype
+        assert np.array_equal(g.codes, w.codes), name
+        if isinstance(w, MultiValuedColumn):
+            assert g.indptr.dtype == w.indptr.dtype
+            assert np.array_equal(g.indptr, w.indptr), name
+
+
 # ----------------------------------------------------------------------
 # stream_csv / read_table
 # ----------------------------------------------------------------------
@@ -130,9 +163,12 @@ def test_stream_csv_rejects_empty_file_and_bad_rows(tmp_path):
     empty.write_text("")
     with pytest.raises(TableError):
         list(stream_csv(empty))
+    # Two short rows hold as many cells as one full row: each row's
+    # width is checked, not the chunk's cell count.
     ragged = tmp_path / "ragged.csv"
-    ragged.write_text("a,b\n1,2\n3\n")
-    with pytest.raises(TableError):
+    ragged.write_text("a,b\n1,2\n3\n4\n")
+    with pytest.raises(TableError, match="row of width 1 does not match "
+                                         "header of width 2"):
         list(stream_csv(ragged))
 
 
@@ -278,6 +314,119 @@ def test_writers_refuse_sets_that_cannot_round_trip(tmp_path, source,
         assert conn.execute(
             "SELECT name FROM sqlite_master WHERE name = 't'"
         ).fetchall() == []
+
+
+# ----------------------------------------------------------------------
+# Column typing over distinct cells == per-cell typing
+# ----------------------------------------------------------------------
+
+_MEMBERS = ["a", "b", "c", "B", "é", "10", "9", "a b"]
+_TEXT = st.text(alphabet='ab,é" ', max_size=4)
+#: A multi-valued cell: members out of ``str`` order, repeats (``a|a``).
+_SET_TEXT = st.lists(st.sampled_from(_MEMBERS), min_size=1,
+                     max_size=4).map("|".join)
+
+
+@st.composite
+def _raw_cells(draw):
+    """Raw cells of a categorical (``c``), a multi-valued (``m``) and
+    an integer (``u``) column: drawn from small pools (repeated values,
+    None and ``""``, values first seen in a later chunk) or all
+    distinct; now and then a multi-valued cell with an empty member."""
+    n = draw(st.integers(0, 24))
+    if draw(st.booleans()):
+        cat = draw(st.lists(_TEXT, min_size=n, max_size=n, unique=True))
+        multi = draw(st.lists(_SET_TEXT, min_size=n, max_size=n,
+                              unique=True))
+    else:
+        cat_pool = draw(st.lists(st.one_of(st.none(), _TEXT), min_size=1,
+                                 max_size=4))
+        set_pool = draw(st.lists(
+            st.one_of(st.none(), st.just(""), _SET_TEXT),
+            min_size=1, max_size=5,
+        ))
+        cat = draw(st.lists(st.sampled_from(cat_pool), min_size=n,
+                            max_size=n))
+        multi = draw(st.lists(st.sampled_from(set_pool), min_size=n,
+                              max_size=n))
+    if n and draw(st.integers(0, 7)) == 0:
+        multi[draw(st.integers(0, n - 1))] = draw(
+            st.sampled_from(["a||b", "|a", "a|", "|"])
+        )
+    units = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    return cat, multi, units
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7, ONE_CHUNK],
+                         ids=["1", "7", "one"])
+@pytest.mark.parametrize("source", ["csv", "sql"])
+@given(cells=_raw_cells())
+@settings(max_examples=60, deadline=None)
+def test_column_typing_matches_per_cell_reference(source, chunk_rows, cells):
+    # Each chunk of either stream equals the per-cell reference over
+    # that chunk's raw cells, or raises its error (the first offending
+    # cell).  A CSV cell has no None: it reads as "".
+    cat, multi, units = cells
+    names = ["c", "m", "u"]
+    with tempfile.TemporaryDirectory() as tmp:
+        if source == "csv":
+            cat = ["" if v is None else v for v in cat]
+            multi = ["" if v is None else v for v in multi]
+            units = [str(u) for u in units]
+            path = Path(tmp) / "t.csv"
+            with path.open("w", newline="", encoding="utf-8") as f:
+                csv.writer(f).writerows([names, *zip(cat, multi, units)])
+            stream = stream_csv(path, multi_valued=["m"], integer=["u"],
+                                chunk_rows=chunk_rows)
+        else:
+            path = Path(tmp) / "t.db"
+            with closing(sqlite3.connect(path)) as conn:
+                conn.execute("CREATE TABLE t (c, m, u)")
+                conn.executemany("INSERT INTO t VALUES (?, ?, ?)",
+                                 list(zip(cat, multi, units)))
+                conn.commit()
+            stream = stream_query(path, "SELECT c, m, u FROM t ORDER BY rowid",
+                                  multi_valued=["m"], integer=["u"],
+                                  chunk_rows=chunk_rows)
+        n = len(units)
+        for a in range(0, max(n, 1), chunk_rows):
+            raw = [column[a:a + chunk_rows] for column in (cat, multi, units)]
+            try:
+                want = type_cells_reference(names, raw, {"m"}, {"u"})
+            except TableError as exc:
+                with pytest.raises(TableError, match=re.escape(str(exc))):
+                    next(stream)
+                return
+            assert_same_table(next(stream), want)
+        assert next(stream, None) is None
+
+
+def test_sql_numbers_in_a_multivalued_column():
+    # 1 and 1.0 are one dict key but two texts: each row keeps its own
+    # text's members.
+    cells = [1, 1.0, "1|2", None, 2.5, 1, "2|1.0", ""]
+    conn = sqlite3.connect(":memory:")
+    conn.execute("CREATE TABLE t (m)")
+    conn.executemany("INSERT INTO t VALUES (?)", [(c,) for c in cells])
+    (chunk,) = stream_query(conn, "SELECT m FROM t ORDER BY rowid",
+                            multi_valued=["m"])
+    assert_same_table(chunk, type_cells_reference(["m"], [cells], {"m"},
+                                                  set()))
+    assert chunk.multivalued("m").values()[:2] == [
+        frozenset({"1"}), frozenset({"1.0"})
+    ]
+
+
+def test_categorical_none_and_empty_are_one_category():
+    # Whichever comes first, None and "" read as the one category "".
+    for cells in ([None, "x", "", None], ["", "x", None, ""]):
+        conn = sqlite3.connect(":memory:")
+        conn.execute("CREATE TABLE t (c)")
+        conn.executemany("INSERT INTO t VALUES (?)", [(c,) for c in cells])
+        (chunk,) = stream_query(conn, "SELECT c FROM t ORDER BY rowid")
+        column = chunk.categorical("c")
+        assert column.categories == ["", "x"]
+        assert column.codes.tolist() == [0, 1, 0, 0]
 
 
 # ----------------------------------------------------------------------

@@ -86,16 +86,28 @@ class TestMultiValuedColumn:
             MultiValuedColumn(indptr, codes, ["a", "b"])
 
     @given(
-        st.lists(st.frozensets(st.sampled_from("abcde"), max_size=4),
+        st.lists(st.lists(st.sampled_from(["a", "b", "B", "aa", "é"]),
+                          max_size=5),
                  max_size=12),
         st.data(),
     )
     @settings(max_examples=100, deadline=None)
-    def test_matches_per_row_reference(self, rows, data):
-        col = MultiValuedColumn.from_values(rows)
+    def test_matches_per_row_reference(self, members, data):
+        # Rows may repeat a member; codes are first-seen, a row's new
+        # values in str order, and each row's codes increase.
+        col = MultiValuedColumn.from_values(members)
+        rows = [frozenset(row) for row in members]
         assert col.values() == rows
         assert [col[i] for i in range(len(rows))] == rows
-        for value in "abcdef":
+        categories: list = []
+        for row in rows:
+            categories += sorted(row - set(categories), key=str)
+        assert col.categories == categories
+        code = {value: c for c, value in enumerate(categories)}
+        assert col.codes.tolist() == [
+            c for row in rows for c in sorted(code[v] for v in row)
+        ]
+        for value in ["a", "b", "B", "aa", "é", "z"]:
             assert col.mask_contains(value).tolist() == [
                 value in row for row in rows
             ]

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import tempfile
 
+import numpy as np
 import pytest
 
 from repro.data.synthetic import random_final_table
 from repro.errors import MiningError, SchemaError
-from repro.etl import CategoricalColumn, IntColumn, Table
+from repro.etl import CategoricalColumn, IntColumn, MultiValuedColumn, Table
 from repro.etl.schema import Schema
 from repro.itemsets.transactions import (
     EncodeAccumulator,
@@ -24,7 +25,12 @@ from repro.itemsets.transactions import (
     encode_table,
 )
 
-from tests.oracles import assert_same_db, encode_reference, iter_chunks
+from tests.oracles import (
+    assert_same_db,
+    dense_item_covers,
+    encode_reference,
+    iter_chunks,
+)
 
 
 @pytest.fixture()
@@ -153,3 +159,79 @@ def test_unused_category_is_an_item_with_zero_support():
         "unused", "used",
     ]
     assert db.item_supports().tolist() == [0, 2]
+
+
+# ----------------------------------------------------------------------
+# The window key sort and the radix argsorts, at their edges
+# ----------------------------------------------------------------------
+
+
+def assert_encodes_like_references(chunks, table, schema):
+    """The chunked encode equals the per-row reference encoder, each
+    item's cover equals its dense cover read off the rows, and the unit
+    grouping equals the stable int64 argsort of the unit labels."""
+    db = TransactionDatabase.from_chunks(chunks, schema)
+    assert_same_db(db, encode_reference(table, schema))
+    covers = db.covers()
+    for item, dense in enumerate(dense_item_covers(db)):
+        assert np.array_equal(covers[item].to_bools(), dense), item
+    assert np.array_equal(db._unit_grouping()[0],
+                          np.argsort(db.units, kind="stable"))
+    return db
+
+
+def test_later_chunk_maps_set_codes_non_monotonically():
+    # The first chunk codes b=0, c=1; the second chunk's {a, c} is
+    # locally a=0, c=1 and globally a=2, c=1, so the window sort must
+    # reorder that row's items.
+    schema = Schema.build(segregation=["g"], context=["mv"], unit="unitID",
+                          multi_valued=["mv"])
+
+    def chunk(sets, units):
+        return Table({
+            "g": CategoricalColumn.from_values(["x"] * len(sets)),
+            "mv": MultiValuedColumn.from_values(sets),
+            "unitID": IntColumn(units),
+        })
+
+    first = chunk([{"b"}, {"c"}], [0, 1])
+    second = chunk([{"a", "c"}, set(), {"b", "a"}], [1, 0, 2])
+    assert second.multivalued("mv").categories == ["a", "c", "b"]
+    table = chunk([{"b"}, {"c"}, {"a", "c"}, set(), {"b", "a"}],
+                  [0, 1, 1, 0, 2])
+    db = assert_encodes_like_references([first, second], table, schema)
+    assert db.rows[2] == (0, 2, 3)          # g=x, mv=c, mv=a
+
+
+@pytest.mark.parametrize("n_members, per_row", [
+    pytest.param(300, 10, id="16-bit-keys"),
+    pytest.param(70_000, 700, id="past-16-bit-item-keys"),
+])
+def test_many_items_encode_like_references(n_members, per_row):
+    # Past 256 items and units the radix argsorts run on 16-bit keys;
+    # past 65,536 items the item keys are 32-bit, which numpy sorts
+    # stably without a radix sort.  Each block of per_row members
+    # appears whole once, then thinned in a shuffled second pass, so
+    # items recur across chunks; unit labels reach 299.
+    rng = np.random.default_rng(n_members)
+    blocks = [range(lo, min(n_members, lo + per_row))
+              for lo in range(0, n_members, per_row)]
+    sets = [{f"m{v}" for v in block} for block in blocks]
+    sets += [{f"m{v}" for v in blocks[b] if rng.random() < 0.5}
+             for b in rng.permutation(len(blocks))]
+    n_rows = len(sets)
+    units = rng.integers(0, 300, n_rows)
+    units[-1] = 299
+    table = Table({
+        "g": CategoricalColumn.from_values(
+            [f"g{k}" for k in rng.integers(0, 3, n_rows)]),
+        "mv": MultiValuedColumn.from_values(sets),
+        "unitID": IntColumn(units),
+    })
+    schema = Schema.build(segregation=["g"], context=["mv"], unit="unitID",
+                          multi_valued=["mv"])
+    db = assert_encodes_like_references(
+        iter_chunks(table, max(1, n_rows // 3)), table, schema
+    )
+    assert db.n_items == n_members + len(table.categorical("g").categories)
+    assert db.n_units == 300

@@ -23,8 +23,6 @@ import pytest
 
 from repro.cube.builder import build_cube
 from repro.cube.cube import SegregationCube
-from repro.etl.schema import Schema
-from repro.etl.table import CategoricalColumn
 from repro.itemsets.items import ItemKind
 from repro.serve import payloads
 from repro.serve.http import make_app, serve, wsgi_get
@@ -215,25 +213,6 @@ def _expected(reference, query: str, coords: "dict[str, object]"
     return 200, payloads.dumps(payloads.cells_payload(reference, cells))
 
 
-def _with_tracking_column(schools):
-    """The schools table plus an SA column that tracks ``sex``.
-
-    ``{sex=F}`` always comes with ``{uniform=skirt}``, so a closed-mode
-    cube materialises only the closed one of each such pair, and its
-    resolver answers the others.
-    """
-    table, schema = schools
-    uniform = ["skirt" if sex == "F" else "trousers"
-               for sex in table.categorical("sex").values()]
-    table = table.with_column("uniform", CategoricalColumn.from_values(uniform))
-    schema = Schema.build(
-        segregation=["ethnicity", "sex", "uniform"],
-        context=["city"],
-        unit="school",
-    )
-    return table, schema
-
-
 class TestExhaustiveParity:
     """Every cell endpoint, for every cell key and every single item,
     from three kinds of source: each body equals ``dumps`` of the
@@ -257,10 +236,10 @@ class TestExhaustiveParity:
         return root
 
     @pytest.fixture(scope="class")
-    def closed(self, schools):
+    def closed(self, schools_with_tracking):
         """A live closed-mode cube with resolver-only keys, and the keys
         of its all-mode twin."""
-        table, schema = _with_tracking_column(schools)
+        table, schema = schools_with_tracking
         full = build_cube(table, schema, min_population=10, min_minority=3)
         cube = build_cube(table, schema, min_population=10, min_minority=3,
                           mode="closed")

@@ -13,6 +13,8 @@ rendered once per opened service is checked in ``test_serve_http.py``.
 from __future__ import annotations
 
 import json
+import math
+import os
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -145,32 +147,47 @@ class TestCubeService:
             assert got == expected[kind], f"{kind} diverged under threads"
 
 
-    def test_concurrent_point_queries_on_live_closed_cube(self, schools):
+    def test_concurrent_point_queries_on_live_closed_cube(
+        self, schools_with_tracking
+    ):
         """Live closed-mode cubes resolve misses through the lazy
         resolver; warm() must cover its transaction-database caches so
-        threads never race the unsynchronized lazy builds."""
-        table, schema = schools
-        from repro.cube.builder import SegregationDataCubeBuilder
+        threads never race the unsynchronized lazy builds.
 
-        closed = SegregationDataCubeBuilder(
-            mode="closed", min_population=10, min_minority=3
-        ).build(table, schema)
-        full = build_cube(table, schema, min_population=10, min_minority=3)
+        The queries are every key of the all-mode twin, some of which
+        only the resolver answers.  The expected values are the twin's
+        (the resolver is exact), so nothing of the served cube is built
+        before the threads start."""
+        table, schema = schools_with_tracking
+        limits = {"min_population": 10, "min_minority": 3}
+        full = build_cube(table, schema, **limits)
         queries = list(full.keys())
-        expected = {k: closed.value_by_key("D", k) for k in queries}
-        service = CubeService(closed)
+        expected = {key: full.value_by_key("D", key) for key in queries}
+        materialised = set(build_cube(table, schema, mode="closed",
+                                      **limits).keys())
+        assert set(queries) - materialised, "no key reaches the resolver"
+        service = CubeService(build_cube(table, schema, mode="closed",
+                                         **limits))
+        n_threads = 4 * (os.cpu_count() or 1)
 
-        def worker(i: int):
-            key = queries[i % len(queries)]
-            return key, service.value_by_key("D", key)
+        def worker(offset: int):
+            rotated = queries[offset:] + queries[:offset]
+            return [(key, service.value_by_key("D", key)) for key in rotated]
 
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(worker, range(100)))
-        import math
-
-        for key, got in results:
-            want = expected[key]
-            assert got == want or (math.isnan(got) and math.isnan(want))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=n_threads) as pool:
+                results = list(pool.map(worker, range(n_threads),
+                                        timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == n_threads
+        for answers in results:
+            assert len(answers) == len(queries)
+            for key, got in answers:
+                want = expected[key]
+                assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 class TestOpenService:
