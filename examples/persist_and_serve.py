@@ -22,7 +22,7 @@ from pathlib import Path
 
 from repro import (
     CubeService,
-    build_cube,
+    SegregationDataCubeBuilder,
     dump_snapshot,
     generate_schools,
     open_snapshot,
@@ -34,7 +34,8 @@ def main() -> None:
     table, schema = generate_schools()
 
     # -- the expensive part: runs once -------------------------------
-    cube = build_cube(table, schema, min_population=10, min_minority=3)
+    cube = SegregationDataCubeBuilder(
+        min_population=10, min_minority=3).build(table, schema)
     snapshot = Path("schools_snapshot")
     dump_snapshot(cube, snapshot)
     files = sorted(p.name for p in snapshot.iterdir())

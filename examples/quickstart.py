@@ -45,7 +45,7 @@ def main() -> None:
         f"\nGranularity matters: city-agnostic D = {overall:.3f}, "
         f"but within Rivertown D = {rivertown:.3f}."
     )
-    for reversal in simpson_reversals(cube, "D", low=0.5, high=0.8)[:3]:
+    for reversal in simpson_reversals(cube, low=0.5, high=0.8)[:3]:
         print(
             f"  reversal: {reversal.parent_description} "
             f"({reversal.parent_value:.2f}) -> "

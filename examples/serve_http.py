@@ -25,7 +25,12 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro import CubeService, build_cube, dump_snapshot, generate_schools
+from repro import (
+    CubeService,
+    SegregationDataCubeBuilder,
+    dump_snapshot,
+    generate_schools,
+)
 from repro.serve import payloads
 from repro.serve.http import make_app, wsgi_get
 
@@ -42,7 +47,8 @@ def show(app, query: str) -> bytes:
 
 def main() -> None:
     table, schema = generate_schools()
-    cube = build_cube(table, schema, min_population=10, min_minority=3)
+    cube = SegregationDataCubeBuilder(
+        min_population=10, min_minority=3).build(table, schema)
 
     snapshot = Path("schools_snapshot")
     dump_snapshot(cube, snapshot)

@@ -102,7 +102,7 @@ def main() -> None:
         ["year", "T", "M", "P", "D", "Iso"], trend_rows(points)
     ))
 
-    movers = timeline_series(timeline, index_name="D", min_minority=10)
+    movers = timeline_series(timeline, min_minority=10)
     print("Cells whose dissimilarity moved the most across the years:")
     rows = [
         [s.description, f"{s.values[0]:.3f}", f"{s.values[-1]:.3f}",

@@ -34,7 +34,6 @@ from repro.core.config import (
     ClusteringConfig,
     CubeConfig,
     PipelineConfig,
-    ProjectionConfig,
 )
 from repro.core.pipeline import PipelineResult, SCubePipeline, cube_workbook
 from repro.core.trend import segregation_trend
@@ -44,7 +43,7 @@ from repro.core.scenarios import (
     run_director_graph,
     run_tabular,
 )
-from repro.cube.builder import SegregationDataCubeBuilder, build_cube
+from repro.cube.builder import SegregationDataCubeBuilder
 from repro.cube.cube import SegregationCube
 from repro.cube.explorer import simpson_reversals, top_contexts
 from repro.cube.incremental import TemporalCubeEngine
@@ -79,7 +78,6 @@ __all__ = [
     "ItalyConfig",
     "PipelineConfig",
     "PipelineResult",
-    "ProjectionConfig",
     "ReproError",
     "SCubePipeline",
     "ScenarioResult",
@@ -90,7 +88,6 @@ __all__ = [
     "TemporalCubeEngine",
     "UnitCounts",
     "__version__",
-    "build_cube",
     "cube_workbook",
     "dump_delta_snapshot",
     "dump_into_timeline",

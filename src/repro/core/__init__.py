@@ -5,7 +5,6 @@ from repro.core.config import (
     ClusteringConfig,
     CubeConfig,
     PipelineConfig,
-    ProjectionConfig,
 )
 from repro.core.pipeline import (
     PipelineResult,
@@ -32,7 +31,6 @@ __all__ = [
     "CubeConfig",
     "PipelineConfig",
     "PipelineResult",
-    "ProjectionConfig",
     "SCubePipeline",
     "ScenarioResult",
     "TrendPoint",

@@ -10,38 +10,18 @@ CLUSTERING_METHODS = ("components", "threshold", "stoc")
 
 
 @dataclass
-class ProjectionConfig:
-    """GraphBuilder parameters (bipartite → unipartite projection)."""
-
-    #: Minimum number of shared individuals for a projected edge.
-    min_shared: int = 1
-    #: Skip individuals sitting in more than this many groups (hub guard).
-    max_degree: "int | None" = 50
-
-    def __post_init__(self) -> None:
-        if self.min_shared < 1:
-            raise ConfigError("min_shared must be >= 1")
-        if self.max_degree is not None and self.max_degree < 1:
-            raise ConfigError("max_degree must be >= 1 or None")
-
-
-@dataclass
 class ClusteringConfig:
     """GraphClustering parameters; ``method`` picks the algorithm.
 
     * ``components`` — BFS connected components;
     * ``threshold`` — giant-component weight thresholding (JIIS method),
       uses ``min_weight``;
-    * ``stoc`` — SToC attributed clustering, uses ``tau``, ``alpha``,
-      ``horizon``, ``seed``.
+    * ``stoc`` — SToC attributed clustering at its defaults
+      (:func:`repro.graph.stoc.stoc_clustering`).
     """
 
     method: str = "threshold"
     min_weight: float = 2.0
-    tau: float = 0.5
-    alpha: float = 0.5
-    horizon: int = 2
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.method not in CLUSTERING_METHODS:
@@ -60,18 +40,12 @@ class CubeConfig:
     min_minority: "int | float" = 5
     max_sa_items: "int | None" = 2
     max_ca_items: "int | None" = 2
-    mode: str = "all"
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("all", "closed"):
-            raise ConfigError("cube mode must be 'all' or 'closed'")
 
 
 @dataclass
 class PipelineConfig:
     """End-to-end SCube configuration (paper Fig. 2)."""
 
-    projection: ProjectionConfig = field(default_factory=ProjectionConfig)
     clustering: ClusteringConfig = field(default_factory=ClusteringConfig)
     cube: CubeConfig = field(default_factory=CubeConfig)
     #: Snapshot date for temporal membership (None = all edges).

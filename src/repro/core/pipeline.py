@@ -9,9 +9,10 @@ unipartite scenarios live in :mod:`repro.core.scenarios`.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from repro.core.config import PipelineConfig
+from repro.core.config import ClusteringConfig, CubeConfig, PipelineConfig
 from repro.cube.builder import SegregationDataCubeBuilder
 from repro.cube.cube import SegregationCube
 from repro.data.italy import BoardsDataset
@@ -22,9 +23,49 @@ from repro.etl.table import Table
 from repro.graph.attributes import NodeAttributeTable
 from repro.graph.bipartite import ProjectionResult, project_onto_groups
 from repro.graph.components import Clustering, connected_components
+from repro.graph.graph import Graph
 from repro.graph.stoc import stoc_clustering
 from repro.graph.threshold import threshold_components
 from repro.report.xlsx import Workbook, rows_to_workbook
+
+#: The GraphBuilder's hub guard: a director sitting on more boards is
+#: skipped by the projection (one of degree d adds d*(d-1)/2 pairs).
+MAX_BOARDS = 50
+
+
+def cube_builder(config: CubeConfig) -> SegregationDataCubeBuilder:
+    """The cube builder a :class:`CubeConfig` describes."""
+    return SegregationDataCubeBuilder(
+        indexes=config.indexes,
+        min_population=config.min_population,
+        min_minority=config.min_minority,
+        max_sa_items=config.max_sa_items,
+        max_ca_items=config.max_ca_items,
+    )
+
+
+def cluster_graph(
+    graph: Graph,
+    config: ClusteringConfig,
+    attributes: "Callable[[], NodeAttributeTable] | None",
+) -> Clustering:
+    """Partition ``graph`` into organizational units by
+    ``config.method``.
+
+    ``attributes`` gives the nodes' attribute table, which only SToC
+    reads; a graph without node attributes (the director graph) passes
+    ``None`` and SToC is refused.
+    """
+    if config.method == "components":
+        return connected_components(graph)
+    if config.method == "threshold":
+        return threshold_components(graph, config.min_weight)
+    if attributes is None:
+        raise ConfigError(
+            f"clustering method {config.method!r} needs node attributes; "
+            "use 'components' or 'threshold' for the director graph"
+        )
+    return stoc_clustering(graph, attributes())
 
 
 @dataclass
@@ -54,11 +95,7 @@ class SCubePipeline:
     def build_graph(self, dataset: BoardsDataset) -> ProjectionResult:
         """Project the bipartite graph onto groups (weighted by sharing)."""
         bipartite = dataset.bipartite(self.config.snapshot_date)
-        return project_onto_groups(
-            bipartite,
-            min_shared=self.config.projection.min_shared,
-            max_left_degree=self.config.projection.max_degree,
-        )
+        return project_onto_groups(bipartite, max_left_degree=MAX_BOARDS)
 
     # -- module 2: GraphClustering ------------------------------------
 
@@ -66,22 +103,11 @@ class SCubePipeline:
         self, dataset: BoardsDataset, projection: ProjectionResult
     ) -> Clustering:
         """Partition groups into organizational units."""
-        cfg = self.config.clustering
-        if cfg.method == "components":
-            return connected_components(projection.graph)
-        if cfg.method == "threshold":
-            return threshold_components(projection.graph, cfg.min_weight)
-        if cfg.method == "stoc":
-            attributes = group_attribute_table(dataset)
-            return stoc_clustering(
-                projection.graph,
-                attributes,
-                tau=cfg.tau,
-                alpha=cfg.alpha,
-                horizon=cfg.horizon,
-                seed=cfg.seed,
-            )
-        raise ConfigError(f"unknown clustering method {cfg.method!r}")
+        return cluster_graph(
+            projection.graph,
+            self.config.clustering,
+            lambda: group_attribute_table(dataset),
+        )
 
     # -- module 3: TableBuilder ---------------------------------------
 
@@ -103,16 +129,7 @@ class SCubePipeline:
 
     def build_cube(self, table: Table, schema: Schema) -> SegregationCube:
         """Materialise the segregation data cube."""
-        cfg = self.config.cube
-        builder = SegregationDataCubeBuilder(
-            indexes=cfg.indexes,
-            min_population=cfg.min_population,
-            min_minority=cfg.min_minority,
-            max_sa_items=cfg.max_sa_items,
-            max_ca_items=cfg.max_ca_items,
-            mode=cfg.mode,
-        )
-        return builder.build(table, schema)
+        return cube_builder(self.config.cube).build(table, schema)
 
     # -- end to end -----------------------------------------------------
 
@@ -160,7 +177,7 @@ def cube_workbook(cube: SegregationCube) -> Workbook:
     Works over any :class:`SegregationCube` — a freshly built cube or a
     snapshot reopened by :func:`repro.store.open_snapshot`.
     """
-    workbook = rows_to_workbook(cube.to_rows(), sheet_name="cube")
+    workbook = rows_to_workbook(cube.to_rows())
     summary = workbook.add_sheet("summary")
     summary.append_header(["key", "value"])
     summary.append_row(["cells", len(cube)])

@@ -11,44 +11,31 @@ increasing complexity:
 3. **bipartite** — the full pipeline: project companies over shared
    directors, cluster, join, cube:
    "... in communities of connected companies?".
-
-The graph scenarios (2 and 3) can additionally persist their projected
-graph + clustering as a durable **graph snapshot**
-(``graph_snapshot_path=``, written by
-:func:`repro.store.dump_graph_snapshot`): ``.npy`` edge/label arrays
-behind a ``graph_manifest.json``, reopenable without re-projecting and
-servable over HTTP via ``make_app(..., graph_source=...)`` —
-``/graph/info``, ``/graph/clusters``, ``/graph/degree``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.core.config import ClusteringConfig, CubeConfig, PipelineConfig
-from repro.core.pipeline import PipelineResult, SCubePipeline
-from repro.cube.builder import SegregationDataCubeBuilder
+from repro.core.pipeline import (
+    PipelineResult,
+    SCubePipeline,
+    cluster_graph,
+    cube_builder,
+)
 from repro.cube.cube import SegregationCube
 from repro.data.italy import BoardsDataset
-from repro.errors import ConfigError
 from repro.etl.builder import UNIT_COLUMN, tabular_final_table
 from repro.etl.schema import AttributeSpec, Role, Schema
 from repro.etl.table import IntColumn, Table
-from repro.graph.bipartite import ProjectionResult, project_onto_individuals
-from repro.graph.components import Clustering, connected_components
-from repro.graph.threshold import threshold_components
+from repro.graph.bipartite import project_onto_individuals
 
 
 @dataclass
 class ScenarioResult:
-    """Output of one demo scenario.
-
-    ``graph_snapshot`` is the directory the scenario's projected graph
-    and clustering were persisted to (graph scenarios with
-    ``graph_snapshot_path=`` only; ``None`` otherwise).
-    """
+    """Output of one demo scenario."""
 
     name: str
     cube: SegregationCube
@@ -56,34 +43,6 @@ class ScenarioResult:
     final_schema: Schema
     n_units: int
     timings: dict[str, float] = field(default_factory=dict)
-    graph_snapshot: "Path | None" = None
-
-
-def _dump_scenario_graph(
-    projection: ProjectionResult,
-    clustering: Clustering,
-    path: "str | Path",
-    provenance: "dict[str, object]",
-) -> Path:
-    """Persist a scenario's graph output as a reopenable snapshot."""
-    from repro.store.graph import GraphArtifact, dump_graph_snapshot
-
-    artifact = GraphArtifact.from_result(
-        projection, clustering, provenance=provenance
-    )
-    return dump_graph_snapshot(artifact, path)
-
-
-def _cube_builder(config: "CubeConfig | None") -> SegregationDataCubeBuilder:
-    cfg = config or CubeConfig()
-    return SegregationDataCubeBuilder(
-        indexes=cfg.indexes,
-        min_population=cfg.min_population,
-        min_minority=cfg.min_minority,
-        max_sa_items=cfg.max_sa_items,
-        max_ca_items=cfg.max_ca_items,
-        mode=cfg.mode,
-    )
 
 
 def run_tabular(
@@ -97,7 +56,9 @@ def run_tabular(
     final_table, final_schema = tabular_final_table(table, schema, unit_attr)
     table_seconds = time.perf_counter() - t0
     t0 = time.perf_counter()
-    cube = _cube_builder(cube_config).build(final_table, final_schema)
+    cube = cube_builder(cube_config or CubeConfig()).build(
+        final_table, final_schema
+    )
     return ScenarioResult(
         name="tabular",
         cube=cube,
@@ -115,44 +76,22 @@ def run_director_graph(
     dataset: BoardsDataset,
     clustering_config: "ClusteringConfig | None" = None,
     cube_config: "CubeConfig | None" = None,
-    snapshot_date: "int | None" = None,
-    min_shared: int = 1,
-    graph_snapshot_path: "str | Path | None" = None,
 ) -> ScenarioResult:
     """Scenario 2: cluster the director-director graph into units.
 
     Two directors are connected when they sit on at least one common
     board; each community of connected directors becomes one unit, and
-    every director belongs to exactly one unit.  When
-    ``graph_snapshot_path`` is given, the projected director graph and
-    its clustering are persisted there as a graph snapshot
-    (queryable later without re-projecting).
+    every director belongs to exactly one unit.  The director graph has
+    no node attributes, so SToC is refused.
     """
     clustering_config = clustering_config or ClusteringConfig(method="components")
     t0 = time.perf_counter()
-    bipartite = dataset.bipartite(snapshot_date)
-    projection = project_onto_individuals(bipartite, min_shared=min_shared)
+    projection = project_onto_individuals(dataset.bipartite())
     graph_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    clustering = _cluster_plain(projection.graph, clustering_config)
+    clustering = cluster_graph(projection.graph, clustering_config, None)
     cluster_seconds = time.perf_counter() - t0
-
-    graph_snapshot = None
-    snapshot_seconds = None
-    if graph_snapshot_path is not None:
-        t0 = time.perf_counter()
-        graph_snapshot = _dump_scenario_graph(
-            projection, clustering, graph_snapshot_path,
-            provenance={
-                "scenario": "director-graph",
-                "projection": "individuals",
-                "min_shared": min_shared,
-                "snapshot_date": snapshot_date,
-                "clustering_method": clustering_config.method,
-            },
-        )
-        snapshot_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     labels = clustering.labels
@@ -169,55 +108,31 @@ def run_director_graph(
     table_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cube = _cube_builder(cube_config).build(final_table, final_schema)
-    timings = {
-        "graph_builder": graph_seconds,
-        "graph_clustering": cluster_seconds,
-        "table_builder": table_seconds,
-        "cube_builder": time.perf_counter() - t0,
-    }
-    if snapshot_seconds is not None:
-        timings["graph_snapshot"] = snapshot_seconds
+    cube = cube_builder(cube_config or CubeConfig()).build(
+        final_table, final_schema
+    )
     return ScenarioResult(
         name="director-graph",
         cube=cube,
         final_table=final_table,
         final_schema=final_schema,
         n_units=clustering.n_clusters,
-        timings=timings,
-        graph_snapshot=graph_snapshot,
+        timings={
+            "graph_builder": graph_seconds,
+            "graph_clustering": cluster_seconds,
+            "table_builder": table_seconds,
+            "cube_builder": time.perf_counter() - t0,
+        },
     )
 
 
 def run_bipartite(
-    dataset: BoardsDataset,
-    config: "PipelineConfig | None" = None,
-    graph_snapshot_path: "str | Path | None" = None,
+    dataset: BoardsDataset, config: "PipelineConfig | None" = None
 ) -> ScenarioResult:
     """Scenario 3: the full bipartite pipeline (companies projected over
     shared directors, clustered into communities of connected companies).
-
-    When ``graph_snapshot_path`` is given, the projected company graph
-    and its clustering are persisted there as a graph snapshot.
     """
-    pipeline = SCubePipeline(config)
-    result: PipelineResult = pipeline.run(dataset)
-    graph_snapshot = None
-    if graph_snapshot_path is not None:
-        t0 = time.perf_counter()
-        cfg = pipeline.config
-        graph_snapshot = _dump_scenario_graph(
-            result.projection, result.clustering, graph_snapshot_path,
-            provenance={
-                "scenario": "bipartite",
-                "projection": "groups",
-                "min_shared": cfg.projection.min_shared,
-                "max_degree": cfg.projection.max_degree,
-                "snapshot_date": cfg.snapshot_date,
-                "clustering_method": cfg.clustering.method,
-            },
-        )
-        result.timings["graph_snapshot"] = time.perf_counter() - t0
+    result: PipelineResult = SCubePipeline(config).run(dataset)
     return ScenarioResult(
         name="bipartite",
         cube=result.cube,
@@ -225,17 +140,4 @@ def run_bipartite(
         final_schema=result.final_schema,
         n_units=result.n_units,
         timings=result.timings,
-        graph_snapshot=graph_snapshot,
-    )
-
-
-def _cluster_plain(graph, config: ClusteringConfig) -> Clustering:
-    """Clustering for graphs without node attributes (director graph)."""
-    if config.method == "components":
-        return connected_components(graph)
-    if config.method == "threshold":
-        return threshold_components(graph, config.min_weight)
-    raise ConfigError(
-        f"clustering method {config.method!r} needs node attributes; "
-        "use 'components' or 'threshold' for the director graph"
     )

@@ -22,7 +22,6 @@ from repro.core.config import (
     ClusteringConfig,
     CubeConfig,
     PipelineConfig,
-    ProjectionConfig,
 )
 from repro.core.pipeline import SCubePipeline, cube_workbook
 from repro.core.scenarios import run_bipartite, run_tabular
@@ -67,7 +66,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
         f"{len(dataset.membership)} memberships"
     )
     config = PipelineConfig(
-        projection=ProjectionConfig(),
         clustering=ClusteringConfig(method=args.clustering,
                                     min_weight=args.min_weight),
         cube=CubeConfig(min_population=args.min_population,

@@ -7,7 +7,7 @@ Cells are addressed by (SA itemset, CA itemset) coordinate pairs with
 ranks cells and flags Simpson-style granularity reversals.
 """
 
-from repro.cube.builder import SegregationDataCubeBuilder, build_cube
+from repro.cube.builder import SegregationDataCubeBuilder
 from repro.cube.cell import CellStats
 from repro.cube.compare import (
     CellComparison,
@@ -57,7 +57,6 @@ __all__ = [
     "TemporalBuildState",
     "TemporalCubeEngine",
     "SegregationDataCubeBuilder",
-    "build_cube",
     "check_same_cells",
     "compare_cubes",
     "comparison_rows",

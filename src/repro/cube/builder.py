@@ -612,29 +612,3 @@ class _LazyResolver:
             n_units=int((tvec > 0).sum()),
             indexes=indexes,
         )
-
-
-def build_cube(
-    table: Table,
-    schema: Schema,
-    indexes: "list[str] | None" = None,
-    min_population: "int | float" = 20,
-    min_minority: "int | float" = 5,
-    max_sa_items: "int | None" = None,
-    max_ca_items: "int | None" = None,
-    mode: str = "all",
-    engine: str = "columnar",
-    workers: "int | None" = None,
-) -> SegregationCube:
-    """One-call convenience wrapper around the builder."""
-    builder = SegregationDataCubeBuilder(
-        indexes=indexes,
-        min_population=min_population,
-        min_minority=min_minority,
-        max_sa_items=max_sa_items,
-        max_ca_items=max_ca_items,
-        mode=mode,
-        engine=engine,
-        workers=workers,
-    )
-    return builder.build(table, schema)

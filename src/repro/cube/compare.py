@@ -4,9 +4,9 @@ The demonstration closes with "a cross-comparison of the Italian vs
 Estonian segregation findings" (paper §4).  Two cubes built over
 different populations cannot be joined on item ids (their dictionaries
 differ); cells are aligned on their *decoded* coordinates —
-``attribute=value`` pairs — and compared index by index.  Counts and
-index values are read straight off the cubes' columnar stores; no
-per-cell objects are materialised during the join.
+``attribute=value`` pairs — and compared on the dissimilarity index
+``D``.  Counts and index values are read straight off the cubes'
+columnar stores; no per-cell objects are materialised during the join.
 
 The same alignment generalises a pairwise comparison to a **timeline
 mode**: :func:`timeline_series` walks a
@@ -55,10 +55,9 @@ def describe_aligned(key: AlignedKey) -> str:
 
 @dataclass(frozen=True)
 class CellComparison:
-    """One coordinate present in both cubes."""
+    """One coordinate present in both cubes, compared on ``D``."""
 
     description: str
-    index_name: str
     left_value: float
     right_value: float
     left_population: int
@@ -71,31 +70,25 @@ class CellComparison:
 
 
 def compare_cubes(
-    left: SegregationCube,
-    right: SegregationCube,
-    index_name: str = "D",
-    min_minority: int = 0,
+    left: SegregationCube, right: SegregationCube
 ) -> "list[CellComparison]":
-    """Align two cubes on decoded coordinates and compare one index.
+    """Align two cubes on decoded coordinates and compare ``D``.
 
-    Only coordinates materialised in *both* cubes, with the index
-    defined on both sides and the minority-size guard satisfied on both
-    sides, are returned — sorted by absolute delta, largest divergence
-    first.
+    Only coordinates materialised in *both* cubes, with ``D`` defined on
+    both sides, are returned — sorted by absolute delta, largest
+    divergence first.
     """
     lt, rt = left.table, right.table
-    l_col = lt.columns.get(index_name)
-    r_col = rt.columns.get(index_name)
+    l_col = lt.columns.get("D")
+    r_col = rt.columns.get("D")
     if l_col is None or r_col is None:
         return []
-    # Pre-filter each side columnar-ly: defined index + minority guard.
-    l_ok = ~np.isnan(l_col) & (lt.minority >= min_minority)
-    r_ok = ~np.isnan(r_col) & (rt.minority >= min_minority)
     left_rows = {
-        _aligned_key(left, lt.keys[i]): i for i in np.flatnonzero(l_ok)
+        _aligned_key(left, lt.keys[i]): i
+        for i in np.flatnonzero(~np.isnan(l_col))
     }
     out: list[CellComparison] = []
-    for j in np.flatnonzero(r_ok):
+    for j in np.flatnonzero(~np.isnan(r_col)):
         aligned = _aligned_key(right, rt.keys[j])
         i = left_rows.get(aligned)
         if i is None:
@@ -103,7 +96,6 @@ def compare_cubes(
         out.append(
             CellComparison(
                 description=describe_aligned(aligned),
-                index_name=index_name,
                 left_value=float(l_col[i]),
                 right_value=float(r_col[j]),
                 left_population=int(lt.population[i]),
@@ -115,13 +107,12 @@ def compare_cubes(
 
 
 def comparison_rows(
-    comparisons: "list[CellComparison]", k: "int | None" = None
+    comparisons: "list[CellComparison]",
 ) -> "list[list[object]]":
     """Report-ready rows (description, left, right, delta)."""
-    selected = comparisons if k is None else comparisons[:k]
     return [
         [c.description, c.left_value, c.right_value, c.delta]
-        for c in selected
+        for c in comparisons
     ]
 
 
@@ -132,15 +123,14 @@ def comparison_rows(
 
 @dataclass(frozen=True)
 class CellSeries:
-    """One aligned coordinate's index trajectory across timeline dates.
+    """One aligned coordinate's ``D`` trajectory across timeline dates.
 
-    ``values[k]`` is the index at ``dates[k]`` — nan where the cell is
-    not materialised (or the index undefined) at that date; likewise
+    ``values[k]`` is ``D`` at ``dates[k]`` — nan where the cell is not
+    materialised (or ``D`` undefined) at that date; likewise
     ``populations[k]`` is 0 there.
     """
 
     description: str
-    index_name: str
     dates: "tuple[int, ...]"
     values: "tuple[float, ...]"
     populations: "tuple[int, ...]"
@@ -162,29 +152,24 @@ class CellSeries:
         return defined[-1] - defined[0]
 
 
-def timeline_series(
-    timeline,
-    index_name: str = "D",
-    min_minority: int = 0,
-    min_points: int = 2,
-) -> "list[CellSeries]":
-    """Per-cell trend series over a dated sequence of cubes.
+def timeline_series(timeline, min_minority: int = 0) -> "list[CellSeries]":
+    """Per-cell ``D`` series over a dated sequence of cubes.
 
     ``timeline`` is anything yielding ``(date, cube)`` pairs in date
     order — a :class:`~repro.store.timeline.CubeTimeline`, or a plain
     list of pairs.  Cells are aligned on decoded coordinates exactly as
     :func:`compare_cubes` aligns two cubes; a coordinate must be
-    materialised (index defined, minority guard satisfied) at
-    ``min_points`` dates or more to produce a series.  The result is
-    sorted by :attr:`CellSeries.spread` descending — the biggest movers
-    first — with the cell description breaking ties.
+    materialised (``D`` defined, minority guard satisfied) at two dates
+    or more to produce a series.  The result is sorted by
+    :attr:`CellSeries.spread` descending — the biggest movers first —
+    with the cell description breaking ties.
     """
     dates: "list[int]" = []
     per_key: "dict[AlignedKey, dict[int, tuple[float, int]]]" = {}
     for date, cube in timeline:
         dates.append(int(date))
         table = cube.table
-        col = table.columns.get(index_name)
+        col = table.columns.get("D")
         if col is None:
             continue
         ok = ~np.isnan(col) & (table.minority >= min_minority)
@@ -195,7 +180,7 @@ def timeline_series(
             )
     out: "list[CellSeries]" = []
     for aligned, by_date in per_key.items():
-        if len(by_date) < min_points:
+        if len(by_date) < 2:
             continue
         values = tuple(
             by_date[d][0] if d in by_date else float("nan") for d in dates
@@ -206,7 +191,6 @@ def timeline_series(
         out.append(
             CellSeries(
                 description=describe_aligned(aligned),
-                index_name=index_name,
                 dates=tuple(dates),
                 values=values,
                 populations=populations,

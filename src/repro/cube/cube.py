@@ -213,9 +213,9 @@ class SegregationCube:
         min_minority: int = 0,
         min_population: int = 0,
         min_units: int = 2,
-        ascending: bool = False,
     ) -> "list[CellStats]":
-        """Rank proper cells by one index (the discovery primitive).
+        """Rank proper cells by one index, highest first (the discovery
+        primitive).
 
         Context-only cells and cells whose index is undefined are
         excluded; ties break deterministically on the cell description.
@@ -235,7 +235,6 @@ class SegregationCube:
             index_name,
             k,
             mask,
-            descending=not ascending,
             tie_break=lambda row: describe_key(
                 table.key_at(row), self.dictionary
             ),

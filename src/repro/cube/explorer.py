@@ -75,7 +75,6 @@ class Reversal:
 
     parent_description: str
     child_description: str
-    index_name: str
     parent_value: float
     child_value: float
 
@@ -85,18 +84,14 @@ class Reversal:
 
 
 def simpson_reversals(
-    cube: SegregationCube,
-    index_name: str = "D",
-    low: float = 0.3,
-    high: float = 0.6,
-    min_minority: int = 0,
+    cube: SegregationCube, low: float = 0.3, high: float = 0.6
 ) -> "list[Reversal]":
     """Find (parent, child) cell pairs where segregation appears only at
     the finer granularity.
 
-    A pair qualifies when the parent's index is at most ``low`` (looks
-    unsegregated), the direct child's is at least ``high`` (clearly
-    segregated), and the child satisfies the minority-size guard.  This
+    A pair qualifies when the parent's dissimilarity index ``D`` is at
+    most ``low`` (looks unsegregated) and the direct child's is at least
+    ``high`` (clearly segregated).  This
     is the cube-level manifestation of analysing data "at wrong
     granularity" (paper §2).
     """
@@ -106,30 +101,24 @@ def simpson_reversals(
     # Candidate children come from one columnar filter; only qualifying
     # cells are materialised and pay for parent lookups.
     table = cube.table
-    col = table.columns.get(index_name)
+    col = table.columns.get("D")
     if col is None:
         return out
-    mask = (
-        ~table.context_only_mask()
-        & ~np.isnan(col)
-        & (table.minority >= min_minority)
-        & (col >= high)
-    )
+    mask = ~table.context_only_mask() & ~np.isnan(col) & (col >= high)
     for row in np.flatnonzero(mask):
         stats = cube.table.stats(int(row))
-        child_value = stats.value(index_name)
+        child_value = stats.value("D")
         for parent_key in parents_of(stats.key):
             parent = cube.cell_by_key(parent_key)
             if parent is None or parent.is_context_only:
                 continue
-            parent_value = parent.value(index_name)
+            parent_value = parent.value("D")
             if math.isnan(parent_value) or parent_value > low:
                 continue
             out.append(
                 Reversal(
                     parent_description=cube.describe(parent_key),
                     child_description=cube.describe(stats.key),
-                    index_name=index_name,
                     parent_value=parent_value,
                     child_value=child_value,
                 )

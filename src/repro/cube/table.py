@@ -448,10 +448,10 @@ class CellTable:
         index_name: str,
         k: int,
         mask: np.ndarray,
-        descending: bool,
         tie_break,
     ) -> "list[int]":
-        """Top-``k`` rows of ``mask`` by one index column.
+        """Top-``k`` rows of ``mask`` by one index column, highest
+        first.
 
         ``argpartition`` narrows the candidates to the boundary value
         before any per-cell work; only rows tied around the cut-off are
@@ -471,7 +471,7 @@ class CellTable:
         rows = rows[defined]
         if len(rows) == 0:
             return []
-        order_vals = col[rows] if not descending else -col[rows]
+        order_vals = -col[rows]
         if len(rows) > k:
             kth = np.partition(order_vals, k - 1)[k - 1]
             keep = order_vals <= kth

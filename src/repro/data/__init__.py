@@ -20,7 +20,7 @@ from repro.data.italy import (
     generate_italy,
     italy_tabular_individuals,
 )
-from repro.data.schools import SchoolsConfig, generate_schools
+from repro.data.schools import generate_schools
 from repro.data.synthetic import (
     PlantedDataset,
     checkerboard_table,
@@ -37,7 +37,6 @@ __all__ = [
     "EstoniaConfig",
     "ItalyConfig",
     "PlantedDataset",
-    "SchoolsConfig",
     "checkerboard_table",
     "estonia_snapshot_table",
     "generate_estonia",

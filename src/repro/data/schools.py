@@ -9,35 +9,26 @@ segregation studies the index literature comes from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.etl.schema import Schema
 from repro.etl.table import Table
 
-
-@dataclass(frozen=True)
-class SchoolsConfig:
-    """Knobs of the schools generator."""
-
-    students_per_school: int = 120
-    schools_per_city: int = 6
-    seed: int = 3
-    minority_share: float = 0.3
+STUDENTS_PER_SCHOOL = 120
+SCHOOLS_PER_CITY = 6
+SEED = 3
+MINORITY_SHARE = 0.3
 
 
-def generate_schools(config: "SchoolsConfig | None" = None
-                     ) -> tuple[Table, Schema]:
+def generate_schools() -> tuple[Table, Schema]:
     """Generate the two-city schools table.
 
     Returns a table with SA attributes ``ethnicity`` and ``sex``, the CA
     attribute ``city`` and the ``school`` unit column, plus its schema.
     """
-    config = config or SchoolsConfig()
-    rng = np.random.default_rng(config.seed)
-    n_schools = config.schools_per_city
-    share = config.minority_share
+    rng = np.random.default_rng(SEED)
+    n_schools = SCHOOLS_PER_CITY
+    share = MINORITY_SHARE
 
     # Rivertown: minority concentrated in the first two schools.
     concentrated = [0.0] * n_schools
@@ -53,8 +44,8 @@ def generate_schools(config: "SchoolsConfig | None" = None
     school_id = 0
     for city_name, shares in (("Rivertown", concentrated), ("Lakeside", even)):
         for local_share in shares:
-            n_minority = int(round(config.students_per_school * local_share))
-            for k in range(config.students_per_school):
+            n_minority = int(round(STUDENTS_PER_SCHOOL * local_share))
+            for k in range(STUDENTS_PER_SCHOOL):
                 ethnicity.append("minority" if k < n_minority else "majority")
                 sex.append("F" if rng.random() < 0.5 else "M")
                 city.append(city_name)

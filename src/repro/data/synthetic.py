@@ -42,31 +42,25 @@ def planted_counts(
 
 
 def planted_table(
-    unit_sizes: "list[int]",
-    minority_shares: "list[float]",
-    minority_value: str = "F",
-    majority_value: str = "M",
-    attribute: str = "gender",
+    unit_sizes: "list[int]", minority_shares: "list[float]"
 ) -> PlantedDataset:
     """Deterministic table realising exactly the given per-unit counts.
 
-    The table has one SA attribute and the unit column; its cube's global
-    cell ``(attribute=minority_value | *)`` reproduces the planted index
-    values exactly.
+    The table has one SA attribute, ``gender`` (minority ``F``, majority
+    ``M``), and the unit column; its cube's global cell
+    ``(gender=F | *)`` reproduces the planted index values exactly.
     """
     counts = planted_counts(unit_sizes, minority_shares)
     rows = []
     for unit, (t, m) in enumerate(zip(counts.t, counts.m)):
-        rows.extend([(minority_value, unit)] * int(m))
-        rows.extend([(majority_value, unit)] * int(t - m))
-    table = Table.from_rows([attribute, "unitID"], rows)
-    schema = Schema.build(segregation=[attribute], unit="unitID")
+        rows.extend([("F", unit)] * int(m))
+        rows.extend([("M", unit)] * int(t - m))
+    table = Table.from_rows(["gender", "unitID"], rows)
+    schema = Schema.build(segregation=["gender"], unit="unitID")
     return PlantedDataset(table, schema, counts)
 
 
-def checkerboard_table(
-    n_units: int, unit_size: int, attribute: str = "gender"
-) -> PlantedDataset:
+def checkerboard_table(n_units: int, unit_size: int) -> PlantedDataset:
     """Complete segregation: units alternate all-minority / all-majority.
 
     Dissimilarity, Gini, Information and Atkinson all equal 1 exactly
@@ -75,26 +69,22 @@ def checkerboard_table(
     if n_units < 2 or n_units % 2:
         raise ReproError("checkerboard needs an even n_units >= 2")
     shares = [1.0 if i % 2 == 0 else 0.0 for i in range(n_units)]
-    return planted_table([unit_size] * n_units, shares, attribute=attribute)
+    return planted_table([unit_size] * n_units, shares)
 
 
-def uniform_table(
-    n_units: int, unit_size: int, share: float = 0.3, attribute: str = "gender"
-) -> PlantedDataset:
-    """No segregation: every unit has the same minority share.
+def uniform_table(n_units: int, unit_size: int) -> PlantedDataset:
+    """No segregation: every unit has a minority share of 0.3.
 
-    All evenness indexes (D, G, H, A) equal 0 exactly when
-    ``share * unit_size`` is integral.
+    All evenness indexes (D, G, H, A) equal 0 exactly, so
+    ``0.3 * unit_size`` must be integral.
     """
-    if not 0 < share < 1:
-        raise ReproError("share must be in (0, 1)")
+    share = 0.3
     if abs(share * unit_size - round(share * unit_size)) > 1e-9:
         raise ReproError(
             f"share*unit_size = {share * unit_size} must be integral for an "
             "exactly uniform table"
         )
-    return planted_table([unit_size] * n_units, [share] * n_units,
-                         attribute=attribute)
+    return planted_table([unit_size] * n_units, [share] * n_units)
 
 
 def random_final_table(
@@ -168,7 +158,6 @@ def write_random_final_table_csv(
     seed: int = 0,
     skew: float = 0.0,
     chunk_rows: int = 65536,
-    delimiter: str = ",",
 ) -> Schema:
     """Write a random ``finalTable`` CSV of any size without building it.
 
@@ -209,7 +198,7 @@ def write_random_final_table_csv(
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, delimiter=delimiter)
+        writer = csv.writer(f)
         writer.writerow(header)
         written = 0
         while written < n_rows:
@@ -246,28 +235,18 @@ def write_random_final_table_csv(
     )
 
 
-def random_bipartite_world(
-    n_left: int,
-    n_right: int,
-    mean_extra_degree: float = 1.2,
-    group_exponent: float = 1.1,
-    attributes: "dict[str, int] | None" = None,
-    attribute_skew: float = 0.5,
-    seed: int = 0,
-):
+def random_bipartite_world(n_left: int, n_right: int, seed: int = 0):
     """A scalable individuals×groups membership world for graph workloads.
 
     The shape mimics board-membership registries: every individual sits
-    on ``1 + Poisson(mean_extra_degree)`` boards, and board popularity is
-    power-law distributed (group ``r`` is drawn with probability
-    proportional to ``1 / (r+1)**group_exponent``), so a few boards are
-    huge hubs and most are tiny — the regime the projection's hub guard
-    and degree-bucketed pair enumeration are built for.  Groups carry
-    categorical attributes (``{name: cardinality}``, default
-    ``{"sector": 12, "region": 8}``) whose values are geometrically
-    skewed (value ``k`` with probability proportional to
-    ``attribute_skew ** k``), giving SToC meaningfully similar
-    neighbours.
+    on ``1 + Poisson(1.2)`` boards, and board popularity is power-law
+    distributed (group ``r`` is drawn with probability proportional to
+    ``1 / (r+1)**1.1``), so a few boards are huge hubs and most are tiny
+    — the regime the projection's hub guard and degree-bucketed pair
+    enumeration are built for.  Groups carry two categorical attributes,
+    ``sector`` (12 values) and ``region`` (8), whose values are
+    geometrically skewed (value ``k`` with probability proportional to
+    ``0.5 ** k``), giving SToC meaningfully similar neighbours.
 
     Deterministic per ``seed``.  Returns ``(bipartite, attributes)``:
     a :class:`~repro.graph.bipartite.BipartiteGraph` (duplicate draws
@@ -281,26 +260,18 @@ def random_bipartite_world(
 
     if n_left < 1 or n_right < 1:
         raise ReproError("n_left and n_right must be positive")
-    if mean_extra_degree < 0:
-        raise ReproError("mean_extra_degree must be non-negative")
-    if not 0 < attribute_skew <= 1:
-        raise ReproError("attribute_skew must be in (0, 1]")
     rng = np.random.default_rng(seed)
-    degrees = 1 + rng.poisson(mean_extra_degree, n_left)
+    degrees = 1 + rng.poisson(1.2, n_left)
     np.clip(degrees, 1, n_right, out=degrees)
-    probs = 1.0 / np.arange(1, n_right + 1, dtype=float) ** group_exponent
+    probs = 1.0 / np.arange(1, n_right + 1, dtype=float) ** 1.1
     probs /= probs.sum()
     lefts = np.repeat(np.arange(n_left, dtype=np.int64), degrees)
     rights = rng.choice(n_right, size=len(lefts), p=probs)
     bipartite = BipartiteGraph.from_arrays(n_left, n_right, lefts, rights)
 
-    attributes = attributes if attributes is not None \
-        else {"sector": 12, "region": 8}
     columns: "dict[str, list[str]]" = {}
-    for name, cardinality in attributes.items():
-        if cardinality < 1:
-            raise ReproError(f"attribute {name!r} needs cardinality >= 1")
-        weights = attribute_skew ** np.arange(cardinality, dtype=float)
+    for name, cardinality in (("sector", 12), ("region", 8)):
+        weights = 0.5 ** np.arange(cardinality, dtype=float)
         weights /= weights.sum()
         codes = rng.choice(cardinality, size=n_right, p=weights)
         columns[name] = [f"{name}{k}" for k in codes]

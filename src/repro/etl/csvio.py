@@ -26,9 +26,9 @@ def read_table(
     path: str | Path,
     multi_valued: Iterable[str] = (),
     integer: Iterable[str] = (),
-    delimiter: str = ",",
 ) -> Table:
-    """Read a CSV file with a header row into a :class:`Table`.
+    """Read a comma-separated file with a header row into a
+    :class:`Table`.
 
     The single chunk of :func:`~repro.etl.stream.stream_csv`, which
     holds the cell rules.
@@ -42,7 +42,7 @@ def read_table(
     """
     (table,) = stream_csv(
         path, multi_valued=multi_valued, integer=integer,
-        delimiter=delimiter, chunk_rows=ONE_CHUNK,
+        chunk_rows=ONE_CHUNK,
     )
     return table
 
@@ -53,18 +53,17 @@ def _format_cell(column: str, value: object) -> str:
     return str(value)
 
 
-def write_table(table: Table, path: str | Path, delimiter: str = ",") -> None:
+def write_table(table: Table, path: str | Path) -> None:
     """Write ``table`` to CSV with a header row."""
     names = table.names
     rows = ([row[name] for name in names] for row in table.iter_rows())
-    write_rows(rows, names, path, delimiter)
+    write_rows(rows, names, path)
 
 
 def write_rows(
     rows: Iterable[Sequence[object]],
     header: Sequence[str],
     path: str | Path,
-    delimiter: str = ",",
 ) -> None:
     """Write raw rows (any sequence of cells) with a header to CSV.
 
@@ -82,6 +81,6 @@ def write_rows(
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, delimiter=delimiter)
+        writer = csv.writer(f)
         writer.writerow(header)
         writer.writerows(formatted)

@@ -62,25 +62,17 @@ def read_query(
 
 
 def write_table_sql(
-    table: Table,
-    database: Connection,
-    table_name: str,
-    if_exists: str = "fail",
+    table: Table, database: Connection, table_name: str
 ) -> None:
-    """Write a :class:`Table` into a SQLite table.
+    """Write a :class:`Table` into a new SQLite table.
 
     Multi-valued cells are serialised by
     :func:`~repro.etl.stream.format_set` (the CSV convention), so
     :func:`read_query` round-trips them; a set it refuses raises
     :class:`~repro.errors.TableError` before the database is touched.
-
-    Parameters
-    ----------
-    if_exists:
-        ``"fail"`` (default), ``"replace"`` or ``"append"``.
+    An existing table of that name makes SQLite's ``CREATE TABLE``
+    fail.
     """
-    if if_exists not in ("fail", "replace", "append"):
-        raise TableError(f"invalid if_exists {if_exists!r}")
     if not table_name.replace("_", "").isalnum():
         raise TableError(f"unsafe table name {table_name!r}")
     names = table.names
@@ -99,12 +91,9 @@ def write_table_sql(
             col = table.column(name)
             sql_type = "INTEGER" if isinstance(col, IntColumn) else "TEXT"
             column_defs.append(f'"{name}" {sql_type}')
-        if if_exists == "replace":
-            conn.execute(f'DROP TABLE IF EXISTS "{table_name}"')
-        if if_exists in ("fail", "replace"):
-            conn.execute(
-                f'CREATE TABLE "{table_name}" ({", ".join(column_defs)})'
-            )
+        conn.execute(
+            f'CREATE TABLE "{table_name}" ({", ".join(column_defs)})'
+        )
         placeholders = ", ".join("?" for _ in names)
         conn.executemany(
             f'INSERT INTO "{table_name}" VALUES ({placeholders})', rows

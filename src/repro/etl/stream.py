@@ -36,16 +36,15 @@ order joined by ``|``.  A set that rule cannot read back, one holding
 :class:`~repro.errors.TableError` instead of being written; so the
 readers and the writers refuse the same sets.
 
-Chunks feed an :class:`~repro.itemsets.transactions.EncodeAccumulator`
-(or :meth:`~repro.itemsets.transactions.TransactionDatabase.from_chunks`),
+Chunks feed an :class:`~repro.itemsets.transactions.EncodeAccumulator`,
 which folds them into a CSR transaction database while holding only one
 chunk of decoded cells plus the accumulated (spillable) index buffers.
 
 Column typing is per call, not inferred per chunk: pass the
-``multi_valued`` / ``integer`` name sets explicitly, or pass a
-``schema`` and both are derived from it (multi-valued flags; unit and
-id columns as integers), so a chunk can never flip a column's kind
-midway through the stream.
+``multi_valued`` / ``integer`` name sets explicitly, or pass
+:func:`stream_csv` a ``schema`` and both are derived from it
+(multi-valued flags; unit and id columns as integers), so a chunk can
+never flip a column's kind midway through the stream.
 """
 
 from __future__ import annotations
@@ -214,10 +213,10 @@ def stream_csv(
     schema: "Schema | None" = None,
     multi_valued: "Iterable[str]" = (),
     integer: "Iterable[str]" = (),
-    delimiter: str = ",",
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
 ) -> "Iterator[Table]":
-    """Stream a headed CSV file as tables of at most ``chunk_rows`` rows.
+    """Stream a headed, comma-separated file as tables of at most
+    ``chunk_rows`` rows.
 
     ``multi_valued`` columns hold ``|``-separated sets and ``integer``
     columns integers (both derived from ``schema`` when it is given).
@@ -232,7 +231,7 @@ def stream_csv(
     multi, ints = _column_sets(schema, multi_valued, integer)
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as f:
-        reader = csv.reader(f, delimiter=delimiter)
+        reader = csv.reader(f)
         header = next(reader, None)
         if header is None:
             raise TableError(f"{path} is empty")
@@ -274,7 +273,6 @@ def stream_csv(
 def stream_query(
     database,
     sql: str,
-    schema: "Schema | None" = None,
     multi_valued: "Iterable[str]" = (),
     integer: "Iterable[str]" = (),
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
@@ -293,7 +291,7 @@ def stream_query(
 
     if chunk_rows < 1:
         raise TableError("chunk_rows must be positive")
-    multi, ints = _column_sets(schema, multi_valued, integer)
+    multi, ints = _column_sets(None, multi_valued, integer)
     conn, owned = _connect(database)
     try:
         cursor = conn.execute(sql)

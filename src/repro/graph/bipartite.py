@@ -14,9 +14,8 @@ per-node read.  The projection runs on arrays: co-membership pairs are
 enumerated with a degree-bucketed gather over the CSR rows, then their
 multiplicities are counted with one ``np.unique`` — the weight of
 ``{g1, g2}`` is exactly the number of individuals contributing the
-pair.  The hub guard (``max_left_degree`` / ``max_right_degree``)
-skips a hub's pairs entirely, so a skipped hub contributes to *no* pair
-weight.
+pair.  The group projection's hub guard (``max_left_degree``) skips a
+hub's pairs entirely, so a skipped hub contributes to *no* pair weight.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graph.graph import Graph, _readonly
+from repro.graph.graph import Graph, _readonly, _sorted_unique
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
@@ -94,7 +93,7 @@ class BipartiteGraph:
     ) -> "tuple[np.ndarray, np.ndarray]":
         """Sort by ``(left, right)`` and drop duplicate memberships."""
         key = lefts * np.int64(max(self.n_right, 1)) + rights
-        uniq = np.unique(key)
+        uniq = _sorted_unique(key)
         return (
             _readonly(uniq // max(self.n_right, 1)),
             _readonly(uniq % max(self.n_right, 1)),
@@ -191,14 +190,9 @@ def _count_pairs_grouped(
 
 
 def _project(
-    bipartite: BipartiteGraph,
-    side: str,
-    min_shared: int,
-    max_degree: "int | None",
+    bipartite: BipartiteGraph, side: str, max_degree: "int | None"
 ) -> ProjectionResult:
     """Shared projection core; ``side`` picks the node side kept."""
-    if min_shared < 1:
-        raise GraphError("min_shared must be >= 1")
     l_indptr, l_indices, r_indptr, r_indices = bipartite._ensure_csr()
     if side == "groups":
         # sources = individuals; pairs live on the group side
@@ -210,27 +204,20 @@ def _project(
 
     a, b, skipped = _enumerate_pairs(src_indptr, src_indices, max_degree)
     u, v, counts = _count_pairs_grouped(a, b, max(n_nodes, 1))
-
-    keep = counts >= min_shared
     graph = Graph.from_edge_arrays(
-        n_nodes, u[keep], v[keep], counts[keep].astype(np.float64)
+        n_nodes, u, v, counts.astype(np.float64)
     )
     isolated = graph.isolated_nodes()
     return ProjectionResult(graph, isolated, [int(s) for s in skipped])
 
 
 def project_onto_groups(
-    bipartite: BipartiteGraph,
-    min_shared: int = 1,
-    max_left_degree: "int | None" = None,
+    bipartite: BipartiteGraph, max_left_degree: "int | None" = None
 ) -> ProjectionResult:
     """Project onto the group side: edge weight = number of shared individuals.
 
     Parameters
     ----------
-    min_shared:
-        Keep only edges whose weight (shared individuals) reaches this
-        threshold.
     max_left_degree:
         Individuals sitting in more than this many groups are skipped
         during pair generation (an individual of degree d contributes
@@ -240,19 +227,13 @@ def project_onto_groups(
 
     Complexity: sum over individuals of (degree choose 2) pair slots.
     """
-    return _project(bipartite, "groups", min_shared, max_left_degree)
+    return _project(bipartite, "groups", max_left_degree)
 
 
-def project_onto_individuals(
-    bipartite: BipartiteGraph,
-    min_shared: int = 1,
-    max_right_degree: "int | None" = None,
-) -> ProjectionResult:
+def project_onto_individuals(bipartite: BipartiteGraph) -> ProjectionResult:
     """Project onto the individual side (paper §4, scenario 2).
 
     Nodes are individuals; an edge connects two directors who sit on at
     least one common board, weighted by the number of shared groups.
     """
-    return _project(
-        bipartite, "individuals", min_shared, max_right_degree
-    )
+    return _project(bipartite, "individuals", None)

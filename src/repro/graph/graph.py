@@ -23,6 +23,24 @@ def _readonly(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` for int arrays via sort + adjacent-diff: the graph
+    layer's one dedupe.
+
+    Called without ``return_*``, ``np.unique`` answers from a hash
+    table, which on a million membership keys costs ~50x a sort; on a
+    BFS frontier of a few thousand keys its per-call overhead dominates.
+    Output is sorted ascending, exactly like ``np.unique``.
+    """
+    if len(values) <= 1:
+        return values
+    ordered = np.sort(values)
+    keep = np.empty(len(ordered), dtype=bool)
+    keep[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 def _accumulate_edges(
     n_nodes: int, u: np.ndarray, v: np.ndarray, w: np.ndarray
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":

@@ -12,7 +12,8 @@ cluster.  The combined distance is the convex combination
 
     d(s, v) = alpha * d_topo(s, v) + (1 - alpha) * d_attr(s, v)
 
-with ``d_topo`` the BFS hop distance normalised by the ball horizon and
+with ``alpha`` = :data:`ALPHA`, ``d_topo`` the BFS hop distance
+normalised by the ball horizon (:data:`HORIZON` hops) and
 ``d_attr`` the Hamming distance over categorical attributes (the
 published algorithm uses Jaccard over set-valued attributes; for the
 single-valued company attributes of the case studies the two coincide).
@@ -37,9 +38,8 @@ committed labels are therefore **exactly identical** to the per-ball
 deque BFS (kept as the reference in ``tests/oracles.py``) for every seed
 order, which the property tests assert.
 
-The reference implementation samples seeds randomly; we default to a
-seeded RNG for reproducibility and also expose deterministic
-max-degree-first seeding.
+The reference implementation samples seeds randomly; seeds here come
+from an RNG seeded by ``seed``, so a clustering is reproducible.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import numpy as np
 from repro.errors import GraphError
 from repro.graph.attributes import NodeAttributeTable
 from repro.graph.components import Clustering, gather_neighbors
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, _sorted_unique
 
 #: Balls grown concurrently per speculative batch — one bit of the
 #: per-node ``uint64`` visited mask each.  32 balances the two failure
@@ -59,23 +59,10 @@ from repro.graph.graph import Graph
 #: tight cluster, smaller ones do the reverse; 32 beat both 16 and 64
 #: on every workload's worst case.
 _BALL_BATCH = 32
-
-
-def _sorted_unique(values: np.ndarray) -> np.ndarray:
-    """``np.unique`` for int arrays via sort + adjacent-diff.
-
-    The frontier dedup runs once per BFS level on a few thousand keys;
-    numpy's hash-based unique has per-call overhead that dominates at
-    that size, while a sort keeps the whole pass in the small-array
-    fast path.  Output is sorted ascending, exactly like ``np.unique``.
-    """
-    if len(values) <= 1:
-        return values
-    ordered = np.sort(values)
-    keep = np.empty(len(ordered), dtype=bool)
-    keep[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
-    return ordered[keep]
+#: Weight of the topological term in the combined distance.
+ALPHA = 0.5
+#: Maximum BFS depth of a ball (the τ-ball radius in hops).
+HORIZON = 2
 
 
 def _grow_ball(
@@ -88,8 +75,6 @@ def _grow_ball(
     epoch: int,
     seed_node: int,
     tau: float,
-    alpha: float,
-    horizon: int,
 ) -> np.ndarray:
     """Accepted nodes of one τ-ball (seed excluded), level-synchronous.
 
@@ -103,7 +88,7 @@ def _grow_ball(
     visited_epoch[seed_node] = epoch
     accepted_parts: "list[np.ndarray]" = []
     frontier = np.array([seed_node], dtype=np.int64)
-    for depth in range(horizon):
+    for depth in range(HORIZON):
         neighbors = gather_neighbors(indptr, indices, frontier)
         if not len(neighbors):
             break
@@ -115,16 +100,16 @@ def _grow_ball(
             break
         candidates = _sorted_unique(fresh)
         visited_epoch[candidates] = epoch
-        d_topo = (depth + 1) / horizon
+        d_topo = (depth + 1) / HORIZON
         if codes is not None:
             matches = (
                 codes[:, candidates] == codes[:, seed_node][:, None]
             ).sum(axis=0)
             d_attr = 1.0 - matches / n_attrs
-            distance = alpha * d_topo + (1 - alpha) * d_attr
+            distance = ALPHA * d_topo + (1 - ALPHA) * d_attr
             accepted = candidates[distance <= tau]
         else:
-            distance = alpha * d_topo + (1 - alpha) * 0.0
+            distance = ALPHA * d_topo + (1 - ALPHA) * 0.0
             accepted = (
                 candidates if distance <= tau
                 else np.empty(0, dtype=np.int64)
@@ -142,9 +127,6 @@ def stoc_clustering(
     graph: Graph,
     attributes: "NodeAttributeTable | None" = None,
     tau: float = 0.5,
-    alpha: float = 0.5,
-    horizon: int = 2,
-    seed_order: str = "random",
     seed: "int | None" = 0,
 ) -> Clustering:
     """Cluster an attributed graph with the SToC ball-growing strategy.
@@ -156,32 +138,17 @@ def stoc_clustering(
     tau:
         Distance threshold in [0, 1]; smaller values yield more, tighter
         clusters.
-    alpha:
-        Weight of the topological term in the combined distance.
-    horizon:
-        Maximum BFS depth of a ball (the τ-ball radius in hops).
-    seed_order:
-        ``"random"`` (reference behaviour, reproducible via ``seed``) or
-        ``"degree"`` (deterministic max-degree-first).
+    seed:
+        Seeds the random order in which balls are grown.
     """
     if not 0 <= tau <= 1:
         raise GraphError(f"tau must be in [0, 1], got {tau}")
-    if not 0 <= alpha <= 1:
-        raise GraphError(f"alpha must be in [0, 1], got {alpha}")
-    if horizon < 1:
-        raise GraphError(f"horizon must be >= 1, got {horizon}")
     if attributes is not None and attributes.n_nodes != graph.n_nodes:
         raise GraphError("attribute table size does not match graph")
 
     n = graph.n_nodes
     indptr, indices, _ = graph.csr()
-    if seed_order == "random":
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(n)
-    elif seed_order == "degree":
-        order = np.argsort(-np.diff(indptr), kind="stable")
-    else:
-        raise GraphError(f"unknown seed_order {seed_order!r}")
+    order = np.random.default_rng(seed).permutation(n)
 
     if attributes is not None and attributes.n_attributes:
         codes = attributes.codes_matrix()
@@ -227,7 +194,7 @@ def stoc_clustering(
         accepted_owners: "list[np.ndarray]" = []
         frontier_nodes = seeds_arr
         frontier_owners = np.arange(k, dtype=np.int64)
-        for depth in range(horizon):
+        for depth in range(HORIZON):
             degrees = indptr[frontier_nodes + 1] - indptr[frontier_nodes]
             neighbors = gather_neighbors(indptr, indices, frontier_nodes)
             if not len(neighbors):
@@ -253,16 +220,16 @@ def stoc_clustering(
                 one << cand_owners.astype(np.uint64),
             )
             touched.append(cand_nodes)
-            d_topo = (depth + 1) / horizon
+            d_topo = (depth + 1) / HORIZON
             if codes is not None:
                 matches = (
                     codes[:, cand_nodes] == codes[:, seeds_arr[cand_owners]]
                 ).sum(axis=0)
                 d_attr = 1.0 - matches / n_attrs
-                distance = alpha * d_topo + (1 - alpha) * d_attr
+                distance = ALPHA * d_topo + (1 - ALPHA) * d_attr
                 acc = distance <= tau
             else:
-                distance = alpha * d_topo + (1 - alpha) * 0.0
+                distance = ALPHA * d_topo + (1 - ALPHA) * 0.0
                 acc = np.full(len(cand_nodes), distance <= tau)
             frontier_nodes = cand_nodes[acc]
             frontier_owners = cand_owners[acc]
@@ -338,7 +305,7 @@ def stoc_clustering(
                 epoch += 1
                 ball_nodes = _grow_ball(
                     indptr, indices, codes, n_attrs, labels,
-                    visited_epoch, epoch, seed_node, tau, alpha, horizon,
+                    visited_epoch, epoch, seed_node, tau,
                 )
             labels[seed_node] = next_label + commits
             labels[ball_nodes] = next_label + commits
@@ -352,5 +319,5 @@ def stoc_clustering(
 
     return Clustering(
         labels, next_label,
-        f"stoc(tau={tau:g},alpha={alpha:g},h={horizon})"
+        f"stoc(tau={tau:g},alpha={ALPHA:g},h={HORIZON})"
     )

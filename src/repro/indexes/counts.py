@@ -63,12 +63,12 @@ class UnitCounts:
         cls,
         units: Iterable[int] | np.ndarray,
         is_minority: Iterable[bool] | np.ndarray,
-        n_units: int | None = None,
     ) -> "UnitCounts":
         """Aggregate individual-level data.
 
         ``units[k]`` is the unit id of individual ``k`` and
-        ``is_minority[k]`` tells whether she belongs to the minority.
+        ``is_minority[k]`` tells whether she belongs to the minority;
+        there is one unit per id up to the largest.
         ``is_minority`` may also be a mining cover
         (:class:`~repro.itemsets.coverset.CoverSet`): anything exposing
         ``to_bools()`` is materialised into flags first.
@@ -82,7 +82,7 @@ class UnitCounts:
             raise SegregationIndexError("units and is_minority differ in length")
         if len(u) and u.min() < 0:
             raise SegregationIndexError("unit ids must be non-negative")
-        size = n_units if n_units is not None else (int(u.max()) + 1 if len(u) else 0)
+        size = int(u.max()) + 1 if len(u) else 0
         t = np.bincount(u, minlength=size).astype(np.float64)
         m = np.bincount(u[flags], minlength=size).astype(np.float64)
         return cls(t, m)

@@ -4,7 +4,7 @@ Segregation discovery ranks thousands of cube cells; small contexts can
 show large index values by chance alone (finite-sample bias of ``D`` is
 well known).  This module provides the two standard guards:
 
-* :func:`bootstrap_ci` — percentile confidence interval by resampling
+* :func:`bootstrap_ci` — 95% percentile confidence interval by resampling
   individuals within units (multinomial per-unit resampling);
 * :func:`randomization_test` — permutation test of the null "minority
   membership is independent of unit", also returning the expected index
@@ -54,10 +54,10 @@ def bootstrap_ci(
     index: IndexSpec,
     counts: UnitCounts,
     n_boot: int = 500,
-    alpha: float = 0.05,
     seed: int | None = 0,
 ) -> BootstrapResult:
-    """Percentile bootstrap confidence interval for ``index`` on ``counts``.
+    """95% percentile bootstrap confidence interval for ``index`` on
+    ``counts``.
 
     Unit sizes are kept fixed; each unit's minority count is resampled
     from Binomial(t_i, p_i), the standard parametric bootstrap for
@@ -66,8 +66,6 @@ def bootstrap_ci(
     """
     if n_boot < 1:
         raise SegregationIndexError("n_boot must be >= 1")
-    if not 0 < alpha < 1:
-        raise SegregationIndexError("alpha must be in (0, 1)")
     rng = np.random.default_rng(seed)
     estimate = index.compute(counts)
     t = counts.t.astype(np.int64)
@@ -78,7 +76,7 @@ def bootstrap_ci(
     if len(replicas) == 0:
         return BootstrapResult(estimate, float("nan"), float("nan"),
                                float("nan"), n_boot)
-    low, high = np.quantile(replicas, [alpha / 2, 1 - alpha / 2])
+    low, high = np.quantile(replicas, [0.025, 0.975])
     return BootstrapResult(
         estimate, float(low), float(high), float(replicas.std(ddof=1))
         if len(replicas) > 1 else 0.0, n_boot

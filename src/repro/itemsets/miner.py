@@ -2,18 +2,17 @@
 
 :func:`mine` normalises a relative or absolute support threshold, runs
 the eclat miner (:mod:`repro.itemsets.eclat`) and applies the optional
-closed and length filters; :func:`absolute_minsup` is the threshold
-rule every layer shares.
+closed filter; :func:`absolute_minsup` is the threshold rule every layer
+shares.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import MiningError
 from repro.itemsets.closed import filter_closed
-from repro.itemsets.coverset import Cover
 from repro.itemsets.eclat import mine_eclat
 from repro.itemsets.transactions import TransactionDatabase
 
@@ -43,24 +42,18 @@ def absolute_minsup(minsup: "int | float", n_transactions: int) -> int:
 
 @dataclass
 class MiningResult:
-    """Frequent itemsets with supports and (optionally) covers."""
+    """Frequent itemsets with their supports."""
 
     supports: dict[Itemset, int]
     minsup: int
     closed_only: bool
-    covers: "dict[Itemset, Cover] | None" = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.supports)
 
 
 def mine(
-    db: TransactionDatabase,
-    minsup: "int | float",
-    closed: bool = False,
-    items: "list[int] | None" = None,
-    max_len: "int | None" = None,
-    with_covers: bool = False,
+    db: TransactionDatabase, minsup: "int | float", closed: bool = False
 ) -> MiningResult:
     """Mine frequent (optionally closed) itemsets from ``db``.
 
@@ -70,26 +63,11 @@ def mine(
         Relative (fraction) or absolute (count) support threshold.
     closed:
         Keep only closed itemsets.
-    with_covers:
-        Also return the covers of the kept itemsets.
     """
     # Fractions resolve against the *live* rows so restricted views
     # (temporal snapshots) are thresholded at their own scale.
     threshold = absolute_minsup(minsup, db.n_active)
-    # Closedness of a size-k itemset depends on its (k+1)-supersets, so a
-    # closed mine under a length cap must look one level deeper.
-    mine_len = max_len + 1 if (closed and max_len is not None) else max_len
-    covers = None
-    if with_covers:
-        covers = mine_eclat(db, threshold, items=items, max_len=mine_len,
-                            with_covers=True)
-        supports = {k: v.support() for k, v in covers.items()}
-    else:
-        supports = mine_eclat(db, threshold, items=items, max_len=mine_len)
+    supports = mine_eclat(db, threshold)
     if closed:
         supports = filter_closed(supports)
-    if max_len is not None:
-        supports = {k: v for k, v in supports.items() if len(k) <= max_len}
-    if covers is not None:
-        covers = {k: v for k, v in covers.items() if k in supports}
-    return MiningResult(supports, threshold, closed, covers)
+    return MiningResult(supports, threshold, closed)

@@ -32,10 +32,9 @@ One encoder turns tables into databases: :class:`EncodeAccumulator`
 folds table chunks (see :mod:`repro.etl.stream`) into the CSR store as
 they arrive, taking each column's codes as they are, with an
 ``np.memmap`` disk spill once the accumulated index buffers exceed an
-optional byte budget.  :meth:`TransactionDatabase.from_chunks` runs it
-over a chunk stream — the out-of-core path, which never holds per-row
-Python lists or full-input item arrays — and :func:`encode_table` over
-one in-memory table as a single chunk.
+optional byte budget — the out-of-core path, which never holds per-row
+Python lists or full-input item arrays.  :func:`encode_table` runs it
+over one in-memory table as a single chunk.
 """
 
 from __future__ import annotations
@@ -79,71 +78,26 @@ _COUNT_CHUNK_WORDS = 1 << 16
 class TransactionDatabase:
     """An immutable transaction database with per-transaction unit labels.
 
+    Transaction ``t`` holds the item ids ``indices[indptr[t]:indptr[t +
+    1]]``, strictly increasing.  Built by :class:`EncodeAccumulator`
+    (and :func:`encode_table`) and by :meth:`restrict`.
+
     Attributes
     ----------
-    rows:
-        One sorted tuple of item ids per transaction (materialised lazily
-        from the CSR arrays; the horizontal view the brute-force test
-        oracles read).
     dictionary:
         The :class:`~repro.itemsets.items.ItemDictionary` describing ids.
     units:
-        Optional ``int64`` array with the unit id of each transaction.
+        ``int64`` array with the unit id of each transaction, or None
+        when the schema has no unit column.
     """
 
     def __init__(
-        self,
-        rows: Sequence[tuple[int, ...]],
-        dictionary: ItemDictionary,
-        units: np.ndarray | None = None,
-    ):
-        normalized = [tuple(sorted(set(r))) for r in rows]
-        lengths = np.fromiter(
-            (len(r) for r in normalized), dtype=np.int64, count=len(normalized)
-        )
-        indptr = np.zeros(len(normalized) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        indices = np.fromiter(
-            chain.from_iterable(normalized), dtype=np.int64,
-            count=int(indptr[-1]),
-        )
-        self._init(indptr, indices, dictionary, units)
-        self._rows = normalized
-
-    @classmethod
-    def from_chunks(
-        cls,
-        chunks: "Iterable[Table]",
-        schema: Schema,
-        spill_bytes: "int | None" = None,
-        scratch_dir: "str | Path | None" = None,
-    ) -> "TransactionDatabase":
-        """Encode a stream of table chunks into one database.
-
-        The chunks are folded append-only through an
-        :class:`EncodeAccumulator`; the result is **bit-identical** to
-        :func:`encode_table` on the concatenated table (same item ids,
-        same CSR arrays, same unit labels), but the full input never has
-        to exist in memory at once.  ``spill_bytes`` bounds the RAM the
-        accumulated item-index buffers may occupy before they spill to
-        ``np.memmap`` scratch files in a temporary directory under
-        ``scratch_dir`` (created on the first spill, removed when
-        encoding completes).
-        """
-        accumulator = EncodeAccumulator(
-            schema, spill_bytes=spill_bytes, scratch_dir=scratch_dir,
-        )
-        for chunk in chunks:
-            accumulator.add_chunk(chunk)
-        return accumulator.finalize()
-
-    def _init(
         self,
         indptr: np.ndarray,
         indices: np.ndarray,
         dictionary: ItemDictionary,
         units: np.ndarray | None,
-    ) -> None:
+    ):
         self._indptr = indptr
         self._indices = indices
         self.dictionary = dictionary
@@ -183,9 +137,7 @@ class TransactionDatabase:
         Construction is cheap — one cover AND per item — and the
         unit→rows grouping is shared with the base database, as are the
         unit-ordered item rows of :meth:`unit_words` (the view packs
-        only its own live-row mask).  The horizontal ``rows`` view is
-        not available on a restricted database (it would expose
-        inactive rows).
+        only its own live-row mask).
         """
         active_cover = as_cover(active)
         if len(active_cover) != len(self):
@@ -198,21 +150,16 @@ class TransactionDatabase:
             # below are already intersected with the base restriction,
             # so the active set must be too.
             active_cover = self._active & active_cover
-        db = TransactionDatabase.__new__(TransactionDatabase)
-        db._indptr = self._indptr
-        db._indices = self._indices
-        db.dictionary = self.dictionary
-        db.units = self.units
-        db._rows = None
+        db = TransactionDatabase(
+            self._indptr, self._indices, self.dictionary, self.units
+        )
         db._covers = {
             i: cover & active_cover for i, cover in self.covers().items()
         }
-        db._item_supports = None
         if self.units is not None:
             self._unit_grouping()
         db._unit_order = self._unit_order
         db._unit_indptr = self._unit_indptr
-        db._unit_words = None
         db._active = active_cover
         db._root = self if self._root is None else self._root
         return db
@@ -223,23 +170,6 @@ class TransactionDatabase:
         if self._active is None:
             return len(self)
         return self._active.support()
-
-    @property
-    def rows(self) -> "list[tuple[int, ...]]":
-        """Horizontal view: one sorted item-id tuple per transaction."""
-        if self._active is not None:
-            raise MiningError(
-                "the horizontal rows view is unavailable on a restricted "
-                "database (it would expose inactive rows); mine restricted "
-                "databases through their covers"
-            )
-        if self._rows is None:
-            indptr, indices = self._indptr, self._indices
-            self._rows = [
-                tuple(indices[indptr[t]:indptr[t + 1]].tolist())
-                for t in range(len(self))
-            ]
-        return self._rows
 
     def __len__(self) -> int:
         return len(self._indptr) - 1
@@ -484,7 +414,9 @@ def encode_table(table: Table, schema: Schema) -> TransactionDatabase:
     order, so covers index directly into the original table.  The table
     is one chunk of :class:`EncodeAccumulator`, which never spills.
     """
-    return TransactionDatabase.from_chunks([table], schema)
+    accumulator = EncodeAccumulator(schema)
+    accumulator.add_chunk(table)
+    return accumulator.finalize()
 
 
 class _SpillBuffer:
@@ -608,23 +540,17 @@ class EncodeAccumulator:
       category that no row uses included: its item has support 0.
     * ``spill_bytes`` budgets the item-index buffers only; the unit
       labels (8 bytes/row) and the final CSR arrays are in-memory.
-    * Scratch files live in a private temporary directory (under
-      ``scratch_dir`` when given), created on the first spill and
-      removed when :meth:`finalize` returns or :meth:`close` is called;
-      an accumulator that never spills never touches the disk.
+    * Scratch files live in a private temporary directory, created on
+      the first spill and removed when :meth:`finalize` returns or
+      :meth:`close` is called; an accumulator that never spills never
+      touches the disk.
     """
 
-    def __init__(
-        self,
-        schema: Schema,
-        spill_bytes: "int | None" = None,
-        scratch_dir: "str | Path | None" = None,
-    ):
+    def __init__(self, schema: Schema, spill_bytes: "int | None" = None):
         if spill_bytes is not None and spill_bytes < 0:
             raise MiningError("spill_bytes must be non-negative")
         self.schema = schema
         self._spill_bytes = spill_bytes
-        self._scratch_dir = scratch_dir
         self._scratch: "Path | None" = None
         self._states: "list[_SpecState]" = []
         for spec in schema.specs:
@@ -684,9 +610,9 @@ class EncodeAccumulator:
             )
             if pending > self._spill_bytes:
                 if self._scratch is None:
-                    self._scratch = Path(tempfile.mkdtemp(
-                        prefix="repro-encode-", dir=self._scratch_dir,
-                    ))
+                    self._scratch = Path(
+                        tempfile.mkdtemp(prefix="repro-encode-")
+                    )
                 for state in self._states:
                     state.codes.spill(self._scratch)
                     if state.rows is not None:
@@ -769,10 +695,7 @@ class EncodeAccumulator:
                     np.concatenate(self._units_parts) if self._units_parts
                     else np.zeros(0, dtype=np.int64)
                 )
-            db = TransactionDatabase.__new__(TransactionDatabase)
-            db._init(indptr, indices, dictionary, units)
-            db._rows = None
-            return db
+            return TransactionDatabase(indptr, indices, dictionary, units)
         finally:
             self.close()
 

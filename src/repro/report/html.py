@@ -55,11 +55,7 @@ def _shade(value: float) -> str:
     return f' style="background: rgb(255,{intensity},{intensity})"'
 
 
-def cube_to_html(
-    cube: SegregationCube,
-    path: "str | Path",
-    title: str = "SCube report",
-) -> Path:
+def cube_to_html(cube: SegregationCube, path: "str | Path") -> Path:
     """Write the cube as a self-contained HTML file and return its path."""
     rows = cube.to_rows()
     if not rows:
@@ -99,7 +95,7 @@ def cube_to_html(
     )
     path.write_text(
         _PAGE.format(
-            title=escape(title),
+            title="SCube report",
             meta=escape(meta),
             n_cells=len(cube),
             header=header,

@@ -51,23 +51,19 @@ def pivot_values(
     col_attr: str,
     fixed_sa: "Mapping[str, object] | None" = None,
     fixed_ca: "Mapping[str, object] | None" = None,
-    include_star: bool = True,
 ) -> tuple[list[str], list[str], list[list[float]]]:
     """Pivot one index over two attributes.
 
-    Returns ``(row_labels, col_labels, matrix)`` where labels include a
-    trailing ``*`` entry when ``include_star`` is set; matrix entries are
-    index values (nan where the cell does not exist).
+    Returns ``(row_labels, col_labels, matrix)`` where labels end with a
+    ``*`` entry; matrix entries are index values (nan where the cell
+    does not exist).
     """
     if row_attr == col_attr:
         raise ReportError("row and column attributes must differ")
     row_kind = _kind_of(cube, row_attr)
     col_kind = _kind_of(cube, col_attr)
-    row_values = _attribute_values(cube, row_attr)
-    col_values = _attribute_values(cube, col_attr)
-    if include_star:
-        row_values = row_values + ["*"]
-        col_values = col_values + ["*"]
+    row_values = _attribute_values(cube, row_attr) + ["*"]
+    col_values = _attribute_values(cube, col_attr) + ["*"]
 
     matrix: list[list[float]] = []
     for row_value in row_values:
@@ -95,7 +91,6 @@ def pivot(
     col_attr: str,
     fixed_sa: "Mapping[str, object] | None" = None,
     fixed_ca: "Mapping[str, object] | None" = None,
-    include_star: bool = True,
     digits: int = 2,
 ) -> str:
     """Render a Fig. 1-style text pivot of one index."""
@@ -106,7 +101,6 @@ def pivot(
         col_attr,
         fixed_sa=fixed_sa,
         fixed_ca=fixed_ca,
-        include_star=include_star,
     )
     header = [f"{row_attr} \\ {col_attr}"] + list(col_values)
     rows = [

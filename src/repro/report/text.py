@@ -50,19 +50,19 @@ def render_table(
     return "\n".join(lines)
 
 
-def render_dict_rows(rows: "list[dict[str, object]]", digits: int = 3) -> str:
+def render_dict_rows(rows: "list[dict[str, object]]") -> str:
     """Render homogeneous dict-rows (header from the first row)."""
     if not rows:
         return "(no rows)"
     header = list(rows[0])
     return render_table(
-        header, [[row.get(col, "") for col in header] for row in rows], digits
+        header, [[row.get(col, "") for col in header] for row in rows]
     )
 
 
-def render_cube(cube: "SegregationCube", digits: int = 3) -> str:
+def render_cube(cube: "SegregationCube") -> str:
     """Render a whole cube (live or snapshot-backed) as a text table."""
-    return render_dict_rows(cube.to_rows(), digits)
+    return render_dict_rows(cube.to_rows())
 
 
 def bar(value: float, scale: float = 1.0, width: int = 40) -> str:

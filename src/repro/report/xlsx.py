@@ -220,14 +220,11 @@ class Workbook:
         return path
 
 
-def rows_to_workbook(
-    rows: Iterable[dict[str, object]],
-    sheet_name: str = "cube",
-    workbook: "Workbook | None" = None,
-) -> Workbook:
-    """Dump homogeneous dict-rows into a (new or given) workbook sheet."""
-    wb = workbook if workbook is not None else Workbook()
-    sheet = wb.add_sheet(sheet_name)
+def rows_to_workbook(rows: Iterable[dict[str, object]]) -> Workbook:
+    """Dump homogeneous dict-rows into the ``cube`` sheet of a new
+    workbook."""
+    wb = Workbook()
+    sheet = wb.add_sheet("cube")
     header: "list[str] | None" = None
     for row in rows:
         if header is None:

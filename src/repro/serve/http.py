@@ -21,9 +21,9 @@ into a WSGI application exposing the
 
 When a *graph snapshot* is mounted alongside the cube
 (``make_app(..., graph_source="graph_snap/")``, written by
-:func:`repro.store.dump_graph_snapshot` from scenario 2/3), three more
-endpoints serve the projected graph + clustering through the same
-payload layer:
+:func:`repro.store.dump_graph_snapshot` from a projection and its
+clustering), three more endpoints serve the projected graph +
+clustering through the same payload layer:
 
 ====================  ====================================================
 ``GET /graph/info``   graph summary: counts, method, degrees, provenance

@@ -183,8 +183,17 @@ class CubeService:
         byte size and delta-chain length; timeline-backed ones report
         both *per date* — the two numbers the timeline's publish rule
         weighs (chain-resolution cost against byte savings), read from
-        disk.
+        disk.  Each snapshot directory's delta chain is walked once per
+        call, and that walk fills every field reporting it.
         """
+        disk: "dict[Path, dict[str, int]]" = {}
+
+        def disk_of(path) -> "dict[str, int]":
+            directory = Path(path).resolve()
+            if directory not in disk:
+                disk[directory] = _disk_info(directory)
+            return disk[directory]
+
         out = summarize_cube(self._cube)
         metadata = self._cube.metadata
         out["backend"] = metadata.backend
@@ -195,20 +204,26 @@ class CubeService:
         snapshot = metadata.extra.get("snapshot")
         if snapshot is not None:
             out["snapshot"] = snapshot
-            out["disk"] = _disk_info(snapshot["path"])
+            out["disk"] = disk_of(snapshot["path"])
         if self._timeline is not None:
+            per_date = {
+                str(date): disk_of(self._timeline.path_of(date))
+                for date in self._timeline.dates
+            }
             out["timeline"] = {
                 "dates": self._timeline.dates,
                 "served_date": self._date,
-                "per_date": {
-                    str(date): _disk_info(self._timeline.path_of(date))
-                    for date in self._timeline.dates
-                },
+                "per_date": per_date,
             }
-            out["staleness"] = self._staleness()
+            out["staleness"] = self._staleness({
+                date: info["delta_chain_length"]
+                for date, info in per_date.items()
+            })
         return out
 
-    def _staleness(self) -> "dict[str, object]":
+    def _staleness(
+        self, chain_lengths: "dict[str, int]"
+    ) -> "dict[str, object]":
         """How far behind, and how heavy, is what we are serving?
 
         ``latest_date``/``dates_behind`` compare the served date with
@@ -217,11 +232,11 @@ class CubeService:
         manifest the publisher stamps on every
         :func:`~repro.store.timeline.dump_into_timeline`;
         ``chain_lengths`` is each date's delta-chain length as read
-        from disk (at most ``MAX_CHAIN`` for dates the publisher wrote).
+        from disk (at most ``MAX_CHAIN`` for dates the publisher wrote),
+        passed in by :meth:`info`.
         """
         from datetime import datetime, timezone
 
-        from repro.store.snapshot import delta_chain_length
         from repro.store.timeline import read_timeline_manifest
 
         dates = self._timeline.dates
@@ -246,10 +261,7 @@ class CubeService:
             "dates_behind": sum(1 for d in dates if d > self._date),
             "last_publish_at": last_publish_at,
             "seconds_since_publish": seconds_since,
-            "chain_lengths": {
-                str(date): delta_chain_length(self._timeline.path_of(date))
-                for date in dates
-            },
+            "chain_lengths": chain_lengths,
         }
 
     def trend(

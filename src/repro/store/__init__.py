@@ -21,7 +21,7 @@ memory-mapped, as a fully functional read-only
   :func:`validate_snapshot`.
 * :mod:`repro.store.graph` — graph snapshots
   (:func:`dump_graph_snapshot`, :func:`open_graph_snapshot`,
-  :func:`validate_graph_snapshot`): scenario 2/3's projected graph +
+  :func:`validate_graph_snapshot`): a projected graph and its
   clustering as ``.npy`` edge/label arrays behind a
   ``graph_manifest.json``, so graph-derived queries are servable
   without re-projecting.

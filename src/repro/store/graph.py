@@ -1,12 +1,11 @@
-"""Durable graph snapshots: scenario 2/3 outputs as addressable artifacts.
+"""Durable graph snapshots: a projection and its clustering as an
+addressable artifact.
 
-The graph scenarios (director interlock projection, bipartite pipeline)
-used to end at an in-process ``ScenarioResult`` — the projected graph
-and its clustering were invisible to the snapshot/serving tier.  This
-module gives them the same durability contract as cube snapshots: a
-self-describing directory of ``.npy`` columns plus a JSON manifest,
-crash-safe to write, memory-mappable to reopen, and loudly invalid when
-corrupted.
+A projected graph and its clustering get the same durability contract
+as cube snapshots: a self-describing directory of ``.npy`` columns plus
+a JSON manifest, crash-safe to write, memory-mappable to reopen, and
+loudly invalid when corrupted.  The manifest's ``provenance`` is written
+empty and read back as stored.
 
 Layout::
 
@@ -48,7 +47,6 @@ from repro.graph.components import Clustering
 from repro.graph.graph import Graph
 from repro.store.manifest import (
     ArrayInfo,
-    _jsonable,
     dump_directory,
     load_arrays,
     read_manifest,
@@ -120,20 +118,16 @@ class GraphManifest:
 
 @dataclass
 class GraphArtifact:
-    """One scenario's graph output, ready to dump: projection + clustering."""
+    """A graph output ready to dump: projection + clustering."""
 
     graph: Graph
     clustering: Clustering
     isolated: "list[int]"
     skipped_hubs: "list[int]"
-    provenance: "dict[str, object]" = field(default_factory=dict)
 
     @classmethod
     def from_result(
-        cls,
-        projection: ProjectionResult,
-        clustering: Clustering,
-        provenance: "dict[str, object] | None" = None,
+        cls, projection: ProjectionResult, clustering: Clustering
     ) -> "GraphArtifact":
         """Bundle a GraphBuilder + GraphClustering output pair."""
         if len(clustering.labels) != projection.graph.n_nodes:
@@ -147,7 +141,6 @@ class GraphArtifact:
             clustering=clustering,
             isolated=list(projection.isolated),
             skipped_hubs=list(projection.skipped_hubs),
-            provenance=dict(provenance or {}),
         )
 
 
@@ -190,7 +183,7 @@ def dump_graph_snapshot(
         n_edges=int(len(u)),
         n_clusters=artifact.clustering.n_clusters,
         method=artifact.clustering.method,
-        provenance=_jsonable(artifact.provenance),
+        provenance={},
         content_digest=graph_digest(arrays),
     )
     return dump_directory(

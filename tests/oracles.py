@@ -51,12 +51,23 @@ from repro.indexes.inference import (
 from repro.itemsets.coverset import Cover, as_cover
 from repro.itemsets.items import Item, ItemDictionary, ItemKind
 from repro.itemsets.miner import absolute_minsup
-from repro.itemsets.transactions import TransactionDatabase
+from repro.itemsets.transactions import EncodeAccumulator, TransactionDatabase
 
 
 # ----------------------------------------------------------------------
 # Reading and encoding: table chunks, per-cell typing, the per-row encoder
 # ----------------------------------------------------------------------
+
+
+def encode_chunks(
+    chunks: "Iterable[Table]", schema: Schema
+) -> TransactionDatabase:
+    """Fold a stream of table chunks through one
+    :class:`~repro.itemsets.transactions.EncodeAccumulator`."""
+    accumulator = EncodeAccumulator(schema)
+    for chunk in chunks:
+        accumulator.add_chunk(chunk)
+    return accumulator.finalize()
 
 
 def iter_chunks(table: Table, chunk_rows: int) -> "Iterable[Table]":
@@ -120,13 +131,39 @@ def type_cells_reference(
     return Table(built)
 
 
+def db_from_rows(
+    rows: "Iterable[Iterable[int]]",
+    dictionary: ItemDictionary,
+    units: "np.ndarray | None" = None,
+) -> TransactionDatabase:
+    """A database from its horizontal rows: one collection of item ids
+    per transaction (repeats dropped, ids sorted)."""
+    normalized = [sorted(set(row)) for row in rows]
+    indptr = np.zeros(len(normalized) + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in normalized], out=indptr[1:])
+    indices = np.array(
+        [item for row in normalized for item in row], dtype=np.int64
+    )
+    return TransactionDatabase(indptr, indices, dictionary, units)
+
+
+def rows_of(db: TransactionDatabase) -> "list[tuple[int, ...]]":
+    """The horizontal view: each transaction's sorted item ids, read
+    off the item covers (a restricted view's dead rows are empty)."""
+    rows: "list[list[int]]" = [[] for _ in range(len(db))]
+    for item, cover in sorted(db.covers().items()):
+        for t in np.flatnonzero(cover.to_bools()):
+            rows[t].append(item)
+    return [tuple(row) for row in rows]
+
+
 def encode_reference(table: Table, schema: Schema) -> TransactionDatabase:
     """Encode a table row by row: one item per SA/CA value of each row.
 
     Items are registered spec by spec in schema order, each spec's
     items in its column's category order, and each row's item tuple
-    goes through the plain ``TransactionDatabase(rows, ...)``
-    constructor: no chunks, no column code arrays, no spill.
+    goes through :func:`db_from_rows`: no chunks, no column code
+    arrays, no spill.
     """
     kinds = {Role.SEGREGATION: ItemKind.SA, Role.CONTEXT: ItemKind.CA}
     schema.validate(table)
@@ -148,7 +185,7 @@ def encode_reference(table: Table, schema: Schema) -> TransactionDatabase:
         rows.append(tuple(items))
     unit_names = [s.name for s in schema.specs if s.role is Role.UNIT]
     units = table.ints(unit_names[0]).data if unit_names else None
-    return TransactionDatabase(rows, dictionary, units)
+    return db_from_rows(rows, dictionary, units)
 
 
 def assert_same_db(got: TransactionDatabase,
@@ -317,11 +354,10 @@ def bootstrap_reference(
     func: "Callable[[UnitCounts], float]",
     counts: UnitCounts,
     n_boot: int,
-    alpha: float,
     seed: int,
 ) -> BootstrapResult:
     """:func:`~repro.indexes.inference.bootstrap_ci` as a loop: one
-    binomial draw and one scalar evaluation per replica."""
+    binomial draw and one scalar evaluation per replica, 95% interval."""
     rng = np.random.default_rng(seed)
     estimate = func(counts)
     t = counts.t.astype(np.int64)
@@ -333,7 +369,7 @@ def bootstrap_reference(
     if len(replicas) == 0:
         return BootstrapResult(estimate, float("nan"), float("nan"),
                                float("nan"), n_boot)
-    low, high = np.quantile(replicas, [alpha / 2, 1 - alpha / 2])
+    low, high = np.quantile(replicas, [0.05 / 2, 1 - 0.05 / 2])
     std = float(replicas.std(ddof=1)) if len(replicas) > 1 else 0.0
     return BootstrapResult(estimate, float(low), float(high), std, n_boot)
 
@@ -374,7 +410,7 @@ def frequent_itemsets_bruteforce(
     universe = sorted(
         set(items) if items is not None else range(db.n_items)
     )
-    rows = [frozenset(r) for r in db.rows]
+    rows = [frozenset(r) for r in rows_of(db)]
     longest = max_len if max_len is not None else len(universe)
     out: dict[frozenset[int], int] = {}
     for size in range(1, longest + 1):
@@ -526,10 +562,11 @@ def unit_counts_many(
 
 
 def dense_item_covers(db: TransactionDatabase) -> "list[np.ndarray]":
-    """One dense boolean cover per item, read off the horizontal rows."""
+    """One dense boolean cover per item, read off the CSR arrays."""
     covers = [np.zeros(len(db), dtype=bool) for _ in range(db.n_items)]
-    for t, row in enumerate(db.rows):
-        for item in row:
+    indptr, indices = db._indptr, db._indices
+    for t in range(len(db)):
+        for item in indices[indptr[t]:indptr[t + 1]].tolist():
             covers[item][t] = True
     return covers
 
@@ -695,7 +732,7 @@ def mine_fpgrowth(
         raise MiningError(f"minsup must be >= 1, got {minsup}")
     allowed = set(items) if items is not None else None
     transactions = []
-    for row in db.rows:
+    for row in rows_of(db):
         filtered = [i for i in row if allowed is None or i in allowed]
         if filtered:
             transactions.append((filtered, 1))

@@ -11,7 +11,6 @@ from repro.core.config import (
     ClusteringConfig,
     CubeConfig,
     PipelineConfig,
-    ProjectionConfig,
 )
 from repro.core.pipeline import (
     SCubePipeline,
@@ -25,21 +24,10 @@ class TestConfigs:
     def test_defaults_valid(self):
         config = PipelineConfig()
         assert config.clustering.method == "threshold"
-        assert config.cube.mode == "all"
 
     def test_invalid_clustering_method(self):
         with pytest.raises(ConfigError):
             ClusteringConfig(method="bogus")
-
-    def test_invalid_projection(self):
-        with pytest.raises(ConfigError):
-            ProjectionConfig(min_shared=0)
-        with pytest.raises(ConfigError):
-            ProjectionConfig(max_degree=0)
-
-    def test_invalid_cube_mode(self):
-        with pytest.raises(ConfigError):
-            CubeConfig(mode="bogus")
 
 
 class TestPipelineSteps:
@@ -66,7 +54,7 @@ class TestPipelineSteps:
 
     def test_stoc_clustering_path(self, italy_small):
         pipeline = SCubePipeline(
-            PipelineConfig(clustering=ClusteringConfig(method="stoc", tau=0.4))
+            PipelineConfig(clustering=ClusteringConfig(method="stoc"))
         )
         projection = pipeline.build_graph(italy_small)
         clustering = pipeline.cluster(italy_small, projection)

@@ -63,7 +63,10 @@ class TestScenario2DirectorGraph:
         assert result.n_units >= base.n_units
 
     def test_stoc_rejected_without_attributes(self, italy_small, cube_config):
-        with pytest.raises(ConfigError, match="needs node attributes"):
+        with pytest.raises(ConfigError, match=(
+            "^clustering method 'stoc' needs node attributes; use "
+            "'components' or 'threshold' for the director graph$"
+        )):
             run_director_graph(
                 italy_small,
                 clustering_config=ClusteringConfig(method="stoc"),

@@ -20,9 +20,9 @@ from repro.errors import MiningError
 from repro.itemsets.coverset import CoverSet, cover_matrix
 from repro.itemsets.eclat import mine_eclat, mine_eclat_typed
 from repro.itemsets.items import Item, ItemDictionary, ItemKind
-from repro.itemsets.transactions import TransactionDatabase, encode_table
+from repro.itemsets.transactions import encode_table
 
-from tests.oracles import closure_of, dense_item_covers
+from tests.oracles import closure_of, db_from_rows, dense_item_covers
 
 
 def make_db(rows, n_items=None):
@@ -32,7 +32,7 @@ def make_db(rows, n_items=None):
     dictionary = ItemDictionary()
     for i in range(size):
         dictionary.add(Item("x", i), ItemKind.SA)
-    return TransactionDatabase([tuple(r) for r in rows], dictionary)
+    return db_from_rows(rows, dictionary)
 
 
 def dense_cover(dense, itemset, n_rows):

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.cube.builder import SegregationDataCubeBuilder, build_cube
+from repro.cube.builder import SegregationDataCubeBuilder
 from repro.data.synthetic import planted_table
 from repro.errors import CubeError
 from repro.etl.schema import Schema
@@ -37,7 +37,7 @@ def fig1_style_table():
 class TestBuildSemantics:
     def test_global_cell_matches_direct_computation(self, fig1_style_table):
         table, schema = fig1_style_table
-        cube = build_cube(table, schema, min_population=1, min_minority=1)
+        cube = SegregationDataCubeBuilder(min_population=1, min_minority=1).build(table, schema)
         cell = cube.cell(sa={"sex": "F"})
         from repro.indexes.counts import UnitCounts
 
@@ -51,7 +51,7 @@ class TestBuildSemantics:
 
     def test_context_restricts_population_and_units(self, fig1_style_table):
         table, schema = fig1_style_table
-        cube = build_cube(table, schema, min_population=1, min_minority=1)
+        cube = SegregationDataCubeBuilder(min_population=1, min_minority=1).build(table, schema)
         north = cube.cell(sa={"sex": "F"}, ca={"region": "north"})
         assert north.population == 40
         assert north.n_units == 2          # units 0 and 1 only
@@ -62,7 +62,7 @@ class TestBuildSemantics:
 
     def test_finer_sa_cell(self, fig1_style_table):
         table, schema = fig1_style_table
-        cube = build_cube(table, schema, min_population=1, min_minority=1)
+        cube = SegregationDataCubeBuilder(min_population=1, min_minority=1).build(table, schema)
         cell = cube.cell(sa={"sex": "F", "age": "young"},
                          ca={"region": "north"})
         # 8 young women in unit 0, 2 in unit 1; totals 20/20.
@@ -73,20 +73,20 @@ class TestBuildSemantics:
 
     def test_min_minority_prunes_cells(self, fig1_style_table):
         table, schema = fig1_style_table
-        cube = build_cube(table, schema, min_population=1, min_minority=11)
+        cube = SegregationDataCubeBuilder(min_population=1, min_minority=11).build(table, schema)
         assert cube.cell(sa={"sex": "F", "age": "young"},
                          ca={"region": "north"}) is None
         assert cube.cell(sa={"sex": "F"}) is not None
 
     def test_min_population_prunes_contexts(self, fig1_style_table):
         table, schema = fig1_style_table
-        cube = build_cube(table, schema, min_population=41, min_minority=1)
+        cube = SegregationDataCubeBuilder(min_population=41, min_minority=1).build(table, schema)
         assert cube.cell(sa={"sex": "F"}, ca={"region": "north"}) is None
         assert cube.cell(sa={"sex": "F"}) is not None
 
     def test_context_only_cells_have_nan_indexes(self, fig1_style_table):
         table, schema = fig1_style_table
-        cube = build_cube(table, schema, min_population=1, min_minority=1)
+        cube = SegregationDataCubeBuilder(min_population=1, min_minority=1).build(table, schema)
         cell = cube.cell(ca={"region": "north"})
         assert cell.is_context_only
         assert math.isnan(cell.value("D"))
@@ -94,16 +94,14 @@ class TestBuildSemantics:
 
     def test_index_subset_selection(self, fig1_style_table):
         table, schema = fig1_style_table
-        cube = build_cube(table, schema, indexes=["D", "Iso"],
-                          min_population=1, min_minority=1)
+        cube = SegregationDataCubeBuilder(indexes=["D", "Iso"], min_population=1, min_minority=1).build(table, schema)
         cell = cube.cell(sa={"sex": "F"})
         assert set(cube.metadata.index_names) == {"D", "Iso"}
         assert math.isnan(cell.value("G"))
 
     def test_max_item_caps(self, fig1_style_table):
         table, schema = fig1_style_table
-        cube = build_cube(table, schema, min_population=1, min_minority=1,
-                          max_sa_items=1)
+        cube = SegregationDataCubeBuilder(min_population=1, min_minority=1, max_sa_items=1).build(table, schema)
         from repro.cube.coordinates import encode_query
 
         deep_key = encode_query(
@@ -118,15 +116,13 @@ class TestBuildSemantics:
         assert resolved is not None
         assert resolved.minority == 20
         # With no CA item allowed, the root is the only context.
-        flat = build_cube(table, schema, min_population=1, min_minority=1,
-                          max_ca_items=0)
+        flat = SegregationDataCubeBuilder(min_population=1, min_minority=1, max_ca_items=0).build(table, schema)
         assert flat.metadata.extra["n_contexts"] == 1
         assert all(not ca for _, ca in flat.keys())
 
     def test_planted_ground_truth(self):
         planted = planted_table([50, 50, 50], [0.9, 0.3, 0.1])
-        cube = build_cube(planted.table, planted.schema,
-                          min_population=1, min_minority=1)
+        cube = SegregationDataCubeBuilder(min_population=1, min_minority=1).build(planted.table, planted.schema)
         cell = cube.cell(sa={"gender": "F"})
         assert cell.value("D") == pytest.approx(dissimilarity(planted.counts))
         assert cell.value("G") == pytest.approx(gini(planted.counts))
@@ -137,7 +133,7 @@ class TestBuilderValidation:
         table = Table.from_dict({"region": ["a"], "unitID": [0]})
         schema = Schema.build(context=["region"], unit="unitID")
         with pytest.raises(CubeError, match="no segregation attributes"):
-            build_cube(table, schema)
+            SegregationDataCubeBuilder().build(table, schema)
 
     def test_no_unit_rejected(self):
         table = Table.from_dict({"sex": ["F"]})
@@ -145,7 +141,7 @@ class TestBuilderValidation:
         from repro.errors import SchemaError
 
         with pytest.raises(SchemaError):
-            build_cube(table, schema)
+            SegregationDataCubeBuilder().build(table, schema)
 
     def test_empty_table_rejected(self):
         from repro.etl.table import CategoricalColumn, IntColumn
@@ -158,7 +154,7 @@ class TestBuilderValidation:
         )
         schema = Schema.build(segregation=["sex"], unit="unitID")
         with pytest.raises(CubeError, match="empty"):
-            build_cube(table, schema)
+            SegregationDataCubeBuilder().build(table, schema)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(CubeError, match="mode"):
@@ -166,7 +162,7 @@ class TestBuilderValidation:
 
     def test_metadata_populated(self, fig1_style_table):
         table, schema = fig1_style_table
-        cube = build_cube(table, schema, min_population=5, min_minority=2)
+        cube = SegregationDataCubeBuilder(min_population=5, min_minority=2).build(table, schema)
         md = cube.metadata
         assert md.n_rows == len(table)
         assert md.n_units == 4

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cube.builder import SegregationDataCubeBuilder, build_cube
+from repro.cube.builder import SegregationDataCubeBuilder
 from repro.cube.cell import CellStats
 from repro.cube.coordinates import describe_key, make_key
 from repro.cube.cube import CubeMetadata, SegregationCube, check_same_cells
@@ -84,7 +84,7 @@ class TestColumnarEquivalence:
         table, schema = dataset
         limits = {"min_population": 25, "min_minority": 6,
                   "max_sa_items": 2, "max_ca_items": 2}
-        full = build_cube(table, schema, **limits)
+        full = SegregationDataCubeBuilder(**limits).build(table, schema)
         closed = SegregationDataCubeBuilder(
             engine="columnar", mode="closed", **limits
         ).build(table, schema)
@@ -137,7 +137,7 @@ class TestColumnarEquivalence:
         limits = {"min_population": 25, "min_minority": 6,
                   "max_sa_items": 1, "max_ca_items": 1,
                   "indexes": ["D", name]}
-        columnar = build_cube(table, schema, engine="columnar", **limits)
+        columnar = SegregationDataCubeBuilder(engine="columnar", **limits).build(table, schema)
         percell = percell_cube(
             SegregationDataCubeBuilder(**limits), table, schema
         )
@@ -148,29 +148,26 @@ class TestArrayRoutedQueries:
     def test_top_matches_reference_sort(self, engines):
         columnar, _ = engines
         for index_name in ("D", "G", "Int"):
-            for ascending in (False, True):
-                for k in (1, 5, 1000):
-                    got = columnar.top(index_name, k=k, min_minority=8,
-                                       ascending=ascending)
-                    reference = [
-                        stats
-                        for stats in columnar
-                        if not stats.is_context_only
-                        and stats.is_defined(index_name)
-                        and stats.minority >= 8
-                        and stats.population >= 0
-                        and stats.n_units >= 2
-                    ]
-                    reference.sort(
-                        key=lambda s: (
-                            s.value(index_name) if ascending
-                            else -s.value(index_name),
-                            describe_key(s.key, columnar.dictionary),
-                        )
+            for k in (1, 5, 1000):
+                got = columnar.top(index_name, k=k, min_minority=8)
+                reference = [
+                    stats
+                    for stats in columnar
+                    if not stats.is_context_only
+                    and stats.is_defined(index_name)
+                    and stats.minority >= 8
+                    and stats.population >= 0
+                    and stats.n_units >= 2
+                ]
+                reference.sort(
+                    key=lambda s: (
+                        -s.value(index_name),
+                        describe_key(s.key, columnar.dictionary),
                     )
-                    assert [s.key for s in got] == [
-                        s.key for s in reference[:k]
-                    ]
+                )
+                assert [s.key for s in got] == [
+                    s.key for s in reference[:k]
+                ]
 
     def test_top_unknown_index_empty(self, engines):
         columnar, _ = engines
@@ -249,7 +246,7 @@ class TestCellTable:
         table = CellTable(keys, [9] * 5, [4] * 5, [2] * 5,
                           {"D": np.array([1.0, 2.0, nan, nan, nan])}, 8)
         rows = table.top_rows("D", k=4, mask=np.ones(5, dtype=bool),
-                              descending=True, tie_break=lambda r: r)
+                              tie_break=lambda r: r)
         assert rows == [1, 0]
 
     def test_hand_built_keys_beyond_dictionary_accepted(self):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cube.builder import build_cube
+from repro.cube.builder import SegregationDataCubeBuilder
 from repro.cube.compare import compare_cubes, comparison_rows
 from repro.etl.schema import Schema
 from repro.etl.table import Table
@@ -23,7 +23,7 @@ def _cube(spreads: dict[str, tuple[int, int]]):
     table = Table.from_rows(["sex", "region", "unitID"], rows)
     schema = Schema.build(segregation=["sex"], context=["region"],
                           unit="unitID")
-    return build_cube(table, schema, min_population=1, min_minority=1)
+    return SegregationDataCubeBuilder(min_population=1, min_minority=1).build(table, schema)
 
 
 @pytest.fixture()
@@ -38,7 +38,7 @@ def right():
 
 class TestCompareCubes:
     def test_aligns_on_decoded_coordinates(self, left, right):
-        comparisons = compare_cubes(left, right, "D")
+        comparisons = compare_cubes(left, right)
         descriptions = {c.description for c in comparisons}
         assert "[sex=F | region=north]" in descriptions
         assert "[sex=F | region=south]" in descriptions
@@ -52,21 +52,21 @@ class TestCompareCubes:
         assert north.delta == pytest.approx(-0.8)
 
     def test_sorted_by_divergence(self, left, right):
-        comparisons = compare_cubes(left, right, "D")
+        comparisons = compare_cubes(left, right)
         deltas = [abs(c.delta) for c in comparisons]
         assert deltas == sorted(deltas, reverse=True)
 
     def test_identical_cubes_have_zero_deltas(self, left):
-        for c in compare_cubes(left, left, "D"):
+        for c in compare_cubes(left, left):
             assert c.delta == pytest.approx(0.0)
 
-    def test_min_minority_guard(self, left, right):
-        assert compare_cubes(left, right, "D", min_minority=1000) == []
-
     def test_comparison_rows_shape(self, left, right):
-        rows = comparison_rows(compare_cubes(left, right, "D"), k=2)
-        assert len(rows) == 2
-        assert len(rows[0]) == 4
+        comparisons = compare_cubes(left, right)
+        rows = comparison_rows(comparisons)
+        assert len(rows) == len(comparisons) >= 2
+        assert rows[0] == [comparisons[0].description,
+                           comparisons[0].left_value,
+                           comparisons[0].right_value, comparisons[0].delta]
 
     def test_different_dictionaries_align(self, left):
         """A cube built from a table with extra attribute values still
@@ -74,7 +74,7 @@ class TestCompareCubes:
         other = _cube(
             {"north": (7, 3), "south": (5, 5), "centre": (6, 4)}
         )
-        comparisons = compare_cubes(left, other, "D")
+        comparisons = compare_cubes(left, other)
         descriptions = {c.description for c in comparisons}
         assert "[sex=F | region=north]" in descriptions
         assert not any("centre" in d for d in descriptions)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cube.builder import build_cube
+from repro.cube.builder import SegregationDataCubeBuilder
 from repro.cube.explorer import (
     simpson_reversals,
     summarize_cube,
@@ -29,7 +29,7 @@ def paradox_cube():
     rows += [("M", "y", 0)] * 9 + [("M", "y", 1)] * 1
     table = Table.from_rows(["sex", "ctx", "unitID"], rows)
     schema = Schema.build(segregation=["sex"], context=["ctx"], unit="unitID")
-    return build_cube(table, schema, min_population=1, min_minority=1)
+    return SegregationDataCubeBuilder(min_population=1, min_minority=1).build(table, schema)
 
 
 class TestTopContexts:
@@ -51,7 +51,7 @@ class TestTopContexts:
 class TestSimpsonReversals:
     def test_detects_the_construction(self, paradox_cube):
         # Global D for women is 0 (even), per-context D is 0.8.
-        reversals = simpson_reversals(paradox_cube, "D", low=0.2, high=0.6)
+        reversals = simpson_reversals(paradox_cube, low=0.2, high=0.6)
         assert reversals, "expected at least one reversal"
         best = reversals[0]
         assert best.parent_value <= 0.2
@@ -71,16 +71,12 @@ class TestSimpsonReversals:
         table = Table.from_rows(["sex", "ctx", "unitID"], rows)
         schema = Schema.build(segregation=["sex"], context=["ctx"],
                               unit="unitID")
-        cube = build_cube(table, schema, min_population=1, min_minority=1)
-        assert simpson_reversals(cube, "D") == []
+        cube = SegregationDataCubeBuilder(min_population=1, min_minority=1).build(table, schema)
+        assert simpson_reversals(cube) == []
 
     def test_invalid_thresholds(self, paradox_cube):
         with pytest.raises(CubeError):
-            simpson_reversals(paradox_cube, "D", low=0.9, high=0.1)
-
-    def test_min_minority_guard(self, paradox_cube):
-        assert simpson_reversals(paradox_cube, "D", low=0.2, high=0.6,
-                                 min_minority=1000) == []
+            simpson_reversals(paradox_cube, low=0.9, high=0.1)
 
 
 class TestSummarize:

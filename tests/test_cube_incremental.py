@@ -87,12 +87,6 @@ class TestRestrictedDatabase:
             )
             assert restricted.covers()[item_id].support() == want
 
-    def test_restricted_rows_view_is_rejected(self, temporal):
-        db, valids = temporal
-        restricted = db.restrict(valids[0])
-        with pytest.raises(MiningError, match="restricted"):
-            restricted.rows
-
     def test_restrict_length_mismatch_rejected(self, temporal):
         db, valids = temporal
         with pytest.raises(MiningError, match="does not match"):

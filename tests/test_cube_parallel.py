@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.cube import parallel as cube_parallel
-from repro.cube.builder import SegregationDataCubeBuilder, build_cube
+from repro.cube.builder import SegregationDataCubeBuilder
 from repro.cube.cube import check_same_cells
 from repro.cube.parallel import balanced_partition, resolve_workers
 from repro.data.synthetic import random_final_table
@@ -120,10 +120,8 @@ def test_parallel_on_restricted_database(small_final_table):
 
 def test_build_cube_passes_workers_through(small_final_table):
     table, schema = small_final_table
-    reference = build_cube(table, schema, **LIMITS)
-    cube = build_cube(
-        table, schema, engine="parallel", workers=2, **LIMITS
-    )
+    reference = SegregationDataCubeBuilder(**LIMITS).build(table, schema)
+    cube = SegregationDataCubeBuilder(engine="parallel", workers=2, **LIMITS).build(table, schema)
     assert check_same_cells(reference, cube, atol=0.0) == []
     assert cube.metadata.extra["workers"] == 2
 
@@ -235,10 +233,10 @@ def test_killed_caller_leaves_no_worker_or_segment(tmp_path):
 def test_default_build_never_imports_multiprocessing():
     script = (
         "import sys, repro\n"
-        "from repro.cube.builder import build_cube\n"
+        "from repro.cube.builder import SegregationDataCubeBuilder\n"
         "from repro.data.schools import generate_schools\n"
-        "build_cube(*generate_schools(), min_population=10,"
-        " min_minority=3)\n"
+        "SegregationDataCubeBuilder(min_population=10, min_minority=3)"
+        ".build(*generate_schools())\n"
         "assert 'multiprocessing' not in sys.modules\n"
     )
     subprocess.run(

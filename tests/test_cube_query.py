@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cube.builder import build_cube
+from repro.cube.builder import SegregationDataCubeBuilder
 from repro.cube.coordinates import make_key
 from repro.etl.schema import Schema
 from repro.etl.table import Table
@@ -19,7 +19,7 @@ def cube():
     rows += [("M", "y", 2)] * 5 + [("M", "y", 3)] * 5
     table = Table.from_rows(["sex", "ctx", "unitID"], rows)
     schema = Schema.build(segregation=["sex"], context=["ctx"], unit="unitID")
-    return build_cube(table, schema, min_population=1, min_minority=1)
+    return SegregationDataCubeBuilder(min_population=1, min_minority=1).build(table, schema)
 
 
 class TestLookup:
@@ -79,10 +79,6 @@ class TestTop:
     def test_top_respects_filters(self, cube):
         top = cube.top("D", k=10, min_minority=11)
         assert all(c.minority >= 11 for c in top)
-
-    def test_top_ascending_for_exposure(self, cube):
-        bottom = cube.top("Int", k=1, ascending=True)
-        assert bottom[0].value("Int") <= 0.5
 
 
 class TestExport:

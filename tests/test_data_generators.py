@@ -16,7 +16,7 @@ from repro.data.italy import (
     generate_italy,
     italy_tabular_individuals,
 )
-from repro.data.schools import SchoolsConfig, generate_schools
+from repro.data.schools import generate_schools
 from repro.data.synthetic import (
     checkerboard_table,
     planted_counts,
@@ -70,14 +70,12 @@ class TestPlanted:
             checkerboard_table(3, 10)
 
     def test_uniform_is_unsegregated(self):
-        planted = uniform_table(5, 10, share=0.3)
+        planted = uniform_table(5, 10)
         assert dissimilarity(planted.counts) == pytest.approx(0.0)
 
     def test_uniform_validation(self):
         with pytest.raises(ReproError):
-            uniform_table(5, 10, share=0.33)
-        with pytest.raises(ReproError):
-            uniform_table(5, 10, share=1.5)
+            uniform_table(5, 11)
 
     def test_length_mismatch(self):
         with pytest.raises(ReproError):
@@ -232,11 +230,6 @@ class TestSchools:
             else:
                 assert d < bound
 
-    def test_custom_config(self):
-        table, _ = generate_schools(SchoolsConfig(students_per_school=10,
-                                                  schools_per_city=2))
-        assert len(table) == 40
-
 
 class TestRandomBipartiteWorld:
     def test_shape_and_determinism(self):
@@ -272,19 +265,14 @@ class TestRandomBipartiteWorld:
         assert top > world.n_edges / 2
 
     def test_attribute_table_matches_groups(self):
-        _, attrs = random_bipartite_world(
-            300, 40, attributes={"kind": 3}, seed=9
-        )
+        _, attrs = random_bipartite_world(300, 40, seed=9)
         assert attrs.n_nodes == 40
-        assert attrs.n_attributes == 1
-        assert attrs.codes("kind").max() < 3
+        assert attrs.n_attributes == 2
+        assert attrs.codes("sector").max() < 12
+        assert attrs.codes("region").max() < 8
 
     def test_validation(self):
         with pytest.raises(ReproError):
             random_bipartite_world(0, 5)
         with pytest.raises(ReproError):
-            random_bipartite_world(5, 5, mean_extra_degree=-1)
-        with pytest.raises(ReproError):
-            random_bipartite_world(5, 5, attribute_skew=0)
-        with pytest.raises(ReproError):
-            random_bipartite_world(5, 5, attributes={"x": 0})
+            random_bipartite_world(5, 0)

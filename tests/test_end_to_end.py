@@ -12,7 +12,7 @@ import math
 import pytest
 
 from repro import (
-    build_cube,
+    SegregationDataCubeBuilder,
     generate_schools,
     run_tabular,
     simpson_reversals,
@@ -30,27 +30,24 @@ from tests.oracles import SCALAR_INDEXES, NaiveCubeBuilder
 class TestPlantedGroundTruth:
     def test_full_pipeline_reproduces_planted_indexes(self):
         planted = planted_table([40, 60, 100], [0.9, 0.5, 0.05])
-        cube = build_cube(planted.table, planted.schema,
-                          min_population=1, min_minority=1)
+        cube = SegregationDataCubeBuilder(min_population=1, min_minority=1).build(planted.table, planted.schema)
         cell = cube.cell(sa={"gender": "F"})
         for name, func in SCALAR_INDEXES.items():
             assert cell.value(name) == pytest.approx(func(planted.counts)), name
 
     def test_checkerboard_maximal(self):
         planted = checkerboard_table(6, 30)
-        cube = build_cube(planted.table, planted.schema,
-                          min_population=1, min_minority=1)
+        cube = SegregationDataCubeBuilder(min_population=1, min_minority=1).build(planted.table, planted.schema)
         cell = cube.cell(sa={"gender": "F"})
         assert cell.value("D") == pytest.approx(1.0)
         assert cell.value("Iso") == pytest.approx(1.0)
 
     def test_uniform_minimal(self):
-        planted = uniform_table(8, 20, share=0.25)
-        cube = build_cube(planted.table, planted.schema,
-                          min_population=1, min_minority=1)
+        planted = uniform_table(8, 20)
+        cube = SegregationDataCubeBuilder(min_population=1, min_minority=1).build(planted.table, planted.schema)
         cell = cube.cell(sa={"gender": "F"})
         assert cell.value("D") == pytest.approx(0.0, abs=1e-12)
-        assert cell.value("Iso") == pytest.approx(0.25)
+        assert cell.value("Iso") == pytest.approx(0.3)
 
     def test_csv_round_trip_preserves_cube(self, tmp_path):
         """finalTable -> CSV -> finalTable -> identical cube."""
@@ -58,10 +55,8 @@ class TestPlantedGroundTruth:
         path = tmp_path / "final.csv"
         write_table(planted.table, path)
         back = read_table(path, integer=["unitID"])
-        cube_a = build_cube(planted.table, planted.schema,
-                            min_population=1, min_minority=1)
-        cube_b = build_cube(back, planted.schema,
-                            min_population=1, min_minority=1)
+        cube_a = SegregationDataCubeBuilder(min_population=1, min_minority=1).build(planted.table, planted.schema)
+        cube_b = SegregationDataCubeBuilder(min_population=1, min_minority=1).build(back, planted.schema)
         cell_a = cube_a.cell(sa={"gender": "F"})
         cell_b = cube_b.cell(sa={"gender": "F"})
         assert cell_a.value("D") == pytest.approx(cell_b.value("D"))
@@ -116,9 +111,9 @@ class TestSimpsonEndToEnd:
         table = Table.from_rows(["sex", "ctx", "unitID"], rows)
         schema = Schema.build(segregation=["sex"], context=["ctx"],
                               unit="unitID")
-        cube = build_cube(table, schema, min_population=1, min_minority=1)
+        cube = SegregationDataCubeBuilder(min_population=1, min_minority=1).build(table, schema)
         assert cube.value("D", sa={"sex": "F"}) == pytest.approx(0.0)
-        reversals = simpson_reversals(cube, "D", low=0.1, high=0.5)
+        reversals = simpson_reversals(cube, low=0.1, high=0.5)
         assert reversals
 
 

@@ -47,11 +47,11 @@ from repro.etl import (
     write_table_sql,
 )
 from repro.etl.stream import ONE_CHUNK
-from repro.itemsets.transactions import TransactionDatabase
 from repro.store.timeline import read_timeline_manifest
 
 from tests.oracles import (
     assert_same_db,
+    encode_chunks,
     encode_reference,
     iter_chunks,
     type_cells_reference,
@@ -505,7 +505,7 @@ def test_from_chunks_over_stream_csv_matches_reference(mixed_table, tmp_path):
     table, schema = mixed_table
     path = tmp_path / "ft.csv"
     write_table(table, path)
-    streamed = TransactionDatabase.from_chunks(
+    streamed = encode_chunks(
         stream_csv(path, schema=schema, chunk_rows=11), schema
     )
     assert_same_db(streamed, encode_reference(table, schema))

@@ -85,26 +85,12 @@ class TestGroupProjection:
         result = project_onto_groups(g)
         assert result.isolated == [2]
 
-    def test_min_shared_threshold(self):
-        g = BipartiteGraph.from_edges(
-            3, 2, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]
-        )
-        result = project_onto_groups(g, min_shared=2)
-        assert edge_weights(result.graph) == {(0, 1): 2.0}
-        weak = project_onto_groups(g, min_shared=3)
-        assert weak.graph.n_edges == 0
-
     def test_hub_guard_skips_big_directors(self):
         # Director 0 sits everywhere; with the guard the projection is empty.
         g = BipartiteGraph.from_edges(1, 4, [(0, k) for k in range(4)])
         result = project_onto_groups(g, max_left_degree=3)
         assert result.graph.n_edges == 0
         assert result.skipped_hubs == [0]
-
-    def test_invalid_min_shared(self):
-        g = BipartiteGraph(1, 1)
-        with pytest.raises(GraphError):
-            project_onto_groups(g, min_shared=0)
 
 
 class TestIndividualProjection:
@@ -119,12 +105,6 @@ class TestIndividualProjection:
                                              (0, 2)])
         result = project_onto_individuals(g)
         assert edge_weights(result.graph) == {(0, 1): 2.0}
-
-    def test_hub_guard_on_groups(self):
-        g = BipartiteGraph.from_edges(4, 1, [(k, 0) for k in range(4)])
-        result = project_onto_individuals(g, max_right_degree=3)
-        assert result.graph.n_edges == 0
-        assert result.skipped_hubs == [0]
 
 
 @given(
@@ -158,3 +138,28 @@ def test_projection_symmetry(raw_edges):
     onto_groups = project_onto_groups(g)
     onto_left = project_onto_individuals(transposed)
     assert edge_weights(onto_groups.graph) == edge_weights(onto_left.graph)
+
+
+@given(
+    st.integers(1, 40),
+    st.integers(1, 30),
+    st.lists(st.tuples(st.integers(0, 39), st.integers(0, 29)),
+             max_size=120),
+    st.integers(0, 3),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=80, deadline=None)
+def test_from_arrays_dedupes_like_np_unique(n_left, n_right, raw_edges,
+                                            copies, rng):
+    """The memberships are the ``np.unique`` of the ``(left, right)``
+    keys, whatever their order and however often each repeats."""
+    edges = [(l % n_left, r % n_right) for l, r in raw_edges] * (copies + 1)
+    rng.shuffle(edges)
+    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    g = BipartiteGraph.from_arrays(n_left, n_right, pairs[:, 0], pairs[:, 1])
+    keys = np.unique(pairs[:, 0] * n_right + pairs[:, 1])
+    lefts, rights = g.membership_arrays()
+    assert lefts.dtype == rights.dtype == np.int64
+    assert np.array_equal(lefts, keys // n_right)
+    assert np.array_equal(rights, keys % n_right)
+    assert not lefts.flags.writeable and not rights.flags.writeable

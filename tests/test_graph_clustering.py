@@ -130,8 +130,7 @@ class TestSToC:
 
     def test_separates_attribute_blocks(self):
         g, attrs = self._attributed_two_blobs()
-        clustering = stoc_clustering(g, attrs, tau=0.4, alpha=0.5, horizon=2,
-                                     seed=1)
+        clustering = stoc_clustering(g, attrs, tau=0.4, seed=1)
         labels = clustering.labels
         assert len(set(labels[:5].tolist())) == 1
         assert len(set(labels[5:].tolist())) == 1
@@ -139,7 +138,7 @@ class TestSToC:
 
     def test_tau_one_without_attributes_merges_components(self):
         g, _ = self._attributed_two_blobs()
-        clustering = stoc_clustering(g, None, tau=1.0, horizon=3, seed=0)
+        clustering = stoc_clustering(g, None, tau=1.0, seed=0)
         # Everything reachable within the horizon joins one ball.
         assert clustering.n_clusters <= 2
 
@@ -159,22 +158,12 @@ class TestSToC:
         b = stoc_clustering(g, attrs, tau=0.5, seed=5)
         assert a.labels.tolist() == b.labels.tolist()
 
-    def test_degree_seeding_deterministic(self):
-        g, attrs = self._attributed_two_blobs()
-        a = stoc_clustering(g, attrs, tau=0.5, seed_order="degree")
-        b = stoc_clustering(g, attrs, tau=0.5, seed_order="degree")
-        assert a.labels.tolist() == b.labels.tolist()
-
     def test_parameter_validation(self):
         g = Graph(2)
         with pytest.raises(GraphError):
             stoc_clustering(g, None, tau=1.5)
         with pytest.raises(GraphError):
-            stoc_clustering(g, None, alpha=-0.1)
-        with pytest.raises(GraphError):
-            stoc_clustering(g, None, horizon=0)
-        with pytest.raises(GraphError):
-            stoc_clustering(g, None, seed_order="bogus")
+            stoc_clustering(g, None, tau=-0.1)
 
     def test_attribute_size_mismatch(self):
         g = Graph(3)

@@ -58,32 +58,25 @@ def _assert_same_projection(result, reference):
     assert list(result.skipped_hubs) == list(reference.skipped_hubs)
 
 
-@given(worlds, st.integers(1, 3), st.sampled_from([None, 2, 4]))
-@example(ITALY_BOARDS, 1, None)
-@example(ITALY_BOARDS, 2, None)
-@example(ITALY_BOARDS, 1, 20)
+@given(worlds, st.sampled_from([None, 2, 4]))
+@example(ITALY_BOARDS, None)
+@example(ITALY_BOARDS, 20)
 @settings(max_examples=80, deadline=None)
-def test_group_projection_matches_legacy(g, min_shared, hub):
-    result = project_onto_groups(
-        g, min_shared=min_shared, max_left_degree=hub
-    )
+def test_group_projection_matches_legacy(g, hub):
+    result = project_onto_groups(g, max_left_degree=hub)
     reference = legacy.project_onto_groups_legacy(
-        g, min_shared=min_shared, max_left_degree=hub
+        g, min_shared=1, max_left_degree=hub
     )
     _assert_same_projection(result, reference)
 
 
-@given(worlds, st.integers(1, 3), st.sampled_from([None, 2, 4]))
-@example(ITALY_BOARDS, 1, None)
-@example(ITALY_BOARDS, 2, None)
-@example(ITALY_BOARDS, 1, 20)
+@given(worlds)
+@example(ITALY_BOARDS)
 @settings(max_examples=80, deadline=None)
-def test_individual_projection_matches_legacy(g, min_shared, hub):
-    result = project_onto_individuals(
-        g, min_shared=min_shared, max_right_degree=hub
-    )
+def test_individual_projection_matches_legacy(g):
+    result = project_onto_individuals(g)
     reference = legacy.project_onto_individuals_legacy(
-        g, min_shared=min_shared, max_right_degree=hub
+        g, min_shared=1, max_right_degree=None
     )
     _assert_same_projection(result, reference)
 
@@ -121,31 +114,18 @@ def test_threshold_profile_matches_legacy(graph, thresholds):
 
 
 @given(st.integers(0, 999).map(_attributed_graph),
-       st.integers(0, 2**31 - 1), st.floats(0.1, 0.9),
-       st.floats(0.1, 0.9), st.integers(1, 3))
-@example((ITALY_GRAPH, ITALY_ATTRIBUTES), 7, 0.3, 0.5, 2)
-@example((ITALY_GRAPH, ITALY_ATTRIBUTES), 7, 0.6, 0.5, 2)
+       st.integers(0, 2**31 - 1), st.floats(0.1, 0.9))
+@example((ITALY_GRAPH, ITALY_ATTRIBUTES), 7, 0.3)
+@example((ITALY_GRAPH, ITALY_ATTRIBUTES), 7, 0.6)
 @settings(max_examples=25, deadline=None)
-def test_stoc_matches_legacy_on_attributed_world(world, rng_seed, tau,
-                                                 alpha, horizon):
+def test_stoc_matches_legacy_on_attributed_world(world, rng_seed, tau):
     graph, attributes = world
-    new = stoc_clustering(graph, attributes, tau=tau, alpha=alpha,
-                          horizon=horizon, seed=rng_seed)
+    new = stoc_clustering(graph, attributes, tau=tau, seed=rng_seed)
     old = legacy.stoc_clustering_legacy(graph, attributes, tau=tau,
-                                        alpha=alpha, horizon=horizon,
                                         seed=rng_seed)
     assert np.array_equal(new.labels, old.labels)
     assert new.n_clusters == old.n_clusters
     assert new.method == old.method
-
-
-def test_stoc_degree_seeding_matches_legacy():
-    bipartite, attributes = random_bipartite_world(400, 50, seed=5)
-    graph = project_onto_groups(bipartite, max_left_degree=20).graph
-    new = stoc_clustering(graph, attributes, seed_order="degree")
-    old = legacy.stoc_clustering_legacy(graph, attributes,
-                                        seed_order="degree")
-    assert np.array_equal(new.labels, old.labels)
 
 
 def test_stoc_without_attributes_matches_legacy():

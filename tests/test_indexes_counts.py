@@ -73,13 +73,6 @@ class TestFromAssignments:
         assert fast.t.tolist() == slow.t.tolist()
         assert fast.m.tolist() == slow.m.tolist()
 
-    def test_n_units_override_pads(self):
-        counts = UnitCounts.from_assignments(
-            [0, 0, 2], [True, False, True], n_units=5
-        )
-        # empty units dropped by default
-        assert counts.n_units == 2
-
     def test_negative_unit_rejected(self):
         with pytest.raises(SegregationIndexError):
             UnitCounts.from_assignments([-1, 0], [True, False])

@@ -74,8 +74,6 @@ class TestBootstrap:
     def test_invalid_parameters(self, segregated):
         with pytest.raises(SegregationIndexError):
             bootstrap_ci(DISSIMILARITY, segregated, n_boot=0)
-        with pytest.raises(SegregationIndexError):
-            bootstrap_ci(DISSIMILARITY, segregated, alpha=1.5)
 
     def test_narrower_interval_with_larger_units(self):
         small = UnitCounts([20, 20], [15, 5])
@@ -132,9 +130,9 @@ class TestExactAgainstScalarLoop:
 
     def test_bootstrap(self, spec):
         for k, counts in enumerate(EXACT_CASES):
-            got = bootstrap_ci(spec, counts, n_boot=150, alpha=0.1, seed=k)
+            got = bootstrap_ci(spec, counts, n_boot=150, seed=k)
             want = bootstrap_reference(SCALAR_INDEXES[spec.name], counts,
-                                       n_boot=150, alpha=0.1, seed=k)
+                                       n_boot=150, seed=k)
             assert _same(got, want), (spec.name, k, got, want)
         assert math.isnan(got.estimate) and math.isnan(got.low)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cube.builder import SegregationDataCubeBuilder, build_cube
+from repro.cube.builder import SegregationDataCubeBuilder
 from repro.data.schools import generate_schools
 from repro.errors import SegregationIndexError
 from repro.indexes.base import (
@@ -46,8 +46,7 @@ class TestRegistry:
             with pytest.raises(SegregationIndexError, match="twice"):
                 resolve_indexes(names)
         with pytest.raises(SegregationIndexError, match="twice"):
-            build_cube(*generate_schools(), indexes=["D", "d"],
-                       min_population=10, min_minority=3)
+            SegregationDataCubeBuilder(indexes=["D", "d"], min_population=10, min_minority=3).build(*generate_schools())
 
     def test_bare_string_rejected(self):
         """A string is not a list of names: ``"DG"`` is not D and G, and

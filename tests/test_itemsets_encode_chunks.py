@@ -1,8 +1,8 @@
 """Encoding parity: the chunked encoder == the per-row reference, bit for bit.
 
-``EncodeAccumulator`` is the one encoder: ``from_chunks`` folds a chunk
-stream through it and ``encode_table`` is one chunk of it.  Its contract
-is exact equality of the CSR arrays, the unit labels and the item
+``EncodeAccumulator`` is the one encoder: ``tests.oracles.encode_chunks``
+folds a chunk stream through it and ``encode_table`` is one chunk of it.
+Its contract is exact equality of the CSR arrays, the unit labels and the item
 dictionary (ids, names, kinds) with the per-row reference encoder in
 ``tests/oracles.py``, for every chunk size, and with or without the disk
 spill engaged.
@@ -19,17 +19,15 @@ from repro.data.synthetic import random_final_table
 from repro.errors import MiningError, SchemaError
 from repro.etl import CategoricalColumn, IntColumn, MultiValuedColumn, Table
 from repro.etl.schema import Schema
-from repro.itemsets.transactions import (
-    EncodeAccumulator,
-    TransactionDatabase,
-    encode_table,
-)
+from repro.itemsets.transactions import EncodeAccumulator, encode_table
 
 from tests.oracles import (
     assert_same_db,
     dense_item_covers,
+    encode_chunks,
     encode_reference,
     iter_chunks,
+    rows_of,
 )
 
 
@@ -49,20 +47,19 @@ def test_from_chunks_matches_encode_table(chunk_table, chunk_rows):
     table, schema = chunk_table
     reference = encode_reference(table, schema)
     assert_same_db(encode_table(table, schema), reference)
-    streamed = TransactionDatabase.from_chunks(
-        iter_chunks(table, chunk_rows), schema
-    )
+    streamed = encode_chunks(iter_chunks(table, chunk_rows), schema)
     assert_same_db(streamed, reference)
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 3, 7, None],
                          ids=["1", "3", "7", "one"])
-def test_spilled_encode_matches_reference(chunk_table, tmp_path, chunk_rows):
+def test_spilled_encode_matches_reference(chunk_table, tmp_path, monkeypatch,
+                                          chunk_rows):
     # A zero budget spills every non-empty chunk; None is one chunk.
     table, schema = chunk_table
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     chunks = [table] if chunk_rows is None else iter_chunks(table, chunk_rows)
-    accumulator = EncodeAccumulator(schema, spill_bytes=0,
-                                    scratch_dir=tmp_path)
+    accumulator = EncodeAccumulator(schema, spill_bytes=0)
     for chunk in chunks:
         accumulator.add_chunk(chunk)
     assert accumulator.spilled
@@ -70,11 +67,10 @@ def test_spilled_encode_matches_reference(chunk_table, tmp_path, chunk_rows):
     assert not any(tmp_path.iterdir())
 
 
-def test_from_chunks_spill_roundtrip(chunk_table, tmp_path):
+def test_from_chunks_spill_roundtrip(chunk_table, tmp_path, monkeypatch):
     table, schema = chunk_table
-    accumulator = EncodeAccumulator(
-        schema, spill_bytes=64, scratch_dir=tmp_path
-    )
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    accumulator = EncodeAccumulator(schema, spill_bytes=64)
     for chunk in iter_chunks(table, 5):
         accumulator.add_chunk(chunk)
     assert accumulator.spilled          # 64-byte budget must overflow
@@ -89,7 +85,8 @@ def test_accumulator_without_spill_never_touches_disk(
     chunk_table, tmp_path, monkeypatch
 ):
     table, schema = chunk_table
-    accumulator = EncodeAccumulator(schema, scratch_dir=tmp_path)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    accumulator = EncodeAccumulator(schema)
     for chunk in iter_chunks(table, 64):
         accumulator.add_chunk(chunk)
         assert not any(tmp_path.iterdir())
@@ -138,9 +135,7 @@ def test_from_chunks_category_order_is_first_seen():
         "r": ["y", "x", "y", "z"],
         "unitID": [0, 1, 0, 1],
     })
-    streamed = TransactionDatabase.from_chunks(
-        iter_chunks(full, 1), schema
-    )
+    streamed = encode_chunks(iter_chunks(full, 1), schema)
     assert_same_db(streamed, encode_reference(full, schema))
     items = [streamed.dictionary.item(i)
              for i in range(len(streamed.dictionary))]
@@ -168,9 +163,9 @@ def test_unused_category_is_an_item_with_zero_support():
 
 def assert_encodes_like_references(chunks, table, schema):
     """The chunked encode equals the per-row reference encoder, each
-    item's cover equals its dense cover read off the rows, and the unit
+    item's cover equals its dense cover read off the CSR arrays, and the unit
     grouping equals the stable int64 argsort of the unit labels."""
-    db = TransactionDatabase.from_chunks(chunks, schema)
+    db = encode_chunks(chunks, schema)
     assert_same_db(db, encode_reference(table, schema))
     covers = db.covers()
     for item, dense in enumerate(dense_item_covers(db)):
@@ -200,7 +195,7 @@ def test_later_chunk_maps_set_codes_non_monotonically():
     table = chunk([{"b"}, {"c"}, {"a", "c"}, set(), {"b", "a"}],
                   [0, 1, 1, 0, 2])
     db = assert_encodes_like_references([first, second], table, schema)
-    assert db.rows[2] == (0, 2, 3)          # g=x, mv=c, mv=a
+    assert rows_of(db)[2] == (0, 2, 3)      # g=x, mv=c, mv=a
 
 
 @pytest.mark.parametrize("n_members, per_row", [

@@ -11,9 +11,12 @@ from repro.errors import MiningError
 from repro.itemsets.eclat import mine_eclat
 from repro.itemsets.items import Item, ItemDictionary, ItemKind
 from repro.itemsets.miner import absolute_minsup, mine
-from repro.itemsets.transactions import TransactionDatabase
 
-from tests.oracles import frequent_itemsets_bruteforce, mine_fpgrowth
+from tests.oracles import (
+    db_from_rows,
+    frequent_itemsets_bruteforce,
+    mine_fpgrowth,
+)
 
 
 def make_db(rows, n_items=None):
@@ -24,7 +27,7 @@ def make_db(rows, n_items=None):
     dictionary = ItemDictionary()
     for i in range(size):
         dictionary.add(Item("x", i), ItemKind.SA)
-    return TransactionDatabase([tuple(r) for r in rows], dictionary)
+    return db_from_rows(rows, dictionary)
 
 
 CLASSIC_DB = [
@@ -146,13 +149,6 @@ class TestMineFacade:
         db = make_db(CLASSIC_DB)
         result = mine(db, 0.25)         # 25% of 8 rows -> 2
         assert result.minsup == 2
-
-    def test_with_covers_returns_kept_covers(self):
-        db = make_db(CLASSIC_DB)
-        result = mine(db, 2, closed=True, with_covers=True)
-        assert set(result.covers) == set(result.supports)
-        for itemset, cover in result.covers.items():
-            assert cover.support() == result.supports[itemset]
 
     def test_result_helpers(self):
         db = make_db(CLASSIC_DB)

@@ -18,16 +18,15 @@ from hypothesis import strategies as st
 
 from repro.itemsets.eclat import mine_eclat
 from repro.itemsets.items import Item, ItemDictionary, ItemKind
-from repro.itemsets.transactions import TransactionDatabase
 
-from tests.oracles import mine_fpgrowth
+from tests.oracles import db_from_rows, mine_fpgrowth
 
 
 def build_db(rows, n_items):
     dictionary = ItemDictionary()
     for i in range(n_items):
         dictionary.add(Item("x", i), ItemKind.SA)
-    return TransactionDatabase([tuple(r) for r in rows], dictionary)
+    return db_from_rows(rows, dictionary)
 
 
 @st.composite

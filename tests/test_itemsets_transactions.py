@@ -17,9 +17,14 @@ from repro.itemsets.coverset import (
     popcount_words,
 )
 from repro.itemsets.items import Item, ItemKind
-from repro.itemsets.transactions import TransactionDatabase, encode_table
+from repro.itemsets.transactions import encode_table
 
-from tests.oracles import unit_counts_bruteforce, unit_counts_many
+from tests.oracles import (
+    db_from_rows,
+    rows_of,
+    unit_counts_bruteforce,
+    unit_counts_many,
+)
 
 
 @pytest.fixture()
@@ -58,9 +63,9 @@ class TestEncodeTable:
         f = d.id_of(Item("gender", "F"))
         a = d.id_of(Item("sector", "a"))
         b = d.id_of(Item("sector", "b"))
-        assert set(db.rows[0]) == {f, a, b}
+        assert set(rows_of(db)[0]) == {f, a, b}
         # Empty value set contributes nothing beyond the SA item.
-        assert set(db.rows[2]) == {f}
+        assert set(rows_of(db)[2]) == {f}
 
     def test_units_carried_along(self, final_table, schema):
         db = encode_table(final_table, schema)
@@ -88,17 +93,17 @@ class TestTransactionDatabase:
 
     def test_unit_label_length_checked(self):
         with pytest.raises(MiningError):
-            TransactionDatabase([(0,)], _tiny_dictionary(),
-                                units=np.array([0, 1]))
+            db_from_rows([(0,)], _tiny_dictionary(),
+                         units=np.array([0, 1]))
 
     def test_negative_units_rejected(self):
         with pytest.raises(MiningError):
-            TransactionDatabase([(0,)], _tiny_dictionary(),
-                                units=np.array([-1]))
+            db_from_rows([(0,)], _tiny_dictionary(),
+                         units=np.array([-1]))
 
     def test_rows_deduplicate_items(self):
-        db = TransactionDatabase([(0, 0, 0)], _tiny_dictionary())
-        assert db.rows[0] == (0,)
+        db = db_from_rows([(0, 0, 0)], _tiny_dictionary())
+        assert rows_of(db)[0] == (0,)
 
     def test_cover_of_unknown_item(self, final_table, schema):
         db = encode_table(final_table, schema)
@@ -150,7 +155,7 @@ class TestUnitCountsOf:
             st.frozensets(st.integers(0, base.n_items - 1), max_size=4),
             max_size=12,
         ))
-        row_sets = [frozenset(row) for row in base.rows]
+        row_sets = [frozenset(row) for row in rows_of(base)]
         # The brute-force UnitCounts drops the units no row carries.
         carried = np.bincount(base.units) > 0
         once = base.restrict(mask_a)
@@ -183,7 +188,7 @@ class TestUnitCountsOf:
         shuffle = rng.permutation(n_rows)
         for split in range(n_rows + 1):
             units = np.where(np.arange(n_rows) < split, 0, 1)[shuffle]
-            db = TransactionDatabase(rows, _two_item_dictionary(), units)
+            db = db_from_rows(rows, _two_item_dictionary(), units)
             expected = unit_counts_many(
                 db, [db.cover_of(s) for s in itemsets]
             )
@@ -193,7 +198,7 @@ class TestUnitCountsOf:
     def test_chunking_is_invisible(self, monkeypatch, chunk_words):
         rng = np.random.default_rng(5)
         n = 400
-        db = TransactionDatabase(
+        db = db_from_rows(
             [tuple(np.flatnonzero(rng.random(2) < 0.5)) for _ in range(n)],
             _two_item_dictionary(),
             units=rng.integers(0, 9, n),
@@ -225,13 +230,13 @@ class TestUnitCountsOf:
             db.restrict(np.ones(len(db), dtype=bool)).unit_counts_of([(item,)])
 
     def test_without_units_raises(self):
-        db = TransactionDatabase([(0,)], _tiny_dictionary())
+        db = db_from_rows([(0,)], _tiny_dictionary())
         with pytest.raises(MiningError, match="no unit labels"):
             db.unit_counts_of([(0,)])
 
     def test_zero_rows(self):
-        db = TransactionDatabase([], _tiny_dictionary(),
-                                 units=np.zeros(0, dtype=np.int64))
+        db = db_from_rows([], _tiny_dictionary(),
+                          units=np.zeros(0, dtype=np.int64))
         assert db.unit_counts_of([]).shape == (0, 0)
         assert db.unit_counts_of([(), (0,)]).shape == (2, 0)
         with pytest.raises(MiningError, match="out of range"):

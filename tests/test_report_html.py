@@ -6,7 +6,7 @@ import html.parser
 
 import pytest
 
-from repro.cube.builder import build_cube
+from repro.cube.builder import SegregationDataCubeBuilder
 from repro.errors import ReportError
 from repro.etl.schema import Schema
 from repro.etl.table import Table
@@ -34,7 +34,7 @@ def cube():
     table = Table.from_rows(["sex", "ctx", "unitID"], rows)
     schema = Schema.build(segregation=["sex"], context=["ctx"],
                           unit="unitID")
-    return build_cube(table, schema, min_population=1, min_minority=1)
+    return SegregationDataCubeBuilder(min_population=1, min_minority=1).build(table, schema)
 
 
 class TestCubeToHtml:
@@ -48,9 +48,9 @@ class TestCubeToHtml:
         assert parser.cells > 0
 
     def test_contains_metadata_and_title(self, cube, tmp_path):
-        path = cube_to_html(cube, tmp_path / "r.html", title="My <analysis>")
+        path = cube_to_html(cube, tmp_path / "r.html")
         text = path.read_text()
-        assert "My &lt;analysis&gt;" in text      # escaped title
+        assert "<title>SCube report</title>" in text
         assert f"units: {cube.metadata.n_units}" in text
         assert "min minority" in text
 

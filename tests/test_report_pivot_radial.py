@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.cube.builder import build_cube
+from repro.cube.builder import SegregationDataCubeBuilder
 from repro.errors import ReportError
 from repro.etl.schema import Schema
 from repro.etl.table import Table
@@ -26,7 +26,7 @@ def cube():
     table = Table.from_rows(["sex", "age", "region", "unitID"], rows)
     schema = Schema.build(segregation=["sex", "age"], context=["region"],
                           unit="unitID")
-    return build_cube(table, schema, min_population=1, min_minority=1)
+    return SegregationDataCubeBuilder(min_population=1, min_minority=1).build(table, schema)
 
 
 class TestPivotValues:

@@ -225,12 +225,12 @@ class TestUnicodeAndFuzz:
 class TestRowsToWorkbook:
     def test_dict_rows(self, tmp_path):
         rows = [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}]
-        wb = rows_to_workbook(rows, sheet_name="t")
+        wb = rows_to_workbook(rows)
         values = read_sheet_values(wb.save(tmp_path / "d.xlsx"))
         assert values["A1"] == "a"
         assert values["A3"] == 2.0
 
     def test_empty_rows(self, tmp_path):
-        wb = rows_to_workbook([], sheet_name="t")
+        wb = rows_to_workbook([])
         values = read_sheet_values(wb.save(tmp_path / "0.xlsx"))
         assert values["A1"] == "(empty)"

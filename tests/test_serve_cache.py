@@ -27,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.cube.builder import build_cube
+from repro.cube.builder import SegregationDataCubeBuilder
 from repro.serve import cache as cache_module
 from repro.serve import payloads
 from repro.serve.cache import CachedCubeService, QueryCache
@@ -45,7 +45,7 @@ NO_CELL = "/cell?ca=city%3DRivertown&ca=city%3DLakeside"
 @pytest.fixture(scope="module")
 def built(schools):
     table, schema = schools
-    return build_cube(table, schema, min_population=10, min_minority=3)
+    return SegregationDataCubeBuilder(min_population=10, min_minority=3).build(table, schema)
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +53,7 @@ def smaller(built, schools):
     """The schools cube restricted to one city: its answers differ."""
     table, schema = schools
     one_city = table.filter(table.categorical("city").mask_eq("Rivertown"))
-    return build_cube(one_city, schema, min_population=10, min_minority=3)
+    return SegregationDataCubeBuilder(min_population=10, min_minority=3).build(one_city, schema)
 
 
 @pytest.fixture(scope="module")

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from repro.core.config import CubeConfig
-from repro.core.scenarios import run_bipartite, run_director_graph
+from repro.core.pipeline import SCubePipeline
+from repro.core.scenarios import run_director_graph
 from repro.data.italy import ItalyConfig, generate_italy
 from repro.data.synthetic import random_bipartite_world
-from repro.graph.bipartite import project_onto_groups
+from repro.graph.bipartite import project_onto_groups, project_onto_individuals
 from repro.graph.components import connected_components
 from repro.serve import payloads
 from repro.serve.graph import GraphService
@@ -171,35 +172,45 @@ class TestGraphEndpoints:
 
 
 class TestScenarioEmission:
+    """A scenario's projected graph and clustering, dumped by the caller,
+    open and serve next to the scenario's cube."""
+
     def test_director_graph_emits_snapshot(self, italy_small, tmp_path):
         cfg = CubeConfig(min_population=10, min_minority=3,
                          max_sa_items=2, max_ca_items=1)
-        result = run_director_graph(
-            italy_small, cube_config=cfg,
-            graph_snapshot_path=tmp_path / "g2",
-        )
-        assert result.graph_snapshot == tmp_path / "g2"
-        assert "graph_snapshot" in result.timings
-        snapshot = validate_graph_snapshot(result.graph_snapshot)
+        result = run_director_graph(italy_small, cube_config=cfg)
+        projection = project_onto_individuals(italy_small.bipartite())
+        clustering = connected_components(projection.graph)
+        snapshot = validate_graph_snapshot(dump_graph_snapshot(
+            GraphArtifact.from_result(projection, clustering),
+            tmp_path / "g2",
+        ))
         assert snapshot.n_nodes == italy_small.n_individuals
         assert snapshot.manifest.n_clusters == result.n_units
-        assert snapshot.manifest.provenance["scenario"] == "director-graph"
+        assert snapshot.manifest.provenance == {}
 
     def test_bipartite_emits_snapshot_and_serves(self, tmp_path):
         dataset = generate_italy(ItalyConfig(n_companies=250, seed=13))
-        result = run_bipartite(dataset, graph_snapshot_path=tmp_path / "g3")
-        snapshot = validate_graph_snapshot(result.graph_snapshot)
+        result = SCubePipeline().run(dataset)
+        graph_snapshot = dump_graph_snapshot(
+            GraphArtifact.from_result(result.projection, result.clustering),
+            tmp_path / "g3",
+        )
+        snapshot = validate_graph_snapshot(graph_snapshot)
         assert snapshot.n_nodes == dataset.n_groups
-        assert snapshot.manifest.provenance["scenario"] == "bipartite"
         cube_dir = dump_snapshot(result.cube, tmp_path / "cube")
-        app = make_app(cube_dir, graph_source=result.graph_snapshot)
+        app = make_app(cube_dir, graph_source=graph_snapshot)
         status, _, body = wsgi_get(app, "/graph/info")
         assert status == 200
         assert json.loads(body)["n_clusters"] == result.n_units
 
-    def test_no_path_no_snapshot(self, italy_small):
+    def test_no_path_no_snapshot(self, italy_small, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         cfg = CubeConfig(min_population=10, min_minority=3,
                          max_sa_items=2, max_ca_items=1)
         result = run_director_graph(italy_small, cube_config=cfg)
-        assert result.graph_snapshot is None
-        assert "graph_snapshot" not in result.timings
+        assert set(result.timings) == {
+            "graph_builder", "graph_clustering", "table_builder",
+            "cube_builder",
+        }
+        assert not any(tmp_path.iterdir())

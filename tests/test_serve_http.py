@@ -21,7 +21,7 @@ from urllib.parse import quote
 
 import pytest
 
-from repro.cube.builder import build_cube
+from repro.cube.builder import SegregationDataCubeBuilder
 from repro.cube.cube import SegregationCube
 from repro.itemsets.items import ItemKind
 from repro.serve import payloads
@@ -38,7 +38,7 @@ from repro.store import (
 @pytest.fixture(scope="module")
 def built(schools):
     table, schema = schools
-    return build_cube(table, schema, min_population=10, min_minority=3)
+    return SegregationDataCubeBuilder(min_population=10, min_minority=3).build(table, schema)
 
 
 @pytest.fixture(scope="module")
@@ -240,9 +240,8 @@ class TestExhaustiveParity:
         """A live closed-mode cube with resolver-only keys, and the keys
         of its all-mode twin."""
         table, schema = schools_with_tracking
-        full = build_cube(table, schema, min_population=10, min_minority=3)
-        cube = build_cube(table, schema, min_population=10, min_minority=3,
-                          mode="closed")
+        full = SegregationDataCubeBuilder(min_population=10, min_minority=3).build(table, schema)
+        cube = SegregationDataCubeBuilder(min_population=10, min_minority=3, mode="closed").build(table, schema)
         assert len(cube) < len(full)
         return cube, list(full.keys())
 
@@ -460,9 +459,7 @@ class TestTimelineServing:
         one_city = table.filter(
             table.categorical("city").mask_eq("Rivertown")
         )
-        next_cube = build_cube(
-            one_city, schema, min_population=10, min_minority=3
-        )
+        next_cube = SegregationDataCubeBuilder(min_population=10, min_minority=3).build(one_city, schema)
         return root, next_cube
 
     def test_dates_trend_and_refresh(self, built, timeline):

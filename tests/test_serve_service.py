@@ -22,7 +22,7 @@ from functools import partial
 
 import pytest
 
-from repro.cube.builder import build_cube
+from repro.cube.builder import SegregationDataCubeBuilder
 from repro.errors import SnapshotError
 from repro.serve.__main__ import main as serve_main
 from repro.serve.http import make_app
@@ -34,7 +34,7 @@ from repro.store import dump_into_timeline, dump_snapshot, open_snapshot
 @pytest.fixture(scope="module")
 def built(schools):
     table, schema = schools
-    return build_cube(table, schema, min_population=10, min_minority=3)
+    return SegregationDataCubeBuilder(min_population=10, min_minority=3).build(table, schema)
 
 
 @pytest.fixture(scope="module")
@@ -160,14 +160,12 @@ class TestCubeService:
         before the threads start."""
         table, schema = schools_with_tracking
         limits = {"min_population": 10, "min_minority": 3}
-        full = build_cube(table, schema, **limits)
+        full = SegregationDataCubeBuilder(**limits).build(table, schema)
         queries = list(full.keys())
         expected = {key: full.value_by_key("D", key) for key in queries}
-        materialised = set(build_cube(table, schema, mode="closed",
-                                      **limits).keys())
+        materialised = set(SegregationDataCubeBuilder(mode="closed", **limits).build(table, schema).keys())
         assert set(queries) - materialised, "no key reaches the resolver"
-        service = CubeService(build_cube(table, schema, mode="closed",
-                                         **limits))
+        service = CubeService(SegregationDataCubeBuilder(mode="closed", **limits).build(table, schema))
         n_threads = 4 * (os.cpu_count() or 1)
 
         def worker(offset: int):

@@ -27,9 +27,7 @@ def artifact():
     bipartite, _ = random_bipartite_world(2000, 120, seed=17)
     projection = project_onto_groups(bipartite, max_left_degree=30)
     clustering = connected_components(projection.graph)
-    return GraphArtifact.from_result(
-        projection, clustering, provenance={"source": "test", "seed": 17}
-    )
+    return GraphArtifact.from_result(projection, clustering)
 
 
 @pytest.fixture()
@@ -78,7 +76,7 @@ class TestRoundTrip:
         assert info["n_nodes"] == artifact.graph.n_nodes
         assert info["n_edges"] == artifact.graph.n_edges
         assert info["method"] == "connected-components"
-        assert info["provenance"] == {"source": "test", "seed": 17}
+        assert info["provenance"] == {}
         u, v, w = artifact.graph.edge_arrays()
         assert info["total_weight"] == pytest.approx(float(w.sum()))
 
@@ -96,7 +94,8 @@ class TestRoundTrip:
 
     def test_empty_graph_round_trips(self, tmp_path):
         bipartite, _ = random_bipartite_world(5, 3, seed=1)
-        projection = project_onto_groups(bipartite, min_shared=99)
+        # Every director of two or more boards is a hub: no pair survives.
+        projection = project_onto_groups(bipartite, max_left_degree=1)
         clustering = connected_components(projection.graph)
         path = dump_graph_snapshot(
             GraphArtifact.from_result(projection, clustering),

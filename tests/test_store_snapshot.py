@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cube.builder import SegregationDataCubeBuilder, build_cube
+from repro.cube.builder import SegregationDataCubeBuilder
 from repro.cube.cell import CellStats
 from repro.cube.cube import CubeMetadata, SegregationCube, check_same_cells
 from repro.cube.coordinates import make_key
@@ -39,7 +39,7 @@ from repro.store.snapshot import _find_rows
 @pytest.fixture(scope="module")
 def built(schools):
     table, schema = schools
-    return build_cube(table, schema, min_population=10, min_minority=3)
+    return SegregationDataCubeBuilder(min_population=10, min_minority=3).build(table, schema)
 
 
 def _metadata(index_names, mode="all"):
@@ -149,10 +149,8 @@ class TestRoundTrip:
     def test_overwrite_prunes_stale_column_files(self, schools, tmp_path):
         """Re-dumping a cube with fewer index columns removes orphans."""
         table, schema = schools
-        wide = build_cube(table, schema, indexes=["D", "G", "H"],
-                          min_population=10, min_minority=3)
-        narrow = build_cube(table, schema, indexes=["D"],
-                            min_population=10, min_minority=3)
+        wide = SegregationDataCubeBuilder(indexes=["D", "G", "H"], min_population=10, min_minority=3).build(table, schema)
+        narrow = SegregationDataCubeBuilder(indexes=["D"], min_population=10, min_minority=3).build(table, schema)
         dump_snapshot(wide, tmp_path / "snap")
         assert (tmp_path / "snap" / "col_2.npy").exists()
         dump_snapshot(narrow, tmp_path / "snap")
@@ -189,10 +187,7 @@ class TestRoundTrip:
                                True))
         try:
             table, schema = schools
-            cube = build_cube(
-                table, schema, indexes=["D", name],
-                min_population=10, min_minority=3,
-            )
+            cube = SegregationDataCubeBuilder(indexes=["D", name], min_population=10, min_minority=3).build(table, schema)
             dump_snapshot(cube, tmp_path / "custom")
             reopened = open_snapshot(tmp_path / "custom")
             assert reopened.metadata.index_names == ["D", name]
@@ -209,7 +204,7 @@ class TestRoundTrip:
         closed = SegregationDataCubeBuilder(
             mode="closed", min_population=10, min_minority=3
         ).build(table, schema)
-        full = build_cube(table, schema, min_population=10, min_minority=3)
+        full = SegregationDataCubeBuilder(min_population=10, min_minority=3).build(table, schema)
         dump_snapshot(closed, tmp_path / "closed")
         reopened = open_snapshot(tmp_path / "closed")
         assert check_same_cells(closed, reopened, atol=0.0) == []
@@ -265,7 +260,7 @@ class TestRedump:
             ca_attributes={"r": 3, "s": 4}, multi_valued_ca={"tag": 3},
             seed=3, skew=0.4,
         )
-        return build_cube(table, schema, min_population=30, min_minority=8)
+        return SegregationDataCubeBuilder(min_population=30, min_minority=8).build(table, schema)
 
     def test_mmap_reader_survives_smaller_redump(
         self, big, tmp_path, mmap_reader

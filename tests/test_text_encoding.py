@@ -22,14 +22,14 @@ _ROUND_TRIPS = """
 import sys
 from pathlib import Path
 
-from repro.cube.builder import build_cube
+from repro.cube.builder import SegregationDataCubeBuilder
 from repro.cube.cube import check_same_cells
 from repro.data.synthetic import write_random_final_table_csv
 from repro.etl import (
     CategoricalColumn, IntColumn, MultiValuedColumn, Schema, Table,
     stream_csv, write_table,
 )
-from repro.itemsets.transactions import TransactionDatabase
+from repro.itemsets.transactions import encode_table
 from repro.report.html import cube_to_html
 from repro.store.snapshot import dump_snapshot, open_snapshot
 
@@ -52,7 +52,8 @@ write_table(table, root / "t.csv")
 for name in table.names:
     assert back.column(name).values() == table.column(name).values(), name
 
-cube = build_cube(back, schema, min_population=1, min_minority=1)
+cube = SegregationDataCubeBuilder(min_population=1, min_minority=1).build(
+    back, schema)
 html = cube_to_html(cube, root / "cube.html").read_bytes().decode("utf-8")
 assert "Società" in html and "Tõnu" in html
 
@@ -68,7 +69,7 @@ bom.write_bytes("\\ufeffg,city,mv,unitID\\nTõnu,Città,è|Società,0\\n"
 (chunk,) = stream_csv(bom, schema=schema)
 assert chunk.names == ["g", "city", "mv", "unitID"], chunk.names
 assert chunk.multivalued("mv").values() == [frozenset({"è", "Società"})]
-TransactionDatabase.from_chunks([chunk], schema)
+encode_table(chunk, schema)
 
 synthetic = write_random_final_table_csv(root / "synthetic.csv", 20, 3)
 assert len(next(stream_csv(root / "synthetic.csv", schema=synthetic))) == 20
