@@ -34,7 +34,11 @@ same bits as the one-row scalar transcriptions of these formulas that
 ``tests/test_indexes_vectorized.py`` and, through the per-cell cube
 fill, in benchmark E17).  Every reduction runs along the rows of a
 C-contiguous matrix, which is what keeps a row's sums in the order of a
-one-dimensional sum.
+one-dimensional sum.  Gini's numerator needs no such order: for any
+population ``T <= 94,906,265`` (``T^2 < 2^53``) it is a sum of
+integer-valued float64 terms whose partial sums stay integers below
+``2^53``, so it is exact in any summation order and for any ascending
+order of the ``p_i`` — its sort need not be stable (see :func:`gini`).
 """
 
 from __future__ import annotations
@@ -104,20 +108,35 @@ def gini(block: CountBlock) -> np.ndarray:
     proportions, weighted by unit sizes and normalised.
 
     Computed in ``O(n log n)`` per row by sorting the ``p_i``: for
-    sorted ``p``, ``sum_{i<j} t_i t_j (p_j - p_i)`` equals
-    ``sum_{i<j} (m_j t_i - m_i t_j)``, a prefix-sum product (the naive
-    double sum is kept in the test-suite as an oracle).
+    ascending ``p``, ``sum_{i<j} t_i t_j (p_j - p_i)`` equals
+    ``sum_{i<j} (m_j t_i - m_i t_j)``, which is
+    ``sum_j m_j (before_j - after_j) = sum_j m_j (2 before_j + t_j - T)``
+    with ``before_j`` / ``after_j`` the population of the units sorted
+    before / after unit ``j``: one prefix sum of the sorted ``t``.
+
+    The numerator is exact for ``T <= 94,906,265`` (``T^2 < 2^53``):
+    ``t`` and ``m`` are counts, so every term is an integer-valued
+    float64 with ``|term| <= m_j T``, and every partial sum, in any
+    order, is an integer of magnitude at most ``M T <= T^2``.  Tied
+    proportions are equal rationals, whose terms
+    cancel to 0 (``m_j t_i = m_i t_j``), and distinct ones stay
+    distinct and in order as float64 quotients (they differ by at least
+    ``1/(t_i t_j) > 2^-51``), so any ascending order gives the same
+    integer: the sort need not be stable, and the units may come in any
+    order.  The reference in ``tests/oracles.py`` (a stable sort and two
+    prefix sums) reaches the same integer, hence the same bits.
     """
     t, m, total, p_overall = block.t, block.m, block.total, block.proportion
-    order = np.argsort(block.unit_proportions, axis=1, kind="stable")
-    t_sorted = np.take_along_axis(np.broadcast_to(t, m.shape), order, axis=1)
-    m_sorted = np.take_along_axis(m, order, axis=1)
-    cum_t = np.zeros_like(t_sorted)
-    cum_m = np.zeros_like(m_sorted)
-    if m.shape[1] > 1:
-        cum_t[:, 1:] = np.cumsum(t_sorted, axis=1)[:, :-1]
-        cum_m[:, 1:] = np.cumsum(m_sorted, axis=1)[:, :-1]
-    cross = np.sum(m_sorted * cum_t - t_sorted * cum_m, axis=1)
+    order = np.argsort(block.unit_proportions, axis=1)
+    t_sorted = t[order]
+    row_starts = np.arange(len(m))[:, None] * m.shape[1]
+    m_sorted = np.take(m, order + row_starts)
+    # 2 before_j + t_j - T, with before_j = cumsum_j - t_j; in place.
+    weight = np.cumsum(t_sorted, axis=1)
+    weight *= 2
+    weight -= t_sorted
+    weight -= total
+    cross = np.einsum("ij,ij->i", m_sorted, weight)
     denom = 2 * total * total * p_overall * (1 - p_overall)
     return 2 * cross / denom
 

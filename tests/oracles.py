@@ -246,7 +246,13 @@ def dissimilarity(counts: UnitCounts) -> float:
 
 
 def gini(counts: UnitCounts) -> float:
-    """Gini ``G``, in ``O(n log n)`` by sorting the ``p_i``."""
+    """Gini ``G``, in ``O(n log n)`` by sorting the ``p_i``.
+
+    The reference keeps the stable sort and the two-prefix-sum form on
+    purpose, so it shares no arithmetic with the kernel's single
+    weighted prefix sum over an unstable sort; both numerators are the
+    same exact integer while ``T^2 < 2^53``, hence the same bits.
+    """
     if is_degenerate(counts):
         return float("nan")
     t, m = counts.t, counts.m

@@ -20,6 +20,8 @@ from repro.errors import CubeError, MiningError
 from repro.etl.diff import valid_at
 from repro.etl.schema import Schema
 from repro.etl.table import Table
+from repro.itemsets.coverset import as_cover
+from repro.itemsets.items import Item
 from repro.itemsets.transactions import encode_table
 
 LIMITS = {"min_population": 20, "min_minority": 5,
@@ -377,6 +379,68 @@ class TestCellLevelCarry:
         assert extra["n_carried_cells"] \
             + extra["n_carried_cells_within_affected"] \
             + extra["n_recomputed_cells"] == len(s1.cube)
+
+
+def _crossed_masks(db, valid):
+    """Three dates from ``valid``, each next one flipping 5 rows of
+    ``r=r0, s=s1`` and 5 of ``r=r1, s=s0``: the items r0, r1, s0 and s1
+    all meet a changed row, while the context ``{r0, s0}`` meets none."""
+    def rows(r, s):
+        ids = [db.dictionary.id_of(Item("r", r)),
+               db.dictionary.id_of(Item("s", s))]
+        return np.flatnonzero(db.cover_of(ids).to_bools())
+
+    rng = np.random.default_rng(3)
+    masks = [valid]
+    for _ in range(2):
+        mask = masks[-1].copy()
+        for r, s in (("r0", "s1"), ("r1", "s0")):
+            mask[rng.choice(rows(r, s), size=5, replace=False)] ^= True
+        masks.append(mask)
+    return masks
+
+
+class TestUpdateWork:
+    """Work counts, not timings: a publish re-mines only what it must."""
+
+    @pytest.mark.parametrize("timeline", ["dated", "crossed"])
+    @pytest.mark.parametrize("mode", ["all", "closed"])
+    def test_recomputes_exactly_the_contexts_a_changed_row_reaches(
+        self, temporal, mode, timeline
+    ):
+        """Each update recomputes the contexts frequent at the new date
+        (root included) whose union cover meets a changed row, and
+        carries every other one.  On the crossed timeline some carried
+        context holds only items that meet a changed row."""
+        db, valids = temporal
+        masks = ([valids[d] for d in (0, 1, 2)] if timeline == "dated"
+                 else _crossed_masks(db, valids[0]))
+        engine = _engine(db, mode=mode)
+        states = engine.run(list(enumerate(masks)))
+        scratch = SegregationDataCubeBuilder(mode=mode, **LIMITS)
+        for date in (1, 2):
+            changed = as_cover(masks[date - 1] ^ masks[date])
+            frequent = scratch.mine_coordinates(
+                db.restrict(masks[date])
+            ).context_tvecs
+            reached = [
+                context for context in frequent
+                if (db.cover_of(context) & changed).support() > 0
+            ]
+            extra = states[date].cube.metadata.extra
+            assert states[date].contexts == frozenset(frequent)
+            assert extra["n_recomputed_contexts"] == len(reached)
+            assert extra["n_carried_contexts"] == len(frequent) - len(reached)
+            assert 0 < len(reached) < len(frequent)
+            affected = {
+                item for item in range(db.n_items)
+                if (db.cover_of([item]) & changed).support() > 0
+            }
+            carried_affected = [
+                context for context in frequent
+                if context and context <= affected and context not in reached
+            ]
+            assert bool(carried_affected) == (timeline == "crossed")
 
 
 class TestContextTransitions:
