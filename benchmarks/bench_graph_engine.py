@@ -14,7 +14,8 @@ Two tests pin the optimisation contract:
 
 * ``test_graph_parity``: every stage's output is **identical** to the
   legacy one — same edge arrays and weights, same
-  component/threshold/SToC labels (exact equality, not approximate).
+  component/threshold/SToC labels (exact equality, not approximate) —
+  and so are the SToC labels without attributes (τ = ``PLAIN_TAU``).
   It times nothing and writes no result file; CI gates on it.
 * ``test_graph_engine_scale``: the same equalities, and the combined
   new-engine pipeline is at least ``E22_MIN_SPEEDUP`` (default 5) times
@@ -52,6 +53,8 @@ MIN_SPEEDUP = float(os.environ.get("E22_MIN_SPEEDUP", "5"))
 MAX_LEFT_DEGREE = 50
 THRESHOLDS = [2.0, 3.0, 4.0, 5.0]
 TAU = 0.5
+#: SToC's threshold in the parity check without attributes.
+PLAIN_TAU = 0.6
 
 
 def _run_new(bipartite, attributes):
@@ -118,13 +121,18 @@ def _assert_identical(new, old):
 
 
 def test_graph_parity():
-    """Every stage of the array pipeline equals the legacy one, exactly."""
+    """Every stage of the array pipeline equals the legacy one, exactly,
+    and so does SToC without attributes (untimed)."""
     bipartite, attributes = random_bipartite_world(N_LEFT, N_RIGHT, seed=22)
     adjacency = legacy.left_adjacency_sets(bipartite)
-    _assert_identical(
-        _run_new(bipartite, attributes),
-        _run_legacy(bipartite, attributes, adjacency),
-    )
+    new = _run_new(bipartite, attributes)
+    _assert_identical(new, _run_legacy(bipartite, attributes, adjacency))
+    graph = new[0].graph
+    plain = stoc_clustering(graph, None, tau=PLAIN_TAU, seed=7)
+    reference = legacy.stoc_clustering_legacy(graph, None, tau=PLAIN_TAU,
+                                              seed=7)
+    assert np.array_equal(plain.labels, reference.labels)
+    assert plain.n_clusters == reference.n_clusters
 
 
 def test_graph_engine_scale(benchmark):

@@ -11,11 +11,14 @@ The graph is an array type, built once from membership arrays and
 CSR-backed on both sides (memberships stored as deduplicated ``(left,
 right)`` arrays, grouped vectorially); it has no per-edge insert or
 per-node read.  The projection runs on arrays: co-membership pairs are
-enumerated with a degree-bucketed gather over the CSR rows, then their
-multiplicities are counted with one ``np.unique`` — the weight of
-``{g1, g2}`` is exactly the number of individuals contributing the
-pair.  The group projection's hub guard (``max_left_degree``) skips a
-hub's pairs entirely, so a skipped hub contributes to *no* pair weight.
+enumerated with a degree-bucketed gather over the CSR rows as one key
+array, whose one in-place sort and adjacent diff give the distinct pairs
+and their multiplicities — the weight of ``{g1, g2}`` is exactly the
+number of individuals contributing the pair.  The group projection's hub
+guard (``max_left_degree``) skips a hub's pairs entirely, so a skipped
+hub contributes to *no* pair weight.  The pair count is known from the
+CSR degrees before any pair exists, and a projection above
+:data:`MAX_PAIRS` raises instead of allocating.
 """
 
 from __future__ import annotations
@@ -27,8 +30,17 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graph.graph import Graph, _readonly, _sorted_unique
+from repro.sorting import stable_order
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
+#: Most co-membership pairs one projection may enumerate; a projection
+#: over it raises before any pair array exists.  The key sort holds one
+#: int64 key per pair, 256 MiB at the budget.  The whole projection
+#: peaks higher when nearly every pair is its own edge: 1.84 GB traced
+#: for 29.4M pairs (28.6M edges), ~66 bytes a pair, so ~2.2 GB at the
+#: budget.  The group projection of the 500k x 20k benchmark world
+#: enumerates 889,758 pairs.
+MAX_PAIRS = 2**25
 
 
 class BipartiteGraph:
@@ -107,9 +119,11 @@ class BipartiteGraph:
                 np.bincount(self._el, minlength=self.n_left),
                 out=l_indptr[1:],
             )
-            # the membership arrays are sorted by (left, right) already
+            # the membership arrays are sorted by (left, right) already,
+            # so a stable sort on the right alone keeps each group's
+            # members ascending
             l_indices = self._er
-            order = np.lexsort((self._el, self._er))
+            order = stable_order(self._er, self.n_right)
             r_indptr = np.zeros(self.n_right + 1, dtype=np.int64)
             np.cumsum(
                 np.bincount(self._er, minlength=self.n_right),
@@ -147,52 +161,18 @@ class ProjectionResult:
     skipped_hubs: list[int]
 
 
-def _enumerate_pairs(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    max_degree: "int | None",
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-    """All co-membership pairs ``(a, b)`` with ``a < b``, with multiplicity.
-
-    Sources are bucketed by degree so each bucket becomes one dense
-    ``(m, d)`` gather + ``triu_indices`` combination — no Python-level
-    per-source loop.  Returns ``(a, b, skipped_sources)``.
-    """
-    degrees = np.diff(indptr)
-    if max_degree is not None:
-        skipped = np.flatnonzero(degrees > max_degree)
-    else:
-        skipped = _EMPTY_I64
-    out_a: "list[np.ndarray]" = []
-    out_b: "list[np.ndarray]" = []
-    for d in np.unique(degrees):
-        d = int(d)
-        if d < 2 or (max_degree is not None and d > max_degree):
-            continue
-        sources = np.flatnonzero(degrees == d)
-        gather = indptr[sources][:, None] + np.arange(d)[None, :]
-        rows = indices[gather]  # (m, d); rows sorted (CSR invariant)
-        iu, ju = np.triu_indices(d, k=1)
-        out_a.append(rows[:, iu].ravel())
-        out_b.append(rows[:, ju].ravel())
-    if not out_a:
-        return _EMPTY_I64, _EMPTY_I64, skipped
-    return np.concatenate(out_a), np.concatenate(out_b), skipped
-
-
-def _count_pairs_grouped(
-    a: np.ndarray, b: np.ndarray, n_nodes: int
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-    """Unique pairs + multiplicities via one sort: ``(u, v, counts)``."""
-    key = a * np.int64(n_nodes) + b
-    uniq, counts = np.unique(key, return_counts=True)
-    return uniq // n_nodes, uniq % n_nodes, counts
-
-
 def _project(
     bipartite: BipartiteGraph, side: str, max_degree: "int | None"
 ) -> ProjectionResult:
-    """Shared projection core; ``side`` picks the node side kept."""
+    """Shared projection core; ``side`` picks the node side kept.
+
+    Sources (the other side) are grouped by degree with one stable
+    sort, so each degree bucket becomes one dense ``(m, d)`` gather of
+    CSR rows, and its ``triu_indices`` combinations are written straight
+    into one preallocated key array as ``a * n + b`` (``a < b``, rows
+    being sorted).  One in-place sort and an adjacent diff give the
+    unique pairs, already in ``(u, v)`` order, and their counts.
+    """
     l_indptr, l_indices, r_indptr, r_indices = bipartite._ensure_csr()
     if side == "groups":
         # sources = individuals; pairs live on the group side
@@ -202,11 +182,44 @@ def _project(
         src_indptr, src_indices = r_indptr, r_indices
         n_nodes = bipartite.n_left
 
-    a, b, skipped = _enumerate_pairs(src_indptr, src_indices, max_degree)
-    u, v, counts = _count_pairs_grouped(a, b, max(n_nodes, 1))
-    graph = Graph.from_edge_arrays(
-        n_nodes, u, v, counts.astype(np.float64)
-    )
+    degrees = np.diff(src_indptr)
+    if max_degree is not None:
+        hub = degrees > max_degree
+        skipped = np.flatnonzero(hub)
+        degrees[hub] = 0
+    else:
+        skipped = _EMPTY_I64
+    n_pairs = int((degrees * (degrees - 1) // 2).sum())
+    if n_pairs > MAX_PAIRS:
+        raise GraphError(
+            f"projection onto {side} would enumerate {n_pairs:,} "
+            f"co-membership pairs (largest source degree "
+            f"{int(degrees.max())}), above the {MAX_PAIRS:,}-pair budget"
+        )
+    keys = np.empty(n_pairs, dtype=np.int64)
+    sizes = np.bincount(degrees)
+    by_degree = stable_order(degrees, len(sizes))
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    pos = 0
+    for d in np.flatnonzero(sizes[2:]).tolist():
+        d += 2
+        sources = by_degree[bounds[d]:bounds[d + 1]]
+        rows = src_indices[src_indptr[sources][:, None] + np.arange(d)]
+        iu, ju = np.triu_indices(d, k=1)
+        block = keys[pos:pos + len(sources) * len(iu)].reshape(
+            len(sources), len(iu)
+        )
+        np.multiply(rows[:, iu], n_nodes, out=block)
+        block += rows[:, ju]
+        pos += block.size
+    keys.sort()
+    first = np.empty(n_pairs, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    u, v = np.divmod(keys[starts], n_nodes)
+    counts = np.diff(starts, append=n_pairs).astype(np.float64)
+    graph = Graph._from_sorted_edges(n_nodes, u, v, counts)
     isolated = graph.isolated_nodes()
     return ProjectionResult(graph, isolated, [int(s) for s in skipped])
 

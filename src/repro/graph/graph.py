@@ -5,9 +5,11 @@ unipartite projection of the individuals×groups bipartite graph: nodes
 are groups (companies), edge weights count shared individuals
 (directors).  A :class:`Graph` is an array type: its edges live in three
 parallel NumPy arrays ``(u, v, w)`` with ``u < v``, deduplicated and
-sorted by ``(u, v)``, built once by :meth:`Graph.from_edge_arrays`, from
-which a cached CSR view ``(indptr, indices, weights)`` is derived for
-traversal-heavy algorithms.  Every pass (projection, components, SToC,
+sorted by ``(u, v)``, built once — by :meth:`Graph.from_edge_arrays`,
+or by ``Graph._from_sorted_edges`` for the projection, whose pair count
+already yields them sorted and unique — from which a cached CSR view
+``(indptr, indices, weights)`` is derived for traversal-heavy
+algorithms.  Every pass (projection, components, SToC,
 threshold sweeps, metrics) reads ``edge_arrays()`` / ``csr()`` wholesale.
 """
 
@@ -16,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GraphError
+from repro.sorting import stable_order
 
 
 def _readonly(array: np.ndarray) -> np.ndarray:
@@ -118,6 +121,22 @@ class Graph:
         )
         return graph
 
+    @classmethod
+    def _from_sorted_edges(
+        cls, n_nodes: int, u: np.ndarray, v: np.ndarray, w: np.ndarray
+    ) -> "Graph":
+        """Adopt edge arrays that already hold the invariants.
+
+        The caller guarantees int64 ``u < v`` in ``[0, n_nodes)``,
+        strictly ascending by ``(u, v)``, and positive float64 weights;
+        nothing is checked or copied.
+        """
+        graph = cls(n_nodes)
+        graph._eu, graph._ev, graph._ew = (
+            _readonly(u), _readonly(v), _readonly(w)
+        )
+        return graph
+
     def edge_arrays(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
         """Read-only ``(u, v, w)`` arrays, ``u < v``, sorted by ``(u, v)``."""
         return self._eu, self._ev, self._ew
@@ -126,13 +145,18 @@ class Graph:
         """Frozen CSR view ``(indptr, indices, weights)`` (cached).
 
         Neighbour lists are sorted by node id, both edge directions
-        present.
+        present.  One stable sort on the source alone sorts every row:
+        the entries are laid out as the lower-neighbour half (source
+        ``v``, neighbour ``u``) then the upper half (source ``u``,
+        neighbour ``v``).  The edges are sorted by ``(u, v)``, so within
+        each half one source's neighbours already ascend, and each of
+        its lower neighbours is below it and each upper one above.
         """
         if self._csr is None:
-            src = np.concatenate([self._eu, self._ev])
-            dst = np.concatenate([self._ev, self._eu])
+            src = np.concatenate([self._ev, self._eu])
+            dst = np.concatenate([self._eu, self._ev])
             wt = np.concatenate([self._ew, self._ew])
-            order = np.lexsort((dst, src))
+            order = stable_order(src, self.n_nodes)
             indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
             counts = np.bincount(src, minlength=self.n_nodes)
             np.cumsum(counts, out=indptr[1:])

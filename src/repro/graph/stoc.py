@@ -21,12 +21,18 @@ Each node is visited a constant number of times, so the total cost is
 O(nodes + edges) — the property that lets SCube scale to millions of
 companies.
 
-Growth is batched across **balls**, not just across levels: up to 32
-pending seeds grow speculatively at once on one stacked ``(node,
+Growth is batched across **balls**, not just across levels: a batch of
+pending seeds grows speculatively at once on one stacked ``(node,
 owner)`` frontier — one CSR gather, one ``(owner, node)`` dedup and one
 Hamming pass per level serve every ball of the batch, with a per-node
 ``uint64`` bitmask (bit *b* = visited by ball *b*) replacing the
-per-ball visited set.  Balls are then *committed in seed order*: a ball
+per-ball visited set.  The batch size follows the conflicts: it starts
+at one ball, doubles after a batch whose balls share no node (up to the
+mask's 64 bits) and halves after one whose balls do.  Seeds drawn in a
+power-law graph's core all expand the same hubs, so speculating many of
+them at once gathers the hubs' neighbourhoods many times and regrows
+most of the balls; once the core is labelled the balls stay apart and
+the batch grows.  Balls are then *committed in seed order*: a ball
 whose accepted nodes were claimed by an earlier ball of the same batch
 is regrown alone against the true label state (the exact
 level-synchronous single-ball grower), and a seed claimed by an earlier
@@ -51,14 +57,15 @@ from repro.graph.attributes import NodeAttributeTable
 from repro.graph.components import Clustering, gather_neighbors
 from repro.graph.graph import Graph, _sorted_unique
 
-#: Balls grown concurrently per speculative batch — one bit of the
-#: per-node ``uint64`` visited mask each.  32 balances the two failure
-#: modes measured on the E22 projection and community-structured
-#: graphs: larger batches amortise per-level overhead but waste more
-#: speculative growth (and regrows) when seeds collide inside the same
-#: tight cluster, smaller ones do the reverse; 32 beat both 16 and 64
-#: on every workload's worst case.
-_BALL_BATCH = 32
+#: Most balls one speculative batch grows: the width of the per-node
+#: ``uint64`` visited mask, one bit per ball.  Batches start at one ball,
+#: double and halve.  Medians of 9 on a 2-vCPU host, labels identical,
+#: on perfbench director_graph's graph (seeds 1, 3, 7): this schedule
+#: 62-70 ms; a fixed batch of 32, 166-178 ms; starting at 64, 242-278
+#: ms; capping at 32, 86-96 ms, and at 16, 115-142 ms; growing 4x, no
+#: change beyond noise.  On E22's 100k x 5k graph without attributes:
+#: 2.7 ms, against 34 ms fixed at 32 and 55 ms starting at 64.
+_MAX_BATCH = 64
 #: Weight of the topological term in the combined distance.
 ALPHA = 0.5
 #: Maximum BFS depth of a ball (the τ-ball radius in hops).
@@ -123,6 +130,80 @@ def _grow_ball(
     return np.concatenate(accepted_parts)
 
 
+def _grow_batch(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    codes: "np.ndarray | None",
+    n_attrs: int,
+    labels: np.ndarray,
+    visited_mask: np.ndarray,
+    seeds: np.ndarray,
+    tau: float,
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Speculative growth of one batch: every ball on one frontier.
+
+    Returns ``(nodes, owners)``: each accepted node (seeds excluded) with
+    the index in ``seeds`` of the ball that accepted it.  Bit ``b`` of
+    ``visited_mask`` marks a node visited by ball ``b``; the entries
+    this batch set are cleared again before returning.
+    """
+    n = len(labels)
+    one = np.uint64(1)
+    k = len(seeds)
+    touched = [seeds]
+    visited_mask[seeds] |= one << np.arange(k, dtype=np.uint64)
+    accepted_nodes: "list[np.ndarray]" = []
+    accepted_owners: "list[np.ndarray]" = []
+    frontier_nodes = seeds
+    frontier_owners = np.arange(k, dtype=np.int64)
+    for depth in range(HORIZON):
+        degrees = indptr[frontier_nodes + 1] - indptr[frontier_nodes]
+        neighbors = gather_neighbors(indptr, indices, frontier_nodes)
+        if not len(neighbors):
+            break
+        owners = np.repeat(frontier_owners, degrees)
+        keep = labels[neighbors] == -1
+        keep &= (
+            (visited_mask[neighbors] >> owners.astype(np.uint64)) & one
+        ) == 0
+        neighbors = neighbors[keep]
+        owners = owners[keep]
+        if not len(neighbors):
+            break
+        # Dedup (owner, node) pairs; unique keys come back sorted, so
+        # each ball sees its candidates in ascending node order exactly
+        # like the sequential np.unique pass.
+        key = owners * n + neighbors
+        uniq = _sorted_unique(key)
+        cand_owners = uniq // n
+        cand_nodes = uniq % n
+        np.bitwise_or.at(
+            visited_mask, cand_nodes, one << cand_owners.astype(np.uint64)
+        )
+        touched.append(cand_nodes)
+        d_topo = (depth + 1) / HORIZON
+        if codes is not None:
+            matches = (
+                codes[:, cand_nodes] == codes[:, seeds[cand_owners]]
+            ).sum(axis=0)
+            d_attr = 1.0 - matches / n_attrs
+            distance = ALPHA * d_topo + (1 - ALPHA) * d_attr
+            acc = distance <= tau
+        else:
+            distance = ALPHA * d_topo + (1 - ALPHA) * 0.0
+            acc = np.full(len(cand_nodes), distance <= tau)
+        frontier_nodes = cand_nodes[acc]
+        frontier_owners = cand_owners[acc]
+        if not len(frontier_nodes):
+            break
+        accepted_nodes.append(frontier_nodes)
+        accepted_owners.append(frontier_owners)
+    visited_mask[np.concatenate(touched)] = 0
+    if not accepted_nodes:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    return np.concatenate(accepted_nodes), np.concatenate(accepted_owners)
+
+
 def stoc_clustering(
     graph: Graph,
     attributes: "NodeAttributeTable | None" = None,
@@ -162,21 +243,20 @@ def stoc_clustering(
     # regrown ball iff its stamp equals the ball epoch (no O(n) reset).
     visited_epoch = np.zeros(n, dtype=np.int64)
     epoch = 0
-    # Batch bookkeeping: bit b of a node's mask = visited by ball b of
-    # the current batch; only touched entries are reset between batches.
+    # Bit b of a node's mask = visited by ball b of the current batch.
     visited_mask = np.zeros(n, dtype=np.uint64)
-    one = np.uint64(1)
+    batch = 1
     next_label = 0
     pos = 0
     while pos < n:
         # ---- collect the next batch of unassigned seeds ----
         seeds: "list[int]" = []
-        while pos < n and len(seeds) < _BALL_BATCH:
-            chunk = order[pos:pos + 4 * _BALL_BATCH]
+        while pos < n and len(seeds) < batch:
+            chunk = order[pos:pos + 4 * batch]
             free = np.flatnonzero(labels[chunk] == -1)
-            take = free[:_BALL_BATCH - len(seeds)]
+            take = free[:batch - len(seeds)]
             seeds.extend(chunk[take].tolist())
-            if len(seeds) >= _BALL_BATCH:
+            if len(seeds) >= batch:
                 # Stop right after the last taken seed so the next
                 # batch rescans the untouched remainder of the chunk.
                 pos += int(take[-1]) + 1
@@ -186,65 +266,12 @@ def stoc_clustering(
             break
         k = len(seeds)
         seeds_arr = np.array(seeds, dtype=np.int64)
-
-        # ---- speculative growth: all balls on one stacked frontier ----
-        touched = [seeds_arr]
-        visited_mask[seeds_arr] |= one << np.arange(k, dtype=np.uint64)
-        accepted_nodes: "list[np.ndarray]" = []
-        accepted_owners: "list[np.ndarray]" = []
-        frontier_nodes = seeds_arr
-        frontier_owners = np.arange(k, dtype=np.int64)
-        for depth in range(HORIZON):
-            degrees = indptr[frontier_nodes + 1] - indptr[frontier_nodes]
-            neighbors = gather_neighbors(indptr, indices, frontier_nodes)
-            if not len(neighbors):
-                break
-            owners = np.repeat(frontier_owners, degrees)
-            keep = labels[neighbors] == -1
-            keep &= (
-                (visited_mask[neighbors] >> owners.astype(np.uint64)) & one
-            ) == 0
-            neighbors = neighbors[keep]
-            owners = owners[keep]
-            if not len(neighbors):
-                break
-            # Dedup (owner, node) pairs; unique keys come back sorted,
-            # so each ball sees its candidates in ascending node order
-            # exactly like the sequential np.unique pass.
-            key = owners * n + neighbors
-            uniq = _sorted_unique(key)
-            cand_owners = uniq // n
-            cand_nodes = uniq % n
-            np.bitwise_or.at(
-                visited_mask, cand_nodes,
-                one << cand_owners.astype(np.uint64),
-            )
-            touched.append(cand_nodes)
-            d_topo = (depth + 1) / HORIZON
-            if codes is not None:
-                matches = (
-                    codes[:, cand_nodes] == codes[:, seeds_arr[cand_owners]]
-                ).sum(axis=0)
-                d_attr = 1.0 - matches / n_attrs
-                distance = ALPHA * d_topo + (1 - ALPHA) * d_attr
-                acc = distance <= tau
-            else:
-                distance = ALPHA * d_topo + (1 - ALPHA) * 0.0
-                acc = np.full(len(cand_nodes), distance <= tau)
-            frontier_nodes = cand_nodes[acc]
-            frontier_owners = cand_owners[acc]
-            if not len(frontier_nodes):
-                break
-            accepted_nodes.append(frontier_nodes)
-            accepted_owners.append(frontier_owners)
+        acc_nodes, acc_owners = _grow_batch(
+            indptr, indices, codes, n_attrs, labels, visited_mask,
+            seeds_arr, tau,
+        )
 
         # ---- commit in seed order; conflicts regrow sequentially ----
-        if accepted_nodes:
-            acc_nodes = np.concatenate(accepted_nodes)
-            acc_owners = np.concatenate(accepted_owners)
-        else:
-            acc_nodes = np.empty(0, dtype=np.int64)
-            acc_owners = np.empty(0, dtype=np.int64)
         # Conflict-free fast path: when no accepted node is shared
         # between balls (or is another ball's seed), the sequential
         # commit would label every ball verbatim — do it in two
@@ -260,8 +287,9 @@ def stoc_clustering(
             if len(acc_nodes):
                 labels[acc_nodes] = next_label + acc_owners
             next_label += k
-            visited_mask[np.concatenate(touched)] = 0
+            batch = min(2 * batch, _MAX_BATCH)
             continue
+        batch = max(batch // 2, 1)
         # Localise the conflict: only balls whose accepted nodes (or
         # seed) appear more than once interact — every other ball of
         # the batch commits its speculative set verbatim, never skips,
@@ -315,7 +343,6 @@ def stoc_clustering(
         sel = deferred[acc_owners]
         labels[acc_nodes[sel]] = ball_label[acc_owners[sel]]
         next_label += commits
-        visited_mask[np.concatenate(touched)] = 0
 
     return Clustering(
         labels, next_label,

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data.synthetic import random_bipartite_world
 from repro.errors import GraphError
+from repro.graph import bipartite as bipartite_module
 from repro.graph.bipartite import (
     BipartiteGraph,
     project_onto_groups,
@@ -91,6 +95,32 @@ class TestGroupProjection:
         result = project_onto_groups(g, max_left_degree=3)
         assert result.graph.n_edges == 0
         assert result.skipped_hubs == [0]
+
+
+class TestPairBudget:
+    def test_power_law_world_raises_before_allocating(self):
+        """Onto individuals, a 100k x 5k power-law world would enumerate
+        735M pairs (its largest group has 30,434 members): the
+        projection names them and raises at once."""
+        world, _ = random_bipartite_world(100_000, 5_000, seed=1)
+        start = time.perf_counter()
+        with pytest.raises(GraphError, match=r"735,298,931 co-membership "
+                                             r"pairs \(largest source "
+                                             r"degree 30434\)"):
+            project_onto_individuals(world)
+        assert time.perf_counter() - start < 1.0
+
+    def test_budget_counts_pairs_left_after_the_hub_skip(self, monkeypatch):
+        # individual 0 sits on 4 boards (6 pairs), the hub on 10 (45)
+        g = BipartiteGraph.from_edges(
+            2, 10, [(0, k) for k in range(4)] + [(1, k) for k in range(10)]
+        )
+        monkeypatch.setattr(bipartite_module, "MAX_PAIRS", 6)
+        assert project_onto_groups(g, max_left_degree=4).graph.n_edges == 6
+        with pytest.raises(GraphError, match=r"51 co-membership pairs "
+                                             r"\(largest source degree "
+                                             r"10\)"):
+            project_onto_groups(g)
 
 
 class TestIndividualProjection:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.core.pipeline import group_attribute_table
 from repro.data.italy import ItalyConfig, generate_italy
 from repro.data.synthetic import random_bipartite_world
+from repro.graph import stoc
 from repro.graph.bipartite import (
     BipartiteGraph,
     project_onto_groups,
@@ -134,6 +135,63 @@ def test_stoc_without_attributes_matches_legacy():
     new = stoc_clustering(graph, None, tau=0.6, seed=3)
     old = legacy.stoc_clustering_legacy(graph, None, tau=0.6, seed=3)
     assert np.array_equal(new.labels, old.labels)
+
+
+def _count_conflicts(monkeypatch):
+    """Record each batch's size and count single-ball regrows."""
+    seen = {"sizes": [], "regrows": 0}
+    grow_batch, grow_ball = stoc._grow_batch, stoc._grow_ball
+
+    def counting_batch(*args):
+        seen["sizes"].append(len(args[6]))   # the batch's seeds
+        return grow_batch(*args)
+
+    def counting_ball(*args):
+        seen["regrows"] += 1
+        return grow_ball(*args)
+
+    monkeypatch.setattr(stoc, "_grow_batch", counting_batch)
+    monkeypatch.setattr(stoc, "_grow_ball", counting_ball)
+    return seen
+
+
+def test_stoc_parity_worlds_reach_both_conflict_paths(monkeypatch):
+    """The attributed worlds of the parity test still drive the commit
+    loop's two conflict paths: a ball regrown against live labels, and
+    a seed skipped because an earlier ball of its batch claimed it."""
+    seen = _count_conflicts(monkeypatch)
+    clusters = 0
+    for world in range(8):
+        graph, attributes = _attributed_graph(world)
+        new = stoc_clustering(graph, attributes, tau=0.5, seed=world)
+        old = legacy.stoc_clustering_legacy(graph, attributes, tau=0.5,
+                                            seed=world)
+        assert np.array_equal(new.labels, old.labels)
+        clusters += new.n_clusters
+    assert seen["regrows"] > 0
+    assert sum(seen["sizes"]) - clusters > 0   # skipped seeds
+
+
+def test_stoc_batch_halves_on_collision_and_doubles_back(monkeypatch):
+    """Balls built to collide in the second and third 2-ball batches:
+    each conflict halves the batch to one ball, and once balls stay
+    apart it doubles back up to the visited mask's 64 bits."""
+    n, rng_seed = 200, 4
+    o = np.random.default_rng(rng_seed).permutation(n).tolist()
+    edges = [
+        (o[1], o[2]),    # o[2] lies in o[1]'s ball: a skipped seed
+        (o[4], o[-1]),   # o[4] and o[5] both claim o[-1]: o[5] regrows
+        (o[5], o[-1]),
+    ]
+    graph = legacy.graph_of(n, [(a, b, 1.0) for a, b in edges])
+    seen = _count_conflicts(monkeypatch)
+    new = stoc_clustering(graph, None, tau=0.3, seed=rng_seed)
+    old = legacy.stoc_clustering_legacy(graph, None, tau=0.3, seed=rng_seed)
+    assert np.array_equal(new.labels, old.labels)
+    assert seen["sizes"][:11] == [1, 2, 1, 2, 1, 2, 4, 8, 16, 32, 64]
+    assert max(seen["sizes"]) == 64
+    assert seen["regrows"] == 1
+    assert sum(seen["sizes"]) - new.n_clusters == 1
 
 
 def test_graph_from_edge_arrays_accumulates_duplicates():
