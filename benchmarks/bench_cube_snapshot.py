@@ -2,9 +2,9 @@
 
 PR 3 made the cube columnar; this experiment pins the payoff of the
 snapshot store built on top of it: once a cube is dumped to disk (one
-``.npy`` per column plus a JSON manifest), an exploration session never
-pays the ETL → mining → fill cost again — it reopens the snapshot,
-memory-mapped, and queries it directly.
+data file holding every column plus a JSON manifest), an exploration
+session never pays the ETL → mining → fill cost again — it reopens the
+snapshot, memory-mapped, and queries it directly.
 
 Measured on the E17 dataset (120k rows, same thresholds):
 

@@ -63,6 +63,7 @@ from repro.store import (
     snapshot_disk_bytes,
     timeline_dates,
 )
+from repro.store.manifest import DATA_NAME
 from repro.store.timeline import MAX_CHAIN
 
 from benchmarks.bench_cube_fill import FILL_ROWS, LIMITS
@@ -104,10 +105,8 @@ def _temporal_table():
 
 
 def _array_bytes(directory: Path) -> int:
-    return sum(
-        f.stat().st_size for f in directory.iterdir()
-        if f.suffix == ".npy"
-    )
+    """Bytes of a snapshot directory's arrays: its data file."""
+    return (directory / DATA_NAME).stat().st_size
 
 
 def _full_rebuild(table, schema, valid):

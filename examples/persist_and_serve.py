@@ -2,8 +2,8 @@
 
 Every earlier example pays the full ETL → mining → fill cost each run.
 This one runs the expensive build exactly once, dumps the cube to a
-versioned on-disk snapshot (one ``.npy`` per column + a JSON manifest),
-then reopens it **memory-mapped** and serves the same discovery
+versioned on-disk snapshot (one data file + a JSON manifest), then
+reopens it **memory-mapped** and serves the same discovery
 queries — top-k, point lookups, slicing, pivots — with zero rebuild.
 The reopened cube is verified cell-identical to the live one.
 

@@ -1,28 +1,29 @@
 """Durable cube snapshots: build once, reopen and serve without rebuilding.
 
 The segregation cube is expensive to build (ETL → mining → fill) and
-cheap to read: after PR 3 its cells live in plain NumPy columns inside a
+cheap to read: its cells live in plain NumPy columns inside a
 :class:`~repro.cube.table.CellTable`.  This subsystem persists those
-columns as a **versioned on-disk snapshot** — one ``.npy`` file per
-column plus a JSON manifest carrying the schema, the item vocabulary,
-the index names and the build provenance — and reopens them, optionally
-memory-mapped, as a fully functional read-only
-:class:`~repro.cube.cube.SegregationCube`.
+columns as a **versioned on-disk snapshot** — one data file holding
+every column at an aligned offset, plus a JSON manifest carrying the
+schema, the item vocabulary, the index names, the build provenance,
+the content digest and each column's offset — and reopens them,
+memory-mapped once or read into one buffer, as a fully functional
+read-only :class:`~repro.cube.cube.SegregationCube`.
 
 * :mod:`repro.store.manifest` — the store's file layer, through which
   every store module writes, renames, unlinks, fsyncs and loads: atomic
   manifest writes, the crash-safe dump protocol (stale manifest
-  unlinked first, arrays saved, manifest written last, orphans
-  pruned), the shared manifest preamble and the checked array loader;
-  plus the snapshot manifest format (versioned, validated, JSON, with
-  an optional ``delta`` section).
+  unlinked first, data file written and fsynced, manifest written
+  last), the shared manifest preamble and the checked loader of the
+  data file; plus the snapshot manifest format (versioned, validated,
+  JSON, with an optional ``delta`` section).
 * :mod:`repro.store.snapshot` — :func:`dump_snapshot`,
   :func:`dump_delta_snapshot`, :func:`open_snapshot`,
   :func:`validate_snapshot`.
 * :mod:`repro.store.graph` — graph snapshots
   (:func:`dump_graph_snapshot`, :func:`open_graph_snapshot`,
   :func:`validate_graph_snapshot`): a projected graph and its
-  clustering as ``.npy`` edge/label arrays behind a
+  clustering as edge/label arrays in one data file behind a
   ``graph_manifest.json``, so graph-derived queries are servable
   without re-projecting.
 * :mod:`repro.store.timeline` — :class:`CubeTimeline` /
@@ -64,7 +65,6 @@ from repro.store.snapshot import (
     dump_snapshot,
     open_snapshot,
     snapshot_disk_bytes,
-    snapshot_files,
     table_digest,
     validate_snapshot,
 )
@@ -96,7 +96,6 @@ __all__ = [
     "open_snapshot",
     "read_timeline_manifest",
     "snapshot_disk_bytes",
-    "snapshot_files",
     "table_digest",
     "timeline_dates",
     "validate_graph_snapshot",

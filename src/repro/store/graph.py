@@ -2,33 +2,37 @@
 addressable artifact.
 
 A projected graph and its clustering get the same durability contract
-as cube snapshots: a self-describing directory of ``.npy`` columns plus
-a JSON manifest, crash-safe to write, memory-mappable to reopen, and
+as cube snapshots: a self-describing directory of one data file plus a
+JSON manifest, crash-safe to write, memory-mappable to reopen, and
 loudly invalid when corrupted.  The manifest's ``provenance`` is written
 empty and read back as stored.
 
 Layout::
 
     graph_snapshot/
-      graph_manifest.json   version, counts, method, provenance, array map
-      edges_u.npy           int64   (n_edges,)   edge endpoints, u < v
-      edges_v.npy           int64   (n_edges,)   sorted by (u, v)
-      edges_w.npy           float64 (n_edges,)   shared-individual weights
-      labels.npy            int64   (n_nodes,)   clustering unit per node
-      isolated.npy          int64               nodes with no projected edge
-      skipped_hubs.npy      int64               sources skipped by the hub guard
+      graph_manifest.json   version, counts, method, provenance, digest,
+                            data-file size, {"offset", "dtype", "shape"}
+                            per array
+      data.bin              every array, 64-byte aligned:
+        edges_u             int64   (n_edges,)   edge endpoints, u < v
+        edges_v             int64   (n_edges,)   sorted by (u, v)
+        edges_w             float64 (n_edges,)   shared-individual weights
+        labels              int64   (n_nodes,)   clustering unit per node
+        isolated            int64               nodes with no projected edge
+        skipped_hubs        int64               sources the hub guard skipped
 
 The write goes through the store's file layer
 (:func:`~repro.store.manifest.dump_directory`, the protocol cube
-snapshots use): the stale manifest is unlinked *first* and the new one
-written *last*, so a directory with a readable manifest always
-describes a complete snapshot; unclaimed ``.npy`` files are pruned.
+snapshots use): the stale manifest is unlinked *first*, the data file
+fsynced before the new manifest is written *last*, so a directory with
+a readable manifest always describes a complete snapshot.
 :func:`open_graph_snapshot` checks structure through the same manifest
-preamble and checked loader as cube snapshots (version, required
-arrays, dtypes, shapes), plus count consistency;
-:func:`validate_graph_snapshot` additionally checks content (endpoint
-ranges, ``u < v`` ordering, positive weights, label range, sha256
-digest).  Every failure raises :class:`~repro.errors.SnapshotError`.
+preamble and checked loader as cube snapshots (version, digest,
+required arrays, dtypes, offsets, the data file's size), plus count
+consistency; :func:`validate_graph_snapshot` additionally checks
+content (endpoint ranges, ``u < v`` ordering, positive weights, label
+range, sha256 digest).  Every failure raises
+:class:`~repro.errors.SnapshotError`.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from repro.store.manifest import (
 )
 
 #: Current graph snapshot format; readers refuse other versions.
-GRAPH_FORMAT_VERSION = 1
+GRAPH_FORMAT_VERSION = 2
 
 #: Distinct from the cube's ``manifest.json`` so a graph snapshot can
 #: never be mistaken for (or half-open as) a cube snapshot.
@@ -81,8 +85,10 @@ class GraphManifest:
     n_clusters: int
     method: str
     provenance: "dict[str, object]"
+    content_digest: str
     arrays: "dict[str, ArrayInfo]" = field(default_factory=dict)
-    content_digest: "str | None" = None
+    #: Byte size of the directory's data file.
+    data_bytes: int = 0
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -93,7 +99,7 @@ class GraphManifest:
             Path(directory) / GRAPH_MANIFEST_NAME, "graph snapshot",
             GRAPH_FORMAT_VERSION,
             ("created_at", "n_nodes", "n_edges", "n_clusters", "method",
-             "provenance", "arrays"),
+             "provenance"),
         )
         try:
             return cls(
@@ -104,11 +110,9 @@ class GraphManifest:
                 n_clusters=int(payload["n_clusters"]),
                 method=str(payload["method"]),
                 provenance=dict(payload["provenance"]),
+                content_digest=payload["content_digest"],
                 arrays=payload["arrays"],
-                content_digest=(
-                    str(payload["content_digest"])
-                    if payload.get("content_digest") is not None else None
-                ),
+                data_bytes=payload["data_bytes"],
             )
         except (TypeError, ValueError) as exc:
             raise SnapshotError(
@@ -162,8 +166,7 @@ def dump_graph_snapshot(
 
     Crash-safe through the store's dump protocol
     (:func:`~repro.store.manifest.dump_directory`): stale manifest
-    unlinked first, new manifest written last, orphan ``.npy`` files
-    pruned.
+    unlinked first, data file fsynced, new manifest written last.
     """
     u, v, w = artifact.graph.edge_arrays()
     arrays = {
@@ -187,8 +190,7 @@ def dump_graph_snapshot(
         content_digest=graph_digest(arrays),
     )
     return dump_directory(
-        path, GRAPH_MANIFEST_NAME, manifest,
-        ((name, f"{name}.npy", array) for name, array in arrays.items()),
+        path, GRAPH_MANIFEST_NAME, manifest, arrays.items()
     )
 
 
@@ -262,8 +264,9 @@ def open_graph_snapshot(
 ) -> GraphSnapshot:
     """Reopen a graph snapshot with structural validation.
 
-    Checks manifest version and required fields, array presence, dtype
-    and shape against the manifest, and count consistency (labels per
+    Checks manifest version and required fields, the array entries and
+    the data file (:func:`~repro.store.manifest.load_arrays`), and count
+    consistency (labels per
     node, one weight per edge).  Content checks (ranges, digest) live in
     :func:`validate_graph_snapshot` so a mmap-opened snapshot stays
     lazy.
@@ -276,7 +279,7 @@ def open_graph_snapshot(
             f"graph manifest counts must be non-negative at {directory}"
         )
     arrays = load_arrays(
-        directory, manifest.arrays, "graph snapshot", _GRAPH_ARRAYS, mmap
+        directory, manifest, "graph snapshot", _GRAPH_ARRAYS, mmap
     )
     for name in ("edges_u", "edges_v", "edges_w"):
         if arrays[name].shape != (manifest.n_edges,):
@@ -329,14 +332,13 @@ def validate_graph_snapshot(path: "str | Path") -> GraphSnapshot:
         aux = snapshot.array(name)
         if len(aux) and (int(aux.min()) < 0):
             raise SnapshotError(f"graph array {name!r} has negative ids")
-    if manifest.content_digest is not None:
-        actual = graph_digest(
-            {name: snapshot.array(name) for name in _GRAPH_ARRAYS}
+    actual = graph_digest(
+        {name: snapshot.array(name) for name in _GRAPH_ARRAYS}
+    )
+    if actual != manifest.content_digest:
+        raise SnapshotError(
+            f"graph snapshot content digest mismatch at {path}: "
+            f"manifest {manifest.content_digest[:12]}…, "
+            f"computed {actual[:12]}…"
         )
-        if actual != manifest.content_digest:
-            raise SnapshotError(
-                f"graph snapshot content digest mismatch at {path}: "
-                f"manifest {manifest.content_digest[:12]}…, "
-                f"computed {actual[:12]}…"
-            )
     return snapshot

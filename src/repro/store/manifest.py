@@ -1,34 +1,42 @@
 """The store's file layer, and the snapshot manifest.
 
 Every file the store writes or reads goes through the functions here.
-No other store module calls ``np.save``, ``np.load``, ``os.replace``,
-``os.fsync`` or ``unlink`` itself, so the crash-point tests can fail
-each of those calls of a writer in turn:
+No other store module opens, writes, renames, unlinks or fsyncs a file
+itself, so the crash-point tests can fail each of those calls of a
+writer in turn, and the power-loss test can replay any subset of the
+ones a crash may lose:
 
 * :func:`write_atomic` replaces a manifest so that readers see the old
-  or the new file, never a torn one.  Every manifest the store writes —
-  ``manifest.json``, ``graph_manifest.json`` and ``timeline.json`` —
-  goes through it.
-* :func:`save_array` writes one ``.npy`` array as a new inode, so live
-  memory-mapped readers keep the old bytes.
+  or the new file, never a torn one: a temporary file, written and
+  fsynced, renamed over the manifest, then the directory fsynced.
+  Every manifest the store writes — ``manifest.json``,
+  ``graph_manifest.json`` and ``timeline.json`` — goes through it.
 * :func:`dump_directory` is the dump protocol of a directory of arrays
-  behind one manifest (cube snapshots, deltas, graph snapshots): the
-  stale manifest is unlinked first, each array saved and recorded as an
-  :class:`ArrayInfo`, the manifest written last, and every ``.npy``
-  file it does not claim pruned.  A directory with a readable manifest
-  therefore always describes a complete dump.
+  behind one manifest (cube snapshots, deltas, graph snapshots).  All
+  arrays go to one data file, ``data.bin``, each at a 64-byte aligned
+  offset its :class:`ArrayInfo` entry records.  The stale manifest and
+  data file are unlinked first (the directory is fsynced then, if a
+  manifest was there), the data file is written as a new inode and
+  fsynced with its directory, and the manifest is written last, so a
+  directory with a readable manifest always describes a complete,
+  durable dump, and live memory-mapped readers of the old data file
+  keep its bytes.
 * :func:`read_manifest` is the preamble the versioned manifests share:
   the file exists, is a JSON object (:func:`read_json`, which also
   reads the advisory ``timeline.json``) of the right format version
-  with the required fields, and its ``arrays`` entries parse.
+  with the required fields, its content digest and data-file size, and
+  its ``arrays`` entries parse.
 * :func:`load_arrays` is the checked loader: every required array is
-  listed with its dtype, and every listed array is present, loaded once
-  without pickles, of the dtype and shape its entry records, and
-  read-only.
+  listed with its dtype and nothing else is listed; every entry is
+  aligned, inside the data file and clear of the entry before it; and
+  the data file is opened once, checked to hold exactly the recorded
+  bytes, then memory-mapped or read into one buffer and sliced.  Every
+  returned array is read-only.
 
 Every read failure raises :class:`~repro.errors.SnapshotError` with a
-message naming the missing or mismatching field or file, so a corrupted
-or future-versioned directory fails loudly instead of serving garbage.
+message naming the missing or mismatching field, entry or file, so a
+corrupted or future-versioned directory fails loudly instead of serving
+garbage.
 
 The rest of the module is the cube snapshot's manifest: the format
 version, the typed item vocabulary (so cell keys decode back to
@@ -40,6 +48,7 @@ version, the typed item vocabulary (so cell keys decode back to
 from __future__ import annotations
 
 import json
+import math
 import os
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
@@ -54,9 +63,20 @@ from repro.itemsets.items import Item, ItemDictionary, ItemKind
 
 #: Current snapshot format.  Bump on any incompatible layout change;
 #: readers refuse snapshots written under a different version.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
+
+#: The one data file of a snapshot directory.
+DATA_NAME = "data.bin"
+
+#: Every array starts at a multiple of this many bytes of the data file.
+ALIGN = 64
+
+_ZEROS = bytes(ALIGN)
+
+#: Buffers one ``os.writev`` call takes at most.
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
 
 _METADATA_FIELDS = (
     "index_names",
@@ -73,53 +93,61 @@ _METADATA_FIELDS = (
 _VALUE_DECODERS = {"str": str, "int": int, "float": float, "bool": bool}
 
 
+def _write_file(path: Path, buffers: "list") -> None:
+    """Write ``buffers`` to ``path`` in order, then fsync and close it.
+
+    The buffers (bytes or 1-D ``uint8`` arrays) go out through
+    ``os.writev`` without being joined, so no array is copied.
+    """
+    pending = [buffer for buffer in buffers if len(buffer)]
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while pending:
+            written = os.writev(fd, pending[:_IOV_MAX])
+            while pending and written >= len(pending[0]):
+                written -= len(pending.pop(0))
+            if written:
+                pending[0] = pending[0][written:]
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _fsync_directory(directory: Path) -> None:
+    """Make the directory entries created, renamed or unlinked in
+    ``directory`` durable."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def write_atomic(path: "str | Path", text: str) -> Path:
     """Replace ``path`` with ``text``; readers see the old or the new file.
 
     The text goes to a temporary file in the same directory, which is
-    flushed and fsynced, then renamed over ``path`` (atomic on POSIX);
-    the directory is fsynced last so the rename itself is durable.  On
-    any failure the temporary file is removed and ``path`` keeps its
+    fsynced, then renamed over ``path`` (atomic on POSIX); the
+    directory is fsynced last so the rename itself is durable.  On any
+    failure the temporary file is removed and ``path`` keeps its
     previous content.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
+        _write_file(tmp, [text.encode("utf-8")])
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
-    directory = os.open(path.parent, os.O_RDONLY)
-    try:
-        os.fsync(directory)
-    finally:
-        os.close(directory)
+    _fsync_directory(path.parent)
     return path
-
-
-def save_array(path: "str | Path", array: np.ndarray) -> None:
-    """``np.save`` ``array`` to ``path`` as a new file (a fresh inode).
-
-    ``np.save`` alone truncates and rewrites an existing file in place,
-    under any reader that still maps it: an ``open_snapshot(...,
-    mmap=True)`` cube would read past the new end (SIGBUS), and a cube
-    re-dumped onto its own directory would read its source while it is
-    being overwritten.  Unlinking first leaves the old inode to those
-    readers, so they keep seeing the old bytes.
-    """
-    path = Path(path)
-    path.unlink(missing_ok=True)
-    np.save(path, array)
 
 
 @dataclass
 class ArrayInfo:
-    """Where one stored array lives and what it must look like."""
+    """Where one stored array lives in the data file, and its form."""
 
-    file: str
+    offset: int
     dtype: str
     shape: "list[int]"
 
@@ -128,34 +156,57 @@ def dump_directory(
     path: "str | Path",
     manifest_name: str,
     manifest,
-    arrays: "Iterable[tuple[str, str, np.ndarray]]",
+    arrays: "Iterable[tuple[str, np.ndarray]]",
 ) -> Path:
     """Dump ``arrays`` behind ``manifest`` into the directory ``path``.
 
-    ``arrays`` yields ``(name, file, array)`` triples, saved one at a
-    time with :func:`save_array` and recorded in ``manifest.arrays``;
+    ``arrays`` yields ``(name, array)`` pairs of C-contiguous arrays.
+    Each is recorded in ``manifest.arrays`` at its offset in
+    :data:`DATA_NAME`, and the file's size in ``manifest.data_bytes``;
     ``manifest.to_json()`` then goes to ``manifest_name`` through
-    :func:`write_atomic`.  The stale manifest is unlinked *first* and
-    the new one written *last*, so a crash at any point — even in the
-    middle of an overwrite — leaves either a manifest-less directory,
-    which every reader rejects, or a complete dump: never an old
-    manifest over new arrays.  Last, every ``.npy`` file the manifest
-    does not claim (left by an earlier dump with more arrays) is
-    pruned, so the directory *is* the dump.
+    :func:`write_atomic`.  The order makes a crash, power loss
+    included, safe at any point:
+
+    1. The stale manifest and data file are unlinked.  If a manifest
+       was there, the directory is fsynced, so the unlink is durable
+       before any new byte is written: otherwise a power loss could
+       keep the old manifest and the new data file, and a memory-mapped
+       open checks no digest.
+    2. The data file is written as a new inode (live memory-mapped
+       readers keep the old one), fsynced and closed, and the
+       directory fsynced, so its bytes and its entry are durable
+       before a manifest can name them.
+    3. The manifest is written last.
+
+    A crash therefore leaves either a manifest-less directory, which
+    every reader rejects, or a complete dump whose data reached the
+    disk before its manifest did: never a manifest over other bytes.
     """
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
-    (directory / manifest_name).unlink(missing_ok=True)
-    for name, file, array in arrays:
-        save_array(directory / file, array)
+    try:
+        (directory / manifest_name).unlink()
+        replaced = True
+    except FileNotFoundError:
+        replaced = False
+    data = directory / DATA_NAME
+    data.unlink(missing_ok=True)
+    if replaced:
+        _fsync_directory(directory)
+    buffers = []
+    offset = 0
+    for name, array in arrays:
+        array = np.asarray(array, dtype=array.dtype.newbyteorder("<"))
         manifest.arrays[name] = ArrayInfo(
-            file=file, dtype=str(array.dtype), shape=list(array.shape)
+            offset=offset, dtype=array.dtype.name, shape=list(array.shape)
         )
+        pad = -array.nbytes % ALIGN
+        buffers += [array.reshape(-1).view(np.uint8), _ZEROS[:pad]]
+        offset += array.nbytes + pad
+    manifest.data_bytes = offset
+    _write_file(data, buffers)
+    _fsync_directory(directory)
     write_atomic(directory / manifest_name, manifest.to_json())
-    claimed = {info.file for info in manifest.arrays.values()}
-    for stale in directory.glob("*.npy"):
-        if stale.name not in claimed:
-            stale.unlink()
     return directory
 
 
@@ -193,8 +244,10 @@ def read_manifest(
 
     The file must exist and hold a JSON object whose
     ``format_version`` is ``version`` and which has every ``required``
-    field; an ``arrays`` field is parsed into :class:`ArrayInfo`
-    entries.  ``kind`` names the manifest in error messages.
+    field plus the fields every dump records: ``arrays`` (parsed into
+    :class:`ArrayInfo` entries), ``data_bytes`` (an int) and
+    ``content_digest`` (a string).  ``kind`` names the manifest in
+    error messages.
     """
     path = Path(path)
     if not path.is_file():
@@ -206,85 +259,138 @@ def read_manifest(
             f"{kind} format version {found!r} is not supported "
             f"(this library reads version {version})"
         )
-    missing = [name for name in required if name not in payload]
+    missing = [
+        name
+        for name in (*required, "arrays", "data_bytes", "content_digest")
+        if name not in payload
+    ]
     if missing:
         raise SnapshotError(
             f"{kind} manifest is missing required fields: "
             f"{', '.join(missing)}"
         )
-    if "arrays" in payload:
-        entries = payload["arrays"]
-        if not isinstance(entries, dict):
-            raise SnapshotError(f"{kind} manifest 'arrays' must be an object")
-        arrays = {}
-        for name, info in entries.items():
-            try:
-                arrays[name] = ArrayInfo(
-                    file=str(info["file"]),
-                    dtype=str(info["dtype"]),
-                    shape=[int(d) for d in info["shape"]],
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SnapshotError(
-                    f"malformed {kind} array entry {name!r}: {info!r}"
-                ) from exc
-        payload["arrays"] = arrays
+    if not isinstance(payload["content_digest"], str):
+        raise SnapshotError(
+            f"{kind} manifest 'content_digest' must be a string"
+        )
+    if type(payload["data_bytes"]) is not int or payload["data_bytes"] < 0:
+        raise SnapshotError(
+            f"{kind} manifest 'data_bytes' must be a non-negative integer"
+        )
+    entries = payload["arrays"]
+    if not isinstance(entries, dict):
+        raise SnapshotError(f"{kind} manifest 'arrays' must be an object")
+    arrays = {}
+    for name, info in entries.items():
+        try:
+            arrays[name] = ArrayInfo(
+                offset=int(info["offset"]),
+                dtype=str(info["dtype"]),
+                shape=[int(d) for d in info["shape"]],
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SnapshotError(
+                f"malformed {kind} array entry {name!r}: {info!r}"
+            ) from exc
+    payload["arrays"] = arrays
     return payload
 
 
 def load_arrays(
     directory: "str | Path",
-    arrays: "dict[str, ArrayInfo]",
+    manifest,
     kind: str,
     required: "dict[str, str]",
     mmap: bool,
 ) -> "dict[str, np.ndarray]":
-    """Load every array a manifest lists, once each, checked.
+    """Load every array ``manifest`` lists from its one data file, checked.
 
     Every name in ``required`` (name -> dtype) must be listed with that
-    dtype; every listed file must exist and load with
-    ``allow_pickle=False`` as exactly the dtype and shape its entry
-    records.  Arrays are memory-mapped read-only when ``mmap``, else
-    read into memory with the writeable flag cleared, so every returned
-    array is read-only.  ``kind`` names the directory in error
-    messages.
+    dtype, and no other name may be listed.  In offset order, every
+    entry must start at a multiple of :data:`ALIGN`, at or after the end
+    of the entry before it, and end inside ``manifest.data_bytes``.
+    The data file is then opened once and must hold exactly
+    ``manifest.data_bytes`` bytes — checked before any slice, since a
+    mapped file shorter than its entries would fault on first touch.
+    With ``mmap`` it is memory-mapped read-only (one ``np.memmap``, so
+    every array is a read-only ``np.memmap``); otherwise, or when it is
+    empty, it is read into one buffer whose writeable flag is cleared.
+    Each array is a slice of that map or buffer.  ``kind`` names the
+    directory in error messages.
     """
+    arrays = manifest.arrays
     missing = sorted(set(required) - set(arrays))
     if missing:
         raise SnapshotError(
             f"{kind} manifest lists no array entry for: {', '.join(missing)}"
         )
-    loaded: "dict[str, np.ndarray]" = {}
-    for name, info in arrays.items():
-        want = required.get(name)
-        if want is not None and info.dtype != want:
+    unknown = sorted(set(arrays) - set(required))
+    if unknown:
+        raise SnapshotError(
+            f"{kind} manifest lists unknown arrays: {', '.join(unknown)}"
+        )
+    size = manifest.data_bytes
+    spans = {}
+    end = 0
+    for name, info in sorted(arrays.items(), key=lambda item: item[1].offset):
+        want = required[name]
+        if info.dtype != want:
             raise SnapshotError(
                 f"{kind} array {name!r} must be {want}, manifest says "
                 f"dtype {info.dtype}"
             )
-        file = Path(directory) / info.file
-        if not file.is_file():
-            raise SnapshotError(f"{kind} is missing file {file}")
-        try:
-            array = np.load(
-                file, mmap_mode="r" if mmap else None, allow_pickle=False
-            )
-        except (ValueError, OSError, EOFError) as exc:
+        if min(info.shape, default=0) < 0:
             raise SnapshotError(
-                f"{kind} array {info.file} is unreadable: {exc}"
-            ) from exc
-        if str(array.dtype) != info.dtype or list(array.shape) != info.shape:
-            raise SnapshotError(
-                f"{kind} array {info.file} has dtype {array.dtype} and "
-                f"shape {tuple(array.shape)}, manifest says {info.dtype} "
-                f"and {tuple(info.shape)}"
+                f"{kind} array {name!r} has negative shape {tuple(info.shape)}"
             )
-        if not mmap:
-            # Serving is strictly read-only; enforce it on owned arrays
-            # the way mode="r" memory maps already do.
-            array.flags.writeable = False
-        loaded[name] = array
-    return loaded
+        if info.offset % ALIGN:
+            raise SnapshotError(
+                f"{kind} array {name!r} offset {info.offset} is not "
+                f"{ALIGN}-byte aligned"
+            )
+        if info.offset < end:
+            raise SnapshotError(
+                f"{kind} array {name!r} at offset {info.offset} overlaps "
+                f"the array before it, which ends at byte {end}"
+            )
+        end = info.offset + math.prod(info.shape) * np.dtype(want).itemsize
+        if end > size:
+            raise SnapshotError(
+                f"{kind} array {name!r} ends at byte {end}, past the "
+                f"{size} bytes of its data file"
+            )
+        spans[name] = (info.offset, end)
+    file = Path(directory) / DATA_NAME
+    try:
+        handle = open(file, "rb")
+    except FileNotFoundError as exc:
+        raise SnapshotError(f"{kind} is missing file {file}") from exc
+    except OSError as exc:
+        raise SnapshotError(
+            f"{kind} data file {file} is unreadable: {exc}"
+        ) from exc
+    with handle:
+        found = os.fstat(handle.fileno()).st_size
+        if found != size:
+            raise SnapshotError(
+                f"{kind} data file {file} holds {found} bytes, its "
+                f"manifest records {size}"
+            )
+        if mmap and size:
+            data = np.memmap(handle, dtype=np.uint8, mode="r")
+        else:
+            data = np.empty(size, dtype=np.uint8)
+            if handle.readinto(data) != size:
+                raise SnapshotError(
+                    f"{kind} data file {file} changed while it was read"
+                )
+            data.flags.writeable = False
+    return {
+        name: data[start:stop].view(
+            np.dtype(required[name]).newbyteorder("<")
+        ).reshape(arrays[name].shape)
+        for name, (start, stop) in spans.items()
+    }
 
 
 def _jsonable(obj: object) -> object:
@@ -376,6 +482,12 @@ class SnapshotManifest:
     column_names: "list[str]"          # stored float columns, in order
     items: "list[dict[str, object]]"   # typed vocabulary, id order
     metadata: "dict[str, object]"      # CubeMetadata fields
+    #: Row-order-independent digest of the snapshot's *resolved* cell
+    #: content (for a delta: the full composed table, not just the rows
+    #: stored here).  Lets a delta writer verify a caller-supplied
+    #: parent cube against the on-disk parent without resolving its
+    #: chain, and lets readers verify a composed chain end-to-end.
+    content_digest: str
     arrays: "dict[str, ArrayInfo]" = field(default_factory=dict)
     #: Delta snapshots only: ``{"parent": <relative path>,
     #: "n_superseded": <parent rows replaced or deleted>}``.  A delta
@@ -383,18 +495,15 @@ class SnapshotManifest:
     #: packed key bitmasks of the parent rows it supersedes; readers
     #: resolve the parent chain (see repro.store.snapshot).
     delta: "dict[str, object] | None" = None
-    #: Row-order-independent digest of the snapshot's *resolved* cell
-    #: content (for a delta: the full composed table, not just the rows
-    #: stored here).  Lets a delta writer verify a caller-supplied
-    #: parent cube against the on-disk parent without resolving its
-    #: chain, and lets readers verify a composed chain end-to-end.
-    content_digest: "str | None" = None
+    #: Byte size of the directory's data file.
+    data_bytes: int = 0
 
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def for_cube(cls, cube) -> "SnapshotManifest":
-        """Describe a live cube (arrays are registered by the writer)."""
+    def for_cube(cls, cube, content_digest: str) -> "SnapshotManifest":
+        """Describe a live cube whose table digests to ``content_digest``
+        (arrays are registered by the writer)."""
         dictionary: ItemDictionary = cube.dictionary
         table = cube.table
         metadata = {
@@ -413,6 +522,7 @@ class SnapshotManifest:
                 for i in range(len(dictionary))
             ],
             metadata=metadata,
+            content_digest=content_digest,
         )
 
     # -- vocabulary / provenance reconstruction ------------------------
@@ -459,7 +569,7 @@ class SnapshotManifest:
         payload = read_manifest(
             Path(directory) / MANIFEST_NAME, "snapshot", FORMAT_VERSION,
             ("created_at", "n_cells", "n_items", "n_words",
-             "column_names", "items", "metadata", "arrays"),
+             "column_names", "items", "metadata"),
         )
         delta_raw = payload.get("delta")
         delta: "dict[str, object] | None" = None
@@ -490,8 +600,6 @@ class SnapshotManifest:
             metadata=dict(payload["metadata"]),
             arrays=payload["arrays"],
             delta=delta,
-            content_digest=(
-                str(payload["content_digest"])
-                if payload.get("content_digest") is not None else None
-            ),
+            content_digest=payload["content_digest"],
+            data_bytes=payload["data_bytes"],
         )

@@ -1,35 +1,40 @@
-"""Write, validate and reopen cube snapshots (one ``.npy`` per column).
+"""Write, validate and reopen cube snapshots (one data file per directory).
 
 A snapshot is a directory::
 
     snapshot/
-      manifest.json      format version, vocabulary, provenance, array map
-      population.npy     int64  (n_cells,)
-      minority.npy       int64  (n_cells,)
-      n_units.npy        int64  (n_cells,)
-      sa_masks.npy       uint64 (n_cells, n_words)   packed SA key bitmasks
-      ca_masks.npy       uint64 (n_cells, n_words)   packed CA key bitmasks
-      col_<i>.npy        float64 (n_cells,)          one per index column
+      manifest.json   format version, vocabulary, provenance, digest,
+                      data-file size, and one entry per array:
+                      {"offset", "dtype", "shape"}
+      data.bin        every array's bytes, each at a 64-byte aligned
+                      offset, zero-padded to the next one:
+        population    int64   (n_cells,)
+        minority      int64   (n_cells,)
+        n_units       int64   (n_cells,)
+        sa_masks      uint64  (n_cells, n_words)   packed SA key bitmasks
+        ca_masks      uint64  (n_cells, n_words)   packed CA key bitmasks
+        column:<name> float64 (n_cells,)           one per index column
 
 The cell *keys* are not stored separately: they are exactly the packed
 bitmasks.  A reopened table looks rows up by those bits and decodes a
 row's key only when a query first needs it
 (:meth:`~repro.cube.table.CellTable.key_at`).  Reopening therefore
-costs a manifest parse plus one checked ``np.load`` per array — with
-``mmap=True`` (the default) no array data is read until a query touches
-it, which is what makes cold serving start in milliseconds instead of
-re-running ETL → mining → fill (benchmark E18).
+costs a manifest parse plus one checked open of the data file — with
+``mmap=True`` (the default) it is mapped once and sliced, and no array
+data is read until a query touches it, which is what makes cold
+serving start in milliseconds instead of re-running ETL → mining →
+fill (benchmark E18).
 
 A **delta** snapshot (:func:`dump_delta_snapshot`) has the same layout
 but stores only the cells that are new or changed relative to a
 *parent* snapshot, plus the packed key bitmasks of the parent rows it
-supersedes (``superseded_sa.npy`` / ``superseded_ca.npy``) and a
+supersedes (the ``superseded_sa`` / ``superseded_ca`` arrays) and a
 ``delta`` manifest section naming the parent directory (a relative
 path, so a timeline directory is relocatable as a unit).  Reopening a
 delta resolves the parent chain — full snapshot at the root, cycle- and
 corruption-checked — and composes the cell table as *parent rows minus
-superseded plus own rows*.  Each hop of that chain reads each of its
-own arrays once, into memory (composing copies them at once), finds the
+superseded plus own rows*.  Each hop of that chain reads its data file
+once, into memory (composing copies its arrays at once), finds the
 superseded parent rows with a sort and a binary search over the rows'
 packed mask words, and verifies the composed table against the
 recorded content digest.  A timeline of cubes with small inter-date
@@ -56,6 +61,7 @@ from repro.cube.cube import SegregationCube
 from repro.cube.table import CellTable, TableArrays, packed_rows
 from repro.errors import SnapshotError
 from repro.store.manifest import (
+    DATA_NAME,
     MANIFEST_NAME,
     SnapshotManifest,
     dump_directory,
@@ -85,33 +91,20 @@ _MASK_ARRAYS = {"sa_masks", "ca_masks", *_DELTA_ARRAYS}
 _COLUMN_DTYPE = "float64"
 
 
-def _column_file(position: int) -> str:
-    return f"col_{position}.npy"
-
-
-def snapshot_files(manifest: SnapshotManifest) -> "list[str]":
-    """All file names a snapshot described by ``manifest`` consists of."""
-    return [MANIFEST_NAME] + [info.file for info in manifest.arrays.values()]
-
-
-def _table_arrays(table: CellTable) -> "list[tuple[str, str, object, str]]":
-    """``(name, file, array, dtype)`` of every array a cell table stores."""
+def _table_arrays(table: CellTable) -> "list[tuple[str, object, str]]":
+    """``(name, array, dtype)`` of every array a cell table stores."""
     return [
-        *((name, f"{name}.npy", getattr(table, name), dtype)
+        *((name, getattr(table, name), dtype)
           for name, dtype in _FIXED_ARRAYS.items()),
-        *((f"column:{name}", _column_file(position), column, _COLUMN_DTYPE)
-          for position, (name, column) in enumerate(table.columns.items())),
+        *((f"column:{name}", column, _COLUMN_DTYPE)
+          for name, column in table.columns.items()),
     ]
 
 
-def _rows_of(
-    named: "list[tuple[str, str, object, str]]", rows=slice(None)
-):
+def _rows_of(named: "list[tuple[str, object, str]]", rows=slice(None)):
     """Yield each named array's ``rows`` as a contiguous array to save."""
-    for name, file, array, dtype in named:
-        yield name, file, np.ascontiguousarray(
-            np.asarray(array, dtype=dtype)[rows]
-        )
+    for name, array, dtype in named:
+        yield name, np.ascontiguousarray(np.asarray(array, dtype=dtype)[rows])
 
 
 def dump_snapshot(cube: SegregationCube, path: "str | Path") -> Path:
@@ -121,8 +114,7 @@ def dump_snapshot(cube: SegregationCube, path: "str | Path") -> Path:
     :func:`~repro.store.manifest.dump_directory` for the crash-safety
     contract.
     """
-    manifest = SnapshotManifest.for_cube(cube)
-    manifest.content_digest = table_digest(cube.table)
+    manifest = SnapshotManifest.for_cube(cube, table_digest(cube.table))
     return dump_directory(
         path, MANIFEST_NAME, manifest, _rows_of(_table_arrays(cube.table))
     )
@@ -157,7 +149,7 @@ def table_digest(table: CellTable) -> str:
         packed_rows(table.sa_masks, table.ca_masks), kind="stable"
     )
     digest = hashlib.sha256()
-    for name, _, array in _rows_of(_table_arrays(table), order):
+    for name, array in _rows_of(_table_arrays(table), order):
         digest.update(name.encode())
         digest.update(array.tobytes())
     return digest.hexdigest()
@@ -166,20 +158,22 @@ def table_digest(table: CellTable) -> str:
 def snapshot_disk_bytes(path: "str | Path") -> int:
     """On-disk byte size of one snapshot directory's *own* files.
 
-    Sums the manifest plus every array file the manifest claims — a
-    delta snapshot therefore reports only the bytes it stores itself,
-    not the parent chain it composes against, which is exactly the
-    number the serving layer's ``info()`` and the timeline's publish
-    rule need (chain cost vs byte savings).
+    The manifest plus the data file — a delta snapshot therefore
+    reports only the bytes it stores itself, not the parent chain it
+    composes against, which is exactly the number the serving layer's
+    ``info()`` and the timeline's publish rule need (chain cost vs byte
+    savings).
     """
     directory = Path(path)
-    manifest = SnapshotManifest.read(directory)
-    total = 0
-    for name in snapshot_files(manifest):
-        file = directory / name
-        if file.is_file():
-            total += file.stat().st_size
-    return total
+    try:
+        return sum(
+            (directory / name).stat().st_size
+            for name in (MANIFEST_NAME, DATA_NAME)
+        )
+    except OSError as exc:
+        raise SnapshotError(
+            f"snapshot {directory} is incomplete: {exc}"
+        ) from exc
 
 
 def delta_chain(path: "str | Path") -> "list[Path]":
@@ -255,22 +249,19 @@ def dump_delta_snapshot(
         )
     if parent is None:
         parent = open_snapshot(parent_dir, mmap=True)
-    else:
+    elif SnapshotManifest.read(parent_dir).content_digest != table_digest(
+        parent.table
+    ):
         # The caller-supplied cube must actually be the snapshot at
         # parent_path: readers compose against the on-disk parent, so a
         # stale/mismatched cube here would write a delta that silently
         # reopens to different values.  The manifest's content digest
         # covers the parent's *resolved* cells, so the check needs no
-        # chain resolution; snapshots predating the digest fall back to
-        # reopening the parent from disk.
-        on_disk = SnapshotManifest.read(parent_dir)
-        if on_disk.content_digest is None:
-            parent = open_snapshot(parent_dir, mmap=True)
-        elif on_disk.content_digest != table_digest(parent.table):
-            raise SnapshotError(
-                f"the supplied parent cube does not match the snapshot "
-                f"at {parent_dir}; dump the parent first or omit it"
-            )
+        # chain resolution.
+        raise SnapshotError(
+            f"the supplied parent cube does not match the snapshot "
+            f"at {parent_dir}; dump the parent first or omit it"
+        )
     if not _same_vocabulary(cube.dictionary, parent.dictionary):
         raise SnapshotError(
             "delta snapshot requires the parent's item vocabulary; "
@@ -328,22 +319,19 @@ def dump_delta_snapshot(
     ))
 
     directory = Path(path)
-    manifest = SnapshotManifest.for_cube(cube)
+    # The digest describes the *resolved* content (the whole child
+    # table), not just the delta rows stored here: it is what readers
+    # verify after composing the chain, and what a future delta dump
+    # checks a caller-supplied parent cube against.
+    manifest = SnapshotManifest.for_cube(cube, table_digest(child_table))
     manifest.n_cells = int(len(own_idx))
     manifest.delta = {
         "parent": os.path.relpath(parent_dir, directory),
         "n_superseded": int(len(superseded_idx)),
     }
-    # The digest describes the *resolved* content (the whole child
-    # table), not just the delta rows stored here: it is what readers
-    # verify after composing the chain, and what a future delta dump
-    # checks a caller-supplied parent cube against.
-    manifest.content_digest = table_digest(child_table)
     superseded = [
-        ("superseded_sa", "superseded_sa.npy", parent_table.sa_masks,
-         "uint64"),
-        ("superseded_ca", "superseded_ca.npy", parent_table.ca_masks,
-         "uint64"),
+        ("superseded_sa", parent_table.sa_masks, "uint64"),
+        ("superseded_ca", parent_table.ca_masks, "uint64"),
     ]
     return dump_directory(
         directory, MANIFEST_NAME, manifest,
@@ -358,18 +346,20 @@ def validate_snapshot(path: "str | Path") -> SnapshotManifest:
     """Check that ``path`` holds a complete, consistent snapshot.
 
     Raises :class:`~repro.errors.SnapshotError` on a missing or
-    malformed manifest, an unsupported format version, a missing array
-    entry, a missing or unreadable array file, an array whose
-    dtype/shape disagrees with the manifest, a wrong fixed dtype, an
-    array not shaped ``(n_cells,)`` (counts and index columns) or
+    malformed manifest (its content digest and data-file size
+    included), an unsupported format version, a missing or unknown
+    array entry, a wrong fixed dtype, an entry that is misaligned,
+    overlaps the entry before it or ends past the data file, a missing
+    or unreadable data file or one whose size is not the recorded one,
+    an array not shaped ``(n_cells,)`` (counts and index columns) or
     ``(n_cells, n_words)`` (key masks) — ``n_superseded`` rows for the
     superseded masks — or delta arrays without a delta section.
     Returns the parsed manifest on success.
 
     These are exactly the per-directory checks :func:`open_snapshot`
-    applies: both go through one checked loader that reads each listed
-    array once (memory-mapped for a full snapshot, into memory for a
-    delta's own arrays).  What only an open checks is the chain — parent
+    applies: both go through one checked loader that opens the data
+    file once (memory-mapped for a full snapshot, into memory for a
+    delta).  What only an open checks is the chain — parent
     resolution and cycles, the width, column layout and vocabulary
     against the parent, that the parent holds each superseded row, and
     the content digest of the composed table.
@@ -383,8 +373,8 @@ def _load_checked(
     """Parse a snapshot's manifest and load every array it lists, once.
 
     The shared checked loader
-    (:func:`~repro.store.manifest.load_arrays`) checks each array
-    against its manifest entry; on top, delta arrays need a delta
+    (:func:`~repro.store.manifest.load_arrays`) checks the entries and
+    the data file; on top, delta arrays need a delta
     section and every array must have its full shape: ``n_cells`` /
     ``n_superseded`` rows, and ``n_words`` words per row for the key
     masks (see :func:`validate_snapshot`).  A full
@@ -405,15 +395,17 @@ def _load_checked(
             f"manifest n_words must be positive, got {manifest.n_words}"
         )
     for name, info in manifest.arrays.items():
-        if name not in _DELTA_ARRAYS:
-            rows = manifest.n_cells
-        elif manifest.delta is None:
+        if name in _DELTA_ARRAYS and manifest.delta is None:
             raise SnapshotError(
                 f"manifest lists delta array {name!r} without a "
                 "delta section"
             )
-        else:
+        if name not in required:
+            continue   # the loader refuses it
+        if name in _DELTA_ARRAYS:
             rows = int(manifest.delta["n_superseded"])
+        else:
+            rows = manifest.n_cells
         shape = [rows, manifest.n_words] if name in _MASK_ARRAYS else [rows]
         if info.shape != shape:
             raise SnapshotError(
@@ -421,7 +413,7 @@ def _load_checked(
                 f"manifest's counts need {tuple(shape)}"
             )
     arrays = load_arrays(
-        directory, manifest.arrays, "snapshot", required,
+        directory, manifest, "snapshot", required,
         mmap=mmap and manifest.delta is None,
     )
     return manifest, arrays
@@ -592,10 +584,7 @@ def _compose_delta(
     # just in this directory — surfaces here instead of serving wrong
     # numbers.  (Composition materialises every byte anyway, so unlike a
     # full snapshot's lazy mmap open this costs no extra I/O.)
-    if (
-        manifest.content_digest is not None
-        and table_digest(table) != manifest.content_digest
-    ):
+    if table_digest(table) != manifest.content_digest:
         raise SnapshotError(
             f"delta snapshot {directory} resolved to content that does "
             "not match its recorded digest (parent chain has drifted "

@@ -44,9 +44,10 @@ never renames, rewrites or deletes a date already published.  Both
 writes of a date — the delta and the byte-triggered full rewrite, on a
 directory no other date references yet — go through the file layer's
 dump protocol (:func:`~repro.store.manifest.dump_directory`): the
-manifest is unlinked first and written last, so a crash at any point
-leaves a manifest-less directory (which :func:`timeline_dates` does not
-list) or a complete snapshot.  Because
+manifest is unlinked first and written last, after the data file and
+its directory entry are fsynced, so a crash at any point, power loss
+included, leaves a manifest-less directory (which
+:func:`timeline_dates` does not list) or a complete snapshot.  Because
 no date changes once a child may reference it, a reader never finds a
 delta whose parent is missing.
 
@@ -59,6 +60,7 @@ assumes a single writer.
 from __future__ import annotations
 
 import json
+import os
 import threading
 from datetime import datetime, timezone
 from pathlib import Path
@@ -88,18 +90,29 @@ MIN_BYTE_RATIO = 0.5
 
 
 def timeline_dates(root: "str | Path") -> "list[int]":
-    """Sorted snapshot dates found under a timeline directory."""
-    directory = Path(root)
-    if not directory.is_dir():
-        raise SnapshotError(f"timeline directory {directory} does not exist")
+    """Sorted snapshot dates found under a timeline directory.
+
+    A date is an integer-named child directory that holds a manifest.
+    One ``os.scandir`` lists the children, so the listing costs one
+    ``stat`` per date (its manifest) on every restart and refresh.
+    """
+    try:
+        entries = os.scandir(root)
+    except OSError as exc:
+        raise SnapshotError(
+            f"timeline directory {root} does not exist"
+        ) from exc
     dates = []
-    for child in directory.iterdir():
-        if not child.is_dir() or not (child / MANIFEST_NAME).is_file():
-            continue
-        try:
-            dates.append(int(child.name))
-        except ValueError:
-            continue
+    with entries:
+        for entry in entries:
+            try:
+                date = int(entry.name)
+            except ValueError:
+                continue
+            if entry.is_dir() and os.path.isfile(
+                os.path.join(entry.path, MANIFEST_NAME)
+            ):
+                dates.append(date)
     return sorted(dates)
 
 

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import repro
@@ -19,6 +17,7 @@ from repro.data.synthetic import random_final_table
 from repro.etl.schema import Schema
 from repro.etl.table import CategoricalColumn
 from repro.indexes.counts import UnitCounts
+from tests.datafile import relayout
 
 
 @pytest.fixture(scope="session")
@@ -103,7 +102,8 @@ def assert_segments_unlinked(monkeypatch):
 
 #: The file-system calls a store writer makes, each one a crash point.
 _WRITER_CALLS = (
-    (np, "save"), (os, "replace"), (Path, "unlink"), (os, "fsync"),
+    (os, "open"), (os, "writev"), (os, "replace"), (Path, "unlink"),
+    (os, "fsync"),
 )
 
 
@@ -112,10 +112,10 @@ def crash_at():
     """Run a store writer, optionally failing one of its file calls.
 
     ``crash_at(write)`` calls ``write()`` and returns the names of the
-    ``np.save``, ``os.replace``, ``Path.unlink`` and ``os.fsync`` calls
-    it made, in order: its crash points.  ``crash_at(write, fail=i)``
-    makes call ``i`` raise ``OSError`` instead of running, and checks
-    that the error reaches the caller.
+    ``os.open``, ``os.writev``, ``os.replace``, ``Path.unlink`` and
+    ``os.fsync`` calls it made, in order: its crash points.
+    ``crash_at(write, fail=i)`` makes call ``i`` raise ``OSError``
+    instead of running, and checks that the error reaches the caller.
     """
 
     def run(write, fail=None):
@@ -188,21 +188,45 @@ def mmap_reader():
 def resave_listed():
     """Rewrite one snapshot array together with its manifest entry.
 
-    ``resave(directory, name, change)`` saves ``change(array)`` over the
-    array listed as ``name`` and records its new shape in
-    ``manifest.json``, so each file still matches its own entry and only
-    checks across arrays (widths, row counts) can catch the change.
+    ``resave(directory, name, change)`` rewrites the data file with
+    ``change(array)`` as the array listed as ``name`` and records every
+    new entry and the file's size in ``manifest.json``, so the file
+    still matches its manifest and only checks across arrays (widths,
+    row counts) can catch the change.
     """
     def resave(directory, name, change):
-        manifest_path = Path(directory) / "manifest.json"
-        payload = json.loads(manifest_path.read_text())
-        file = Path(directory) / payload["arrays"][name]["file"]
-        array = np.ascontiguousarray(change(np.load(file)))
-        np.save(file, array)
-        payload["arrays"][name]["shape"] = list(array.shape)
-        manifest_path.write_text(json.dumps(payload))
+        relayout(directory, name, change, record=True)
 
     return resave
+
+
+#: The paths opened while an ``opened_files`` fixture is active.
+_OPENED: "list[str] | None" = None
+
+
+def _record_open(event, args):
+    if event == "open" and _OPENED is not None and isinstance(
+        args[0], (str, bytes, os.PathLike)
+    ):
+        _OPENED.append(os.fsdecode(args[0]))
+
+
+@pytest.fixture()
+def opened_files():
+    """Every file the process opens while the test runs, in order.
+
+    Counts opens at the ``open`` audit event, so ``builtins.open``,
+    ``os.open`` and ``np.memmap`` of a path all show.  The hook is
+    added on first use and stays (audit hooks cannot be removed); it
+    records nothing outside this fixture.
+    """
+    global _OPENED
+    if not getattr(_record_open, "added", False):
+        sys.addaudithook(_record_open)
+        _record_open.added = True
+    _OPENED = []
+    yield _OPENED
+    _OPENED = None
 
 
 @pytest.fixture()

@@ -31,6 +31,7 @@ from repro.errors import SnapshotError
 from repro.itemsets.transactions import encode_table
 from repro.serve.service import CubeService
 from repro.store import (
+    MANIFEST_NAME,
     TIMELINE_MANIFEST_NAME,
     CubeTimeline,
     delta_chain_length,
@@ -39,8 +40,10 @@ from repro.store import (
     read_timeline_manifest,
     snapshot_disk_bytes,
     timeline_dates,
+    validate_snapshot,
 )
 from repro.store import timeline as timeline_module
+from repro.store.manifest import DATA_NAME
 from repro.store.timeline import MAX_CHAIN, MIN_BYTE_RATIO
 
 DATES = (0, 1, 2, 3)
@@ -175,7 +178,11 @@ class TestCompactDate:
         # full snapshot: no superseded delta array is left behind.
         full = far_dir / "1"
         assert delta_chain_length(full) == 0
-        assert not list(full.glob("superseded_*.npy"))
+        assert not [name for name in validate_snapshot(full).arrays
+                    if name.startswith("superseded")]
+        assert sorted(f.name for f in full.iterdir()) == [
+            DATA_NAME, MANIFEST_NAME
+        ]
         entry = read_timeline_manifest(far_dir)["dates"]["1"]
         assert entry == {"chain_length": 0,
                          "own_bytes": snapshot_disk_bytes(full)}
@@ -308,8 +315,9 @@ class TestTimelineManifest:
         # A publish writes through the store's file layer: a delta
         # publish replaces the date's manifest.json and timeline.json; a
         # byte-triggered one replaces manifest.json twice (delta, then
-        # full) and timeline.json.  Failing each of its np.save,
-        # os.replace, Path.unlink and os.fsync calls in turn must leave
+        # full) and timeline.json.  Failing each of its os.open,
+        # os.writev, os.replace, Path.unlink and os.fsync calls in turn
+        # must leave
         # timeline.json parseable, every listed date opening at atol=0
         # and no temporary file behind — and publishing the date again
         # must give the layout of an uninterrupted publish.

@@ -20,6 +20,15 @@ from repro.store.graph import (
     open_graph_snapshot,
     validate_graph_snapshot,
 )
+from repro.store.manifest import DATA_NAME
+from tests.datafile import (
+    LAYOUT_CORRUPTIONS,
+    edit_manifest,
+    read_array,
+    read_payload,
+    truncate,
+    write_region,
+)
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +42,10 @@ def artifact():
 @pytest.fixture()
 def snapshot_dir(artifact, tmp_path):
     return dump_graph_snapshot(artifact, tmp_path / "graph_snap")
+
+
+def _write(directory, name, change):
+    write_region(directory, name, change, GRAPH_MANIFEST_NAME)
 
 
 class TestRoundTrip:
@@ -85,12 +98,6 @@ class TestRoundTrip:
         dump_graph_snapshot(artifact, snapshot_dir)
         assert GraphManifest.read(snapshot_dir).content_digest == first
         validate_graph_snapshot(snapshot_dir)
-
-    def test_orphan_arrays_pruned(self, artifact, snapshot_dir):
-        stray = snapshot_dir / "stale_column.npy"
-        np.save(stray, np.arange(3))
-        dump_graph_snapshot(artifact, snapshot_dir)
-        assert not stray.exists()
 
     def test_empty_graph_round_trips(self, tmp_path):
         bipartite, _ = random_bipartite_world(5, 3, seed=1)
@@ -201,27 +208,48 @@ class TestCorruption:
             open_graph_snapshot(snapshot_dir)
 
     def test_missing_array_file(self, snapshot_dir):
-        (snapshot_dir / "edges_w.npy").unlink()
+        (snapshot_dir / DATA_NAME).unlink()
         with pytest.raises(SnapshotError, match="missing file"):
             open_graph_snapshot(snapshot_dir)
 
     def test_truncated_array_file(self, snapshot_dir):
-        file = snapshot_dir / "labels.npy"
-        file.write_bytes(file.read_bytes()[:40])
-        with pytest.raises(SnapshotError):
-            open_graph_snapshot(snapshot_dir)
+        offset = read_payload(snapshot_dir, GRAPH_MANIFEST_NAME)["arrays"][
+            "labels"]["offset"]
+        truncate(snapshot_dir, offset + 40)
+        for mmap in (True, False):
+            with pytest.raises(SnapshotError, match="holds .* bytes"):
+                open_graph_snapshot(snapshot_dir, mmap=mmap)
 
     def test_empty_array_file(self, snapshot_dir):
-        (snapshot_dir / "labels.npy").write_bytes(b"")
+        (snapshot_dir / DATA_NAME).write_bytes(b"")
         for mmap in (True, False):
-            with pytest.raises(SnapshotError, match="unreadable"):
+            with pytest.raises(SnapshotError, match="holds 0 bytes"):
                 open_graph_snapshot(snapshot_dir, mmap=mmap)
 
     def test_wrong_dtype_on_disk(self, snapshot_dir):
-        labels = np.load(snapshot_dir / "labels.npy")
-        np.save(snapshot_dir / "labels.npy", labels.astype(np.float64))
+        edit_manifest(
+            snapshot_dir,
+            lambda p: p["arrays"]["labels"].__setitem__("dtype", "float64"),
+            GRAPH_MANIFEST_NAME,
+        )
         with pytest.raises(SnapshotError, match="dtype"):
             open_graph_snapshot(snapshot_dir)
+
+    @pytest.mark.parametrize("case", sorted(LAYOUT_CORRUPTIONS))
+    def test_data_file_layout_rejected(self, snapshot_dir, case):
+        damage, match = LAYOUT_CORRUPTIONS[case]
+        damage(snapshot_dir, GRAPH_MANIFEST_NAME, "labels")
+        for mmap in (True, False):
+            with pytest.raises(SnapshotError, match=match):
+                open_graph_snapshot(snapshot_dir, mmap=mmap)
+
+    def test_manifest_without_digest_rejected(self, snapshot_dir):
+        edit_manifest(snapshot_dir, lambda p: p.pop("content_digest"),
+                      GRAPH_MANIFEST_NAME)
+        missing = "missing required fields: content_digest"
+        for check in (open_graph_snapshot, validate_graph_snapshot):
+            with pytest.raises(SnapshotError, match=missing):
+                check(snapshot_dir)
 
     def test_length_mismatch(self, snapshot_dir):
         path = snapshot_dir / GRAPH_MANIFEST_NAME
@@ -232,27 +260,32 @@ class TestCorruption:
             open_graph_snapshot(snapshot_dir)
 
     def test_tampered_weights_fail_digest(self, snapshot_dir):
-        w = np.load(snapshot_dir / "edges_w.npy")
-        w[0] += 1.0
-        np.save(snapshot_dir / "edges_w.npy", w)
+        def bump_first(w):
+            w[0] += 1.0
+            return w
+
+        _write(snapshot_dir, "edges_w", bump_first)
         open_graph_snapshot(snapshot_dir)   # structure still fine
         with pytest.raises(SnapshotError, match="digest mismatch"):
             validate_graph_snapshot(snapshot_dir)
 
     def test_unordered_edges_rejected(self, snapshot_dir):
-        u = np.load(snapshot_dir / "edges_u.npy")
-        v = np.load(snapshot_dir / "edges_v.npy")
+        u = read_array(snapshot_dir, "edges_u", GRAPH_MANIFEST_NAME)
+        v = read_array(snapshot_dir, "edges_v", GRAPH_MANIFEST_NAME)
         u[0], v[0] = v[0], u[0]
-        np.save(snapshot_dir / "edges_u.npy", u)
-        np.save(snapshot_dir / "edges_v.npy", v)
+        _write(snapshot_dir, "edges_u", lambda _: u)
+        _write(snapshot_dir, "edges_v", lambda _: v)
         with pytest.raises(SnapshotError, match="u < v"):
             validate_graph_snapshot(snapshot_dir)
 
     def test_label_out_of_range_rejected(self, snapshot_dir):
-        labels = np.load(snapshot_dir / "labels.npy")
         manifest = GraphManifest.read(snapshot_dir)
-        labels[0] = manifest.n_clusters
-        np.save(snapshot_dir / "labels.npy", labels)
+
+        def first_out_of_range(labels):
+            labels[0] = manifest.n_clusters
+            return labels
+
+        _write(snapshot_dir, "labels", first_out_of_range)
         with pytest.raises(SnapshotError, match="labels out of range"):
             validate_graph_snapshot(snapshot_dir)
 

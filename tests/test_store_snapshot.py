@@ -33,7 +33,15 @@ from repro.store import (
     table_digest,
     validate_snapshot,
 )
+from repro.store.manifest import ALIGN, DATA_NAME
 from repro.store.snapshot import _find_rows
+from tests.datafile import (
+    LAYOUT_CORRUPTIONS,
+    edit_manifest,
+    read_payload,
+    relayout,
+    truncate,
+)
 
 
 @pytest.fixture(scope="module")
@@ -147,17 +155,29 @@ class TestRoundTrip:
         assert type(reopened.dictionary.item(2).value) is bool
 
     def test_overwrite_prunes_stale_column_files(self, schools, tmp_path):
-        """Re-dumping a cube with fewer index columns removes orphans."""
+        """Re-dumping a cube with fewer index columns leaves no trace of
+        the dropped ones: the directory holds the manifest and a data
+        file of exactly the narrow cube's arrays."""
         table, schema = schools
         wide = SegregationDataCubeBuilder(indexes=["D", "G", "H"], min_population=10, min_minority=3).build(table, schema)
         narrow = SegregationDataCubeBuilder(indexes=["D"], min_population=10, min_minority=3).build(table, schema)
-        dump_snapshot(wide, tmp_path / "snap")
-        assert (tmp_path / "snap" / "col_2.npy").exists()
-        dump_snapshot(narrow, tmp_path / "snap")
-        assert (tmp_path / "snap" / "col_0.npy").exists()
-        assert not (tmp_path / "snap" / "col_1.npy").exists()
-        assert not (tmp_path / "snap" / "col_2.npy").exists()
-        reopened = open_snapshot(tmp_path / "snap")
+        snap = dump_snapshot(wide, tmp_path / "snap")
+        assert "column:H" in validate_snapshot(snap).arrays
+        dump_snapshot(narrow, snap)
+        manifest = validate_snapshot(snap)
+        assert sorted(manifest.arrays) == sorted(
+            ["population", "minority", "n_units", "sa_masks", "ca_masks",
+             "column:D"]
+        )
+        assert sorted(f.name for f in snap.iterdir()) == [
+            DATA_NAME, MANIFEST_NAME
+        ]
+        padded = sum(
+            -(-int(np.prod(info.shape)) * 8 // ALIGN) * ALIGN
+            for info in manifest.arrays.values()
+        )
+        assert (snap / DATA_NAME).stat().st_size == padded
+        reopened = open_snapshot(snap)
         assert check_same_cells(narrow, reopened, atol=0.0) == []
 
     def test_non_string_item_values_survive_exactly(self, tmp_path):
@@ -338,15 +358,17 @@ class TestValidation:
 
     def test_missing_array_file_rejected(self, built, tmp_path):
         dump_snapshot(built, tmp_path / "snap")
-        (tmp_path / "snap" / "minority.npy").unlink()
-        with pytest.raises(SnapshotError, match="minority.npy"):
+        (tmp_path / "snap" / DATA_NAME).unlink()
+        with pytest.raises(SnapshotError, match="missing file .*data.bin"):
             open_snapshot(tmp_path / "snap")
 
     @pytest.mark.parametrize("name, change, listed, match", [
-        # The file disagrees with its own manifest entry.
-        ("minority", lambda a: np.zeros(3, a.dtype), False, "minority.npy"),
-        # Each file matches its entry; the shapes disagree with n_words
-        # or with the other columns.
+        # The data file disagrees with its manifest: it was rewritten
+        # with a 3-row minority column, the manifest was not.
+        ("minority", lambda a: np.zeros(3, a.dtype), False,
+         "data.bin holds .* bytes"),
+        # The data file matches the manifest; the shapes disagree with
+        # n_words or with the other columns.
         ("ca_masks", lambda a: np.concatenate([a, a], axis=1), True,
          "'ca_masks'"),
         ("ca_masks", lambda a: a[:, 0], True, "'ca_masks'"),
@@ -358,17 +380,40 @@ class TestValidation:
         if listed:
             resave_listed(snap, name, change)
         else:
-            np.save(snap / f"{name}.npy", change(np.load(snap / f"{name}.npy")))
+            relayout(snap, name, change, record=False)
         for check in (validate_snapshot, open_snapshot):
             with pytest.raises(SnapshotError, match=match):
                 check(snap)
 
     def test_truncated_array_file_rejected(self, built, tmp_path):
-        dump_snapshot(built, tmp_path / "snap")
-        file = tmp_path / "snap" / "population.npy"
-        file.write_bytes(file.read_bytes()[:16])
-        with pytest.raises(SnapshotError):
-            open_snapshot(tmp_path / "snap")
+        snap = dump_snapshot(built, tmp_path / "snap")
+        # Cut inside the population column: a mapped open would fault
+        # on its first page past the end, so the size check must come
+        # before any slice.
+        truncate(snap, read_payload(snap)["arrays"]["population"]["offset"]
+                 + 16)
+        for mmap in (True, False):
+            with pytest.raises(SnapshotError, match="holds 16 bytes"):
+                open_snapshot(snap, mmap=mmap)
+
+    @pytest.mark.parametrize("case", sorted(LAYOUT_CORRUPTIONS))
+    def test_data_file_layout_rejected(self, built, tmp_path, case):
+        damage, match = LAYOUT_CORRUPTIONS[case]
+        snap = dump_snapshot(built, tmp_path / "snap")
+        damage(snap, MANIFEST_NAME, "minority")
+        with pytest.raises(SnapshotError, match=match):
+            validate_snapshot(snap)
+        for mmap in (True, False):
+            with pytest.raises(SnapshotError, match=match):
+                open_snapshot(snap, mmap=mmap)
+
+    def test_manifest_without_digest_rejected(self, built, tmp_path):
+        snap = dump_snapshot(built, tmp_path / "snap")
+        edit_manifest(snap, lambda payload: payload.pop("content_digest"))
+        missing = "missing required fields: content_digest"
+        for check in (validate_snapshot, open_snapshot):
+            with pytest.raises(SnapshotError, match=missing):
+                check(snap)
 
     def test_corrupted_vocabulary_value_rejected(self, built, tmp_path):
         """A tampered typed value raises SnapshotError, not ValueError."""
@@ -395,9 +440,9 @@ class TestValidation:
 
     def test_empty_array_file(self, built, tmp_path):
         dump_snapshot(built, tmp_path / "snap")
-        (tmp_path / "snap" / "minority.npy").write_bytes(b"")
+        (tmp_path / "snap" / DATA_NAME).write_bytes(b"")
         for mmap in (True, False):
-            with pytest.raises(SnapshotError, match="unreadable"):
+            with pytest.raises(SnapshotError, match="holds 0 bytes"):
                 open_snapshot(tmp_path / "snap", mmap=mmap)
 
     def test_interrupted_overwrite_leaves_no_stale_manifest(

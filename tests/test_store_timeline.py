@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import shutil
 
@@ -33,7 +34,9 @@ from repro.store import (
     timeline_dates,
     validate_snapshot,
 )
+from repro.store.manifest import DATA_NAME
 from repro.store.snapshot import delta_chain
+from tests.datafile import edit_manifest, read_payload, truncate, write_region
 
 DATES = (0, 1, 2)
 LIMITS = {"min_population": 20, "min_minority": 5,
@@ -195,18 +198,19 @@ class TestDeltaSnapshot:
         assert snapshot_info["parent"].endswith("1")
 
 
-def _truncate(file):
-    file.write_bytes(file.read_bytes()[:16])
+def _cut_inside(child, name):
+    """Truncate the data file 16 bytes into ``name``'s region."""
+    truncate(child, read_payload(child)["arrays"][name]["offset"] + 16)
 
 
-def _edit_manifest(directory, edit):
-    payload = json.loads((directory / MANIFEST_NAME).read_text())
-    edit(payload)
-    (directory / MANIFEST_NAME).write_text(json.dumps(payload))
+def _first_column(child):
+    return "column:" + read_payload(child)["column_names"][0]
 
 
-def _resave(file, change):
-    np.save(file, change(np.load(file)))
+def _edit_entry(child, name, key, value):
+    edit_manifest(
+        child, lambda p: p["arrays"][name].__setitem__(key, value)
+    )
 
 
 def _flip_low_bit(values):
@@ -219,48 +223,55 @@ def _flip_low_bit(values):
 #: pattern of the SnapshotError message)``.
 DELTA_CORRUPTIONS = {
     "missing_own_file": (
-        lambda child: (child / "population.npy").unlink(),
-        "population.npy",
+        lambda child: (child / DATA_NAME).unlink(), "missing file",
     ),
     "truncated_own_array": (
-        lambda child: _truncate(child / "col_0.npy"), "unreadable",
+        lambda child: _cut_inside(child, _first_column(child)),
+        "holds .* bytes, its manifest records",
     ),
     "truncated_superseded_array": (
-        lambda child: _truncate(child / "superseded_ca.npy"), "unreadable",
+        lambda child: _cut_inside(child, "superseded_ca"),
+        "holds .* bytes, its manifest records",
     ),
     "shape_mismatch": (
-        lambda child: _resave(
-            child / "minority.npy", lambda a: np.zeros(len(a) + 1, a.dtype)
+        lambda child: _edit_entry(
+            child, "minority", "shape",
+            [read_payload(child)["n_cells"] + 1],
         ),
-        "minority.npy",
+        "'minority' has shape",
     ),
     "dtype_mismatch": (
-        lambda child: _resave(
-            child / "n_units.npy", lambda a: a.astype(np.int32)
-        ),
-        "n_units.npy",
+        lambda child: _edit_entry(child, "n_units", "dtype", "int32"),
+        "'n_units' must be int64",
     ),
     "missing_superseded_entry": (
-        lambda child: _edit_manifest(
+        lambda child: edit_manifest(
             child, lambda p: p["arrays"].pop("superseded_sa")
         ),
         "superseded_sa",
     ),
     "malformed_delta_section": (
-        lambda child: _edit_manifest(
+        lambda child: edit_manifest(
             child, lambda p: p["delta"].pop("n_superseded")
         ),
         "malformed delta",
     ),
+    "missing_digest": (
+        lambda child: edit_manifest(
+            child, lambda p: p.pop("content_digest")
+        ),
+        "missing required fields: content_digest",
+    ),
     "superseded_mask_mismatch": (
-        lambda child: _resave(
-            child / "superseded_sa.npy",
-            lambda a: np.full_like(a, 0xDEADBEEF),
+        lambda child: write_region(
+            child, "superseded_sa", lambda a: np.full_like(a, 0xDEADBEEF),
         ),
         "mask mismatch",
     ),
     "flipped_own_float": (
-        lambda child: _resave(child / "col_0.npy", _flip_low_bit),
+        lambda child: write_region(
+            child, _first_column(child), _flip_low_bit
+        ),
         "digest",
     ),
 }
@@ -307,10 +318,11 @@ class TestDeltaCorruption:
         manifest = validate_snapshot(child)
         if manifest.delta["n_superseded"] == 0:
             pytest.skip("delta supersedes nothing")
-        masks = np.load(child / "superseded_sa.npy")
-        masks = masks.copy()
-        masks[0] = np.uint64(0xDEADBEEF)
-        np.save(child / "superseded_sa.npy", masks)
+        def first_row_dead(masks):
+            masks[0] = np.uint64(0xDEADBEEF)
+            return masks
+
+        write_region(child, "superseded_sa", first_row_dead)
         with pytest.raises(SnapshotError, match="mask mismatch"):
             open_snapshot(child)
 
@@ -369,9 +381,11 @@ class TestDeltaCorruption:
         dump_snapshot(states[0].cube, tmp_path / "parent")
         child = tmp_path / "child"
         dump_delta_snapshot(states[1].cube, child, tmp_path / "parent")
-        populations = np.load(tmp_path / "parent" / "population.npy").copy()
-        populations[0] += 1
-        np.save(tmp_path / "parent" / "population.npy", populations)
+        def bump_first(populations):
+            populations[0] += 1
+            return populations
+
+        write_region(tmp_path / "parent", "population", bump_first)
         with pytest.raises(SnapshotError, match="digest"):
             open_snapshot(child)
 
@@ -465,23 +479,21 @@ class TestCubeTimeline:
         assert len(count_opens["loads"]) == len(DATES)
 
     @pytest.mark.parametrize("mmap", [True, False])
-    def test_open_loads_each_listed_array_once(
-        self, timeline_dir, monkeypatch, mmap
+    def test_open_reads_each_data_file_once(
+        self, timeline_dir, opened_files, mmap
     ):
         chain = delta_chain(timeline_dir / "2")
         assert len(chain) == 3   # two hops onto the full root
-        listed = sum(len(validate_snapshot(d).arrays) for d in chain)
-        loads = []
-        original = np.load
-
-        def counting(file, *args, **kwargs):
-            loads.append(file)
-            return original(file, *args, **kwargs)
-
-        monkeypatch.setattr(np, "load", counting)
+        opened_files.clear()
         open_snapshot(timeline_dir / "2", mmap=mmap)
-        assert len(loads) == listed
-        assert len(set(loads)) == listed
+        data_files = [
+            path for path in opened_files
+            if os.path.basename(path) == DATA_NAME
+        ]
+        # k directories, k data files, each opened once.
+        assert sorted(data_files) == sorted(
+            str(directory / DATA_NAME) for directory in chain
+        )
 
 
 class TestRefreshWork:
@@ -590,11 +602,11 @@ class TestInfoWork:
 
         monkeypatch.setattr(SnapshotManifest, "read", classmethod(counting))
         info = service.info()
-        # Per date: one walk (chain + 1 manifests) and the one read that
-        # sizes the date's own files; the served date's ``disk`` reuses
-        # its entry.  Walking twice would read sum(chains) + len(dates)
+        # Per date: one walk (chain + 1 manifests); sizing a date's own
+        # files reads none, and the served date's ``disk`` reuses its
+        # entry.  Walking twice would read sum(chains) + len(dates)
         # more, and the served date's own walk more again.
-        assert len(reads) == sum(c + 2 for c in chains)
+        assert len(reads) == sum(c + 1 for c in chains)
         per_date = info["timeline"]["per_date"]
         assert [per_date[str(d)]["delta_chain_length"] for d in dates] \
             == chains
