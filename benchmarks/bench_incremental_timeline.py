@@ -35,7 +35,14 @@ two timing tests appends its own record to ``BENCH_E19.json``.
 ``test_incremental_parity`` runs both timelines through the engine and
 the publisher and asserts only the exact equalities, at every date,
 live and reopened: it times nothing, writes no result file, and is the
-gating CI step (the two timing tests' floors are informational).
+gating CI step (the two timing tests' floors are informational).  The
+reopened side is one walk over each published timeline (iterating its
+:class:`~repro.store.timeline.CubeTimeline`, each date composed onto
+the one before), which must end holding one cube, and a fresh chain
+open of every date, which must digest as the walk's cube does.  Each
+date's recorded own bytes, which the publisher planned before writing,
+must be the bytes on disk.  The closed timing test records the walk's
+milliseconds over the 50 dates and the cubes it holds afterwards.
 """
 
 from __future__ import annotations
@@ -60,7 +67,9 @@ from repro.store import (
     dump_into_timeline,
     dump_snapshot,
     open_snapshot,
+    read_timeline_manifest,
     snapshot_disk_bytes,
+    table_digest,
     timeline_dates,
 )
 from repro.store.manifest import DATA_NAME
@@ -68,6 +77,7 @@ from repro.store.timeline import MAX_CHAIN
 
 from benchmarks.bench_cube_fill import FILL_ROWS, LIMITS
 from benchmarks.conftest import write_bench_json, write_result
+from tests.oracles import reachable_cubes
 
 DATES = (0, 1, 2)
 MAX_CHURN = 0.05
@@ -119,10 +129,12 @@ def _full_rebuild(table, schema, valid):
 def _assert_timeline_parity(union_db, limits, dated_masks, root):
     """Publish a timeline through the engine; every date must be exact.
 
-    Each date's live cube, and its published snapshot reopened through
-    its delta chain once the whole timeline is written, equal a
-    from-scratch build of the same rows over the union encoding
-    (``check_same_cells`` at atol=0).
+    Each date's live cube, and its published snapshot as one walk over
+    the written timeline yields it, equal a from-scratch build of the
+    same rows over the union encoding (``check_same_cells`` at atol=0);
+    the walk ends holding one cube, a fresh chain open of each date
+    digests as the walk's cube, and each date's recorded own bytes are
+    its bytes on disk.
     """
     engine = TemporalCubeEngine(
         union_db, SegregationDataCubeBuilder(engine="incremental", **limits)
@@ -144,9 +156,19 @@ def _assert_timeline_parity(union_db, limits, dated_masks, root):
         problems = check_same_cells(state.cube, scratch[date], atol=0.0)
         assert problems == [], ("live", date, problems[:3])
     published = CubeTimeline(root)
-    for date, cube in scratch.items():
-        problems = check_same_cells(published.at(date), cube, atol=0.0)
+    digests = {}
+    for date, cube in published:
+        problems = check_same_cells(cube, scratch[date], atol=0.0)
         assert problems == [], ("published", date, problems[:3])
+        digests[date] = table_digest(cube.table)
+    assert list(digests) == list(scratch)
+    assert len(reachable_cubes(published)) == 1
+    recorded = read_timeline_manifest(root)["dates"]
+    for date, digest in digests.items():
+        assert table_digest(open_snapshot(root / str(date)).table) == digest
+        assert recorded[str(date)]["own_bytes"] == snapshot_disk_bytes(
+            root / str(date)
+        ), date
 
 
 def test_incremental_parity(tmp_path):
@@ -372,6 +394,15 @@ def test_closed_incremental_50_date_timeline(benchmark, tmp_path):
     speedup_worst = rebuild_seconds / worst
     speedup_median = rebuild_seconds / median
 
+    # One walk over the published timeline, as a service's first /trend
+    # walks it.
+    walked = CubeTimeline(timeline_root)
+    start = time.perf_counter()
+    walked_dates = [date for date, _ in walked]
+    walk_ms = (time.perf_counter() - start) * 1e3
+    held_after_walk = len(reachable_cubes(walked))
+    assert walked_dates == list(range(N_CLOSED_DATES))
+
     # Closed-mode parity, atol=0, at EVERY date: replay the masks
     # through the engine once more, scratch-build each date, and check
     # the live cube and the published date against it.  The replay also
@@ -453,7 +484,9 @@ def test_closed_incremental_50_date_timeline(benchmark, tmp_path):
         + f"\npublished timeline: {timeline_bytes / full_estimate:.2f}x "
         f"of {len(dates)} full snapshots; chain-resolved open grows "
         f"{ms_per_hop:.1f} ms per hop (least-squares slope over the "
-        f"{len(dates)} dates)",
+        f"{len(dates)} dates); one walk over the {len(dates)} dates "
+        f"takes {walk_ms:.1f} ms and holds {held_after_walk} cube "
+        "afterwards",
     )
     write_bench_json("E19", {
         "closed_rows": CLOSED_ROWS,
@@ -475,6 +508,8 @@ def test_closed_incremental_50_date_timeline(benchmark, tmp_path):
         "open_ms_last": opens[-1],
         "open_ms_worst": max(opens),
         "open_ms_per_hop": ms_per_hop,
+        "walk_ms": walk_ms,
+        "cubes_held_after_walk": held_after_walk,
         "unbounded_chain_bytes": unbounded_bytes,
         "unbounded_chain_open_ms_first": unbounded_first_ms,
         "unbounded_chain_open_ms_last": unbounded_last_ms,

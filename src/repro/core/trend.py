@@ -215,7 +215,10 @@ def _trend_from_timeline(
     the recompute path derives — the context population is the whole
     snapshot, the cell minority is the subgroup size, and the index
     columns were evaluated on the same per-unit vectors — so the two
-    paths agree (parity-tested in ``tests/test_core_trend.py``).
+    paths agree (parity-tested in ``tests/test_core_trend.py``).  Each
+    date is one :meth:`~repro.store.timeline.CubeTimeline.at`, so dates
+    given in ascending order stream: each composes onto the one before
+    it, and the timeline holds one cube.
     """
     names = [spec.name for spec in resolve_indexes(indexes)]
     available = set(timeline.dates)

@@ -14,6 +14,10 @@ mode**: :func:`timeline_series` walks a
 snapshots, typically incremental deltas) and emits one
 :class:`CellSeries` per aligned coordinate — the per-cell trend the
 temporal workload (paper §3) asks for, with the biggest movers first.
+The walk is one stream: it reads each date's cube as the timeline
+yields it and keeps only the series, and it decodes each distinct
+packed key once per run of dates sharing one vocabulary (a delta
+chain), not once per row of every date.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import numpy as np
 
 from repro.cube.coordinates import decode_part
 from repro.cube.cube import SegregationCube
+from repro.cube.table import packed_rows
 
 AlignedKey = tuple[tuple[tuple[str, str], ...], tuple[tuple[str, str], ...]]
 
@@ -163,21 +168,39 @@ def timeline_series(timeline, min_minority: int = 0) -> "list[CellSeries]":
     or more to produce a series.  The result is sorted by
     :attr:`CellSeries.spread` descending — the biggest movers first —
     with the cell description breaking ties.
+
+    A row's aligned key depends only on its packed key and on its
+    vocabulary, so it is memoised by packed key bytes while consecutive
+    dates share one vocabulary object (a delta shares its parent's), and
+    decoded once per distinct key in each such run of dates.
     """
     dates: "list[int]" = []
     per_key: "dict[AlignedKey, dict[int, tuple[float, int]]]" = {}
+    dictionary = None
+    aligned_of: "dict[bytes, AlignedKey]" = {}
     for date, cube in timeline:
-        dates.append(int(date))
+        date = int(date)
+        dates.append(date)
+        if cube.dictionary is not dictionary:
+            dictionary, aligned_of = cube.dictionary, {}
         table = cube.table
         col = table.columns.get("D")
         if col is None:
             continue
-        ok = ~np.isnan(col) & (table.minority >= min_minority)
-        for i in np.flatnonzero(ok):
-            aligned = _aligned_key(cube, table.keys[i])
-            per_key.setdefault(aligned, {})[int(date)] = (
-                float(col[i]), int(table.population[i])
-            )
+        rows = np.flatnonzero(
+            ~np.isnan(col) & (table.minority >= min_minority)
+        )
+        packed = packed_rows(table.sa_masks[rows], table.ca_masks[rows])
+        for row, key, value, population in zip(
+            rows.tolist(), packed.tolist(), col[rows].tolist(),
+            table.population[rows].tolist(),
+        ):
+            aligned = aligned_of.get(key)
+            if aligned is None:
+                aligned = aligned_of[key] = _aligned_key(
+                    cube, table.key_at(row)
+                )
+            per_key.setdefault(aligned, {})[date] = (value, population)
     out: "list[CellSeries]" = []
     for aligned, by_date in per_key.items():
         if len(by_date) < 2:

@@ -15,11 +15,14 @@ the same table — and the same query primitives (:meth:`superset_mask`,
 built cube) or over read-only memory-mapped arrays reopened from a
 :mod:`repro.store` snapshot.  Both derive the rest from the masks on
 first use: the row index (``{packed SA+CA words as little-endian bytes:
-row}``, built once), the itemset sizes (a popcount), and each row's key
-(:func:`decode_key`, kept in a per-row slot; a built table's slots hold
-the keys it was given).  :meth:`CellTable.warm` builds the index and
-the sizes; after it the only writes are key slots, each only ever
-written with its row's one key, so concurrent readers are safe.
+row}``, built once), the itemset sizes (a popcount), the canonical
+order (:meth:`CellTable.canonical_order`, the rows sorted by their
+packed keys, which the store digests and searches in), and each row's
+key (:func:`decode_key`, kept in a per-row slot; a built table's slots
+hold the keys it was given).  :meth:`CellTable.warm` builds the index
+and the sizes; after it the only writes are key slots, each only ever
+written with its row's one key, and the order, written once under the
+table's lock, so concurrent readers are safe.
 
 Query primitives are array operations — boolean masks and
 ``argpartition`` top-k — and :class:`CellStats` survives as a lazily
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import operator
 import threading
+import weakref
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
@@ -180,6 +184,41 @@ class CellTable:
         self._attach(arrays, keys=None)
         return self
 
+    @classmethod
+    def from_ordered_arrays(
+        cls,
+        arrays: TableArrays,
+        order: np.ndarray,
+        parent: "CellTable",
+        superseded: np.ndarray,
+    ) -> "CellTable":
+        """:meth:`from_arrays` for a table composed onto ``parent``: the
+        parent's rows except ``superseded`` (ascending), then its own.
+
+        A composed delta merges its parent's order with its own rows'
+        instead of sorting the whole table.  Nothing checks ``order``:
+        it must be what :meth:`canonical_order` would compute.  The
+        table remembers which parent rows it superseded, not the parent
+        (:meth:`changes_since`).
+        """
+        self = cls.from_arrays(arrays)
+        order.flags.writeable = False
+        self._order = order
+        self._composed = (weakref.ref(parent), superseded)
+        return self
+
+    def changes_since(
+        self, parent: "CellTable"
+    ) -> "tuple[np.ndarray, np.ndarray] | None":
+        """``(own rows, superseded parent rows)`` when this table was
+        composed onto ``parent`` (:meth:`from_ordered_arrays`), else
+        None."""
+        composed = self._composed
+        if composed is None or composed[0]() is not parent:
+            return None
+        superseded = composed[1]
+        return np.arange(len(parent) - len(superseded), len(self)), superseded
+
     def _attach(
         self, arrays: TableArrays, keys: "list[CellKey] | None"
     ) -> None:
@@ -193,6 +232,8 @@ class CellTable:
         self._all_keys = keys is not None
         self._index: "dict[bytes, int] | None" = None
         self._sizes: "tuple[np.ndarray, np.ndarray] | None" = None
+        self._order: "np.ndarray | None" = None
+        self._composed: "tuple[weakref.ref, np.ndarray] | None" = None
         self._lock = threading.Lock()
 
     @staticmethod
@@ -341,6 +382,26 @@ class CellTable:
                     ).tolist()
                     self._index = dict(zip(packed, range(len(packed))))
         return self._index
+
+    def canonical_order(self) -> np.ndarray:
+        """The rows sorted by their packed keys, equal keys in row order.
+
+        The stable argsort of ``packed_rows(sa_masks, ca_masks)``,
+        computed on first use and kept (read-only).  It is the order
+        the store's content digest hashes rows in, and the sorted view
+        its row searches bisect, so a table is sorted at most once.
+        """
+        if self._order is None:
+            with self._lock:
+                if self._order is None:
+                    order = np.argsort(
+                        packed_rows(self._arrays.sa_masks,
+                                    self._arrays.ca_masks),
+                        kind="stable",
+                    )
+                    order.flags.writeable = False
+                    self._order = order
+        return self._order
 
     def _pack_key(self, key: CellKey) -> "bytes | None":
         """A key as its row's index bytes; None when no row can hold it

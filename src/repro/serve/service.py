@@ -8,9 +8,16 @@ without a top-level manifest is treated as a
 :class:`~repro.store.timeline.CubeTimeline` (an opened one is accepted
 as well) and the ``date`` argument
 routes queries to one dated cube (latest by default); the other dates
-stay one :meth:`trend` call away.  Construction *warms* the served
-cube — its row index and size vectors, no decoded key — and builds the
-typed-coordinate lookup (:func:`~repro.serve.params.typed_values`).
+stay one :meth:`trend` call away.  The first trend walks the timeline
+once, each date composed onto the one before it and then dropped, and
+keeps what each date changed since the date before
+(:func:`~repro.store.timeline.timeline_changes`), which is what the
+timeline's deltas hold; every trend reads those changes.  A service
+therefore holds one cube, the served one, whatever the number of
+dates, plus those changes, never more rows than one table per date.
+Construction *warms* the served cube — its row index and size vectors,
+no decoded key — and builds the typed-coordinate lookup
+(:func:`~repro.serve.params.typed_values`).
 
 The service keeps one empty *rendered* slot per row of the served
 cube's table.  :meth:`CubeService.rendered` fills a row's slot the
@@ -21,14 +28,17 @@ invalidated; it dies with the service, which a refresh replaces.
 
 After construction a query writes only per-row slots: a row's key slot
 (the one key the row decodes to) and its rendered slot (the one entry
-the row renders to).  Two threads racing on one slot write equal
-values, so any number of concurrent reader threads is safe, as the
+the row renders to); the first trend also writes the timeline's
+changes, once, under a lock.  Two threads racing on one slot write
+equal values, so any number of concurrent reader threads is safe, as the
 thread-pool tests in ``tests/test_serve_service.py`` and
 ``tests/test_serve_http.py`` check.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from collections.abc import Mapping
 from pathlib import Path
 from typing import TYPE_CHECKING, Union
@@ -112,6 +122,9 @@ class CubeService:
         #: :func:`~repro.serve.params.typed_coordinates` coerces with.
         self.typed_values = typed_values(self._cube.dictionary)
         self._rendered: "list[Rendered | None]" = [None] * len(self._cube)
+        #: What each timeline date changed, from the first trend's walk.
+        self._changes: "list[tuple] | None" = None
+        self._changes_lock = threading.Lock()
 
     @property
     def cube(self) -> SegregationCube:
@@ -274,16 +287,32 @@ class CubeService:
 
         Timeline-backed services only: each date's cube answers the
         same user-level coordinate query (nan where the cell is absent
-        or the index undefined at that date).
+        or the index undefined at that date).  The service's first trend
+        walks the timeline once
+        (:func:`~repro.store.timeline.timeline_changes`: each date one
+        hop onto the date before it) and keeps what each date changed,
+        not the dates' cubes; every trend then reads a date's value as
+        one lookup in that date's changes.
         """
         if self._timeline is None:
             raise SnapshotError(
                 "trend queries need a timeline directory of dated snapshots"
             )
-        return [
-            (date, cube.value(index_name, sa=sa, ca=ca))
-            for date, cube in self._timeline
-        ]
+        from repro.store.timeline import timeline_changes
+
+        with self._changes_lock:
+            if self._changes is None:
+                self._changes = timeline_changes(self._timeline)
+        out: "list[tuple[int, float]]" = []
+        key, value = None, math.nan
+        for date, dictionary, cells in self._changes:
+            if dictionary is not None:
+                key, value = encode_query(dictionary, sa=sa, ca=ca), math.nan
+            row = cells.row_of(key)
+            if row is not None:
+                value = cells.value_at(row, index_name)
+            out.append((date, value))
+        return out
 
     def top(
         self,

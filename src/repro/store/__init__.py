@@ -5,18 +5,20 @@ cheap to read: its cells live in plain NumPy columns inside a
 :class:`~repro.cube.table.CellTable`.  This subsystem persists those
 columns as a **versioned on-disk snapshot** — one data file holding
 every column at an aligned offset, plus a JSON manifest carrying the
-schema, the item vocabulary, the index names, the build provenance,
-the content digest and each column's offset — and reopens them,
+schema, the item vocabulary (a delta takes its parent's), the index
+names, the build provenance, the content digest and each column's
+offset — and reopens them,
 memory-mapped once or read into one buffer, as a fully functional
 read-only :class:`~repro.cube.cube.SegregationCube`.
 
 * :mod:`repro.store.manifest` — the store's file layer, through which
   every store module writes, renames, unlinks, fsyncs and loads: atomic
-  manifest writes, the crash-safe dump protocol (stale manifest
-  unlinked first, data file written and fsynced, manifest written
-  last), the shared manifest preamble and the checked loader of the
-  data file; plus the snapshot manifest format (versioned, validated,
-  JSON, with an optional ``delta`` section).
+  manifest writes, the crash-safe dump protocol (laid out first, so
+  its bytes are known before any is written; then the stale manifest
+  unlinked, data file written and fsynced, manifest written last), the
+  shared manifest preamble and the checked loader of the data file;
+  plus the snapshot manifest format (version 3, validated, JSON, with
+  an optional ``delta`` section).
 * :mod:`repro.store.snapshot` — :func:`dump_snapshot`,
   :func:`dump_delta_snapshot`, :func:`open_snapshot`,
   :func:`validate_snapshot`.
@@ -32,11 +34,14 @@ read-only :class:`~repro.cube.cube.SegregationCube`.
   the previous date (plus the superseded parent rows, keyed by their
   packed cell bitmasks), so a temporal sequence of cubes shares
   unchanged column bytes instead of duplicating them per date.  Each
-  publish decides once whether its date is a delta or a full
-  snapshot: full when the parent's chain already has ``MAX_CHAIN``
-  hops, or when the delta's own bytes reach ``MIN_BYTE_RATIO`` of its
-  chain root's.  A published date is never rewritten;
-  ``timeline.json`` tracks each date's chain length and own bytes.
+  publish decides, before it writes anything, whether its date is a
+  delta or a full snapshot: full when the parent's chain already has
+  ``MAX_CHAIN`` hops, or when the delta's own bytes would reach
+  ``MIN_BYTE_RATIO`` of its chain root's.  A published date is never
+  rewritten; ``timeline.json`` tracks each date's chain length and own
+  bytes.  A :class:`CubeTimeline` holds one cube, and a walk over its
+  dates composes each onto the one before it; ``timeline_changes``
+  keeps one walk's per-date changes for repeated trends.
 
 Invariant: for any built cube, ``open_snapshot(dump_snapshot(cube))``
 yields identical cells (``check_same_cells`` at ``atol=0``) and

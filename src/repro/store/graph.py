@@ -22,7 +22,7 @@ Layout::
         skipped_hubs        int64               sources the hub guard skipped
 
 The write goes through the store's file layer
-(:func:`~repro.store.manifest.dump_directory`, the protocol cube
+(:func:`~repro.store.manifest.write_directory`, the protocol cube
 snapshots use): the stale manifest is unlinked *first*, the data file
 fsynced before the new manifest is written *last*, so a directory with
 a readable manifest always describes a complete snapshot.
@@ -51,9 +51,10 @@ from repro.graph.components import Clustering
 from repro.graph.graph import Graph
 from repro.store.manifest import (
     ArrayInfo,
-    dump_directory,
     load_arrays,
+    plan_directory,
     read_manifest,
+    write_directory,
 )
 
 #: Current graph snapshot format; readers refuse other versions.
@@ -165,7 +166,7 @@ def dump_graph_snapshot(
     """Persist a graph artifact to ``path`` (a directory) and return it.
 
     Crash-safe through the store's dump protocol
-    (:func:`~repro.store.manifest.dump_directory`): stale manifest
+    (:func:`~repro.store.manifest.write_directory`): stale manifest
     unlinked first, data file fsynced, new manifest written last.
     """
     u, v, w = artifact.graph.edge_arrays()
@@ -189,9 +190,9 @@ def dump_graph_snapshot(
         provenance={},
         content_digest=graph_digest(arrays),
     )
-    return dump_directory(
-        path, GRAPH_MANIFEST_NAME, manifest, arrays.items()
-    )
+    return write_directory(path, plan_directory(
+        GRAPH_MANIFEST_NAME, manifest, arrays.items()
+    ))
 
 
 class GraphSnapshot:

@@ -11,16 +11,19 @@ ones a crash may lose:
   fsynced, renamed over the manifest, then the directory fsynced.
   Every manifest the store writes — ``manifest.json``,
   ``graph_manifest.json`` and ``timeline.json`` — goes through it.
-* :func:`dump_directory` is the dump protocol of a directory of arrays
-  behind one manifest (cube snapshots, deltas, graph snapshots).  All
+* The dump of a directory of arrays behind one manifest (cube
+  snapshots, deltas, graph snapshots) takes two steps.
+  :func:`plan_directory` lays the dump out in memory: all
   arrays go to one data file, ``data.bin``, each at a 64-byte aligned
-  offset its :class:`ArrayInfo` entry records.  The stale manifest and
-  data file are unlinked first (the directory is fsynced then, if a
-  manifest was there), the data file is written as a new inode and
-  fsynced with its directory, and the manifest is written last, so a
-  directory with a readable manifest always describes a complete,
-  durable dump, and live memory-mapped readers of the old data file
-  keep its bytes.
+  offset its :class:`ArrayInfo` entry records, and the manifest text
+  is rendered, so a :class:`DumpPlan` knows the bytes the directory
+  will hold before any is written.  :func:`write_directory` then
+  writes it: the stale manifest and data file are unlinked first (the
+  directory is fsynced then, if a manifest was there), the data file
+  is written as a new inode and fsynced with its directory, and the
+  manifest is written last, so a directory with a readable manifest
+  always describes a complete, durable dump, and live memory-mapped
+  readers of the old data file keep its bytes.
 * :func:`read_manifest` is the preamble the versioned manifests share:
   the file exists, is a JSON object (:func:`read_json`, which also
   reads the advisory ``timeline.json``) of the right format version
@@ -38,11 +41,16 @@ message naming the missing or mismatching field, entry or file, so a
 corrupted or future-versioned directory fails loudly instead of serving
 garbage.
 
-The rest of the module is the cube snapshot's manifest: the format
-version, the typed item vocabulary (so cell keys decode back to
+The rest of the module is the cube snapshot's manifest (format version
+3): the typed item vocabulary (so cell keys decode back to
 ``attribute=value`` pairs), the declared index names, the
 :class:`~repro.cube.cube.CubeMetadata` provenance of the build, and one
-:class:`ArrayInfo` per stored array.
+:class:`ArrayInfo` per stored array.  Only a full snapshot carries the
+vocabulary, as its ``items`` list.  A delta takes its parent's, since a
+delta is only written over a parent with the same vocabulary, so its
+manifest has no ``items``; one that has them is refused, as is a full
+snapshot's without them.  Version 2 manifests, which repeat the
+vocabulary in every delta, are refused like any other version.
 """
 
 from __future__ import annotations
@@ -63,7 +71,7 @@ from repro.itemsets.items import Item, ItemDictionary, ItemKind
 
 #: Current snapshot format.  Bump on any incompatible layout change;
 #: readers refuse snapshots written under a different version.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 MANIFEST_NAME = "manifest.json"
 
@@ -152,19 +160,59 @@ class ArrayInfo:
     shape: "list[int]"
 
 
-def dump_directory(
-    path: "str | Path",
+@dataclass
+class DumpPlan:
+    """One directory's dump, laid out but not written.
+
+    ``buffers`` are the data file's bytes in order (arrays and their
+    padding), ``data_bytes`` their total and ``text`` the manifest that
+    names them.
+    """
+
+    manifest_name: str
+    text: str
+    buffers: list
+    data_bytes: int
+
+    @property
+    def nbytes(self) -> int:
+        """The directory's own bytes once written: manifest plus data
+        file, what :func:`~repro.store.snapshot.snapshot_disk_bytes`
+        then reports."""
+        return len(self.text.encode("utf-8")) + self.data_bytes
+
+
+def plan_directory(
     manifest_name: str,
     manifest,
     arrays: "Iterable[tuple[str, np.ndarray]]",
-) -> Path:
-    """Dump ``arrays`` behind ``manifest`` into the directory ``path``.
+) -> DumpPlan:
+    """Lay ``arrays`` out behind ``manifest``; nothing is written.
 
     ``arrays`` yields ``(name, array)`` pairs of C-contiguous arrays.
     Each is recorded in ``manifest.arrays`` at its offset in
     :data:`DATA_NAME`, and the file's size in ``manifest.data_bytes``;
-    ``manifest.to_json()`` then goes to ``manifest_name`` through
-    :func:`write_atomic`.  The order makes a crash, power loss
+    the plan keeps ``manifest.to_json()`` as the text to write.
+    """
+    buffers = []
+    offset = 0
+    for name, array in arrays:
+        array = np.asarray(array, dtype=array.dtype.newbyteorder("<"))
+        manifest.arrays[name] = ArrayInfo(
+            offset=offset, dtype=array.dtype.name, shape=list(array.shape)
+        )
+        pad = -array.nbytes % ALIGN
+        buffers += [array.reshape(-1).view(np.uint8), _ZEROS[:pad]]
+        offset += array.nbytes + pad
+    manifest.data_bytes = offset
+    return DumpPlan(manifest_name, manifest.to_json(), buffers, offset)
+
+
+def write_directory(path: "str | Path", plan: DumpPlan) -> Path:
+    """Write a planned dump into the directory ``path``.
+
+    The data file gets the plan's buffers and the manifest its text,
+    through :func:`write_atomic`.  The order makes a crash, power loss
     included, safe at any point:
 
     1. The stale manifest and data file are unlinked.  If a manifest
@@ -185,7 +233,7 @@ def dump_directory(
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
     try:
-        (directory / manifest_name).unlink()
+        (directory / plan.manifest_name).unlink()
         replaced = True
     except FileNotFoundError:
         replaced = False
@@ -193,20 +241,9 @@ def dump_directory(
     data.unlink(missing_ok=True)
     if replaced:
         _fsync_directory(directory)
-    buffers = []
-    offset = 0
-    for name, array in arrays:
-        array = np.asarray(array, dtype=array.dtype.newbyteorder("<"))
-        manifest.arrays[name] = ArrayInfo(
-            offset=offset, dtype=array.dtype.name, shape=list(array.shape)
-        )
-        pad = -array.nbytes % ALIGN
-        buffers += [array.reshape(-1).view(np.uint8), _ZEROS[:pad]]
-        offset += array.nbytes + pad
-    manifest.data_bytes = offset
-    _write_file(data, buffers)
+    _write_file(data, plan.buffers)
     _fsync_directory(directory)
-    write_atomic(directory / manifest_name, manifest.to_json())
+    write_atomic(directory / plan.manifest_name, plan.text)
     return directory
 
 
@@ -440,6 +477,20 @@ def _encode_item(item: Item, kind: ItemKind) -> "dict[str, object]":
     }
 
 
+def vocabulary_entries(
+    dictionary: ItemDictionary,
+) -> "list[dict[str, object]]":
+    """A vocabulary as a manifest's ``items`` list records it, id order.
+
+    Two vocabularies with equal entries reopen as the same one, which
+    is what a delta's writer checks before leaving them out.
+    """
+    return [
+        _encode_item(dictionary.item(i), dictionary.kind(i))
+        for i in range(len(dictionary))
+    ]
+
+
 def _decode_item(entry: "dict[str, object]") -> "tuple[Item, ItemKind]":
     try:
         attribute = str(entry["attribute"])
@@ -480,7 +531,9 @@ class SnapshotManifest:
     n_items: int
     n_words: int
     column_names: "list[str]"          # stored float columns, in order
-    items: "list[dict[str, object]]"   # typed vocabulary, id order
+    #: The typed vocabulary in id order; None for a delta, which takes
+    #: its parent's.
+    items: "list[dict[str, object]] | None"
     metadata: "dict[str, object]"      # CubeMetadata fields
     #: Row-order-independent digest of the snapshot's *resolved* cell
     #: content (for a delta: the full composed table, not just the rows
@@ -501,9 +554,15 @@ class SnapshotManifest:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def for_cube(cls, cube, content_digest: str) -> "SnapshotManifest":
+    def for_cube(
+        cls, cube, content_digest: str, delta: "dict[str, object] | None"
+    ) -> "SnapshotManifest":
         """Describe a live cube whose table digests to ``content_digest``
-        (arrays are registered by the writer)."""
+        (arrays are registered by the writer).
+
+        A full snapshot (``delta`` None) records the vocabulary; a delta
+        section leaves it out, since the delta takes its parent's.
+        """
         dictionary: ItemDictionary = cube.dictionary
         table = cube.table
         metadata = {
@@ -517,12 +576,12 @@ class SnapshotManifest:
             n_items=len(dictionary),
             n_words=int(table.sa_masks.shape[1]),
             column_names=list(table.columns),
-            items=[
-                _encode_item(dictionary.item(i), dictionary.kind(i))
-                for i in range(len(dictionary))
-            ],
+            items=None if delta is not None else vocabulary_entries(
+                dictionary
+            ),
             metadata=metadata,
             content_digest=content_digest,
+            delta=delta,
         )
 
     # -- vocabulary / provenance reconstruction ------------------------
@@ -562,18 +621,27 @@ class SnapshotManifest:
     # -- (de)serialisation ---------------------------------------------
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        payload = asdict(self)
+        if self.items is None:
+            del payload["items"]
+        return json.dumps(payload, indent=2, sort_keys=True)
 
     @classmethod
     def read(cls, directory: "str | Path") -> "SnapshotManifest":
         payload = read_manifest(
             Path(directory) / MANIFEST_NAME, "snapshot", FORMAT_VERSION,
             ("created_at", "n_cells", "n_items", "n_words",
-             "column_names", "items", "metadata"),
+             "column_names", "metadata"),
         )
         delta_raw = payload.get("delta")
         delta: "dict[str, object] | None" = None
+        items = payload.get("items")
         if delta_raw is not None:
+            if "items" in payload:
+                raise SnapshotError(
+                    "delta manifest carries an items list; a delta takes "
+                    "its parent's vocabulary"
+                )
             if not isinstance(delta_raw, dict):
                 raise SnapshotError("manifest 'delta' must be an object")
             try:
@@ -596,7 +664,7 @@ class SnapshotManifest:
             n_items=int(payload["n_items"]),
             n_words=int(payload["n_words"]),
             column_names=[str(c) for c in payload["column_names"]],
-            items=list(payload["items"]),
+            items=None if items is None else list(items),
             metadata=dict(payload["metadata"]),
             arrays=payload["arrays"],
             delta=delta,

@@ -3,9 +3,9 @@
 A snapshot is a directory::
 
     snapshot/
-      manifest.json   format version, vocabulary, provenance, digest,
-                      data-file size, and one entry per array:
-                      {"offset", "dtype", "shape"}
+      manifest.json   format version (3), vocabulary (a full snapshot
+                      only), provenance, digest, data-file size, and
+                      one entry per array: {"offset", "dtype", "shape"}
       data.bin        every array's bytes, each at a 64-byte aligned
                       offset, zero-padded to the next one:
         population    int64   (n_cells,)
@@ -30,16 +30,27 @@ but stores only the cells that are new or changed relative to a
 *parent* snapshot, plus the packed key bitmasks of the parent rows it
 supersedes (the ``superseded_sa`` / ``superseded_ca`` arrays) and a
 ``delta`` manifest section naming the parent directory (a relative
-path, so a timeline directory is relocatable as a unit).  Reopening a
-delta resolves the parent chain — full snapshot at the root, cycle- and
+path, so a timeline directory is relocatable as a unit).  A delta is
+only written over a parent with the same item vocabulary, so its
+manifest leaves the vocabulary out and the reopened delta takes its
+parent's :class:`~repro.itemsets.items.ItemDictionary` object: a chain
+decodes one vocabulary, at its full-snapshot root.  Reopening a delta
+resolves the parent chain — full snapshot at the root, cycle- and
 corruption-checked — and composes the cell table as *parent rows minus
 superseded plus own rows*.  Each hop of that chain reads its data file
 once, into memory (composing copies its arrays at once), finds the
-superseded parent rows with a sort and a binary search over the rows'
-packed mask words, and verifies the composed table against the
-recorded content digest.  A timeline of cubes with small inter-date
-churn therefore shares the unchanged column bytes with its root
-instead of duplicating them per date (benchmark E19).
+superseded parent rows by a binary search in the parent's canonical
+order (:meth:`~repro.cube.table.CellTable.canonical_order`, its rows
+sorted by packed key), and verifies the composed table against the
+recorded content digest.  The composed table's order is merged, not
+sorted: the parent's order without the superseded rows, with the
+delta's own rows, sorted alone, inserted after the equal keys.  A chain
+therefore sorts one whole table, its root's.  The composed table also
+remembers which parent rows it superseded, so what a date changed
+since its parent (:func:`changed_cells`) costs no row comparison when
+a walk composed it.  A timeline of cubes with small inter-date churn
+shares the unchanged column bytes with its root instead of duplicating
+them per date (benchmark E19).
 
 Reopened arrays are read-only (memory-mapped ``mode="r"`` or with the
 writeable flag cleared), so an opened snapshot can be shared by any
@@ -63,9 +74,12 @@ from repro.errors import SnapshotError
 from repro.store.manifest import (
     DATA_NAME,
     MANIFEST_NAME,
+    DumpPlan,
     SnapshotManifest,
-    dump_directory,
     load_arrays,
+    plan_directory,
+    vocabulary_entries,
+    write_directory,
 )
 
 #: Fixed (non-index) arrays every snapshot carries, with their dtypes.
@@ -107,27 +121,34 @@ def _rows_of(named: "list[tuple[str, object, str]]", rows=slice(None)):
         yield name, np.ascontiguousarray(np.asarray(array, dtype=dtype)[rows])
 
 
+def plan_snapshot(cube: SegregationCube) -> DumpPlan:
+    """Lay out a full snapshot of ``cube``; nothing is written."""
+    manifest = SnapshotManifest.for_cube(cube, table_digest(cube.table), None)
+    return plan_directory(
+        MANIFEST_NAME, manifest, _rows_of(_table_arrays(cube.table))
+    )
+
+
 def dump_snapshot(cube: SegregationCube, path: "str | Path") -> Path:
     """Persist a built cube to ``path`` (a directory) and return it.
 
     Existing snapshot files in the directory are overwritten; see
-    :func:`~repro.store.manifest.dump_directory` for the crash-safety
+    :func:`~repro.store.manifest.write_directory` for the crash-safety
     contract.
     """
-    manifest = SnapshotManifest.for_cube(cube, table_digest(cube.table))
-    return dump_directory(
-        path, MANIFEST_NAME, manifest, _rows_of(_table_arrays(cube.table))
-    )
+    return write_directory(path, plan_snapshot(cube))
 
 
-def _find_rows(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """For each query, the last row of ``keys`` equal to it, or -1.
+def _find_rows(
+    ordered: np.ndarray, order: np.ndarray, queries: np.ndarray
+) -> np.ndarray:
+    """For each query, the last row whose key equals it, or -1.
 
-    The row a ``{key: row}`` dict over ``keys`` would hold, found with
-    one stable sort of ``keys`` and a binary search per query.
+    ``ordered`` is the keys in ``order``, their stable sort (a table's
+    canonical order), so the row a ``{key: row}`` dict over the keys
+    would hold is found by a binary search per query; nothing is
+    sorted here.
     """
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
     first = np.searchsorted(ordered, queries, side="left")
     after = np.searchsorted(ordered, queries, side="right")
     found = after > first
@@ -136,18 +157,22 @@ def _find_rows(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _sorted_keys(table: CellTable) -> "tuple[np.ndarray, np.ndarray]":
+    """A table's canonical order and its packed keys in that order."""
+    order = table.canonical_order()
+    return packed_rows(table.sa_masks, table.ca_masks)[order], order
+
+
 def table_digest(table: CellTable) -> str:
     """Row-order-independent sha256 of a cell table's full content.
 
     Rows are hashed in the canonical order of their packed key bitmask
-    bytes, so a live cube, its reopened snapshot and a delta chain
-    composed in a different row order all digest identically when —
-    and only when — they hold bit-identical cells (NaN patterns
-    included).
+    bytes (:meth:`~repro.cube.table.CellTable.canonical_order`), so a
+    live cube, its reopened snapshot and a delta chain composed in a
+    different row order all digest identically when — and only when —
+    they hold bit-identical cells (NaN patterns included).
     """
-    order = np.argsort(
-        packed_rows(table.sa_masks, table.ca_masks), kind="stable"
-    )
+    order = table.canonical_order()
     digest = hashlib.sha256()
     for name, array in _rows_of(_table_arrays(table), order):
         digest.update(name.encode())
@@ -208,15 +233,6 @@ def delta_chain_length(path: "str | Path") -> int:
     return len(delta_chain(path)) - 1
 
 
-def _same_vocabulary(a, b) -> bool:
-    if len(a) != len(b):
-        return False
-    return all(
-        a.item(i) == b.item(i) and a.kind(i) == b.kind(i)
-        for i in range(len(a))
-    )
-
-
 def dump_delta_snapshot(
     cube: SegregationCube,
     path: "str | Path",
@@ -234,9 +250,146 @@ def dump_delta_snapshot(
     unit.  Pass ``parent`` when the parent cube is already open to skip
     re-reading it.
 
-    The cube and its parent must share the item vocabulary and the
+    The cube and its parent must share the item vocabulary (the delta
+    is written without one and reopens with its parent's) and the
     index-column layout (a delta supersedes rows, not schemas); a
     mismatch raises :class:`~repro.errors.SnapshotError`.
+    """
+    return write_directory(path, plan_delta(
+        cube, path, parent_path, parent, delta_chain(parent_path)[-1]
+    ))
+
+
+def _delta_mismatch(
+    cube: SegregationCube, parent: SegregationCube
+) -> "str | None":
+    """Why ``cube``'s cells cannot be read as changes to ``parent``'s
+    (another vocabulary, index-column layout or key width), or None."""
+    if cube.dictionary is not parent.dictionary and vocabulary_entries(
+        cube.dictionary
+    ) != vocabulary_entries(parent.dictionary):
+        return (
+            "delta snapshot requires the parent's item vocabulary; "
+            "dump a full snapshot instead"
+        )
+    table, parent_table = cube.table, parent.table
+    if list(table.columns) != list(parent_table.columns):
+        return (
+            f"delta column layout {list(table.columns)} does not "
+            f"match parent {list(parent_table.columns)}"
+        )
+    if table.sa_masks.shape[1] != parent_table.sa_masks.shape[1]:
+        return "delta and parent snapshots pack keys into different widths"
+    return None
+
+
+def _changed_rows(
+    table: CellTable, parent_table: CellTable
+) -> "tuple[np.ndarray, np.ndarray]":
+    """The rows of ``table`` that are new or changed against
+    ``parent_table``, and the parent rows those replace or that
+    ``table`` no longer holds, both ascending.
+
+    Rows align on their packed key bitmasks; a row has changed when a
+    count or an index value differs, floats compared through their
+    uint64 bit patterns (deterministic fills make unchanged cells
+    bit-identical, NaNs included).
+    """
+    parent_of = _find_rows(
+        *_sorted_keys(parent_table),
+        packed_rows(table.sa_masks, table.ca_masks),
+    )
+    child_idx = np.flatnonzero(parent_of >= 0)
+    parent_idx = parent_of[child_idx]
+    deleted = np.ones(len(parent_table), dtype=bool)
+    deleted[parent_idx] = False
+
+    def col(table: CellTable, name: str) -> np.ndarray:
+        return np.asarray(table.arrays.columns[name])
+
+    differs = (
+        (np.asarray(parent_table.population)[parent_idx]
+         != np.asarray(table.population)[child_idx])
+        | (np.asarray(parent_table.minority)[parent_idx]
+           != np.asarray(table.minority)[child_idx])
+        | (np.asarray(parent_table.n_units)[parent_idx]
+           != np.asarray(table.n_units)[child_idx])
+    )
+    for name in table.columns:
+        parent_bits = np.ascontiguousarray(
+            col(parent_table, name)[parent_idx]
+        ).view(np.uint64)
+        child_bits = np.ascontiguousarray(
+            col(table, name)[child_idx]
+        ).view(np.uint64)
+        differs |= parent_bits != child_bits
+
+    own_idx = np.sort(np.concatenate(
+        [np.flatnonzero(parent_of < 0), child_idx[differs]]
+    ))
+    superseded_idx = np.sort(np.concatenate(
+        [np.flatnonzero(deleted), parent_idx[differs]]
+    ))
+    return own_idx, superseded_idx
+
+
+def changed_cells(
+    cube: SegregationCube, previous: SegregationCube
+) -> "CellTable | None":
+    """What changed from ``previous``'s cells to ``cube``'s, as a table.
+
+    Its rows are first each cell of ``previous`` that ``cube`` changes
+    or no longer holds, with zero counts and NaN index values, then
+    each cell of ``cube`` that is new or changed, as ``cube`` holds it.
+    A key's last row is the one :meth:`~repro.cube.table.CellTable.row_of`
+    finds, so a key found here reads its value in ``cube`` (NaN for a
+    removed cell, as for any absent one), and a key not found here has
+    the value it had in ``previous``.  None when the two cubes cannot be
+    compared cell by cell: another vocabulary, index-column layout or
+    key width.  A table composed onto ``previous``'s as a delta already
+    knows its own and superseded rows; any other pair is compared row by
+    row, as the delta writer does.
+    """
+    if _delta_mismatch(cube, previous) is not None:
+        return None
+    table, previous_table = cube.table, previous.table
+    recorded = table.changes_since(previous_table)
+    own, gone = recorded if recorded is not None else _changed_rows(
+        table, previous_table
+    )
+
+    def rows(before: np.ndarray, array: np.ndarray) -> np.ndarray:
+        return np.concatenate([before, np.asarray(array)[own]])
+
+    zeros = np.zeros(len(gone), dtype=np.int64)
+    return CellTable.from_arrays(TableArrays(
+        population=rows(zeros, table.population),
+        minority=rows(zeros, table.minority),
+        n_units=rows(zeros, table.n_units),
+        sa_masks=rows(np.asarray(previous_table.sa_masks)[gone],
+                      table.sa_masks),
+        ca_masks=rows(np.asarray(previous_table.ca_masks)[gone],
+                      table.ca_masks),
+        columns={
+            name: rows(np.full(len(gone), np.nan), column)
+            for name, column in table.columns.items()
+        },
+    ))
+
+
+def plan_delta(
+    cube: SegregationCube,
+    path: "str | Path",
+    parent_path: "str | Path",
+    parent: "SegregationCube | None",
+    root: Path,
+) -> DumpPlan:
+    """Lay out :func:`dump_delta_snapshot`'s delta; nothing is written.
+
+    ``root`` is the full snapshot at the bottom of ``parent_path``'s
+    delta chain, whose vocabulary the delta reopens with.  The plan's
+    ``nbytes`` are the delta's own bytes, which the timeline's publish
+    rule weighs before it writes anything.
     """
     parent_dir = Path(parent_path)
     if parent_dir.resolve() == Path(path).resolve():
@@ -251,92 +404,42 @@ def dump_delta_snapshot(
         parent = open_snapshot(parent_dir, mmap=True)
     elif SnapshotManifest.read(parent_dir).content_digest != table_digest(
         parent.table
-    ):
+    ) or vocabulary_entries(parent.dictionary) != SnapshotManifest.read(
+        root
+    ).items:
         # The caller-supplied cube must actually be the snapshot at
-        # parent_path: readers compose against the on-disk parent, so a
-        # stale/mismatched cube here would write a delta that silently
-        # reopens to different values.  The manifest's content digest
-        # covers the parent's *resolved* cells, so the check needs no
-        # chain resolution.
+        # parent_path: readers compose against the on-disk parent and
+        # its chain root's vocabulary, so a stale/mismatched cube here
+        # (other cells, or the same cells over relabelled items) would
+        # write a delta that silently reopens to different values.  The
+        # manifest's content digest covers the parent's *resolved*
+        # cells, so the check needs no chain resolution.
         raise SnapshotError(
             f"the supplied parent cube does not match the snapshot "
             f"at {parent_dir}; dump the parent first or omit it"
         )
-    if not _same_vocabulary(cube.dictionary, parent.dictionary):
-        raise SnapshotError(
-            "delta snapshot requires the parent's item vocabulary; "
-            "dump a full snapshot instead"
-        )
-    child_table, parent_table = cube.table, parent.table
-    if list(child_table.columns) != list(parent_table.columns):
-        raise SnapshotError(
-            f"delta column layout {list(child_table.columns)} does not "
-            f"match parent {list(parent_table.columns)}"
-        )
-    if child_table.sa_masks.shape[1] != parent_table.sa_masks.shape[1]:
-        raise SnapshotError(
-            "delta and parent snapshots pack keys into different widths"
-        )
+    reason = _delta_mismatch(cube, parent)
+    if reason is not None:
+        raise SnapshotError(reason)
+    own_idx, superseded_idx = _changed_rows(cube.table, parent.table)
 
-    # Align rows on their packed key bitmasks, then find the changed
-    # ones with one bitwise comparison per column (floats are compared
-    # through their uint64 bit patterns: deterministic fills make
-    # unchanged cells bit-identical, NaNs included).
-    parent_of = _find_rows(
-        packed_rows(parent_table.sa_masks, parent_table.ca_masks),
-        packed_rows(child_table.sa_masks, child_table.ca_masks),
-    )
-    child_idx = np.flatnonzero(parent_of >= 0)
-    parent_idx = parent_of[child_idx]
-    deleted = np.ones(len(parent_table), dtype=bool)
-    deleted[parent_idx] = False
-
-    def col(table: CellTable, name: str) -> np.ndarray:
-        return np.asarray(table.arrays.columns[name])
-
-    differs = (
-        (np.asarray(parent_table.population)[parent_idx]
-         != np.asarray(child_table.population)[child_idx])
-        | (np.asarray(parent_table.minority)[parent_idx]
-           != np.asarray(child_table.minority)[child_idx])
-        | (np.asarray(parent_table.n_units)[parent_idx]
-           != np.asarray(child_table.n_units)[child_idx])
-    )
-    for name in child_table.columns:
-        parent_bits = np.ascontiguousarray(
-            col(parent_table, name)[parent_idx]
-        ).view(np.uint64)
-        child_bits = np.ascontiguousarray(
-            col(child_table, name)[child_idx]
-        ).view(np.uint64)
-        differs |= parent_bits != child_bits
-
-    own_idx = np.sort(np.concatenate(
-        [np.flatnonzero(parent_of < 0), child_idx[differs]]
-    ))
-    superseded_idx = np.sort(np.concatenate(
-        [np.flatnonzero(deleted), parent_idx[differs]]
-    ))
-
-    directory = Path(path)
     # The digest describes the *resolved* content (the whole child
     # table), not just the delta rows stored here: it is what readers
     # verify after composing the chain, and what a future delta dump
     # checks a caller-supplied parent cube against.
-    manifest = SnapshotManifest.for_cube(cube, table_digest(child_table))
-    manifest.n_cells = int(len(own_idx))
-    manifest.delta = {
-        "parent": os.path.relpath(parent_dir, directory),
+    manifest = SnapshotManifest.for_cube(cube, table_digest(cube.table), {
+        "parent": os.path.relpath(parent_dir, Path(path)),
         "n_superseded": int(len(superseded_idx)),
-    }
+    })
+    manifest.n_cells = int(len(own_idx))
     superseded = [
-        ("superseded_sa", parent_table.sa_masks, "uint64"),
-        ("superseded_ca", parent_table.ca_masks, "uint64"),
+        ("superseded_sa", parent.table.sa_masks, "uint64"),
+        ("superseded_ca", parent.table.ca_masks, "uint64"),
     ]
-    return dump_directory(
-        directory, MANIFEST_NAME, manifest,
+    return plan_directory(
+        MANIFEST_NAME, manifest,
         itertools.chain(
-            _rows_of(_table_arrays(child_table), own_idx),
+            _rows_of(_table_arrays(cube.table), own_idx),
             _rows_of(superseded, superseded_idx),
         ),
     )
@@ -361,8 +464,8 @@ def validate_snapshot(path: "str | Path") -> SnapshotManifest:
     file once (memory-mapped for a full snapshot, into memory for a
     delta).  What only an open checks is the chain — parent
     resolution and cycles, the width, column layout and vocabulary
-    against the parent, that the parent holds each superseded row, and
-    the content digest of the composed table.
+    size against the parent, that the parent holds each superseded
+    row, and the content digest of the composed table.
     """
     return _load_checked(Path(path), mmap=True)[0]
 
@@ -412,6 +515,10 @@ def _load_checked(
                 f"array {name!r} has shape {tuple(info.shape)}, the "
                 f"manifest's counts need {tuple(shape)}"
             )
+    if manifest.delta is None and manifest.items is None:
+        raise SnapshotError(
+            "snapshot manifest is missing required fields: items"
+        )
     arrays = load_arrays(
         directory, manifest, "snapshot", required,
         mmap=mmap and manifest.delta is None,
@@ -422,7 +529,7 @@ def _load_checked(
 def open_snapshot(
     path: "str | Path",
     mmap: bool = True,
-    parents: "dict[Path, SegregationCube] | None" = None,
+    onto: "tuple[Path, SegregationCube] | None" = None,
 ) -> SegregationCube:
     """Reopen a snapshot as a read-only :class:`SegregationCube`.
 
@@ -435,40 +542,35 @@ def open_snapshot(
     at the root) and composes the cell table as parent rows minus the
     superseded ones plus its own; a missing or cyclic parent, a
     superseded key absent from the parent, or a parent whose column
-    layout/vocabulary disagrees all raise
+    layout or vocabulary size disagrees all raise
     :class:`~repro.errors.SnapshotError`.
 
-    ``parents`` (optional) maps *resolved* snapshot directories to
-    already-opened cubes: chain resolution reuses them instead of
-    re-reading from disk, and every snapshot resolved during this call
-    is added to the mapping.  That is how
-    :class:`~repro.store.timeline.CubeTimeline` keeps walking an N-date
-    delta chain O(N) instead of O(N²), and how a serving refresh
-    composes a newly published date onto the cube it already serves
-    (:meth:`~repro.store.timeline.CubeTimeline.adopt`): one hop per
-    date published since.  A wrong cube supplied for a directory is
-    caught for delta children by the content-digest check.
+    ``onto`` (optional) is an already-opened cube and its *resolved*
+    snapshot directory: when the chain runs through that directory, it
+    composes onto the cube there instead of reading the rest of the
+    chain from disk.  That is how
+    :class:`~repro.store.timeline.CubeTimeline` walks its dates one hop
+    each, and how a serving refresh composes a newly published date
+    onto the cube it already serves: one hop per date published since.
+    A wrong cube is caught by its delta child's content-digest check.
+    The parents a call resolves are dropped when it returns.
 
     The returned cube has no lazy resolver: point queries answer from
     materialised cells only (a snapshot does not carry the transaction
     covers a ``closed``-mode resolver would need).
     """
-    return _open_chain(
-        Path(path), mmap, chain=(),
-        parents=parents if parents is not None else {},
-    )
+    return _open_chain(Path(path), mmap, chain=(), onto=onto)
 
 
 def _open_chain(
     path: Path,
     mmap: bool,
     chain: "tuple[Path, ...]",
-    parents: "dict[Path, SegregationCube]",
+    onto: "tuple[Path, SegregationCube] | None",
 ) -> SegregationCube:
     directory = path.resolve()
-    cached = parents.get(directory)
-    if cached is not None:
-        return cached
+    if onto is not None and directory == onto[0]:
+        return onto[1]
     if directory in chain:
         loop = " -> ".join(str(p) for p in chain + (directory,))
         raise SnapshotError(f"cyclic snapshot parent chain: {loop}")
@@ -486,10 +588,22 @@ def _open_chain(
                 for name in manifest.column_names
             },
         ))
+        dictionary = manifest.dictionary()
     else:
-        table = _compose_delta(
-            directory, manifest, arrays, mmap, chain, parents
-        )
+        parent_dir = directory / str(manifest.delta["parent"])
+        try:
+            parent = _open_chain(
+                parent_dir, mmap, chain + (directory,), onto
+            )
+        except SnapshotError as exc:
+            if "cyclic snapshot parent chain" in str(exc):
+                raise
+            raise SnapshotError(
+                f"delta snapshot {directory} cannot resolve its parent "
+                f"{parent_dir}: {exc}"
+            ) from exc
+        table = _compose_delta(directory, manifest, arrays, parent)
+        dictionary = parent.dictionary
 
     metadata = manifest.cube_metadata()
     metadata.extra = dict(metadata.extra)
@@ -500,39 +614,49 @@ def _open_chain(
         "format_version": manifest.format_version,
     }
     if manifest.delta is not None:
-        metadata.extra["snapshot"]["parent"] = str(
-            (directory / str(manifest.delta["parent"])).resolve()
-        )
+        metadata.extra["snapshot"]["parent"] = str(parent_dir.resolve())
         metadata.extra["snapshot"]["delta_depth"] = len(chain) + 1
-    cube = SegregationCube(table, manifest.dictionary(), metadata)
-    parents[directory] = cube
-    return cube
+    return SegregationCube(table, dictionary, metadata)
+
+
+def _merged_order(
+    ordered: np.ndarray,
+    order: np.ndarray,
+    keep: np.ndarray,
+    own_keys: np.ndarray,
+) -> np.ndarray:
+    """The canonical order of the rows ``parent[keep]`` then ``own``.
+
+    ``order`` is the parent's canonical order and ``ordered`` its keys
+    in that order.  Restricted to the kept rows (renumbered), it stays
+    a stable sort of them.  The own rows are sorted alone and each
+    goes after every kept row with an equal key (``side="right"``),
+    where a stable sort of the composed keys puts it, since own rows
+    follow the kept ones; equal own keys keep their row order.
+    """
+    kept = keep[order]
+    kept_rows = (np.cumsum(keep) - 1)[order[kept]]
+    own_order = np.argsort(own_keys, kind="stable")
+    at = np.searchsorted(ordered[kept], own_keys[own_order], side="right")
+    at += np.arange(len(own_order))
+    merged = np.empty(len(kept_rows) + len(own_order), dtype=np.intp)
+    is_own = np.zeros(len(merged), dtype=bool)
+    is_own[at] = True
+    merged[at] = own_order + len(kept_rows)
+    merged[~is_own] = kept_rows
+    return merged
 
 
 def _compose_delta(
     directory: Path,
     manifest: SnapshotManifest,
     own: "dict[str, np.ndarray]",
-    mmap: bool,
-    chain: "tuple[Path, ...]",
-    parents: "dict[Path, SegregationCube]",
+    parent: SegregationCube,
 ) -> CellTable:
-    """Resolve a delta's parent chain and merge the cell rows.
+    """Merge a delta's rows onto its opened parent's, then verify them.
 
     ``own`` holds the delta's checked arrays, superseded masks included.
     """
-    parent_dir = directory / str(manifest.delta["parent"])
-    try:
-        parent = _open_chain(
-            parent_dir, mmap, chain + (directory.resolve(),), parents
-        )
-    except SnapshotError as exc:
-        if "cyclic snapshot parent chain" in str(exc):
-            raise
-        raise SnapshotError(
-            f"delta snapshot {directory} cannot resolve its parent "
-            f"{parent_dir}: {exc}"
-        ) from exc
     parent_table = parent.table
     if list(parent_table.columns) != manifest.column_names:
         raise SnapshotError(
@@ -543,15 +667,16 @@ def _compose_delta(
         raise SnapshotError(
             "delta and parent snapshots pack keys into different widths"
         )
-    if not _same_vocabulary(manifest.dictionary(), parent.dictionary):
+    if len(parent.dictionary) != manifest.n_items:
         raise SnapshotError(
-            f"delta snapshot {directory} and its parent carry different "
-            "item vocabularies"
+            f"delta snapshot {directory} records {manifest.n_items} "
+            f"items, its parent's vocabulary holds {len(parent.dictionary)}"
         )
 
     # Locate the superseded parent rows by their packed key bitmasks.
+    ordered, order = _sorted_keys(parent_table)
     superseded = _find_rows(
-        packed_rows(parent_table.sa_masks, parent_table.ca_masks),
+        ordered, order,
         packed_rows(own["superseded_sa"], own["superseded_ca"]),
     )
     if (superseded < 0).any():
@@ -578,7 +703,9 @@ def _compose_delta(
             for name in manifest.column_names
         },
     )
-    table = CellTable.from_arrays(arrays)
+    table = CellTable.from_ordered_arrays(arrays, _merged_order(
+        ordered, order, keep, packed_rows(own["sa_masks"], own["ca_masks"]),
+    ), parent_table, np.flatnonzero(~keep))
     # End-to-end chain integrity: the digest was taken over the writer's
     # resolved table, so any drift anywhere up the parent chain — not
     # just in this directory — surfaces here instead of serving wrong

@@ -16,10 +16,17 @@ Each child is an ordinary :mod:`repro.store` snapshot — full or delta —
 so every date reopens through :func:`~repro.store.snapshot.open_snapshot`
 with the usual validation, and the whole tree relocates as one unit
 (delta parents are relative paths).  :class:`CubeTimeline` lists the
-dates, opens cubes lazily (caching them), and is what the serving layer
-(``CubeService(..., date=...)``), the timeline comparison
-(:func:`repro.cube.compare.timeline_series`) and the cube-backed trend
-(:func:`repro.core.trend.segregation_trend`) consume.
+dates and opens one date's cube at a time.  It holds only the cube it
+opened last, and opens the next date by composing onto that cube when
+the date's delta chain runs through it.  A walk over the dates is
+therefore one stream: each date is one hop onto the date before it
+(O(dates) time), and the walk holds one delta chain at a time, not one
+cube per date.  The serving layer (``CubeService(..., date=...)``), the
+timeline comparison (:func:`repro.cube.compare.timeline_series`) and
+the cube-backed trend (:func:`repro.core.trend.segregation_trend`) all
+read a timeline this way.  :func:`timeline_changes` keeps what one walk
+saw as each date's changes since the date before, which a serving
+trend reads again and again without reopening a date.
 
 :func:`dump_into_timeline` writes one dated entry — the persistence
 half of the incremental temporal fill (:mod:`repro.cube.incremental`).
@@ -32,27 +39,29 @@ full snapshot:
 
 * full when there is no parent date, or when the parent's chain is
   already :data:`MAX_CHAIN` hops long;
-* otherwise a delta — unless the delta's own bytes reach
+* otherwise a delta — unless the delta's own bytes would reach
   :data:`MIN_BYTE_RATIO` of its chain root's bytes (it barely saves
-  anything, so the hop is pure cost), in which case the same new
-  directory is rewritten as a full snapshot.
+  anything, so the hop is pure cost), in which case the date is a full
+  snapshot.
 
-No chain the publisher writes is longer than :data:`MAX_CHAIN`
-(timelines written earlier with longer chains still open unchanged).
-A publish writes only ``<root>/<date>/`` and ``timeline.json``; it
-never renames, rewrites or deletes a date already published.  Both
-writes of a date — the delta and the byte-triggered full rewrite, on a
-directory no other date references yet — go through the file layer's
-dump protocol (:func:`~repro.store.manifest.dump_directory`): the
-manifest is unlinked first and written last, after the data file and
-its directory entry are fsynced, so a crash at any point, power loss
-included, leaves a manifest-less directory (which
-:func:`timeline_dates` does not list) or a complete snapshot.  Because
-no date changes once a child may reference it, a reader never finds a
-delta whose parent is missing.
+The delta is laid out first (:func:`~repro.store.snapshot.plan_delta`),
+so its own bytes are known before anything is written, and the date is
+written once, as the delta or as the full snapshot.  No chain the
+publisher writes is longer than :data:`MAX_CHAIN` (timelines written
+earlier with longer chains still open unchanged).  A publish writes
+only ``<root>/<date>/`` and ``timeline.json``; it never renames,
+rewrites or deletes a date already published.  The date's directory is
+written through the file layer's dump protocol
+(:func:`~repro.store.manifest.write_directory`): the data file and its
+directory entry are fsynced before the manifest is written, so a crash
+at any point, power loss included, leaves a manifest-less directory
+(which :func:`timeline_dates` does not list) or a complete snapshot.
+Because no date changes once a child may reference it, a reader never
+finds a delta whose parent is missing.
 
-``timeline.json`` records each date's chain length and own byte size,
-plus the last publish timestamp (the serving tier's staleness metric).
+``timeline.json`` records each date's chain length and own byte size
+(the planned bytes, which are the bytes written), plus the last publish
+timestamp (the serving tier's staleness metric).
 A publish writes it once, after the date's own manifest.  Publishing
 assumes a single writer.
 """
@@ -66,13 +75,21 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from repro.cube.cube import SegregationCube
+from repro.cube.table import CellTable
 from repro.errors import SnapshotError
-from repro.store.manifest import MANIFEST_NAME, read_json, write_atomic
+from repro.itemsets.items import ItemDictionary
+from repro.store.manifest import (
+    MANIFEST_NAME,
+    read_json,
+    write_atomic,
+    write_directory,
+)
 from repro.store.snapshot import (
+    changed_cells,
     delta_chain,
-    dump_delta_snapshot,
-    dump_snapshot,
     open_snapshot,
+    plan_delta,
+    plan_snapshot,
     snapshot_disk_bytes,
 )
 
@@ -84,8 +101,8 @@ TIMELINE_FORMAT_VERSION = 1
 #: many hops long, so no chain the publisher writes is longer.
 MAX_CHAIN = 8
 
-#: A delta whose own bytes reach this fraction of its chain root's
-#: bytes is rewritten as a full snapshot before the publish completes.
+#: A date whose delta's own bytes would reach this fraction of its
+#: chain root's bytes is written as a full snapshot instead.
 MIN_BYTE_RATIO = 0.5
 
 
@@ -177,19 +194,20 @@ def dump_into_timeline(
         parent_dir = root / str(int(parent_date))
         parent_chain = delta_chain(parent_dir)
         if len(parent_chain) <= MAX_CHAIN:
-            dump_delta_snapshot(cube, directory, parent_dir, parent=parent)
-            own_bytes = snapshot_disk_bytes(directory)
-            if own_bytes < MIN_BYTE_RATIO * snapshot_disk_bytes(
+            plan = plan_delta(
+                cube, directory, parent_dir, parent, parent_chain[-1]
+            )
+            if plan.nbytes < MIN_BYTE_RATIO * snapshot_disk_bytes(
                 parent_chain[-1]
             ):
                 chain_length = len(parent_chain)
     if chain_length == 0:
-        dump_snapshot(cube, directory)
-        own_bytes = snapshot_disk_bytes(directory)
+        plan = plan_snapshot(cube)
+    write_directory(directory, plan)
     manifest = read_timeline_manifest(root)
     manifest["dates"][str(int(date))] = {
         "chain_length": chain_length,
-        "own_bytes": own_bytes,
+        "own_bytes": plan.nbytes,
     }
     manifest["last_publish_at"] = datetime.now(timezone.utc).isoformat()
     write_timeline_manifest(root, manifest)
@@ -199,12 +217,18 @@ def dump_into_timeline(
 class CubeTimeline:
     """Read-only access to a dated sequence of cube snapshots.
 
-    Cubes open lazily on first access and are cached — including every
-    parent resolved along a delta chain, so walking an N-date timeline
-    composes each snapshot once (O(N) total, not O(N²)).  Opening is
-    serialized by a lock, making concurrent ``at()`` calls (e.g. the
-    serving layer's ``trend``) safe; once a cube is cached, access is a
-    pure read.
+    The timeline holds one resolved cube: the last one :meth:`at`
+    returned or :meth:`adopt` was given.  ``at(date)`` returns it again
+    for its own date; for another date it composes onto it when the
+    date's delta chain runs through it, and opens the chain from disk
+    otherwise, then holds the new date's cube alone.  Iterating is
+    ``at()`` per date in date order, except that the cube held when the
+    walk starts is yielded again for its own date, so a walk over N
+    dates composes each date at most once onto the one before it (O(N)
+    hops) and never holds more than one delta chain.  Opening is
+    serialized by a lock, so concurrent walks and ``at()`` calls are
+    safe; one may make another re-open a chain (at most ``MAX_CHAIN``
+    hops), which never changes a result.
     """
 
     def __init__(self, root: "str | Path", mmap: bool = True):
@@ -215,10 +239,8 @@ class CubeTimeline:
             raise SnapshotError(
                 f"no dated snapshots under timeline directory {self._root}"
             )
-        self._cubes: "dict[int, SegregationCube]" = {}
-        #: Every snapshot resolved so far, keyed by resolved directory —
-        #: shared with open_snapshot so delta chains reuse it.
-        self._resolved: "dict[Path, SegregationCube]" = {}
+        #: ``(date, resolved directory, cube)`` of the one held cube.
+        self._held: "tuple[int, Path, SegregationCube] | None" = None
         self._lock = threading.Lock()
 
     @property
@@ -250,35 +272,48 @@ class CubeTimeline:
         return read_timeline_manifest(self._root)
 
     def at(self, date: int) -> SegregationCube:
-        """The cube at one date (opened on first use, then cached)."""
+        """The cube at one date, which the timeline then holds."""
         path = self.path_of(date)
         with self._lock:
-            if date not in self._cubes:
-                self._cubes[date] = open_snapshot(
-                    path, mmap=self._mmap, parents=self._resolved
-                )
-            return self._cubes[date]
+            held = self._held
+            if held is not None and held[0] == date:
+                return held[2]
+            cube = open_snapshot(
+                path, mmap=self._mmap,
+                onto=None if held is None else held[1:],
+            )
+            self._held = (date, path.resolve(), cube)
+            return cube
 
     def adopt(self, date: int, cube: SegregationCube) -> None:
-        """Use the already-opened ``cube`` as this timeline's ``date``.
+        """Hold the already-opened ``cube`` as this timeline's ``date``.
 
         ``at(date)`` then returns it, and a later date whose delta chain
         runs through ``date`` composes onto it instead of re-reading
         ``date``'s chain from disk.  The caller vouches that ``cube``
         holds ``date``'s content; a delta child still verifies its
         content digest over the composed table, so a wrong cube fails
-        the child's open as a wrong ``open_snapshot(parents=)`` entry
-        does.
+        the child's open as a wrong ``open_snapshot(onto=)`` cube does.
         """
-        path = self.path_of(date)
+        path = self.path_of(date).resolve()
         with self._lock:
-            self._cubes[date] = cube
-            self._resolved[path.resolve()] = cube
+            self._held = (date, path, cube)
 
     def __iter__(self):
-        """Yield ``(date, cube)`` pairs in date order."""
+        """Yield ``(date, cube)`` pairs in date order, one ``at()`` each.
+
+        The cube held when the walk starts is yielded again for its own
+        date, and held again, instead of being composed a second time:
+        a serving timeline holds its served cube, so a walk ends on it.
+        """
+        start = self._held
         for date in self._dates:
-            yield date, self.at(date)
+            if start is not None and start[0] == date:
+                with self._lock:
+                    self._held = start
+                yield date, start[2]
+            else:
+                yield date, self.at(date)
 
     def __repr__(self) -> str:
         first, last = self._dates[0], self._dates[-1]
@@ -286,3 +321,32 @@ class CubeTimeline:
             f"CubeTimeline({self._root}, {len(self._dates)} dates "
             f"[{first}..{last}])"
         )
+
+
+def timeline_changes(
+    timeline: CubeTimeline,
+) -> "list[tuple[int, ItemDictionary | None, CellTable]]":
+    """Every date's cells, kept as what changed since the date before.
+
+    One walk over ``timeline``.  Entry ``(date, dictionary, cells)``:
+    at the first date, at a date whose cells cannot be compared with
+    the date before's (another vocabulary, index-column layout or key
+    width), and at a date whose changes take as many rows as its table,
+    ``dictionary`` is the date's vocabulary and ``cells`` its whole
+    table; at any other date ``dictionary`` is None and ``cells`` is
+    :func:`~repro.store.snapshot.changed_cells` of the two dates.  A
+    key's cell at a date is therefore its row in the last entry up to
+    that date whose ``cells`` holds it, counting from the last entry
+    with a vocabulary.  The entries hold what the timeline's deltas
+    hold, and never more rows than one table per date.
+    """
+    entries = []
+    previous = None
+    for date, cube in timeline:
+        cells = None if previous is None else changed_cells(cube, previous)
+        if cells is None or len(cells) >= len(cube):
+            entries.append((date, cube.dictionary, cube.table))
+        else:
+            entries.append((date, None, cells))
+        previous = cube
+    return entries

@@ -9,15 +9,20 @@ encoder, FP-growth for eclat, the closure operator for the capped
 closedness sweep, full enumeration and the one-cell-at-a-time
 fill (:func:`make_cell`) for the cube builder's fills and its
 closed-mode resolver, the label-gather cover counting for the popcount
-counting kernel, and the set/BFS graph algorithms (reading graphs only
-through their arrays) for the array graph engine.  Nothing under
-``src/`` imports this module; the benchmarks use the same references as
-their baselines.
+counting kernel, the set/BFS graph algorithms (reading graphs only
+through their arrays) for the array graph engine, and the per-row
+timeline series (:func:`timeline_series_reference`) for the memoised
+one.  :func:`reachable_cubes` counts the cubes an object keeps alive.
+Nothing under ``src/`` imports this module; the benchmarks use the same
+references as their baselines.
 """
 
 from __future__ import annotations
 
+import gc
+import math
 import time
+import types
 from collections import deque
 from collections.abc import Callable, Iterable
 from itertools import combinations
@@ -26,6 +31,7 @@ import numpy as np
 
 from repro.cube.builder import MinedCoordinates, SegregationDataCubeBuilder
 from repro.cube.cell import CellStats
+from repro.cube.compare import CellSeries, _aligned_key, describe_aligned
 from repro.cube.coordinates import CellKey
 from repro.cube.cube import CubeMetadata, SegregationCube
 from repro.errors import CubeError, GraphError, MiningError, TableError
@@ -1178,3 +1184,89 @@ def _tau_ball_legacy(
                 ball.append(v)
                 queue.append((v, depth + 1))
     return ball
+
+
+# ----------------------------------------------------------------------
+# Timelines: the per-row series, and what a walk keeps alive
+# ----------------------------------------------------------------------
+
+
+def timeline_series_reference(timeline, min_minority: int = 0
+                              ) -> "list[CellSeries]":
+    """:func:`repro.cube.compare.timeline_series`, decoding every row.
+
+    Every materialised row of every date decodes its key and aligns it
+    on its own, as the function did before it memoised aligned keys.
+    """
+    dates: "list[int]" = []
+    per_key: "dict[object, dict[int, tuple[float, int]]]" = {}
+    for date, cube in timeline:
+        dates.append(int(date))
+        table = cube.table
+        col = table.columns.get("D")
+        if col is None:
+            continue
+        ok = ~np.isnan(col) & (table.minority >= min_minority)
+        for i in np.flatnonzero(ok):
+            aligned = _aligned_key(cube, table.keys[i])
+            per_key.setdefault(aligned, {})[int(date)] = (
+                float(col[i]), int(table.population[i])
+            )
+    out: "list[CellSeries]" = []
+    for aligned, by_date in per_key.items():
+        if len(by_date) < 2:
+            continue
+        out.append(CellSeries(
+            description=describe_aligned(aligned),
+            dates=tuple(dates),
+            values=tuple(
+                by_date[d][0] if d in by_date else float("nan")
+                for d in dates
+            ),
+            populations=tuple(
+                by_date[d][1] if d in by_date else 0 for d in dates
+            ),
+        ))
+    out.sort(key=lambda s: (
+        -s.spread if not math.isnan(s.spread) else float("inf"),
+        s.description,
+    ))
+    return out
+
+
+def series_values(series: "list[CellSeries]") -> "list[tuple]":
+    """Series as comparable tuples: NaN becomes None, since ``nan !=
+    nan`` makes two equal series compare unequal."""
+    return [
+        (s.description, s.dates,
+         tuple(None if math.isnan(v) else v for v in s.values),
+         s.populations)
+        for s in series
+    ]
+
+
+#: Objects whose references :func:`reachable_cubes` does not follow:
+#: what they reach is shared code, not what an instance keeps alive.
+_SHARED = (type, types.ModuleType, types.FunctionType,
+           types.BuiltinFunctionType)
+
+
+def reachable_cubes(root: object) -> "list[SegregationCube]":
+    """Every :class:`SegregationCube` reachable from ``root``.
+
+    A walk of ``gc.get_referents`` through instance state: containers,
+    instances and their attributes, never into classes, modules or
+    functions.
+    """
+    seen = {id(root)}
+    stack = [root]
+    found = []
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, SegregationCube):
+            found.append(obj)
+        for ref in gc.get_referents(obj):
+            if id(ref) not in seen and not isinstance(ref, _SHARED):
+                seen.add(id(ref))
+                stack.append(ref)
+    return found

@@ -174,8 +174,8 @@ class TestCompactDate:
     """A date written full, and what ``timeline.json`` records of it."""
 
     def test_compact_rewrites_as_full_root(self, series, far_dir):
-        # The byte-triggered publish rewrites its delta directory as a
-        # full snapshot: no superseded delta array is left behind.
+        # The byte-triggered publish writes its date once, as a full
+        # snapshot: no superseded delta array is in it.
         full = far_dir / "1"
         assert delta_chain_length(full) == 0
         assert not [name for name in validate_snapshot(full).arrays
@@ -313,9 +313,9 @@ class TestTimelineManifest:
         self, series, tmp_path, crash_at
     ):
         # A publish writes through the store's file layer: a delta
-        # publish replaces the date's manifest.json and timeline.json; a
-        # byte-triggered one replaces manifest.json twice (delta, then
-        # full) and timeline.json.  Failing each of its os.open,
+        # publish and a byte-triggered full one each replace the date's
+        # manifest.json and timeline.json once (the byte rule is decided
+        # before anything is written).  Failing each of its os.open,
         # os.writev, os.replace, Path.unlink and os.fsync calls in turn
         # must leave
         # timeline.json parseable, every listed date opening at atol=0
@@ -337,7 +337,7 @@ class TestTimelineManifest:
 
         for kind, cube, n_replaces, chain in (
             ("delta", series.states[3].cube, 2, 3),
-            ("full", series.far, 3, 0),
+            ("full", series.far, 2, 0),
         ):
             cube_at[3] = cube
             whole = shutil.copytree(base, tmp_path / kind)

@@ -20,7 +20,7 @@ In every state a reader must see the old content, the new content or a
 :class:`~repro.errors.SnapshotError`; content counts as old or new only
 when the manifest and the arrays both are, so an old manifest naming
 new bytes is a failure even where the loader would accept it.  The
-store's writer (:func:`~repro.store.manifest.dump_directory`) rules
+store's writer (:func:`~repro.store.manifest.write_directory`) rules
 that state out by fsyncing the directory right after it unlinks a
 stale manifest, before any new byte is written;
 ``test_the_model_finds_an_old_manifest_over_new_bytes`` drops that
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import os
 from pathlib import Path
 
@@ -62,6 +63,7 @@ from repro.store.graph import (
     open_graph_snapshot,
 )
 from repro.store.manifest import ALIGN, DATA_NAME
+from tests.datafile import read_payload
 
 #: Directory-entry events, with the directory they change at index 1.
 _ENTRY_EVENTS = ("mkdir", "create", "unlink", "rename")
@@ -368,17 +370,17 @@ def test_the_model_finds_an_old_manifest_over_new_bytes(
     assert "mixed" in outcomes, outcomes
 
 
-def test_delta_publish_survives_power_loss(built, tmp_path):
-    """A delta publish leaves the timeline at its old dates or with the
-    new one complete: never a date a restart cannot open."""
-    cubes = [built, _changed(built, [0, 1, 2]), _changed(built, [3, 4])]
+def _publish_outcomes(cubes, tmp_path, chain_length):
+    """Publish ``cubes[2]`` onto a timeline holding ``cubes[:2]`` under
+    :class:`DiskLog`, and read every state a power loss may leave."""
     root = tmp_path / "timeline"
     dump_into_timeline(root, 0, cubes[0])
     dump_into_timeline(root, 1, cubes[1], parent_date=0, parent=cubes[0])
     log = DiskLog(root)
     log.record(lambda: dump_into_timeline(
         root, 2, cubes[2], parent_date=1, parent=cubes[1]))
-    assert read_timeline_manifest(root)["dates"]["2"]["chain_length"] == 2
+    assert read_timeline_manifest(root)["dates"]["2"]["chain_length"] \
+        == chain_length
     digests = [table_digest(cube.table) for cube in cubes]
 
     def read(state):
@@ -391,7 +393,22 @@ def test_delta_publish_survives_power_loss(built, tmp_path):
             return "mixed"
         return {(0, 1): "old", (0, 1, 2): "new"}.get(tuple(dates), "other")
 
-    outcomes = _outcomes(log, tmp_path, read)
+    return _outcomes(log, tmp_path, read)
+
+
+def test_delta_publish_survives_power_loss(built, tmp_path):
+    """A delta publish leaves the timeline at its old dates or with the
+    new one complete: never a date a restart cannot open."""
+    cubes = [built, _changed(built, [0, 1, 2]), _changed(built, [3, 4])]
+    outcomes = _publish_outcomes(cubes, tmp_path, chain_length=2)
+    assert set(outcomes) == {"old", "new"}, outcomes
+
+
+def test_byte_triggered_publish_survives_power_loss(built, tmp_path):
+    """A date whose delta would be too big is written once, full: a
+    power loss leaves the old dates or the new one complete."""
+    cubes = [built, _changed(built, [0, 1, 2]), _changed(built, slice(None))]
+    outcomes = _publish_outcomes(cubes, tmp_path, chain_length=0)
     assert set(outcomes) == {"old", "new"}, outcomes
 
 
@@ -425,16 +442,29 @@ def test_graph_redump_survives_power_loss(tmp_path):
     assert set(outcomes) == {"old", "new", "error"}, outcomes
 
 
-def test_delta_publish_writes_three_files(built, tmp_path):
-    """A delta publish writes its data file, its manifest and
-    ``timeline.json``, nothing else; the data file holds the arrays'
-    bytes plus less than 64 bytes of padding after each."""
-    root = tmp_path / "timeline"
-    changed = _changed(built, [0, 1, 2])
+def _logged_publish(built, changed, root):
+    """A :class:`DiskLog` of publishing ``changed`` as date 1 onto
+    ``built`` at date 0."""
     dump_into_timeline(root, 0, built)
     log = DiskLog(root)
     log.record(lambda: dump_into_timeline(
         root, 1, changed, parent_date=0, parent=built))
+    return log
+
+
+def _fsyncs(log: DiskLog) -> "tuple[int, int]":
+    """File and directory fsyncs in the log."""
+    kinds = [event[0] for event in log.events]
+    return kinds.count("fsync"), kinds.count("fsync_dir")
+
+
+def test_delta_publish_writes_three_files(built, tmp_path):
+    """A delta publish writes its data file, its manifest and
+    ``timeline.json``, nothing else; the data file holds the arrays'
+    bytes plus less than 64 bytes of padding after each, and the
+    manifest carries no vocabulary (the delta takes its parent's)."""
+    root = tmp_path / "timeline"
+    log = _logged_publish(built, _changed(built, [0, 1, 2]), root)
     written = log.written_files()
     assert sorted(written) == [
         os.path.join("1", DATA_NAME), os.path.join("1", "manifest.json"),
@@ -442,6 +472,8 @@ def test_delta_publish_writes_three_files(built, tmp_path):
     ]
     manifest = SnapshotManifest.read(root / "1")
     assert manifest.delta is not None
+    assert manifest.items is None
+    assert "items" not in read_payload(root / "1")
     assert written[os.path.join("1", DATA_NAME)] == manifest.data_bytes
     end = 0
     for info in sorted(manifest.arrays.values(), key=lambda i: i.offset):
@@ -449,3 +481,38 @@ def test_delta_publish_writes_three_files(built, tmp_path):
         end = info.offset + int(np.prod(info.shape)) * np.dtype(
             info.dtype).itemsize
     assert 0 <= manifest.data_bytes - end < ALIGN
+    # The delta's manifest is its root's less at least the vocabulary
+    # (the root's items list, even written without indentation).
+    manifest_bytes = written[os.path.join("1", "manifest.json")]
+    root_manifest = (root / "0" / "manifest.json").stat().st_size
+    items = json.dumps(read_payload(root / "0")["items"])
+    assert manifest_bytes < root_manifest - len(items)
+    own = read_timeline_manifest(root)["dates"]["1"]["own_bytes"]
+    assert own == manifest_bytes + manifest.data_bytes
+    assert _fsyncs(log) == (3, 3)
+
+
+def test_byte_triggered_publish_writes_the_full_snapshot_once(
+    built, tmp_path
+):
+    """A date whose delta would reach half its root's bytes is written
+    as a full snapshot, once: its two files and ``timeline.json``, with
+    the fsyncs of a delta publish and no byte of the delta."""
+    root = tmp_path / "timeline"
+    log = _logged_publish(built, _changed(built, slice(None)), root)
+    assert read_timeline_manifest(root)["dates"]["1"]["chain_length"] == 0
+    written = log.written_files()
+    assert sorted(written) == [
+        os.path.join("1", DATA_NAME), os.path.join("1", "manifest.json"),
+        "timeline.json",
+    ]
+    manifest = SnapshotManifest.read(root / "1")
+    assert manifest.delta is None and manifest.items is not None
+    bytes_written = sum(
+        len(event[3]) for event in log.events if event[0] == "write"
+    )
+    own = (root / "1" / DATA_NAME).stat().st_size + (
+        root / "1" / "manifest.json").stat().st_size
+    assert bytes_written == own + written["timeline.json"]
+    assert read_timeline_manifest(root)["dates"]["1"]["own_bytes"] == own
+    assert _fsyncs(log) == (3, 3)

@@ -34,7 +34,7 @@ from repro.store import (
     validate_snapshot,
 )
 from repro.store.manifest import ALIGN, DATA_NAME
-from repro.store.snapshot import _find_rows
+from repro.store.snapshot import _find_rows, _merged_order
 from tests.datafile import (
     LAYOUT_CORRUPTIONS,
     edit_manifest,
@@ -567,14 +567,37 @@ class TestDigest:
     def test_row_order_and_search_match_python_bytes(self, drawn):
         n_words, rows, queries = drawn
         keys = packed_rows(rows[:, :n_words], rows[:, n_words:])
-        assert np.argsort(keys, kind="stable").tolist() == sorted(
+        order = np.argsort(keys, kind="stable")
+        assert order.tolist() == sorted(
             range(len(rows)), key=lambda i: rows[i].tobytes()
         )
         # The dict the row search replaces: the last row of each key.
         by_bytes = {row.tobytes(): i for i, row in enumerate(rows)}
         found = _find_rows(
-            keys, packed_rows(queries[:, :n_words], queries[:, n_words:])
+            keys[order], order,
+            packed_rows(queries[:, :n_words], queries[:, n_words:]),
         )
         assert found.tolist() == [
             by_bytes.get(query.tobytes(), -1) for query in queries
         ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_mask_rows(), st.data())
+    def test_merged_order_is_the_stable_argsort(self, drawn, data):
+        # A composed table is the kept parent rows, then the delta's
+        # own rows; keys repeat within and across the two.
+        n_words, rows, own = drawn
+        keep = np.array(data.draw(st.lists(
+            st.booleans(), min_size=len(rows), max_size=len(rows)
+        )), dtype=bool)
+        keys = packed_rows(rows[:, :n_words], rows[:, n_words:])
+        order = np.argsort(keys, kind="stable")
+        merged = _merged_order(
+            keys[order], order, keep,
+            packed_rows(own[:, :n_words], own[:, n_words:]),
+        )
+        composed = np.concatenate([rows[keep], own])
+        assert merged.tolist() == np.argsort(
+            packed_rows(composed[:, :n_words], composed[:, n_words:]),
+            kind="stable",
+        ).tolist()

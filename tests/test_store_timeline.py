@@ -6,18 +6,21 @@ import json
 import os
 import re
 import shutil
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro.cube.builder import SegregationDataCubeBuilder
 from repro.cube.compare import timeline_series
-from repro.cube.cube import check_same_cells
+from repro.cube.cube import SegregationCube, check_same_cells
 from repro.cube.incremental import TemporalCubeEngine
-from repro.cube.table import CellTable
+from repro.cube.table import CellTable, TableArrays, packed_rows
 from repro.data.synthetic import random_temporal_final_table
-from repro.errors import SnapshotError
+from repro.errors import CubeError, SnapshotError
 from repro.etl.diff import valid_at
+from repro.itemsets.items import Item, ItemDictionary
 from repro.itemsets.transactions import encode_table
 from repro.serve.__main__ import main as serve_main
 from repro.serve.http import make_app, wsgi_get
@@ -34,9 +37,15 @@ from repro.store import (
     timeline_dates,
     validate_snapshot,
 )
-from repro.store.manifest import DATA_NAME
-from repro.store.snapshot import delta_chain
+from repro.store.manifest import DATA_NAME, SnapshotManifest
+from repro.store.snapshot import changed_cells, delta_chain
+from repro.store.timeline import timeline_changes
 from tests.datafile import edit_manifest, read_payload, truncate, write_region
+from tests.oracles import (
+    reachable_cubes,
+    series_values,
+    timeline_series_reference,
+)
 
 DATES = (0, 1, 2)
 LIMITS = {"min_population": 20, "min_minority": 5,
@@ -66,6 +75,24 @@ def states():
     return engine.run(dated)
 
 
+@pytest.fixture(scope="module")
+def other_states():
+    """Two dates over another table: one more context attribute, so its
+    vocabulary differs from ``states``'."""
+    table, schema, starts, ends = random_temporal_final_table(
+        n_rows=2000, n_units=10, dates=(0, 1),
+        sa_attributes={"g": 2, "a": 3},
+        ca_attributes={"r": 4, "s": 3, "t": 2},
+        multi_valued_ca={"mv": 3},
+        seed=8, skew=0.5,
+    )
+    engine = TemporalCubeEngine(
+        encode_table(table, schema),
+        SegregationDataCubeBuilder(engine="incremental", **LIMITS),
+    )
+    return engine.run([(d, valid_at(starts, ends, d)) for d in (0, 1)])
+
+
 @pytest.fixture()
 def timeline_dir(states, tmp_path):
     root = tmp_path / "timeline"
@@ -91,6 +118,39 @@ def _publish(root, states, dates, full=False):
             root, date, states[date].cube, parent_date=parent,
             parent=None if parent is None else states[parent].cube,
         )
+
+
+def _cycle(root, states, n_dates):
+    """Publish ``n_dates`` dates, date ``d`` holding the cube of
+    ``states[d % len(states)]``, each on the date before; yield each
+    date once it is published."""
+    cubes = [states[d % len(states)].cube for d in range(n_dates)]
+    for date, cube in enumerate(cubes):
+        dump_into_timeline(
+            root, date, cube,
+            parent_date=None if date == 0 else date - 1,
+            parent=None if date == 0 else cubes[date - 1],
+        )
+        yield date
+
+
+def _publish_cycle(root, states, n_dates):
+    for _ in _cycle(root, states, n_dates):
+        pass
+
+
+@pytest.fixture()
+def argsorted(monkeypatch):
+    """The length of every array ``np.argsort`` sorts while active."""
+    lengths = []
+    argsort = np.argsort
+
+    def counting(array, *args, **kwargs):
+        lengths.append(len(array))
+        return argsort(array, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting)
+    return lengths
 
 
 @pytest.fixture()
@@ -274,6 +334,13 @@ DELTA_CORRUPTIONS = {
         ),
         "digest",
     ),
+    # A delta takes its parent's vocabulary and must not carry one.
+    "items_in_delta": (
+        lambda child: edit_manifest(child, lambda p: p.__setitem__(
+            "items", read_payload(child.parent / "0")["items"]
+        )),
+        "delta manifest carries an items list",
+    ),
 }
 
 
@@ -374,6 +441,32 @@ class TestDeltaCorruption:
         )
         reopened = open_snapshot(tmp_path / "child")
         assert check_same_cells(states[1].cube, reopened, atol=0.0) == []
+
+    def test_relabelled_parent_cube_rejected(self, states, tmp_path):
+        # The supplied parent holds the disk's cells over relabelled
+        # items, and the cube shares its vocabulary: the content digest
+        # cannot tell, so the root's vocabulary must.
+        relabelled = ItemDictionary()
+        vocabulary = states[0].cube.dictionary
+        for i in range(len(vocabulary)):
+            item = vocabulary.item(i)
+            relabelled.add(Item(item.attribute, f"{item.value}'"),
+                           vocabulary.kind(i))
+        cubes = [
+            SegregationCube(state.cube.table, relabelled,
+                            state.cube.metadata)
+            for state in states
+        ]
+        dump_snapshot(states[0].cube, tmp_path / "parent")
+        with pytest.raises(SnapshotError, match="does not match"):
+            dump_delta_snapshot(cubes[1], tmp_path / "child",
+                                tmp_path / "parent", parent=cubes[0])
+        root = tmp_path / "tl"
+        _publish(root, states, [0, 1])
+        with pytest.raises(SnapshotError, match="does not match"):
+            dump_into_timeline(root, 2, cubes[2], parent_date=1,
+                               parent=cubes[1])
+        assert timeline_dates(root) == [0, 1]
 
     def test_parent_value_drift_caught_by_digest(self, states, tmp_path):
         # Keys unchanged, values silently rewritten in the parent after
@@ -495,6 +588,82 @@ class TestCubeTimeline:
             str(directory / DATA_NAME) for directory in chain
         )
 
+    def test_chain_open_sorts_its_root_and_decodes_one_vocabulary(
+        self, states, tmp_path, argsorted, monkeypatch
+    ):
+        root = tmp_path / "tl"
+        _publish_cycle(root, states, 9)
+        decodes = []
+        dictionary = SnapshotManifest.dictionary
+
+        def counting(manifest):
+            decodes.append(manifest)
+            return dictionary(manifest)
+
+        monkeypatch.setattr(SnapshotManifest, "dictionary", counting)
+        hops = []
+        for date in range(9):
+            chain = [SnapshotManifest.read(d)
+                     for d in delta_chain(root / str(date))]
+            hops.append(len(chain) - 1)
+            argsorted.clear()
+            decodes.clear()
+            cube = open_snapshot(root / str(date))
+            # A full snapshot sorts nothing; a delta chain sorts its
+            # root's whole table once, then each delta's own rows alone.
+            assert sorted(argsorted) == (
+                [] if len(chain) == 1 else sorted(m.n_cells for m in chain)
+            )
+            assert len(decodes) == 1
+            for manifest in chain[:-1]:
+                assert manifest.items is None
+            # Every cube of the chain shares the root's vocabulary.
+            assert len(cube.dictionary) == chain[-1].n_items
+        assert max(hops) >= 4
+
+    def test_composed_order_is_the_stable_argsort(self, states, tmp_path):
+        root = tmp_path / "tl"
+        _publish_cycle(root, states, 12)
+        for _, cube in CubeTimeline(root):
+            table = cube.table
+            assert table.canonical_order().tolist() == np.argsort(
+                packed_rows(table.sa_masks, table.ca_masks), kind="stable"
+            ).tolist()
+
+    @pytest.mark.parametrize("n_dates", [5, 20])
+    def test_trend_holds_one_cube(self, states, tmp_path, n_dates):
+        root = tmp_path / "tl"
+        _publish_cycle(root, states, n_dates)
+        timeline = CubeTimeline(root)
+        service = CubeService(timeline)
+        series = service.trend("D", sa={"g": "g0"})
+        assert [date for date, _ in series] == list(range(n_dates))
+        # The walk ended on the served cube, which it did not re-open.
+        for holder in (timeline, service):
+            assert list(map(id, reachable_cubes(holder))) == [
+                id(service.cube)
+            ]
+        app = make_app(root, cache_size=0)
+        assert wsgi_get(app, "/trend?index=D&sa=g%3Dg0")[0] == 200
+        assert list(map(id, reachable_cubes(app))) == [id(app.service.cube)]
+
+    def test_walk_composes_each_date_once(self, states, tmp_path,
+                                         count_opens):
+        root = tmp_path / "tl"
+        _publish_cycle(root, states, 20)
+        chains = [delta_chain_length(root / str(d)) for d in range(20)]
+        count_opens["loads"].clear()
+        count_opens["composes"].clear()
+        for date, cube in CubeTimeline(root):
+            assert check_same_cells(
+                states[date % len(states)].cube, cube, atol=0.0
+            ) == []
+        # One directory and at most one hop per date.
+        assert len(count_opens["loads"]) == 20
+        assert len(count_opens["composes"]) == sum(
+            1 for chain in chains if chain
+        )
+
 
 class TestRefreshWork:
     """A refresh composes only the dates published since the served one."""
@@ -544,6 +713,26 @@ class TestRefreshWork:
             assert _comparable(query, body) == \
                 _comparable(query, fresh_body), query
 
+    def test_refresh_sorts_at_most_the_served_table(
+        self, states, tmp_path, argsorted
+    ):
+        root = tmp_path / "tl"
+        _publish(root, states, [0])
+        app = make_app(root)
+        served = len(app.service.cube)
+        for date in (1, 2):
+            _publish(root, states, [date])
+            own = SnapshotManifest.read(root / str(date)).n_cells
+            argsorted.clear()
+            status, _, body = wsgi_get(app, "/refresh", method="POST")
+            assert (status, body) == (200, b'{"refreshed":true}')
+            # The served root is sorted once, when date 1 composes onto
+            # it; date 1's order was merged, so date 2 sorts only its
+            # own rows.
+            assert sorted(argsorted) == sorted(
+                [served, own] if date == 1 else [own]
+            )
+
     def test_composed_keys_match_their_masks(
         self, states, tmp_path, monkeypatch
     ):
@@ -569,8 +758,10 @@ class TestRefreshWork:
             )
             assert wsgi_get(app, "/refresh", method="POST")[0] == 200
         assert wsgi_get(app, "/trend?index=D&sa=g%3Dg0")[0] == 200
-        # Four refresh hops, then the trend composes dates 1 and 2.
-        assert len(composed) == 6
+        # Four refresh hops, then the trend's walk: date 0 opens from
+        # disk, dates 1-3 compose one hop each onto the date before, and
+        # date 4 is the served cube.
+        assert len(composed) == 7
         for table in composed:
             n_words = table.sa_masks.shape[1]
             for part, masks in enumerate((table.sa_masks, table.ca_masks)):
@@ -742,6 +933,168 @@ class TestTimelineSerying:
         assert payload["timeline"]["dates"] == list(DATES)
 
 
+def _coordinates(timeline):
+    """``(sa, ca)`` coordinates of every key some date of ``timeline``
+    holds, each attribute mapped to the list of its values."""
+    found = {}
+    for _, cube in timeline:
+        for key in cube.table.keys:
+            parts = []
+            for part in key:
+                coordinates = {}
+                for item_id in sorted(part):
+                    item = cube.dictionary.item(item_id)
+                    coordinates.setdefault(item.attribute, []).append(
+                        item.value
+                    )
+                parts.append(coordinates)
+            found[repr(parts)] = tuple(parts)
+    return list(found.values())
+
+
+def _answer(trend, index_name, sa, ca):
+    """A trend's values as an array, or its error's text."""
+    try:
+        return np.array([value for _, value in trend(index_name, sa, ca)])
+    except CubeError as exc:
+        return str(exc)
+
+
+class TestTrendChanges:
+    """A service's trends read one walk's per-date changes."""
+
+    @staticmethod
+    def _without(cube, rows):
+        """``cube`` without the cells at ``rows``."""
+        keep = np.ones(len(cube), dtype=bool)
+        keep[rows] = False
+        arrays = cube.table.arrays
+        return SegregationCube(CellTable.from_arrays(TableArrays(
+            population=arrays.population[keep],
+            minority=arrays.minority[keep],
+            n_units=arrays.n_units[keep],
+            sa_masks=arrays.sa_masks[keep],
+            ca_masks=arrays.ca_masks[keep],
+            columns={name: column[keep]
+                     for name, column in arrays.columns.items()},
+        )), cube.dictionary, cube.metadata)
+
+    @pytest.fixture(params=["one_vocabulary", "cells_come_and_go",
+                            "vocabulary_change"])
+    def trend_root(self, request, states, other_states, tmp_path):
+        root = tmp_path / "tl"
+        if request.param == "one_vocabulary":
+            _publish_cycle(root, states, 20)   # checkpoints included
+        elif request.param == "cells_come_and_go":
+            cubes = [
+                states[0].cube,
+                self._without(states[1].cube, slice(0, None, 3)),
+                states[2].cube,
+                self._without(states[0].cube, slice(1, None, 4)),
+                self._without(states[0].cube, slice(1, None, 4)),
+                self._without(states[1].cube, slice(0, 40)),
+                # 50 cells, fewer than its changes: held whole.
+                self._without(states[2].cube, slice(50, None)),
+            ]
+            for date, cube in enumerate(cubes):
+                dump_into_timeline(
+                    root, date, cube,
+                    parent_date=date - 1 if date else None,
+                    parent=cubes[date - 1] if date else None,
+                )
+        else:
+            # Date 3 lacks half its cells, so some cells of date 2 are
+            # absent under the new vocabulary.
+            _publish(root, states, [0, 1, 2])
+            half = self._without(other_states[0].cube, slice(0, None, 2))
+            dump_into_timeline(root, 3, half)
+            dump_into_timeline(root, 4, other_states[1].cube,
+                               parent_date=3, parent=half)
+        return root
+
+    def test_trends_match_each_dates_cube(self, trend_root):
+        cubes = list(CubeTimeline(trend_root))
+
+        def reference(index_name, sa, ca):
+            return [(date, cube.value(index_name, sa=sa, ca=ca))
+                    for date, cube in cubes]
+
+        service = CubeService(trend_root)
+        queries = _coordinates(CubeTimeline(trend_root))
+        assert len(queries) > 50
+        for i, (sa, ca) in enumerate(queries):
+            for index_name in ("D", "A") if i % 4 else ("D", "A", "nope"):
+                want = _answer(reference, index_name, sa, ca)
+                got = _answer(service.trend, index_name, sa, ca)
+                if isinstance(want, str):
+                    assert got == want
+                else:
+                    np.testing.assert_array_equal(got, want)
+
+    def test_changes_hold_what_each_date_changed(self, trend_root):
+        entries = timeline_changes(CubeTimeline(trend_root))
+        dates = timeline_dates(trend_root)
+        assert [date for date, _, _ in entries] == dates
+        whole = [date for date, vocabulary, _ in entries
+                 if vocabulary is not None]
+        assert whole == {20: [0], 7: [0, 6], 5: [0, 3]}[len(dates)]
+        cubes = dict(CubeTimeline(trend_root))
+        for date, vocabulary, cells in entries:
+            if vocabulary is not None:
+                assert table_digest(cells) == table_digest(cubes[date].table)
+                continue
+            now = cubes[date].table
+            before = cubes[dates[dates.index(date) - 1]].table
+            now_keys = set(packed_rows(now.sa_masks, now.ca_masks).tolist())
+            before_keys = set(
+                packed_rows(before.sa_masks, before.ca_masks).tolist()
+            )
+            changed = packed_rows(cells.sa_masks, cells.ca_masks).tolist()
+            # Every key that came or went is among the changes.
+            assert now_keys ^ before_keys <= set(changed)
+            assert len(cells) < len(now)
+
+    def test_recorded_changes_equal_a_row_by_row_diff(self, trend_root):
+        walked = CubeTimeline(trend_root)
+        previous, recorded_hops = None, 0
+        for date, cube in walked:
+            if previous is not None:
+                recorded_hops += cube.table.changes_since(
+                    previous.table
+                ) is not None
+                # Opened apart, the two dates' tables are compared row
+                # by row; walked, the later one knows what it composed.
+                apart = [open_snapshot(trend_root / str(d))
+                         for d in (previous_date, date)]
+                assert apart[1].table.changes_since(apart[0].table) is None
+                recorded = changed_cells(cube, previous)
+                compared = changed_cells(apart[1], apart[0])
+                assert (recorded is None) == (compared is None)
+                if recorded is not None:
+                    for name, array in vars(recorded.arrays).items():
+                        other = getattr(compared.arrays, name)
+                        if name == "columns":
+                            assert list(array) == list(other)
+                            for column in array:
+                                np.testing.assert_array_equal(
+                                    array[column], other[column]
+                                )
+                        else:
+                            np.testing.assert_array_equal(array, other)
+            previous, previous_date = cube, date
+        assert recorded_hops >= 2
+
+    def test_later_trends_open_nothing(self, trend_root, count_opens):
+        service = CubeService(trend_root)
+        queries = _coordinates(CubeTimeline(trend_root))[:20]
+        service.trend("D", *queries[0])
+        count_opens["loads"].clear()
+        count_opens["composes"].clear()
+        for sa, ca in queries[1:]:
+            _answer(service.trend, "D", sa, ca)
+        assert count_opens == {"loads": [], "composes": []}
+
+
 class TestTimelineSeries:
     def test_series_align_across_dates(self, timeline_dir):
         timeline = CubeTimeline(timeline_dir)
@@ -787,3 +1140,198 @@ class TestTimelineSeries:
         timeline = CubeTimeline(timeline_dir)
         strict = timeline_series(timeline, min_minority=10 ** 9)
         assert strict == []
+
+    @pytest.mark.parametrize("min_minority", [0, 8])
+    def test_series_match_per_row_reference(self, timeline_dir,
+                                            min_minority):
+        got = timeline_series(CubeTimeline(timeline_dir), min_minority)
+        assert got
+        assert series_values(got) == series_values(timeline_series_reference(
+            CubeTimeline(timeline_dir), min_minority
+        ))
+
+    @staticmethod
+    def _distinct_keys(timeline, runs):
+        """Distinct packed keys of the rows a series reads, per run."""
+        total = 0
+        for run in runs:
+            keys = set()
+            for date in run:
+                table = timeline.at(date).table
+                rows = np.flatnonzero(~np.isnan(table.columns["D"]))
+                keys.update(packed_rows(
+                    table.sa_masks[rows], table.ca_masks[rows]
+                ).tolist())
+            total += len(keys)
+        return total
+
+    def test_vocabulary_change_at_a_checkpoint(
+        self, states, other_states, tmp_path, decoded
+    ):
+        root = tmp_path / "tl"
+        _publish(root, states, [0, 1, 2])
+        dump_into_timeline(root, 3, other_states[0].cube)
+        dump_into_timeline(root, 4, other_states[1].cube, parent_date=3,
+                           parent=other_states[0].cube)
+        assert delta_chain_length(root / "4") == 1
+        timeline = CubeTimeline(root)
+        assert len(timeline.at(2).dictionary) != len(
+            timeline.at(3).dictionary
+        )
+        distinct = self._distinct_keys(timeline, [(0, 1, 2), (3, 4)])
+        got = timeline_series(CubeTimeline(root))
+        # Each distinct key decodes once in each run of dates that
+        # share one vocabulary.
+        assert 0 < len(decoded) <= distinct
+        expected = timeline_series_reference(CubeTimeline(root))
+        assert series_values(got) == series_values(expected)
+        # Series align across the change: some span both vocabularies.
+        assert any(
+            not np.isnan(s.values[0]) and not np.isnan(s.values[-1])
+            for s in got
+        )
+
+    def test_each_key_decodes_once_per_chain(
+        self, states, tmp_path, decoded
+    ):
+        # Twenty dates over one vocabulary, in chains: a checkpoint
+        # decodes the vocabulary again, into a new object, so the memo
+        # starts again there.
+        root = tmp_path / "tl"
+        _publish_cycle(root, states, 20)
+        chains = [delta_chain_length(root / str(d)) for d in range(20)]
+        starts = [d for d, chain in enumerate(chains) if chain == 0]
+        assert len(starts) >= 2
+        runs = [range(a, b) for a, b in zip(starts, starts[1:] + [20])]
+        timeline = CubeTimeline(root)
+        distinct = self._distinct_keys(timeline, runs)
+        got = timeline_series(CubeTimeline(root))
+        assert 0 < len(decoded) <= distinct
+        assert series_values(got) == series_values(
+            timeline_series_reference(CubeTimeline(root))
+        )
+
+
+#: The queries the interleaving test races, each asked of every app.
+RACED_QUERIES = (
+    TOP_QUERY,
+    "/trend?index=D&sa=g%3Dg0&ca=r%3Dr0",
+    "/trend?index=D&sa=g%3Dg1",
+)
+
+
+class TestWalkInterleavings:
+    """Trends, refreshes, restarts and ``/top`` race a publisher.
+
+    The invariant, stated once as :meth:`_lone_answer`: every body a
+    request returns equals the body a lone request returns for the same
+    served date.  A request's served dates run from the date its app
+    had settled on when the request began (the date its last completed
+    refresh left it serving) to the date it serves once the request
+    returns: a refresh in flight swaps the service before it
+    invalidates the cache, so until then a cached body of the date
+    before may still answer.
+    """
+
+    N_DATES = 12
+
+    @staticmethod
+    def _lone_answers(states, root, n_dates):
+        """``{date: {query: (status, body)}}`` of a lone, cache-off app
+        over the timeline as it stood right after ``date``'s publish."""
+        answers = {}
+        for date in _cycle(root, states, n_dates):
+            app = make_app(root, cache_size=0)
+            answers[date] = {
+                query: wsgi_get(app, query)[::2] for query in RACED_QUERIES
+            }
+        return answers
+
+    @staticmethod
+    def _lone_answer(answers, served, query, answer):
+        """True when ``answer`` is a lone request's for a date in
+        ``served`` (the dates the app served while the request ran)."""
+        return any(answers[date][query] == answer for date in served)
+
+    def test_requests_answer_as_a_lone_request_does(self, states,
+                                                    tmp_path):
+        answers = self._lone_answers(states, tmp_path / "ref",
+                                     self.N_DATES)
+        root = tmp_path / "live"
+        dates = _cycle(root, states, self.N_DATES)
+        next(dates)
+        cached = make_app(root)
+        plain = make_app(root, cache_size=0)
+        published = threading.Event()
+        seen = []   # (served dates, query, answer)
+        errors = []
+        #: Each shared app's date as of its last completed refresh.
+        settled = {id(cached): 0, id(plain): 0}
+
+        def ask(app, query):
+            before = settled.get(id(app), app.service.date)
+            answer = wsgi_get(app, query)[::2]
+            after = app.service.date
+            seen.append((range(before, after + 1), query, answer))
+
+        def loop(step):
+            def run():
+                try:
+                    while True:
+                        done = published.is_set()
+                        step()
+                        if done:
+                            return
+                except Exception as exc:   # reported below
+                    errors.append(exc)
+            return threading.Thread(target=run)
+
+        def publish():
+            for _ in dates:
+                pass
+            published.set()
+
+        def refresh():
+            for app in (cached, plain):
+                assert wsgi_get(app, "/refresh", method="POST")[0] == 200
+                settled[id(app)] = app.service.date
+
+        def restart():
+            app = make_app(root, cache_size=0)
+            for query in RACED_QUERIES:
+                ask(app, query)
+
+        threads = [
+            loop(refresh),
+            # Two trends on one service, and one behind the cache.
+            loop(lambda: ask(plain, RACED_QUERIES[1])),
+            loop(lambda: ask(plain, RACED_QUERIES[2])),
+            loop(lambda: ask(cached, RACED_QUERIES[1])),
+            loop(lambda: [ask(app, TOP_QUERY) for app in (cached, plain)]),
+            loop(restart),
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            publish()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            published.set()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for app in (cached, plain):
+            refresh()
+            assert app.service.date == self.N_DATES - 1
+            for query in RACED_QUERIES:
+                ask(app, query)
+        served = {date for dates, _, _ in seen for date in dates}
+        assert len(served) > 2
+        assert {query for _, query, _ in seen} == set(RACED_QUERIES)
+        for dates, query, answer in seen:
+            assert answer[0] == 200, (query, answer)
+            assert self._lone_answer(answers, dates, query, answer), (
+                list(dates), query)
