@@ -15,10 +15,12 @@ Assertions pin the refactor's contract at >= 100k rows: the encoded
 database equals the per-row reference encoder's bit for bit (CSR
 arrays, units and item dictionary; the table has a multi-valued CA),
 and so does the table written as CSV and streamed back through the
-encoder in default-size chunks (two at 120k rows);
-the two engines produce *identical* cubes (checked with zero tolerance)
-with the columnar fill at least 2x faster, and the array-routed top-k
-ranking at least 2x faster than the per-object sort it replaced.
+encoder in default-size chunks (two at 120k rows); the builder's one
+level-wise mine gives the recursive reference DFS's cells and contexts
+(same keys, same order, same supports); the two engines produce
+*identical* cubes (checked with zero tolerance) with the columnar fill
+at least 2x faster, and the array-routed top-k ranking at least 2x
+faster than the per-object sort it replaced.
 """
 
 from __future__ import annotations
@@ -37,7 +39,13 @@ from repro.itemsets.transactions import EncodeAccumulator, encode_table
 from repro.report.text import render_table
 
 from benchmarks.conftest import write_bench_json, write_result
-from tests.oracles import assert_same_db, encode_reference, fill_percell
+from tests.oracles import (
+    assert_same_db,
+    encode_reference,
+    fill_percell,
+    mine_eclat_reference,
+    mine_eclat_typed_reference,
+)
 
 FILL_ROWS = 120_000
 TOPK_REPS = 5
@@ -130,6 +138,20 @@ def test_cube_fill_columnar_vs_percell(benchmark, fill_table, reference_db):
     (mined, percell_cells, columnar_store, mine_seconds, percell_seconds,
      columnar_seconds) = benchmark.pedantic(run, rounds=1, iterations=1)
 
+    # The mine against the recursive DFS: the cells in its order, and
+    # the contexts as mining the CA items alone finds them, root last.
+    sa_ids, ca_ids = db.dictionary.sa_ids, db.dictionary.ca_ids
+    cells = mine_eclat_typed_reference(
+        db, min(mined.minsup_pop, mined.minsup_min), sa_ids, ca_ids,
+        LIMITS["max_sa_items"], LIMITS["max_ca_items"],
+    )
+    assert mined.keys == list(cells)
+    contexts = mine_eclat_reference(
+        db, mined.minsup_pop, items=ca_ids, max_len=LIMITS["max_ca_items"],
+    )
+    contexts[frozenset()] = db.n_active
+    assert list(mined.context_pops.items()) == list(contexts.items())
+
     # Identical cubes, bit for bit.
     metadata_kwargs = dict(
         index_names=[s.name for s in builder.indexes],
@@ -146,6 +168,12 @@ def test_cube_fill_columnar_vs_percell(benchmark, fill_table, reference_db):
     )
     assert list(columnar_cube.keys()) == list(percell_cube.keys())
     assert check_same_cells(columnar_cube, percell_cube, atol=0.0) == []
+    # A cell's minority is its itemset's support in the reference mine,
+    # and its population its context's.
+    for stats in columnar_cube:
+        assert stats.population == contexts[stats.key[1]]
+        if stats.key[0]:
+            assert stats.minority == cells[stats.key].support()
 
     fill_speedup = percell_seconds / columnar_seconds
 

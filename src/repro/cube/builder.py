@@ -18,16 +18,21 @@ companion's SegregationDataCubeBuilder): because segregation indexes are
    per-unit counts of ``cover(X)``; every requested segregation index is
    evaluated on those vectors.
 
-The build core exists once.  Mining is one eclat DFS
-(:mod:`repro.itemsets.eclat`): pass 1 mines the contexts, pass 2 the
-typed SA/CA lattice.  The fill is one count-and-evaluate loop,
-:func:`count_and_eval`: candidate cells are grouped by context and cut
-into bounded batches; each batch is counted with one call of the
-popcount kernel
-(:func:`~repro.itemsets.transactions.count_unit_bits`, which ANDs each
-cell's item rows — the item covers re-packed with the rows in unit
-order — and reads the per-unit counts off a running popcount, without
-unpacking any cover), and each context slice of it is evaluated with
+The build core exists once.  Mining is one level-wise eclat mine
+(:func:`~repro.itemsets.eclat.mine_eclat_typed`) of the typed SA/CA
+lattice; its CA-only itemsets at ``min_population``, plus the root, are
+the contexts.  The mine hands the fill cell keys, not covers.  Then
+the count phase: per-context populations and unit counts come from the
+counting kernel, once per context (:meth:`MinedCoordinates.of_contexts`),
+and a context below ``min_population`` is never counted.  The fill is
+one count-and-evaluate loop, :func:`count_and_eval`: candidate cells
+are grouped by context and cut into bounded batches; each batch is
+counted on its contexts
+(:func:`~repro.itemsets.transactions.count_on_contexts`: each
+context's item rows — the item covers re-packed with the rows in unit
+order — are ANDed once, each cell ANDs only its SA rows on top, and
+the per-unit counts are read off a running popcount, without unpacking
+any cover), and each context slice of it is evaluated with
 :func:`eval_context_block`: the slice is one prepared block, over
 which :func:`~repro.indexes.base.evaluate` runs each index's kernel
 once for all cells sharing the context (each index exists only as that
@@ -35,10 +40,6 @@ kernel).  Results land directly in the cube's struct-of-arrays
 :class:`~repro.cube.table.CellTable`, in mining order and with the bits
 of a one-cell-at-a-time fill over the scalar index formulas (the
 reference ``tests/oracles.py`` keeps and benchmark E17 checks).
-Per-context populations and unit counts come from the same counting
-kernel, once per context (:meth:`MinedCoordinates.of_contexts`), and
-context covers below ``min_population`` are discarded before any
-per-unit counting happens.
 
 Three callers share that loop.  ``engine="columnar"`` (the default)
 runs it in-process over every context.  The opt-in ``engine="parallel"``
@@ -49,8 +50,8 @@ fill does a lot of work (on 2 CPUs, two workers lose to the columnar
 fill at 30k rows and win 1.29x per build at 2M rows).  The incremental
 engine (:mod:`repro.cube.incremental`) runs the columnar fill over the
 contexts a date changed.  Mining always runs in-process: pooling the
-mining passes loses at every size measured, because every candidate
-cover would be pickled back.
+mine loses at every size measured, because every candidate cover would
+be pickled back.
 
 In ``closed`` mode only closed coordinates are materialised (non-closed
 itemsets select exactly the same minority as their closure); the cube
@@ -77,12 +78,11 @@ from repro.etl.schema import Schema
 from repro.etl.table import Table
 from repro.indexes.base import IndexSpec, evaluate, resolve_indexes
 from repro.itemsets.closed import filter_closed
-from repro.itemsets.coverset import Cover, cover_digest
-from repro.itemsets.eclat import mine_eclat, mine_eclat_typed
+from repro.itemsets.eclat import mine_eclat_typed
 from repro.itemsets.miner import absolute_minsup
 from repro.itemsets.transactions import (
     TransactionDatabase,
-    count_unit_bits,
+    count_on_contexts,
     encode_table,
 )
 
@@ -121,7 +121,7 @@ def eval_context_block(
 
 
 def count_and_eval(
-    groups: "list[tuple[np.ndarray, np.ndarray]]",
+    groups: "list[tuple[Itemset, np.ndarray, np.ndarray]]",
     words: np.ndarray,
     bounds: np.ndarray,
     index_rows: np.ndarray,
@@ -130,37 +130,43 @@ def count_and_eval(
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
     """Phases B/C: count and evaluate context groups in bounded batches.
 
-    Each group is ``(tvec, rows)``: a context's per-unit population
-    vector and the ``index_rows`` rows of its SA-bearing candidate
-    cells.  The groups' rows, in order, are cut into batches of at most
+    Each group is ``(context, tvec, rows)``: a context's CA item ids,
+    its per-unit population vector and the ``index_rows`` rows (each
+    cell's SA item ids) of its SA-bearing candidate cells.  The groups'
+    rows, in order, are cut into batches of at most
     ``_FILL_BATCH_CELLS // n_units`` rows — a popular context is sliced
-    across batches, so the bound holds whatever the groups' sizes.  Each
-    batch is counted with one :func:`count_unit_bits` call over the
-    unit-ordered item ``words`` and unit ``bounds``, and each context
-    slice in it is evaluated with :func:`eval_context_block`.  Returns
-    ``(rows, totals, keep, values)`` over the groups' rows in order.
+    across batches, so the bound holds whatever the groups' sizes.  The
+    batches are counted on their contexts by
+    :func:`~repro.itemsets.transactions.count_on_contexts` over the
+    unit-ordered item ``words`` and unit ``bounds`` (each context's
+    items ANDed once), and each context slice of a batch is evaluated
+    with :func:`eval_context_block`.  Returns ``(rows, totals, keep,
+    values)`` over the groups' rows in order.
 
     This is the one phase B/C loop: the columnar fill runs it over every
     group, each pool worker of ``engine="parallel"`` over its partition.
     """
-    sizes = [len(group_rows) for _, group_rows in groups]
+    sizes = [len(group_rows) for _, _, group_rows in groups]
     rows = np.concatenate(
         [np.zeros(0, dtype=np.int64)]
-        + [group_rows for _, group_rows in groups]
+        + [group_rows for _, _, group_rows in groups]
     )
     totals = np.empty(len(rows), dtype=np.int64)
     keep = np.empty(len(rows), dtype=bool)
     values = np.empty((len(specs), len(rows)))
     max_batch = max(1, _FILL_BATCH_CELLS // max(1, len(bounds) - 1))
+    batches = count_on_contexts(
+        words, bounds, [context for context, _, _ in groups],
+        index_rows[rows], sizes, max_batch,
+    )
     g, g_start = 0, 0          # the current group and its first row
-    for a in range(0, len(rows), max_batch):
-        b = min(a + max_batch, len(rows))
-        matrix = count_unit_bits(words, bounds, index_rows[rows[a:b]])
+    for a, matrix in zip(range(0, len(rows), max_batch), batches):
+        b = a + len(matrix)
         while g < len(groups) and g_start < b:
             g_stop = g_start + sizes[g]
             lo, hi = max(g_start, a), min(g_stop, b)
             totals[lo:hi], keep[lo:hi], values[:, lo:hi] = eval_context_block(
-                specs, groups[g][0], matrix[lo - a:hi - a], minsup_min,
+                specs, groups[g][1], matrix[lo - a:hi - a], minsup_min,
             )
             if g_stop > b:
                 break          # the group goes on in the next batch
@@ -174,27 +180,27 @@ class CandidateArrays:
 
     ``rows_of[i] == -1`` marks a context-only candidate (no counting
     needed); otherwise it is the candidate's row in the SA count
-    matrix / ``sa_itemsets`` list, which holds each SA-bearing cell's
-    minority itemset (SA and CA items together).  ``groups`` holds one
-    ``(tvec, rows)`` pair per context with SA-bearing candidates, the
-    input of :func:`count_and_eval`.
+    matrix and in ``index_rows``, which holds each SA-bearing cell's SA
+    item ids, padded with the live row.  ``groups`` holds one
+    ``(context, tvec, rows)`` triple per context with SA-bearing
+    candidates, the input of :func:`count_and_eval`.
     """
 
     keys: "list[CellKey]"
-    sa_itemsets: "list[Itemset]"
+    index_rows: np.ndarray
     rows_of: np.ndarray
     pops: np.ndarray
     units_of: np.ndarray
-    groups: "list[tuple[np.ndarray, np.ndarray]]"
+    groups: "list[tuple[Itemset, np.ndarray, np.ndarray]]"
 
 
 @dataclass
 class MinedCoordinates:
-    """Output of the mining passes, input of the fill stage."""
+    """Output of the mine, input of the fill stage."""
 
-    #: Cell key ``(SA part, CA part)`` of a mixed SA+CA itemset ->
-    #: its cover, within the coordinate lattice.
-    mixed_covers: "dict[CellKey, Cover]"
+    #: Cell keys ``(SA part, CA part)`` within the coordinate lattice,
+    #: in mining order (the closed ones only, in closed mode).
+    keys: "list[CellKey]"
     #: Frequent context -> per-unit population vector ``t``.
     context_tvecs: "dict[Itemset, np.ndarray]"
     #: Frequent context -> total population (``t.sum()``, computed once).
@@ -204,10 +210,10 @@ class MinedCoordinates:
     minsup_pop: int
     minsup_min: int
     n_contexts: int
-    #: Closed mode + incremental engine only: every pass-2 itemset —
-    #: including the non-closed ones filtered out of ``mixed_covers`` —
-    #: mapped to ``(cover_digest, closed_flag)``, the seed of the
-    #: incremental engine's closure-diff pass (see
+    #: Closed mode + incremental engine only: every mined itemset —
+    #: including the non-closed ones filtered out of ``keys`` — mapped
+    #: to ``(cover_digest, closed_flag)``, the seed of the incremental
+    #: engine's closure-diff pass (see
     #: :func:`repro.itemsets.closed.closure_diff`).
     closed_info: "dict[Itemset, tuple[bytes, bool]] | None" = None
 
@@ -223,11 +229,11 @@ class MinedCoordinates:
 
         One ``unit_counts_of`` call counts every context; its population
         and non-empty-unit count are derived here once, since every cell
-        of a context shares them.  The caller adds ``mixed_covers``.
+        of a context shares them.  The caller adds the cell ``keys``.
         """
         tvecs = db.unit_counts_of(contexts)
         return cls(
-            mixed_covers={},
+            keys=[],
             context_tvecs=dict(zip(contexts, tvecs)),
             context_pops=dict(zip(contexts, tvecs.sum(axis=1).tolist())),
             context_nunits=dict(
@@ -351,7 +357,7 @@ class SegregationDataCubeBuilder:
             build_seconds=time.perf_counter() - started,
             extra={
                 "n_contexts": mined.n_contexts,
-                "n_mined_itemsets": len(mined.mixed_covers),
+                "n_mined_itemsets": len(mined.keys),
                 "engine": self.engine,
                 **extra_meta,
             },
@@ -364,76 +370,76 @@ class SegregationDataCubeBuilder:
         return cube, mined
 
     def mine_coordinates(self, db: TransactionDatabase) -> MinedCoordinates:
-        """Run the two mining passes; no cells are filled yet.
+        """Mine the coordinate lattice once; no cells are filled yet.
 
-        Pass 1 mines frequent CA-only itemsets (the contexts) with
-        covers; a context below ``min_population`` never reaches the
-        per-unit counting stage (mined contexts satisfy the threshold by
-        eclat's frequency bound, and the hand-added root context — the
-        only other cover — is skipped when the table itself is too
-        small).  The per-context population and non-empty-unit count are
-        derived once here (:meth:`MinedCoordinates.of_contexts`) — every
-        cell of a context shares them.
+        One mine of the frequent typed itemsets (the candidate cells),
+        constrained to the coordinate lattice (at most ``max_sa_items``
+        SA and ``max_ca_items`` CA items), at the smaller of the two
+        thresholds so that context-only cells (SA part empty, filtered
+        by ``min_population`` later) are not lost when ``min_minority``
+        exceeds ``min_population``.
 
-        Pass 2 mines frequent typed itemsets (the candidate cells) with
-        covers, DFS-constrained to the coordinate lattice (at most
-        ``max_sa_items`` SA and ``max_ca_items`` CA items), at the
-        smaller of the two thresholds so that context-only cells (SA
-        part empty, filtered by ``min_population`` later) are not lost
-        when ``min_minority`` exceeds ``min_population``.
+        The contexts are its CA-only itemsets with support at least
+        ``min_population``, in mining order, then the root.  The mine
+        at the smaller threshold holds every one of them, and the
+        stable support sort keeps the CA items' relative order, so
+        these are, in order, what mining the CA items alone at
+        ``min_population`` would find.  A context below
+        ``min_population`` never reaches the per-unit counting stage
+        (the root, added by hand, is skipped when the table itself is
+        too small).  The per-context population and non-empty-unit
+        count are derived once here (:meth:`MinedCoordinates.of_contexts`)
+        — every cell of a context shares them.
+
+        The closed filter reads the mine's supports and the incremental
+        engine's closure memo its cover digests before this returns, so
+        the fill gets cell keys and the covers are freed.
         """
         minsup_pop = absolute_minsup(self.min_population, db.n_active)
         minsup_min = absolute_minsup(self.min_minority, db.n_active)
 
-        contexts = list(mine_eclat(
+        lattice = mine_eclat_typed(
             db,
-            minsup_pop,
-            items=db.dictionary.ca_ids,
-            max_len=self.max_ca_items,
-        ))
-        if db.n_active >= minsup_pop:
-            # The root (empty) context is added by hand, so it is the
-            # only context that can sit below min_population — mined
-            # contexts already satisfy it via eclat's frequency bound.
-            # Skipping it here means no context that cannot produce a
-            # cell ever pays for its per-unit counts.
-            contexts.append(frozenset())
-        mined = MinedCoordinates.of_contexts(
-            db, contexts, minsup_pop, minsup_min
-        )
-
-        mixed_minsup = min(minsup_min, minsup_pop)
-        mixed_covers = mine_eclat_typed(
-            db,
-            mixed_minsup,
+            min(minsup_min, minsup_pop),
             sa_ids=db.dictionary.sa_ids,
             ca_ids=db.dictionary.ca_ids,
             max_sa=self.max_sa_items,
             max_ca=self.max_ca_items,
         )
-        closed_info: "dict[Itemset, tuple[bytes, bool]] | None" = None
+        keys = list(lattice)
+        supports = lattice.supports.tolist()
+        contexts = [
+            ca for (sa, ca), support in zip(keys[1:], supports[1:])
+            if not sa and support >= minsup_pop
+        ]
+        if db.n_active >= minsup_pop:
+            # The root (empty) context is added by hand, so it is the
+            # only context that can sit below min_population — mined
+            # contexts satisfy it by the filter above.  Skipping it
+            # here means no context that cannot produce a cell ever
+            # pays for its per-unit counts.
+            contexts.append(frozenset())
+        mined = MinedCoordinates.of_contexts(
+            db, contexts, minsup_pop, minsup_min
+        )
+
         if self.mode == "closed":
-            itemsets = {key: key[0] | key[1] for key in mixed_covers}
-            closed = filter_closed({
-                itemsets[key]: cover.support()
-                for key, cover in mixed_covers.items()
-            })
+            itemsets = [sa | ca for sa, ca in keys]
+            closed = filter_closed(dict(zip(itemsets, supports)))
             if self.engine == "incremental":
                 # Seed the closure-diff pass: flags for *every* mined
                 # itemset, non-closed ones included, so a later update
                 # can reuse any flag whose cover digest is unchanged.
-                closed_info = {
-                    itemsets[key]: (cover_digest(cover),
-                                    itemsets[key] in closed)
-                    for key, cover in mixed_covers.items()
+                mined.closed_info = {
+                    itemset: (digest, itemset in closed)
+                    for itemset, digest in zip(itemsets, lattice.digests())
                 }
             # The root is always closed, so it stays first.
-            mixed_covers = {
-                key: cover for key, cover in mixed_covers.items()
-                if itemsets[key] in closed
-            }
-        mined.mixed_covers = mixed_covers
-        mined.closed_info = closed_info
+            keys = [
+                key for key, itemset in zip(keys, itemsets)
+                if itemset in closed
+            ]
+        mined.keys = keys
         return mined
 
     # ------------------------------------------------------------------
@@ -441,38 +447,36 @@ class SegregationDataCubeBuilder:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _candidates(mined: MinedCoordinates):
-        """Yield ``(key, cover)`` for every mined cell whose context
-        survived the population threshold (a context below it has no
-        cell).  Mining keeps every key within the item caps."""
-        for key, cover in mined.mixed_covers.items():
-            if key[1] in mined.context_tvecs:
-                yield key, cover
+    def _candidates(mined: MinedCoordinates) -> "list[CellKey]":
+        """Every mined cell key whose context survived the population
+        threshold (a context below it has no cell), in mining order.
+        Mining keeps every key within the item caps."""
+        return [key for key in mined.keys if key[1] in mined.context_tvecs]
 
     def _enumerate_candidates(
-        self, mined: MinedCoordinates
+        self, db: TransactionDatabase, mined: MinedCoordinates
     ) -> CandidateArrays:
         """Phase A — enumerate candidates in mining order (the order a
         one-cell-at-a-time fill inserts cells in).  Context-only cells
         (empty SA part) need no counting; SA-bearing cells queue their
-        minority itemsets, grouped by context."""
-        cand_keys: "list[CellKey]" = []
-        sa_itemsets: "list[Itemset]" = []
+        SA items, grouped by context."""
+        cand_keys = self._candidates(mined)
+        sa_parts: "list[Itemset]" = []
         sa_row: "list[int]" = []       # candidate -> matrix row (-1 = ctx)
         by_context: "dict[Itemset, list[int]]" = {}
-        for key, _ in self._candidates(mined):
-            sa_part, ca_part = key
-            cand_keys.append(key)
+        for sa_part, ca_part in cand_keys:
             if sa_part:
-                by_context.setdefault(ca_part, []).append(len(sa_itemsets))
-                sa_row.append(len(sa_itemsets))
-                sa_itemsets.append(sa_part | ca_part)
+                by_context.setdefault(ca_part, []).append(len(sa_parts))
+                sa_row.append(len(sa_parts))
+                sa_parts.append(sa_part)
             else:
                 sa_row.append(-1)
         n_cand = len(cand_keys)
         return CandidateArrays(
             keys=cand_keys,
-            sa_itemsets=sa_itemsets,
+            # The context's cover holds the live row, so a cell's rows
+            # drop the live-row column that closes every padded row.
+            index_rows=db.item_index_rows(sa_parts)[:, :-1],
             rows_of=np.array(sa_row, dtype=np.int64),
             pops=np.fromiter(
                 (mined.context_pops[ca] for _, ca in cand_keys),
@@ -483,7 +487,7 @@ class SegregationDataCubeBuilder:
                 dtype=np.int64, count=n_cand,
             ),
             groups=[
-                (mined.context_tvecs[ca], np.array(rows, dtype=np.int64))
+                (ca, mined.context_tvecs[ca], np.array(rows, dtype=np.int64))
                 for ca, rows in by_context.items()
             ],
         )
@@ -496,7 +500,7 @@ class SegregationDataCubeBuilder:
     ) -> CellTable:
         """Phase D — scatter the :func:`count_and_eval` results, then the
         surviving candidates into the store, keeping mining order."""
-        n_sa = len(cand.sa_itemsets)
+        n_sa = len(cand.index_rows)
         minority_totals = np.zeros(n_sa, dtype=np.int64)
         kept_rows = np.zeros(n_sa, dtype=bool)
         values = np.full((len(self.indexes), n_sa), np.nan)
@@ -540,11 +544,10 @@ class SegregationDataCubeBuilder:
         across batches, so peak memory is bounded by the batch size,
         not ``n_cells * n_units``.
         """
-        cand = self._enumerate_candidates(mined)
+        cand = self._enumerate_candidates(db, mined)
         words, bounds = db.unit_words()
         counted = count_and_eval(
-            cand.groups, words, bounds,
-            db.item_index_rows(cand.sa_itemsets),
+            cand.groups, words, bounds, cand.index_rows,
             self.indexes, mined.minsup_min,
         )
         return self._assemble_cells(db, cand, [counted])

@@ -24,9 +24,9 @@ view maintenance to the columnar cube instead:
    context's population vector is also bit-identical (compared by
    blake2b digest) the whole cube row is carried verbatim from the
    parent table — only genuinely changed cells re-enter the columnar
-   fill (the recomputed contexts are counted through
-   :meth:`~repro.cube.builder.MinedCoordinates.of_contexts`, as a full
-   build counts its contexts).  The provenance records the
+   fill, handed over as cell keys (the recomputed contexts are counted
+   through :meth:`~repro.cube.builder.MinedCoordinates.of_contexts`, as
+   a full build counts its contexts).  The provenance records the
    split as ``n_carried_cells`` (whole contexts),
    ``n_carried_cells_within_affected`` and ``n_recomputed_cells``;
 4. ``mode="closed"`` rides the same machinery through a *closure diff*:
@@ -312,7 +312,7 @@ class TemporalCubeEngine:
 
         # Enumerate the candidate cells of each recomputed context: SA
         # refinements inside the context's cover, at the mixed threshold
-        # the full pass-2 mine uses.
+        # a full build's mine uses.
         mixed_minsup = min(minsup_min, minsup_pop)
         sa_ids = list(self.db.dictionary.sa_ids)
         candidates: "dict[Itemset, dict[Itemset, Cover]]" = {}
@@ -373,7 +373,7 @@ class TemporalCubeEngine:
         prev_digests = state.context_digests or {}
         prev_table = state.cube.table
         carried_within_rows: "list[int]" = []
-        mixed_covers: "dict[CellKey, Cover]" = {}
+        fresh_keys: "list[CellKey]" = []
         sa_static: "dict[Itemset, Cover]" = {}
         for context, cands in candidates.items():
             tvec_same = (
@@ -381,7 +381,7 @@ class TemporalCubeEngine:
                 and prev_digests[context] == new_digests[context]
             )
             changed_ctx: "Cover | None" = None
-            for itemset, cover in cands.items():
+            for itemset in cands:
                 if closed_mode and itemset and not flags[itemset][1]:
                     # Not closed at this date: not a candidate, exactly
                     # as the from-scratch closed filter would decide.
@@ -397,7 +397,7 @@ class TemporalCubeEngine:
                     if prev_row is not None:
                         carried_within_rows.append(prev_row)
                     else:
-                        mixed_covers[(sa_part, context)] = cover
+                        fresh_keys.append((sa_part, context))
                     continue
                 # Untouched when any single item misses every changed
                 # row (item-level screen, no cover work), or when the
@@ -422,11 +422,11 @@ class TemporalCubeEngine:
                         # was dropped by the minority threshold — its
                         # unchanged total drops it again.
                         continue
-                mixed_covers[(sa_part, context)] = cover
+                fresh_keys.append((sa_part, context))
 
         # Count and fill the recomputed cells through the ordinary
         # columnar engine (bit-exact with a from-scratch build).
-        mined.mixed_covers = mixed_covers
+        mined.keys = fresh_keys
         fresh = self.builder._fill_columnar(db, mined)
 
         # Merge: carried rows — whole contexts and individual cells of

@@ -3,25 +3,29 @@
 This is the package's only multiprocess code.  The columnar fill's
 phases B/C — per-unit counting plus batched index kernels — are
 embarrassingly parallel across *context groups*: every candidate cell of
-a context needs only that context's population vector and its own
-minority itemset.  This module partitions the context groups across a
-pool of worker processes:
+a context needs only that context's items and population vector and its
+own SA items.  This module partitions the context groups across a pool
+of worker processes:
 
 * three arrays are shared **once** with every worker instead of being
   pickled per task: the database's unit-ordered item words and unit
   boundaries
   (:meth:`~repro.itemsets.transactions.TransactionDatabase.unit_words`)
-  and the SA-bearing candidates' padded item-index rows
+  and the SA-bearing candidates' padded SA item-index rows
   (:meth:`~repro.itemsets.transactions.TransactionDatabase.item_index_rows`)
   — a few hundred KB, where the candidates' own covers would be tens
   of MB;
+* each task carries its context groups, ``(context, tvec, rows)``: the
+  context's CA item ids, its population vector and its cells' rows;
 * context groups are partitioned greedy largest-first by cell count, so
   one popular context cannot serialise the fill behind it;
 * each worker runs the single-process engine's own loop,
   :func:`~repro.cube.builder.count_and_eval`, over its contexts: the
-  same ``_FILL_BATCH_CELLS``-bounded batches, each counted with one
-  :func:`~repro.itemsets.transactions.count_unit_bits` call and
-  evaluated with :func:`~repro.cube.builder.eval_context_block`;
+  same ``_FILL_BATCH_CELLS``-bounded batches, each counted on its
+  contexts by :func:`~repro.itemsets.transactions.count_on_contexts`
+  (a worker ANDs each of its contexts' items once, then each cell's SA
+  items on top) and evaluated with
+  :func:`~repro.cube.builder.eval_context_block`;
 * the parent hands the returned slabs to the same phase D as
   ``engine="columnar"``, which scatters them into the candidate arrays
   and assembles one :class:`~repro.cube.table.CellTable`.
@@ -141,18 +145,18 @@ def fill_parallel(
     spawned; otherwise the pool runs even for one worker, so a
     ``workers=1`` build exercises the genuine multiprocess path.
     """
-    cand = builder._enumerate_candidates(mined)
+    cand = builder._enumerate_candidates(db, mined)
     counted = []
     if cand.groups:
         partitions = balanced_partition(
-            [len(rows) for _, rows in cand.groups],
+            [len(rows) for _, _, rows in cand.groups],
             resolve_workers(builder.workers),
         )
         words, bounds = db.unit_words()
         arrays = {
             "words": words,
             "bounds": bounds,
-            "index_rows": db.item_index_rows(cand.sa_itemsets),
+            "index_rows": cand.index_rows,
         }
         counted = _run_pool(
             [[cand.groups[i] for i in part] for part in partitions],

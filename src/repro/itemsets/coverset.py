@@ -1,7 +1,7 @@
 """Cover sets: the one transaction-mask representation of the system.
 
 A *cover* is the set of transactions containing an itemset.  Every layer
-of the pipeline manipulates covers — the Eclat DFS intersects them, the
+of the pipeline manipulates covers — the eclat miner intersects them, the
 closed-itemset filter compares their cardinalities, the cube builder
 splits them into per-unit counts — so their representation is the single
 most performance-critical data-structure choice in the system.

@@ -15,18 +15,22 @@ than dense byte-per-transaction boolean arrays.  Encoding, per-item
 supports and per-unit splitting are all vectorized; no per-row Python
 loop touches the hot path.
 
-Per-unit counting has one path,
-:meth:`TransactionDatabase.unit_counts_of` (the cube fill's inner loop,
-the context populations, the incremental engine's recomputed contexts
-and the closed-mode resolver's point queries).  It runs on a second
-copy of the item covers, re-packed with the rows grouped by unit
-(:meth:`TransactionDatabase.unit_words`).  An itemset's cover is then
-the word-wise AND of its items' rows, and its per-unit counts are
-differences of a running popcount over those words taken at the unit
-boundaries (:func:`count_unit_bits`): integer work on packed words,
-with no cover ever unpacked to one byte per row.
-Restricted views share these rows with their root database and pack
-only their own live-row mask.
+Per-unit counting is one kernel in two steps, run on a second copy of
+the item covers, re-packed with the rows grouped by unit
+(:meth:`TransactionDatabase.unit_words`).  The AND step
+(:func:`_and_rows`) ANDs item rows word-wise into a block of covers;
+the count step (:func:`_count_units`) reads each row's per-unit counts
+off a running popcount taken at the unit boundaries: integer work on
+packed words, with no cover ever unpacked to one byte per row.  Two
+paths share both steps.  :func:`count_unit_bits` counts itemsets, each
+from its own item rows and the live row
+(:meth:`TransactionDatabase.unit_counts_of`: the context populations,
+the incremental engine's recomputed contexts and the closed-mode
+resolver's point queries).  :func:`count_on_contexts` counts the cube
+fill's cells: each context's rows, live row included, are ANDed once,
+and each cell ANDs only its own SA rows on top.  Restricted views share
+the item rows with their root database and pack only their own live-row
+mask.
 
 One encoder turns tables into databases: :class:`EncodeAccumulator`
 folds table chunks (see :mod:`repro.etl.stream`) into the CSR store as
@@ -41,7 +45,7 @@ from __future__ import annotations
 
 import shutil
 import tempfile
-from collections.abc import Collection, Iterable, Sequence
+from collections.abc import Collection, Iterable, Iterator, Sequence
 from itertools import chain
 from pathlib import Path
 
@@ -65,10 +69,10 @@ from repro.sorting import stable_order
 #: finalisation (bounds scratch at a few dozen MB regardless of input).
 _ENCODE_WINDOW_ENTRIES = 1 << 22
 
-#: Word budget of one :func:`count_unit_bits` chunk.  Itemsets are
-#: counted ``_COUNT_CHUNK_WORDS // n_words`` at a time (at least one),
-#: so the kernel's scratch — the AND accumulator, one gathered block of
-#: item rows, their popcounts and running sums, ~25 bytes a word — is
+#: Word budget of one counting chunk.  Itemsets (or cells) are counted
+#: ``_COUNT_CHUNK_WORDS // n_words`` at a time (at least one), so the
+#: kernel's scratch — the AND accumulator, one gathered block of item
+#: rows, their popcounts and running sums, ~25 bytes a word — is
 #: ~1.6 MB: far inside the fill's 32 MB batch budget, and small enough
 #: to stay in a core's cache, where the kernel ran 1.7x faster than
 #: with ``1 << 20``-word (~26 MB) chunks (30k rows, 4k itemsets).  Past
@@ -313,24 +317,7 @@ class TransactionDatabase:
         :class:`~repro.errors.MiningError`, so no input reaches the
         padding row.
         """
-        itemsets = list(itemsets)
-        k = len(itemsets)
-        lengths = np.fromiter(map(len, itemsets), dtype=np.int64, count=k)
-        flat = np.fromiter(
-            chain.from_iterable(itemsets), dtype=np.int64,
-            count=int(lengths.sum()),
-        )
-        bad = (flat < 0) | (flat >= self.n_items)
-        if bad.any():
-            raise MiningError(f"item id {flat[bad][0]} out of range")
-        width = int(lengths.max()) + 1 if k else 1
-        rows = np.full((k, width), self.n_items, dtype=np.int64)
-        starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
-        rows[
-            np.repeat(np.arange(k), lengths),
-            np.arange(len(flat)) - starts,
-        ] = flat
-        return rows
+        return _padded_rows(itemsets, self.n_items)
 
     def unit_counts_of(
         self, itemsets: "Iterable[Collection[int]]"
@@ -341,58 +328,175 @@ class TransactionDatabase:
         ``itemsets[j]``; the empty itemset counts the live rows.  No
         cover is materialised in row order: each itemset's rows of
         :meth:`unit_words` are ANDed word-wise and
-        :func:`count_unit_bits` counts the result per unit.  This is
-        the one per-unit counting path: the context population vectors,
-        the minority-count matrix the batched index kernels run over
-        (the fill calls :func:`count_unit_bits` on the same rows), the
-        incremental engine's recomputed contexts and the closed-mode
-        resolver's point queries.
+        :func:`count_unit_bits` counts the result per unit.  The
+        context population vectors, the incremental engine's recomputed
+        contexts and the closed-mode resolver's point queries count
+        here; the fill counts its cells on their contexts with the same
+        two steps (:func:`count_on_contexts`).
         """
         words, bounds = self.unit_words()
         return count_unit_bits(words, bounds, self.item_index_rows(itemsets))
 
 
+def _padded_rows(
+    itemsets: "Iterable[Collection[int]]", pad: int
+) -> np.ndarray:
+    """Itemsets as rows of item ids, padded with ``pad``.
+
+    Row ``j`` holds the ids of ``itemsets[j]``, then ``pad`` up to one
+    more than the longest itemset's length, so every row names row
+    ``pad`` at least once.  Ids outside ``[0, pad)`` raise
+    :class:`~repro.errors.MiningError`.
+    """
+    itemsets = list(itemsets)
+    k = len(itemsets)
+    lengths = np.fromiter(map(len, itemsets), dtype=np.int64, count=k)
+    flat = np.fromiter(
+        chain.from_iterable(itemsets), dtype=np.int64,
+        count=int(lengths.sum()),
+    )
+    bad = (flat < 0) | (flat >= pad)
+    if bad.any():
+        raise MiningError(f"item id {flat[bad][0]} out of range")
+    width = int(lengths.max()) + 1 if k else 1
+    rows = np.full((k, width), pad, dtype=np.int64)
+    starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    rows[
+        np.repeat(np.arange(k), lengths),
+        np.arange(len(flat)) - starts,
+    ] = flat
+    return rows
+
+
+def _and_rows(
+    words: np.ndarray, index_rows: np.ndarray, acc: np.ndarray
+) -> np.ndarray:
+    """The AND step: AND the ``words`` rows each row of ``index_rows``
+    names into the same row of ``acc``, in place; returns ``acc``."""
+    block = np.empty_like(acc)
+    for j in range(index_rows.shape[1]):
+        np.take(words, index_rows[:, j], axis=0, out=block, mode="clip")
+        acc &= block
+    return acc
+
+
+def _and_itemsets(
+    words: np.ndarray, index_rows: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """The AND step over whole itemsets: row ``j`` of ``out`` becomes the
+    AND of the ``words`` rows ``index_rows[j]`` names; returns ``out``."""
+    np.take(words, index_rows[:, 0], axis=0, out=out, mode="clip")
+    return _and_rows(words, index_rows[:, 1:], out)
+
+
+def _unit_edges(
+    bounds: np.ndarray, n_words: int
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Each unit boundary's word, that word clamped to the last one, and
+    the mask of the boundary's bits below it within its word (empty for
+    a boundary at the very end of the last word)."""
+    at_word = bounds // WORD_BITS
+    low_bits = (
+        np.uint64(1) << (bounds % WORD_BITS).astype(np.uint64)
+    ) - np.uint64(1)
+    return at_word, np.minimum(at_word, n_words - 1), low_bits
+
+
+def _count_units(
+    acc: np.ndarray, edges: "tuple[np.ndarray, np.ndarray, np.ndarray]"
+) -> np.ndarray:
+    """The count step: per-unit set bits of each row of an ANDed block.
+
+    The number of set bits below bit ``b`` is the popcount of every
+    whole word below word ``b // 64`` (a running sum over the words)
+    plus one masked popcount of word ``b // 64``; a unit's count is the
+    difference of that number at its two boundaries (``edges``, from
+    :func:`_unit_edges`).  Integer throughout, so exact.
+    """
+    at_word, edge_word, low_bits = edges
+    below = np.zeros((len(acc), acc.shape[1] + 1), dtype=np.int64)
+    np.cumsum(popcount_each(acc), axis=1, dtype=np.int64, out=below[:, 1:])
+    at = below[:, at_word] + popcount_each(acc[:, edge_word] & low_bits)
+    return np.diff(at, axis=1)
+
+
 def count_unit_bits(
     words: np.ndarray, bounds: np.ndarray, index_rows: np.ndarray
 ) -> np.ndarray:
-    """Per-unit set-bit counts of ANDed word rows: the counting kernel.
+    """Per-unit set-bit counts of ANDed word rows: the itemset counter.
 
     Row ``j`` of the ``(len(index_rows), len(bounds) - 1)`` int64 result
     counts, for each unit ``u``, the set bits at positions
     ``bounds[u]:bounds[u + 1]`` of the AND of the ``words`` rows that
-    ``index_rows[j]`` names.  The number of set bits below bit ``b`` is
-    the popcount of every whole word below word ``b // 64`` (a running
-    sum over the words) plus one masked popcount of word ``b // 64``;
-    a unit's count is the difference of that number at its two
-    boundaries.  Itemsets are counted ``_COUNT_CHUNK_WORDS // n_words``
-    at a time, which bounds the scratch.  Integer throughout, so exact.
+    ``index_rows[j]`` names (:func:`_and_itemsets`, then
+    :func:`_count_units`).  Itemsets are counted
+    ``_COUNT_CHUNK_WORDS // n_words`` at a time, which bounds the
+    scratch.
     """
     k, n_units = len(index_rows), len(bounds) - 1
     n_words = words.shape[1]
     out = np.zeros((k, n_units), dtype=np.int64)
     if k == 0 or n_words == 0:
         return out
-    at_word = bounds // WORD_BITS
-    # Bits below each boundary within its word; a boundary at the very
-    # end of the last word reads that word with an empty mask.
-    low_bits = (
-        np.uint64(1) << (bounds % WORD_BITS).astype(np.uint64)
-    ) - np.uint64(1)
-    edge_word = np.minimum(at_word, n_words - 1)
+    edges = _unit_edges(bounds, n_words)
     step = max(1, _COUNT_CHUNK_WORDS // n_words)
     for a in range(0, k, step):
         rows = index_rows[a:a + step]
-        acc = words[rows[:, 0]]
-        block = np.empty_like(acc)
-        for j in range(1, rows.shape[1]):
-            np.take(words, rows[:, j], axis=0, out=block)
-            acc &= block
-        below = np.zeros((len(rows), n_words + 1), dtype=np.int64)
-        np.cumsum(popcount_each(acc), axis=1, dtype=np.int64,
-                  out=below[:, 1:])
-        at = below[:, at_word] + popcount_each(acc[:, edge_word] & low_bits)
-        out[a:a + len(rows)] = np.diff(at, axis=1)
+        acc = np.empty((len(rows), n_words), dtype=words.dtype)
+        out[a:a + len(rows)] = _count_units(
+            _and_itemsets(words, rows, acc), edges
+        )
     return out
+
+
+def count_on_contexts(
+    words: np.ndarray,
+    bounds: np.ndarray,
+    contexts: "Sequence[Collection[int]]",
+    cell_rows: np.ndarray,
+    sizes: "Sequence[int]",
+    batch: int,
+) -> "Iterator[np.ndarray]":
+    """Per-unit counts of cells ANDed on their contexts: the fill's counter.
+
+    Cells come in groups, one per context: group ``g`` has ``sizes[g]``
+    cells and the context item ids ``contexts[g]``, and ``cell_rows[j]``
+    names the ``words`` rows of cell ``j``'s own items, padded with the
+    live row (``len(words) - 1``).  Each context's rows, the live row
+    included, are ANDed once into the context's cover; a cell's cover
+    is its context's cover ANDed with its own rows, counted per unit by
+    the count step :func:`count_unit_bits` uses.  Cells are ANDed
+    ``_COUNT_CHUNK_WORDS // n_words`` at a time, each chunk with the
+    covers of the contexts it reaches, and the last of those is kept
+    for the next chunk.  Yields the ``(n, n_units)`` int64 counts of
+    ``batch`` cells at a time, in cell order.
+    """
+    n_words, n_units = words.shape[1], len(bounds) - 1
+    context_rows = _padded_rows(contexts, len(words) - 1)
+    group_of = np.repeat(np.arange(len(sizes)), sizes)
+    edges = _unit_edges(bounds, n_words)
+    step = max(1, _COUNT_CHUNK_WORDS // max(1, n_words))
+    held, held_cover = -1, None
+    for a in range(0, len(cell_rows), batch):
+        b = min(a + batch, len(cell_rows))
+        out = np.zeros((b - a, n_units), dtype=np.int64)
+        # Without rows there are no words to AND and every count is 0.
+        for c in range(a, b if n_words else a, step):
+            d = min(c + step, b)
+            group = group_of[c:d]
+            first, last = int(group[0]), int(group[-1])
+            covers = np.empty((last - first + 1, n_words), dtype=words.dtype)
+            fresh = first + (first == held)
+            if fresh > first:
+                covers[0] = held_cover
+            _and_itemsets(words, context_rows[fresh:last + 1],
+                          covers[fresh - first:])
+            acc = np.take(covers, group - first, axis=0, mode="clip")
+            out[c - a:d - a] = _count_units(
+                _and_rows(words, cell_rows[c:d], acc), edges
+            )
+            held, held_cover = last, covers[-1]
+        yield out
 
 
 def encode_table(table: Table, schema: Schema) -> TransactionDatabase:

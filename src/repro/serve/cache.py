@@ -4,11 +4,12 @@ Two pieces:
 
 * :class:`QueryCache` — a thread-safe LRU of finished responses, each
   a ``(status, body bytes)`` pair, with hit/miss/eviction counters and
-  **generation-based invalidation**: every entry is stamped with the
-  generation current when its render *started*;
-  :meth:`QueryCache.invalidate` bumps the generation and clears the
-  map, so a body rendered against the pre-publish cube that lands after
-  the publish is silently dropped instead of resurrecting stale data.
+  **generation-based invalidation**: a lookup hits and a store lands
+  only under the generation its caller names, which must be the current
+  one; :meth:`QueryCache.invalidate` bumps the generation and clears
+  the map, so a body rendered against the pre-publish cube that lands
+  after the publish is silently dropped instead of resurrecting stale
+  data.
   It holds at most ``maxsize`` entries and at most
   :data:`MAX_CACHE_BYTES` bytes of bodies, evicting least recently used
   entries until both bounds hold; a body larger than the byte bound is
@@ -19,8 +20,12 @@ Two pieces:
   the stored bytes, a miss renders them against the wrapped service and
   stores them.  ``info()`` surfaces :meth:`QueryCache.stats` (the
   counters, the size, the ``maxsize`` bound and the generation), and
-  :meth:`CachedCubeService.refresh` swaps in a freshly published
-  timeline date and evicts everything stale in one step.
+  :meth:`CachedCubeService.refresh` evicts everything stale and then
+  swaps in a freshly published timeline date paired with the new
+  generation.  A request reads the served ``(service, generation)``
+  pair once, and renders, stores and hits only under that generation,
+  so every body it gets is its service's: a request that reads the new
+  date never meets a body of the previous one.
 
 The HTTP tier keys each request by its ``(PATH_INFO, QUERY_STRING)``
 exactly as received, so two spellings of one query are two entries,
@@ -69,23 +74,28 @@ class QueryCache:
         self._misses = 0
         self._evictions = 0
 
-    def lookup(self, key: object
-               ) -> "tuple[bool, tuple[int, bytes] | None, int]":
-        """``(found, response, generation)`` — one locked probe.
+    @property
+    def generation(self) -> int:
+        """The current generation (bumped by every :meth:`invalidate`)."""
+        with self._lock:
+            return self._generation
 
-        The returned generation is the one current at probe time; pass
-        it back to :meth:`store` so a response rendered before an
-        intervening :meth:`invalidate` cannot land afterwards.
+    def lookup(self, key: object, generation: int
+               ) -> "tuple[bool, tuple[int, bytes] | None]":
+        """``(found, response)`` — one locked probe.
+
+        Only a caller holding the current ``generation`` can hit: every
+        stored entry is of that generation, and a caller of an older one
+        misses, renders against its older service and cannot store.
         """
         with self._lock:
-            generation = self._generation
             response = self._data.get(key, _MISS)
-            if response is _MISS:
+            if response is _MISS or generation != self._generation:
                 self._misses += 1
-                return False, None, generation
+                return False, None
             self._data.move_to_end(key)
             self._hits += 1
-            return True, response, generation
+            return True, response
 
     def store(self, key: object, response: "tuple[int, bytes]",
               generation: int) -> bool:
@@ -138,14 +148,16 @@ class CachedCubeService:
     """A cube service plus the cache of its finished responses."""
 
     def __init__(self, service, maxsize: int = DEFAULT_CACHE_SIZE):
-        self._service = service
         self._cache = QueryCache(maxsize)
+        #: The served service and the cache generation its bodies are
+        #: stored under, swapped as one pair by :meth:`refresh`.
+        self._served = (service, self._cache.generation)
         self._refresh_lock = threading.Lock()
 
     @property
     def service(self):
         """The wrapped service (swapped atomically on refresh)."""
-        return self._service
+        return self._served[0]
 
     @property
     def cache(self) -> QueryCache:
@@ -154,21 +166,24 @@ class CachedCubeService:
     def response(self, key: object, render) -> "tuple[int, bytes]":
         """The ``(status, body)`` for ``key``: stored, or rendered now.
 
-        On a miss, ``render(service)`` builds the response against the
-        wrapped service, and it is stored under the generation the probe
-        saw.  An exception from ``render`` propagates and nothing is
-        stored.
+        The served ``(service, generation)`` pair is read once.  A hit
+        is a body stored under that generation, so rendered against that
+        service; on a miss, ``render(service)`` builds the response and
+        it is stored under that generation, unless a refresh has made
+        the generation stale since.  An exception from ``render``
+        propagates and nothing is stored.
         """
-        found, response, generation = self._cache.lookup(key)
+        service, generation = self._served
+        found, response = self._cache.lookup(key, generation)
         if found:
             return response
-        response = render(self._service)
+        response = render(service)
         self._cache.store(key, response, generation)
         return response
 
     def info(self) -> "dict[str, object]":
         """Inner ``info()`` plus live cache counters (never cached)."""
-        out = self._service.info()
+        out = self.service.info()
         out["cache"] = self._cache.stats()
         return out
 
@@ -176,25 +191,24 @@ class CachedCubeService:
         """Pick up a newly published timeline date; evict stale entries.
 
         Asks the wrapped service for a :meth:`refreshed` successor;
-        when one exists, swaps it in (a single attribute assignment —
-        readers in flight keep their old reference) and *then* bumps
-        the cache generation, so every pre-publish entry is evicted and
-        a render that probed before the bump cannot store.  Returns True
-        when a publish was picked up.
+        when one exists, bumps the cache generation (every pre-publish
+        entry is evicted, and a render of the old service cannot store
+        or hit any more) and then serves the successor paired with the
+        new generation, in one attribute assignment: readers in flight
+        keep their old pair.  Returns True when a publish was picked up.
         """
         with self._refresh_lock:
-            fresh = self._service.refreshed()
+            fresh = self.service.refreshed()
             if fresh is None:
                 return False
-            self._service = fresh
-            self._cache.invalidate()
+            self._served = (fresh, self._cache.invalidate())
             return True
 
     def __getattr__(self, name: str):
         # Everything else (the query methods, describe, dictionary,
         # index_names, date, dates, cube, ...) reads through to the
         # wrapped service, uncached.
-        return getattr(self._service, name)
+        return getattr(self.service, name)
 
     def __repr__(self) -> str:
-        return f"CachedCubeService({self._service!r}, {self._cache.stats()})"
+        return f"CachedCubeService({self.service!r}, {self._cache.stats()})"

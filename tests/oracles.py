@@ -5,7 +5,8 @@ Deliberately slow and simple: direct transcriptions of the definitions
 reference algorithms each shipped engine must reproduce exactly — the
 scalar formulas for the batched index kernels, per-cell typing for the
 readers' column typing, the per-row encoder for the chunked CSR
-encoder, FP-growth for eclat, the closure operator for the capped
+encoder, FP-growth for eclat and the recursive eclat DFS for the
+level-wise kernel's order and covers, the closure operator for the capped
 closedness sweep, full enumeration and the one-cell-at-a-time
 fill (:func:`make_cell`) for the cube builder's fills and its
 closed-mode resolver, the label-gather cover counting for the popcount
@@ -756,6 +757,151 @@ def mine_fpgrowth(
 
 
 # ----------------------------------------------------------------------
+# The recursive eclat DFS: the level-wise kernel's order and bit reference
+# ----------------------------------------------------------------------
+#
+# The miner the level-wise kernel replaced: one CoverSet AND per node,
+# each node extended by every later frequent 1-item whose kind has cap
+# room.  Its preorder is the emission order the kernel must reproduce,
+# and its covers the bits.  The roots are the library's
+# ``frequent_triples``, the shared preparation step.
+
+#: Emission callback: ``record(sa_items, ca_items, cover, support)``.
+Record = "Callable[[tuple[int, ...], tuple[int, ...], Cover, int], None]"
+
+
+def _dfs_typed(
+    sa: "tuple[int, ...]",
+    ca: "tuple[int, ...]",
+    prefix_cover: Cover,
+    tail: "list[tuple[int, Cover, int]]",
+    sa_set: "frozenset[int]",
+    minsup: int,
+    max_sa: "int | None",
+    max_ca: "int | None",
+    record: "Record",
+) -> None:
+    """The eclat DFS over one conditional tail.
+
+    The prefix is carried split into its SA items ``sa`` and its CA
+    items ``ca``.  An item of ``tail`` is an SA item when it is in
+    ``sa_set``, else a CA item; the per-kind caps ``max_sa`` /
+    ``max_ca`` are enforced mid-search, so a subtree past a cap is
+    never entered, and every frequent node is recorded already split.
+    """
+    sa_room = max_sa is None or len(sa) < max_sa
+    ca_room = max_ca is None or len(ca) < max_ca
+    for pos, (item, item_cover, _) in enumerate(tail):
+        if item in sa_set:
+            if not sa_room:
+                continue
+            next_sa, next_ca = sa + (item,), ca
+        else:
+            if not ca_room:
+                continue
+            next_sa, next_ca = sa, ca + (item,)
+        cover = prefix_cover & item_cover
+        support = cover.support()
+        if support < minsup:
+            continue
+        record(next_sa, next_ca, cover, support)
+        _dfs_typed(next_sa, next_ca, cover, tail[pos + 1:], sa_set, minsup,
+                   max_sa, max_ca, record)
+
+
+def mine_eclat_reference(
+    db: TransactionDatabase,
+    minsup: int,
+    items: "list[int] | None" = None,
+    max_len: "int | None" = None,
+    with_covers: bool = False,
+    within: "Cover | None" = None,
+) -> "dict[Itemset, int] | dict[Itemset, Cover]":
+    """``mine_eclat`` as the recursive DFS: every item of one kind."""
+    from repro.itemsets.eclat import frequent_triples
+
+    if minsup < 1:
+        raise MiningError(f"minsup must be >= 1, got {minsup}")
+    frequent = frequent_triples(db, minsup, items=items, within=within)
+    out: "dict[Itemset, int] | dict[Itemset, Cover]" = {}
+
+    def record(sa, ca, cover, support):
+        out[frozenset(ca)] = cover if with_covers else support
+
+    root = db.full_cover() if within is None else within
+    _dfs_typed((), (), root, frequent, frozenset(), minsup, None, max_len,
+               record)
+    return out
+
+
+def mine_eclat_typed_reference(
+    db: TransactionDatabase,
+    minsup: int,
+    sa_ids: "list[int]",
+    ca_ids: "list[int]",
+    max_sa: "int | None" = None,
+    max_ca: "int | None" = None,
+) -> "dict[tuple[Itemset, Itemset], Cover]":
+    """``mine_eclat_typed`` as the recursive DFS: cell key -> cover,
+    the empty key's all-true cover first."""
+    from repro.itemsets.eclat import frequent_triples
+
+    if minsup < 1:
+        raise MiningError(f"minsup must be >= 1, got {minsup}")
+    frequent = frequent_triples(
+        db, minsup, items=list(sa_ids) + list(ca_ids)
+    )
+    full_cover = db.full_cover()
+    out: "dict[tuple[Itemset, Itemset], Cover]" = {
+        (frozenset(), frozenset()): full_cover
+    }
+
+    def record(sa, ca, cover, support):
+        out[(frozenset(sa), frozenset(ca))] = cover
+
+    _dfs_typed((), (), full_cover, frequent, frozenset(sa_ids), minsup,
+               max_sa, max_ca, record)
+    return out
+
+
+def sibling_join_count(
+    keys: "list[tuple[Itemset, Itemset]]",
+    max_sa: "int | None",
+    max_ca: "int | None",
+) -> "tuple[int, int]":
+    """``(roots, joins)`` a level-wise sibling join makes over a lattice.
+
+    ``keys`` are a typed reference mine's keys in its preorder, the
+    root first.  The roots are the first-level nodes; a join is a pair
+    of frequent siblings ``(x, y)``, ``x`` first in root order, whose
+    ``y``-item's kind still has cap room in ``x``.  A node's parent is
+    the node without its item of latest root position.
+    """
+    position = {}
+    for sa, ca in keys:
+        if len(sa) + len(ca) == 1:
+            position[next(iter(sa | ca))] = len(position)
+    children: "dict[Itemset, list[tuple[int, int, int]]]" = {}
+    for sa, ca in keys[1:]:
+        last = max(sa | ca, key=position.__getitem__)
+        children.setdefault((sa | ca) - {last}, []).append(
+            (position[last], len(sa), len(ca))
+        )
+    sa_items = {item for sa, _ in keys for item in sa}
+    is_sa = {pos: item in sa_items for item, pos in position.items()}
+    joins = 0
+    for siblings in children.values():
+        siblings.sort()
+        for i, (_, n_sa, n_ca) in enumerate(siblings):
+            for pos_y, _, _ in siblings[i + 1:]:
+                if is_sa[pos_y]:
+                    joins += max_sa is None or n_sa < max_sa
+                else:
+                    joins += max_ca is None or n_ca < max_ca
+    return len(position), joins
+
+
+# ----------------------------------------------------------------------
 # Cube references: full enumeration and the one-cell-at-a-time fill
 # ----------------------------------------------------------------------
 
@@ -908,12 +1054,15 @@ def fill_percell(
     """Fill one scalar :func:`make_cell` per candidate, in mining order.
 
     The same cells, in the same order, with the same bits the columnar
-    fill must produce from the same mined coordinates.
+    fill must produce from the same mined coordinates.  Each cell's
+    cover is its itemset's ``db.cover_of``, so the fill shares nothing
+    with the miner but the keys.
     """
     cells: dict[CellKey, CellStats] = {}
-    for key, cover in builder._candidates(mined):
+    for key in builder._candidates(mined):
         stats = make_cell(
-            builder.indexes, key, cover, mined.context_tvecs[key[1]], db,
+            builder.indexes, key, db.cover_of(key[0] | key[1]),
+            mined.context_tvecs[key[1]], db,
             mined.minsup_pop, mined.minsup_min,
         )
         if stats is not None:

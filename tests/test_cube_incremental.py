@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cube import builder as builder_module
 from repro.cube.builder import SegregationDataCubeBuilder
 from repro.cube.cube import check_same_cells
 from repro.cube.incremental import TemporalCubeEngine
@@ -21,6 +22,7 @@ from repro.etl.diff import valid_at
 from repro.etl.schema import Schema
 from repro.etl.table import Table
 from repro.itemsets.coverset import as_cover
+from repro.itemsets import transactions
 from repro.itemsets.items import Item
 from repro.itemsets.transactions import encode_table
 
@@ -441,6 +443,100 @@ class TestUpdateWork:
                 if context and context <= affected and context not in reached
             ]
             assert bool(carried_affected) == (timeline == "crossed")
+
+
+    @pytest.mark.parametrize("timeline", ["dated", "crossed", "swap"])
+    @pytest.mark.parametrize("mode", ["all", "closed"])
+    def test_counts_exactly_the_recomputed_cells(
+        self, temporal, monkeypatch, mode, timeline
+    ):
+        """Each update's fill counts every cell it queues once, on its
+        context, and ANDs each of those contexts' items once.  A counted
+        cell is a fresh row of the new cube or one the scratch build
+        does not hold (its minority is below the threshold), never a
+        carried row, so the counted cells the scratch cube holds plus
+        the fresh context-only rows are ``n_recomputed_cells``.  That
+        number is the scratch cube's cells whose context's union cover
+        meets a changed row, less those the previous date held with an
+        unchanged context population and a static cover missing every
+        changed row (a context-only cell needs only the population)."""
+        limits = {}
+        if timeline == "swap":
+            # Its g=F cell of {r=a} is carried within a recomputed context.
+            db = TestCellLevelCarry()._swap_db()
+            masks = [np.arange(25) != 24, np.arange(25) != 11]
+            limits = {"min_population": 10, "min_minority": 2,
+                      "max_sa_items": 1, "max_ca_items": 1}
+        else:
+            db, valids = temporal
+            masks = ([valids[d] for d in (0, 1, 2)] if timeline == "dated"
+                     else _crossed_masks(db, valids[0]))
+        engine = _engine(db, mode=mode, **limits)
+        queued, counted, anded = [], [], []
+        enumerate_candidates = SegregationDataCubeBuilder._enumerate_candidates
+        count_on_contexts = builder_module.count_on_contexts
+        and_itemsets = transactions._and_itemsets
+
+        def enumerating(builder, db, mined):
+            queued.append(enumerate_candidates(builder, db, mined))
+            return queued[-1]
+
+        def counting(words, bounds, contexts, cell_rows, sizes, batch):
+            # Every AND of whole itemsets from here on is a context's:
+            # the update's other counts ran before its fill.
+            anded.clear()
+            counted.append((list(contexts), len(cell_rows)))
+            return count_on_contexts(words, bounds, contexts, cell_rows,
+                                     sizes, batch)
+
+        def anding(words, index_rows, out):
+            anded.append(len(index_rows))
+            return and_itemsets(words, index_rows, out)
+
+        state = engine.build_at(masks[0], 0)
+        monkeypatch.setattr(SegregationDataCubeBuilder,
+                            "_enumerate_candidates", enumerating)
+        monkeypatch.setattr(builder_module, "count_on_contexts", counting)
+        monkeypatch.setattr(transactions, "_and_itemsets", anding)
+        for date in range(1, len(masks)):
+            queued.clear(), counted.clear()
+            previous = set(state.cube.keys())
+            state = engine.update(state, masks[date], date)
+            extra = state.cube.metadata.extra
+            (cand,) = queued
+            (contexts, n_cells), = counted
+            cells = [key for key, row in zip(cand.keys, cand.rows_of)
+                     if row >= 0]
+            assert n_cells == len(cells) > 0
+            assert len(set(contexts)) == len(contexts) == sum(anded)
+            assert set(contexts) == {ca for _, ca in cells}
+            assert len(contexts) <= extra["n_recomputed_contexts"]
+
+            table = state.cube.table
+            fresh = set(table.keys[len(table) - extra["n_recomputed_cells"]:])
+            scratch = set(_scratch(db, masks[date], mode=mode,
+                                   **limits).keys())
+            held = [key for key in cells if key in scratch]
+            assert all(key in fresh for key in held)
+            context_only = sum(row < 0 for row in cand.rows_of)
+            assert context_only + len(held) == extra["n_recomputed_cells"]
+
+            changed = as_cover(masks[date - 1] ^ masks[date])
+            before = db.restrict(masks[date - 1])
+            after = db.restrict(masks[date])
+            recomputed = 0
+            for sa, ca in scratch:
+                if not (db.cover_of(ca) & changed).any():
+                    continue
+                carried = (
+                    (sa, ca) in previous
+                    and not (sa and (db.cover_of(sa | ca) & changed).any())
+                    and np.array_equal(*(
+                        d.unit_counts_of([ca])[0] for d in (before, after)
+                    ))
+                )
+                recomputed += not carried
+            assert extra["n_recomputed_cells"] == recomputed
 
 
 class TestContextTransitions:

@@ -243,6 +243,126 @@ class TestUnitCountsOf:
             db.unit_counts_of([(1,)])
 
 
+@st.composite
+def context_groups(draw):
+    """Cells grouped on contexts over a drawn database.
+
+    Items 0-2 are SA, 3-5 CA.  Unit ids are drawn per row, so unit
+    bounds fall at any bit offset: units span word boundaries and some
+    ids carry no row (empty units).  Each group is a context (a CA
+    itemset, the root among the draws) and its cells' SA itemsets; an
+    optional live-row mask restricts the database.
+    """
+    n = draw(st.integers(0, 200))
+    n_units = draw(st.integers(1, 7))
+    units = draw(st.lists(st.integers(0, n_units - 1), min_size=n,
+                          max_size=n))
+    rows = draw(st.lists(st.lists(st.integers(0, 5), max_size=4),
+                         min_size=n, max_size=n))
+    contexts = draw(st.lists(st.frozensets(st.integers(3, 5), max_size=2),
+                             min_size=1, max_size=5))
+    cells = [
+        draw(st.lists(st.frozensets(st.integers(0, 2), min_size=1,
+                                    max_size=3), min_size=1, max_size=6))
+        for _ in contexts
+    ]
+    mask = draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n))
+    return rows, np.array(units, dtype=np.int64), contexts, cells, mask
+
+
+def _six_item_dictionary():
+    from repro.itemsets.items import ItemDictionary
+
+    d = ItemDictionary()
+    for i in range(6):
+        d.add(Item("x", i), ItemKind.SA if i < 3 else ItemKind.CA)
+    return d
+
+
+class TestCountOnContexts:
+    """The fill's counter: each context ANDed once, each cell's SA rows
+    on top, against :func:`count_unit_bits` on the cells' whole itemsets
+    and the per-row loop."""
+
+    @staticmethod
+    def _check(db, contexts, cells, batch, chunk_words):
+        words, bounds = db.unit_words()
+        itemsets = [context | sa for context, group in zip(contexts, cells)
+                    for sa in group]
+        expected = transactions.count_unit_bits(
+            words, bounds, db.item_index_rows(itemsets)
+        )
+        cell_rows = db.item_index_rows(
+            [sa for group in cells for sa in group]
+        )[:, :-1]
+        anded = []
+        and_itemsets = transactions._and_itemsets
+
+        def counting(words, index_rows, out):
+            anded.extend(map(tuple, index_rows.tolist()))
+            return and_itemsets(words, index_rows, out)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(transactions, "_COUNT_CHUNK_WORDS", chunk_words)
+            patch.setattr(transactions, "_and_itemsets", counting)
+            blocks = list(transactions.count_on_contexts(
+                words, bounds, contexts, cell_rows,
+                [len(group) for group in cells], batch,
+            ))
+        assert all(len(block) <= batch for block in blocks)
+        got = np.concatenate(
+            blocks or [np.zeros((0, db.n_units), dtype=np.int64)]
+        )
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
+        # Every context's rows, live row included, ANDed exactly once.
+        if words.shape[1]:
+            context_rows = db.item_index_rows(contexts)
+            assert sorted(anded) == sorted(map(tuple, context_rows.tolist()))
+        return got, itemsets
+
+    @settings(max_examples=80, deadline=None)
+    @given(context_groups(), st.data())
+    def test_matches_whole_itemset_counts(self, drawn, data):
+        rows, units, contexts, cells, mask = drawn
+        db = db_from_rows(rows, _six_item_dictionary(), units)
+        live = np.ones(len(rows), dtype=bool)
+        if mask is not None:
+            live = np.array(mask, dtype=bool)
+            db = db.restrict(live)
+        n_cells = sum(map(len, cells))
+        batch = data.draw(st.integers(1, n_cells + 1))
+        chunk_words = data.draw(st.sampled_from([1, 3, 1 << 16]))
+        got, itemsets = self._check(db, contexts, cells, batch, chunk_words)
+        row_sets = [frozenset(row) for row in rows]
+        carried = np.bincount(units, minlength=db.n_units) > 0
+        for j, itemset in enumerate(itemsets):
+            minority = live & np.array(
+                [itemset <= row for row in row_sets], dtype=bool
+            )
+            brute = unit_counts_bruteforce(db.units, minority)
+            assert np.array_equal(got[j][carried], brute.m)
+            assert not got[j][~carried].any()
+
+    @pytest.mark.parametrize("layout", ["word_aligned", "empty_between",
+                                        "one_word"])
+    def test_unit_bounds_on_word_boundaries(self, layout):
+        """A unit ending exactly on a word boundary, an empty unit
+        between two whole words, and every unit inside one word."""
+        sizes = {"word_aligned": [64, 64, 1], "empty_between": [64, 0, 64],
+                 "one_word": [20, 0, 30]}[layout]
+        units = np.repeat(np.arange(len(sizes)), sizes)
+        rng = np.random.default_rng(len(units))
+        rows = [tuple(np.flatnonzero(rng.random(6) < 0.5))
+                for _ in range(len(units))]
+        db = db_from_rows(rows, _six_item_dictionary(), units)
+        contexts = [frozenset(), frozenset({3}), frozenset({4, 5})]
+        cells = [[frozenset({0}), frozenset({1, 2})], [frozenset({0, 1})],
+                 [frozenset({2}), frozenset({0, 1, 2})]]
+        for chunk_words in (1, 1 << 16):
+            self._check(db, contexts, cells, 2, chunk_words)
+
+
 def test_popcount_fallback_matches_native(monkeypatch, final_table, schema):
     """The NumPy < 2 lookup-table popcounts, run by removing the native
     ``np.bitwise_count``, agree with the native ones bit for bit."""

@@ -77,10 +77,11 @@ def _answer(app, query: str) -> "tuple[int, bytes]":
 class TestQueryCache:
     def test_miss_then_hit(self):
         cache = QueryCache(maxsize=4)
-        found, response, generation = cache.lookup("a")
+        generation = cache.generation
+        found, response = cache.lookup("a", generation)
         assert not found and response is None
         assert cache.store("a", (200, b"[1]"), generation)
-        found, response, _ = cache.lookup("a")
+        found, response = cache.lookup("a", generation)
         assert found and response == (200, b"[1]")
         assert cache.stats() == {
             "hits": 1, "misses": 1, "evictions": 0,
@@ -89,22 +90,23 @@ class TestQueryCache:
 
     def test_lru_eviction_order(self):
         cache = QueryCache(maxsize=2)
+        generation = cache.generation
         for key in ("a", "b"):
-            _, _, generation = cache.lookup(key)
+            cache.lookup(key, generation)
             cache.store(key, (200, key.encode()), generation)
-        cache.lookup("a")                       # refresh a: b is now LRU
-        _, _, generation = cache.lookup("c")
+        cache.lookup("a", generation)           # refresh a: b is now LRU
+        cache.lookup("c", generation)
         cache.store("c", (200, b"c"), generation)   # evicts b
-        assert cache.lookup("a")[0]
-        assert cache.lookup("c")[0]
-        assert not cache.lookup("b")[0]
+        assert cache.lookup("a", generation)[0]
+        assert cache.lookup("c", generation)[0]
+        assert not cache.lookup("b", generation)[0]
         assert cache.stats()["evictions"] == 1
 
     def test_maxsize_zero_disables_storage(self):
         cache = QueryCache(maxsize=0)
-        _, _, generation = cache.lookup("a")
+        generation = cache.generation
         assert not cache.store("a", (200, b"1"), generation)
-        assert not cache.lookup("a")[0]
+        assert not cache.lookup("a", generation)[0]
         assert len(cache) == 0 and cache.stats()["bytes"] == 0
 
     def test_negative_maxsize_rejected(self):
@@ -113,10 +115,9 @@ class TestQueryCache:
 
     def test_invalidate_clears_and_bumps_generation(self):
         cache = QueryCache(maxsize=4)
-        _, _, generation = cache.lookup("a")
-        cache.store("a", (200, b"1"), generation)
-        assert cache.invalidate() == 1
-        assert not cache.lookup("a")[0]
+        cache.store("a", (200, b"1"), cache.generation)
+        assert cache.invalidate() == 1 == cache.generation
+        assert not cache.lookup("a", 1)[0]
         assert cache.stats()["generation"] == 1
         assert cache.stats()["bytes"] == 0
 
@@ -124,10 +125,21 @@ class TestQueryCache:
         """A body rendered against the pre-publish cube must not land
         after the publish — that would resurrect stale data forever."""
         cache = QueryCache(maxsize=4)
-        _, _, generation = cache.lookup("q")     # render starts...
+        generation = cache.generation           # render starts...
         cache.invalidate()                       # ...publish happens...
         assert not cache.store("q", (200, b"stale"), generation)  # dropped
-        assert not cache.lookup("q")[0]
+        assert not cache.lookup("q", cache.generation)[0]
+
+    def test_stale_generation_never_hits(self):
+        """A request still holding the pre-publish service misses a body
+        the new generation stored, so it answers from its own service."""
+        cache = QueryCache(maxsize=4)
+        old = cache.generation
+        new = cache.invalidate()
+        assert cache.store("q", (200, b"new"), new)
+        assert cache.lookup("q", old) == (False, None)
+        assert cache.lookup("q", new) == (True, (200, b"new"))
+        assert cache.stats()["misses"] == 1 and cache.stats()["hits"] == 1
 
 
 class TestByteBound:
@@ -136,8 +148,7 @@ class TestByteBound:
         cache = QueryCache(maxsize=8)
 
         def put(key: str, size: int) -> bool:
-            _, _, generation = cache.lookup(key)
-            return cache.store(key, (200, b"x" * size), generation)
+            return cache.store(key, (200, b"x" * size), cache.generation)
 
         def holds(resident: "dict[str, int]", gone: str = "") -> None:
             """The cache holds exactly ``resident`` (key -> body length),
@@ -146,9 +157,10 @@ class TestByteBound:
             assert stats["size"] == len(resident)
             assert stats["bytes"] == sum(resident.values())
             for key, size in resident.items():
-                assert cache.lookup(key)[1] == (200, b"x" * size), key
+                found = cache.lookup(key, cache.generation)
+                assert found[1] == (200, b"x" * size), key
             for key in gone:
-                assert not cache.lookup(key)[0], key
+                assert not cache.lookup(key, cache.generation)[0], key
 
         assert put("a", 4) and put("b", 4)
         holds({"b": 4, "a": 4})                 # b, then a: b is LRU
@@ -423,7 +435,8 @@ class Stepper:
 
 def _orders() -> "list[str]":
     """The 10 orders of a miss (Lookup, Render, Store) and a refresh
-    (sWap the service, then Invalidate)."""
+    (W: get the successor service, then Invalidate; the successor is
+    served, paired with the new generation, right after)."""
     orders = []
     for w, i in itertools.combinations(range(5), 2):
         miss = iter("LRS")
@@ -440,7 +453,8 @@ def stored_bodies_are_fresh(app) -> bool:
     cached = app.service
     fresh = make_app(cached.service)   # no cache: renders every request
     path, _, query = QUERY.partition("?")
-    found, response, _ = cached.cache.lookup((path, query))
+    found, response = cached.cache.lookup((path, query),
+                                          cached.cache.generation)
     return len(cached.cache) <= 1 and (
         not found or response == _answer(fresh, QUERY)
     )
@@ -474,10 +488,12 @@ class TestRefreshInterleavings:
         refresh = Stepper(lambda: (refresh.gate(), cached.refresh()))
 
         # Park the miss before its lookup, its render and its store, and
-        # the refresh before it starts (the swap is its first step) and
-        # on both sides of its invalidate (the second).  The gate after
-        # the invalidate holds back whatever refresh() does after it
-        # until the schedule ends.
+        # the refresh before it starts (getting the successor is its
+        # first step) and on both sides of its invalidate (the second).
+        # The gate after the invalidate holds back the swap that serves
+        # the successor with the new generation until the schedule ends.
+        # The miss reads the served pair before its first gate, so in
+        # every order it renders, stores and hits under date 0's pair.
         def before(stepper, fn):
             def paused(*args):
                 stepper.gate()
@@ -510,6 +526,8 @@ class TestRefreshInterleavings:
         refresh.finish()
 
         assert cached.date == 1
-        assert answers and answers[0] in ((200, old), (200, new))
+        assert answers == [(200, old)], order
         assert stored_bodies_are_fresh(app), order
         assert later_request_sees(app, new), order
+        # ... and stored it under the new generation: the cache works on.
+        assert len(cached.cache) == 1, order

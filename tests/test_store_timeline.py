@@ -1225,12 +1225,10 @@ class TestWalkInterleavings:
 
     The invariant, stated once as :meth:`_lone_answer`: every body a
     request returns equals the body a lone request returns for the same
-    served date.  A request's served dates run from the date its app
-    had settled on when the request began (the date its last completed
-    refresh left it serving) to the date it serves once the request
-    returns: a refresh in flight swaps the service before it
-    invalidates the cache, so until then a cached body of the date
-    before may still answer.
+    served date, and that date lies between ``app.service.date`` read
+    just before the request and just after it.  A cached app pairs its
+    service with its cache generation, so no cached body of an earlier
+    date answers once the app names a later one.
     """
 
     N_DATES = 12
@@ -1265,11 +1263,9 @@ class TestWalkInterleavings:
         published = threading.Event()
         seen = []   # (served dates, query, answer)
         errors = []
-        #: Each shared app's date as of its last completed refresh.
-        settled = {id(cached): 0, id(plain): 0}
 
         def ask(app, query):
-            before = settled.get(id(app), app.service.date)
+            before = app.service.date
             answer = wsgi_get(app, query)[::2]
             after = app.service.date
             seen.append((range(before, after + 1), query, answer))
@@ -1294,7 +1290,6 @@ class TestWalkInterleavings:
         def refresh():
             for app in (cached, plain):
                 assert wsgi_get(app, "/refresh", method="POST")[0] == 200
-                settled[id(app)] = app.service.date
 
         def restart():
             app = make_app(root, cache_size=0)
