@@ -23,8 +23,10 @@ two dates' validity masks.
 
 The second experiment stretches the timeline to **50 dates in closed
 mode** at ~2% churn per date: every incremental update must stay
-bit-identical to a from-scratch closed build (closure diff included),
-the worst update must beat a per-date full closed rebuild ≥ 3x, every
+bit-identical to a from-scratch closed build (closure memo included),
+the worst update must beat a per-date full closed rebuild ≥ 3x (the
+median and worst of ``engine.update`` and of ``dump_into_timeline`` are
+also reported apart, so a missed floor names its half), every
 date the publisher wrote must sit at most ``MAX_CHAIN`` hops from a
 full snapshot and reopen bit-identically, and the whole timeline must
 stay smaller than 50 full snapshots.  It reports the timeline's bytes,
@@ -40,8 +42,8 @@ reopened side is one walk over each published timeline (iterating its
 :class:`~repro.store.timeline.CubeTimeline`, each date composed onto
 the one before), which must end holding one cube, and a fresh chain
 open of every date, which must digest as the walk's cube does.  Each
-date's recorded own bytes, which the publisher planned before writing,
-must be the bytes on disk.  The closed timing test records the walk's
+date's own bytes as ``read_timeline_manifest`` reports them must be
+the bytes on disk.  The closed timing test records the walk's
 milliseconds over the 50 dates and the cubes it holds afterwards.
 """
 
@@ -355,10 +357,11 @@ def test_closed_incremental_50_date_timeline(benchmark, tmp_path):
 
     def run():
         # Incremental timing covers what the publisher pays per date:
-        # the update plus the delta dump (mirrors the 3-date test).
+        # the update plus the delta dump (mirrors the 3-date test),
+        # each also timed on its own.
         state = None
         prev_cube = None
-        update_seconds = []
+        update_seconds, engine_seconds, publish_seconds = [], [], []
         for date, mask in enumerate(masks):
             start = time.perf_counter()
             if state is None:
@@ -366,16 +369,20 @@ def test_closed_incremental_50_date_timeline(benchmark, tmp_path):
                 dump_into_timeline(timeline_root, date, state.cube)
             else:
                 state = engine.update(state, mask, date)
+                updated = time.perf_counter()
                 dump_into_timeline(
                     timeline_root, date, state.cube,
                     parent_date=date - 1, parent=prev_cube,
                 )
-                update_seconds.append(time.perf_counter() - start)
+                published = time.perf_counter()
+                update_seconds.append(published - start)
+                engine_seconds.append(updated - start)
+                publish_seconds.append(published - updated)
             prev_cube = state.cube
-        return state, update_seconds
+        return state, update_seconds, engine_seconds, publish_seconds
 
-    final_state, update_seconds = benchmark.pedantic(
-        run, rounds=1, iterations=1
+    final_state, update_seconds, engine_seconds, publish_seconds = (
+        benchmark.pedantic(run, rounds=1, iterations=1)
     )
 
     # Baseline: what a per-date non-incremental pipeline pays at the
@@ -391,6 +398,12 @@ def test_closed_incremental_50_date_timeline(benchmark, tmp_path):
 
     worst = max(update_seconds)
     median = float(np.median(update_seconds))
+    # The two halves of a date apart: which one a missed floor sits in.
+    halves = {
+        name: (float(np.median(seconds)) * 1e3, max(seconds) * 1e3)
+        for name, seconds in (("update", engine_seconds),
+                              ("publish", publish_seconds))
+    }
     speedup_worst = rebuild_seconds / worst
     speedup_median = rebuild_seconds / median
 
@@ -458,6 +471,10 @@ def test_closed_incremental_50_date_timeline(benchmark, tmp_path):
         ["incremental closed update (median)", median * 1e3,
          speedup_median],
         ["incremental closed update (worst)", worst * 1e3, speedup_worst],
+        ["  engine.update alone (median)", halves["update"][0], ""],
+        ["  engine.update alone (worst)", halves["update"][1], ""],
+        ["  dump_into_timeline alone (median)", halves["publish"][0], ""],
+        ["  dump_into_timeline alone (worst)", halves["publish"][1], ""],
     ]
     open_rows = [
         ["published", max(chains), n_full, timeline_bytes, opens[0],
@@ -498,6 +515,10 @@ def test_closed_incremental_50_date_timeline(benchmark, tmp_path):
         "closed_incremental_worst_ms": worst * 1e3,
         "closed_speedup_median": speedup_median,
         "closed_speedup_worst": speedup_worst,
+        "closed_update_median_ms": halves["update"][0],
+        "closed_update_worst_ms": halves["update"][1],
+        "closed_publish_median_ms": halves["publish"][0],
+        "closed_publish_worst_ms": halves["publish"][1],
         "min_closed_speedup_required": MIN_CLOSED_SPEEDUP,
         "max_chain": MAX_CHAIN,
         "chain_length_max": max(chains),

@@ -15,12 +15,12 @@ walkthrough:
    too little to share;
 4. reopens the timeline and reads analyses straight out of the cubes —
    the gender-segregation trend and the cells that moved the most;
-5. repeats the walk in **closed mode** (the closure diff re-derives
-   closedness only where covers changed) into a second timeline —
-   each publish writes its year as a delta or, once the chain is long
-   or the delta barely saves bytes, as a full snapshot — and reads the
-   per-year chain lengths and the serving tier's staleness report off
-   the result.
+5. repeats the walk in **closed mode** (the closure memo re-derives
+   closedness only where a cover may have changed) into a second
+   timeline — each publish writes its year as a delta or, once the
+   chain is long or the delta barely saves bytes, as a full snapshot —
+   and reads the per-year chain lengths and the serving tier's
+   staleness report off the result.
 
 Run with:  python examples/temporal_timeline.py
 """
@@ -112,9 +112,9 @@ def main() -> None:
     print(render_table(["cell", years[0], years[-1], "spread"], rows))
 
     # Closed mode rides the same incremental machinery — the closure
-    # diff re-derives closedness only for itemsets whose cover digest
-    # changed — and every publish bounds its own delta chain, so no
-    # separate maintenance job is needed.
+    # memo re-derives closedness only for itemsets whose items all meet
+    # a changed row — and every publish bounds its own delta chain, so
+    # no separate maintenance job is needed.
     closed_engine = TemporalCubeEngine(
         db,
         SegregationDataCubeBuilder(

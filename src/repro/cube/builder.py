@@ -212,10 +212,9 @@ class MinedCoordinates:
     n_contexts: int
     #: Closed mode + incremental engine only: every mined itemset —
     #: including the non-closed ones filtered out of ``keys`` — mapped
-    #: to ``(cover_digest, closed_flag)``, the seed of the incremental
-    #: engine's closure-diff pass (see
-    #: :func:`repro.itemsets.closed.closure_diff`).
-    closed_info: "dict[Itemset, tuple[bytes, bool]] | None" = None
+    #: to its capped-closed flag, the seed of the incremental engine's
+    #: closure memo (see :mod:`repro.cube.incremental`).
+    closed_info: "dict[Itemset, bool] | None" = None
 
     @classmethod
     def of_contexts(
@@ -391,9 +390,8 @@ class SegregationDataCubeBuilder:
         count are derived once here (:meth:`MinedCoordinates.of_contexts`)
         — every cell of a context shares them.
 
-        The closed filter reads the mine's supports and the incremental
-        engine's closure memo its cover digests before this returns, so
-        the fill gets cell keys and the covers are freed.
+        The closed filter reads the mine's supports before this
+        returns, so the fill gets cell keys and the covers are freed.
         """
         minsup_pop = absolute_minsup(self.min_population, db.n_active)
         minsup_min = absolute_minsup(self.min_minority, db.n_active)
@@ -427,12 +425,12 @@ class SegregationDataCubeBuilder:
             itemsets = [sa | ca for sa, ca in keys]
             closed = filter_closed(dict(zip(itemsets, supports)))
             if self.engine == "incremental":
-                # Seed the closure-diff pass: flags for *every* mined
+                # Seed the closure memo: flags for *every* mined
                 # itemset, non-closed ones included, so a later update
-                # can reuse any flag whose cover digest is unchanged.
+                # can reuse the flag of any itemset whose cover it
+                # proves unchanged.
                 mined.closed_info = {
-                    itemset: (digest, itemset in closed)
-                    for itemset, digest in zip(itemsets, lattice.digests())
+                    itemset: itemset in closed for itemset in itemsets
                 }
             # The root is always closed, so it stays first.
             keys = [

@@ -29,13 +29,17 @@ view maintenance to the columnar cube instead:
    a full build counts its contexts).  The provenance records the
    split as ``n_carried_cells`` (whole contexts),
    ``n_carried_cells_within_affected`` and ``n_recomputed_cells``;
-4. ``mode="closed"`` rides the same machinery through a *closure diff*:
+4. ``mode="closed"`` rides the same machinery through a *closure
+   memo*, each candidate's capped-closed flag at the previous date:
    capped closedness of a coordinate is a function of its cover and the
-   static item covers only (:mod:`repro.itemsets.closed`), so flags are
-   re-derived only for candidates whose ``cover_digest`` changed under
-   the new row mask — every other flag is reused from the previous
-   date.  The result is bit-exact (``check_same_cells`` at ``atol=0``)
-   with a from-scratch closed build at every date.
+   static item covers only (:mod:`repro.itemsets.closed`), and a
+   candidate holding an item that no changed row carries has the
+   previous date's cover, so it keeps its previous flag.  Every other
+   candidate of a recomputed context, and any without a previous flag,
+   gets its flag from one :func:`~repro.itemsets.closed.closure_flags`
+   call; no cover is hashed.  The result is bit-exact
+   (``check_same_cells`` at ``atol=0``) with a from-scratch closed
+   build at every date.
 
 The correctness argument for carrying a context ``B`` forward: a cell
 ``(A, B)`` has cover ``cover(A∪B) ⊆ cover(B)``; if ``cover(B)`` (on the
@@ -44,7 +48,7 @@ cell's support, per-unit minority vector and context population vector
 are unchanged — and the index kernels are deterministic functions of
 those integers.  In closed mode the same inclusion freezes every
 closedness flag of the context's candidates (their covers are
-digest-identical).  Conversely a context that became frequent must have
+unchanged).  Conversely a context that became frequent must have
 gained rows, so its union cover touches an added (changed) row and all
 its items appear on that row — which is why mining only over
 *affected items* finds every context that needs recomputation.
@@ -72,7 +76,7 @@ from repro.cube.coordinates import CellKey
 from repro.cube.cube import CubeMetadata, SegregationCube
 from repro.cube.table import CellTable, TableArrays, pack_items, packed_rows
 from repro.errors import CubeError
-from repro.itemsets.closed import closure_diff
+from repro.itemsets.closed import closure_flags
 from repro.itemsets.coverset import Cover, as_cover
 from repro.itemsets.eclat import mine_eclat
 from repro.itemsets.miner import absolute_minsup
@@ -80,8 +84,8 @@ from repro.itemsets.transactions import TransactionDatabase
 
 Itemset = frozenset[int]
 
-#: Closure memo: candidate itemset -> (cover digest, capped-closed flag).
-ClosedInfo = "dict[Itemset, tuple[bytes, bool]]"
+#: Closure memo: candidate itemset -> capped-closed flag.
+ClosedInfo = "dict[Itemset, bool]"
 
 
 def _tvec_digest(tvec: np.ndarray) -> bytes:
@@ -112,8 +116,7 @@ class TemporalBuildState:
     #: of an affected context verbatim.
     context_digests: "dict[Itemset, bytes]" = field(default_factory=dict)
     #: Closed mode only: context -> closure memo of its candidates
-    #: (closed *and* non-closed — digests gate reuse).  None in ``all``
-    #: mode.
+    #: (closed *and* non-closed).  None in ``all`` mode.
     closed_info: "dict[Itemset, ClosedInfo] | None" = None
 
 
@@ -129,7 +132,7 @@ class TemporalCubeEngine:
         The cube builder supplying thresholds, index specs and the
         columnar fill.  Must use ``engine="incremental"``; both
         ``mode="all"`` and ``mode="closed"`` are supported (closed mode
-        maintains closedness flags through the closure diff).
+        maintains closedness flags through the closure memo).
     """
 
     def __init__(
@@ -331,29 +334,30 @@ class TemporalCubeEngine:
                     cands[sa_part | context] = cell_cover
             candidates[context] = cands
 
-        # Closed mode: one closure-diff pass decides candidacy.  Flags
-        # are re-derived only where the cover digest moved; everything
-        # else reuses the previous date's flag (closedness is a function
-        # of the cover and the static item covers alone).
+        # Closed mode: closedness decides candidacy.  A candidate
+        # holding an unaffected item has the previous date's cover, so
+        # it keeps its previous flag (closedness is a function of the
+        # cover and the static item covers alone); every other one, and
+        # any without a previous flag, goes through one closure_flags
+        # call.
         closed_mode = self.builder.mode == "closed"
-        flags: "ClosedInfo | None" = None
+        flags: ClosedInfo = {}
         new_closed_info: "dict[Itemset, ClosedInfo] | None" = None
         if closed_mode:
             prev_info = state.closed_info or {}
-            flat_prev: ClosedInfo = {}
-            for sub in prev_info.values():
-                flat_prev.update(sub)
-            flags = closure_diff(
-                db,
-                {
-                    itemset: cover
-                    for cands in candidates.values()
-                    for itemset, cover in cands.items()
-                },
-                previous=flat_prev,
+            pending: "dict[Itemset, Cover]" = {}
+            for context, cands in candidates.items():
+                previous = prev_info.get(context, {})
+                for itemset, cover in cands.items():
+                    if itemset in previous and not itemset <= affected_items:
+                        flags[itemset] = previous[itemset]
+                    else:
+                        pending[itemset] = cover
+            flags.update(closure_flags(
+                db, pending,
                 max_sa=self.builder.max_sa_items,
                 max_ca=self.builder.max_ca_items,
-            )
+            ))
             new_closed_info = {
                 context: prev_info.get(context, {})
                 for context in carried_set
@@ -382,7 +386,7 @@ class TemporalCubeEngine:
             )
             changed_ctx: "Cover | None" = None
             for itemset in cands:
-                if closed_mode and itemset and not flags[itemset][1]:
+                if closed_mode and not flags[itemset]:
                     # Not closed at this date: not a candidate, exactly
                     # as the from-scratch closed filter would decide.
                     continue

@@ -17,12 +17,13 @@ built cube) or over read-only memory-mapped arrays reopened from a
 first use: the row index (``{packed SA+CA words as little-endian bytes:
 row}``, built once), the itemset sizes (a popcount), the canonical
 order (:meth:`CellTable.canonical_order`, the rows sorted by their
-packed keys, which the store digests and searches in), and each row's
-key (:func:`decode_key`, kept in a per-row slot; a built table's slots
+packed keys, which the store digests and searches in), the store's
+content digest (:meth:`CellTable.content_digest`), and each row's key
+(:func:`decode_key`, kept in a per-row slot; a built table's slots
 hold the keys it was given).  :meth:`CellTable.warm` builds the index
 and the sizes; after it the only writes are key slots, each only ever
-written with its row's one key, and the order, written once under the
-table's lock, so concurrent readers are safe.
+written with its row's one key, and the order and the digest, each
+written once under the table's lock, so concurrent readers are safe.
 
 Query primitives are array operations — boolean masks and
 ``argpartition`` top-k — and :class:`CellStats` survives as a lazily
@@ -35,7 +36,7 @@ from __future__ import annotations
 import operator
 import threading
 import weakref
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -233,6 +234,7 @@ class CellTable:
         self._index: "dict[bytes, int] | None" = None
         self._sizes: "tuple[np.ndarray, np.ndarray] | None" = None
         self._order: "np.ndarray | None" = None
+        self._digest: "str | None" = None
         self._composed: "tuple[weakref.ref, np.ndarray] | None" = None
         self._lock = threading.Lock()
 
@@ -402,6 +404,31 @@ class CellTable:
                     order.flags.writeable = False
                     self._order = order
         return self._order
+
+    def content_digest(
+        self, hash_rows: "Callable[[CellTable, np.ndarray], str]"
+    ) -> str:
+        """``hash_rows(self, canonical_order())``, computed once and kept.
+
+        The store's content digest (:func:`repro.store.snapshot.table_digest`
+        passes its row hasher), so a table published and then named as
+        the next publish's parent is hashed once.  Computing it clears
+        the writeable flag of every array of the table, so no write
+        through them can make the kept digest stale.
+        """
+        if self._digest is None:
+            order = self.canonical_order()
+            with self._lock:
+                if self._digest is None:
+                    arrays = self._arrays
+                    for array in (
+                        arrays.population, arrays.minority, arrays.n_units,
+                        arrays.sa_masks, arrays.ca_masks,
+                        *arrays.columns.values(),
+                    ):
+                        array.flags.writeable = False
+                    self._digest = hash_rows(self, order)
+        return self._digest
 
     def _pack_key(self, key: CellKey) -> "bytes | None":
         """A key as its row's index bytes; None when no row can hold it

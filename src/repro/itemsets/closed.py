@@ -9,7 +9,7 @@ so its cell would be redundant.
 Closed itemsets are never mined directly.  The cube builder mines the
 complete capped lattice and keeps its closed part with
 :func:`filter_closed`; the incremental engine re-derives closedness with
-:func:`closure_diff`, only where a cover changed.
+:func:`closure_flags`, only for candidates whose cover may have changed.
 
 Given the complete dictionary of frequent itemsets, closedness has a
 local characterisation that avoids cover scans: X is closed iff no
@@ -21,12 +21,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from repro.itemsets.coverset import (
-    Cover,
-    cover_digest,
-    cover_matrix,
-    popcount_rows,
-)
+from repro.itemsets.coverset import Cover, cover_matrix, popcount_rows
 from repro.itemsets.transactions import TransactionDatabase
 
 Itemset = frozenset[int]
@@ -56,7 +51,7 @@ def filter_closed(supports: dict[Itemset, int]) -> dict[Itemset, int]:
 
 
 # ----------------------------------------------------------------------
-# Capped closedness + closure diffs (the incremental engine's pass)
+# Capped closedness (the incremental engine's pass)
 # ----------------------------------------------------------------------
 #
 # The cube's closed filter is *capped*: the dictionary of candidates is
@@ -70,13 +65,13 @@ def filter_closed(supports: dict[Itemset, int]) -> dict[Itemset, int]:
 # root context/coordinate) is always kept, mirroring ``filter_closed``
 # which never marks the empty subset non-closed.
 #
-# The incremental hook is :func:`closure_diff`: closedness of X is a
-# function of ``cover(X)`` and the *static* per-item covers only
-# (``cover(X) ⊆ active`` already, so intersecting with restricted item
-# covers equals intersecting with unrestricted ones) — hence if
-# ``cover_digest(cover(X))`` is unchanged between two dates, X's
-# closedness flag is unchanged and the previous flag can be reused
-# without touching any cover.
+# Closedness of X is a function of ``cover(X)`` and the *static*
+# per-item covers only (``cover(X) ⊆ active`` already, so intersecting
+# with restricted item covers equals intersecting with unrestricted
+# ones).  The incremental engine therefore keeps the previous date's
+# flag of every X holding an item that no changed row carries: such an
+# X's cover is unchanged.  Every other candidate goes through
+# :func:`closure_flags`.
 
 
 def closure_flags(
@@ -122,40 +117,3 @@ def closure_flags(
         out[itemset] = not bool(absorbing.any())
     return out
 
-
-def closure_diff(
-    db: TransactionDatabase,
-    candidates: "dict[Itemset, Cover]",
-    previous: "dict[Itemset, tuple[bytes, bool]] | None" = None,
-    max_sa: "int | None" = None,
-    max_ca: "int | None" = None,
-) -> "dict[Itemset, tuple[bytes, bool]]":
-    """Re-derive closedness only where the cover digest changed.
-
-    Maps every candidate to ``(cover_digest, closed_flag)``.  A
-    candidate whose digest matches its ``previous`` entry keeps the
-    previous flag untouched (closedness depends only on the cover and
-    the static item covers — see the module note); the rest go through
-    one bulk :func:`closure_flags` pass.
-    """
-    previous = previous or {}
-    out: "dict[Itemset, tuple[bytes, bool]]" = {}
-    pending: "dict[Itemset, tuple[bytes, Cover]]" = {}
-    for itemset, cover in candidates.items():
-        digest = cover_digest(cover)
-        if not itemset:
-            out[itemset] = (digest, True)
-            continue
-        prev = previous.get(itemset)
-        if prev is not None and prev[0] == digest:
-            out[itemset] = (digest, prev[1])
-        else:
-            pending[itemset] = (digest, cover)
-    if pending:
-        flags = closure_flags(
-            db, {k: cover for k, (_, cover) in pending.items()},
-            max_sa=max_sa, max_ca=max_ca,
-        )
-        for itemset, (digest, _) in pending.items():
-            out[itemset] = (digest, flags[itemset])
-    return out

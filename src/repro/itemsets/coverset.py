@@ -16,7 +16,6 @@ type hints read as "a cover" wherever the packing is incidental.
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Iterable
 
 import numpy as np
@@ -201,17 +200,6 @@ def cover_matrix(covers: "list[CoverSet]", n_bits: int) -> np.ndarray:
     for row, cover in enumerate(covers):
         out[row] = cover.words
     return out
-
-
-def cover_digest(cover: CoverSet) -> bytes:
-    """A 16-byte content digest of a cover's bit pattern.
-
-    Covers with equal bits get equal digests, so the digest can key
-    cover-equivalence classes (the closed-itemset dedup) across process
-    boundaries — unlike Python's ``hash()``, which is salted per
-    process.
-    """
-    return hashlib.blake2b(cover.words.tobytes(), digest_size=16).digest()
 
 
 def as_cover(value: "CoverSet | np.ndarray | Iterable[bool]") -> CoverSet:

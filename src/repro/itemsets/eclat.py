@@ -36,13 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.errors import MiningError
-from repro.itemsets.coverset import (
-    WORD_DTYPE,
-    Cover,
-    CoverSet,
-    cover_digest,
-    popcount_rows,
-)
+from repro.itemsets.coverset import WORD_DTYPE, Cover, CoverSet, popcount_rows
 from repro.itemsets.transactions import TransactionDatabase
 
 Itemset = frozenset[int]
@@ -156,10 +150,6 @@ class Lattice(Mapping):
             for level, row in zip(self._level_of.tolist(),
                                   self._row_of.tolist())
         ]
-
-    def digests(self) -> "list[bytes]":
-        """Every key's :func:`~repro.itemsets.coverset.cover_digest`."""
-        return [cover_digest(cover) for cover in self.covers()]
 
 
 def _join(

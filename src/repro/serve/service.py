@@ -12,7 +12,8 @@ stay one :meth:`trend` call away.  The first trend walks the timeline
 once, each date composed onto the one before it and then dropped, and
 keeps what each date changed since the date before
 (:func:`~repro.store.timeline.timeline_changes`), which is what the
-timeline's deltas hold; every trend reads those changes.  A service
+timeline's deltas hold; every trend reads those changes, and a
+refresh hands them on, extended by the dates it composes.  A service
 therefore holds one cube, the served one, whatever the number of
 dates, plus those changes, never more rows than one table per date.
 Construction *warms* the served cube — its row index and size vectors,
@@ -59,14 +60,16 @@ Coordinates = Union[Mapping[str, object], None]
 Rendered = tuple[int, str, bytes]
 
 
-def _disk_info(path) -> "dict[str, int]":
-    """On-disk footprint of one snapshot directory (own bytes + chain)."""
-    from repro.store.snapshot import delta_chain_length, snapshot_disk_bytes
+def _disk_info(path) -> "tuple[dict[str, int], str]":
+    """On-disk footprint of one snapshot directory (own bytes + chain),
+    and its manifest's ``created_at``: one walk of its delta chain."""
+    from repro.store.snapshot import chain_manifests, snapshot_disk_bytes
 
+    chain = chain_manifests(path)
     return {
         "snapshot_bytes": snapshot_disk_bytes(path),
-        "delta_chain_length": delta_chain_length(path),
-    }
+        "delta_chain_length": len(chain) - 1,
+    }, chain[0][1].created_at
 
 
 def _warm(cube: SegregationCube) -> SegregationCube:
@@ -172,16 +175,32 @@ class CubeService:
         that disagreed with the disk would fail the open.  A failed open
         raises :class:`~repro.errors.SnapshotError` and leaves this
         service as it was.
+
+        When this service's trend changes end at its date, the new
+        service starts with a copy of them extended by each new date's
+        changes (:func:`~repro.store.timeline.changes_after`: one hop
+        per date onto the served cube), so its first trend walks
+        nothing.
         """
         if self._timeline is None:
             return None
-        from repro.store.timeline import CubeTimeline
+        from repro.store.timeline import CubeTimeline, changes_after
 
         timeline = CubeTimeline(self._timeline.root, mmap=self._mmap)
         if timeline.dates[-1] == self._date:
             return None
         timeline.adopt(self._date, self._cube)
-        return CubeService(timeline, mmap=self._mmap)
+        with self._changes_lock:
+            changes = self._changes
+        if changes is not None and [date for date, _, _ in changes] == [
+            date for date in timeline.dates if date <= self._date
+        ]:
+            changes = changes + changes_after(timeline, self._date)
+        else:
+            changes = None
+        successor = CubeService(timeline, mmap=self._mmap)
+        successor._changes = changes
+        return successor
 
     # ------------------------------------------------------------------
     # Queries
@@ -197,15 +216,16 @@ class CubeService:
         both *per date* — the two numbers the timeline's publish rule
         weighs (chain-resolution cost against byte savings), read from
         disk.  Each snapshot directory's delta chain is walked once per
-        call, and that walk fills every field reporting it.
+        call, and that walk fills every field reporting it, the
+        staleness's ``last_publish_at`` included.
         """
-        disk: "dict[Path, dict[str, int]]" = {}
+        walks: "dict[Path, tuple[dict[str, int], str]]" = {}
 
-        def disk_of(path) -> "dict[str, int]":
+        def walk(path) -> "tuple[dict[str, int], str]":
             directory = Path(path).resolve()
-            if directory not in disk:
-                disk[directory] = _disk_info(directory)
-            return disk[directory]
+            if directory not in walks:
+                walks[directory] = _disk_info(directory)
+            return walks[directory]
 
         out = summarize_cube(self._cube)
         metadata = self._cube.metadata
@@ -217,45 +237,45 @@ class CubeService:
         snapshot = metadata.extra.get("snapshot")
         if snapshot is not None:
             out["snapshot"] = snapshot
-            out["disk"] = disk_of(snapshot["path"])
+            out["disk"] = walk(snapshot["path"])[0]
         if self._timeline is not None:
-            per_date = {
-                str(date): disk_of(self._timeline.path_of(date))
+            walked = {
+                str(date): walk(self._timeline.path_of(date))
                 for date in self._timeline.dates
             }
+            per_date = {date: disk for date, (disk, _) in walked.items()}
             out["timeline"] = {
                 "dates": self._timeline.dates,
                 "served_date": self._date,
                 "per_date": per_date,
             }
-            out["staleness"] = self._staleness({
-                date: info["delta_chain_length"]
-                for date, info in per_date.items()
-            })
+            out["staleness"] = self._staleness(
+                {
+                    date: disk["delta_chain_length"]
+                    for date, disk in per_date.items()
+                },
+                max(created_at for _, created_at in walked.values()),
+            )
         return out
 
     def _staleness(
-        self, chain_lengths: "dict[str, int]"
+        self, chain_lengths: "dict[str, int]", last_publish_at: str
     ) -> "dict[str, object]":
         """How far behind, and how heavy, is what we are serving?
 
         ``latest_date``/``dates_behind`` compare the served date with
         the newest snapshot on disk; ``last_publish_at`` (plus the
-        derived ``seconds_since_publish``) comes from the timeline
-        manifest the publisher stamps on every
+        derived ``seconds_since_publish``) is the newest date
+        manifest's ``created_at``, stamped by every
         :func:`~repro.store.timeline.dump_into_timeline`;
         ``chain_lengths`` is each date's delta-chain length as read
-        from disk (at most ``MAX_CHAIN`` for dates the publisher wrote),
-        passed in by :meth:`info`.
+        from disk (at most ``MAX_CHAIN`` for dates the publisher wrote).
+        :meth:`info`'s walk of each date's chain reads both.
         """
         from datetime import datetime, timezone
 
-        from repro.store.timeline import read_timeline_manifest
-
         dates = self._timeline.dates
         latest = dates[-1]
-        manifest = read_timeline_manifest(self._timeline.root)
-        last_publish_at = manifest.get("last_publish_at")
         seconds_since = None
         if last_publish_at:
             try:

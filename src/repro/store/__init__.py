@@ -37,11 +37,13 @@ read-only :class:`~repro.cube.cube.SegregationCube`.
   publish decides, before it writes anything, whether its date is a
   delta or a full snapshot: full when the parent's chain already has
   ``MAX_CHAIN`` hops, or when the delta's own bytes would reach
-  ``MIN_BYTE_RATIO`` of its chain root's.  A published date is never
-  rewritten; ``timeline.json`` tracks each date's chain length and own
-  bytes.  A :class:`CubeTimeline` holds one cube, and a walk over its
-  dates composes each onto the one before it; ``timeline_changes``
-  keeps one walk's per-date changes for repeated trends.
+  ``MIN_BYTE_RATIO`` of its chain root's.  A publish writes its new
+  date directory and nothing else, and a published date is never
+  rewritten; ``read_timeline_manifest`` reads each date's chain length
+  and own bytes from the dates.  A :class:`CubeTimeline` holds one
+  cube, and a walk over its dates composes each onto the one before
+  it; ``timeline_changes`` keeps one walk's per-date changes for
+  repeated trends.
 
 Invariant: for any built cube, ``open_snapshot(dump_snapshot(cube))``
 yields identical cells (``check_same_cells`` at ``atol=0``) and
@@ -74,7 +76,6 @@ from repro.store.snapshot import (
     validate_snapshot,
 )
 from repro.store.timeline import (
-    TIMELINE_MANIFEST_NAME,
     CubeTimeline,
     dump_into_timeline,
     read_timeline_manifest,
@@ -91,7 +92,6 @@ __all__ = [
     "GraphSnapshot",
     "MANIFEST_NAME",
     "SnapshotManifest",
-    "TIMELINE_MANIFEST_NAME",
     "delta_chain_length",
     "dump_delta_snapshot",
     "dump_graph_snapshot",

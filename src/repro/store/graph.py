@@ -38,8 +38,7 @@ range, sha256 digest).  Every failure raises
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -54,6 +53,7 @@ from repro.store.manifest import (
     load_arrays,
     plan_directory,
     read_manifest,
+    render_manifest,
     write_directory,
 )
 
@@ -92,7 +92,7 @@ class GraphManifest:
     data_bytes: int = 0
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        return render_manifest(vars(self))
 
     @classmethod
     def read(cls, directory: "str | Path") -> "GraphManifest":

@@ -9,8 +9,11 @@ ones a crash may lose:
 * :func:`write_atomic` replaces a manifest so that readers see the old
   or the new file, never a torn one: a temporary file, written and
   fsynced, renamed over the manifest, then the directory fsynced.
-  Every manifest the store writes — ``manifest.json``,
-  ``graph_manifest.json`` and ``timeline.json`` — goes through it.
+  Every manifest the store writes — ``manifest.json`` and
+  ``graph_manifest.json`` — goes through it, as the text
+  :func:`render_manifest` gives: the fields on one line, keys sorted.
+  :func:`fsync_directory` makes a directory's new entries durable; a
+  timeline publish ends with it on the timeline directory.
 * The dump of a directory of arrays behind one manifest (cube
   snapshots, deltas, graph snapshots) takes two steps.
   :func:`plan_directory` lays the dump out in memory: all
@@ -25,10 +28,9 @@ ones a crash may lose:
   always describes a complete, durable dump, and live memory-mapped
   readers of the old data file keep its bytes.
 * :func:`read_manifest` is the preamble the versioned manifests share:
-  the file exists, is a JSON object (:func:`read_json`, which also
-  reads the advisory ``timeline.json``) of the right format version
-  with the required fields, its content digest and data-file size, and
-  its ``arrays`` entries parse.
+  the file exists, is a JSON object (:func:`read_json`) of the right
+  format version with the required fields, its content digest and
+  data-file size, and its ``arrays`` entries parse.
 * :func:`load_arrays` is the checked loader: every required array is
   listed with its dtype and nothing else is listed; every entry is
   aligned, inside the data file and clear of the entry before it; and
@@ -59,7 +61,7 @@ import json
 import math
 import os
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -121,7 +123,7 @@ def _write_file(path: Path, buffers: "list") -> None:
         os.close(fd)
 
 
-def _fsync_directory(directory: Path) -> None:
+def fsync_directory(directory: Path) -> None:
     """Make the directory entries created, renamed or unlinked in
     ``directory`` durable."""
     fd = os.open(directory, os.O_RDONLY)
@@ -147,7 +149,7 @@ def write_atomic(path: "str | Path", text: str) -> Path:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
-    _fsync_directory(path.parent)
+    fsync_directory(path.parent)
     return path
 
 
@@ -158,6 +160,23 @@ class ArrayInfo:
     offset: int
     dtype: str
     shape: "list[int]"
+
+
+def _array_entry(value: object) -> "dict[str, object]":
+    """``json.dumps``' fallback: an :class:`ArrayInfo` as its fields."""
+    if isinstance(value, ArrayInfo):
+        return vars(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def render_manifest(fields: "dict[str, object]") -> str:
+    """The text of a manifest file holding ``fields``.
+
+    One line, keys sorted; an :class:`ArrayInfo` entry renders as its
+    fields.  Without ``indent``, :func:`json.dumps` runs its C encoder,
+    and ``fields`` is read in place, not copied.
+    """
+    return json.dumps(fields, sort_keys=True, default=_array_entry)
 
 
 @dataclass
@@ -240,9 +259,9 @@ def write_directory(path: "str | Path", plan: DumpPlan) -> Path:
     data = directory / DATA_NAME
     data.unlink(missing_ok=True)
     if replaced:
-        _fsync_directory(directory)
+        fsync_directory(directory)
     _write_file(data, plan.buffers)
-    _fsync_directory(directory)
+    fsync_directory(directory)
     write_atomic(directory / plan.manifest_name, plan.text)
     return directory
 
@@ -621,10 +640,10 @@ class SnapshotManifest:
     # -- (de)serialisation ---------------------------------------------
 
     def to_json(self) -> str:
-        payload = asdict(self)
+        payload = dict(vars(self))
         if self.items is None:
             del payload["items"]
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return render_manifest(payload)
 
     @classmethod
     def read(cls, directory: "str | Path") -> "SnapshotManifest":

@@ -170,9 +170,14 @@ def table_digest(table: CellTable) -> str:
     bytes (:meth:`~repro.cube.table.CellTable.canonical_order`), so a
     live cube, its reopened snapshot and a delta chain composed in a
     different row order all digest identically when — and only when —
-    they hold bit-identical cells (NaN patterns included).
+    they hold bit-identical cells (NaN patterns included).  The table
+    keeps its digest (:meth:`~repro.cube.table.CellTable.content_digest`),
+    so each table is hashed once.
     """
-    order = table.canonical_order()
+    return table.content_digest(_hash_rows)
+
+
+def _hash_rows(table: CellTable, order: np.ndarray) -> str:
     digest = hashlib.sha256()
     for name, array in _rows_of(_table_arrays(table), order):
         digest.update(name.encode())
@@ -201,27 +206,37 @@ def snapshot_disk_bytes(path: "str | Path") -> int:
         ) from exc
 
 
-def delta_chain(path: "str | Path") -> "list[Path]":
-    """Resolved directories from ``path`` up its parents to its root.
+def chain_manifests(
+    path: "str | Path",
+) -> "list[tuple[Path, SnapshotManifest]]":
+    """``(resolved directory, manifest)`` from ``path`` up its parents
+    to its root.
 
-    ``chain[0]`` is ``path`` itself (resolved) and ``chain[-1]`` the
-    full snapshot the chain bottoms out on, so a full snapshot's chain
-    is just ``[path]``.  Only manifests are read (no array data), so
-    the walk is cheap enough to run on every ``info()`` call.  A cyclic
-    or unresolvable parent chain raises
+    The first entry is ``path`` itself and the last the full snapshot
+    the chain bottoms out on, so a full snapshot's chain is its own
+    entry alone.  Only manifests are read (no array data), each once,
+    so the walk is cheap enough to run on every ``info()`` call.  A
+    cyclic or unresolvable parent chain raises
     :class:`~repro.errors.SnapshotError`.
     """
     directory = Path(path).resolve()
-    chain = [directory]
     manifest = SnapshotManifest.read(directory)
+    chain = [(directory, manifest)]
     while manifest.delta is not None:
         directory = (directory / str(manifest.delta["parent"])).resolve()
-        if directory in chain:
-            loop = " -> ".join(str(p) for p in chain + [directory])
+        walked = [seen for seen, _ in chain]
+        if directory in walked:
+            loop = " -> ".join(str(p) for p in walked + [directory])
             raise SnapshotError(f"cyclic snapshot parent chain: {loop}")
-        chain.append(directory)
         manifest = SnapshotManifest.read(directory)
+        chain.append((directory, manifest))
     return chain
+
+
+def delta_chain(path: "str | Path") -> "list[Path]":
+    """The directories of :func:`chain_manifests`: ``chain[0]`` is
+    ``path`` (resolved) and ``chain[-1]`` its full-snapshot root."""
+    return [directory for directory, _ in chain_manifests(path)]
 
 
 def delta_chain_length(path: "str | Path") -> int:

@@ -4,7 +4,6 @@ A timeline is a directory whose integer-named children are snapshot
 directories, one per snapshot date::
 
     timeline/
-      timeline.json   freshness + per-date chain stats (advisory)
       1998/   full snapshot (the timeline root)
       2003/   delta, parent ../1998
       2008/   delta, parent ../2003
@@ -26,7 +25,9 @@ timeline comparison (:func:`repro.cube.compare.timeline_series`) and
 the cube-backed trend (:func:`repro.core.trend.segregation_trend`) all
 read a timeline this way.  :func:`timeline_changes` keeps what one walk
 saw as each date's changes since the date before, which a serving
-trend reads again and again without reopening a date.
+trend reads again and again without reopening a date, and
+:func:`changes_after` extends such a record by the dates published
+since.
 
 :func:`dump_into_timeline` writes one dated entry — the persistence
 half of the incremental temporal fill (:mod:`repro.cube.incremental`).
@@ -49,29 +50,30 @@ so its own bytes are known before anything is written, and the date is
 written once, as the delta or as the full snapshot.  No chain the
 publisher writes is longer than :data:`MAX_CHAIN` (timelines written
 earlier with longer chains still open unchanged).  A publish writes
-only ``<root>/<date>/`` and ``timeline.json``; it never renames,
-rewrites or deletes a date already published.  The date's directory is
-written through the file layer's dump protocol
+only the new directory ``<root>/<date>/``; it replaces no file, and
+never renames, rewrites or deletes a date already published.  The
+date's directory is written through the file layer's dump protocol
 (:func:`~repro.store.manifest.write_directory`): the data file and its
 directory entry are fsynced before the manifest is written, so a crash
 at any point, power loss included, leaves a manifest-less directory
 (which :func:`timeline_dates` does not list) or a complete snapshot.
-Because no date changes once a child may reference it, a reader never
-finds a delta whose parent is missing.
+The timeline directory is fsynced last, so the new date's entry is
+durable when the publish returns.  Because no date changes once a
+child may reference it, a reader never finds a delta whose parent is
+missing.  Publishing assumes a single writer.
 
-``timeline.json`` records each date's chain length and own byte size
-(the planned bytes, which are the bytes written), plus the last publish
-timestamp (the serving tier's staleness metric).
-A publish writes it once, after the date's own manifest.  Publishing
-assumes a single writer.
+What a timeline records of its dates is read from the dates
+themselves (:func:`read_timeline_manifest`): each date's chain length
+from its manifest's delta section, its own bytes from its two files,
+and the last publish time from the newest manifest's ``created_at``.
+A ``timeline.json`` that earlier versions wrote is never read,
+rewritten or deleted.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import threading
-from datetime import datetime, timezone
 from pathlib import Path
 
 from repro.cube.cube import SegregationCube
@@ -80,22 +82,19 @@ from repro.errors import SnapshotError
 from repro.itemsets.items import ItemDictionary
 from repro.store.manifest import (
     MANIFEST_NAME,
-    read_json,
-    write_atomic,
+    SnapshotManifest,
+    fsync_directory,
     write_directory,
 )
 from repro.store.snapshot import (
     changed_cells,
     delta_chain,
+    delta_chain_length,
     open_snapshot,
     plan_delta,
     plan_snapshot,
     snapshot_disk_bytes,
 )
-
-#: The timeline-level manifest file (freshness + per-date chain stats).
-TIMELINE_MANIFEST_NAME = "timeline.json"
-TIMELINE_FORMAT_VERSION = 1
 
 #: A publish writes a full snapshot once its parent's chain is this
 #: many hops long, so no chain the publisher writes is longer.
@@ -134,38 +133,42 @@ def timeline_dates(root: "str | Path") -> "list[int]":
 
 
 # ----------------------------------------------------------------------
-# Timeline manifest (freshness + measured chain stats)
+# What the dates record (freshness + measured chain stats)
 # ----------------------------------------------------------------------
 
 def read_timeline_manifest(root: "str | Path") -> dict:
-    """The timeline's ``timeline.json`` payload (defaults when absent).
+    """Each date's chain length and own bytes, and the last publish time.
 
-    The manifest is advisory — a timeline without one (hand-built
-    fixtures, trees copied without it) reads as an empty record — but a
-    *corrupt* one raises :class:`~repro.errors.SnapshotError` rather
-    than silently resetting measured history.
+    ``{"last_publish_at": ..., "dates": {"<date>": {"chain_length": ...,
+    "own_bytes": ...}}}``, derived from the date directories in one
+    pass that reads each date's manifest once: a full snapshot's chain
+    length is 0 and a delta's its parent's plus one; the own bytes are
+    :func:`~repro.store.snapshot.snapshot_disk_bytes`; the last publish
+    time is the newest ``created_at`` among the dates' manifests (None
+    for a timeline without dates).
     """
-    path = Path(root) / TIMELINE_MANIFEST_NAME
-    if not path.is_file():
-        return {
-            "format_version": TIMELINE_FORMAT_VERSION,
-            "last_publish_at": None,
-            "dates": {},
+    root = Path(root)
+    chains: "dict[str, int]" = {}
+    dates: "dict[str, dict[str, int]]" = {}
+    last_publish_at = None
+    for date in timeline_dates(root):
+        directory = root / str(date)
+        manifest = SnapshotManifest.read(directory)
+        chain = 0
+        if manifest.delta is not None:
+            parent = os.path.normpath(directory / manifest.delta["parent"])
+            chain = 1 + (
+                chains[parent] if parent in chains
+                else delta_chain_length(parent)
+            )
+        chains[os.path.normpath(directory)] = chain
+        dates[str(date)] = {
+            "chain_length": chain,
+            "own_bytes": snapshot_disk_bytes(directory),
         }
-    payload = read_json(path, "timeline")
-    if not isinstance(payload.get("dates", {}), dict):
-        raise SnapshotError(f"malformed timeline manifest {path}")
-    payload.setdefault("format_version", TIMELINE_FORMAT_VERSION)
-    payload.setdefault("last_publish_at", None)
-    payload.setdefault("dates", {})
-    return payload
-
-
-def write_timeline_manifest(root: "str | Path", payload: dict) -> Path:
-    return write_atomic(
-        Path(root) / TIMELINE_MANIFEST_NAME,
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-    )
+        if last_publish_at is None or manifest.created_at > last_publish_at:
+            last_publish_at = manifest.created_at
+    return {"last_publish_at": last_publish_at, "dates": dates}
 
 
 def dump_into_timeline(
@@ -181,15 +184,15 @@ def dump_into_timeline(
     The entry is a *delta* against ``parent_date``'s snapshot or a full
     snapshot, as the publish rule in the module docstring decides (full
     whenever ``parent_date`` is None).  Pass ``parent`` when the parent
-    cube is already open to skip re-reading it.  Every publish records
-    the date's chain length and own bytes plus the timeline's
-    ``last_publish_at`` in ``timeline.json``.  ``compact`` is accepted
+    cube is already open to skip re-reading it.  The publish writes the
+    new date's directory and nothing else, then fsyncs ``root`` so the
+    date stays published across a power loss.  ``compact`` is accepted
     for older callers and has no effect: every publish applies the
     same rule.
     """
     root = Path(root)
     directory = root / str(int(date))
-    chain_length = 0
+    plan = None
     if parent_date is not None:
         parent_dir = root / str(int(parent_date))
         parent_chain = delta_chain(parent_dir)
@@ -197,20 +200,14 @@ def dump_into_timeline(
             plan = plan_delta(
                 cube, directory, parent_dir, parent, parent_chain[-1]
             )
-            if plan.nbytes < MIN_BYTE_RATIO * snapshot_disk_bytes(
+            if plan.nbytes >= MIN_BYTE_RATIO * snapshot_disk_bytes(
                 parent_chain[-1]
             ):
-                chain_length = len(parent_chain)
-    if chain_length == 0:
+                plan = None
+    if plan is None:
         plan = plan_snapshot(cube)
     write_directory(directory, plan)
-    manifest = read_timeline_manifest(root)
-    manifest["dates"][str(int(date))] = {
-        "chain_length": chain_length,
-        "own_bytes": plan.nbytes,
-    }
-    manifest["last_publish_at"] = datetime.now(timezone.utc).isoformat()
-    write_timeline_manifest(root, manifest)
+    fsync_directory(root)
     return directory
 
 
@@ -267,10 +264,6 @@ class CubeTimeline:
             )
         return self._root / str(int(date))
 
-    def manifest(self) -> dict:
-        """The timeline's freshness and chain-stats manifest (advisory)."""
-        return read_timeline_manifest(self._root)
-
     def at(self, date: int) -> SegregationCube:
         """The cube at one date, which the timeline then holds."""
         path = self.path_of(date)
@@ -323,6 +316,21 @@ class CubeTimeline:
         )
 
 
+def _change_entries(walk, previous: "SegregationCube | None") -> list:
+    """Each ``(date, cube)`` of ``walk`` as :func:`timeline_changes`
+    records it, ``previous`` being the cube of the date before the
+    first (None: the first is held whole)."""
+    entries = []
+    for date, cube in walk:
+        cells = None if previous is None else changed_cells(cube, previous)
+        if cells is None or len(cells) >= len(cube):
+            entries.append((date, cube.dictionary, cube.table))
+        else:
+            entries.append((date, None, cells))
+        previous = cube
+    return entries
+
+
 def timeline_changes(
     timeline: CubeTimeline,
 ) -> "list[tuple[int, ItemDictionary | None, CellTable]]":
@@ -340,13 +348,22 @@ def timeline_changes(
     with a vocabulary.  The entries hold what the timeline's deltas
     hold, and never more rows than one table per date.
     """
-    entries = []
-    previous = None
-    for date, cube in timeline:
-        cells = None if previous is None else changed_cells(cube, previous)
-        if cells is None or len(cells) >= len(cube):
-            entries.append((date, cube.dictionary, cube.table))
-        else:
-            entries.append((date, None, cells))
-        previous = cube
-    return entries
+    return _change_entries(timeline, None)
+
+
+def changes_after(
+    timeline: CubeTimeline, date: int
+) -> "list[tuple[int, ItemDictionary | None, CellTable]]":
+    """:func:`timeline_changes`' entries of the dates after ``date``.
+
+    Each later date is one hop onto the date before it, starting from
+    ``date``'s cube as the timeline holds it (a serving refresh has
+    adopted its served cube), and the timeline ends holding the last
+    date's cube.  Appended to the entries of the dates up to ``date``,
+    they are ``timeline_changes(timeline)``.
+    """
+    return _change_entries(
+        ((later, timeline.at(later))
+         for later in timeline.dates if later > date),
+        timeline.at(date),
+    )

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.cube import builder as builder_module
+from repro.cube import incremental as incremental_module
 from repro.cube.builder import SegregationDataCubeBuilder
 from repro.cube.cube import check_same_cells
 from repro.cube.incremental import TemporalCubeEngine
@@ -20,7 +21,7 @@ from repro.data.synthetic import random_final_table, random_temporal_final_table
 from repro.errors import CubeError, MiningError
 from repro.etl.diff import valid_at
 from repro.etl.schema import Schema
-from repro.etl.table import Table
+from repro.etl.table import CategoricalColumn, Table
 from repro.itemsets.coverset import as_cover
 from repro.itemsets import transactions
 from repro.itemsets.items import Item
@@ -249,10 +250,11 @@ def _closed_scratch(db, valid, **overrides):
 class TestClosedModeIncremental:
     """Closed-mode updates must match from-scratch closed builds, bit-exact.
 
-    The closure diff only re-derives closedness for itemsets whose
-    ``cover_digest`` changed; everything else reuses the previous flag —
-    and the result must still be indistinguishable from
-    ``filter_closed`` run from scratch at every date.
+    The closure memo re-derives closedness only for candidates whose
+    items all meet a changed row (or that have no previous flag); every
+    other candidate keeps its previous flag — and the result must still
+    be indistinguishable from ``filter_closed`` run from scratch at
+    every date.
     """
 
     def test_bit_exact_parity_across_dates(self, temporal):
@@ -537,6 +539,141 @@ class TestUpdateWork:
                 )
                 recomputed += not carried
             assert extra["n_recomputed_cells"] == recomputed
+
+
+def _one_row_masks(valid):
+    """Four dates from ``valid``, each next one flipping a single row: a
+    valid row leaves, an invalid one joins, the first comes back."""
+    leaving = int(np.flatnonzero(valid)[7])
+    joining = int(np.flatnonzero(~valid)[3])
+    masks = [valid]
+    for row in (leaving, joining, leaving):
+        mask = masks[-1].copy()
+        mask[row] ^= True
+        masks.append(mask)
+    return masks
+
+
+class TestClosureScreen:
+    """A closed-mode update reuses a previous closedness flag exactly
+    where an unaffected item proves the candidate's cover unchanged."""
+
+    @pytest.mark.parametrize("timeline", ["dated", "crossed", "one_row"])
+    def test_flags_exactly_the_candidates_the_screen_leaves(
+        self, temporal, monkeypatch, timeline
+    ):
+        """Each update sends ``closure_flags`` exactly the candidates of
+        its recomputed contexts whose items all meet a changed row or
+        that had no flag at the previous date; on a date that flips one
+        row, those are exactly the candidates covering that row."""
+        db, valids = temporal
+        masks = {
+            "dated": lambda: [valids[d] for d in (0, 1, 2)],
+            "crossed": lambda: _crossed_masks(db, valids[0]),
+            "one_row": lambda: _one_row_masks(valids[0]),
+        }[timeline]()
+        sent = []
+        closure_flags = incremental_module.closure_flags
+
+        def recording(db, candidates, max_sa=None, max_ca=None):
+            sent.append(set(candidates))
+            return closure_flags(db, candidates, max_sa, max_ca)
+
+        monkeypatch.setattr(incremental_module, "closure_flags", recording)
+        engine = _closed_engine(db)
+        scratch = SegregationDataCubeBuilder(
+            engine="incremental", mode="closed", **LIMITS
+        )
+        split = db.dictionary.split
+        state = engine.build_at(masks[0], 0)
+        for date in range(1, len(masks)):
+            previous = state.closed_info
+            sent.clear()
+            state = engine.update(state, masks[date], date)
+            changed = as_cover(masks[date - 1] ^ masks[date])
+            affected = {
+                item for item in range(db.n_items)
+                if (db.cover_of([item]) & changed).any()
+            }
+            mined = scratch.mine_coordinates(db.restrict(masks[date]))
+            reached = {
+                context for context in mined.context_tvecs
+                if (db.cover_of(context) & changed).any()
+            }
+            candidates = [
+                itemset for itemset in mined.closed_info
+                if split(itemset)[1] in reached
+            ]
+            expected = {
+                itemset for itemset in candidates
+                if itemset <= affected
+                or itemset not in previous.get(split(itemset)[1], {})
+            }
+            (got,) = sent
+            assert got == expected
+            assert got
+            if timeline == "one_row":
+                assert changed.support() == 1
+                assert got == {
+                    itemset for itemset in candidates
+                    if (db.cover_of(itemset) & changed).any()
+                }
+
+    @pytest.mark.parametrize("seed", [31, 37])
+    def test_random_churn_parity_with_one_row_dates(self, seed):
+        """Bit-exact against scratch closed builds at every date of a
+        random walk whose dates flip 1, 2, 5 or 40 rows.  The SA column
+        ``t`` tracks ``g`` except on 12 rows, which sit out at first,
+        and every date flips one of them, so flags change between
+        dates: with every exception row of a ``g`` value out, that
+        value's itemsets are not closed."""
+        n_rows = 1200
+        table, _ = random_final_table(
+            n_rows, 8, sa_attributes={"g": 2, "a": 3},
+            ca_attributes={"r": 3, "s": 3}, multi_valued_ca={"mv": 3},
+            seed=seed, skew=0.4,
+        )
+        rng = np.random.default_rng(seed)
+        exceptions = rng.choice(n_rows, size=12, replace=False)
+        tracking = [f"t{g[1:]}" for g in table.categorical("g").values()]
+        for row in exceptions:
+            tracking[row] = "t1" if tracking[row] == "t0" else "t0"
+        table = table.with_column(
+            "t", CategoricalColumn.from_values(tracking)
+        )
+        schema = Schema.build(
+            segregation=["g", "a", "t"], context=["r", "s", "mv"],
+            unit="unitID", multi_valued=["mv"],
+        )
+        db = encode_table(table, schema)
+        limits = {"min_population": 15, "min_minority": 4}
+        valid = np.ones(n_rows, dtype=bool)
+        valid[exceptions] = False
+        engine = _closed_engine(db, **limits)
+        state = engine.build_at(valid, 0)
+        flipped = 0
+        for step, n_flips in enumerate((1, 1, 40, 2, 1, 5, 1, 40), 1):
+            rows = np.union1d(
+                rng.choice(exceptions, size=1),
+                rng.choice(n_rows, size=n_flips - 1, replace=False),
+            )
+            valid = valid.copy()
+            valid[rows] ^= True
+            previous = {
+                itemset: flag for memo in state.closed_info.values()
+                for itemset, flag in memo.items()
+            }
+            state = engine.update(state, valid, step)
+            assert state.cube.metadata.extra["n_changed_rows"] == len(rows)
+            assert check_same_cells(
+                state.cube, _closed_scratch(db, valid, **limits), atol=0.0
+            ) == []
+            flipped += sum(
+                previous.get(itemset, flag) != flag
+                for memo in state.closed_info.values()
+                for itemset, flag in memo.items()
+            )
+        assert flipped > 0
 
 
 class TestContextTransitions:

@@ -99,9 +99,6 @@ def test_mines_match_the_reference_dfs(case):
     assert got.supports.tolist() == [c.support() for c in expected.values()]
     _same_covers(got.covers(), list(expected.values()))
     _same_covers([got[key] for key in expected], list(expected.values()))
-    assert got.digests() == [
-        eclat.cover_digest(cover) for cover in expected.values()
-    ]
 
     for with_covers in (False, True):
         expected = mine_eclat_reference(db, minsup, items, max_ca,

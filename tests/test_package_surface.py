@@ -103,7 +103,7 @@ KEPT_PARAMS = {
 
 #: Most defaulted parameters (positional and keyword-only) the
 #: functions and methods of ``src/repro`` may have together.
-MAX_SETTABLE = 194
+MAX_SETTABLE = 191
 
 
 def _named(nodes: Iterable[ast.AST]) -> "Counter[str]":

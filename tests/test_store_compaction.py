@@ -1,17 +1,18 @@
-"""Tests of the timeline publish rule, the timeline manifest, and staleness.
+"""Tests of the timeline publish rule, the timeline's records, and staleness.
 
 The contract: each publish decides once whether its date is a delta on
 the parent date or a full snapshot — full when the parent's chain
 already has ``MAX_CHAIN`` hops, or when the delta's own bytes reach
-``MIN_BYTE_RATIO`` of its chain root's — and never touches a date
-published before it.  Every date reads back bit-identical through
-``CubeTimeline.at``, a crash at any manifest write leaves the timeline
-readable, and ``timeline.json`` records what is on disk.
+``MIN_BYTE_RATIO`` of its chain root's — writes the new date's
+directory and nothing else, and never touches a date published before
+it.  Every date reads back bit-identical through ``CubeTimeline.at``, a
+crash at any file call of a publish leaves the timeline readable,
+``read_timeline_manifest`` reads what is on disk, and a ``timeline.json``
+left by an earlier version changes nothing.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import shutil
 import tempfile
@@ -27,12 +28,10 @@ from repro.cube.builder import SegregationDataCubeBuilder
 from repro.cube.cube import check_same_cells
 from repro.cube.incremental import TemporalCubeEngine
 from repro.data.synthetic import random_final_table
-from repro.errors import SnapshotError
 from repro.itemsets.transactions import encode_table
 from repro.serve.service import CubeService
 from repro.store import (
     MANIFEST_NAME,
-    TIMELINE_MANIFEST_NAME,
     CubeTimeline,
     delta_chain_length,
     dump_into_timeline,
@@ -171,7 +170,7 @@ class TestCompactionPolicy:
 
 
 class TestCompactDate:
-    """A date written full, and what ``timeline.json`` records of it."""
+    """A date written full, and what the timeline records of it."""
 
     def test_compact_rewrites_as_full_root(self, series, far_dir):
         # The byte-triggered publish writes its date once, as a full
@@ -290,37 +289,45 @@ class TestTimelineManifest:
         assert manifest["last_publish_at"] is None
         assert manifest["dates"] == {}
 
-    def test_corrupt_manifest_raises(self, timeline_dir):
-        (timeline_dir / TIMELINE_MANIFEST_NAME).write_text("{nope")
-        with pytest.raises(SnapshotError, match="unreadable"):
-            read_timeline_manifest(timeline_dir)
-
-    def test_malformed_manifest_raises(self, timeline_dir):
-        (timeline_dir / TIMELINE_MANIFEST_NAME).write_text(
-            json.dumps({"dates": [1, 2]})
-        )
-        with pytest.raises(SnapshotError, match="malformed"):
-            read_timeline_manifest(timeline_dir)
-
     def test_manifest_file_is_not_a_date(self, timeline_dir):
-        # timeline.json (and the manifest-less directory a crashed
-        # publish leaves) must stay invisible to readers.
+        # The manifest-less directory a crashed publish leaves must stay
+        # invisible to readers.
         (timeline_dir / "4").mkdir()
         assert timeline_dates(timeline_dir) == list(DATES)
         assert CubeTimeline(timeline_dir).dates == list(DATES)
+
+    def test_leftover_timeline_json_changes_nothing(self, series, tmp_path):
+        # Earlier versions kept a timeline.json; one left behind, even a
+        # corrupt one, is never read, rewritten or deleted.
+        clean = _dump(series.states[:3], tmp_path / "clean")
+        old = _dump(series.states[:2], tmp_path / "old")
+        leftover = old / "timeline.json"
+        leftover.write_text("{nope", encoding="utf-8")
+        dump_into_timeline(old, 2, series.states[2].cube, parent_date=1,
+                           parent=series.states[1].cube)
+        assert timeline_dates(old) == timeline_dates(clean) == [0, 1, 2]
+        assert CubeTimeline(old).dates == [0, 1, 2]
+        assert read_timeline_manifest(old)["dates"] == (
+            read_timeline_manifest(clean)["dates"]
+        )
+        assert leftover.read_text(encoding="utf-8") == "{nope"
+        assert sorted(p.name for p in old.iterdir()) == [
+            "0", "1", "2", "timeline.json"
+        ]
 
     def test_failed_manifest_replace_keeps_timeline_readable(
         self, series, tmp_path, crash_at
     ):
         # A publish writes through the store's file layer: a delta
-        # publish and a byte-triggered full one each replace the date's
-        # manifest.json and timeline.json once (the byte rule is decided
-        # before anything is written).  Failing each of its os.open,
-        # os.writev, os.replace, Path.unlink and os.fsync calls in turn
-        # must leave
-        # timeline.json parseable, every listed date opening at atol=0
-        # and no temporary file behind — and publishing the date again
-        # must give the layout of an uninterrupted publish.
+        # publish and a byte-triggered full one each write the date's
+        # data file and manifest.json, renaming the manifest once onto
+        # its new name (the byte rule is decided before anything is
+        # written), and fsync the timeline directory last.  Failing each
+        # of its os.open, os.writev, os.replace, Path.unlink and os.fsync
+        # calls in turn must leave every listed date opening at atol=0,
+        # the timeline's records matching its dates and no temporary
+        # file behind — and publishing the date again must give the
+        # layout of an uninterrupted publish.
         base = _dump(series.states[:3], tmp_path / "base")
         parent = series.states[2].cube
         cube_at = {state.date: state.cube for state in series.states[:3]}
@@ -335,21 +342,23 @@ class TestTimelineManifest:
                 path.relative_to(root) for path in root.rglob("*")
             )
 
-        for kind, cube, n_replaces, chain in (
-            ("delta", series.states[3].cube, 2, 3),
-            ("full", series.far, 2, 0),
+        for kind, cube, chain in (
+            ("delta", series.states[3].cube, 3),
+            ("full", series.far, 0),
         ):
             cube_at[3] = cube
             whole = shutil.copytree(base, tmp_path / kind)
             calls = crash_at(publish(whole, cube))
-            assert calls.count("replace") == n_replaces
+            assert calls.count("replace") == 1
             assert delta_chain_length(whole / "3") == chain
             for crash in range(len(calls)):
                 root = shutil.copytree(base, tmp_path / f"{kind}-{crash}")
                 crash_at(publish(root, cube), fail=crash)
-                json.loads((root / TIMELINE_MANIFEST_NAME).read_text())
-                read_timeline_manifest(root)
-                for date in timeline_dates(root):
+                dates = timeline_dates(root)
+                assert set(read_timeline_manifest(root)["dates"]) == {
+                    str(date) for date in dates
+                }
+                for date in dates:
                     reopened = open_snapshot(root / str(date))
                     assert check_same_cells(
                         cube_at[date], reopened, atol=0.0

@@ -24,7 +24,11 @@ store's writer (:func:`~repro.store.manifest.write_directory`) rules
 that state out by fsyncing the directory right after it unlinks a
 stale manifest, before any new byte is written;
 ``test_the_model_finds_an_old_manifest_over_new_bytes`` drops that
-fsync and finds the state.
+fsync and finds the state.  A timeline publish that has returned is
+durable: every state after its last call reads the new date, because
+the publish fsyncs the timeline directory last;
+``test_the_model_finds_a_returned_publish_lost_without_the_root_fsync``
+drops that fsync and finds a state without the date.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import numpy as np
 import pytest
 
 import repro.store.manifest as manifest_module
+import repro.store.timeline as timeline_module
 from repro.cube.builder import SegregationDataCubeBuilder
 from repro.cube.cube import SegregationCube
 from repro.cube.table import CellTable, TableArrays
@@ -106,6 +111,8 @@ class DiskLog:
         #: The current name of every file under ``root``.
         self.names = dict(self.initial)
         self.events: "list[tuple]" = []
+        #: Every rename whose target name existed, as that name.
+        self.replaced: "list[str]" = []
         self._fds: "dict[int, list]" = {}
 
     def _rel(self, path) -> "str | None":
@@ -158,8 +165,11 @@ class DiskLog:
             real["close"](fd)
 
         def replace(src, dst, **kwargs):
+            existed = os.path.lexists(dst)
             real["replace"](src, dst, **kwargs)
             old, new = self._rel(src), self._rel(dst)
+            if existed:
+                self.replaced.append(new)
             assert os.path.dirname(old) == os.path.dirname(new)
             ino = self.names.pop(old)
             self.names[new] = ino
@@ -240,11 +250,14 @@ def _tree(log: DiskLog, survivors: "list[tuple]"):
     return tuple(dirs), tuple(files)
 
 
-def crash_states(log: DiskLog):
-    """Every distinct tree a crash after any prefix of the log leaves."""
+def crash_states(log: DiskLog, crashes=None):
+    """Every distinct tree a crash after any prefix of the log leaves,
+    or after each prefix length in ``crashes``."""
     seen = set()
     events = log.events
-    for crash in range(len(events) + 1):
+    if crashes is None:
+        crashes = range(len(events) + 1)
+    for crash in crashes:
         prefix = events[:crash]
         synced: "dict[object, int]" = {}
         for index, event in enumerate(prefix):
@@ -281,10 +294,13 @@ def _materialize(tree, root: Path) -> Path:
     return root
 
 
-def _outcomes(log: DiskLog, tmp_path: Path, read) -> "dict[str, int]":
-    """How many crash states ``read(root)`` reads as each outcome."""
+def _outcomes(
+    log: DiskLog, tmp_path: Path, read, crashes=None
+) -> "dict[str, int]":
+    """How many crash states ``read(root)`` reads as each outcome
+    (:func:`crash_states`' ``crashes``)."""
     counts: "dict[str, int]" = {}
-    for index, tree in enumerate(crash_states(log)):
+    for index, tree in enumerate(crash_states(log, crashes)):
         root = _materialize(tree, tmp_path / f"state-{index}")
         try:
             outcome = read(root)
@@ -353,7 +369,7 @@ def test_the_model_finds_an_old_manifest_over_new_bytes(
 ):
     """Without the fsync after the stale manifest's unlink, a power loss
     may keep that unlink's undoing together with the new data file."""
-    fsync_directory = manifest_module._fsync_directory
+    fsync_directory = manifest_module.fsync_directory
     calls = []
 
     def skip_first(directory):
@@ -363,16 +379,20 @@ def test_the_model_finds_an_old_manifest_over_new_bytes(
 
     new = _changed(built, slice(None))
     path = dump_snapshot(built, tmp_path / "snap")
-    monkeypatch.setattr(manifest_module, "_fsync_directory", skip_first)
+    monkeypatch.setattr(manifest_module, "fsync_directory", skip_first)
     log = DiskLog(path)
     log.record(lambda: dump_snapshot(new, path))
     outcomes = _outcomes(log, tmp_path, _cube_reader(built, new))
     assert "mixed" in outcomes, outcomes
 
 
-def _publish_outcomes(cubes, tmp_path, chain_length):
-    """Publish ``cubes[2]`` onto a timeline holding ``cubes[:2]`` under
-    :class:`DiskLog`, and read every state a power loss may leave."""
+def _logged_timeline_publish(built, kind, tmp_path):
+    """Publish date 2 onto a timeline holding dates 0 and 1 under
+    :class:`DiskLog`: a delta (``kind="delta"``, two rows changed) or a
+    byte-triggered full snapshot (``"byte_triggered"``, every row
+    changed).  Return the log and a reader of its crash states."""
+    cubes = [built, _changed(built, [0, 1, 2]), _changed(
+        built, [3, 4] if kind == "delta" else slice(None))]
     root = tmp_path / "timeline"
     dump_into_timeline(root, 0, cubes[0])
     dump_into_timeline(root, 1, cubes[1], parent_date=0, parent=cubes[0])
@@ -380,7 +400,7 @@ def _publish_outcomes(cubes, tmp_path, chain_length):
     log.record(lambda: dump_into_timeline(
         root, 2, cubes[2], parent_date=1, parent=cubes[1]))
     assert read_timeline_manifest(root)["dates"]["2"]["chain_length"] \
-        == chain_length
+        == (2 if kind == "delta" else 0)
     digests = [table_digest(cube.table) for cube in cubes]
 
     def read(state):
@@ -393,23 +413,44 @@ def _publish_outcomes(cubes, tmp_path, chain_length):
             return "mixed"
         return {(0, 1): "old", (0, 1, 2): "new"}.get(tuple(dates), "other")
 
-    return _outcomes(log, tmp_path, read)
+    return log, read
 
 
 def test_delta_publish_survives_power_loss(built, tmp_path):
     """A delta publish leaves the timeline at its old dates or with the
     new one complete: never a date a restart cannot open."""
-    cubes = [built, _changed(built, [0, 1, 2]), _changed(built, [3, 4])]
-    outcomes = _publish_outcomes(cubes, tmp_path, chain_length=2)
+    log, read = _logged_timeline_publish(built, "delta", tmp_path)
+    outcomes = _outcomes(log, tmp_path, read)
     assert set(outcomes) == {"old", "new"}, outcomes
 
 
 def test_byte_triggered_publish_survives_power_loss(built, tmp_path):
     """A date whose delta would be too big is written once, full: a
     power loss leaves the old dates or the new one complete."""
-    cubes = [built, _changed(built, [0, 1, 2]), _changed(built, slice(None))]
-    outcomes = _publish_outcomes(cubes, tmp_path, chain_length=0)
+    log, read = _logged_timeline_publish(built, "byte_triggered", tmp_path)
+    outcomes = _outcomes(log, tmp_path, read)
     assert set(outcomes) == {"old", "new"}, outcomes
+
+
+@pytest.mark.parametrize("kind", ["byte_triggered", "delta"])
+def test_a_returned_publish_is_durable(built, tmp_path, kind):
+    """Every state a power loss leaves after the publish's last call
+    holds the new date."""
+    log, read = _logged_timeline_publish(built, kind, tmp_path)
+    outcomes = _outcomes(log, tmp_path, read, [len(log.events)])
+    assert set(outcomes) == {"new"}, outcomes
+
+
+def test_the_model_finds_a_returned_publish_lost_without_the_root_fsync(
+    built, tmp_path, monkeypatch
+):
+    """Without the fsync of the timeline directory, the new date's
+    directory entry may not survive a publish that has returned."""
+    monkeypatch.setattr(timeline_module, "fsync_directory",
+                        lambda directory: None)
+    log, read = _logged_timeline_publish(built, "delta", tmp_path)
+    outcomes = _outcomes(log, tmp_path, read, [len(log.events)])
+    assert "old" in outcomes, outcomes
 
 
 def _artifact(n_left, n_right, seed):
@@ -458,17 +499,16 @@ def _fsyncs(log: DiskLog) -> "tuple[int, int]":
     return kinds.count("fsync"), kinds.count("fsync_dir")
 
 
-def test_delta_publish_writes_three_files(built, tmp_path):
-    """A delta publish writes its data file, its manifest and
-    ``timeline.json``, nothing else; the data file holds the arrays'
-    bytes plus less than 64 bytes of padding after each, and the
-    manifest carries no vocabulary (the delta takes its parent's)."""
+def test_delta_publish_writes_two_files(built, tmp_path):
+    """A delta publish writes its data file and its manifest, nothing
+    else; the data file holds the arrays' bytes plus less than 64 bytes
+    of padding after each, and the manifest carries no vocabulary (the
+    delta takes its parent's)."""
     root = tmp_path / "timeline"
     log = _logged_publish(built, _changed(built, [0, 1, 2]), root)
     written = log.written_files()
     assert sorted(written) == [
         os.path.join("1", DATA_NAME), os.path.join("1", "manifest.json"),
-        "timeline.json",
     ]
     manifest = SnapshotManifest.read(root / "1")
     assert manifest.delta is not None
@@ -481,30 +521,29 @@ def test_delta_publish_writes_three_files(built, tmp_path):
         end = info.offset + int(np.prod(info.shape)) * np.dtype(
             info.dtype).itemsize
     assert 0 <= manifest.data_bytes - end < ALIGN
-    # The delta's manifest is its root's less at least the vocabulary
-    # (the root's items list, even written without indentation).
+    # The manifest is its payload on one line, keys sorted, and smaller
+    # than its root's, which carries the vocabulary.
     manifest_bytes = written[os.path.join("1", "manifest.json")]
-    root_manifest = (root / "0" / "manifest.json").stat().st_size
-    items = json.dumps(read_payload(root / "0")["items"])
-    assert manifest_bytes < root_manifest - len(items)
+    payload = read_payload(root / "1")
+    assert manifest_bytes == len(json.dumps(payload, sort_keys=True))
+    assert manifest_bytes < (root / "0" / "manifest.json").stat().st_size
     own = read_timeline_manifest(root)["dates"]["1"]["own_bytes"]
     assert own == manifest_bytes + manifest.data_bytes
-    assert _fsyncs(log) == (3, 3)
+    assert _fsyncs(log) == (2, 3)
 
 
 def test_byte_triggered_publish_writes_the_full_snapshot_once(
     built, tmp_path
 ):
     """A date whose delta would reach half its root's bytes is written
-    as a full snapshot, once: its two files and ``timeline.json``, with
-    the fsyncs of a delta publish and no byte of the delta."""
+    as a full snapshot, once: its two files, with the fsyncs of a delta
+    publish and no byte of the delta."""
     root = tmp_path / "timeline"
     log = _logged_publish(built, _changed(built, slice(None)), root)
     assert read_timeline_manifest(root)["dates"]["1"]["chain_length"] == 0
     written = log.written_files()
     assert sorted(written) == [
         os.path.join("1", DATA_NAME), os.path.join("1", "manifest.json"),
-        "timeline.json",
     ]
     manifest = SnapshotManifest.read(root / "1")
     assert manifest.delta is None and manifest.items is not None
@@ -513,6 +552,30 @@ def test_byte_triggered_publish_writes_the_full_snapshot_once(
     )
     own = (root / "1" / DATA_NAME).stat().st_size + (
         root / "1" / "manifest.json").stat().st_size
-    assert bytes_written == own + written["timeline.json"]
+    assert bytes_written == own
     assert read_timeline_manifest(root)["dates"]["1"]["own_bytes"] == own
-    assert _fsyncs(log) == (3, 3)
+    assert _fsyncs(log) == (2, 3)
+
+
+def test_a_publish_replaces_nothing_and_its_work_stays_flat(
+    built, tmp_path, opened_files
+):
+    """A publish renames onto no existing path and unlinks no existing
+    file, and publishing date 30 opens as many files as date 3, whose
+    parent sits at the same chain position."""
+    root = tmp_path / "timeline"
+    cubes = [_changed(built, [date]) for date in range(31)]
+    dump_into_timeline(root, 0, cubes[0])
+    opens = {}
+    for date in range(1, 31):
+        log = DiskLog(root)
+        opened_files.clear()
+        log.record(lambda: dump_into_timeline(
+            root, date, cubes[date], parent_date=date - 1,
+            parent=cubes[date - 1]))
+        opens[date] = len(opened_files)
+        assert log.replaced == [], date
+        assert [e for e in log.events if e[0] == "unlink"] == [], date
+    chains = read_timeline_manifest(root)["dates"]
+    assert chains["2"]["chain_length"] == chains["29"]["chain_length"] > 0
+    assert opens[3] == opens[30] > 0

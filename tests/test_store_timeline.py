@@ -713,6 +713,45 @@ class TestRefreshWork:
             assert _comparable(query, body) == \
                 _comparable(query, fresh_body), query
 
+    @pytest.mark.parametrize("mmap", [True, False])
+    @pytest.mark.parametrize("n_new", [1, 2])
+    def test_trend_after_refresh_loads_nothing_more(
+        self, states, tmp_path, count_opens, mmap, n_new
+    ):
+        """A refreshed service takes its predecessor's trend changes and
+        adds each new date's, so after one trend on a warm app, a
+        publish and a refresh, trends load no data file beyond those
+        the refresh composed, and answer as a fresh app does."""
+        root = tmp_path / "tl"
+        published = _cycle(root, states, 20 + n_new)
+        for _ in range(20):
+            next(published)
+        app = make_app(root, mmap=mmap)
+        queries = [
+            "/trend?index=D&sa=g%3Dg0&ca=r%3Dr0",
+            "/trend?index=D&sa=g%3Dg1",
+            "/trend?index=A&ca=s%3Ds2",
+            "/trend?index=D",
+        ]
+        assert wsgi_get(app, queries[0])[0] == 200
+        for _ in published:
+            pass
+        count_opens["loads"].clear()
+        status, _, body = wsgi_get(app, "/refresh", method="POST")
+        assert (status, body) == (200, b'{"refreshed":true}')
+        assert sorted(d.name for d in count_opens["loads"]) == [
+            str(20 + i) for i in range(n_new)
+        ]
+        count_opens["loads"].clear()
+        count_opens["composes"].clear()
+        bodies = [wsgi_get(app, query) for query in queries]
+        assert count_opens == {"loads": [], "composes": []}
+        fresh = make_app(root, mmap=mmap)
+        for query, answer in zip(queries, bodies):
+            assert answer[0] == 200
+            assert len(json.loads(answer[2])) == 20 + n_new
+            assert answer == wsgi_get(fresh, query), query
+
     def test_refresh_sorts_at_most_the_served_table(
         self, states, tmp_path, argsorted
     ):
@@ -769,6 +808,44 @@ class TestRefreshWork:
                     [key[part] for key in table.keys], n_words
                 ), masks)
 
+
+
+class TestPublishWork:
+    """Work counts of a publish."""
+
+    def test_a_publish_hashes_one_table(self, states, tmp_path,
+                                        monkeypatch):
+        """Each publish hashes the table it writes, once: the parent it
+        checks was hashed when it was published, and keeps its digest."""
+        import repro.store.snapshot as snapshot_module
+
+        hashed = []
+        hash_rows = snapshot_module._hash_rows
+
+        def counting(table, order):
+            hashed.append(table)
+            return hash_rows(table, order)
+
+        monkeypatch.setattr(snapshot_module, "_hash_rows", counting)
+        cubes = [
+            SegregationCube(CellTable.from_arrays(state.cube.table.arrays),
+                            state.cube.dictionary, state.cube.metadata)
+            for state in states
+        ]
+        root = tmp_path / "tl"
+        for date, cube in enumerate(cubes):
+            hashed.clear()
+            dump_into_timeline(
+                root, date, cube, parent_date=date - 1 if date else None,
+                parent=cubes[date - 1] if date else None,
+            )
+            assert hashed == [cube.table]
+        assert [delta_chain_length(root / str(d)) for d in DATES] == [0, 1, 2]
+        for date, cube in enumerate(cubes):
+            assert table_digest(cube.table) == SnapshotManifest.read(
+                root / str(date)
+            ).content_digest
+        assert not cubes[0].table.population.flags.writeable
 
 
 class TestInfoWork:
