@@ -4,12 +4,11 @@ Filling the cube's cells, after mining: the per-cell reference in
 ``tests/oracles.py`` (``make_cell``) counts each mined cell's minority
 with its own ``np.bincount`` over the cover's unit labels and runs six
 scalar index evaluations on it; the columnar engine's one
-count-and-evaluate loop (``count_and_eval``, shared with the parallel
-workers) counts each bounded batch of cells with the popcount kernel
-(ANDed item rows in unit order, per-unit counts read off a running
-popcount) and evaluates each index with one batched kernel call per
-context, landing results directly in the struct-of-arrays
-``CellTable``.
+count-and-evaluate loop (``count_and_eval``) counts each bounded batch
+of cells with the popcount kernel (ANDed item rows in unit order,
+per-unit counts read off a running popcount) and evaluates each index
+with one batched kernel call per context, landing results directly in
+the struct-of-arrays ``CellTable``.
 
 Assertions pin the refactor's contract at >= 100k rows: the encoded
 database equals the per-row reference encoder's bit for bit (CSR

@@ -37,15 +37,12 @@ def write_result(name: str, text: str) -> Path:
     return path
 
 
-def peak_rss_mb(children: bool = False) -> float:
+def peak_rss_mb() -> float:
     """Lifetime peak resident set size of this process, in MB.
 
-    ``ru_maxrss`` is kilobytes on Linux but bytes on macOS.  With
-    ``children=True``, the peak among *reaped* child processes instead
-    (the parallel fill's workers).
+    ``ru_maxrss`` is kilobytes on Linux but bytes on macOS.
     """
-    who = resource.RUSAGE_CHILDREN if children else resource.RUSAGE_SELF
-    maxrss = resource.getrusage(who).ru_maxrss
+    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     divisor = 1 << 20 if sys.platform == "darwin" else 1 << 10
     return maxrss / divisor
 

@@ -1,20 +1,14 @@
-"""Out-of-core build: stream a big CSV → parallel fill → snapshot → serve.
+"""Out-of-core build: stream a big CSV → build → snapshot → serve.
 
 The other examples materialise their finalTable in memory before
 building.  This walkthrough is the 10M-row recipe (benchmark E21) at
 demo scale: the input exists only as a CSV on disk, is streamed back in
 fixed-size chunks, folded append-only into the transaction store under a
-spill budget, filled with the multiprocess ``engine="parallel"`` —
-bit-identical to the single-process engine — and the result is dumped to
-a snapshot that serves queries with zero rebuild.  Peak memory is set by
-the chunk / window / batch knobs, not by the row count: the same script
-handles 10M rows by changing ``N_ROWS`` alone.
-
-The process pool pays off only when the fill does a lot of work.  On 2
-CPUs, two workers make a whole build of a 200-unit lattice 1.29x faster
-at 2M rows, but slower at 30k and 120k rows; at this demo's 40k rows the
-single-process default is the faster choice.  The demo keeps the pool
-so that it runs end to end.
+spill budget, built into a cube, and the result is dumped to a snapshot
+that serves queries with zero rebuild; the reopened snapshot is checked
+cell-identical to the live cube.  Peak memory is set by the chunk /
+window / batch knobs, not by the row count: the same script handles 10M
+rows by changing ``N_ROWS`` alone.
 
 Run with:  python examples/big_build.py
 """
@@ -56,25 +50,21 @@ def main() -> None:
     print(f"encoded {len(db)} rows, {db.n_items} items, "
           f"{db.n_units} units (spilled to scratch: {spilled})")
 
-    # -- 3. multiprocess fill, bit-identical to single-process --------
-    limits = {"min_population": 0.002, "min_minority": 0.0005}
-    parallel = SegregationDataCubeBuilder(
-        engine="parallel", workers=2, **limits
+    # -- 3. mine and fill the cube ------------------------------------
+    cube = SegregationDataCubeBuilder(
+        min_population=0.002, min_minority=0.0005
     ).build_from_transactions(db)
-    columnar = SegregationDataCubeBuilder(
-        **limits
-    ).build_from_transactions(db)
-    problems = check_same_cells(columnar, parallel, atol=0.0)
-    print(f"parallel fill: {len(parallel)} cells in "
-          f"{parallel.metadata.build_seconds:.2f}s with "
-          f"{parallel.metadata.extra['workers']} fill workers; "
-          f"parity vs columnar: "
-          f"{'identical' if not problems else problems[:3]}")
+    print(f"built {len(cube)} cells in "
+          f"{cube.metadata.build_seconds:.2f}s")
 
     # -- 4. snapshot + serve: later sessions skip all of the above ---
     snapshot = Path("big_snapshot")
-    dump_snapshot(parallel, snapshot)
-    service = CubeService(open_snapshot(snapshot, mmap=True))
+    dump_snapshot(cube, snapshot)
+    reopened = open_snapshot(snapshot, mmap=True)
+    problems = check_same_cells(cube, reopened, atol=0.0)
+    print(f"reopened mmapped; parity with live cube: "
+          f"{'identical' if not problems else problems[:3]}")
+    service = CubeService(reopened)
     print("\nTop segregated contexts, served from the snapshot:")
     for found in service.top("D", k=3):
         print(f"  {found.rank}. {found.description:<45} "

@@ -41,17 +41,11 @@ kernel).  Results land directly in the cube's struct-of-arrays
 of a one-cell-at-a-time fill over the scalar index formulas (the
 reference ``tests/oracles.py`` keeps and benchmark E17 checks).
 
-Three callers share that loop.  ``engine="columnar"`` (the default)
-runs it in-process over every context.  The opt-in ``engine="parallel"``
-(:mod:`repro.cube.parallel`, the package's only process pool) runs it in
-worker processes over partitions of the context groups, so the parallel
-cube is bit-exact against the columnar one; it pays off only when the
-fill does a lot of work (on 2 CPUs, two workers lose to the columnar
-fill at 30k rows and win 1.29x per build at 2M rows).  The incremental
-engine (:mod:`repro.cube.incremental`) runs the columnar fill over the
-contexts a date changed.  Mining always runs in-process: pooling the
-mine loses at every size measured, because every candidate cover would
-be pickled back.
+Two callers share that loop.  A build runs it over every context, and
+the incremental engine (:mod:`repro.cube.incremental`) over the
+contexts a date changed.  Both run it in-process: a pool of fill
+workers lost to it at every input size a benchmark workload reaches,
+and a pooled mine lost at every size measured.
 
 In ``closed`` mode only closed coordinates are materialised (non-closed
 itemsets select exactly the same minority as their closure); the cube
@@ -109,8 +103,7 @@ def eval_context_block(
     and the closed-mode resolver on a one-row block; the rows that pass
     the threshold are one :func:`~repro.indexes.base.evaluate` block.
     The kernels are row-independent, so a cell gets the same bits in any
-    block — which is what makes ``engine="parallel"`` and resolved cells
-    bit-exact.
+    block — which is what makes resolved cells bit-exact.
     """
     totals = sub_all.sum(axis=1)
     keep_cells = totals >= minsup_min
@@ -143,8 +136,8 @@ def count_and_eval(
     with :func:`eval_context_block`.  Returns ``(rows, totals, keep,
     values)`` over the groups' rows in order.
 
-    This is the one phase B/C loop: the columnar fill runs it over every
-    group, each pool worker of ``engine="parallel"`` over its partition.
+    This is the one phase B/C loop, run in-process by the columnar fill
+    over every group.
     """
     sizes = [len(group_rows) for _, _, group_rows in groups]
     rows = np.concatenate(
@@ -263,16 +256,11 @@ class SegregationDataCubeBuilder:
         materialises closed coordinates only and resolves other queries
         lazily (the JIIS efficiency solution).
     engine:
-        Fill strategy: ``"columnar"`` (default) batches all cells
-        through the count-matrix and vectorized index kernels;
-        ``"incremental"`` builds the same way and keeps the state
+        ``"columnar"`` (default) batches all cells through the
+        count-matrix and vectorized index kernels; ``"incremental"``
+        builds the same way and keeps the state
         :class:`~repro.cube.incremental.TemporalCubeEngine` updates
-        from; ``"parallel"`` partitions the context groups across
-        ``workers`` processes (see :mod:`repro.cube.parallel`).  All
-        produce bit-identical cubes.
-    workers:
-        Process count for ``engine="parallel"`` (None = one per CPU);
-        ignored by the other engines.
+        from.  Both produce bit-identical cubes.
     """
 
     def __init__(
@@ -284,17 +272,13 @@ class SegregationDataCubeBuilder:
         max_ca_items: "int | None" = None,
         mode: str = "all",
         engine: str = "columnar",
-        workers: "int | None" = None,
     ):
         if mode not in ("all", "closed"):
             raise CubeError(f"mode must be 'all' or 'closed', got {mode!r}")
-        if engine not in ("columnar", "incremental", "parallel"):
+        if engine not in ("columnar", "incremental"):
             raise CubeError(
-                "engine must be 'columnar', 'incremental' or 'parallel', "
-                f"got {engine!r}"
+                f"engine must be 'columnar' or 'incremental', got {engine!r}"
             )
-        if workers is not None and int(workers) < 1:
-            raise CubeError(f"workers must be >= 1, got {workers!r}")
         self.indexes: list[IndexSpec] = resolve_indexes(indexes)
         self.min_population = min_population
         self.min_minority = min_minority
@@ -302,7 +286,6 @@ class SegregationDataCubeBuilder:
         self.max_ca_items = max_ca_items
         self.mode = mode
         self.engine = engine
-        self.workers = None if workers is None else int(workers)
 
     # ------------------------------------------------------------------
 
@@ -334,16 +317,9 @@ class SegregationDataCubeBuilder:
             raise CubeError("transaction database has no unit labels")
         started = time.perf_counter()
         mined = self.mine_coordinates(db)
-        extra_meta: "dict[str, object]" = {}
-        if self.engine == "parallel":
-            from repro.cube.parallel import fill_parallel, resolve_workers
-
-            store = fill_parallel(self, db, mined)
-            extra_meta["workers"] = resolve_workers(self.workers)
-        else:
-            # "incremental" cold-starts (and plain-builds) through the
-            # columnar fill; its delta path lives in cube/incremental.py.
-            store = self._fill_columnar(db, mined)
+        # "incremental" cold-starts (and plain-builds) through the
+        # columnar fill; its delta path lives in cube/incremental.py.
+        store = self._fill_columnar(db, mined)
 
         metadata = CubeMetadata(
             index_names=[spec.name for spec in self.indexes],
@@ -358,7 +334,6 @@ class SegregationDataCubeBuilder:
                 "n_contexts": mined.n_contexts,
                 "n_mined_itemsets": len(mined.keys),
                 "engine": self.engine,
-                **extra_meta,
             },
         )
         resolver = _LazyResolver(
@@ -494,18 +469,18 @@ class SegregationDataCubeBuilder:
         self,
         db: TransactionDatabase,
         cand: CandidateArrays,
-        counted: "list[tuple[np.ndarray, ...]]",
+        counted: "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]",
     ) -> CellTable:
-        """Phase D — scatter the :func:`count_and_eval` results, then the
+        """Phase D — scatter the :func:`count_and_eval` result, then the
         surviving candidates into the store, keeping mining order."""
         n_sa = len(cand.index_rows)
         minority_totals = np.zeros(n_sa, dtype=np.int64)
         kept_rows = np.zeros(n_sa, dtype=bool)
         values = np.full((len(self.indexes), n_sa), np.nan)
-        for rows, totals, keep, block in counted:
-            minority_totals[rows] = totals
-            kept_rows[rows] = keep
-            values[:, rows] = block
+        rows, totals, keep, block = counted
+        minority_totals[rows] = totals
+        kept_rows[rows] = keep
+        values[:, rows] = block
         rows_of, pops = cand.rows_of, cand.pops
         is_ctx = rows_of < 0
         emit = is_ctx.copy()
@@ -548,7 +523,7 @@ class SegregationDataCubeBuilder:
             cand.groups, words, bounds, cand.index_rows,
             self.indexes, mined.minsup_min,
         )
-        return self._assemble_cells(db, cand, [counted])
+        return self._assemble_cells(db, cand, counted)
 
 
 class _LazyResolver:

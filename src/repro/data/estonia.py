@@ -22,36 +22,37 @@ from repro.etl.table import Table
 from repro.etl.temporal import Interval, MembershipEdge, TemporalMembership
 
 
+#: Companies are founded in ``[FIRST_YEAR, LAST_YEAR)``.
+FIRST_YEAR = 1995
+LAST_YEAR = 2015
+#: Mean extra board seats beyond the first (Poisson).
+BOARD_EXTRA_MEAN = 1.2
+#: Probability that a seat is filled by an existing same-county director.
+REUSE_PROBABILITY = 0.25
+#: Female share of new seats in the first and last year (linear drift).
+FEMALE_RATE_START = 0.18
+FEMALE_RATE_END = 0.35
+#: Strength of the sector bias in the first and last year: 1 keeps the
+#: full per-sector spread, 0 flattens all sectors to the base rate.
+BIAS_START = 1.0
+BIAS_END = 0.45
+#: Mean membership duration in years (geometric).
+MEAN_DURATION = 6.0
+
+
 @dataclass
 class EstoniaConfig:
     """Knobs of the Estonian temporal generator."""
 
     n_companies: int = 2500
     seed: int = 11
-    first_year: int = 1995
-    last_year: int = 2015
-    board_extra_mean: float = 1.2
-    reuse_probability: float = 0.25
-    #: Female share of new seats in the first and last year (linear drift).
-    female_rate_start: float = 0.18
-    female_rate_end: float = 0.35
-    #: Strength of the sector bias in the first and last year: 1 keeps the
-    #: full per-sector spread, 0 flattens all sectors to the base rate.
-    bias_start: float = 1.0
-    bias_end: float = 0.45
-    #: Mean membership duration in years (geometric).
-    mean_duration: float = 6.0
 
 
-def _female_rate(config: EstoniaConfig, sector: str, year: int) -> float:
+def _female_rate(sector: str, year: int) -> float:
     """Planted probability that a seat created in ``year`` is female."""
-    span = max(1, config.last_year - config.first_year)
-    progress = (year - config.first_year) / span
-    base = (
-        config.female_rate_start
-        + (config.female_rate_end - config.female_rate_start) * progress
-    )
-    bias = config.bias_start + (config.bias_end - config.bias_start) * progress
+    progress = (year - FIRST_YEAR) / (LAST_YEAR - FIRST_YEAR)
+    base = FEMALE_RATE_START + (FEMALE_RATE_END - FEMALE_RATE_START) * progress
+    bias = BIAS_START + (BIAS_END - BIAS_START) * progress
     sector_offset = (
         vocab.SECTOR_FEMALE_RATE[sector]
         - float(np.mean(list(vocab.SECTOR_FEMALE_RATE.values())))
@@ -62,8 +63,6 @@ def _female_rate(config: EstoniaConfig, sector: str, year: int) -> float:
 def generate_estonia(config: "EstoniaConfig | None" = None) -> BoardsDataset:
     """Generate the synthetic Estonian temporal boards dataset."""
     config = config or EstoniaConfig()
-    if config.last_year <= config.first_year:
-        raise ReproError("last_year must exceed first_year")
     rng = np.random.default_rng(config.seed)
 
     counties = list(vocab.ESTONIAN_COUNTIES)
@@ -77,10 +76,8 @@ def generate_estonia(config: "EstoniaConfig | None" = None) -> BoardsDataset:
     company_counties = _sample_weighted(
         rng, counties, county_weights, config.n_companies
     )
-    founded = rng.integers(
-        config.first_year, config.last_year, config.n_companies
-    )
-    board_sizes = 1 + rng.poisson(config.board_extra_mean, config.n_companies)
+    founded = rng.integers(FIRST_YEAR, LAST_YEAR, config.n_companies)
+    board_sizes = 1 + rng.poisson(BOARD_EXTRA_MEAN, config.n_companies)
 
     genders: list[str] = []
     ages: list[str] = []
@@ -95,14 +92,14 @@ def generate_estonia(config: "EstoniaConfig | None" = None) -> BoardsDataset:
         seated: set[int] = set()
         for _ in range(int(board_sizes[company])):
             pool = pools[county]
-            reuse = pool and rng.random() < config.reuse_probability
+            reuse = pool and rng.random() < REUSE_PROBABILITY
             if reuse:
                 director = int(pool[int(rng.integers(0, len(pool)))])
                 if director in seated:
                     continue
             else:
                 director = len(genders)
-                rate = _female_rate(config, sector, start_year)
+                rate = _female_rate(sector, start_year)
                 genders.append("F" if rng.random() < rate else "M")
                 ages.append(_age_bin(float(rng.normal(47.0, 12.0))))
                 birthplaces.append(
@@ -111,12 +108,12 @@ def generate_estonia(config: "EstoniaConfig | None" = None) -> BoardsDataset:
                 pool.append(director)
             seated.add(director)
             begin = start_year + int(rng.integers(0, 3))
-            duration = 1 + int(rng.geometric(1.0 / config.mean_duration))
+            duration = 1 + int(rng.geometric(1.0 / MEAN_DURATION))
             end = begin + duration
-            if begin >= config.last_year:
-                begin = config.last_year - 1
-            if end > config.last_year + 5:
-                end = config.last_year + 5
+            if begin >= LAST_YEAR:
+                begin = LAST_YEAR - 1
+            if end > LAST_YEAR + 5:
+                end = LAST_YEAR + 5
             edges.append(
                 MembershipEdge(director, company, Interval(begin, end))
             )

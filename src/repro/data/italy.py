@@ -33,21 +33,21 @@ from repro.etl.temporal import TemporalMembership
 from repro.graph.bipartite import BipartiteGraph
 
 
+#: Mean extra board seats beyond the first (Poisson).
+BOARD_EXTRA_MEAN = 1.6
+#: Probability that a seat is filled by an existing same-province
+#: director (interlock rate).
+REUSE_PROBABILITY = 0.30
+#: Probability that a director resides in the company's region.
+LOCAL_RESIDENCE = 0.85
+
+
 @dataclass
 class ItalyConfig:
     """Knobs of the Italian generator."""
 
     n_companies: int = 3000
     seed: int = 7
-    #: Mean extra board seats beyond the first (Poisson).
-    board_extra_mean: float = 1.6
-    #: Probability that a seat is filled by an existing same-province
-    #: director (interlock rate).
-    reuse_probability: float = 0.30
-    #: Global scale on the per-sector female rates.
-    female_scale: float = 1.0
-    #: Probability that a director resides in the company's region.
-    local_residence: float = 0.85
 
 
 @dataclass
@@ -112,7 +112,7 @@ def generate_italy(config: "ItalyConfig | None" = None) -> BoardsDataset:
         rng, provinces, vocab.PROVINCE_WEIGHTS, config.n_companies
     )
     company_regions = [vocab.province_region(p) for p in company_provinces]
-    board_sizes = 1 + rng.poisson(config.board_extra_mean, config.n_companies)
+    board_sizes = 1 + rng.poisson(BOARD_EXTRA_MEAN, config.n_companies)
 
     # Director state, grown while filling boards.
     genders: list[str] = []
@@ -135,13 +135,12 @@ def generate_italy(config: "ItalyConfig | None" = None) -> BoardsDataset:
         female_rate = min(
             0.95,
             vocab.SECTOR_FEMALE_RATE[sector]
-            * vocab.REGION_FEMALE_MULTIPLIER[region]
-            * config.female_scale,
+            * vocab.REGION_FEMALE_MULTIPLIER[region],
         )
         seated: set[int] = set()
         for _ in range(int(board_sizes[company])):
             pool = pools[province]
-            reuse = pool and rng.random() < config.reuse_probability
+            reuse = pool and rng.random() < REUSE_PROBABILITY
             if reuse:
                 director = int(pool[int(rng.integers(0, len(pool)))])
                 if director in seated:
@@ -159,7 +158,7 @@ def generate_italy(config: "ItalyConfig | None" = None) -> BoardsDataset:
                                            p=birthplace_probs))
                         ]
                     )
-                if rng.random() < config.local_residence:
+                if rng.random() < LOCAL_RESIDENCE:
                     residences.append(region)
                 else:
                     residences.append(

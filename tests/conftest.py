@@ -13,7 +13,6 @@ import repro
 import repro.cube.table as table_module
 from repro.data.italy import ItalyConfig, generate_italy
 from repro.data.schools import generate_schools
-from repro.data.synthetic import random_final_table
 from repro.etl.schema import Schema
 from repro.etl.table import CategoricalColumn
 from repro.indexes.counts import UnitCounts
@@ -56,48 +55,6 @@ def schools_with_tracking(schools):
 def two_unit_counts():
     """Hand-checked counts: t=[10,10], m=[8,2]."""
     return UnitCounts([10, 10], [8, 2])
-
-
-@pytest.fixture()
-def small_final_table():
-    """A small random finalTable with single- and multi-valued attributes."""
-    return random_final_table(
-        300,
-        5,
-        sa_attributes={"g": 2, "a": 3},
-        ca_attributes={"r": 3},
-        multi_valued_ca={"mv": 3},
-        seed=42,
-    )
-
-
-@pytest.fixture()
-def assert_segments_unlinked(monkeypatch):
-    """Record the shared-memory segments the fill's process pool creates.
-
-    Returns a check, to call after the pooled work: at least one segment
-    was created, and every one of them is unlinked by now.
-    """
-    from multiprocessing import shared_memory
-
-    from repro.cube import parallel
-
-    created = []
-    original = parallel.segment_name
-
-    def tracking():
-        created.append(original())
-        return created[-1]
-
-    monkeypatch.setattr(parallel, "segment_name", tracking)
-
-    def check():
-        assert created, "expected at least one shared-memory segment"
-        for name in created:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    return check
 
 
 #: The file-system calls a store writer makes, each one a crash point.

@@ -1014,7 +1014,7 @@ def make_cell(
     The per-cell reference: the minority is counted by its own
     ``np.bincount`` (:func:`unit_counts_many`) and each index by its
     scalar formula (:data:`SCALAR_INDEXES`), sharing no kernel with the
-    columnar fill, the parallel workers or the closed-mode resolver.
+    columnar fill or the closed-mode resolver.
     """
     population = int(context_tvec.sum())
     if population < minsup_pop:

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,9 @@ from repro.etl.schema import Schema
 from repro.etl.table import Table
 
 from tests.oracles import dissimilarity, gini
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+ENV = {**os.environ, "PYTHONPATH": str(SRC)}
 
 
 @pytest.fixture()
@@ -170,3 +177,17 @@ class TestBuilderValidation:
         assert md.min_minority == 2
         assert md.build_seconds >= 0
         assert md.mode == "all"
+
+
+def test_default_build_never_imports_multiprocessing():
+    script = (
+        "import sys, repro\n"
+        "from repro.cube.builder import SegregationDataCubeBuilder\n"
+        "from repro.data.schools import generate_schools\n"
+        "SegregationDataCubeBuilder(min_population=10, min_minority=3)"
+        ".build(*generate_schools())\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+    )
+    subprocess.run(
+        [sys.executable, "-c", script], env=ENV, check=True, timeout=120
+    )

@@ -781,5 +781,8 @@ class TestEngineGuards:
         assert check_same_cells(incremental, columnar, atol=0.0) == []
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(CubeError, match="engine must be"):
-            SegregationDataCubeBuilder(engine="nope")
+        for engine in ("nope", "parallel"):
+            with pytest.raises(
+                CubeError, match="engine must be 'columnar' or 'incremental'"
+            ):
+                SegregationDataCubeBuilder(engine=engine)

@@ -202,10 +202,6 @@ class TestEstonia:
         with pytest.raises(ReproError):
             estonia_snapshot_table(estonia, 1800)
 
-    def test_invalid_year_range(self):
-        with pytest.raises(ReproError):
-            generate_estonia(EstoniaConfig(first_year=2000, last_year=2000))
-
 
 class TestSchools:
     def test_structure(self, schools):

@@ -66,7 +66,7 @@ def test_big_build_streams_and_serves(in_tmp_dir, capsys):
     out = capsys.readouterr().out
     assert "without building a table" in out
     assert "spilled to scratch: True" in out
-    assert "parity vs columnar: identical" in out
+    assert "parity with live cube: identical" in out
     assert (in_tmp_dir / "big_snapshot" / "manifest.json").exists()
 
 
